@@ -41,6 +41,7 @@ from .exemplars import (
 )
 from .harness import (
     CredentialError,
+    RateLimiter,
     TransportError,
     load_endpoint_config,
     run_session,
@@ -315,9 +316,9 @@ def cmd_run(config: ExperimentConfig, engine: str, mode: str = "chat") -> int:
         if config.learner.engine == "mh" and config.learner.seed is None:
             raise ConfigError("learner.seed is required for the mh engine")
 
-        def run_rule(rule_id: str):
+        def run_rule(rule_id: str) -> list[Path]:
             exemplar_list = lists[rule_id]
-            trace_path = run_dir / f"{rule_id}.posterior.csv"
+            trace_path = None
             if config.learner.engine == "mh":
                 run = run_mh(
                     exemplar_list, grammar, noise,
@@ -326,15 +327,18 @@ def cmd_run(config: ExperimentConfig, engine: str, mode: str = "chat") -> int:
                     max_size=config.learner.max_size,
                 )
             else:
+                trace_path = run_dir / f"{rule_id}.posterior.csv"
                 run = run_enumerative(
                     exemplar_list, grammar, noise,
                     max_size=config.learner.max_size,
                     max_hypotheses=config.learner.max_hypotheses,
                     trace_path=trace_path,
                 )
-            save_series(_learner_series(run, exemplar_list), run_dir / f"{rule_id}.series.json")
+            series_path = run_dir / f"{rule_id}.series.json"
+            elicited_path = run_dir / f"{rule_id}.elicited.json"
+            save_series(_learner_series(run, exemplar_list), series_path)
             _save_json(
-                run_dir / f"{rule_id}.elicited.json",
+                elicited_path,
                 {
                     "inputs": inputs,
                     "rule_id": rule_id,
@@ -342,6 +346,7 @@ def cmd_run(config: ExperimentConfig, engine: str, mode: str = "chat") -> int:
                     "final": print_concept(run.final_map, vocab),
                 },
             )
+            return [p for p in (series_path, elicited_path, trace_path) if p is not None]
     elif engine == "llm":
         if config.endpoint is None:
             raise ConfigError("the llm engine requires an 'endpoint' config path")
@@ -350,8 +355,13 @@ def cmd_run(config: ExperimentConfig, engine: str, mode: str = "chat") -> int:
         transcripts_dir = config.output_dir / "transcripts" / endpoint.model
         transcripts_dir.mkdir(parents=True, exist_ok=True)
         cache_dir = config.output_dir / "cache"
+        # One limiter for every session, so concurrent workers share the
+        # endpoint's request rate.
+        rate_limiter = (
+            RateLimiter(endpoint.rate_limit_per_s) if endpoint.rate_limit_per_s else None
+        )
 
-        def run_rule(rule_id: str):
+        def run_rule(rule_id: str) -> list[Path]:
             exemplar_list = lists[rule_id]
             transcript = run_session(
                 exemplar_list,
@@ -359,21 +369,23 @@ def cmd_run(config: ExperimentConfig, engine: str, mode: str = "chat") -> int:
                 mode,
                 cache_dir=cache_dir,
                 transcript_path=transcripts_dir / f"{rule_id}.json",
+                rate_limiter=rate_limiter,
             )
-            save_series(
-                transcript_series(transcript, exemplar_list), run_dir / f"{rule_id}.series.json"
-            )
+            series_path = run_dir / f"{rule_id}.series.json"
+            save_series(transcript_series(transcript, exemplar_list), series_path)
+            return [series_path]
     else:
         raise ConfigError(f"unknown engine {engine!r}")
 
     rule_ids = sorted(lists)
+    written: list[Path] = []
     if config.workers > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=config.workers) as pool:
             futures = {pool.submit(run_rule, rule_id): rule_id for rule_id in rule_ids}
             for future in concurrent.futures.as_completed(futures):
                 rule_id = futures[future]
                 try:
-                    future.result()
+                    written.extend(future.result())
                 except TransportError:
                     raise
                 except Exception as error:  # per-rule isolation
@@ -381,20 +393,21 @@ def cmd_run(config: ExperimentConfig, engine: str, mode: str = "chat") -> int:
     else:
         for rule_id in rule_ids:
             try:
-                run_rule(rule_id)
+                written.extend(run_rule(rule_id))
             except TransportError:
                 raise
             except Exception as error:
                 failures.append((rule_id, str(error)))
 
     failed_ids = {rule_id for rule_id, _message in failures}
+    # Only the files this run wrote: a directory reused across manifests
+    # keeps other rules' files, which this run did not produce.
     manifest = {
         "inputs": inputs,
         "engine": engine,
         "files": {
             path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-            for path in sorted(run_dir.iterdir())
-            if path.name != "manifest.json"
+            for path in sorted(written)
         },
     }
     _save_json(run_dir / "manifest.json", manifest)

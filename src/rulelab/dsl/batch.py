@@ -1,0 +1,202 @@
+"""Batched concept evaluation: many concepts over many contexts at once.
+
+:func:`evaluate_batch` computes the same truth values as
+:func:`rulelab.dsl.core.evaluate`, which stays the reference semantics it
+is tested against, but walks each distinct subterm once for a whole
+:class:`ContextBatch` instead of once per (concept, context) pair.
+
+Contexts are padded to five object slots.  Under ``d`` enclosing binders a
+subterm evaluates to an array of shape ``(n,) + (5,) * d`` (or one that
+broadcasts to it): axis 0 runs over contexts and axis ``d - v`` over the
+slot bound to de Bruijn variable ``v``; variable ``d`` is the target.  A
+quantifier reduces the last axis under its scope mask, so padded slots
+never reach a result.  Subterms are memoized per ``(subterm, depth)`` and
+shared across every concept of one call.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
+
+from .core import (
+    And,
+    Concept,
+    Context,
+    DslError,
+    FeatureIs,
+    FeatureVocab,
+    Iff,
+    Implies,
+    MajorityColor,
+    MinorityColor,
+    Not,
+    Or,
+    Quant,
+    Rel,
+    UnboundVariableError,
+    Xor,
+)
+
+MAX_OBJECTS = 5
+_FEATURE_AXIS = {"size": 0, "color": 1, "shape": 2}
+_REL_AXIS = {"same-color": 1, "same-shape": 2, "same-size": 0, "size-gt": 0, "size-ge": 0}
+
+
+def feature_dtype(vocab: FeatureVocab) -> np.dtype:
+    """Smallest unsigned dtype holding every feature index of ``vocab``."""
+    largest = max(len(vocab.sizes), len(vocab.colors), len(vocab.shapes)) - 1
+    return np.min_scalar_type(largest)
+
+
+@dataclass(frozen=True)
+class ContextBatch:
+    """``n`` contexts stored as arrays, objects padded to five slots."""
+
+    features: np.ndarray  # (n, 5, 3) size, color, shape index per slot; padding is 0
+    present: np.ndarray  # (n, 5) bool: the slot holds an object
+    target: np.ndarray  # (n,) slot of the target object
+    others: np.ndarray  # (n, 5) bool: present and not the target
+    color_counts: np.ndarray  # (n, n_colors) objects of each color in the set
+
+    @classmethod
+    def from_arrays(
+        cls, features: np.ndarray, n_objects: np.ndarray, target: np.ndarray, vocab: FeatureVocab
+    ) -> "ContextBatch":
+        """Build a batch from padded features, set sizes and target slots."""
+        slots = np.arange(MAX_OBJECTS)
+        present = slots < n_objects[:, None]
+        others = present & (slots != target[:, None])
+        colors = features[:, :, 1]
+        color_counts = np.stack(
+            [
+                ((colors == color) & present).sum(axis=1, dtype=np.uint8)
+                for color in range(len(vocab.colors))
+            ],
+            axis=1,
+        )
+        return cls(features, present, target, others, color_counts)
+
+    @classmethod
+    def from_contexts(cls, contexts: Sequence[Context], vocab: FeatureVocab) -> "ContextBatch":
+        """Pack ``Context`` objects, in order, into a batch."""
+        padding = [(0, 0, 0)] * MAX_OBJECTS
+        rows = [
+            [(o.size, o.color, o.shape) for o in ctx.objects] + padding[len(ctx.objects):]
+            for ctx in contexts
+        ]
+        features = np.array(rows, dtype=feature_dtype(vocab)).reshape(len(contexts), MAX_OBJECTS, 3)
+        n_objects = np.array([len(ctx.objects) for ctx in contexts], dtype=np.uint8)
+        target = np.array([ctx.target for ctx in contexts], dtype=np.uint8)
+        return cls.from_arrays(features, n_objects, target, vocab)
+
+    def __len__(self) -> int:
+        return len(self.target)
+
+    def __getitem__(self, rows: slice) -> "ContextBatch":
+        return ContextBatch(
+            self.features[rows],
+            self.present[rows],
+            self.target[rows],
+            self.others[rows],
+            self.color_counts[rows],
+        )
+
+
+def evaluate_batch(concepts: Sequence[Concept], batch: ContextBatch) -> np.ndarray:
+    """Truth values as a ``bool[len(concepts), len(batch)]`` array: row ``i``
+    column ``j`` is ``evaluate(concepts[i], context j)``."""
+    evaluator = _Evaluator(batch)
+    out = np.empty((len(concepts), len(batch)), dtype=bool)
+    for i, concept in enumerate(concepts):
+        out[i] = evaluator.value(concept, 0)
+    return out
+
+
+class _Evaluator:
+    """One batch's memo of subterm values, keyed by (subterm, depth)."""
+
+    def __init__(self, batch: ContextBatch):
+        self.batch = batch
+        self.n = len(batch)
+        self.memo: dict[tuple[Concept, int], np.ndarray] = {}
+        self._color_rank: tuple[np.ndarray, np.ndarray] | None = None
+
+    def value(self, concept: Concept, depth: int) -> np.ndarray:
+        key = (concept, depth)
+        found = self.memo.get(key)
+        if found is None:
+            found = self.memo[key] = self._compute(concept, depth)
+        return found
+
+    def _compute(self, concept: Concept, depth: int) -> np.ndarray:
+        if isinstance(concept, FeatureIs):
+            values = self.batch.features[:, :, _FEATURE_AXIS[concept.dim]]
+            return self._slot(values, concept.var, depth) == concept.value
+        if isinstance(concept, And):
+            return self.value(concept.left, depth) & self.value(concept.right, depth)
+        if isinstance(concept, Or):
+            return self.value(concept.left, depth) | self.value(concept.right, depth)
+        if isinstance(concept, Not):
+            return ~self.value(concept.body, depth)
+        if isinstance(concept, Quant):
+            scope = self.batch.others if concept.scope == "others" else self.batch.present
+            mask = scope.reshape((self.n,) + (1,) * depth + (MAX_OBJECTS,))
+            body = self.value(concept.body, depth + 1)
+            if concept.kind == "exists":
+                return np.any(body & mask, axis=-1)
+            if concept.kind == "forall":
+                return np.all(body | ~mask, axis=-1)
+            return np.sum(body & mask, axis=-1, dtype=np.uint8) == 1
+        if isinstance(concept, Rel):
+            values = self.batch.features[:, :, _REL_AXIS[concept.kind]]
+            a = self._slot(values, concept.left, depth)
+            b = self._slot(values, concept.right, depth)
+            if concept.kind == "size-gt":
+                return a > b
+            if concept.kind == "size-ge":
+                return a >= b
+            return a == b
+        if isinstance(concept, Xor):
+            return self.value(concept.left, depth) != self.value(concept.right, depth)
+        if isinstance(concept, Implies):
+            return ~self.value(concept.left, depth) | self.value(concept.right, depth)
+        if isinstance(concept, Iff):
+            return self.value(concept.left, depth) == self.value(concept.right, depth)
+        if isinstance(concept, MajorityColor):
+            return self._slot(self.color_rank()[0], concept.var, depth)
+        if isinstance(concept, MinorityColor):
+            return self._slot(self.color_rank()[1], concept.var, depth)
+        raise DslError(f"not a concept node: {concept!r}")
+
+    def _slot(self, per_slot: np.ndarray, var: int, depth: int) -> np.ndarray:
+        """``per_slot`` (n, 5) as seen by variable ``var`` under ``depth``
+        binders: the target's value, or the slot axis moved to axis
+        ``depth - var``."""
+        if var == depth:
+            picked = per_slot[np.arange(self.n), self.batch.target]
+            return picked.reshape((self.n,) + (1,) * depth)
+        if var > depth:
+            raise UnboundVariableError(f"variable {var} unbound under {depth} binder(s)")
+        shape = [self.n] + [1] * depth
+        shape[depth - var] = MAX_OBJECTS
+        return per_slot.reshape(shape)
+
+    def color_rank(self) -> tuple[np.ndarray, np.ndarray]:
+        """(majority, minority) per slot: the slot's color count is strictly
+        above / below every other color present in the set."""
+        if self._color_rank is None:
+            colors = self.batch.features[:, :, 1]
+            counts = self.batch.color_counts
+            mine = np.take_along_axis(counts, colors.astype(np.intp), axis=1)
+            majority = np.ones(colors.shape, dtype=bool)
+            minority = np.ones(colors.shape, dtype=bool)
+            for color in range(counts.shape[1]):
+                theirs = counts[:, color:color + 1]
+                rival = (colors != color) & (theirs > 0)
+                majority &= ~rival | (mine > theirs)
+                minority &= ~rival | (mine < theirs)
+            self._color_rank = (majority, minority)
+        return self._color_rank

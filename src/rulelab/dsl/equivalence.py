@@ -6,15 +6,26 @@ vocabulary's object universe, for every choice of target.  Contexts equal
 as multisets-with-target are enumerated once: the target is placed at
 position 0 and the remaining objects form a sorted multiset, which is
 sound because evaluation never depends on the order of non-target objects.
+The full check evaluates both concepts over that universe as
+:class:`~rulelab.dsl.batch.ContextBatch` blocks, one per set size, in
+fixed-size chunks, and stops at the first chunk where they differ.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import Iterator
 
+import numpy as np
+
+from .batch import MAX_OBJECTS, ContextBatch, evaluate_batch, feature_dtype
 from .core import Concept, Context, DslError, FeatureVocab, Obj, evaluate, is_target_only
+
+# Contexts per evaluated chunk of the universe: bounds the memory of one
+# comparison and lets a difference end the walk early.
+_CHUNK_CONTEXTS = 1 << 16
 
 
 class ContextBudgetError(DslError):
@@ -46,6 +57,34 @@ def enumerate_contexts(vocab: FeatureVocab, max_set_size: int) -> Iterator[Conte
                 yield Context((target,) + rest, 0)
 
 
+@functools.lru_cache(maxsize=8)
+def canonical_block(vocab: FeatureVocab, set_size: int) -> ContextBatch:
+    """The contexts of :func:`enumerate_contexts` that hold ``set_size``
+    objects, in the same order, as a read-only :class:`ContextBatch` built
+    from object-index arrays."""
+    if not 1 <= set_size <= MAX_OBJECTS:
+        raise DslError(f"set_size must lie in 1..{MAX_OBJECTS}, got {set_size}")
+    table = np.array(
+        [(o.size, o.color, o.shape) for o in object_universe(vocab)], dtype=feature_dtype(vocab)
+    )
+    n_universe = len(table)
+    id_dtype = np.min_scalar_type(n_universe)
+    combos = list(itertools.combinations_with_replacement(range(n_universe), set_size - 1))
+    rest = np.array(combos, dtype=id_dtype).reshape(len(combos), set_size - 1)
+    ids = np.zeros((len(rest) * n_universe, MAX_OBJECTS), dtype=id_dtype)
+    ids[:, 0] = np.tile(np.arange(n_universe, dtype=id_dtype), len(rest))
+    ids[:, 1:set_size] = np.repeat(rest, n_universe, axis=0)
+    batch = ContextBatch.from_arrays(
+        table[ids],
+        np.full(len(ids), set_size, dtype=np.uint8),
+        np.zeros(len(ids), dtype=np.uint8),
+        vocab,
+    )
+    for array in (batch.features, batch.present, batch.target, batch.others, batch.color_counts):
+        array.flags.writeable = False
+    return batch
+
+
 def equivalent(
     a: Concept,
     b: Concept,
@@ -56,7 +95,9 @@ def equivalent(
     """Decide truth-functional equivalence over the bounded universe.
 
     Raises :class:`ContextBudgetError` when the enumeration would exceed
-    ``max_contexts``; callers can lower ``max_set_size`` and retry.
+    ``max_contexts``; callers can lower ``max_set_size`` and retry.  A walk
+    that reaches sets of more than five objects, the largest displayed
+    set, raises :class:`DslError`.
     """
     if max_set_size < 1:
         raise DslError("max_set_size must be at least 1")
@@ -75,6 +116,12 @@ def equivalent(
         raise ContextBudgetError(
             f"{total} contexts exceed the cap of {max_contexts}; lower max_set_size"
         )
-    return all(
-        evaluate(a, ctx) == evaluate(b, ctx) for ctx in enumerate_contexts(vocab, max_set_size)
-    )
+    # Smallest sets first: most differences show there, before the larger
+    # blocks are built or evaluated.
+    for set_size in range(1, max_set_size + 1):
+        block = canonical_block(vocab, set_size)
+        for start in range(0, len(block), _CHUNK_CONTEXTS):
+            truth = evaluate_batch((a, b), block[start:start + _CHUNK_CONTEXTS])
+            if not np.array_equal(truth[0], truth[1]):
+                return False
+    return True

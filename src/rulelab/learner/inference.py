@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ..dsl import Concept, Context, evaluate, size as concept_size
+from ..dsl import Concept, Context, ContextBatch, evaluate, evaluate_batch, size as concept_size
 from ..dsl.sexpr import print_concept
 from ..exemplars import ExemplarList
 from .grammar import Grammar, GrammarError, substitute
@@ -299,9 +299,9 @@ def build_eval_matrix(
             contexts.append(exemplar_set.context_for(i))
             gold.append(label)
         offsets.append(len(contexts))
-    agree_true = np.array(
-        [[evaluate(concept, ctx) for ctx in contexts] for concept, _lp in hypotheses],
-        dtype=bool,
+    agree_true = evaluate_batch(
+        [concept for concept, _lp in hypotheses],
+        ContextBatch.from_contexts(contexts, exemplar_list.vocab),
     )
     log_priors = np.array([lp for _c, lp in hypotheses], dtype=float)
     return EvalMatrix(log_priors, agree_true, np.array(gold, dtype=bool), offsets)

@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import chance_baseline, EmptyWindowError
+from .core import chance_baseline
 from .series import LabelSeries
 
 DEFAULT_PERCENTILES = (25.0, 20.0, 10.0, 1.0)
@@ -107,10 +107,10 @@ def subsample_baseline(
 @dataclass(frozen=True)
 class TrajectoryReport:
     """Mean accuracy per set index for one cohort, with the list's chance
-    baseline."""
+    baseline.  A set no member labelled at all reads None."""
 
     cohort: str
-    per_set_accuracy: tuple[float, ...]
+    per_set_accuracy: tuple[float | None, ...]
     chance: float
 
 
@@ -129,9 +129,7 @@ def set_trajectory(series_by_member: Sequence[LabelSeries], cohort: str) -> Traj
             ]
             if records:
                 scores.append(sum(r.model == r.gold for r in records) / len(records))
-        if not scores:
-            raise EmptyWindowError(f"no labels anywhere at set {set_index}")
-        per_set.append(sum(scores) / len(scores))
+        per_set.append(sum(scores) / len(scores) if scores else None)
     gold = [r.gold for r in series_by_member[0].records]
     return TrajectoryReport(
         cohort=cohort,

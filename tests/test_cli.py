@@ -1,5 +1,6 @@
 """End-to-end command-line workflows on a small manifest."""
 
+import dataclasses
 import json
 import random
 
@@ -136,6 +137,48 @@ def test_transport_failure_exit_code(workspace, monkeypatch):
     assert run(workspace, "run", "--engine", "llm") == EXIT_TRANSPORT
 
 
+def test_llm_sessions_share_one_rate_limiter(workspace, monkeypatch):
+    import rulelab.cli as cli_module
+
+    run(workspace, "gen")
+    (workspace / "endpoint.json").write_text(json.dumps({
+        "base_url": "https://example.test/v1", "model": "m",
+        "credential_env": "RULELAB_PRESENT_KEY", "rate_limit_per_s": 2.0,
+    }))
+    config = json.loads((workspace / "config.json").read_text())
+    config["endpoint"] = "endpoint.json"
+    config["workers"] = 3
+    (workspace / "config.json").write_text(json.dumps(config))
+    monkeypatch.setenv("RULELAB_PRESENT_KEY", "k")
+    limiters = []
+
+    def record(*args, **kwargs):
+        limiters.append(kwargs.get("rate_limiter"))
+        raise RuntimeError("stop after recording")
+
+    monkeypatch.setattr(cli_module, "run_session", record)
+    assert run(workspace, "run", "--engine", "llm") == EXIT_DATA
+    assert len(limiters) == 6
+    assert limiters[0] is not None
+    assert all(limiter is limiters[0] for limiter in limiters)
+    assert limiters[0].interval == 0.5
+
+
+def test_run_manifest_lists_only_current_rules(workspace):
+    run(workspace, "gen")
+    assert run(workspace, "run", "--engine", "plot") == EXIT_OK
+    rules = json.loads((workspace / "rules.json").read_text())
+    rules["rules"] = [row for row in rules["rules"] if row["id"] == "blue"]
+    (workspace / "rules.json").write_text(json.dumps(rules))
+    assert run(workspace, "run", "--engine", "plot") == EXIT_OK
+    run_dir = workspace / "out" / "runs" / "plot"
+    assert (run_dir / "not-circle.series.json").exists()  # stale file left on disk
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    assert sorted(manifest["files"]) == [
+        "blue.elicited.json", "blue.posterior.csv", "blue.series.json",
+    ]
+
+
 def test_run_llm_without_endpoint_is_config_error(workspace):
     run(workspace, "gen")
     assert run(workspace, "run", "--engine", "llm") == EXIT_CONFIG
@@ -234,6 +277,25 @@ def test_report_with_humans_adds_rows_and_deltas(workspace):
     assert len(deltas) == 2 + len(rule_ids)
     trajectories = (workspace / "out" / "reports" / "trajectories.csv").read_text()
     assert ",human," in trajectories and ",plot," in trajectories
+
+
+def test_report_leaves_fully_excluded_set_blank(workspace):
+    from rulelab.metrics import LabelSeries, load_series, save_series
+
+    run(workspace, "gen")
+    run(workspace, "run", "--engine", "plot")
+    path = workspace / "out" / "runs" / "plot" / "blue.series.json"
+    series = load_series(path)
+    records = [
+        dataclasses.replace(r, model=None) if r.set_index == 2 else r for r in series.records
+    ]
+    save_series(LabelSeries(series.rule_id, records), path)
+    assert run(workspace, "report", "--series", f"plot={workspace}/out/runs/plot") == EXIT_OK
+    rows = (workspace / "out" / "reports" / "trajectories.csv").read_text().splitlines()
+    cells = {tuple(row.split(",")[:3]): row.split(",")[3] for row in rows[2:]}
+    assert cells[("blue", "plot", "2")] == ""
+    assert cells[("blue", "plot", "3")] != ""
+    assert cells[("not-circle", "plot", "2")] != ""
 
 
 def test_split_partitions_manifest(workspace):
