@@ -25,14 +25,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .catalog import DEFAULT_VOCAB, RuleSpec, read_rules_manifest
-from .dsl import Concept, DslError, FeatureVocab, load_vocab, parse_concept, print_concept
+from .dsl import DslError, FeatureVocab, load_vocab, parse_concept, print_concept
 from .exemplars import (
     ExemplarList,
     filter_subjects,
     generate_list,
     human_proportions,
     load_list,
-    propagated_baseline,
     read_subject_csv,
     save_list,
     split_rules,
@@ -49,7 +48,6 @@ from .harness import (
 )
 from .learner import (
     Grammar,
-    LearnerRun,
     NoiseParams,
     default_grammar,
     fit_noise,
@@ -59,24 +57,25 @@ from .learner import (
     run_mh,
 )
 from .metrics import (
-    EmptyWindowError,
     LabelSeries,
-    ObjectRecord,
-    accuracy,
+    RuleGrade,
     cohort_report,
+    grade_session,
     hash_inputs,
     load_series,
-    rule_likelihood_counts,
+    match_rate,
     save_series,
+    series_from_sets,
     set_trajectory,
     subsample_baseline,
     summarize_series,
+    summarize_subjects,
+    window_scores,
     write_delta_csv,
+    write_grading_csvs,
     write_summary_csv,
     write_trajectory_csv,
 )
-from .metrics.grading import match_rate
-from .metrics.reports import AccuracySummary
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -238,7 +237,7 @@ def cmd_gen(config: ExperimentConfig) -> int:
     config.lists_dir.mkdir(parents=True, exist_ok=True)
 
     failures = []
-    file_hashes = {}
+    written = []
     for rule in rules:
         try:
             concept = parse_concept(rule.source, vocab)
@@ -250,17 +249,17 @@ def cmd_gen(config: ExperimentConfig) -> int:
         )
         out_path = config.lists_dir / f"{rule.rule_id}.json"
         save_list(exemplar_list, out_path)
-        file_hashes[out_path.name] = hashlib.sha256(out_path.read_bytes()).hexdigest()
+        written.append(out_path)
 
     manifest = {
         "inputs": _inputs_of(config),
         "seed": config.seed,
-        "files": file_hashes,
+        "files": hash_inputs(written),
     }
     write_atomic(config.lists_dir / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     for rule_id, message in failures:
         print(f"gen: rule {rule_id!r} failed to parse: {message}", file=sys.stderr)
-    print(f"gen: wrote {len(file_hashes)} lists to {config.lists_dir}")
+    print(f"gen: wrote {len(manifest['files'])} lists to {config.lists_dir}")
     return EXIT_DATA if failures else EXIT_OK
 
 
@@ -279,23 +278,6 @@ def _load_lists(config: ExperimentConfig, rules: list[RuleSpec]) -> tuple[dict[s
         except (DslError, json.JSONDecodeError, KeyError) as error:
             failures.append((rule.rule_id, f"unreadable list file: {error}"))
     return lists, failures
-
-
-def _learner_series(run: LearnerRun, exemplar_list: ExemplarList) -> LabelSeries:
-    records = []
-    for prediction in run.per_set:
-        gold = exemplar_list.sets[prediction.set_index].labels
-        for object_index, label in enumerate(prediction.labels):
-            records.append(
-                ObjectRecord(
-                    set_index=prediction.set_index,
-                    object_index=object_index,
-                    gold=gold[object_index],
-                    model=label,
-                    p_true=prediction.p_true[object_index],
-                )
-            )
-    return LabelSeries(rule_id=run.rule_id, records=records)
 
 
 def _save_json(path: Path, doc: dict) -> None:
@@ -336,7 +318,9 @@ def cmd_run(config: ExperimentConfig, engine: str, mode: str = "chat") -> int:
                 )
             series_path = run_dir / f"{rule_id}.series.json"
             elicited_path = run_dir / f"{rule_id}.elicited.json"
-            save_series(_learner_series(run, exemplar_list), series_path)
+            save_series(series_from_sets(run.rule_id, exemplar_list, (
+                (p.set_index, p.labels, p.p_true) for p in run.per_set
+            )), series_path)
             _save_json(
                 elicited_path,
                 {
@@ -377,27 +361,22 @@ def cmd_run(config: ExperimentConfig, engine: str, mode: str = "chat") -> int:
     else:
         raise ConfigError(f"unknown engine {engine!r}")
 
+    def attempt(rule_id: str) -> list[Path] | Exception:
+        try:
+            return run_rule(rule_id)
+        except TransportError:
+            raise
+        except Exception as error:  # per-rule isolation
+            return error
+
     rule_ids = sorted(lists)
     written: list[Path] = []
-    if config.workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=config.workers) as pool:
-            futures = {pool.submit(run_rule, rule_id): rule_id for rule_id in rule_ids}
-            for future in concurrent.futures.as_completed(futures):
-                rule_id = futures[future]
-                try:
-                    written.extend(future.result())
-                except TransportError:
-                    raise
-                except Exception as error:  # per-rule isolation
-                    failures.append((rule_id, str(error)))
-    else:
-        for rule_id in rule_ids:
-            try:
-                written.extend(run_rule(rule_id))
-            except TransportError:
-                raise
-            except Exception as error:
-                failures.append((rule_id, str(error)))
+    with concurrent.futures.ThreadPoolExecutor(max_workers=config.workers) as pool:
+        for rule_id, outcome in zip(rule_ids, pool.map(attempt, rule_ids)):
+            if isinstance(outcome, Exception):
+                failures.append((rule_id, str(outcome)))
+            else:
+                written.extend(outcome)
 
     failed_ids = {rule_id for rule_id, _message in failures}
     # Only the files this run wrote: a directory reused across manifests
@@ -405,10 +384,7 @@ def cmd_run(config: ExperimentConfig, engine: str, mode: str = "chat") -> int:
     manifest = {
         "inputs": inputs,
         "engine": engine,
-        "files": {
-            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-            for path in sorted(written)
-        },
+        "files": hash_inputs(written),
     }
     _save_json(run_dir / "manifest.json", manifest)
     for rule_id, message in failures:
@@ -440,11 +416,7 @@ def cmd_grade(config: ExperimentConfig, elicited_path: Path, series_dir: Path | 
     extra = [elicited_path] if elicited_path.is_file() else []
     inputs = _inputs_of(config, *extra)
 
-    per_set_rows = []
-    summary_rows = []
-    finals: dict[str, Concept | None] = {}
-    graded_lists: dict[str, ExemplarList] = {}
-    unparseable = []
+    grades: dict[str, RuleGrade] = {}
     for rule_id in sorted(lists):
         sources = elicited_doc.get(rule_id)
         if sources is None:
@@ -452,118 +424,35 @@ def cmd_grade(config: ExperimentConfig, elicited_path: Path, series_dir: Path | 
             continue
         if isinstance(sources, dict):
             sources = sources.get("per_set", [])
-        exemplar_list = lists[rule_id]
-        concepts: list[Concept | None] = []
-        for set_index, source in enumerate(sources):
-            if source is None:
-                concepts.append(None)
-                continue
-            try:
-                concepts.append(parse_concept(source, vocab))
-            except DslError as error:
-                concepts.append(None)
-                unparseable.append((rule_id, set_index, source, str(error)))
+        series_path = series_dir / f"{rule_id}.series.json" if series_dir is not None else None
+        series = load_series(series_path) if series_path and series_path.exists() else None
+        grades[rule_id] = grade_session(lists[rule_id], sources, vocab, series)
 
-        evidence = []
-        likelihoods = []
-        consistency_hits = consistency_total = 0
-        series = None
-        if series_dir is not None:
-            series_path = series_dir / f"{rule_id}.series.json"
-            if series_path.exists():
-                series = load_series(series_path)
-        labels_by_set: dict[int, dict[int, bool | None]] = {}
-        if series is not None:
-            for record in series.records:
-                labels_by_set.setdefault(record.set_index, {})[record.object_index] = record.model
-
-        for set_index, exemplar_set in enumerate(exemplar_list.sets):
-            concept = concepts[set_index] if set_index < len(concepts) else None
-            likelihood = None
-            if concept is not None and evidence:
-                correct, total = rule_likelihood_counts(concept, evidence)
-                likelihood = correct / total
-            per_set_rows.append(
-                [
-                    rule_id,
-                    set_index,
-                    sources[set_index] if set_index < len(sources) else None,
-                    "" if likelihood is None else f"{likelihood:.6g}",
-                ]
-            )
-            if likelihood is not None:
-                likelihoods.append(likelihood)
-            if concept is not None and set_index in labels_by_set:
-                from .dsl import evaluate
-
-                for object_index, model_label in labels_by_set[set_index].items():
-                    if model_label is None:
-                        continue
-                    ctx = exemplar_set.context_for(object_index)
-                    consistency_total += 1
-                    consistency_hits += evaluate(concept, ctx) == model_label
-            evidence += [
-                (exemplar_set.context_for(i), label)
-                for i, label in enumerate(exemplar_set.labels)
-            ]
-
-        finals[rule_id] = concepts[-1] if concepts else None
-        graded_lists[rule_id] = exemplar_list
-        summary_rows.append(
-            {
-                "rule_id": rule_id,
-                "mean_likelihood": sum(likelihoods) / len(likelihoods) if likelihoods else None,
-                "consistency": (
-                    consistency_hits / consistency_total if consistency_total else None
-                ),
-            }
-        )
-
-    report = match_rate(finals, graded_lists, vocab, max_set_size=config.grade_max_set_size)
-    verdict_by_rule = {v.rule_id: v for v in report.verdicts}
-
-    from .metrics.reports import _write_csv
-
-    _write_csv(
-        reports_dir / "grading_per_set.csv",
-        ["rule_id", "set_index", "source", "likelihood"],
-        per_set_rows,
-        inputs,
+    report = match_rate(
+        {rule_id: grade.final for rule_id, grade in grades.items()},
+        {rule_id: lists[rule_id] for rule_id in grades},
+        vocab,
+        max_set_size=config.grade_max_set_size,
     )
-    rows = []
-    for row in summary_rows:
-        verdict = verdict_by_rule[row["rule_id"]]
-        rows.append(
-            [
-                row["rule_id"],
-                "" if row["mean_likelihood"] is None else f"{row['mean_likelihood']:.6g}",
-                "" if row["consistency"] is None else f"{row['consistency']:.6g}",
-                "" if verdict.likelihood is None else f"{float(verdict.likelihood):.6g}",
-                str(verdict.matches),
-                str(verdict.equivalent),
-            ]
-        )
-    _write_csv(
-        reports_dir / "grading_summary.csv",
-        ["rule_id", "mean_likelihood", "consistency", "final_likelihood", "match", "equivalent"],
-        rows,
-        inputs,
-    )
+    write_grading_csvs(reports_dir, grades, {v.rule_id: v for v in report.verdicts}, inputs)
+    unparseable = [
+        {"rule_id": rule_id, "set_index": set_index, "source": source, "error": error}
+        for rule_id, grade in grades.items()
+        for set_index, source, error in grade.unparseable
+    ]
     _save_json(
         reports_dir / "grading.json",
         {
             "inputs": inputs,
             "match_rate": report.match_rate if report.verdicts else None,
             "equivalence_rate": report.equivalence_rate if report.verdicts else None,
-            "unparseable": [
-                {"rule_id": r, "set_index": s, "source": src, "error": e}
-                for r, s, src, e in unparseable
-            ],
+            "unparseable": unparseable,
         },
     )
-    for rule_id, set_index, source, error in unparseable:
+    for entry in unparseable:
         print(
-            f"grade: rule {rule_id!r} set {set_index}: unparseable source {source!r} ({error})",
+            f"grade: rule {entry['rule_id']!r} set {entry['set_index']}: "
+            f"unparseable source {entry['source']!r} ({entry['error']})",
             file=sys.stderr,
         )
     for rule_id, message in failures:
@@ -581,20 +470,14 @@ def cmd_grade(config: ExperimentConfig, elicited_path: Path, series_dir: Path | 
 # --- report ----------------------------------------------------------------
 
 def _human_series(records, gold: ExemplarList) -> list[LabelSeries]:
-    out = []
-    for record in records:
-        rows = []
-        for set_index, object_index, _ctx, label in gold.iter_items():
-            rows.append(
-                ObjectRecord(
-                    set_index=set_index,
-                    object_index=object_index,
-                    gold=label,
-                    model=record.responses.get((set_index, object_index)),
-                )
-            )
-        out.append(LabelSeries(rule_id=gold.rule_id, records=rows))
-    return out
+    """One series per subject; an object the subject never reached is unlabeled."""
+    return [
+        series_from_sets(gold.rule_id, gold, (
+            (s, [record.responses.get((s, i)) for i in range(len(exemplar_set.labels))], None)
+            for s, exemplar_set in enumerate(gold.sets)
+        ))
+        for record in records
+    ]
 
 
 def cmd_report(config: ExperimentConfig, series_dirs: dict[str, Path]) -> int:
@@ -621,91 +504,51 @@ def cmd_report(config: ExperimentConfig, series_dirs: dict[str, Path]) -> int:
     if config.human_data is not None:
         for record in read_subject_csv(config.human_data):
             human_by_rule.setdefault(record.rule_id, []).append(record)
+    # Each kept subject as a series, scored once per window.
+    human_series: dict[str, list[LabelSeries]] = {}
+    for rule_id, records in sorted(human_by_rule.items()):
+        if rule_id in lists:
+            kept, _filter_report = filter_subjects(records, lists[rule_id])
+            human_series[rule_id] = _human_series(kept, lists[rule_id])
+    human_scores = {rule_id: window_scores(series) for rule_id, series in human_series.items()}
 
     summaries = []
     for cohort, by_rule in sorted(cohort_series.items()):
         summaries.append(summarize_series(cohort, by_rule, kinds))
-
-    human_kept: dict[str, list] = {}
     if human_by_rule:
-        per_rule_stats: dict[str, dict[str, tuple[float, float]]] = {}
-        for rule_id, records in sorted(human_by_rule.items()):
-            if rule_id not in lists:
-                continue
-            kept, _filter_report = filter_subjects(records, lists[rule_id])
-            human_kept[rule_id] = kept
-        cells = {}
-        sds = {}
-        for rule_class in ("all", "propositional", "fol"):
-            for window in ("overall", "last_quarter"):
-                stats = []
-                for rule_id, kept in human_kept.items():
-                    if rule_class != "all" and kinds[rule_id] != rule_class:
-                        continue
-                    scores = []
-                    for series in _human_series(kept, lists[rule_id]):
-                        try:
-                            scores.append(accuracy(series, window))
-                        except EmptyWindowError:
-                            continue
-                    if scores:
-                        mean = sum(scores) / len(scores)
-                        variance = sum((s - mean) ** 2 for s in scores) / len(scores)
-                        stats.append((mean, variance ** 0.5))
-                if stats:
-                    grand_mean, propagated_sd = propagated_baseline(stats)
-                    cells[(rule_class, window)] = grand_mean
-                    sds[(rule_class, window)] = propagated_sd
-        summaries.append(AccuracySummary(cohort="human", cells=cells, sds=sds))
-
+        summaries.append(summarize_subjects("human", human_scores, kinds))
     write_summary_csv(reports_dir / "summary.csv", summaries, inputs)
 
-    trajectories: dict[str, list] = {}
+    # Each cohort's member series per rule; the human cohort comes last.
+    members = [(c, {r: [s] for r, s in m.items()}) for c, m in sorted(cohort_series.items())]
+    members.append(("human", human_series))
+    trajectories = {}
     for rule_id in sorted(lists):
-        reports = []
-        for cohort, by_rule in sorted(cohort_series.items()):
-            if rule_id in by_rule:
-                reports.append(set_trajectory([by_rule[rule_id]], cohort))
-        if rule_id in human_kept:
-            reports.append(
-                set_trajectory(_human_series(human_kept[rule_id], lists[rule_id]), "human")
-            )
+        reports = [set_trajectory(m[rule_id], cohort) for cohort, m in members if rule_id in m]
         if reports:
             trajectories[rule_id] = reports
     write_trajectory_csv(reports_dir / "trajectories.csv", trajectories, inputs)
 
-    if human_kept:
-        human_scores: dict[str, list[float]] = {}
-        for rule_id, kept in human_kept.items():
-            scores = []
-            for series in _human_series(kept, lists[rule_id]):
-                try:
-                    scores.append(accuracy(series, "last_quarter"))
-                except EmptyWindowError:
-                    continue
-            if scores:
-                human_scores[rule_id] = scores
-        for cohort, by_rule in sorted(cohort_series.items()):
-            model_scores = {}
-            for rule_id in human_scores:
-                if rule_id in by_rule:
-                    try:
-                        model_scores[rule_id] = accuracy(by_rule[rule_id], "last_quarter")
-                    except EmptyWindowError:
-                        continue
-            shared = {r: human_scores[r] for r in model_scores}
-            if not shared:
-                continue
-            comparison = cohort_report(shared, model_scores)
-            write_delta_csv(reports_dir / f"deltas_{cohort}.csv", comparison, kinds, inputs)
-            baseline_mean, baseline_sd = subsample_baseline(
-                shared, n_subsamples=config.subsamples, seed=config.seed or 0
-            )
-            print(
-                f"report: {cohort} bottom-quartile rate "
-                f"{comparison.bottom_quartile_rate():.3f} "
-                f"(human subsample baseline {baseline_mean:.3f} +/- {baseline_sd:.3f})"
-            )
+    last_quarter = {r: s["last_quarter"] for r, s in human_scores.items() if s["last_quarter"]}
+    for cohort, by_rule in sorted(cohort_series.items()):
+        model_scores = {  # a rule whose last quarter has no label drops out
+            rule_id: score
+            for rule_id in last_quarter if rule_id in by_rule
+            for score in window_scores([by_rule[rule_id]])["last_quarter"]
+        }
+        shared = {r: last_quarter[r] for r in model_scores}
+        if not shared:
+            continue
+        comparison = cohort_report(shared, model_scores)
+        write_delta_csv(reports_dir / f"deltas_{cohort}.csv", comparison, kinds, inputs)
+        baseline_mean, baseline_sd = subsample_baseline(
+            shared, n_subsamples=config.subsamples, seed=config.seed or 0
+        )
+        print(
+            f"report: {cohort} bottom-quartile rate "
+            f"{comparison.bottom_quartile_rate():.3f} "
+            f"(human subsample baseline {baseline_mean:.3f} +/- {baseline_sd:.3f})"
+        )
 
     for name, message in failures:
         print(f"report: {name!r}: {message}", file=sys.stderr)

@@ -21,7 +21,7 @@ import requests
 
 from ..exemplars import ExemplarList
 from ..exemplars.lists import write_atomic
-from ..metrics.series import LabelSeries, ObjectRecord
+from ..metrics.series import LabelSeries, series_from_sets
 from .config import EndpointConfig
 from .extract import (
     DegenerateMassError,
@@ -401,17 +401,8 @@ def run_session(
 
 def transcript_series(transcript: SessionTranscript, exemplar_list: ExemplarList) -> LabelSeries:
     """Flatten a transcript into the per-object label series used by metrics."""
-    records = []
-    for entry in transcript.sets:
-        exemplar_set = exemplar_list.sets[entry.set_index]
-        for object_index, gold in enumerate(exemplar_set.labels):
-            records.append(
-                ObjectRecord(
-                    set_index=entry.set_index,
-                    object_index=object_index,
-                    gold=gold,
-                    model=entry.labels[object_index],
-                    p_true=entry.p_true[object_index],
-                )
-            )
-    return LabelSeries(rule_id=transcript.rule_id, records=records)
+    return series_from_sets(
+        transcript.rule_id,
+        exemplar_list,
+        ((entry.set_index, entry.labels, entry.p_true) for entry in transcript.sets),
+    )

@@ -18,11 +18,10 @@ from ..exemplars import ExemplarList, HumanResponseTable
 from .grammar import Grammar
 from .inference import (
     DegeneratePosteriorError,
-    EvalMatrix,
     NoiseParams,
-    _cumulative_log_likelihood,
     build_eval_matrix,
     enumerate_hypotheses,
+    predictive_trajectory,
 )
 
 
@@ -37,24 +36,6 @@ def noise_grid(
         return [round(lo + i * step, 10) for i in range(count + 1)]
 
     return [(a, b) for a in axis(*alpha_range) for b in axis(*beta_range)]
-
-
-def predictive_trajectory(matrix: EvalMatrix, noise: NoiseParams) -> np.ndarray:
-    """Per-object P(True), each predicted from the posterior over all
-    previous sets' evidence."""
-    cumulative = _cumulative_log_likelihood(matrix, noise)
-    predictions = np.empty(matrix.offsets[-1], dtype=float)
-    for set_index in range(len(matrix.offsets) - 1):
-        start, end = matrix.offsets[set_index], matrix.offsets[set_index + 1]
-        log_post = matrix.log_priors + cumulative[:, start]
-        peak = np.max(log_post)
-        if peak == float("-inf"):
-            raise DegeneratePosteriorError("no hypothesis explains the evidence")
-        weights = np.exp(log_post - peak)
-        weights /= weights.sum()
-        rule_mass = weights @ matrix.agree_true[:, start:end]
-        predictions[start:end] = noise.alpha * rule_mass + (1.0 - noise.alpha) * noise.beta
-    return predictions
 
 
 def fit_noise(
@@ -75,31 +56,25 @@ def fit_noise(
 
     hypotheses = enumerate_hypotheses(grammar, max_size, max_hypotheses)
     prepared = []
+    human_chunks = []
     for exemplar_list, table in zip(lists, humans):
-        matrix = build_eval_matrix(hypotheses, exemplar_list)
-        proportions = []
-        for set_index, object_index, _ctx, _label in exemplar_list.iter_items():
-            proportions.append(table.proportion(set_index, object_index))
+        proportions = [table.proportion(s, o) for s, o, _ctx, _label in exemplar_list.iter_items()]
         keep = np.array([p is not None for p in proportions], dtype=bool)
-        human_vector = np.array([p if p is not None else np.nan for p in proportions])
-        prepared.append((matrix, keep, human_vector))
+        prepared.append((build_eval_matrix(hypotheses, exemplar_list), keep))
+        human_chunks.append(np.array([p for p in proportions if p is not None], dtype=float))
+    human = np.concatenate(human_chunks)
 
     best: tuple[float, float, float] | None = None  # (r2, alpha, beta)
     for alpha, beta in grid:
         noise = NoiseParams(alpha, beta)
-        model_chunks = []
-        human_chunks = []
         try:
-            for matrix, keep, human_vector in prepared:
-                predictions = predictive_trajectory(matrix, noise)
-                model_chunks.append(predictions[keep])
-                human_chunks.append(human_vector[keep])
+            model = np.concatenate(
+                [predictive_trajectory(matrix, noise)[keep] for matrix, keep in prepared]
+            )
         except DegeneratePosteriorError:
             # Corner points like (alpha=0, beta=0) can zero out every
             # hypothesis; they simply cannot win the fit.
             continue
-        model = np.concatenate(model_chunks)
-        human = np.concatenate(human_chunks)
         if model.size < 2 or np.ptp(model) == 0.0 or np.ptp(human) == 0.0:
             continue
         r = float(np.corrcoef(model, human)[0, 1])

@@ -32,7 +32,7 @@ from ..dsl import (
     UnboundVariableError,
     Xor,
 )
-from ..dsl.sexpr import parse_template, print_concept
+from ..dsl.sexpr import parse_template
 
 
 class GrammarError(DslError):
@@ -324,7 +324,3 @@ def save_grammar(grammar: Grammar, path: str | Path) -> None:
         ],
     }
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
-def describe_concept(concept: Concept, grammar: Grammar) -> str:
-    return print_concept(concept, grammar.vocab)

@@ -18,7 +18,8 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from itertools import repeat
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -147,10 +148,7 @@ def enumerate_hypotheses(
     merged: dict[Concept, float] = {}
     for target_size in range(1, max_size + 1):
         for concept, log_p in exact(grammar.start, target_size).items():
-            if concept in merged:
-                merged[concept] = float(np.logaddexp(merged[concept], log_p))
-            else:
-                merged[concept] = log_p
+            _accumulate(merged, concept, log_p)
         if len(merged) > max_hypotheses:
             raise HypothesisBudgetError(
                 f"more than {max_hypotheses} hypotheses at size {target_size}"
@@ -271,12 +269,6 @@ class LearnerRun:
     per_set: tuple[SetPrediction, ...]
     final_map: Concept
 
-    def predictive_flat(self) -> list[float]:
-        return [p for s in self.per_set for p in s.p_true]
-
-    def labels_flat(self) -> list[bool]:
-        return [lab for s in self.per_set for lab in s.labels]
-
 
 @dataclass(frozen=True)
 class EvalMatrix:
@@ -307,15 +299,74 @@ def build_eval_matrix(
     return EvalMatrix(log_priors, agree_true, np.array(gold, dtype=bool), offsets)
 
 
-def _cumulative_log_likelihood(matrix: EvalMatrix, noise: NoiseParams) -> np.ndarray:
-    """(n_hyps, n_objects + 1): column j holds the log-likelihood of the
-    first j objects."""
+def _boundary_log_likelihood(matrix: EvalMatrix, noise: NoiseParams) -> np.ndarray:
+    """(n_sets + 1, n_hyps): row k holds each hypothesis's log-likelihood of
+    every object before set k."""
     base = np.where(matrix.gold, noise.beta, 1.0 - noise.beta)
     agree = matrix.agree_true == matrix.gold
     with np.errstate(divide="ignore"):
         factors = np.log(noise.alpha * agree + (1.0 - noise.alpha) * base)
-    n_hyps = factors.shape[0]
-    return np.concatenate([np.zeros((n_hyps, 1)), np.cumsum(factors, axis=1)], axis=1)
+    cumulative = np.pad(np.cumsum(factors, axis=1), ((0, 0), (1, 0)))  # column j: first j objects
+    return np.ascontiguousarray(cumulative[:, matrix.offsets].T)
+
+
+def posterior_by_set(
+    matrix: EvalMatrix, noise: NoiseParams
+) -> Iterator[tuple[np.ndarray, np.ndarray, int]]:
+    """The posterior at each set boundary 0..n_sets, conditioned on every
+    earlier set's gold labels: yields ``(log_likelihood, log_posterior,
+    map_index)``.  A boundary no hypothesis explains raises
+    :class:`DegeneratePosteriorError` only when reached.  MAP ties go to the
+    lowest row, which for rows in :func:`enumerate_hypotheses` order is the
+    smaller, then lexicographically earlier, concept."""
+    log_likelihood = _boundary_log_likelihood(matrix, noise)
+    log_post_unnorm = log_likelihood + matrix.log_priors
+    map_index = np.argmax(log_post_unnorm, axis=1)
+    peak = log_post_unnorm[np.arange(len(map_index)), map_index]
+    with np.errstate(invalid="ignore"):  # a degenerate row is -inf - -inf
+        mass = np.sum(np.exp(log_post_unnorm - peak[:, None]), axis=1)
+    for row, (row_peak, row_mass) in enumerate(zip(peak.tolist(), mass.tolist())):
+        if row_peak == float("-inf"):
+            raise DegeneratePosteriorError("no hypothesis explains the evidence")
+        log_z = row_peak + math.log(row_mass)
+        yield log_likelihood[row], log_post_unnorm[row] - log_z, int(map_index[row])
+
+
+def _predictive(
+    matrix: EvalMatrix, log_posterior: np.ndarray, noise: NoiseParams, start: int, end: int
+) -> np.ndarray:
+    """P(True) for objects ``start:end`` under the posterior's mixture."""
+    rule_mass = np.exp(log_posterior) @ matrix.agree_true[:, start:end]
+    return noise.alpha * rule_mass + (1.0 - noise.alpha) * noise.beta
+
+
+def predictive_trajectory(matrix: EvalMatrix, noise: NoiseParams) -> np.ndarray:
+    """Per-object P(True), each predicted from the posterior over all
+    previous sets' evidence."""
+    predictions = np.empty(matrix.offsets[-1], dtype=float)
+    offsets = matrix.offsets
+    # zip stops at the last set, before the kernel conditions on it.
+    for start, end, (_ll, log_posterior, _map) in zip(
+        offsets, offsets[1:], posterior_by_set(matrix, noise)
+    ):
+        predictions[start:end] = _predictive(matrix, log_posterior, noise, start, end)
+    return predictions
+
+
+def _write_trace(steps, path: str | Path, printed: list[str], log_priors: np.ndarray):
+    """Pass the kernel's ``steps`` through, writing each boundary's rows
+    (set_index, concept, log_prior, log_likelihood, log_posterior) to
+    ``path`` as CSV before yielding it."""
+    fmt = "{:.12g}".format
+    priors = [fmt(v) for v in log_priors.tolist()]
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["set_index", "concept", "log_prior", "log_likelihood", "log_posterior"])
+        for set_index, step in enumerate(steps):
+            log_likelihood, log_posterior, _map = step
+            scores = (map(fmt, log_likelihood.tolist()), map(fmt, log_posterior.tolist()))
+            writer.writerows(zip(repeat(set_index), printed, priors, *scores))
+            yield step
 
 
 def run_enumerative(
@@ -335,53 +386,34 @@ def run_enumerative(
     """
     hypotheses = enumerate_hypotheses(grammar, max_size, max_hypotheses)
     matrix = build_eval_matrix(hypotheses, exemplar_list)
-    cumulative = _cumulative_log_likelihood(matrix, noise)
     concepts = [c for c, _lp in hypotheses]
-    sizes = [concept_size(c) for c in concepts]
-    printed = [print_concept(c, grammar.vocab) for c in concepts]
-
-    trace_rows = []
-    per_set = []
-    n_sets = len(exemplar_list.sets)
-    for set_index in range(n_sets + 1):
-        start = matrix.offsets[min(set_index, n_sets)]
-        log_post_unnorm = matrix.log_priors + cumulative[:, start]
-        peak = float(np.max(log_post_unnorm))
-        if peak == float("-inf"):
-            raise DegeneratePosteriorError(
-                f"rule {exemplar_list.rule_id!r}: no hypothesis explains the evidence"
-            )
-        log_z = peak + math.log(float(np.sum(np.exp(log_post_unnorm - peak))))
-        weights = np.exp(log_post_unnorm - log_z)
-        map_index = min(
-            (i for i in range(len(concepts)) if log_post_unnorm[i] == peak),
-            key=lambda i: (sizes[i], printed[i]),
-        )
-        if trace_path is not None:
-            for i in range(len(concepts)):
-                trace_rows.append(
-                    (set_index, printed[i], matrix.log_priors[i], cumulative[i, start],
-                     log_post_unnorm[i] - log_z)
-                )
-        if set_index == n_sets:
-            final_map = concepts[map_index]
-            break
-        end = matrix.offsets[set_index + 1]
-        rule_mass = weights @ matrix.agree_true[:, start:end]
-        predictive = noise.alpha * rule_mass + (1.0 - noise.alpha) * noise.beta
-        per_set.append(
-            SetPrediction(
-                set_index=set_index,
-                map_concept=concepts[map_index],
-                p_true=tuple(float(p) for p in predictive),
-                labels=tuple(bool(p > 0.5) for p in predictive),
-            )
-        )
-
+    steps = posterior_by_set(matrix, noise)
     if trace_path is not None:
-        with open(trace_path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["set_index", "concept", "log_prior", "log_likelihood", "log_posterior"])
-            for row in trace_rows:
-                writer.writerow([row[0], row[1], f"{row[2]:.12g}", f"{row[3]:.12g}", f"{row[4]:.12g}"])
-    return LearnerRun(rule_id=exemplar_list.rule_id, per_set=tuple(per_set), final_map=final_map)
+        printed = [print_concept(c, grammar.vocab) for c in concepts]
+        steps = _write_trace(steps, trace_path, printed, matrix.log_priors)
+
+    per_set = []
+    offsets = matrix.offsets
+    try:
+        # The last boundary, after every set, only gives the final MAP.
+        for set_index, (_ll, log_posterior, map_index) in enumerate(steps):
+            if set_index == len(exemplar_list.sets):
+                continue
+            predictive = _predictive(
+                matrix, log_posterior, noise, offsets[set_index], offsets[set_index + 1]
+            ).tolist()
+            per_set.append(
+                SetPrediction(
+                    set_index=set_index,
+                    map_concept=concepts[map_index],
+                    p_true=tuple(predictive),
+                    labels=tuple(p > 0.5 for p in predictive),
+                )
+            )
+    except DegeneratePosteriorError as error:
+        if trace_path is not None:  # no partial trace for a failed rule
+            Path(trace_path).unlink(missing_ok=True)
+        raise DegeneratePosteriorError(f"rule {exemplar_list.rule_id!r}: {error}") from None
+    return LearnerRun(
+        rule_id=exemplar_list.rule_id, per_set=tuple(per_set), final_map=concepts[map_index]
+    )

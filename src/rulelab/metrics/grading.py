@@ -14,9 +14,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from ..dsl import Concept, Context, FeatureVocab, equivalent, evaluate
+from ..dsl import Concept, Context, DslError, FeatureVocab, equivalent, evaluate, parse_concept
 from ..exemplars import ExemplarList
-from ..learner.inference import Observation
+from ..learner.inference import Observation, evidence_from_list
+from .series import LabelSeries
 
 
 def rule_likelihood_counts(concept: Concept, evidence: Sequence[Observation]) -> tuple[int, int]:
@@ -63,6 +64,74 @@ def consistency(session: Sequence[SetReport]) -> float:
 
 
 @dataclass(frozen=True)
+class RuleGrade:
+    """One rule's reported rules, graded per set of its list.
+
+    ``likelihoods[k]`` scores set k's rule against the gold labels of the
+    sets before it; it is None for set 0 and for a missing or unparsed
+    rule.  ``consistency`` is None when no label falls under a rule.
+    """
+
+    sources: tuple[str | None, ...]  # the reported rule per set, as elicited
+    likelihoods: tuple[float | None, ...]
+    consistency: float | None
+    final: Concept | None  # the last reported rule, if it parsed
+    unparseable: tuple[tuple[int, str, str], ...]  # (set_index, source, error)
+
+    @property
+    def mean_likelihood(self) -> float | None:
+        scored = [lik for lik in self.likelihoods if lik is not None]
+        return sum(scored) / len(scored) if scored else None
+
+
+def grade_session(
+    exemplar_list: ExemplarList,
+    sources: Sequence[str | None],
+    vocab: FeatureVocab,
+    series: LabelSeries | None = None,
+) -> RuleGrade:
+    """Grade the rules reported for each set (``sources``, printed); the
+    labels ``series`` emitted, if given, are scored for consistency."""
+    concepts: list[Concept | None] = []
+    unparseable = []
+    for set_index, source in enumerate(sources):
+        try:
+            concepts.append(None if source is None else parse_concept(source, vocab))
+        except DslError as error:
+            concepts.append(None)
+            unparseable.append((set_index, source, str(error)))
+    labels_by_set: dict[int, dict[int, bool | None]] = {}
+    for record in series.records if series is not None else ():
+        labels_by_set.setdefault(record.set_index, {})[record.object_index] = record.model
+
+    n_sets = len(exemplar_list.sets)
+    concepts_by_set = concepts[:n_sets] + [None] * (n_sets - len(concepts))
+    evidence: list[Observation] = []
+    likelihoods = []
+    session = []
+    for set_index, (exemplar_set, concept) in enumerate(zip(exemplar_list.sets, concepts_by_set)):
+        likelihoods.append(
+            rule_likelihood(concept, evidence) if concept is not None and evidence else None
+        )
+        if concept is not None:
+            labels = labels_by_set.get(set_index, {}).items()
+            session.append(SetReport(concept, tuple(
+                (exemplar_set.context_for(i), label) for i, label in labels
+            )))
+        evidence += [
+            (exemplar_set.context_for(i), label) for i, label in enumerate(exemplar_set.labels)
+        ]
+    labeled = any(label is not None for report in session for _ctx, label in report.labels)
+    return RuleGrade(
+        sources=tuple(sources[:n_sets]) + (None,) * (n_sets - len(sources)),
+        likelihoods=tuple(likelihoods),
+        consistency=consistency(session) if labeled else None,
+        final=concepts[-1] if concepts else None,
+        unparseable=tuple(unparseable),
+    )
+
+
+@dataclass(frozen=True)
 class RuleVerdict:
     rule_id: str
     likelihood: Fraction | None  # None when the final rule did not parse
@@ -102,10 +171,7 @@ def match_rate(
         if concept is None:
             verdicts.append(RuleVerdict(rule_id, None, False, False))
             continue
-        evidence = [
-            (ctx, label) for _s, _o, ctx, label in exemplar_list.iter_items()
-        ]
-        correct, total = rule_likelihood_counts(concept, evidence)
+        correct, total = rule_likelihood_counts(concept, evidence_from_list(exemplar_list))
         verdicts.append(
             RuleVerdict(
                 rule_id=rule_id,

@@ -14,8 +14,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
+from ..exemplars.humans import propagated_baseline
 from ..exemplars.lists import write_atomic
-from .core import EmptyWindowError, accuracy
+from .core import WINDOWS, EmptyWindowError, accuracy
+from .grading import RuleGrade, RuleVerdict
 from .series import LabelSeries
 from .trajectory import CohortReport, TrajectoryReport
 
@@ -63,20 +65,45 @@ def summarize_series(
     kinds: Mapping[str, str],
 ) -> AccuracySummary:
     """Mean per-rule accuracy for each (rule class, window) cell."""
+    one_each = {rule_id: window_scores([series]) for rule_id, series in series_by_rule.items()}
+    return AccuracySummary(cohort, summarize_subjects(cohort, one_each, kinds).cells, sds={})
+
+
+def window_scores(series: Sequence[LabelSeries]) -> dict[str, list[float]]:
+    """Each series' accuracy in every window; a series whose window has no
+    label is left out of that window."""
+    scores: dict[str, list[float]] = {window: [] for window in WINDOWS}
+    for one in series:
+        for window in WINDOWS:
+            try:
+                scores[window].append(accuracy(one, window))
+            except EmptyWindowError:
+                continue
+    return scores
+
+
+def summarize_subjects(
+    cohort: str,
+    scores_by_rule: Mapping[str, Mapping[str, Sequence[float]]],
+    kinds: Mapping[str, str],
+) -> AccuracySummary:
+    """Per (rule class, window): the grand mean over rules of the subjects'
+    mean accuracy, with the per-rule SDs propagated into the cell's SD."""
     cells = {}
+    sds = {}
     for rule_class in RULE_CLASSES:
-        for window in ("overall", "last_quarter"):
-            scores = []
-            for rule_id, series in series_by_rule.items():
-                if rule_class != "all" and kinds[rule_id] != rule_class:
+        for window in WINDOWS:
+            stats = []
+            for rule_id, by_window in scores_by_rule.items():
+                scores = by_window[window]
+                if not scores or (rule_class != "all" and kinds[rule_id] != rule_class):
                     continue
-                try:
-                    scores.append(accuracy(series, window))
-                except EmptyWindowError:
-                    continue
-            if scores:
-                cells[(rule_class, window)] = sum(scores) / len(scores)
-    return AccuracySummary(cohort=cohort, cells=cells, sds={})
+                mean = sum(scores) / len(scores)
+                variance = sum((s - mean) ** 2 for s in scores) / len(scores)
+                stats.append((mean, variance ** 0.5))
+            if stats:
+                cells[(rule_class, window)], sds[(rule_class, window)] = propagated_baseline(stats)
+    return AccuracySummary(cohort=cohort, cells=cells, sds=sds)
 
 
 def write_summary_csv(
@@ -145,3 +172,30 @@ def write_delta_csv(
             out.append(str(below))
         rows.append(out)
     _write_csv(path, header, rows, inputs)
+
+
+def write_grading_csvs(
+    reports_dir: str | Path,
+    grades: Mapping[str, RuleGrade],
+    verdicts: Mapping[str, RuleVerdict],
+    inputs: Mapping[str, str],
+) -> None:
+    """``grading_per_set.csv`` (one row per rule and set) and
+    ``grading_summary.csv`` (one row per rule, with its match verdict)."""
+    per_set = []
+    summary = []
+    for rule_id, grade in sorted(grades.items()):
+        for set_index, (source, likelihood) in enumerate(zip(grade.sources, grade.likelihoods)):
+            per_set.append([rule_id, set_index, source, _format(likelihood)])
+        verdict = verdicts[rule_id]
+        final = None if verdict.likelihood is None else float(verdict.likelihood)
+        summary.append([
+            rule_id, _format(grade.mean_likelihood), _format(grade.consistency), _format(final),
+            str(verdict.matches), str(verdict.equivalent),
+        ])
+    reports_dir = Path(reports_dir)
+    _write_csv(reports_dir / "grading_per_set.csv",
+               ["rule_id", "set_index", "source", "likelihood"], per_set, inputs)
+    _write_csv(reports_dir / "grading_summary.csv", [
+        "rule_id", "mean_likelihood", "consistency", "final_likelihood", "match", "equivalent",
+    ], summary, inputs)

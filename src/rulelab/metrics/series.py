@@ -5,8 +5,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterable, Sequence
 
-from ..exemplars.lists import write_atomic
+from ..exemplars.lists import ExemplarList, write_atomic
 
 
 @dataclass(frozen=True)
@@ -45,6 +46,27 @@ class LabelSeries:
 
     def __len__(self) -> int:
         return len(self.records)
+
+
+def series_from_sets(
+    rule_id: str,
+    exemplar_list: ExemplarList,
+    per_set: Iterable[tuple[int, Sequence[bool | None], Sequence[float | None] | None]],
+) -> LabelSeries:
+    """A series from per-set label vectors: each item is ``(set_index,
+    labels, p_true)``, one entry per object of that set, ``p_true`` None
+    when the source gives no probabilities."""
+    return LabelSeries(rule_id=rule_id, records=[
+        ObjectRecord(
+            set_index=set_index,
+            object_index=object_index,
+            gold=gold,
+            model=labels[object_index],
+            p_true=None if p_true is None else p_true[object_index],
+        )
+        for set_index, labels, p_true in per_set
+        for object_index, gold in enumerate(exemplar_list.sets[set_index].labels)
+    ])
 
 
 def save_series(series: LabelSeries, path: str | Path) -> None:

@@ -1,13 +1,16 @@
 """End-to-end command-line workflows on a small manifest."""
 
+import csv
 import dataclasses
 import json
 import random
+import time
 
 import pytest
 
 from rulelab.catalog import DEMO_RULES, write_rules_manifest
 from rulelab.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
+from rulelab.dsl import evaluate, parse_concept
 from rulelab.exemplars import load_list, read_split_manifest
 
 
@@ -137,6 +140,38 @@ def test_transport_failure_exit_code(workspace, monkeypatch):
     assert run(workspace, "run", "--engine", "llm") == EXIT_TRANSPORT
 
 
+def _llm_workspace(workspace, workers):
+    run(workspace, "gen")
+    (workspace / "endpoint.json").write_text(json.dumps({
+        "base_url": "https://example.test/v1", "model": "m",
+        "credential_env": "RULELAB_PRESENT_KEY",
+    }))
+    config = json.loads((workspace / "config.json").read_text())
+    config["endpoint"] = "endpoint.json"
+    config["workers"] = workers
+    (workspace / "config.json").write_text(json.dumps(config))
+
+
+def test_run_reports_failures_in_rule_order(workspace, monkeypatch, capsys):
+    import rulelab.cli as cli_module
+
+    _llm_workspace(workspace, workers=3)
+    monkeypatch.setenv("RULELAB_PRESENT_KEY", "k")
+    rule_ids = sorted(r["id"] for r in json.loads((workspace / "rules.json").read_text())["rules"])
+
+    def fail_late_first(exemplar_list, *args, **kwargs):
+        # Earlier rules finish later, so completion order reverses rule order.
+        time.sleep(0.05 * (len(rule_ids) - rule_ids.index(exemplar_list.rule_id)))
+        raise RuntimeError(f"no session for {exemplar_list.rule_id}")
+
+    monkeypatch.setattr(cli_module, "run_session", fail_late_first)
+    assert run(workspace, "run", "--engine", "llm") == EXIT_DATA
+    failed = [line for line in capsys.readouterr().err.splitlines() if "failed" in line]
+    assert failed == [
+        f"run[llm]: rule {rule_id!r} failed: no session for {rule_id}" for rule_id in rule_ids
+    ]
+
+
 def test_llm_sessions_share_one_rate_limiter(workspace, monkeypatch):
     import rulelab.cli as cli_module
 
@@ -221,6 +256,32 @@ def test_grade_lists_unparseable_entries_as_no_match(workspace):
     summary = (workspace / "out" / "reports" / "grading_summary.csv").read_text()
     blue_row = [line for line in summary.splitlines() if line.startswith("blue,")][0]
     assert blue_row.endswith("False,False")
+
+
+def test_grade_per_set_csv_holds_each_sets_likelihood(workspace):
+    run(workspace, "gen")
+    rules = json.loads((workspace / "rules.json").read_text())["rules"]
+    elicited = {row["id"]: [row["source"]] * 25 for row in rules}
+    elicited["not-circle"] = [None, "(is-color ultraviolet)", "(is-color blue)", "(is-color blue)"]
+    (workspace / "elicited.json").write_text(json.dumps(elicited))
+    assert run(workspace, "grade", "--elicited", str(workspace / "elicited.json")) == EXIT_OK
+    lines = (workspace / "out" / "reports" / "grading_per_set.csv").read_text().splitlines()
+    rows = [row for row in csv.reader(lines[1:]) if row[0] == "not-circle"]
+    assert [row[1] for row in rows] == [str(i) for i in range(25)]
+
+    gold = load_list(workspace / "out" / "lists" / "not-circle.json")
+    blue = parse_concept("(is-color blue)", gold.vocab)
+    expected = []
+    for set_index in (2, 3):
+        earlier = [(c, lab) for s, _o, c, lab in gold.iter_items() if s < set_index]
+        expected.append(f"{sum(evaluate(blue, c) == lab for c, lab in earlier) / len(earlier):.6g}")
+    assert [row[2:] for row in rows[:4]] == [
+        ["", ""],
+        ["(is-color ultraviolet)", ""],
+        ["(is-color blue)", expected[0]],
+        ["(is-color blue)", expected[1]],
+    ]
+    assert all(row[2:] == ["", ""] for row in rows[4:])  # no rule reported
 
 
 def test_grade_empty_elicited_file(workspace, capsys):
@@ -326,3 +387,37 @@ def test_fit_noise_end_to_end(workspace):
     doc = json.loads((workspace / "out" / "reports" / "noise_fit.json").read_text())
     assert 0.0 <= doc["alpha"] <= 1.0 and 0.0 <= doc["beta"] <= 1.0
     assert doc["rules"] == ["blue", "not-circle"]
+
+
+def test_pipeline_outputs_are_byte_identical_across_workspaces(tmp_path):
+    """gen -> run (plot) -> grade -> report, twice from the same config in two
+    fresh workspaces: every file written, manifests and posterior traces
+    included, is byte-identical."""
+    rules = [r for r in DEMO_RULES if r.rule_id in (
+        "blue", "circle-or-blue", "exists-triangle", "same-color-as-another",
+    )]
+    outputs = []
+    for name in ("first", "second"):
+        workspace = tmp_path / name
+        workspace.mkdir()
+        write_rules_manifest(rules, workspace / "rules.json")
+        (workspace / "config.json").write_text(json.dumps({
+            "rules": "rules.json", "lists_dir": "out/lists", "output_dir": "out", "seed": 11,
+            "learner": {"max_size": 3, "alpha": 0.95, "beta": 0.5}, "subsamples": 200,
+        }))
+        assert run(workspace, "gen") == EXIT_OK
+        _write_human_csv(workspace, [r.rule_id for r in rules])
+        run_dir = workspace / "out" / "runs" / "plot"
+        assert run(workspace, "run", "--engine", "plot") == EXIT_OK
+        assert run(workspace, "grade", "--elicited", str(run_dir), "--series-dir", str(run_dir)) == EXIT_OK
+        assert run(workspace, "report", "--series", f"plot={run_dir}") == EXIT_OK
+        out = workspace / "out"
+        outputs.append({
+            str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()
+        })
+    first, second = outputs
+    assert sorted(first) == sorted(second)
+    for expected in ("lists/manifest.json", "runs/plot/manifest.json", "runs/plot/blue.posterior.csv",
+                     "reports/grading_per_set.csv", "reports/deltas_plot.csv"):
+        assert expected in first
+    assert [name for name in first if first[name] != second[name]] == []

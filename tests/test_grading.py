@@ -10,8 +10,11 @@ from rulelab.dsl import Not, equivalent, evaluate, parse_concept
 from rulelab.exemplars import generate_list
 from rulelab.learner import evidence_from_list
 from rulelab.metrics import (
+    LabelSeries,
+    ObjectRecord,
     SetReport,
     consistency,
+    grade_session,
     match_rate,
     rule_likelihood,
     rule_likelihood_counts,
@@ -154,3 +157,68 @@ def test_almost_perfect_likelihood_is_not_a_match():
     assert correct < total  # the list does contain a small blue circle
     report = match_rate({"r": near}, {"r": exemplar_list}, V)
     assert not report.verdicts[0].matches
+
+
+BLUE_SOURCE = "(is-color blue)"
+
+
+def _blue_session_series(exemplar_list):
+    """Labels following "blue", with every set's first object excluded, a
+    flip in set 3 (graded) and flips in sets 1 and 2 (no parsed rule)."""
+    blue = parse_concept(BLUE_SOURCE, V)
+    records = []
+    for set_index, object_index, ctx, label in exemplar_list.iter_items():
+        model = evaluate(blue, ctx)
+        if object_index == 0:
+            model = None
+        elif set_index in (1, 2) or (set_index == 3 and object_index == 1):
+            model = not model
+        records.append(ObjectRecord(set_index, object_index, gold=label, model=model))
+    return LabelSeries(exemplar_list.rule_id, records)
+
+
+def test_grade_session_per_set_likelihood():
+    exemplar_list = generate_list(GOLD, V, seed=7, rule_id="gold")
+    blue = parse_concept(BLUE_SOURCE, V)
+    sources = [BLUE_SOURCE, "(is-color ultraviolet)", None] + [BLUE_SOURCE] * 30
+    grade = grade_session(exemplar_list, sources, V)
+
+    n_sets = len(exemplar_list.sets)
+    assert len(grade.likelihoods) == len(grade.sources) == n_sets
+    assert grade.likelihoods[0] is None  # no earlier evidence
+    assert grade.likelihoods[1] is None  # did not parse
+    assert grade.likelihoods[2] is None  # no rule reported
+    for set_index in range(3, n_sets):
+        earlier = [
+            (ctx, label) for s, _o, ctx, label in exemplar_list.iter_items() if s < set_index
+        ]
+        correct = sum(evaluate(blue, ctx) == label for ctx, label in earlier)
+        assert grade.likelihoods[set_index] == correct / len(earlier)
+    scored = grade.likelihoods[3:]
+    assert grade.mean_likelihood == sum(scored) / len(scored)
+    assert [(s, src) for s, src, _error in grade.unparseable] == [(1, "(is-color ultraviolet)")]
+    assert grade.final == blue
+    assert grade.consistency is None  # no series given
+
+
+def test_grade_session_consistency_skips_excluded_labels():
+    exemplar_list = generate_list(GOLD, V, seed=7, rule_id="gold")
+    sources = [BLUE_SOURCE, "(is-color ultraviolet)", None] + [BLUE_SOURCE] * (
+        len(exemplar_list.sets) - 3
+    )
+    grade = grade_session(exemplar_list, sources, V, _blue_session_series(exemplar_list))
+    # Scored: every object but the first, in the sets with a parsed rule.
+    scored = sum(
+        len(s.labels) - 1 for i, s in enumerate(exemplar_list.sets) if i not in (1, 2)
+    )
+    assert len(exemplar_list.sets[3].labels) > 1  # so set 3 holds the one scored flip
+    assert grade.consistency == (scored - 1) / scored
+
+
+def test_grade_session_without_labels_under_a_rule():
+    exemplar_list = generate_list(GOLD, V, seed=7, rule_id="gold")
+    series = _blue_session_series(exemplar_list)
+    grade = grade_session(exemplar_list, [None] * len(exemplar_list.sets), V, series)
+    assert grade.consistency is None
+    assert all(likelihood is None for likelihood in grade.likelihoods)
+    assert grade.final is None and grade.mean_likelihood is None

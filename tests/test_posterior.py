@@ -16,13 +16,16 @@ from rulelab.learner import (
     EmptyStateError,
     NoiseParams,
     PosteriorState,
+    build_eval_matrix,
     classify,
     default_grammar,
     enumerate_hypotheses,
     evidence_from_list,
     log_likelihood,
     map_rule,
+    posterior_by_set,
     posterior_predictive,
+    predictive_trajectory,
     run_enumerative,
 )
 
@@ -203,3 +206,61 @@ def test_vectorized_runner_matches_reference():
         assert prediction.map_concept == map_rule(state)
         for object_index, label in enumerate(exemplar_set.labels):
             state = state.update(exemplar_set.context_for(object_index), label, noise)
+
+
+# "Exactly one blue object": a FOL rule no concept of size <= 2 expresses,
+# so under alpha = 1 the evidence eliminates every hypothesis by set 7.
+EXACTLY_ONE_BLUE = parse_concept("(exactly-one all (is-color blue 0))", V)
+
+
+@pytest.mark.parametrize("alpha, beta", [(0.9, 0.5), (0.75, 0.3), (0.55, 0.8)])
+def test_posterior_kernel_matches_reference_on_fol_list(alpha, beta):
+    grammar = default_grammar(V)
+    noise = NoiseParams(alpha, beta)
+    exemplar_list = generate_list(EXACTLY_ONE_BLUE, V, seed=5, rule_id="exactly-one-blue")
+    hypotheses = enumerate_hypotheses(grammar, 2)
+    trajectory = predictive_trajectory(build_eval_matrix(hypotheses, exemplar_list), noise)
+    run = run_enumerative(exemplar_list, grammar, noise, max_size=2)
+    assert len(run.per_set) == len(exemplar_list.sets)
+    assert len(trajectory) == exemplar_list.n_objects
+
+    state = PosteriorState.from_hypotheses(hypotheses, V)
+    flat = 0
+    for prediction in run.per_set:
+        exemplar_set = exemplar_list.sets[prediction.set_index]
+        for object_index, label in enumerate(exemplar_set.labels):
+            expected = posterior_predictive(state, exemplar_set.context_for(object_index), noise)
+            assert abs(prediction.p_true[object_index] - expected) <= 1e-12
+            assert abs(trajectory[flat] - expected) <= 1e-12
+            flat += 1
+        assert prediction.map_concept == map_rule(state)
+        for object_index, label in enumerate(exemplar_set.labels):
+            state = state.update(exemplar_set.context_for(object_index), label, noise)
+    assert run.final_map == map_rule(state)
+
+
+def test_posterior_kernel_and_reference_both_degenerate_at_alpha_one(tmp_path):
+    grammar = default_grammar(V)
+    noise = NoiseParams(1.0, 0.5)
+    exemplar_list = generate_list(EXACTLY_ONE_BLUE, V, seed=5, rule_id="exactly-one-blue")
+    hypotheses = enumerate_hypotheses(grammar, 2)
+    matrix = build_eval_matrix(hypotheses, exemplar_list)
+    with pytest.raises(DegeneratePosteriorError):
+        predictive_trajectory(matrix, noise)
+    trace = tmp_path / "exactly-one-blue.posterior.csv"
+    with pytest.raises(DegeneratePosteriorError, match="exactly-one-blue"):
+        run_enumerative(exemplar_list, grammar, noise, max_size=2, trace_path=trace)
+    assert not trace.exists()  # no partial trace is left behind
+
+    # The reference dies in the same set: boundary k is the first the
+    # kernel cannot normalise, so sets 0..k-2 leave a hypothesis alive.
+    reached = []
+    with pytest.raises(DegeneratePosteriorError):
+        for step in posterior_by_set(matrix, noise):
+            reached.append(step)
+    k = len(reached)
+    assert 0 < k < len(exemplar_list.sets)
+    state = PosteriorState.from_hypotheses(hypotheses, V)
+    state.update_batch(evidence_from_list(exemplar_list, upto_set=k - 1), noise)
+    with pytest.raises(DegeneratePosteriorError):
+        state.update_batch(evidence_from_list(exemplar_list, upto_set=k), noise)
