@@ -77,6 +77,17 @@ class SetEntry:
     p_true: list[float | None]
     rule_text: str | None = None
 
+    def to_document(self) -> dict:
+        return {
+            "set_index": self.set_index,
+            "prompt": self.prompt,
+            "exchanges": self.exchanges,
+            "labels": self.labels,
+            "exclusions": self.exclusions,
+            "p_true": self.p_true,
+            "rule_text": self.rule_text,
+        }
+
 
 @dataclass
 class SessionTranscript:
@@ -89,25 +100,17 @@ class SessionTranscript:
     def exclusion_count(self) -> int:
         return sum(len(entry.exclusions) for entry in self.sets)
 
-    def to_document(self) -> dict:
+    def _header(self) -> dict:
+        """The document's keys other than "sets", all of which sort before it."""
         return {
             "rule_id": self.rule_id,
             "mode": self.mode,
             "endpoint": self.endpoint,
             "exclusion_count": self.exclusion_count,
-            "sets": [
-                {
-                    "set_index": entry.set_index,
-                    "prompt": entry.prompt,
-                    "exchanges": entry.exchanges,
-                    "labels": entry.labels,
-                    "exclusions": entry.exclusions,
-                    "p_true": entry.p_true,
-                    "rule_text": entry.rule_text,
-                }
-                for entry in self.sets
-            ],
         }
+
+    def to_document(self) -> dict:
+        return {**self._header(), "sets": [entry.to_document() for entry in self.sets]}
 
     @classmethod
     def from_document(cls, doc: dict) -> "SessionTranscript":
@@ -126,8 +129,25 @@ class SessionTranscript:
         return cls(rule_id=doc["rule_id"], mode=doc["mode"], endpoint=doc["endpoint"], sets=sets)
 
 
+def _entry_fragment(entry: SetEntry) -> str:
+    """``entry`` as its lines appear in a saved transcript's "sets" array."""
+    text = json.dumps(entry.to_document(), indent=2, sort_keys=True)
+    return "    " + text.replace("\n", "\n    ")
+
+
+def _write_transcript(
+    transcript: SessionTranscript, fragments: list[str], path: str | Path
+) -> None:
+    """Save ``transcript`` from its entries' fragments.  The bytes are those
+    of ``json.dumps(to_document(), indent=2, sort_keys=True)`` plus a
+    newline, because "sets" is the document's last key."""
+    head = json.dumps(transcript._header(), indent=2, sort_keys=True)  # ends "\n}"
+    sets = "[\n" + ",\n".join(fragments) + "\n  ]" if fragments else "[]"
+    write_atomic(path, f'{head[:-2]},\n  "sets": {sets}\n}}\n')
+
+
 def save_transcript(transcript: SessionTranscript, path: str | Path) -> None:
-    write_atomic(path, json.dumps(transcript.to_document(), indent=2, sort_keys=True) + "\n")
+    _write_transcript(transcript, [_entry_fragment(entry) for entry in transcript.sets], path)
 
 
 def load_transcript(path: str | Path) -> SessionTranscript:
@@ -329,6 +349,9 @@ def run_session(
         ):
             raise TranscriptMismatchError(f"{transcript_path} belongs to a different session")
         transcript = existing
+    # Each entry is serialized once, as it is loaded or appended, so saving
+    # after every set costs the new set rather than the whole transcript.
+    fragments = [] if transcript_path is None else [_entry_fragment(e) for e in transcript.sets]
 
     n_sets = len(exemplar_list.sets)
     if endpoint.max_sets is not None:
@@ -395,7 +418,8 @@ def run_session(
 
         transcript.sets.append(entry)
         if transcript_path is not None:
-            save_transcript(transcript, transcript_path)
+            fragments.append(_entry_fragment(entry))
+            _write_transcript(transcript, fragments, transcript_path)
     return transcript
 
 

@@ -5,12 +5,20 @@ collecting the posterior-predictive P(True) trajectory, and the grid point
 maximizing the squared Pearson correlation between pooled model
 probabilities and pooled human True-proportions wins.  Ties prefer larger
 alpha, then larger beta.
+
+The grid runs on each list's behaviour classes rather than its hypotheses.
+Hypotheses that say True on exactly the same objects of a list have the
+same likelihood at every set and make the same predictions, so each class
+becomes one row of the list's eval matrix, carrying the summed prior mass
+of its members.  The predictions are those of the full matrix (up to
+rounding); the rows are no longer hypotheses, so a collapsed matrix is
+only ever used for predictions.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -18,6 +26,7 @@ from ..exemplars import ExemplarList, HumanResponseTable
 from .grammar import Grammar
 from .inference import (
     DegeneratePosteriorError,
+    EvalMatrix,
     NoiseParams,
     build_eval_matrix,
     enumerate_hypotheses,
@@ -36,6 +45,42 @@ def noise_grid(
         return [round(lo + i * step, 10) for i in range(count + 1)]
 
     return [(a, b) for a in axis(*alpha_range) for b in axis(*beta_range)]
+
+
+def _behaviour_classes(matrix: EvalMatrix) -> EvalMatrix:
+    """One row per distinct ``agree_true`` row, with the log of its
+    members' summed prior mass."""
+    rows, inverse, counts = np.unique(
+        matrix.agree_true, axis=0, return_inverse=True, return_counts=True
+    )
+    members = np.argsort(inverse.reshape(-1), kind="stable")  # grouped by class
+    log_priors = np.logaddexp.reduceat(matrix.log_priors[members], np.cumsum(counts) - counts)
+    return EvalMatrix(log_priors, rows, matrix.gold, matrix.offsets)
+
+
+def _grid_r2(
+    prepared: Sequence[tuple[EvalMatrix, np.ndarray]],
+    human: np.ndarray,
+    grid: Iterable[tuple[float, float]],
+) -> Iterator[tuple[float, float, float | None]]:
+    """``(alpha, beta, r2)`` per grid point; ``r2`` is None where the
+    correlation is undefined or every hypothesis loses its mass."""
+    for alpha, beta in grid:
+        noise = NoiseParams(alpha, beta)
+        try:
+            model = np.concatenate(
+                [predictive_trajectory(matrix, noise)[keep] for matrix, keep in prepared]
+            )
+        except DegeneratePosteriorError:
+            # Corner points like (alpha=0, beta=0) can zero out every
+            # hypothesis; they simply cannot win the fit.
+            yield alpha, beta, None
+            continue
+        if model.size < 2 or np.ptp(model) == 0.0 or np.ptp(human) == 0.0:
+            yield alpha, beta, None
+            continue
+        r = float(np.corrcoef(model, human)[0, 1])
+        yield alpha, beta, None if math.isnan(r) else r * r
 
 
 def fit_noise(
@@ -60,29 +105,14 @@ def fit_noise(
     for exemplar_list, table in zip(lists, humans):
         proportions = [table.proportion(s, o) for s, o, _ctx, _label in exemplar_list.iter_items()]
         keep = np.array([p is not None for p in proportions], dtype=bool)
-        prepared.append((build_eval_matrix(hypotheses, exemplar_list), keep))
+        prepared.append((_behaviour_classes(build_eval_matrix(hypotheses, exemplar_list)), keep))
         human_chunks.append(np.array([p for p in proportions if p is not None], dtype=float))
     human = np.concatenate(human_chunks)
 
-    best: tuple[float, float, float] | None = None  # (r2, alpha, beta)
-    for alpha, beta in grid:
-        noise = NoiseParams(alpha, beta)
-        try:
-            model = np.concatenate(
-                [predictive_trajectory(matrix, noise)[keep] for matrix, keep in prepared]
-            )
-        except DegeneratePosteriorError:
-            # Corner points like (alpha=0, beta=0) can zero out every
-            # hypothesis; they simply cannot win the fit.
-            continue
-        if model.size < 2 or np.ptp(model) == 0.0 or np.ptp(human) == 0.0:
-            continue
-        r = float(np.corrcoef(model, human)[0, 1])
-        if math.isnan(r):
-            continue
-        candidate = (r * r, alpha, beta)
-        if best is None or candidate > best:
-            best = candidate
-    if best is None:
+    scored = [
+        (r2, alpha, beta) for alpha, beta, r2 in _grid_r2(prepared, human, grid) if r2 is not None
+    ]
+    if not scored:
         raise ValueError("no grid point produced a defined correlation")
-    return NoiseParams(best[1], best[2])
+    _r2, alpha, beta = max(scored)
+    return NoiseParams(alpha, beta)

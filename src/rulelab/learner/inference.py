@@ -18,7 +18,7 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from itertools import repeat
+from itertools import islice, repeat
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -316,9 +316,14 @@ def posterior_by_set(
     """The posterior at each set boundary 0..n_sets, conditioned on every
     earlier set's gold labels: yields ``(log_likelihood, log_posterior,
     map_index)``.  A boundary no hypothesis explains raises
-    :class:`DegeneratePosteriorError` only when reached.  MAP ties go to the
-    lowest row, which for rows in :func:`enumerate_hypotheses` order is the
-    smaller, then lexicographically earlier, concept."""
+    :class:`DegeneratePosteriorError` only when reached.  Exact ties in the
+    computed scores go to the lowest row, which for rows in
+    :func:`enumerate_hypotheses` order is the smaller, then
+    lexicographically earlier, concept.  Rows whose scores are equal in
+    exact arithmetic are not always tied here: each row's log-likelihood is
+    a cumulative sum taken in object order, so rows with equal priors and
+    equal agreement counts but disagreements at different objects can round
+    apart in the last bits, and the MAP is then whichever rounds highest."""
     log_likelihood = _boundary_log_likelihood(matrix, noise)
     log_post_unnorm = log_likelihood + matrix.log_priors
     map_index = np.argmax(log_post_unnorm, axis=1)
@@ -343,14 +348,16 @@ def _predictive(
 def predictive_trajectory(matrix: EvalMatrix, noise: NoiseParams) -> np.ndarray:
     """Per-object P(True), each predicted from the posterior over all
     previous sets' evidence."""
-    predictions = np.empty(matrix.offsets[-1], dtype=float)
-    offsets = matrix.offsets
-    # zip stops at the last set, before the kernel conditions on it.
-    for start, end, (_ll, log_posterior, _map) in zip(
-        offsets, offsets[1:], posterior_by_set(matrix, noise)
-    ):
-        predictions[start:end] = _predictive(matrix, log_posterior, noise, start, end)
-    return predictions
+    n_sets = len(matrix.offsets) - 1
+    # islice stops at the last set, before the kernel conditions on it.
+    steps = islice(posterior_by_set(matrix, noise), n_sets)
+    posteriors = np.exp([log_posterior for _ll, log_posterior, _map in steps])
+    posteriors = posteriors.reshape(n_sets, len(matrix.log_priors))
+    # Row k of the product predicts every object from the posterior before
+    # set k; each object reads the row of its own set.
+    set_of_object = np.repeat(np.arange(n_sets), np.diff(matrix.offsets))
+    rule_mass = (posteriors @ matrix.agree_true)[set_of_object, np.arange(len(set_of_object))]
+    return noise.alpha * rule_mass + (1.0 - noise.alpha) * noise.beta
 
 
 def _write_trace(steps, path: str | Path, printed: list[str], log_priors: np.ndarray):

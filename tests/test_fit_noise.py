@@ -1,19 +1,25 @@
 """Noise-parameter recovery by grid search."""
 
+import math
+
+import numpy as np
 import pytest
 
 from rulelab.catalog import DEFAULT_VOCAB as V
 from rulelab.dsl import parse_concept
 from rulelab.exemplars import ExemplarList, HumanResponseTable, generate_list
 from rulelab.learner import (
+    DegeneratePosteriorError,
     NoiseParams,
     build_eval_matrix,
     default_grammar,
     enumerate_hypotheses,
     fit_noise,
     noise_grid,
+    posterior_by_set,
     predictive_trajectory,
 )
+from rulelab.learner.fit import _behaviour_classes, _grid_r2
 
 GRAMMAR = default_grammar(V)
 MAX_SIZE = 2
@@ -88,3 +94,137 @@ def test_missing_human_entries_are_skipped():
             tables[0].n_true[key] = 0
     fitted = fit_noise(lists, tables, noise_grid(0.1), GRAMMAR, MAX_SIZE)
     assert fitted == NoiseParams(0.8, 0.4)
+
+
+# --- behaviour classes ------------------------------------------------------
+
+SAME_COLOR_AS_ANOTHER = parse_concept("(exists others (same-color 0 1))", V)
+# No concept of size <= 3 expresses it, so at alpha = 1 the evidence
+# eliminates every hypothesis part-way through the list.
+EXACTLY_ONE_BLUE = parse_concept("(exactly-one all (is-color blue 0))", V)
+
+
+def reference_trajectory(matrix, noise):
+    """predictive_trajectory as a loop over sets: each set's objects are
+    predicted from the posterior before that set."""
+    predictions = np.empty(matrix.offsets[-1])
+    offsets = matrix.offsets
+    for start, end, (_ll, log_posterior, _map) in zip(
+        offsets, offsets[1:], posterior_by_set(matrix, noise)
+    ):
+        rule_mass = np.exp(log_posterior) @ matrix.agree_true[:, start:end]
+        predictions[start:end] = noise.alpha * rule_mass + (1.0 - noise.alpha) * noise.beta
+    return predictions
+
+
+def fit_inputs(lists, tables, max_size):
+    """Each list's full eval matrix with its mask of objects that have human
+    data, and the pooled human proportions."""
+    hypotheses = enumerate_hypotheses(GRAMMAR, max_size)
+    prepared, human = [], []
+    for exemplar_list, table in zip(lists, tables):
+        proportions = [table.proportion(s, o) for s, o, _c, _l in exemplar_list.iter_items()]
+        keep = np.array([p is not None for p in proportions])
+        prepared.append((build_eval_matrix(hypotheses, exemplar_list), keep))
+        human += [p for p in proportions if p is not None]
+    return prepared, np.array(human)
+
+
+def reference_fit(prepared, human, grid):
+    """The grid loop over full (uncollapsed) eval matrices: returns the best
+    (alpha, beta) and every point's r2 (None where skipped)."""
+    best, scores = None, []
+    for alpha, beta in grid:
+        noise = NoiseParams(alpha, beta)
+        try:
+            model = np.concatenate(
+                [reference_trajectory(matrix, noise)[keep] for matrix, keep in prepared]
+            )
+        except DegeneratePosteriorError:
+            scores.append(None)
+            continue
+        if model.size < 2 or np.ptp(model) == 0.0 or np.ptp(human) == 0.0:
+            scores.append(None)
+            continue
+        r = float(np.corrcoef(model, human)[0, 1])
+        if math.isnan(r):
+            scores.append(None)
+            continue
+        scores.append(r * r)
+        if best is None or (r * r, alpha, beta) > best:
+            best = (r * r, alpha, beta)
+    return NoiseParams(best[1], best[2]), scores
+
+
+@pytest.fixture(scope="module")
+def size3_hypotheses():
+    return enumerate_hypotheses(GRAMMAR, 3)
+
+
+def test_behaviour_classes_merge_rows_and_sum_priors(size3_hypotheses):
+    exemplar_list = generate_list(SAME_COLOR_AS_ANOTHER, V, seed=4, rule_id="same-color")
+    full = build_eval_matrix(size3_hypotheses, exemplar_list)
+    classes = _behaviour_classes(full)
+    assert len(classes.log_priors) < len(full.log_priors)
+    assert len({row.tobytes() for row in classes.agree_true}) == len(classes.log_priors)
+    mass: dict[bytes, float] = {}
+    for row, log_prior in zip(full.agree_true, full.log_priors):
+        mass[row.tobytes()] = mass.get(row.tobytes(), 0.0) + math.exp(log_prior)
+    for row, log_prior in zip(classes.agree_true, classes.log_priors):
+        assert log_prior == pytest.approx(math.log(mass[row.tobytes()]), abs=1e-12)
+    assert np.array_equal(classes.gold, full.gold) and classes.offsets == full.offsets
+
+
+@pytest.mark.parametrize("alpha, beta", [(0.95, 0.5), (0.75, 1.0), (0.5, 0.2), (0.2, 0.9)])
+def test_collapsed_trajectory_matches_full(size3_hypotheses, alpha, beta):
+    noise = NoiseParams(alpha, beta)
+    exemplar_list = generate_list(SAME_COLOR_AS_ANOTHER, V, seed=4, rule_id="same-color")
+    full = build_eval_matrix(size3_hypotheses, exemplar_list)
+    expected = reference_trajectory(full, noise)
+    assert np.max(np.abs(predictive_trajectory(full, noise) - expected)) <= 1e-12
+    collapsed = predictive_trajectory(_behaviour_classes(full), noise)
+    assert np.max(np.abs(collapsed - expected)) <= 1e-12
+
+
+def test_collapsed_and_full_degenerate_in_the_same_set(size3_hypotheses):
+    noise = NoiseParams(1.0, 0.5)
+    exemplar_list = generate_list(EXACTLY_ONE_BLUE, V, seed=2, rule_id="exactly-one-blue")
+    full = build_eval_matrix(size3_hypotheses, exemplar_list)
+    collapsed = _behaviour_classes(full)
+
+    def boundaries_reached(matrix):
+        reached = 0
+        with pytest.raises(DegeneratePosteriorError):
+            for _step in posterior_by_set(matrix, noise):
+                reached += 1
+        return reached
+
+    reached = boundaries_reached(full)
+    assert 0 < reached < len(exemplar_list.sets)
+    assert boundaries_reached(collapsed) == reached
+    for matrix in (full, collapsed):
+        with pytest.raises(DegeneratePosteriorError):
+            predictive_trajectory(matrix, noise)
+
+
+def test_fit_matches_full_matrix_grid_loop():
+    lists, tables = model_tables(NoiseParams(0.8, 0.4))
+    # A list no size-3 concept explains: its posterior dies at alpha = 1.
+    exemplar_list = generate_list(EXACTLY_ONE_BLUE, V, seed=2, rule_id="r3")
+    n_true = {(s, o): 700 if label else 300 for s, o, _c, label in exemplar_list.iter_items()}
+    lists.append(exemplar_list)
+    tables.append(HumanResponseTable("r3", n_true, {key: 1000 for key in n_true}))
+    grid = noise_grid(0.05)
+    prepared, human = fit_inputs(lists, tables, max_size=3)
+    expected, expected_scores = reference_fit(prepared, human, grid)
+    assert fit_noise(lists, tables, grid, GRAMMAR, 3) == expected
+
+    collapsed = [(_behaviour_classes(matrix), keep) for matrix, keep in prepared]
+    scores = [r2 for _a, _b, r2 in _grid_r2(collapsed, human, grid)]
+    skipped = [point for point, r2 in zip(grid, expected_scores) if r2 is None]
+    # alpha = 0 predicts a constant; alpha = 1 leaves r3 no hypothesis.
+    assert {alpha for alpha, _beta in skipped} == {0.0, 1.0}
+    assert [point for point, r2 in zip(grid, scores) if r2 is None] == skipped
+    for r2, expected_r2 in zip(scores, expected_scores):
+        if r2 is not None:
+            assert abs(r2 - expected_r2) <= 1e-12

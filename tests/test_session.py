@@ -1,5 +1,6 @@
 """Session driving: caching, retries, resumption, and transcripts."""
 
+import json
 import math
 
 import pytest
@@ -11,6 +12,7 @@ from rulelab.harness import (
     CredentialError,
     EndpointConfig,
     RateLimiter,
+    SessionTranscript,
     TranscriptMismatchError,
     TransportError,
     load_transcript,
@@ -296,3 +298,102 @@ def test_rate_limiter_spacing():
     limiter.wait()
     limiter.wait()
     assert naps == [0.5, 1.0]  # spaced to 2 requests per second
+
+
+def _document_bytes(transcript: SessionTranscript) -> str:
+    return json.dumps(transcript.to_document(), indent=2, sort_keys=True) + "\n"
+
+
+def _count_fragments(monkeypatch) -> dict[int, int]:
+    """Count, per set index, how often a session serializes an entry."""
+    from rulelab.harness import session
+
+    counts: dict[int, int] = {}
+    serialize = session._entry_fragment
+
+    def counted(entry):
+        counts[entry.set_index] = counts.get(entry.set_index, 0) + 1
+        return serialize(entry)
+
+    monkeypatch.setattr(session, "_entry_fragment", counted)
+    return counts
+
+
+def _excluding_oracle() -> ChatOracle:
+    # An excluded label per set, so that exclusion_count moves in the header.
+    return ChatOracle(
+        rule_line="Rule: blue objects only",
+        mangle=lambda lines: lines[:1] + [lines[1].split("->")[0] + "-> Maybe"] + lines[2:],
+    )
+
+
+def test_transcript_bytes_after_every_set(tmp_path, monkeypatch):
+    from rulelab.harness import session
+
+    transcript_path = tmp_path / "t.json"
+    written = []
+    write = session.write_atomic
+
+    def recording_write(path, text):
+        if path == transcript_path:
+            written.append(text)
+        write(path, text)
+
+    monkeypatch.setattr(session, "write_atomic", recording_write)
+    counts = _count_fragments(monkeypatch)
+    transcript = run_session(
+        fixture_list(n_sets=6), endpoint(), "chat+elicitation",
+        transport=_excluding_oracle(), transcript_path=transcript_path,
+    )
+    assert transcript.exclusion_count > 0
+    assert len(written) == 6  # one atomic write per set
+    for n_sets, text in enumerate(written, start=1):
+        prefix = SessionTranscript(
+            transcript.rule_id, transcript.mode, transcript.endpoint, transcript.sets[:n_sets]
+        )
+        assert text == _document_bytes(prefix)
+    assert transcript_path.read_text() == _document_bytes(transcript)
+    assert counts == {set_index: 1 for set_index in range(6)}
+
+
+def test_resumed_transcript_bytes_and_one_serialization_per_entry(tmp_path, monkeypatch):
+    transcript_path = tmp_path / "t.json"
+    inner = _excluding_oracle()
+    state = {"calls": 0}
+
+    def dies_on_fourth(url, payload, headers, timeout):
+        state["calls"] += 1
+        if state["calls"] > 3:
+            raise TransportError("down")
+        return inner(url, payload, headers, timeout)
+
+    with pytest.raises(TransportError):
+        run_session(
+            fixture_list(n_sets=6), endpoint(max_retries=0), "chat+elicitation",
+            transport=dies_on_fourth, transcript_path=transcript_path,
+        )
+    partial = load_transcript(transcript_path)
+    assert len(partial.sets) == 3
+    assert transcript_path.read_text() == _document_bytes(partial)
+
+    counts = _count_fragments(monkeypatch)
+    transcript = run_session(
+        fixture_list(n_sets=6), endpoint(max_retries=0), "chat+elicitation",
+        transport=_excluding_oracle(), transcript_path=transcript_path,
+    )
+    assert transcript_path.read_text() == _document_bytes(transcript)
+    assert load_transcript(transcript_path).to_document() == transcript.to_document()
+    assert counts == {set_index: 1 for set_index in range(6)}
+
+
+def test_save_transcript_matches_document_dump(tmp_path):
+    from rulelab.harness import save_transcript
+
+    path = tmp_path / "t.json"
+    transcript = SessionTranscript("blue", "chat", endpoint().public_fields())
+    save_transcript(transcript, path)  # no sets yet
+    assert path.read_text() == _document_bytes(transcript)
+    transcript = run_session(fixture_list(n_sets=3), endpoint(), "chat+elicitation",
+                             transport=_excluding_oracle())
+    save_transcript(transcript, path)
+    assert path.read_text() == _document_bytes(transcript)
