@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .dsl import FeatureVocab
+from .exemplars.lists import write_json
 
 DEFAULT_VOCAB = FeatureVocab(
     sizes=("small", "medium", "large"),
@@ -92,7 +93,7 @@ def write_rules_manifest(rules: list[RuleSpec], path: str | Path) -> None:
             {"id": rule.rule_id, "kind": rule.kind, "source": rule.source} for rule in rules
         ]
     }
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_json(path, doc)
 
 
 def read_rules_manifest(path: str | Path) -> list[RuleSpec]:

@@ -35,7 +35,7 @@ from .exemplars import (
     read_subject_csv,
     save_list,
     split_rules,
-    write_atomic,
+    write_json,
     write_split_manifest,
 )
 from .harness import (
@@ -256,7 +256,7 @@ def cmd_gen(config: ExperimentConfig) -> int:
         "seed": config.seed,
         "files": hash_inputs(written),
     }
-    write_atomic(config.lists_dir / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    write_json(config.lists_dir / "manifest.json", manifest)
     for rule_id, message in failures:
         print(f"gen: rule {rule_id!r} failed to parse: {message}", file=sys.stderr)
     print(f"gen: wrote {len(manifest['files'])} lists to {config.lists_dir}")
@@ -278,10 +278,6 @@ def _load_lists(config: ExperimentConfig, rules: list[RuleSpec]) -> tuple[dict[s
         except (DslError, json.JSONDecodeError, KeyError) as error:
             failures.append((rule.rule_id, f"unreadable list file: {error}"))
     return lists, failures
-
-
-def _save_json(path: Path, doc: dict) -> None:
-    write_atomic(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def cmd_run(config: ExperimentConfig, engine: str, mode: str = "chat") -> int:
@@ -321,7 +317,7 @@ def cmd_run(config: ExperimentConfig, engine: str, mode: str = "chat") -> int:
             save_series(series_from_sets(run.rule_id, exemplar_list, (
                 (p.set_index, p.labels, p.p_true) for p in run.per_set
             )), series_path)
-            _save_json(
+            write_json(
                 elicited_path,
                 {
                     "inputs": inputs,
@@ -386,7 +382,7 @@ def cmd_run(config: ExperimentConfig, engine: str, mode: str = "chat") -> int:
         "engine": engine,
         "files": hash_inputs(written),
     }
-    _save_json(run_dir / "manifest.json", manifest)
+    write_json(run_dir / "manifest.json", manifest)
     for rule_id, message in failures:
         print(f"run[{engine}]: rule {rule_id!r} failed: {message}", file=sys.stderr)
     completed = sum(1 for rule_id in rule_ids if rule_id not in failed_ids)
@@ -440,7 +436,7 @@ def cmd_grade(config: ExperimentConfig, elicited_path: Path, series_dir: Path | 
         for rule_id, grade in grades.items()
         for set_index, source, error in grade.unparseable
     ]
-    _save_json(
+    write_json(
         reports_dir / "grading.json",
         {
             "inputs": inputs,
@@ -615,7 +611,7 @@ def cmd_fit_noise(config: ExperimentConfig) -> int:
     )
     reports_dir = config.output_dir / "reports"
     reports_dir.mkdir(parents=True, exist_ok=True)
-    _save_json(
+    write_json(
         reports_dir / "noise_fit.json",
         {
             "inputs": _inputs_of(config, config.human_data),

@@ -22,6 +22,7 @@ from .lists import (
     load_list,
     save_list,
     write_atomic,
+    write_json,
 )
 from .splits import read_split_manifest, split_rules, write_split_manifest
 
@@ -46,6 +47,7 @@ __all__ = [
     "save_list",
     "split_rules",
     "write_atomic",
+    "write_json",
     "write_split_manifest",
     "write_subject_csv",
 ]

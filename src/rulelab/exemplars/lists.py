@@ -127,8 +127,13 @@ def write_atomic(path: str | Path, text: str) -> None:
     os.replace(tmp, path)
 
 
+def write_json(path: str | Path, doc) -> None:
+    """Write ``doc`` atomically as indented JSON with sorted keys."""
+    write_atomic(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
 def save_list(exemplar_list: ExemplarList, path: str | Path) -> None:
-    write_atomic(path, json.dumps(_list_document(exemplar_list), indent=2, sort_keys=True) + "\n")
+    write_json(path, _list_document(exemplar_list))
 
 
 def load_list(path: str | Path, verify: bool = True) -> ExemplarList:

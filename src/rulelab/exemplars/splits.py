@@ -6,7 +6,7 @@ import json
 import random
 from pathlib import Path
 
-from .lists import write_atomic
+from .lists import write_json
 
 
 def split_rules(
@@ -33,7 +33,7 @@ def write_split_manifest(
     train: list[str], held: list[str], seed: int, path: str | Path
 ) -> None:
     doc = {"seed": seed, "train": train, "held_out": held}
-    write_atomic(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_json(path, doc)
 
 
 def read_split_manifest(path: str | Path) -> tuple[list[str], list[str]]:

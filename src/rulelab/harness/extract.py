@@ -51,11 +51,14 @@ class Exclusion:
 @dataclass
 class ExtractionResult:
     """Per-object labels aligned with the queried set; excluded objects are
-    None and carry a reason."""
+    None and carry a reason.  In chat modes, ``lines`` holds each object's
+    matched line as an index into ``response.splitlines()``, None for an
+    object-mismatch exclusion; completion mode leaves it empty."""
 
     labels: list[bool | None]
     exclusions: list[Exclusion] = field(default_factory=list)
     rule_text: str | None = None
+    lines: list[int | None] = field(default_factory=list)
 
     def n_labeled(self) -> int:
         return sum(label is not None for label in self.labels)
@@ -98,36 +101,30 @@ def extract_labels(
         return ExtractionResult(labels=[family])
 
     rule_text = None
-    lines: list[tuple[str, str]] = []  # (normalized description, label text)
-    for raw_line in response.splitlines():
+    candidates: dict[int, tuple[str, str]] = {}  # line -> (normalized description, label text)
+    for line_index, raw_line in enumerate(response.splitlines()):
         rule_match = _RULE_LINE.match(raw_line)
         if rule_match and rule_text is None:
             rule_text = rule_match.group("text").strip()
             continue
         label_match = _LABEL_LINE.match(raw_line.strip())
         if label_match:
-            lines.append(
-                (_normalize_description(label_match.group("desc")), label_match.group("label"))
+            candidates[line_index] = (
+                _normalize_description(label_match.group("desc")),
+                label_match.group("label"),
             )
 
-    consumed = [False] * len(lines)
-    labels: list[bool | None] = []
-    exclusions: list[Exclusion] = []
+    result = ExtractionResult(labels=[], rule_text=rule_text)
     for index, description in enumerate(expected_objects):
         wanted = _normalize_description(description)
-        match_index = next(
-            (i for i, (desc, _lab) in enumerate(lines) if not consumed[i] and desc == wanted),
-            None,
-        )
-        if match_index is None:
-            labels.append(None)
-            exclusions.append(Exclusion(index, "object-mismatch"))
+        line_index = next((i for i, (desc, _) in candidates.items() if desc == wanted), None)
+        result.lines.append(line_index)
+        if line_index is None:
+            result.labels.append(None)
+            result.exclusions.append(Exclusion(index, "object-mismatch"))
             continue
-        consumed[match_index] = True
-        family = label_token_family(lines[match_index][1])
+        family = label_token_family(candidates.pop(line_index)[1])
+        result.labels.append(family)
         if family is None:
-            labels.append(None)
-            exclusions.append(Exclusion(index, "non-boolean label"))
-        else:
-            labels.append(family)
-    return ExtractionResult(labels=labels, exclusions=exclusions, rule_text=rule_text)
+            result.exclusions.append(Exclusion(index, "non-boolean label"))
+    return result

@@ -10,14 +10,16 @@ work is never repeated.
 from __future__ import annotations
 
 import hashlib
+import http.client
 import json
 import threading
 import time
+import urllib.request
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 from pathlib import Path
-from typing import Callable, Sequence
-
-import requests
+from typing import Callable
 
 from ..exemplars import ExemplarList
 from ..exemplars.lists import write_atomic
@@ -35,7 +37,8 @@ Transport = Callable[[str, dict, dict, float], dict]
 
 
 class TransportError(RuntimeError):
-    """A request kept failing after the configured retries."""
+    """A request failed; transports raise it for every failure worth a retry,
+    and a session raises it once the configured retries are spent."""
 
 
 class TranscriptMismatchError(RuntimeError):
@@ -43,9 +46,20 @@ class TranscriptMismatchError(RuntimeError):
 
 
 def http_transport(url: str, payload: dict, headers: dict, timeout: float) -> dict:
-    response = requests.post(url, json=payload, headers=headers, timeout=timeout)
-    response.raise_for_status()
-    return response.json()
+    """POST ``payload`` as JSON and return the parsed JSON reply.  Network
+    errors, timeouts, 4xx/5xx statuses and a body that is not JSON all
+    raise :class:`TransportError`."""
+    try:
+        request = urllib.request.Request(
+            url,
+            data=json.dumps(payload).encode(),
+            headers={"Content-Type": "application/json", **headers},
+            method="POST",
+        )
+        with urllib.request.urlopen(request, timeout=timeout) as response:
+            return json.load(response)
+    except (OSError, http.client.HTTPException, ValueError) as error:
+        raise TransportError(f"POST {url}: {error}") from error
 
 
 class RateLimiter:
@@ -195,7 +209,7 @@ class _Caller:
             try:
                 response = self.transport(url, payload, self.headers, self.endpoint.timeout)
                 break
-            except (requests.RequestException, TransportError) as error:
+            except TransportError as error:
                 last_error = error
         else:
             raise TransportError(
@@ -253,63 +267,28 @@ def _completion_p_true(response: dict) -> float | None:
         return None
 
 
-def _chat_label_positions(response: dict) -> list[list[tuple[str, float]]]:
-    """Top-logprob lists for each token that directly follows an "->"
-    marker, in response order: one per rendered label line."""
-    logprobs = response["choices"][0].get("logprobs") or {}
-    content = logprobs.get("content")
-    if not content:
-        return []
-    positions = []
-    previous = ""
-    for item in content:
-        if previous.rstrip().endswith(">"):
-            positions.append(_top_logprob_pairs(item.get("top_logprobs", [])))
-        previous = item["token"]
-    return positions
-
-
-def _chat_p_true(
-    response: dict, extraction: ExtractionResult, line_indices: list[int | None]
-) -> list[float | None]:
-    positions = _chat_label_positions(response)
+def _chat_p_true(response: dict, extraction: ExtractionResult) -> list[float | None]:
+    """Each labelled object's True-probability, read at the token holding
+    the first character of the label word on the line it matched."""
+    content = (response["choices"][0].get("logprobs") or {}).get("content") or []
+    tokens = [item["token"] for item in content]
+    token_starts = list(accumulate(map(len, tokens), initial=0))
+    lines = "".join(tokens).splitlines(keepends=True)
+    line_starts = list(accumulate(map(len, lines), initial=0))
     out: list[float | None] = []
-    for label, line_index in zip(extraction.labels, line_indices):
-        if label is None or line_index is None or line_index >= len(positions):
+    for label, line_index in zip(extraction.labels, extraction.lines):
+        if label is None or line_index >= len(lines):
             out.append(None)
             continue
+        # A labelled line ends with its label word, which is as long as
+        # str(label); the line is shorter only if the tokens do not spell the reply.
+        column = max(len(lines[line_index].rstrip()) - len(str(label)), 0)
+        item = content[bisect_right(token_starts, line_starts[line_index] + column) - 1]
         try:
-            out.append(true_probability(positions[line_index]))
+            out.append(true_probability(_top_logprob_pairs(item.get("top_logprobs", []))))
         except DegenerateMassError:
             out.append(None)
     return out
-
-
-def _label_line_indices(response_text: str, expected: Sequence[str], extraction) -> list[int | None]:
-    """Re-run the extraction alignment to learn which "->" line each object
-    matched, for pairing objects with label-token positions."""
-    from .extract import _LABEL_LINE, _RULE_LINE, _normalize_description
-
-    lines = []
-    seen_rule = False
-    for raw_line in response_text.splitlines():
-        if not seen_rule and _RULE_LINE.match(raw_line):
-            seen_rule = True
-            continue
-        match = _LABEL_LINE.match(raw_line.strip())
-        if match:
-            lines.append(_normalize_description(match.group("desc")))
-    consumed = [False] * len(lines)
-    indices: list[int | None] = []
-    for description in expected:
-        wanted = _normalize_description(description)
-        found = next(
-            (i for i, desc in enumerate(lines) if not consumed[i] and desc == wanted), None
-        )
-        if found is not None:
-            consumed[found] = True
-        indices.append(found)
-    return indices
 
 
 def run_session(
@@ -402,7 +381,6 @@ def run_session(
             response = caller(chat_url, payload)
             text = _chat_response_text(response)
             extraction = extract_labels(text, expected, mode)
-            line_indices = _label_line_indices(text, expected, extraction)
             entry = SetEntry(
                 set_index=set_index,
                 prompt=bundle.as_document(),
@@ -412,7 +390,7 @@ def run_session(
                     {"object_index": e.object_index, "reason": e.reason}
                     for e in extraction.exclusions
                 ],
-                p_true=_chat_p_true(response, extraction, line_indices),
+                p_true=_chat_p_true(response, extraction),
                 rule_text=extraction.rule_text,
             )
 

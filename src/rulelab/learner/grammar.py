@@ -33,6 +33,7 @@ from ..dsl import (
     Xor,
 )
 from ..dsl.sexpr import parse_template
+from ..exemplars.lists import write_json
 
 
 class GrammarError(DslError):
@@ -323,4 +324,4 @@ def save_grammar(grammar: Grammar, path: str | Path) -> None:
             for p in grammar.productions
         ],
     }
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_json(path, doc)

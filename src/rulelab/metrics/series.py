@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from ..exemplars.lists import ExemplarList, write_atomic
+from ..exemplars.lists import ExemplarList, write_json
 
 
 @dataclass(frozen=True)
@@ -84,7 +84,7 @@ def save_series(series: LabelSeries, path: str | Path) -> None:
             for r in series.records
         ],
     }
-    write_atomic(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_json(path, doc)
 
 
 def load_series(path: str | Path) -> LabelSeries:

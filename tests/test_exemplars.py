@@ -68,3 +68,24 @@ def test_manual_list_construction_validates_alignment():
 
     with pytest.raises(Exception):
         ExemplarSet(objects=(Obj(0, 0, 0),), labels=(True, False))
+
+
+def test_json_writers_keep_the_previous_file_when_replace_fails(tmp_path, monkeypatch):
+    import os
+
+    from rulelab.catalog import DEMO_RULES, write_rules_manifest
+    from rulelab.learner import default_grammar, save_grammar
+
+    grammar_path, rules_path = tmp_path / "grammar.json", tmp_path / "rules.json"
+    for path in (grammar_path, rules_path):
+        path.write_text('{"previous": true}\n')
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError):
+        save_grammar(default_grammar(V), grammar_path)
+    with pytest.raises(OSError):
+        write_rules_manifest(list(DEMO_RULES), rules_path)
+    assert grammar_path.read_text() == rules_path.read_text() == '{"previous": true}\n'

@@ -2,8 +2,18 @@
 
 import json
 import math
+import os
+import signal
+import socket
+import subprocess
+import sys
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rulelab.catalog import DEFAULT_VOCAB as V
 from rulelab.dsl import evaluate, parse_concept
@@ -15,6 +25,7 @@ from rulelab.harness import (
     SessionTranscript,
     TranscriptMismatchError,
     TransportError,
+    http_transport,
     load_transcript,
     run_session,
     transcript_series,
@@ -397,3 +408,197 @@ def test_save_transcript_matches_document_dump(tmp_path):
                              transport=_excluding_oracle())
     save_transcript(transcript, path)
     assert path.read_text() == _document_bytes(transcript)
+
+
+def _retokenized(response: dict, cuts: set[int]) -> dict:
+    """``response`` with its logprob tokens re-cut at ``cuts``: offsets into
+    the tokens' joined text.  Tokens carrying top logprobs are labels; their
+    words are cut out whole and keep the logprobs, every other token loses
+    them."""
+    content = response["choices"][0]["logprobs"]["content"]
+    text = "".join(item["token"] for item in content)
+    labels = {}  # start of a label word -> (its end, the top logprobs)
+    start = 0
+    for item in content:
+        if "top_logprobs" in item:
+            word_start = start + len(item["token"]) - len(item["token"].lstrip())
+            labels[word_start] = (start + len(item["token"]), item["top_logprobs"])
+        start += len(item["token"])
+    inside = {i for s, (e, _) in labels.items() for i in range(s + 1, e)}
+    bounds = sorted(({0, len(text)} | cuts | set(labels) | {e for e, _ in labels.values()}) - inside)
+    tokens = []
+    for s, e in zip(bounds, bounds[1:]):
+        token = {"token": text[s:e], "logprob": -0.1}
+        if s in labels:
+            token["top_logprobs"] = labels[s][1]
+        tokens.append(token)
+    response["choices"][0]["logprobs"]["content"] = tokens
+    return response
+
+
+def test_arrow_in_rule_line_keeps_p_true_aligned():
+    # The reply opens "Rule: blue -> True", tokenized as "Rule: blue ->" and
+    # " True\n": a token after an "->" that is no object's label.
+    oracle = ChatOracle(rule_line="Rule: blue -> True")
+    even = [{"token": " True", "logprob": math.log(0.5)}, {"token": " False", "logprob": math.log(0.5)}]
+
+    def transport(url, payload, headers, timeout):
+        response = oracle(url, payload, headers, timeout)
+        content = response["choices"][0]["logprobs"]["content"]
+        assert content[0]["token"] == "Rule: blue -> True\n"
+        content[:1] = [
+            {"token": "Rule: blue ->", "logprob": -0.1},
+            {"token": " True\n", "logprob": math.log(0.5), "top_logprobs": even},
+        ]
+        return response
+
+    exemplar_list = fixture_list(n_sets=1)
+    entry = run_session(exemplar_list, endpoint(), "chat+elicitation", transport=transport).sets[0]
+    assert entry.rule_text == "blue -> True"
+    assert entry.labels == [False, True, False, False] == list(exemplar_list.sets[0].labels)
+    assert entry.p_true == pytest.approx([0.05 / 0.95, 0.9 / 0.95, 0.05 / 0.95, 0.05 / 0.95])
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_p_true_survives_any_tokenization(data):
+    exemplar_list = fixture_list(n_sets=4)
+    whole = run_session(
+        exemplar_list, endpoint(), "chat+elicitation",
+        transport=ChatOracle(rule_line="Rule: blue -> True"),
+    )
+    oracle = ChatOracle(rule_line="Rule: blue -> True")
+
+    def transport(url, payload, headers, timeout):
+        response = oracle(url, payload, headers, timeout)
+        length = sum(len(item["token"]) for item in response["choices"][0]["logprobs"]["content"])
+        cuts = data.draw(st.sets(st.integers(1, length - 1)), label="cuts")
+        return _retokenized(response, cuts)
+
+    cut = run_session(exemplar_list, endpoint(), "chat+elicitation", transport=transport)
+    assert [e.labels for e in cut.sets] == [e.labels for e in whole.sets]
+    assert [e.p_true for e in cut.sets] == [e.p_true for e in whole.sets]
+    assert None not in [p for e in cut.sets for p in e.p_true]
+
+
+class _Server:
+    """A loopback HTTP server that answers every POST with ``status`` and
+    ``body`` and records what it received."""
+
+    def __init__(self, status=200, body=b'{"ok": true}'):
+        self.requests = []
+        recorded = self.requests
+
+        class Handler(BaseHTTPRequestHandler):
+            def do_POST(self):
+                length = int(self.headers["Content-Length"])
+                recorded.append((self.path, dict(self.headers), self.rfile.read(length)))
+                self.send_response(status)
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body)
+
+            def log_message(self, *args):
+                pass
+
+        self.httpd = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        self.url = f"http://127.0.0.1:{self.httpd.server_address[1]}/v1"
+        self.thread = threading.Thread(target=self.httpd.serve_forever, daemon=True)
+
+    def __enter__(self):
+        self.thread.start()
+        return self
+
+    def __exit__(self, *exc):
+        self.httpd.shutdown()
+        self.httpd.server_close()
+        self.thread.join()
+
+
+def test_http_transport_posts_json_and_returns_reply():
+    payload = {"model": "fake-model", "messages": [{"role": "user", "content": "hi"}]}
+    with _Server(body=b'{"choices": []}') as server:
+        reply = http_transport(
+            server.url + "/chat/completions", payload, {"Authorization": "Bearer k"}, 5.0
+        )
+    assert reply == {"choices": []}
+    (path, headers, body), = server.requests
+    assert path == "/v1/chat/completions"
+    assert json.loads(body) == payload
+    assert headers["Content-Type"] == "application/json"
+    assert headers["Authorization"] == "Bearer k"
+
+
+def test_http_503_is_retried_then_raises(monkeypatch):
+    monkeypatch.setenv("RULELAB_TEST_KEY", "k")
+    with _Server(status=503, body=b'{"error": "busy"}') as server:
+        with pytest.raises(TransportError):
+            run_session(fixture_list(n_sets=1), endpoint(base_url=server.url), "chat")
+    assert len(server.requests) == endpoint().max_retries + 1
+    assert all(headers["Authorization"] == "Bearer k" for _, headers, _ in server.requests)
+
+
+def test_http_non_json_reply_raises_transport_error():
+    with _Server(body=b"<html>not json</html>") as server:
+        with pytest.raises(TransportError):
+            http_transport(server.url + "/completions", {}, {}, 5.0)
+
+
+def test_http_refused_connection_raises_transport_error():
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    with pytest.raises(TransportError):
+        http_transport(f"http://127.0.0.1:{port}/v1/completions", {}, {}, 5.0)
+
+
+_KILLED_CHILD = """
+import os, signal, sys
+from test_session import ChatOracle, endpoint, fixture_list
+from rulelab.harness import run_session
+
+kill_at, path = int(sys.argv[1]), sys.argv[2]
+oracle = ChatOracle(rule_line="Rule: blue objects only")
+
+def transport(url, payload, headers, timeout):
+    if len(oracle.calls) == kill_at:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return oracle(url, payload, headers, timeout)
+
+run_session(fixture_list(n_sets=6), endpoint(), "chat+elicitation",
+            transport=transport, transcript_path=path)
+"""
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGKILL"), reason="needs SIGKILL")
+def test_resume_after_hard_kill(tmp_path):
+    import rulelab
+
+    n_sets, kill_at = 6, 4
+    path = tmp_path / "killed.json"
+    search_path = os.pathsep.join(
+        [str(Path(rulelab.__file__).parents[1]), str(Path(__file__).parent)]
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", _KILLED_CHILD, str(kill_at), str(path)],
+        env={**os.environ, "PYTHONPATH": search_path},
+        capture_output=True,
+        text=True,
+    )
+    assert child.returncode == -signal.SIGKILL, child.stderr
+    assert len(load_transcript(path).sets) == kill_at
+
+    oracle = ChatOracle(rule_line="Rule: blue objects only")
+    resumed = run_session(
+        fixture_list(n_sets=n_sets), endpoint(), "chat+elicitation",
+        transport=oracle, transcript_path=path,
+    )
+    assert len(oracle.calls) == n_sets - kill_at
+    assert path.read_text() == _document_bytes(resumed)
+
+    whole_path = tmp_path / "whole.json"
+    run_session(
+        fixture_list(n_sets=n_sets), endpoint(), "chat+elicitation",
+        transport=ChatOracle(rule_line="Rule: blue objects only"), transcript_path=whole_path,
+    )
+    assert path.read_bytes() == whole_path.read_bytes()
