@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import functools
 import hashlib
 import json
 import sys
@@ -56,6 +57,7 @@ from .learner import (
     run_enumerative,
     run_mh,
 )
+from .learner import inference  # enumerate_hypotheses is looked up at call time
 from .metrics import (
     LabelSeries,
     RuleGrade,
@@ -294,6 +296,15 @@ def cmd_run(config: ExperimentConfig, engine: str, mode: str = "chat") -> int:
         if config.learner.engine == "mh" and config.learner.seed is None:
             raise ConfigError("learner.seed is required for the mh engine")
 
+        @functools.cache
+        def hypotheses() -> list:
+            # The list depends only on (grammar, max_size): enumerated on
+            # the first rule, shared by the rest.  A failed enumeration is
+            # not cached, so each rule reports it.
+            return inference.enumerate_hypotheses(
+                grammar, config.learner.max_size, config.learner.max_hypotheses
+            )
+
         def run_rule(rule_id: str) -> list[Path]:
             exemplar_list = lists[rule_id]
             trace_path = None
@@ -311,6 +322,7 @@ def cmd_run(config: ExperimentConfig, engine: str, mode: str = "chat") -> int:
                     max_size=config.learner.max_size,
                     max_hypotheses=config.learner.max_hypotheses,
                     trace_path=trace_path,
+                    hypotheses=hypotheses(),
                 )
             series_path = run_dir / f"{rule_id}.series.json"
             elicited_path = run_dir / f"{rule_id}.elicited.json"
@@ -366,13 +378,17 @@ def cmd_run(config: ExperimentConfig, engine: str, mode: str = "chat") -> int:
             return error
 
     rule_ids = sorted(lists)
+    if engine == "llm":  # sessions wait on the network, so workers overlap them
+        with concurrent.futures.ThreadPoolExecutor(max_workers=config.workers) as pool:
+            outcomes = list(pool.map(attempt, rule_ids))
+    else:  # the learner is CPU-bound under the GIL: threads would gain nothing
+        outcomes = [attempt(rule_id) for rule_id in rule_ids]
     written: list[Path] = []
-    with concurrent.futures.ThreadPoolExecutor(max_workers=config.workers) as pool:
-        for rule_id, outcome in zip(rule_ids, pool.map(attempt, rule_ids)):
-            if isinstance(outcome, Exception):
-                failures.append((rule_id, str(outcome)))
-            else:
-                written.extend(outcome)
+    for rule_id, outcome in zip(rule_ids, outcomes):
+        if isinstance(outcome, Exception):
+            failures.append((rule_id, str(outcome)))
+        else:
+            written.extend(outcome)
 
     failed_ids = {rule_id for rule_id, _message in failures}
     # Only the files this run wrote: a directory reused across manifests

@@ -120,11 +120,25 @@ def _list_document(exemplar_list: ExemplarList) -> dict:
 
 def write_atomic(path: str | Path, text: str) -> None:
     """Write via a sibling temp file and rename, so readers never see a
-    partial document."""
+    partial document.  The file is synced before the rename and its
+    directory after, so a crash leaves the old document or the new one.  On
+    failure the temp file is removed and the old document is untouched."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as handle:
+            handle.write(text)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    directory = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(directory)
+    finally:
+        os.close(directory)
 
 
 def write_json(path: str | Path, doc) -> None:

@@ -14,6 +14,7 @@ import http.client
 import json
 import threading
 import time
+import urllib.error
 import urllib.request
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -37,8 +38,20 @@ Transport = Callable[[str, dict, dict, float], dict]
 
 
 class TransportError(RuntimeError):
-    """A request failed; transports raise it for every failure worth a retry,
-    and a session raises it once the configured retries are spent."""
+    """A request failed.  ``status`` is the HTTP status of the reply, or
+    None when no reply came (a refused or reset connection, a timeout).  A
+    session retries a failure only if it is :attr:`retryable`, and raises
+    it once the configured retries are spent."""
+
+    def __init__(self, message: str, status: int | None = None):
+        super().__init__(message)
+        self.status = status
+
+    @property
+    def retryable(self) -> bool:
+        """No reply, a timeout or rate-limit reply (408, 429), or a server
+        error (5xx).  Any other reply would come back the same."""
+        return self.status is None or self.status in (408, 429) or 500 <= self.status < 600
 
 
 class TranscriptMismatchError(RuntimeError):
@@ -48,7 +61,7 @@ class TranscriptMismatchError(RuntimeError):
 def http_transport(url: str, payload: dict, headers: dict, timeout: float) -> dict:
     """POST ``payload`` as JSON and return the parsed JSON reply.  Network
     errors, timeouts, 4xx/5xx statuses and a body that is not JSON all
-    raise :class:`TransportError`."""
+    raise :class:`TransportError`, carrying the reply's status if one came."""
     try:
         request = urllib.request.Request(
             url,
@@ -57,9 +70,15 @@ def http_transport(url: str, payload: dict, headers: dict, timeout: float) -> di
             method="POST",
         )
         with urllib.request.urlopen(request, timeout=timeout) as response:
-            return json.load(response)
+            status, body = response.status, response.read()
+    except urllib.error.HTTPError as error:
+        raise TransportError(f"POST {url}: {error}", status=error.code) from error
     except (OSError, http.client.HTTPException, ValueError) as error:
         raise TransportError(f"POST {url}: {error}") from error
+    try:
+        return json.loads(body)
+    except ValueError as error:
+        raise TransportError(f"POST {url}: {error}", status=status) from error
 
 
 class RateLimiter:
@@ -200,8 +219,8 @@ class _Caller:
             cache_path = self.cache_dir / f"{key}.json"
             if cache_path.exists():
                 return json.loads(cache_path.read_text())
-        last_error: Exception | None = None
-        for attempt in range(self.endpoint.max_retries + 1):
+        retries = max(self.endpoint.max_retries, 0)
+        for attempt in range(retries + 1):
             if attempt:
                 self.sleep(self.endpoint.retry_backoff * 2 ** (attempt - 1))
             if self.rate_limiter is not None:
@@ -210,11 +229,10 @@ class _Caller:
                 response = self.transport(url, payload, self.headers, self.endpoint.timeout)
                 break
             except TransportError as error:
-                last_error = error
-        else:
-            raise TransportError(
-                f"request failed after {self.endpoint.max_retries + 1} attempts: {last_error}"
-            ) from last_error
+                if not error.retryable or attempt == retries:
+                    raise TransportError(
+                        f"request failed after {attempt + 1} attempts: {error}", error.status
+                    ) from error
         if cache_path is not None:
             write_atomic(cache_path, json.dumps(response, sort_keys=True) + "\n")
         return response

@@ -18,7 +18,8 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from itertools import islice, repeat
+from itertools import islice
+from types import SimpleNamespace
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -360,19 +361,52 @@ def predictive_trajectory(matrix: EvalMatrix, noise: NoiseParams) -> np.ndarray:
     return noise.alpha * rule_mass + (1.0 - noise.alpha) * noise.beta
 
 
+_ROWS_PER_WRITE = 4096
+
+
+def _texts(values: np.ndarray, fmt) -> list[str]:
+    """``[fmt(v) for v in values]``, calling ``fmt`` once per distinct
+    float.  Floats are told apart by their bit patterns, so -0.0 and 0.0,
+    and NaNs with different payloads, each get the text ``fmt`` gives them."""
+    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    texts = np.array([fmt(v) for v in distinct.view(np.float64).tolist()], dtype=object)
+    return texts[inverse.ravel()].tolist()
+
+
 def _write_trace(steps, path: str | Path, printed: list[str], log_priors: np.ndarray):
     """Pass the kernel's ``steps`` through, writing each boundary's rows
     (set_index, concept, log_prior, log_likelihood, log_posterior) to
-    ``path`` as CSV before yielding it."""
-    fmt = "{:.12g}".format
-    priors = [fmt(v) for v in log_priors.tolist()]
+    ``path`` as CSV before yielding it.
+
+    The bytes are those of a ``csv.writer`` given every row with each float
+    formatted as ``"{:.12g}"``, but made with less work.  The
+    ``concept,log_prior,`` part of each row is rendered through
+    ``csv.writer`` once per rule, so a concept is quoted as csv would quote
+    it.  An int or a formatted float never needs quoting, so the other
+    fields are plain text: at each boundary every distinct score is
+    formatted once, and rows are joined from per-row pieces and written
+    ``_ROWS_PER_WRITE`` at a time (about 0.4 MB of text)."""
+    # csv.writer hands each row to write() whole; the default dialect's
+    # "\r\n" is replaced here but still decides what gets quoted.
+    prefixes: list[str] = []
+    csv.writer(SimpleNamespace(write=lambda line: prefixes.append(line[:-2] + ","))).writerows(
+        zip(printed, map("{:.12g}".format, log_priors.tolist()))
+    )
+    # Row i is pieces[4i : 4i + 4]: set index, prefix, log-likelihood, log-posterior.
+    pieces: list[str | None] = [None] * (4 * len(prefixes))
+    pieces[1::4] = prefixes
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["set_index", "concept", "log_prior", "log_likelihood", "log_posterior"])
+        csv.writer(handle).writerow(
+            ["set_index", "concept", "log_prior", "log_likelihood", "log_posterior"]
+        )
         for set_index, step in enumerate(steps):
             log_likelihood, log_posterior, _map = step
-            scores = (map(fmt, log_likelihood.tolist()), map(fmt, log_posterior.tolist()))
-            writer.writerows(zip(repeat(set_index), printed, priors, *scores))
+            pieces[0::4] = [f"{set_index},"] * len(prefixes)
+            pieces[2::4] = _texts(log_likelihood, "{:.12g},".format)
+            pieces[3::4] = _texts(log_posterior, "{:.12g}\r\n".format)
+            for start in range(0, len(pieces), 4 * _ROWS_PER_WRITE):
+                handle.write("".join(pieces[start : start + 4 * _ROWS_PER_WRITE]))
             yield step
 
 
@@ -383,6 +417,7 @@ def run_enumerative(
     max_size: int,
     max_hypotheses: int = 200_000,
     trace_path: str | Path | None = None,
+    hypotheses: Sequence[tuple[Concept, float]] | None = None,
 ) -> LearnerRun:
     """Replay the labeling task with exact posterior inference.
 
@@ -390,8 +425,12 @@ def run_enumerative(
     sets' gold labels, then the posterior absorbs the set.  When
     ``trace_path`` is given, per-timestep hypothesis scores are written as
     CSV (set_index, concept, log_prior, log_likelihood, log_posterior).
+    ``hypotheses``, when given, must be ``enumerate_hypotheses(grammar,
+    max_size, max_hypotheses)``; a caller running many lists enumerates
+    once and passes the result to each.
     """
-    hypotheses = enumerate_hypotheses(grammar, max_size, max_hypotheses)
+    if hypotheses is None:
+        hypotheses = enumerate_hypotheses(grammar, max_size, max_hypotheses)
     matrix = build_eval_matrix(hypotheses, exemplar_list)
     concepts = [c for c, _lp in hypotheses]
     steps = posterior_by_set(matrix, noise)

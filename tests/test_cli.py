@@ -172,6 +172,81 @@ def test_run_reports_failures_in_rule_order(workspace, monkeypatch, capsys):
     ]
 
 
+def test_both_engines_report_failures_in_rule_order(workspace, monkeypatch, capsys):
+    import concurrent.futures
+
+    import rulelab.cli as cli_module
+    from rulelab.harness import SessionTranscript
+
+    _llm_workspace(workspace, workers=3)
+    monkeypatch.setenv("RULELAB_PRESENT_KEY", "k")
+    # Every other rule fails, for either engine.
+    rule_ids = sorted(r["id"] for r in json.loads((workspace / "rules.json").read_text())["rules"])
+    failing = rule_ids[::2]
+
+    def fail_some(real):
+        def wrapped(exemplar_list, *args, **kwargs):
+            if exemplar_list.rule_id in failing:
+                raise RuntimeError(f"no result for {exemplar_list.rule_id}")
+            return real(exemplar_list, *args, **kwargs)
+        return wrapped
+
+    def empty_session(exemplar_list, endpoint, mode, **kwargs):
+        return SessionTranscript(exemplar_list.rule_id, mode, endpoint.public_fields())
+
+    monkeypatch.setattr(cli_module, "run_session", fail_some(empty_session))
+    assert run(workspace, "run", "--engine", "llm") == EXIT_DATA
+    llm_err = capsys.readouterr().err
+
+    class NoThreads:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("the plot engine runs its rules in a plain loop")
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", NoThreads)
+    monkeypatch.setattr(cli_module, "run_enumerative", fail_some(cli_module.run_enumerative))
+    assert run(workspace, "run", "--engine", "plot") == EXIT_DATA
+    plot_err = capsys.readouterr().err
+
+    def failed(err, engine):
+        return [line.removeprefix(f"run[{engine}]: ") for line in err.splitlines() if "failed" in line]
+
+    assert failed(plot_err, "plot") == failed(llm_err, "llm") == [
+        f"rule {rule_id!r} failed: no result for {rule_id}" for rule_id in failing
+    ]
+    run_dir = workspace / "out" / "runs" / "plot"
+    assert sorted(p.name for p in run_dir.glob("*.posterior.csv")) == [
+        f"{rule_id}.posterior.csv" for rule_id in rule_ids if rule_id not in failing
+    ]
+
+
+def test_run_plot_enumerates_once_for_all_rules(workspace, monkeypatch):
+    from rulelab.learner import inference
+
+    run(workspace, "gen")
+    calls = []
+    real = inference.enumerate_hypotheses
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(inference, "enumerate_hypotheses", counted)
+    assert run(workspace, "run", "--engine", "plot") == EXIT_OK
+    assert len(calls) == 1
+    assert len(list((workspace / "out" / "runs" / "plot").glob("*.posterior.csv"))) == 6
+
+
+def test_run_plot_reports_a_failed_enumeration_for_every_rule(workspace, capsys):
+    run(workspace, "gen")
+    config = json.loads((workspace / "config.json").read_text())
+    config["learner"]["max_hypotheses"] = 10
+    (workspace / "config.json").write_text(json.dumps(config))
+    assert run(workspace, "run", "--engine", "plot") == EXIT_DATA
+    failed = [line for line in capsys.readouterr().err.splitlines() if "failed" in line]
+    assert len(failed) == 6
+    assert all("more than 10 hypotheses" in line for line in failed)
+
+
 def test_llm_sessions_share_one_rate_limiter(workspace, monkeypatch):
     import rulelab.cli as cli_module
 

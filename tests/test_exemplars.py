@@ -89,3 +89,45 @@ def test_json_writers_keep_the_previous_file_when_replace_fails(tmp_path, monkey
     with pytest.raises(OSError):
         write_rules_manifest(list(DEMO_RULES), rules_path)
     assert grammar_path.read_text() == rules_path.read_text() == '{"previous": true}\n'
+
+
+@pytest.mark.parametrize("failing", ["replace", "fsync"])
+def test_write_atomic_removes_its_temp_file_when_it_fails(tmp_path, monkeypatch, failing):
+    import os
+
+    from rulelab.exemplars import write_atomic
+
+    target = tmp_path / "a.json"
+    target.write_text('{"previous": true}\n')
+
+    def fail(*args):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, failing, fail)
+    with pytest.raises(OSError, match="disk full"):
+        write_atomic(target, '{"next": true}\n')
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json"]
+    assert target.read_text() == '{"previous": true}\n'
+
+
+def test_write_atomic_syncs_the_file_then_its_directory(tmp_path, monkeypatch):
+    import os
+    import stat
+
+    from rulelab.exemplars import write_atomic
+
+    synced, real_fsync, real_replace = [], os.fsync, os.replace
+
+    def fsync(fd):
+        synced.append("dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file")
+        real_fsync(fd)
+
+    def replace(src, dst):
+        synced.append("replace")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    write_atomic(tmp_path / "a.json", "{}\n")
+    assert synced == ["file", "replace", "dir"]
+    assert (tmp_path / "a.json").read_text() == "{}\n"

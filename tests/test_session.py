@@ -538,6 +538,47 @@ def test_http_503_is_retried_then_raises(monkeypatch):
     assert all(headers["Authorization"] == "Bearer k" for _, headers, _ in server.requests)
 
 
+@pytest.mark.parametrize("status", [400, 401, 403, 404, 422])
+def test_http_4xx_is_not_retried(monkeypatch, status):
+    monkeypatch.setenv("RULELAB_TEST_KEY", "k")
+    sleeps = []
+    with _Server(status=status, body=b'{"error": "rejected"}') as server:
+        with pytest.raises(TransportError) as raised:
+            run_session(
+                fixture_list(n_sets=1), endpoint(base_url=server.url, max_retries=4), "chat",
+                sleep=sleeps.append,
+            )
+    assert len(server.requests) == 1
+    assert sleeps == []
+    assert raised.value.status == status
+    assert not raised.value.retryable
+
+
+@pytest.mark.parametrize("status", [408, 429, 500, 502, 503])
+def test_http_timeout_rate_limit_and_5xx_are_retried(monkeypatch, status):
+    monkeypatch.setenv("RULELAB_TEST_KEY", "k")
+    with _Server(status=status, body=b'{"error": "later"}') as server:
+        with pytest.raises(TransportError) as raised:
+            run_session(
+                fixture_list(n_sets=1), endpoint(base_url=server.url, max_retries=4), "chat",
+                sleep=lambda seconds: None,
+            )
+    assert len(server.requests) == 4 + 1
+    assert raised.value.status == status
+
+
+def test_transport_error_without_a_status_is_retried():
+    calls = []
+
+    def refused(url, payload, headers, timeout):
+        calls.append(url)
+        raise TransportError("connection refused")
+
+    with pytest.raises(TransportError):
+        run_session(fixture_list(n_sets=1), endpoint(max_retries=3), "chat", transport=refused)
+    assert len(calls) == 3 + 1
+
+
 def test_http_non_json_reply_raises_transport_error():
     with _Server(body=b"<html>not json</html>") as server:
         with pytest.raises(TransportError):
@@ -550,6 +591,19 @@ def test_http_refused_connection_raises_transport_error():
         port = sock.getsockname()[1]
     with pytest.raises(TransportError):
         http_transport(f"http://127.0.0.1:{port}/v1/completions", {}, {}, 5.0)
+
+
+def test_transport_errors_carry_the_reply_status():
+    with _Server(body=b"<html>not json</html>") as server:
+        with pytest.raises(TransportError) as not_json:
+            http_transport(server.url + "/completions", {}, {}, 5.0)
+    assert not_json.value.status == 200 and not not_json.value.retryable
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    with pytest.raises(TransportError) as refused:
+        http_transport(f"http://127.0.0.1:{port}/v1/completions", {}, {}, 5.0)
+    assert refused.value.status is None and refused.value.retryable
 
 
 _KILLED_CHILD = """

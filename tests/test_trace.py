@@ -1,0 +1,151 @@
+"""The posterior trace: byte-for-byte against a plain ``csv.writer``."""
+
+import csv
+import struct
+import tempfile
+from pathlib import Path
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rulelab.catalog import DEFAULT_VOCAB as V
+from rulelab.dsl import parse_concept, print_concept
+from rulelab.exemplars import generate_list
+from rulelab.learner import (
+    DegeneratePosteriorError,
+    NoiseParams,
+    build_eval_matrix,
+    default_grammar,
+    enumerate_hypotheses,
+    posterior_by_set,
+    run_enumerative,
+)
+from rulelab.learner import inference
+from rulelab.learner.inference import _write_trace
+
+
+def oracle_write_trace(steps, path, printed, log_priors):
+    """The reference writer: every row through ``csv.writer``, every float
+    through ``"{:.12g}".format``."""
+    fmt = "{:.12g}".format
+    priors = [fmt(v) for v in log_priors.tolist()]
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["set_index", "concept", "log_prior", "log_likelihood", "log_posterior"])
+        for set_index, step in enumerate(steps):
+            log_likelihood, log_posterior, _map = step
+            scores = (map(fmt, log_likelihood.tolist()), map(fmt, log_posterior.tolist()))
+            writer.writerows(zip([set_index] * len(printed), printed, priors, *scores))
+            yield step
+
+
+def _bits_to_float(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+_SPECIALS = [
+    float("-inf"), float("inf"), -0.0, 0.0, float("nan"), -float("nan"),
+    5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, -1e300, 1.0, -1.0,
+]
+_NAN_PAYLOADS = st.integers(1, 2**52 - 1).flatmap(
+    lambda mantissa: st.sampled_from([0x7FF << 52, 0xFFF << 52]).map(
+        lambda high: _bits_to_float(high | mantissa)
+    )
+)
+_SUBNORMALS = st.integers(1, 2**52 - 1).map(_bits_to_float)
+_MAGNITUDES = st.tuples(
+    st.floats(1.0, 10.0, exclude_max=True), st.integers(-300, 299), st.sampled_from([1.0, -1.0])
+).map(lambda t: t[2] * t[0] * 10.0 ** t[1])
+FLOATS = st.one_of(
+    st.sampled_from(_SPECIALS), _NAN_PAYLOADS, _SUBNORMALS, _MAGNITUDES,
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+CONCEPTS = st.text(alphabet=st.sampled_from(list('ab(), "\'-\n\r\t0') + ["é"]), max_size=12)
+
+
+def _write(writer, steps, printed, log_priors) -> tuple[bytes, list]:
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "trace.csv"
+        passed = list(writer(iter(steps), path, printed, log_priors))
+        return path.read_bytes(), passed
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_trace_bytes_equal_the_csv_writer_oracle(data):
+    n_rows = data.draw(st.integers(1, 25), label="rows")
+    # A small pool makes repeated values, so deduplication has work to do.
+    pool = data.draw(st.lists(FLOATS, min_size=1, max_size=6), label="pool")
+    column = st.lists(
+        st.one_of(st.sampled_from(pool), FLOATS), min_size=n_rows, max_size=n_rows
+    ).map(lambda values: np.array(values, dtype=np.float64))
+    printed = data.draw(st.lists(CONCEPTS, min_size=n_rows, max_size=n_rows), label="concepts")
+    log_priors = data.draw(column, label="priors")
+    n_boundaries = data.draw(st.integers(0, 4), label="boundaries")
+    steps = [(data.draw(column), data.draw(column), 0) for _ in range(n_boundaries)]
+
+    rows_per_write = data.draw(st.integers(1, 30), label="rows per write")
+
+    expected, expected_steps = _write(oracle_write_trace, steps, printed, log_priors)
+    with mock.patch.object(inference, "_ROWS_PER_WRITE", rows_per_write):
+        actual, actual_steps = _write(_write_trace, steps, printed, log_priors)
+    assert actual == expected
+    assert all(a is e for a, e in zip(actual_steps, expected_steps))
+    assert len(actual_steps) == len(steps)
+
+
+def test_signed_zero_and_nan_payloads_keep_their_own_text(tmp_path):
+    quiet_nan, payload_nan = float("nan"), _bits_to_float((0x7FF << 52) | 12345)
+    values = np.array([0.0, -0.0, quiet_nan, payload_nan, -0.0, 0.0])
+    assert (values == 0.0).sum() == 4  # equal by value, distinct by bits
+    printed = [f"c{i}" for i in range(len(values))]
+    steps = [(values, values[::-1].copy(), 0)]
+    expected, _ = _write(oracle_write_trace, steps, printed, values)
+    actual, _ = _write(_write_trace, steps, printed, values)
+    assert actual == expected
+    assert actual.splitlines()[2] == b"0,c1,-0,-0,-0"
+
+
+EXACTLY_ONE_BLUE = parse_concept("(exactly-one all (is-color blue 0))", V)
+
+
+def test_enumerative_trace_matches_oracle_on_a_real_rule(tmp_path):
+    grammar = default_grammar(V)
+    noise = NoiseParams(0.9, 0.5)
+    exemplar_list = generate_list(EXACTLY_ONE_BLUE, V, seed=5, rule_id="exactly-one-blue")
+    hypotheses = enumerate_hypotheses(grammar, 3)
+    matrix = build_eval_matrix(hypotheses, exemplar_list)
+    printed = [print_concept(c, V) for c, _lp in hypotheses]
+    oracle = tmp_path / "oracle.csv"
+    for _step in oracle_write_trace(posterior_by_set(matrix, noise), oracle, printed,
+                                    matrix.log_priors):
+        pass
+
+    trace = tmp_path / "trace.csv"
+    run = run_enumerative(exemplar_list, grammar, noise, max_size=3, trace_path=trace)
+    assert trace.read_bytes() == oracle.read_bytes()
+
+    # Passing the enumerated list in changes nothing.
+    passed_in = tmp_path / "passed-in.csv"
+    again = run_enumerative(
+        exemplar_list, grammar, noise, max_size=3, trace_path=passed_in, hypotheses=hypotheses
+    )
+    assert again == run
+    assert passed_in.read_bytes() == oracle.read_bytes()
+
+
+def test_degenerate_rule_leaves_no_trace_even_over_an_old_one(tmp_path):
+    grammar = default_grammar(V)
+    exemplar_list = generate_list(EXACTLY_ONE_BLUE, V, seed=5, rule_id="exactly-one-blue")
+    trace = tmp_path / "exactly-one-blue.posterior.csv"
+    run_enumerative(exemplar_list, grammar, NoiseParams(0.9, 0.5), max_size=2, trace_path=trace)
+    assert trace.stat().st_size > 0
+    with pytest.raises(DegeneratePosteriorError, match="exactly-one-blue"):
+        run_enumerative(
+            exemplar_list, grammar, NoiseParams(1.0, 0.5), max_size=2, trace_path=trace,
+            hypotheses=enumerate_hypotheses(grammar, 2),
+        )
+    assert not trace.exists()
