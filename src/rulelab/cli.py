@@ -41,6 +41,7 @@ from .exemplars import (
 )
 from .harness import (
     CredentialError,
+    EndpointConfigError,
     RateLimiter,
     TransportError,
     load_endpoint_config,
@@ -617,7 +618,7 @@ def cmd_fit_noise(config: ExperimentConfig) -> int:
         raise DataError("no rules have both an exemplar list and human data")
 
     grammar = config.load_grammar(vocab)
-    fitted = fit_noise(
+    fit = fit_noise(
         fit_lists,
         tables,
         noise_grid(config.fit_grid_step),
@@ -625,6 +626,7 @@ def cmd_fit_noise(config: ExperimentConfig) -> int:
         max_size=config.learner.max_size,
         max_hypotheses=config.learner.max_hypotheses,
     )
+    fitted, runner_up = fit.noise, fit.runner_up
     reports_dir = config.output_dir / "reports"
     reports_dir.mkdir(parents=True, exist_ok=True)
     write_json(
@@ -635,6 +637,11 @@ def cmd_fit_noise(config: ExperimentConfig) -> int:
             "beta": fitted.beta,
             "grid_step": config.fit_grid_step,
             "rules": [l.rule_id for l in fit_lists],
+            "r2": fit.r2,
+            "runner_up": None if runner_up is None else {
+                "alpha": runner_up.alpha, "beta": runner_up.beta, "r2": fit.runner_up_r2,
+            },
+            "undefined_points": fit.undefined_points,
         },
     )
     print(f"fit-noise: alpha={fitted.alpha} beta={fitted.beta}")
@@ -708,7 +715,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "fit-noise":
             return cmd_fit_noise(config)
         raise ConfigError(f"unknown command {args.command!r}")
-    except (ConfigError, CredentialError) as error:
+    except (ConfigError, CredentialError, EndpointConfigError) as error:
         print(f"config error: {error}", file=sys.stderr)
         return EXIT_CONFIG
     except DataError as error:

@@ -1,6 +1,6 @@
 """Hosted-model harness: prompts, sessions, extraction, transcripts."""
 
-from .config import CredentialError, EndpointConfig, load_endpoint_config
+from .config import CredentialError, EndpointConfig, EndpointConfigError, load_endpoint_config
 from .extract import (
     DegenerateMassError,
     Exclusion,
@@ -38,6 +38,7 @@ __all__ = [
     "DegenerateMassError",
     "ELICITATION_ADDENDUM",
     "EndpointConfig",
+    "EndpointConfigError",
     "Exclusion",
     "ExtractionResult",
     "MODES",

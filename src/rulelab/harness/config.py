@@ -5,12 +5,17 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import urllib.parse
 from dataclasses import dataclass
 from pathlib import Path
 
 
 class CredentialError(RuntimeError):
     """The configured credential environment variable is unset."""
+
+
+class EndpointConfigError(ValueError):
+    """An endpoint config file that cannot be used as written."""
 
 
 @dataclass(frozen=True)
@@ -27,6 +32,12 @@ class EndpointConfig:
     rate_limit_per_s: float | None = None
 
     def __post_init__(self):
+        try:
+            parts = urllib.parse.urlsplit(self.base_url)
+        except (TypeError, AttributeError, ValueError):  # not a string, or e.g. "http://["
+            parts = None
+        if parts is None or parts.scheme not in ("http", "https") or not parts.netloc:
+            raise ValueError(f"base_url must be an http(s) URL, got {self.base_url!r}")
         if self.temperature < 0:
             raise ValueError("temperature must be >= 0")
         if self.top_logprobs < 1:
@@ -62,7 +73,15 @@ class EndpointConfig:
 
 
 def load_endpoint_config(path: str | Path) -> EndpointConfig:
-    doc = json.loads(Path(path).read_text())
+    """Read an endpoint config file.  A file that cannot be read or parsed,
+    an unknown or missing key, a bad value, or a ``base_url`` that is not an
+    http(s) URL raises :class:`EndpointConfigError`."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as error:  # ValueError: bad JSON or bad UTF-8
+        raise EndpointConfigError(f"endpoint config {path} is unreadable: {error}") from error
+    if not isinstance(doc, dict):
+        raise EndpointConfigError(f"endpoint config {path} must be a JSON object")
     known = {
         "base_url",
         "model",
@@ -77,5 +96,8 @@ def load_endpoint_config(path: str | Path) -> EndpointConfig:
     }
     unknown = set(doc) - known
     if unknown:
-        raise ValueError(f"unknown endpoint config keys: {sorted(unknown)}")
-    return EndpointConfig(**doc)
+        raise EndpointConfigError(f"unknown endpoint config keys: {sorted(unknown)}")
+    try:
+        return EndpointConfig(**doc)
+    except (TypeError, ValueError) as error:  # a missing key or a bad value
+        raise EndpointConfigError(f"endpoint config {path}: {error}") from error

@@ -17,7 +17,9 @@ only ever used for predictions.
 
 from __future__ import annotations
 
+import heapq
 import math
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -83,6 +85,19 @@ def _grid_r2(
         yield alpha, beta, None if math.isnan(r) else r * r
 
 
+@dataclass(frozen=True)
+class NoiseFit:
+    """What a grid fit computed: the winning point and its r2, the point
+    that would win without it and its r2 (None when no other point has a
+    defined r2), and how many grid points had no defined r2."""
+
+    noise: NoiseParams
+    r2: float
+    runner_up: NoiseParams | None
+    runner_up_r2: float | None
+    undefined_points: int
+
+
 def fit_noise(
     lists: Sequence[ExemplarList],
     humans: Sequence[HumanResponseTable],
@@ -90,9 +105,10 @@ def fit_noise(
     grammar: Grammar,
     max_size: int,
     max_hypotheses: int = 200_000,
-) -> NoiseParams:
+) -> NoiseFit:
     """Pick the grid point whose predictive trajectories best explain the
-    human proportions (squared Pearson correlation, pooled over lists)."""
+    human proportions (squared Pearson correlation, pooled over lists),
+    and report it with its runner-up as a :class:`NoiseFit`."""
     grid = list(grid)
     if not grid:
         raise ValueError("grid must be non-empty")
@@ -114,5 +130,11 @@ def fit_noise(
     ]
     if not scored:
         raise ValueError("no grid point produced a defined correlation")
-    _r2, alpha, beta = max(scored)
-    return NoiseParams(alpha, beta)
+    best, *rest = heapq.nlargest(2, scored)
+    return NoiseFit(
+        noise=NoiseParams(best[1], best[2]),
+        r2=best[0],
+        runner_up=NoiseParams(rest[0][1], rest[0][2]) if rest else None,
+        runner_up_r2=rest[0][0] if rest else None,
+        undefined_points=len(grid) - len(scored),
+    )

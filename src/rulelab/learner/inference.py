@@ -15,6 +15,7 @@ against this one.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -93,9 +94,18 @@ def logsumexp(values: Sequence[float]) -> float:
     return peak + math.log(sum(math.exp(v - peak) for v in values))
 
 
+class HypothesisList(list):
+    """The ``(concept, log_prior)`` pairs :func:`enumerate_hypotheses`
+    returns.  ``printed`` holds each concept's printed form under the
+    grammar's vocabulary, which the sort computes anyway, so a run over many
+    lists prints every hypothesis once."""
+
+    printed: list[str]
+
+
 def enumerate_hypotheses(
     grammar: Grammar, max_size: int, max_hypotheses: int = 200_000
-) -> list[tuple[Concept, float]]:
+) -> HypothesisList:
     """All concepts the grammar derives with node count <= ``max_size``.
 
     Each concept appears once; when distinct derivations produce the same
@@ -154,10 +164,13 @@ def enumerate_hypotheses(
             raise HypothesisBudgetError(
                 f"more than {max_hypotheses} hypotheses at size {target_size}"
             )
-    return sorted(
-        merged.items(),
-        key=lambda item: (concept_size(item[0]), print_concept(item[0], grammar.vocab)),
+    rows = sorted(
+        (((concept_size(c), print_concept(c, grammar.vocab)), c, lp) for c, lp in merged.items()),
+        key=lambda row: row[0],
     )
+    hypotheses = HypothesisList((concept, log_p) for _key, concept, log_p in rows)
+    hypotheses.printed = [key[1] for key, _concept, _log_p in rows]
+    return hypotheses
 
 
 def _size_splits(total: int, minimums: list[int]):
@@ -280,6 +293,20 @@ class EvalMatrix:
     gold: np.ndarray  # (n_objects,) bool
     offsets: list[int]  # start object index per set, plus final total
 
+    @functools.cached_property
+    def cells(self) -> np.ndarray:
+        """(n_objects, n_hyps) intp: ``2 * agrees + label`` for each cell,
+        where ``agrees`` says the hypothesis gives the object its gold
+        label.  It indexes the four log factors of
+        :func:`_boundary_log_likelihood`.  The noise does not enter it, so
+        it is built on first use and lives as long as the matrix (a grid
+        fit reuses it at every point).  Objects are rows, so a running sum
+        over objects adds one contiguous row at a time."""
+        cells = (self.agree_true == self.gold).T.astype(np.intp, order="C")
+        cells <<= 1
+        cells |= self.gold[:, None]
+        return cells
+
 
 def build_eval_matrix(
     hypotheses: Sequence[tuple[Concept, float]], exemplar_list: ExemplarList
@@ -300,15 +327,33 @@ def build_eval_matrix(
     return EvalMatrix(log_priors, agree_true, np.array(gold, dtype=bool), offsets)
 
 
+# The four (agrees, label) cells in the order of EvalMatrix.cells.
+_AGREES = np.array([False, False, True, True])
+_LABELS = np.array([False, True, False, True])
+
+
 def _boundary_log_likelihood(matrix: EvalMatrix, noise: NoiseParams) -> np.ndarray:
     """(n_sets + 1, n_hyps): row k holds each hypothesis's log-likelihood of
-    every object before set k."""
-    base = np.where(matrix.gold, noise.beta, 1.0 - noise.beta)
-    agree = matrix.agree_true == matrix.gold
+    every object before set k.
+
+    A cell's factor ``alpha * agrees + (1 - alpha) * base`` takes one of
+    four values, so ``np.log`` is taken of those four, in the order of
+    :attr:`EvalMatrix.cells`, and gathered through that index.  Each
+    hypothesis's log factors are then summed one object at a time in object
+    order, as a ``cumsum`` over per-cell logs sums them, so every result is
+    bitwise that of taking the log of each cell."""
+    base = np.where(_LABELS, noise.beta, 1.0 - noise.beta)
     with np.errstate(divide="ignore"):
-        factors = np.log(noise.alpha * agree + (1.0 - noise.alpha) * base)
-    cumulative = np.pad(np.cumsum(factors, axis=1), ((0, 0), (1, 0)))  # column j: first j objects
-    return np.ascontiguousarray(cumulative[:, matrix.offsets].T)
+        log_factors = np.log(noise.alpha * _AGREES + (1.0 - noise.alpha) * base)
+    n_objects, n_hyps = matrix.cells.shape
+    cumulative = np.empty((n_objects + 1, n_hyps))  # row j: the first j objects
+    cumulative[0] = 0.0
+    # mode="clip" (a no-op on indices 0..3) lets take write straight into
+    # out; the default mode writes to a buffer first.
+    np.take(log_factors, matrix.cells, out=cumulative[1:], mode="clip")
+    for previous, row in zip(cumulative[1:], cumulative[2:]):
+        row += previous
+    return cumulative[matrix.offsets]
 
 
 def posterior_by_set(
@@ -316,7 +361,8 @@ def posterior_by_set(
 ) -> Iterator[tuple[np.ndarray, np.ndarray, int]]:
     """The posterior at each set boundary 0..n_sets, conditioned on every
     earlier set's gold labels: yields ``(log_likelihood, log_posterior,
-    map_index)``.  A boundary no hypothesis explains raises
+    map_index)``.  Every boundary is scored and normalised before the first
+    yield; a boundary no hypothesis explains raises
     :class:`DegeneratePosteriorError` only when reached.  Exact ties in the
     computed scores go to the lowest row, which for rows in
     :func:`enumerate_hypotheses` order is the smaller, then
@@ -331,11 +377,13 @@ def posterior_by_set(
     peak = log_post_unnorm[np.arange(len(map_index)), map_index]
     with np.errstate(invalid="ignore"):  # a degenerate row is -inf - -inf
         mass = np.sum(np.exp(log_post_unnorm - peak[:, None]), axis=1)
-    for row, (row_peak, row_mass) in enumerate(zip(peak.tolist(), mass.tolist())):
+        # math.log, not np.log: the normaliser rounds as it always has.
+        log_z = [p + math.log(m) for p, m in zip(peak.tolist(), mass.tolist())]
+        log_posterior = log_post_unnorm - np.array(log_z)[:, None]
+    for row, (row_peak, row_map) in enumerate(zip(peak.tolist(), map_index.tolist())):
         if row_peak == float("-inf"):
             raise DegeneratePosteriorError("no hypothesis explains the evidence")
-        log_z = row_peak + math.log(row_mass)
-        yield log_likelihood[row], log_post_unnorm[row] - log_z, int(map_index[row])
+        yield log_likelihood[row], log_posterior[row], row_map
 
 
 def _predictive(
@@ -350,7 +398,7 @@ def predictive_trajectory(matrix: EvalMatrix, noise: NoiseParams) -> np.ndarray:
     """Per-object P(True), each predicted from the posterior over all
     previous sets' evidence."""
     n_sets = len(matrix.offsets) - 1
-    # islice stops at the last set, before the kernel conditions on it.
+    # islice stops at the last set: the boundary after it predicts nothing.
     steps = islice(posterior_by_set(matrix, noise), n_sets)
     posteriors = np.exp([log_posterior for _ll, log_posterior, _map in steps])
     posteriors = posteriors.reshape(n_sets, len(matrix.log_priors))
@@ -417,7 +465,7 @@ def run_enumerative(
     max_size: int,
     max_hypotheses: int = 200_000,
     trace_path: str | Path | None = None,
-    hypotheses: Sequence[tuple[Concept, float]] | None = None,
+    hypotheses: HypothesisList | None = None,
 ) -> LearnerRun:
     """Replay the labeling task with exact posterior inference.
 
@@ -427,7 +475,8 @@ def run_enumerative(
     CSV (set_index, concept, log_prior, log_likelihood, log_posterior).
     ``hypotheses``, when given, must be ``enumerate_hypotheses(grammar,
     max_size, max_hypotheses)``; a caller running many lists enumerates
-    once and passes the result to each.
+    once and passes the result to each, and the trace reuses the printed
+    forms it carries.
     """
     if hypotheses is None:
         hypotheses = enumerate_hypotheses(grammar, max_size, max_hypotheses)
@@ -435,8 +484,7 @@ def run_enumerative(
     concepts = [c for c, _lp in hypotheses]
     steps = posterior_by_set(matrix, noise)
     if trace_path is not None:
-        printed = [print_concept(c, grammar.vocab) for c in concepts]
-        steps = _write_trace(steps, trace_path, printed, matrix.log_priors)
+        steps = _write_trace(steps, trace_path, hypotheses.printed, matrix.log_priors)
 
     per_set = []
     offsets = matrix.offsets

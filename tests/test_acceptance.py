@@ -270,7 +270,7 @@ def test_criterion_6_noise_recovery():
             lists.append(exemplar_list)
             tables.append(ExactTable(proportions))
         fitted = fit_noise(lists, tables, noise_grid(0.05), grammar, max_size=3)
-        assert fitted == NoiseParams(0.8, 0.4)
+        assert fitted.noise == NoiseParams(0.8, 0.4)
 
 
 def test_criterion_7_metric_oracles():

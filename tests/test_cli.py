@@ -236,6 +236,26 @@ def test_run_plot_enumerates_once_for_all_rules(workspace, monkeypatch):
     assert len(list((workspace / "out" / "runs" / "plot").glob("*.posterior.csv"))) == 6
 
 
+def test_run_plot_prints_each_hypothesis_once(workspace, monkeypatch):
+    """The traces of every rule share the printed forms that enumeration
+    made; no rule prints the hypotheses again."""
+    from rulelab.catalog import DEFAULT_VOCAB
+    from rulelab.learner import default_grammar, inference
+
+    run(workspace, "gen")
+    n_hypotheses = len(inference.enumerate_hypotheses(default_grammar(DEFAULT_VOCAB), 3))
+    printed = []
+    real = inference.print_concept
+
+    def counted(concept, vocab):
+        printed.append(concept)
+        return real(concept, vocab)
+
+    monkeypatch.setattr(inference, "print_concept", counted)
+    assert run(workspace, "run", "--engine", "plot") == EXIT_OK
+    assert len(printed) == len(set(printed)) == n_hypotheses
+
+
 def test_run_plot_reports_a_failed_enumeration_for_every_rule(workspace, capsys):
     run(workspace, "gen")
     config = json.loads((workspace / "config.json").read_text())
@@ -306,6 +326,51 @@ def test_run_llm_without_credential_is_config_error(workspace, monkeypatch):
     (workspace / "config.json").write_text(json.dumps(config))
     monkeypatch.delenv("RULELAB_MISSING_KEY", raising=False)
     assert run(workspace, "run", "--engine", "llm") == EXIT_CONFIG
+
+
+_GOOD_ENDPOINT = {
+    "base_url": "https://example.test/v1", "model": "m", "credential_env": "RULELAB_PRESENT_KEY",
+    "max_retries": 4, "retry_backoff": 0.5,
+}
+
+
+@pytest.mark.parametrize("endpoint_text", [
+    json.dumps({**_GOOD_ENDPOINT, "bogus": 1}),
+    json.dumps({**_GOOD_ENDPOINT, "temperature": -1}),
+    json.dumps({**_GOOD_ENDPOINT, "base_url": "notaurl"}),
+    json.dumps({**_GOOD_ENDPOINT, "base_url": "file:///etc/passwd"}),
+    json.dumps({key: v for key, v in _GOOD_ENDPOINT.items() if key != "model"}),
+    '{"base_url": "https://example.test/v1", "model": ',
+    json.dumps([_GOOD_ENDPOINT]),
+], ids=["unknown-key", "negative-temperature", "notaurl", "file-url", "no-model",
+        "truncated-json", "not-an-object"])
+def test_bad_endpoint_config_is_config_error(workspace, monkeypatch, capsys, endpoint_text):
+    """A bad endpoint file exits 2 before any request: no POST, no backoff."""
+    import functools
+
+    import rulelab.cli as cli_module
+    from rulelab.harness import session as session_module
+
+    run(workspace, "gen")
+    (workspace / "endpoint.json").write_text(endpoint_text)
+    config = json.loads((workspace / "config.json").read_text())
+    config["endpoint"] = "endpoint.json"
+    (workspace / "config.json").write_text(json.dumps(config))
+    monkeypatch.setenv("RULELAB_PRESENT_KEY", "k")
+    posts, sleeps = [], []
+    real_transport = session_module.http_transport
+
+    def counted_transport(*args, **kwargs):
+        posts.append(args[0])
+        return real_transport(*args, **kwargs)
+
+    monkeypatch.setattr(session_module, "http_transport", counted_transport)
+    monkeypatch.setattr(
+        cli_module, "run_session", functools.partial(cli_module.run_session, sleep=sleeps.append)
+    )
+    assert run(workspace, "run", "--engine", "llm") == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert posts == [] and sleeps == []
 
 
 def test_grade_gold_elicited_matches_everything(workspace):
@@ -462,6 +527,18 @@ def test_fit_noise_end_to_end(workspace):
     doc = json.loads((workspace / "out" / "reports" / "noise_fit.json").read_text())
     assert 0.0 <= doc["alpha"] <= 1.0 and 0.0 <= doc["beta"] <= 1.0
     assert doc["rules"] == ["blue", "not-circle"]
+    # What the fit computed: the winner's r2, the runner-up, and the grid
+    # points with no defined r2 (alpha = 0 predicts a constant).
+    runner_up = doc["runner_up"]
+    assert 0.0 < runner_up["r2"] <= doc["r2"] <= 1.0
+    assert (runner_up["alpha"], runner_up["beta"]) != (doc["alpha"], doc["beta"])
+    assert (runner_up["r2"], runner_up["alpha"], runner_up["beta"]) < (
+        doc["r2"], doc["alpha"], doc["beta"]
+    )
+    assert 5 <= doc["undefined_points"] < 25
+    first = (workspace / "out" / "reports" / "noise_fit.json").read_bytes()
+    assert run(workspace, "fit-noise") == EXIT_OK
+    assert (workspace / "out" / "reports" / "noise_fit.json").read_bytes() == first
 
 
 def test_pipeline_outputs_are_byte_identical_across_workspaces(tmp_path):

@@ -53,13 +53,14 @@ def test_grid_helper():
 def test_single_point_grid():
     lists, tables = model_tables(NoiseParams(0.8, 0.4))
     fitted = fit_noise(lists, tables, [(0.7, 0.3)], GRAMMAR, MAX_SIZE)
-    assert fitted == NoiseParams(0.7, 0.3)
+    assert fitted.noise == NoiseParams(0.7, 0.3)
+    assert fitted.runner_up is None and fitted.runner_up_r2 is None
 
 
 def test_recovers_generating_point():
     lists, tables = model_tables(NoiseParams(0.8, 0.4))
     fitted = fit_noise(lists, tables, noise_grid(0.05), GRAMMAR, MAX_SIZE)
-    assert fitted == NoiseParams(0.8, 0.4)
+    assert fitted.noise == NoiseParams(0.8, 0.4)
 
 
 def test_gold_label_humans_push_alpha_to_grid_max():
@@ -76,7 +77,7 @@ def test_gold_label_humans_push_alpha_to_grid_max():
         tables.append(HumanResponseTable(rule_id=f"r{i}", n_true=n_true, n_total=n_total))
     grid = [(a, b) for a in (0.6, 0.8, 0.95) for b in (0.3, 0.5, 0.7)]
     fitted = fit_noise(lists, tables, grid, GRAMMAR, MAX_SIZE)
-    assert fitted.alpha == 0.95
+    assert fitted.noise.alpha == 0.95
 
 
 def test_empty_grid_rejected():
@@ -93,7 +94,7 @@ def test_missing_human_entries_are_skipped():
             tables[0].n_total[key] = 0
             tables[0].n_true[key] = 0
     fitted = fit_noise(lists, tables, noise_grid(0.1), GRAMMAR, MAX_SIZE)
-    assert fitted == NoiseParams(0.8, 0.4)
+    assert fitted.noise == NoiseParams(0.8, 0.4)
 
 
 # --- behaviour classes ------------------------------------------------------
@@ -217,7 +218,16 @@ def test_fit_matches_full_matrix_grid_loop():
     grid = noise_grid(0.05)
     prepared, human = fit_inputs(lists, tables, max_size=3)
     expected, expected_scores = reference_fit(prepared, human, grid)
-    assert fit_noise(lists, tables, grid, GRAMMAR, 3) == expected
+    fitted = fit_noise(lists, tables, grid, GRAMMAR, 3)
+    assert fitted.noise == expected
+    # Runner-up and undefined points as the full-matrix loop sees them.
+    ranked = sorted(
+        ((r2, alpha, beta) for (alpha, beta), r2 in zip(grid, expected_scores) if r2 is not None),
+        reverse=True,
+    )
+    assert fitted.runner_up == NoiseParams(ranked[1][1], ranked[1][2])
+    assert abs(fitted.r2 - ranked[0][0]) <= 1e-12 and abs(fitted.runner_up_r2 - ranked[1][0]) <= 1e-12
+    assert fitted.undefined_points == sum(r2 is None for r2 in expected_scores)
 
     collapsed = [(_behaviour_classes(matrix), keep) for matrix, keep in prepared]
     scores = [r2 for _a, _b, r2 in _grid_r2(collapsed, human, grid)]

@@ -301,6 +301,14 @@ def test_missing_credential_is_config_error(monkeypatch):
         run_session(fixture_list(), endpoint(), "chat")
 
 
+@pytest.mark.parametrize("base_url", ["notaurl", "file:///etc/hosts", "https://", "http://[", None, 7])
+def test_endpoint_rejects_a_base_url_that_is_not_http(base_url):
+    """A session built in code, not from a config file, also never sends
+    (or retries) a request to a URL urllib would refuse or read locally."""
+    with pytest.raises(ValueError, match="base_url"):
+        endpoint(base_url=base_url)
+
+
 def test_rate_limiter_spacing():
     now = {"t": 0.0}
     naps = []
