@@ -9,17 +9,19 @@ probability beta.
 """
 
 import math
+from itertools import islice
 
 from rulelab.catalog import DEFAULT_VOCAB as vocab
 from rulelab.dsl import parse_concept, print_concept
 from rulelab.exemplars import generate_list
 from rulelab.learner import (
     NoiseParams,
-    PosteriorState,
+    build_eval_matrix,
     default_grammar,
     enumerate_hypotheses,
     evidence_from_list,
     mh_sample,
+    posterior_by_set,
     run_enumerative,
 )
 
@@ -47,31 +49,30 @@ for prediction in run.per_set:
 print(f"final MAP: {print_concept(run.final_map, vocab)}")
 
 # --- 3. The posterior-predictive mixes rule following with baseline noise -----
-state = PosteriorState.from_hypotheses(enumerate_hypotheses(grammar, 3), vocab)
-state = state.update_batch(evidence_from_list(exemplar_list, upto_set=10), noise)
+# Set 10 is predicted from the posterior over sets 0..9.
+prediction = run.per_set[10]
 ctx = exemplar_list.sets[10].context_for(0)
-from rulelab.learner import classify, map_rule, posterior_predictive
-
-print(f"\nafter 10 sets: MAP = {print_concept(map_rule(state), vocab)}")
+print(f"\nafter 10 sets: MAP = {print_concept(prediction.map_concept, vocab)}")
 print(f"P(True) for {ctx.objects[ctx.target].render(vocab)!r}: "
-      f"{posterior_predictive(state, ctx, noise):.3f} "
-      f"-> label {classify(state, ctx, noise)}")
+      f"{prediction.p_true[0]:.3f} -> label {prediction.labels[0]}")
 
 # --- 4. MCMC agrees with exact enumeration ------------------------------------
 # Metropolis-Hastings with subtree-regeneration proposals targets the same
-# truncated posterior; on small spaces the two coincide closely.
+# truncated posterior; on small spaces the two coincide closely.  Row 6 of
+# posterior_by_set is the exact posterior over sets 0..5.
+hypotheses = enumerate_hypotheses(grammar, 2)
+steps = posterior_by_set(build_eval_matrix(hypotheses, exemplar_list), noise)
+_ll, log_posterior, _map = next(islice(steps, 6, None))
+exact_mass = {c: math.exp(lp) for (c, _prior), lp in zip(hypotheses, log_posterior.tolist())}
 evidence = evidence_from_list(exemplar_list, upto_set=6)
-exact = PosteriorState.from_hypotheses(enumerate_hypotheses(grammar, 2), vocab)
-exact = exact.update_batch(evidence, noise)
 empirical = mh_sample(grammar, evidence, noise, iterations=60_000, seed=4, max_size=2)
 
-exact_mass = {e.concept: math.exp(e.log_weight) for e in exact.entries}
 empirical_mass = {e.concept: math.exp(e.log_weight) for e in empirical.entries}
 support = set(exact_mass) | set(empirical_mass)
 tv = 0.5 * sum(abs(exact_mass.get(c, 0) - empirical_mass.get(c, 0)) for c in support)
 print(f"\nMH vs enumeration total-variation distance: {tv:.4f} (60k iterations)")
 
-top = sorted(exact.entries, key=lambda e: -e.log_weight)[:3]
+top = sorted(exact_mass.items(), key=lambda item: -item[1])[:3]
 print("top exact posterior mass:")
-for entry in top:
-    print(f"  {math.exp(entry.log_weight):6.3f}  {print_concept(entry.concept, vocab)}")
+for concept, mass in top:
+    print(f"  {mass:6.3f}  {print_concept(concept, vocab)}")

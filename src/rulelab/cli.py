@@ -136,6 +136,21 @@ class ExperimentConfig:
         return load_grammar(self.learner.grammar, vocab)
 
 
+def _checked(doc: dict, key: str, default, valid, want: str, prefix: str = ""):
+    """``doc[key]`` (or ``default``) if ``valid`` holds for it; JSON booleans
+    are never numbers here."""
+    value = doc.get(key, default)
+    if isinstance(value, bool) or not valid(value):
+        raise ConfigError(f"{prefix}{key} must be {want}, got {value!r}")
+    return value
+
+
+_POSITIVE = (lambda v: isinstance(v, int) and v >= 1, "a positive integer")
+_UNIT = (lambda v: isinstance(v, (int, float)) and 0.0 <= v <= 1.0, "a number in [0, 1]")
+_STEP = (lambda v: isinstance(v, (int, float)) and 0.0 < v <= 1.0, "a number in (0, 1]")
+_SEED = (lambda v: v is None or isinstance(v, int), "an integer")
+
+
 def load_config(path: str | Path) -> ExperimentConfig:
     path = Path(path)
     if not path.exists():
@@ -176,13 +191,13 @@ def load_config(path: str | Path) -> ExperimentConfig:
         grammar = str((base / grammar).resolve())
     learner = LearnerSettings(
         grammar=grammar,
-        max_size=int(learner_doc.get("max_size", 3)),
-        alpha=float(learner_doc.get("alpha", 0.95)),
-        beta=float(learner_doc.get("beta", 0.5)),
+        max_size=_checked(learner_doc, "max_size", 3, *_POSITIVE, "learner."),
+        alpha=float(_checked(learner_doc, "alpha", 0.95, *_UNIT, "learner.")),
+        beta=float(_checked(learner_doc, "beta", 0.5, *_UNIT, "learner.")),
         engine=learner_doc.get("engine", "enumerate"),
-        mh_iterations=int(learner_doc.get("mh_iterations", 20_000)),
-        seed=learner_doc.get("seed"),
-        max_hypotheses=int(learner_doc.get("max_hypotheses", 200_000)),
+        mh_iterations=_checked(learner_doc, "mh_iterations", 20_000, *_POSITIVE, "learner."),
+        seed=_checked(learner_doc, "seed", None, *_SEED, "learner."),
+        max_hypotheses=_checked(learner_doc, "max_hypotheses", 200_000, *_POSITIVE, "learner."),
     )
     if learner.engine not in ("enumerate", "mh"):
         raise ConfigError(f"learner.engine must be enumerate or mh, got {learner.engine!r}")
@@ -193,14 +208,14 @@ def load_config(path: str | Path) -> ExperimentConfig:
         lists_dir=resolve("lists_dir"),
         output_dir=resolve("output_dir"),
         vocab_path=resolve("vocab"),
-        seed=doc.get("seed"),
+        seed=_checked(doc, "seed", None, *_SEED),
         endpoint=resolve("endpoint"),
         human_data=resolve("human_data"),
         learner=learner,
-        fit_grid_step=float(doc.get("fit_grid_step", 0.05)),
-        grade_max_set_size=int(doc.get("grade_max_set_size", 5)),
-        workers=int(doc.get("workers", 1)),
-        subsamples=int(doc.get("subsamples", 10_000)),
+        fit_grid_step=float(_checked(doc, "fit_grid_step", 0.05, *_STEP)),
+        grade_max_set_size=_checked(doc, "grade_max_set_size", 5, *_POSITIVE),
+        workers=_checked(doc, "workers", 1, *_POSITIVE),
+        subsamples=_checked(doc, "subsamples", 10_000, *_POSITIVE),
     )
     for name, file_path in (
         ("rules", config.rules),

@@ -225,11 +225,6 @@ class Derivation:
     def n_applications(self) -> int:
         return 1 + sum(c.n_applications() for c in self.children)
 
-    def log_prior(self, grammar: Grammar) -> float:
-        return grammar.log_probability(self.production) + sum(
-            c.log_prior(grammar) for c in self.children
-        )
-
 
 def sample_derivation(
     grammar: Grammar,

@@ -9,7 +9,8 @@ therefore contributes the likelihood factor
 
 Exact inference enumerates every concept the grammar derives up to a node
 budget; :mod:`rulelab.learner.mcmc` provides the sampling engine validated
-against this one.
+against this one.  Both score a hypothesis from its truth row over the
+list's objects (:func:`rulelab.dsl.evaluate_batch`).
 """
 
 from __future__ import annotations
@@ -21,11 +22,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from itertools import islice
 from types import SimpleNamespace
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from ..dsl import Concept, Context, ContextBatch, evaluate, evaluate_batch, size as concept_size
+from ..dsl import Concept, Context, ContextBatch, evaluate_batch, size as concept_size
 from ..dsl.sexpr import print_concept
 from ..exemplars import ExemplarList
 from .grammar import Grammar, GrammarError, substitute
@@ -68,30 +69,6 @@ def evidence_from_list(exemplar_list: ExemplarList, upto_set: int | None = None)
             break
         out.append((ctx, label))
     return out
-
-
-def _log(x: float) -> float:
-    return math.log(x) if x > 0.0 else float("-inf")
-
-
-def observation_log_factor(agrees: bool, label: bool, noise: NoiseParams) -> float:
-    base = noise.beta if label else 1.0 - noise.beta
-    return _log(noise.alpha * agrees + (1.0 - noise.alpha) * base)
-
-
-def log_likelihood(hypothesis: Concept, evidence: Iterable[Observation], noise: NoiseParams) -> float:
-    """Sum of per-observation log factors; -inf is a legal result."""
-    total = 0.0
-    for ctx, label in evidence:
-        total += observation_log_factor(evaluate(hypothesis, ctx) == label, label, noise)
-    return total
-
-
-def logsumexp(values: Sequence[float]) -> float:
-    peak = max(values, default=float("-inf"))
-    if peak == float("-inf"):
-        return float("-inf")
-    return peak + math.log(sum(math.exp(v - peak) for v in values))
 
 
 class HypothesisList(list):
@@ -202,62 +179,6 @@ class PosteriorState:
     log_z: float
     vocab: object  # FeatureVocab; kept loose to avoid an import cycle
 
-    @classmethod
-    def from_hypotheses(
-        cls, hypotheses: Sequence[tuple[Concept, float]], vocab
-    ) -> "PosteriorState":
-        if not hypotheses:
-            raise EmptyStateError("no hypotheses")
-        log_z = logsumexp([lp for _c, lp in hypotheses])
-        entries = tuple(
-            HypothesisEntry(concept, lp, 0.0, lp - log_z) for concept, lp in hypotheses
-        )
-        return cls(entries=entries, log_z=log_z, vocab=vocab)
-
-    def update(self, ctx: Context, label: bool, noise: NoiseParams) -> "PosteriorState":
-        """Condition on one labeled object; returns a new state."""
-        scored = [
-            (
-                entry,
-                entry.log_likelihood
-                + observation_log_factor(evaluate(entry.concept, ctx) == label, label, noise),
-            )
-            for entry in self.entries
-        ]
-        return self._renormalized(scored)
-
-    def update_batch(self, evidence: Iterable[Observation], noise: NoiseParams) -> "PosteriorState":
-        state = self
-        for ctx, label in evidence:
-            state = state.update(ctx, label, noise)
-        return state
-
-    def _renormalized(self, scored) -> "PosteriorState":
-        log_z = logsumexp([entry.log_prior + ll for entry, ll in scored])
-        if log_z == float("-inf"):
-            raise DegeneratePosteriorError("all hypotheses have zero posterior mass")
-        entries = tuple(
-            HypothesisEntry(entry.concept, entry.log_prior, ll, entry.log_prior + ll - log_z)
-            for entry, ll in scored
-        )
-        return PosteriorState(entries=entries, log_z=log_z, vocab=self.vocab)
-
-    def weight_sum(self) -> float:
-        return sum(math.exp(entry.log_weight) for entry in self.entries)
-
-
-def posterior_predictive(state: PosteriorState, ctx: Context, noise: NoiseParams) -> float:
-    """Probability of the True label for ``ctx`` under the mixture."""
-    rule_mass = sum(
-        math.exp(entry.log_weight) for entry in state.entries if evaluate(entry.concept, ctx)
-    )
-    return noise.alpha * rule_mass + (1.0 - noise.alpha) * noise.beta
-
-
-def classify(state: PosteriorState, ctx: Context, noise: NoiseParams) -> bool:
-    """True iff the posterior predictive exceeds 0.5; an exact 0.5 is False."""
-    return posterior_predictive(state, ctx, noise) > 0.5
-
 
 def map_rule(state: PosteriorState) -> Concept:
     """Highest-posterior hypothesis; ties break toward smaller, then
@@ -308,9 +229,10 @@ class EvalMatrix:
         return cells
 
 
-def build_eval_matrix(
-    hypotheses: Sequence[tuple[Concept, float]], exemplar_list: ExemplarList
-) -> EvalMatrix:
+def _flatten_list(exemplar_list: ExemplarList) -> tuple[ContextBatch, np.ndarray, list[int]]:
+    """A list's objects in presentation order: their contexts as one batch,
+    their gold labels, and the start object index of each set plus the
+    final total."""
     contexts = []
     gold = []
     offsets = [0]
@@ -319,12 +241,17 @@ def build_eval_matrix(
             contexts.append(exemplar_set.context_for(i))
             gold.append(label)
         offsets.append(len(contexts))
-    agree_true = evaluate_batch(
-        [concept for concept, _lp in hypotheses],
-        ContextBatch.from_contexts(contexts, exemplar_list.vocab),
-    )
+    batch = ContextBatch.from_contexts(contexts, exemplar_list.vocab)
+    return batch, np.array(gold, dtype=bool), offsets
+
+
+def build_eval_matrix(
+    hypotheses: Sequence[tuple[Concept, float]], exemplar_list: ExemplarList
+) -> EvalMatrix:
+    batch, gold, offsets = _flatten_list(exemplar_list)
+    agree_true = evaluate_batch([concept for concept, _lp in hypotheses], batch)
     log_priors = np.array([lp for _c, lp in hypotheses], dtype=float)
-    return EvalMatrix(log_priors, agree_true, np.array(gold, dtype=bool), offsets)
+    return EvalMatrix(log_priors, agree_true, gold, offsets)
 
 
 # The four (agrees, label) cells in the order of EvalMatrix.cells.
@@ -332,19 +259,25 @@ _AGREES = np.array([False, False, True, True])
 _LABELS = np.array([False, True, False, True])
 
 
+def _likelihood_factors(noise: NoiseParams) -> np.ndarray:
+    """The four values a cell's factor ``alpha * agrees + (1 - alpha) *
+    base`` can take, in the order of :attr:`EvalMatrix.cells`."""
+    base = np.where(_LABELS, noise.beta, 1.0 - noise.beta)
+    return noise.alpha * _AGREES + (1.0 - noise.alpha) * base
+
+
 def _boundary_log_likelihood(matrix: EvalMatrix, noise: NoiseParams) -> np.ndarray:
     """(n_sets + 1, n_hyps): row k holds each hypothesis's log-likelihood of
     every object before set k.
 
-    A cell's factor ``alpha * agrees + (1 - alpha) * base`` takes one of
-    four values, so ``np.log`` is taken of those four, in the order of
-    :attr:`EvalMatrix.cells`, and gathered through that index.  Each
-    hypothesis's log factors are then summed one object at a time in object
-    order, as a ``cumsum`` over per-cell logs sums them, so every result is
-    bitwise that of taking the log of each cell."""
-    base = np.where(_LABELS, noise.beta, 1.0 - noise.beta)
+    A cell's factor takes one of four values (:func:`_likelihood_factors`),
+    so ``np.log`` is taken of those four and gathered through
+    :attr:`EvalMatrix.cells`.  Each hypothesis's log factors are then
+    summed one object at a time in object order, as a ``cumsum`` over
+    per-cell logs sums them, so every result is bitwise that of taking the
+    log of each cell."""
     with np.errstate(divide="ignore"):
-        log_factors = np.log(noise.alpha * _AGREES + (1.0 - noise.alpha) * base)
+        log_factors = np.log(_likelihood_factors(noise))
     n_objects, n_hyps = matrix.cells.shape
     cumulative = np.empty((n_objects + 1, n_hyps))  # row j: the first j objects
     cumulative[0] = 0.0
@@ -387,10 +320,11 @@ def posterior_by_set(
 
 
 def _predictive(
-    matrix: EvalMatrix, log_posterior: np.ndarray, noise: NoiseParams, start: int, end: int
+    log_posterior: np.ndarray, agree_true: np.ndarray, noise: NoiseParams
 ) -> np.ndarray:
-    """P(True) for objects ``start:end`` under the posterior's mixture."""
-    rule_mass = np.exp(log_posterior) @ matrix.agree_true[:, start:end]
+    """P(True) for each column of ``agree_true`` (hypotheses by objects)
+    under the posterior's mixture."""
+    rule_mass = np.exp(log_posterior) @ agree_true
     return noise.alpha * rule_mass + (1.0 - noise.alpha) * noise.beta
 
 
@@ -493,9 +427,8 @@ def run_enumerative(
         for set_index, (_ll, log_posterior, map_index) in enumerate(steps):
             if set_index == len(exemplar_list.sets):
                 continue
-            predictive = _predictive(
-                matrix, log_posterior, noise, offsets[set_index], offsets[set_index + 1]
-            ).tolist()
+            start, end = offsets[set_index], offsets[set_index + 1]
+            predictive = _predictive(log_posterior, matrix.agree_true[:, start:end], noise).tolist()
             per_set.append(
                 SetPrediction(
                     set_index=set_index,

@@ -18,7 +18,9 @@ import random
 from collections import Counter
 from typing import Iterable
 
-from ..dsl import Concept
+import numpy as np
+
+from ..dsl import Concept, ContextBatch, evaluate_batch
 from ..exemplars import ExemplarList
 from .grammar import Derivation, Grammar, sample_derivation
 from .inference import (
@@ -28,10 +30,37 @@ from .inference import (
     Observation,
     PosteriorState,
     SetPrediction,
-    log_likelihood,
+    _flatten_list,
+    _likelihood_factors,
+    _predictive,
     map_rule,
-    posterior_predictive,
 )
+
+
+class _TruthRows:
+    """Each concept's truth row over a batch of labelled objects, evaluated
+    once and kept with the concept's log-likelihood of the objects before
+    each boundary in ``offsets``.  The logs of the four factor values are
+    gathered through the row's (agrees, label) cells and added in object
+    order, so each score is bitwise the per-object sum of log factors."""
+
+    def __init__(
+        self, batch: ContextBatch, gold: np.ndarray, offsets: list[int], noise: NoiseParams
+    ):
+        self.batch, self.gold, self.offsets = batch, gold, offsets
+        factors = _likelihood_factors(noise).tolist()
+        self.log_factors = np.array([math.log(f) if f > 0.0 else -math.inf for f in factors])
+        self.rows: dict[Concept, tuple[np.ndarray, list[float]]] = {}
+
+    def __getitem__(self, concept: Concept) -> tuple[np.ndarray, list[float]]:
+        """``(truth row, log-likelihood at each boundary)``."""
+        found = self.rows.get(concept)
+        if found is None:
+            row = evaluate_batch([concept], self.batch)[0]
+            cumulative = np.zeros(len(row) + 1)  # entry j: the first j objects
+            np.cumsum(self.log_factors[2 * (row == self.gold) + self.gold], out=cumulative[1:])
+            found = self.rows[concept] = (row, cumulative[self.offsets].tolist())
+        return found
 
 
 def _paths(derivation: Derivation, prefix: tuple[int, ...] = ()) -> Iterable[tuple[int, ...]]:
@@ -68,8 +97,28 @@ def mh_sample(
     """Empirical posterior over concepts from ``iterations`` MH steps.
 
     Deterministic under a fixed seed.  ``burn_in`` defaults to
-    min(1000, iterations // 10); burn-in states are not tallied.
+    min(1000, iterations // 10); burn-in states are not tallied.  An
+    entry's ``log_prior`` is NaN: the chain meets a concept through one
+    derivation at a time, while its prior sums over all of them (see
+    :func:`enumerate_hypotheses`).
     """
+    batch = ContextBatch.from_contexts([ctx for ctx, _label in evidence], grammar.vocab)
+    gold = np.array([label for _ctx, label in evidence], dtype=bool)
+    rows = _TruthRows(batch, gold, [0, len(evidence)], noise)
+    return _chain(grammar, rows, 1, iterations, seed, max_size, burn_in)
+
+
+def _chain(
+    grammar: Grammar,
+    rows: _TruthRows,
+    boundary: int,
+    iterations: int,
+    seed: int,
+    max_size: int | None,
+    burn_in: int | None,
+) -> PosteriorState:
+    """:func:`mh_sample` conditioned on the objects of ``rows`` before
+    ``boundary``."""
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
     rng = random.Random(seed)
@@ -83,13 +132,11 @@ def mh_sample(
                 return derivation
 
     likelihood_cache: dict[Concept, float] = {}
-    prior_cache: dict[Concept, float] = {}
 
     def scored(derivation: Derivation) -> tuple[Concept, float]:
         concept = derivation.concept()
         if concept not in likelihood_cache:
-            likelihood_cache[concept] = log_likelihood(concept, evidence, noise)
-            prior_cache[concept] = derivation.log_prior(grammar)
+            likelihood_cache[concept] = rows[concept][1][boundary]
         return concept, likelihood_cache[concept]
 
     current = fresh_state()
@@ -123,7 +170,7 @@ def mh_sample(
     entries = tuple(
         HypothesisEntry(
             concept=concept,
-            log_prior=prior_cache[concept],
+            log_prior=float("nan"),
             log_likelihood=likelihood_cache[concept],
             log_weight=math.log(count / total),
         )
@@ -145,26 +192,29 @@ def run_mh(
     """Replay the labeling task with a fresh MH posterior per set.
 
     Set ``s`` is predicted from a chain conditioned on sets 0..s-1 and
-    seeded with ``seed + s``, so runs are deterministic end to end.
+    seeded with ``seed + s``, so runs are deterministic end to end.  Every
+    chain reads one set of truth rows over the whole list, so each concept
+    any chain meets is evaluated once per run.
     """
-    evidence: list[Observation] = []
+    rows = _TruthRows(*_flatten_list(exemplar_list), noise)
+    offsets = rows.offsets
+    n_sets = len(exemplar_list.sets)
     per_set = []
-    for set_index, exemplar_set in enumerate(exemplar_list.sets):
-        state = mh_sample(grammar, evidence, noise, iterations, seed + set_index, max_size)
-        contexts = [exemplar_set.context_for(i) for i in range(len(exemplar_set.objects))]
-        predictive = tuple(posterior_predictive(state, ctx, noise) for ctx in contexts)
+    for set_index in range(n_sets):
+        state = _chain(grammar, rows, set_index, iterations, seed + set_index, max_size, None)
+        start, end = offsets[set_index], offsets[set_index + 1]
+        log_weights = np.array([entry.log_weight for entry in state.entries])
+        truth = np.array([rows[entry.concept][0][start:end] for entry in state.entries])
+        predictive = _predictive(log_weights, truth, noise).tolist()
         per_set.append(
             SetPrediction(
                 set_index=set_index,
                 map_concept=map_rule(state),
-                p_true=predictive,
+                p_true=tuple(predictive),
                 labels=tuple(p > 0.5 for p in predictive),
             )
         )
-        evidence += [(ctx, label) for ctx, label in zip(contexts, exemplar_set.labels)]
-    final_state = mh_sample(
-        grammar, evidence, noise, iterations, seed + len(exemplar_list.sets), max_size
-    )
+    final_state = _chain(grammar, rows, n_sets, iterations, seed + n_sets, max_size, None)
     return LearnerRun(
         rule_id=exemplar_list.rule_id, per_set=tuple(per_set), final_map=map_rule(final_state)
     )

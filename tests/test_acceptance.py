@@ -15,6 +15,7 @@ from contextlib import contextmanager
 import pytest
 
 from conftest import random_concept, random_context
+from reference import PosteriorState, log_likelihood, posterior_predictive
 from rulelab.catalog import DEFAULT_VOCAB as V, DEMO_RULES, write_rules_manifest
 from rulelab.cli import EXIT_OK, main
 from rulelab.dsl import (
@@ -35,17 +36,14 @@ from rulelab.harness import build_prompt, extract_labels, run_session
 from rulelab.learner import (
     HypothesisEntry,
     NoiseParams,
-    PosteriorState,
     build_eval_matrix,
     default_grammar,
     enumerate_hypotheses,
     evidence_from_list,
     fit_noise,
     grammar_from_pairs,
-    log_likelihood,
     mh_sample,
     noise_grid,
-    posterior_predictive,
     predictive_trajectory,
     run_enumerative,
 )

@@ -46,6 +46,42 @@ def test_config_with_unknown_keys_rejected(tmp_path):
     assert main(["gen", "--config", str(tmp_path / "config.json")]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("learner", "alpha", 1.5),
+    ("learner", "alpha", -0.1),
+    ("learner", "alpha", "high"),
+    ("learner", "beta", 1.01),
+    ("learner", "beta", -0.5),
+    ("learner", "max_size", "abc"),
+    ("learner", "max_size", 0),
+    ("learner", "max_size", 2.5),
+    ("learner", "max_size", True),
+    ("learner", "mh_iterations", 0),
+    ("learner", "mh_iterations", "many"),
+    ("learner", "max_hypotheses", 0),
+    ("learner", "max_hypotheses", -10),
+    ("learner", "seed", "x"),
+    ("learner", "seed", 1.5),
+    (None, "seed", "x"),
+    (None, "workers", 0),
+    (None, "workers", "2"),
+    (None, "subsamples", 0),
+    (None, "subsamples", "abc"),
+    (None, "fit_grid_step", 0),
+    (None, "fit_grid_step", 1.5),
+    (None, "fit_grid_step", "fine"),
+    (None, "grade_max_set_size", 0),
+])
+def test_bad_config_value_exits_2_before_any_work(workspace, capsys, section, key, value):
+    config = json.loads((workspace / "config.json").read_text())
+    config["learner"]["engine"] = "mh"
+    (config[section] if section else config)[key] = value
+    (workspace / "config.json").write_text(json.dumps(config))
+    assert run(workspace, "run", "--engine", "plot") == EXIT_CONFIG
+    assert key in capsys.readouterr().err
+    assert not (workspace / "out").exists()
+
+
 def test_gen_writes_one_list_per_rule(workspace):
     assert run(workspace, "gen") == EXIT_OK
     lists_dir = workspace / "out" / "lists"

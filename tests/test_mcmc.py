@@ -1,18 +1,26 @@
 """MH sampling validated against exact enumeration."""
 
 import math
+import pkgutil
+from importlib import import_module
+from itertools import islice
 
+import pytest
+
+from reference import PosteriorState, log_likelihood, posterior_predictive
 from rulelab.catalog import DEFAULT_VOCAB as V
-from rulelab.dsl import parse_concept
+from rulelab.dsl import evaluate_batch, parse_concept
 from rulelab.exemplars import generate_list
 from rulelab.learner import (
     NoiseParams,
-    PosteriorState,
+    build_eval_matrix,
     default_grammar,
     enumerate_hypotheses,
     evidence_from_list,
     grammar_from_pairs,
+    map_rule,
     mh_sample,
+    posterior_by_set,
     run_mh,
 )
 
@@ -114,3 +122,116 @@ def test_run_mh_learns_a_simple_rule():
         correct += sum(a == b for a, b in zip(prediction.labels, gold))
         total += len(gold)
     assert correct / total >= 0.9
+
+
+EXACTLY_ONE_BLUE = parse_concept("(exactly-one all (is-color blue 0))", V)
+
+
+def test_posterior_agreement_under_fol_evidence():
+    # "Exactly one blue object" list (list seed 2), first 3 sets (8 objects),
+    # max_size 3 (782 concepts); the chain runs 100,000 steps from seed 1.
+    grammar = default_grammar(V)
+    exemplar_list = generate_list(EXACTLY_ONE_BLUE, V, seed=2, rule_id="one-blue")
+    noise = NoiseParams(0.85, 0.5)
+    hypotheses = enumerate_hypotheses(grammar, 3)
+    steps = posterior_by_set(build_eval_matrix(hypotheses, exemplar_list), noise)
+    _ll, log_posterior, _map = next(islice(steps, 3, None))
+    exact = {c: math.exp(lp) for (c, _prior), lp in zip(hypotheses, log_posterior.tolist())}
+    evidence = evidence_from_list(exemplar_list, upto_set=3)
+    empirical = mh_sample(grammar, evidence, noise, iterations=100_000, seed=1, max_size=3)
+    mass = {e.concept: math.exp(e.log_weight) for e in empirical.entries}
+    tv = 0.5 * sum(abs(exact.get(c, 0.0) - mass.get(c, 0.0)) for c in set(exact) | set(mass))
+    assert tv < 0.05
+
+
+def test_entries_carry_no_single_derivation_prior():
+    # (or A B) and (or B A) are one concept: its prior sums both derivations,
+    # and a chain sees one at a time.
+    state = mh_sample(small_grammar(), [], NoiseParams(1.0, 0.5), iterations=2000, seed=3)
+    assert state.entries and all(math.isnan(e.log_prior) for e in state.entries)
+
+
+@pytest.mark.parametrize("noise", [
+    NoiseParams(0.85, 0.5), NoiseParams(1.0, 0.5), NoiseParams(0.0, 0.3), NoiseParams(0.6, 0.9),
+])
+def test_entry_log_likelihood_is_the_reference_sum(noise):
+    grammar = default_grammar(V)
+    exemplar_list = generate_list(EXACTLY_ONE_BLUE, V, seed=2, rule_id="one-blue")
+    for upto_set in (0, 2, 6):
+        evidence = evidence_from_list(exemplar_list, upto_set=upto_set)
+        state = mh_sample(grammar, evidence, noise, iterations=3000, seed=upto_set, max_size=3)
+        for entry in state.entries:
+            assert entry.log_likelihood == log_likelihood(entry.concept, evidence, noise)
+
+
+def test_truth_row_scores_are_the_reference_sums_bitwise():
+    from rulelab.learner.inference import _flatten_list
+    from rulelab.learner.mcmc import _TruthRows
+
+    exemplar_list = generate_list(EXACTLY_ONE_BLUE, V, seed=2, rule_id="one-blue")
+    hypotheses = enumerate_hypotheses(default_grammar(V), 2)
+    prefixes = (0, 1, 4, 25)
+    for alpha, beta in ((0.0, 0.5), (1.0, 0.5), (0.95, 0.5), (0.85, 0.3), (0.5, 1.0), (0.7, 0.0)):
+        noise = NoiseParams(alpha, beta)
+        rows = _TruthRows(*_flatten_list(exemplar_list), noise)
+        for upto_set in prefixes:
+            evidence = evidence_from_list(exemplar_list, upto_set=upto_set)
+            for concept, _prior in hypotheses:
+                expected = log_likelihood(concept, evidence, noise)
+                assert rows[concept][1][upto_set] == expected
+
+
+def test_run_mh_predicts_with_its_chains_posterior():
+    grammar = default_grammar(V)
+    exemplar_list = generate_list(EXACTLY_ONE_BLUE, V, seed=4, n_sets=6, rule_id="one-blue")
+    noise = NoiseParams(0.9, 0.5)
+    run = run_mh(exemplar_list, grammar, noise, iterations=1500, seed=7, max_size=3)
+    for set_index, exemplar_set in enumerate(exemplar_list.sets):
+        evidence = evidence_from_list(exemplar_list, upto_set=set_index)
+        state = mh_sample(grammar, evidence, noise, 1500, seed=7 + set_index, max_size=3)
+        prediction = run.per_set[set_index]
+        assert prediction.map_concept == map_rule(state)
+        for i, (p, label) in enumerate(zip(prediction.p_true, prediction.labels)):
+            expected = posterior_predictive(state, exemplar_set.context_for(i), noise)
+            assert abs(p - expected) <= 1e-12
+            assert label == (expected > 0.5)
+    final = mh_sample(grammar, evidence_from_list(exemplar_list), noise, 1500, seed=13, max_size=3)
+    assert run.final_map == map_rule(final)
+
+
+def test_learner_scores_without_the_per_object_evaluator(monkeypatch):
+    import rulelab.dsl
+    import rulelab.learner
+    from rulelab.dsl import core
+
+    for info in pkgutil.iter_modules(rulelab.learner.__path__):
+        module = import_module(f"rulelab.learner.{info.name}")
+        assert "evaluate" not in vars(module), info.name
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-object evaluate called")
+
+    monkeypatch.setattr(rulelab.dsl, "evaluate", refuse)
+    monkeypatch.setattr(core, "evaluate", refuse)
+    grammar = default_grammar(V)
+    exemplar_list = generate_list(EXACTLY_ONE_BLUE, V, seed=4, n_sets=4, rule_id="one-blue")
+    noise = NoiseParams(0.9, 0.5)
+    mh_sample(grammar, evidence_from_list(exemplar_list), noise, 500, seed=1, max_size=3)
+    mh_sample(grammar, [], noise, 500, seed=1, max_size=3)
+    run_mh(exemplar_list, grammar, noise, iterations=500, seed=1, max_size=3)
+
+
+def test_run_mh_evaluates_each_concept_once(monkeypatch):
+    from rulelab.learner import mcmc
+
+    evaluated = []
+
+    def counting(concepts, batch):
+        evaluated.extend(concepts)
+        return evaluate_batch(concepts, batch)
+
+    monkeypatch.setattr(mcmc, "evaluate_batch", counting)
+    exemplar_list = generate_list(EXACTLY_ONE_BLUE, V, seed=4, n_sets=5, rule_id="one-blue")
+    run = run_mh(exemplar_list, default_grammar(V), NoiseParams(0.9, 0.5), 800, seed=5, max_size=3)
+    assert len(evaluated) == len(set(evaluated)) > 1
+    assert {p.map_concept for p in run.per_set} | {run.final_map} <= set(evaluated)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_context
+from reference import PosteriorState, classify, log_likelihood, posterior_predictive
 from rulelab.catalog import DEFAULT_VOCAB as V
 from rulelab.dsl import Context, Obj, parse_concept
 from rulelab.exemplars import generate_list
@@ -15,16 +16,12 @@ from rulelab.learner import (
     DegeneratePosteriorError,
     EmptyStateError,
     NoiseParams,
-    PosteriorState,
     build_eval_matrix,
-    classify,
     default_grammar,
     enumerate_hypotheses,
     evidence_from_list,
-    log_likelihood,
     map_rule,
     posterior_by_set,
-    posterior_predictive,
     predictive_trajectory,
     run_enumerative,
 )
