@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import dataclasses
 import functools
 import hashlib
 import json
@@ -339,21 +340,22 @@ def cmd_run(config: ExperimentConfig, engine: str, mode: str = "chat") -> int:
                     max_hypotheses=config.learner.max_hypotheses,
                     trace_path=trace_path,
                     hypotheses=hypotheses(),
+                    top_trace=True,
                 )
             series_path = run_dir / f"{rule_id}.series.json"
             elicited_path = run_dir / f"{rule_id}.elicited.json"
             save_series(series_from_sets(run.rule_id, exemplar_list, (
                 (p.set_index, p.labels, p.p_true) for p in run.per_set
             )), series_path)
-            write_json(
-                elicited_path,
-                {
-                    "inputs": inputs,
-                    "rule_id": rule_id,
-                    "per_set": [print_concept(p.map_concept, vocab) for p in run.per_set],
-                    "final": print_concept(run.final_map, vocab),
-                },
-            )
+            elicited = {
+                "inputs": inputs,
+                "rule_id": rule_id,
+                "per_set": [print_concept(p.map_concept, vocab) for p in run.per_set],
+                "final": print_concept(run.final_map, vocab),
+            }
+            if run.posterior:  # exact inference only
+                elicited["posterior"] = [dataclasses.asdict(d) for d in run.posterior]
+            write_json(elicited_path, elicited)
             return [p for p in (series_path, elicited_path, trace_path) if p is not None]
     elif engine == "llm":
         if config.endpoint is None:

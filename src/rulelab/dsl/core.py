@@ -113,43 +113,61 @@ class FeatureIs(Concept):
     var: int = 0
 
 
+class _Composite(Concept):
+    """A node with a concept below it.  Its hash is computed from its fields
+    on first use and kept, so a dict lookup does not walk the subtree each
+    time.  ``str`` hashes are seeded per process, so the kept hash must not
+    be pickled; dataclass pickles a frozen slotted node as its fields alone,
+    and an unpickled node computes its hash afresh."""
+
+    __slots__ = ("_hash",)
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            value = hash(tuple(getattr(self, name) for name in self.__match_args__))
+            object.__setattr__(self, "_hash", value)
+            return value
+
+
 @dataclass(frozen=True, slots=True)
-class Not(Concept):
+class Not(_Composite):
     body: Concept
 
 
 @dataclass(frozen=True, slots=True)
-class And(Concept):
+class And(_Composite):
     left: Concept
     right: Concept
 
 
 @dataclass(frozen=True, slots=True)
-class Or(Concept):
+class Or(_Composite):
     left: Concept
     right: Concept
 
 
 @dataclass(frozen=True, slots=True)
-class Xor(Concept):
+class Xor(_Composite):
     left: Concept
     right: Concept
 
 
 @dataclass(frozen=True, slots=True)
-class Implies(Concept):
+class Implies(_Composite):
     left: Concept
     right: Concept
 
 
 @dataclass(frozen=True, slots=True)
-class Iff(Concept):
+class Iff(_Composite):
     left: Concept
     right: Concept
 
 
 @dataclass(frozen=True, slots=True)
-class Quant(Concept):
+class Quant(_Composite):
     """Quantifier binding one fresh variable over the displayed set.
 
     ``scope`` is "others" (every object except the target) or "all"
@@ -184,6 +202,11 @@ class MinorityColor(Concept):
     color count present in the set."""
 
     var: int = 0
+
+
+# dataclass gives each class its own field hash; take the kept one instead.
+for _node in (Not, And, Or, Xor, Implies, Iff, Quant):
+    _node.__hash__ = _Composite.__hash__
 
 
 def size(concept: Concept) -> int:

@@ -346,13 +346,17 @@ def run_session(
         ):
             raise TranscriptMismatchError(f"{transcript_path} belongs to a different session")
         transcript = existing
-    # Each entry is serialized once, as it is loaded or appended, so saving
-    # after every set costs the new set rather than the whole transcript.
-    fragments = [] if transcript_path is None else [_entry_fragment(e) for e in transcript.sets]
 
     n_sets = len(exemplar_list.sets)
     if endpoint.max_sets is not None:
         n_sets = min(n_sets, endpoint.max_sets)
+    # Each entry is serialized once, as it is loaded or appended, so saving
+    # after every set costs the new set rather than the whole transcript.
+    # A transcript with no set left to append is never saved, so its
+    # entries are not serialized at all.
+    fragments = []
+    if transcript_path is not None and len(transcript.sets) < n_sets:
+        fragments = [_entry_fragment(e) for e in transcript.sets]
 
     vocab = exemplar_list.vocab
     chat_url = endpoint.base_url.rstrip("/") + "/chat/completions"

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from math import log
 from pathlib import Path
 
@@ -70,7 +71,8 @@ class Production:
         if self.weight <= 0:
             raise GrammarError(f"production {self.lhs} -> {self.source!r} has weight <= 0")
 
-    @property
+    # Computed once per production: MH sizes every proposal through them.
+    @cached_property
     def holes(self) -> tuple[tuple[str, int], ...]:
         """(nonterminal, binder depth) per hole, in left-to-right order."""
         return tuple(
@@ -79,7 +81,7 @@ class Production:
             if isinstance(node, Hole)
         )
 
-    @property
+    @cached_property
     def skeleton_size(self) -> int:
         """Concept nodes this production contributes by itself."""
         return sum(

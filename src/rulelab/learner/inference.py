@@ -199,10 +199,21 @@ class SetPrediction:
 
 
 @dataclass(frozen=True)
+class BoundaryDiagnostics:
+    """The shape of the posterior at one set boundary."""
+
+    entropy: float  # in nats
+    map_mass: float
+    top_mass: float  # mass of the TRACE_TOP_ROWS best rows
+
+
+@dataclass(frozen=True)
 class LearnerRun:
     rule_id: str
     per_set: tuple[SetPrediction, ...]
     final_map: Concept
+    # One per set boundary, 0..n_sets; exact inference only.
+    posterior: tuple[BoundaryDiagnostics, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -344,6 +355,43 @@ def predictive_trajectory(matrix: EvalMatrix, noise: NoiseParams) -> np.ndarray:
 
 
 _ROWS_PER_WRITE = 4096
+# Rows per set boundary in a top trace, and in BoundaryDiagnostics.top_mass.
+TRACE_TOP_ROWS = 20
+
+
+def _top_rows(score: np.ndarray, k: int) -> np.ndarray:
+    """The indices of the ``k`` highest scores, best first.  Ties go to the
+    lower row, as in :func:`posterior_by_set`'s argmax, so given a
+    boundary's ``log_likelihood + log_prior`` the first index is its MAP."""
+    if k < len(score):
+        threshold = np.partition(score, len(score) - k)[len(score) - k]
+        candidates = np.flatnonzero(score >= threshold)  # the top k and rows tied with them
+    else:
+        candidates = np.arange(len(score))
+    return candidates[np.argsort(-score[candidates], kind="stable")[:k]]
+
+
+def _ranked(steps, log_priors: np.ndarray):
+    """The kernel's ``steps``, each with its boundary's
+    :data:`TRACE_TOP_ROWS` best rows by ``log_likelihood + log_prior``
+    (:func:`_top_rows`) appended: the one ranking that both the top trace
+    and :attr:`BoundaryDiagnostics.top_mass` read."""
+    for log_likelihood, log_posterior, map_index in steps:
+        top = _top_rows(log_likelihood + log_priors, TRACE_TOP_ROWS)
+        yield log_likelihood, log_posterior, map_index, top
+
+
+def _diagnostics(
+    log_posterior: np.ndarray, map_index: int, top: np.ndarray
+) -> BoundaryDiagnostics:
+    """Entropy, MAP mass and the mass of the ``top`` rows of one
+    boundary's posterior."""
+    mass = np.exp(log_posterior)
+    with np.errstate(invalid="ignore"):  # 0 * -inf where a row has no mass
+        # 0.0 - sum, not -sum: a point mass has entropy 0.0, not -0.0.
+        entropy = 0.0 - np.sum(mass * log_posterior, where=mass > 0)
+    top_mass = np.sum(mass[top])
+    return BoundaryDiagnostics(float(entropy), float(mass[map_index]), float(top_mass))
 
 
 def _texts(values: np.ndarray, fmt) -> list[str]:
@@ -356,10 +404,15 @@ def _texts(values: np.ndarray, fmt) -> list[str]:
     return texts[inverse.ravel()].tolist()
 
 
-def _write_trace(steps, path: str | Path, printed: list[str], log_priors: np.ndarray):
+def _write_trace(
+    steps, path: str | Path, printed: list[str], log_priors: np.ndarray, top: bool = False
+):
     """Pass the kernel's ``steps`` through, writing each boundary's rows
     (set_index, concept, log_prior, log_likelihood, log_posterior) to
-    ``path`` as CSV before yielding it.
+    ``path`` as CSV before yielding it.  With ``top`` false every row is
+    written in row order; with it true each step must carry its best rows
+    (:func:`_ranked`), and only those are written, best first, each line as
+    the full trace has it.
 
     The bytes are those of a ``csv.writer`` given every row with each float
     formatted as ``"{:.12g}"``, but made with less work.  The
@@ -375,16 +428,21 @@ def _write_trace(steps, path: str | Path, printed: list[str], log_priors: np.nda
     csv.writer(SimpleNamespace(write=lambda line: prefixes.append(line[:-2] + ","))).writerows(
         zip(printed, map("{:.12g}".format, log_priors.tolist()))
     )
-    # Row i is pieces[4i : 4i + 4]: set index, prefix, log-likelihood, log-posterior.
-    pieces: list[str | None] = [None] * (4 * len(prefixes))
-    pieces[1::4] = prefixes
     with open(path, "w", newline="") as handle:
         csv.writer(handle).writerow(
             ["set_index", "concept", "log_prior", "log_likelihood", "log_posterior"]
         )
         for set_index, step in enumerate(steps):
-            log_likelihood, log_posterior, _map = step
-            pieces[0::4] = [f"{set_index},"] * len(prefixes)
+            log_likelihood, log_posterior = step[:2]
+            rows = prefixes
+            if top:
+                order = step[3]
+                rows = [prefixes[i] for i in order.tolist()]
+                log_likelihood, log_posterior = log_likelihood[order], log_posterior[order]
+            # Row i is pieces[4i : 4i + 4]: set index, prefix, log-likelihood, log-posterior.
+            pieces: list[str | None] = [None] * (4 * len(rows))
+            pieces[0::4] = [f"{set_index},"] * len(rows)
+            pieces[1::4] = rows
             pieces[2::4] = _texts(log_likelihood, "{:.12g},".format)
             pieces[3::4] = _texts(log_posterior, "{:.12g}\r\n".format)
             for start in range(0, len(pieces), 4 * _ROWS_PER_WRITE):
@@ -400,31 +458,35 @@ def run_enumerative(
     max_hypotheses: int = 200_000,
     trace_path: str | Path | None = None,
     hypotheses: HypothesisList | None = None,
+    top_trace: bool = False,
 ) -> LearnerRun:
     """Replay the labeling task with exact posterior inference.
 
     Each set is predicted from the posterior conditioned on all previous
     sets' gold labels, then the posterior absorbs the set.  When
     ``trace_path`` is given, per-timestep hypothesis scores are written as
-    CSV (set_index, concept, log_prior, log_likelihood, log_posterior).
-    ``hypotheses``, when given, must be ``enumerate_hypotheses(grammar,
-    max_size, max_hypotheses)``; a caller running many lists enumerates
-    once and passes the result to each, and the trace reuses the printed
-    forms it carries.
+    CSV (set_index, concept, log_prior, log_likelihood, log_posterior):
+    every hypothesis at every boundary, or with ``top_trace`` only the
+    :data:`TRACE_TOP_ROWS` best, MAP first.  ``hypotheses``, when given,
+    must be ``enumerate_hypotheses(grammar, max_size, max_hypotheses)``; a
+    caller running many lists enumerates once and passes the result to
+    each, and the trace reuses the printed forms it carries.
     """
     if hypotheses is None:
         hypotheses = enumerate_hypotheses(grammar, max_size, max_hypotheses)
     matrix = build_eval_matrix(hypotheses, exemplar_list)
     concepts = [c for c, _lp in hypotheses]
-    steps = posterior_by_set(matrix, noise)
+    steps = _ranked(posterior_by_set(matrix, noise), matrix.log_priors)
     if trace_path is not None:
-        steps = _write_trace(steps, trace_path, hypotheses.printed, matrix.log_priors)
+        steps = _write_trace(steps, trace_path, hypotheses.printed, matrix.log_priors, top_trace)
 
     per_set = []
+    posterior = []
     offsets = matrix.offsets
     try:
         # The last boundary, after every set, only gives the final MAP.
-        for set_index, (_ll, log_posterior, map_index) in enumerate(steps):
+        for set_index, (_ll, log_posterior, map_index, top) in enumerate(steps):
+            posterior.append(_diagnostics(log_posterior, map_index, top))
             if set_index == len(exemplar_list.sets):
                 continue
             start, end = offsets[set_index], offsets[set_index + 1]
@@ -442,5 +504,8 @@ def run_enumerative(
             Path(trace_path).unlink(missing_ok=True)
         raise DegeneratePosteriorError(f"rule {exemplar_list.rule_id!r}: {error}") from None
     return LearnerRun(
-        rule_id=exemplar_list.rule_id, per_set=tuple(per_set), final_map=concepts[map_index]
+        rule_id=exemplar_list.rule_id,
+        per_set=tuple(per_set),
+        final_map=concepts[map_index],
+        posterior=tuple(posterior),
     )

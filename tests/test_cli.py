@@ -140,6 +140,30 @@ def test_run_plot_emits_series_elicited_posterior(workspace):
     assert "blue.series.json" in manifest["files"]
 
 
+def test_run_plot_writes_the_library_top_trace(workspace):
+    """Each rule's trace is run_enumerative's top trace, and its elicited
+    file carries the posterior diagnostics of every set boundary."""
+    from rulelab.catalog import DEFAULT_VOCAB
+    from rulelab.learner import NoiseParams, default_grammar, run_enumerative
+
+    run(workspace, "gen")
+    run_dir = workspace / "out" / "runs" / "plot"
+    assert run(workspace, "run", "--engine", "plot") == EXIT_OK
+    assert len(list(run_dir.glob("*.posterior.csv"))) == 6
+
+    grammar = default_grammar(DEFAULT_VOCAB)
+    for rule_id in ("blue", "exists-triangle"):
+        exemplar_list = load_list(workspace / "out" / "lists" / f"{rule_id}.json")
+        path = workspace / f"{rule_id}.top.csv"
+        library = run_enumerative(exemplar_list, grammar, NoiseParams(0.95, 0.5), max_size=3,
+                                  trace_path=path, top_trace=True)
+        assert (run_dir / f"{rule_id}.posterior.csv").read_bytes() == path.read_bytes()
+        doc = json.loads((run_dir / f"{rule_id}.elicited.json").read_text())
+        assert doc["posterior"] == [dataclasses.asdict(d) for d in library.posterior]
+        assert len(doc["posterior"]) == len(doc["per_set"]) + 1
+        assert set(doc["posterior"][0]) == {"entropy", "map_mass", "top_mass"}
+
+
 def test_run_mh_engine(workspace):
     run(workspace, "gen")
     config = json.loads((workspace / "config.json").read_text())
@@ -151,6 +175,7 @@ def test_run_mh_engine(workspace):
         (workspace / "out" / "runs" / "plot" / "blue.elicited.json").read_text()
     )
     assert len(elicited["per_set"]) == 25
+    assert "posterior" not in elicited  # the diagnostics are exact inference's
 
 
 def test_transport_failure_exit_code(workspace, monkeypatch):

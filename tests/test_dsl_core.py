@@ -1,6 +1,14 @@
 """Evaluation semantics, size/depth, and vocabulary invariants."""
 
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import rulelab
 
 from rulelab.catalog import DEFAULT_VOCAB as V
 from rulelab.dsl import (
@@ -151,3 +159,56 @@ def test_is_target_only():
     assert is_target_only(parse_concept("(and (is-color blue) (not (is-shape circle)))", V))
     assert not is_target_only(parse_concept("(exists others (is-color blue 0))", V))
     assert not is_target_only(parse_concept("(majority-color)", V))
+
+
+# Concepts of every composite kind, each built twice from text.
+HASHED = [
+    "(not (is-color blue))",
+    "(and (is-color blue) (or (is-shape circle) (xor (is-size small) (majority-color))))",
+    "(implies (is-color green) (iff (is-shape triangle) (minority-color)))",
+    "(exists others (same-color 0 1))",
+    "(forall all (implies (is-color blue 0) (size-ge 1 0)))",
+    "(exactly-one all (and (is-color blue 0) (not (same-shape 0 1))))",
+]
+
+
+@pytest.mark.parametrize("text", HASHED)
+def test_equal_concepts_built_apart_hash_equal(text):
+    a, b = parse_concept(text, V), parse_concept(text, V)
+    assert a is not b and a == b
+    hash(a)  # keep a's hash; b computes its own
+    assert hash(a) == hash(b)
+    assert {a: 1}[b] == 1
+    # The kept hash is the field hash dataclass would give.
+    fields = tuple(getattr(a, name) for name in a.__match_args__)
+    assert hash(a) == hash(fields)
+
+
+def test_pickled_concept_rehashes_under_another_hash_seed(tmp_path):
+    """A kept hash is valid only in the process that computed it."""
+    concepts = [parse_concept(text, V) for text in HASHED]
+    for concept in concepts:
+        hash(concept)
+    (tmp_path / "concepts.pickle").write_bytes(pickle.dumps(concepts))
+    script = (
+        "import pickle, sys\n"
+        "from rulelab.catalog import DEFAULT_VOCAB as V\n"
+        "from rulelab.dsl import parse_concept\n"
+        f"texts = {HASHED!r}\n"
+        "loaded = pickle.loads(open(sys.argv[1], 'rb').read())\n"
+        "built = {parse_concept(t, V): t for t in texts}\n"
+        "assert [built[c] for c in loaded] == texts\n"
+        "assert all(c in set(built) for c in loaded)\n"
+        "print(hash(loaded[0].body.dim))\n"
+    )
+    src = str(Path(rulelab.__file__).resolve().parents[1])
+    seen = set()
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        result = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "concepts.pickle")],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        seen.add(result.stdout)
+    assert len(seen) == 2  # the two processes really hash strings differently

@@ -92,3 +92,33 @@ def test_grammar_json_roundtrip(tmp_path):
         (p.lhs, p.source, p.weight) for p in grammar.productions
     ]
     assert loaded.start == grammar.start
+
+
+def test_each_template_is_walked_once_per_production_not_per_step(monkeypatch):
+    """``holes`` and ``skeleton_size`` are kept on the production, so MH
+    chains, which size every proposal, walk no template."""
+    from collections import Counter
+
+    from rulelab.dsl import parse_concept
+    from rulelab.exemplars import generate_list
+    from rulelab.learner import NoiseParams, evidence_from_list, grammar, mh_sample
+
+    walks = Counter()
+    walk = grammar._template_parts
+
+    def counted(template, depth=0):
+        walks[id(template)] += 1
+        return walk(template, depth)
+
+    monkeypatch.setattr(grammar, "_template_parts", counted)
+    built = default_grammar(V)
+    templates = {id(p.template) for p in built.productions}
+    at_build = {key: n for key, n in walks.items() if key in templates}
+    # holes, skeleton_size and the variable-scope check: once each.
+    assert set(at_build) == templates and max(at_build.values()) == 3
+
+    exemplar_list = generate_list(parse_concept("(is-color blue)", V), V, seed=3, rule_id="blue")
+    evidence = evidence_from_list(exemplar_list, upto_set=4)
+    for seed in (1, 2):
+        mh_sample(built, evidence, NoiseParams(0.9, 0.5), 2_000, seed, max_size=3)
+    assert {key: n for key, n in walks.items() if key in templates} == at_build

@@ -405,6 +405,27 @@ def test_resumed_transcript_bytes_and_one_serialization_per_entry(tmp_path, monk
     assert counts == {set_index: 1 for set_index in range(6)}
 
 
+@pytest.mark.parametrize("max_sets", [None, 4])
+def test_resuming_a_complete_transcript_serializes_nothing(tmp_path, monkeypatch, max_sets):
+    """Complete means every set of the list, or the endpoint's max_sets."""
+    transcript_path = tmp_path / "t.json"
+    run_session(
+        fixture_list(n_sets=6), endpoint(max_sets=max_sets), "chat+elicitation",
+        transport=_excluding_oracle(), transcript_path=transcript_path,
+    )
+    before = transcript_path.read_bytes()
+    oracle = _excluding_oracle()
+    counts = _count_fragments(monkeypatch)
+    transcript = run_session(
+        fixture_list(n_sets=6), endpoint(max_sets=max_sets), "chat+elicitation",
+        transport=oracle, transcript_path=transcript_path,
+    )
+    assert counts == {}
+    assert oracle.calls == []
+    assert len(transcript.sets) == (max_sets or 6)
+    assert transcript_path.read_bytes() == before
+
+
 def test_save_transcript_matches_document_dump(tmp_path):
     from rulelab.harness import save_transcript
 

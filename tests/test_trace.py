@@ -1,6 +1,7 @@
 """The posterior trace: byte-for-byte against a plain ``csv.writer``."""
 
 import csv
+import math
 import struct
 import tempfile
 from pathlib import Path
@@ -15,6 +16,7 @@ from rulelab.catalog import DEFAULT_VOCAB as V
 from rulelab.dsl import parse_concept, print_concept
 from rulelab.exemplars import generate_list
 from rulelab.learner import (
+    TRACE_TOP_ROWS,
     DegeneratePosteriorError,
     NoiseParams,
     build_eval_matrix,
@@ -24,7 +26,7 @@ from rulelab.learner import (
     run_enumerative,
 )
 from rulelab.learner import inference
-from rulelab.learner.inference import _write_trace
+from rulelab.learner.inference import _top_rows, _write_trace
 
 
 def oracle_write_trace(steps, path, printed, log_priors):
@@ -149,3 +151,90 @@ def test_degenerate_rule_leaves_no_trace_even_over_an_old_one(tmp_path):
             hypotheses=enumerate_hypotheses(grammar, 2),
         )
     assert not trace.exists()
+
+
+def _oracle_top_rows(score, k):
+    """The k best rows by score, ties to the lower row."""
+    return sorted(range(len(score)), key=lambda i: (-score[i], i))[:k]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    values=st.lists(
+        st.sampled_from([float("-inf"), -3.0, -2.5, -2.5000000000000004, -1.0, 0.0]),
+        min_size=1, max_size=40,
+    ),
+    k=st.integers(1, 45),
+)
+def test_top_rows_match_a_sort_with_ties_to_the_lower_row(values, k):
+    score = np.array(values)
+    assert _top_rows(score, k).tolist() == _oracle_top_rows(values, k)
+
+
+def _boundary_lines(path: Path) -> dict[int, list[bytes]]:
+    lines = path.read_bytes().split(b"\r\n")
+    assert lines[0] == b"set_index,concept,log_prior,log_likelihood,log_posterior"
+    assert lines[-1] == b""
+    by_set: dict[int, list[bytes]] = {}
+    for line in lines[1:-1]:
+        by_set.setdefault(int(line.split(b",", 1)[0]), []).append(line)
+    return by_set
+
+
+@pytest.mark.parametrize("max_size", [1, 3])
+def test_top_trace_is_the_best_lines_of_the_full_trace_map_first(tmp_path, max_size):
+    grammar = default_grammar(V)
+    noise = NoiseParams(0.9, 0.5)
+    exemplar_list = generate_list(EXACTLY_ONE_BLUE, V, seed=5, rule_id="exactly-one-blue")
+    hypotheses = enumerate_hypotheses(grammar, max_size)
+    full, top = tmp_path / "full.csv", tmp_path / "top.csv"
+    full_run = run_enumerative(
+        exemplar_list, grammar, noise, max_size=max_size, trace_path=full, hypotheses=hypotheses
+    )
+    top_run = run_enumerative(
+        exemplar_list, grammar, noise, max_size=max_size, trace_path=top,
+        hypotheses=hypotheses, top_trace=True,
+    )
+    assert top_run == full_run
+    full_lines, top_lines = _boundary_lines(full), _boundary_lines(top)
+    n_sets = len(exemplar_list.sets)
+    assert sorted(top_lines) == sorted(full_lines) == list(range(n_sets + 1))
+    maps = [p.map_concept for p in top_run.per_set] + [top_run.final_map]
+    matrix = build_eval_matrix(hypotheses, exemplar_list)
+    for set_index, (log_likelihood, _lp, _map) in enumerate(posterior_by_set(matrix, noise)):
+        lines = top_lines[set_index]
+        assert len(lines) == min(TRACE_TOP_ROWS, len(hypotheses))
+        assert set(lines) <= set(full_lines[set_index])
+        expected = _oracle_top_rows((log_likelihood + matrix.log_priors).tolist(), TRACE_TOP_ROWS)
+        concepts = [next(csv.reader([line.decode()]))[1] for line in lines]
+        assert concepts == [hypotheses.printed[i] for i in expected]
+        assert concepts[0] == print_concept(maps[set_index], V)
+
+
+def test_boundary_diagnostics_match_the_full_posterior(tmp_path):
+    grammar = default_grammar(V)
+    noise = NoiseParams(0.9, 0.5)
+    exemplar_list = generate_list(EXACTLY_ONE_BLUE, V, seed=5, rule_id="exactly-one-blue")
+    hypotheses = enumerate_hypotheses(grammar, 3)
+    top = tmp_path / "top.csv"
+    run = run_enumerative(exemplar_list, grammar, noise, max_size=3, trace_path=top,
+                          hypotheses=hypotheses, top_trace=True)
+    untraced = run_enumerative(exemplar_list, grammar, noise, max_size=3, hypotheses=hypotheses)
+    assert untraced.posterior == run.posterior
+    assert len(run.posterior) == len(exemplar_list.sets) + 1
+    top_lines = _boundary_lines(top)
+    matrix = build_eval_matrix(hypotheses, exemplar_list)
+    for set_index, step in enumerate(posterior_by_set(matrix, noise)):
+        log_likelihood, log_posterior, map_index = step
+        mass = np.exp(log_posterior).tolist()
+        entropy = -sum(p * lp for p, lp in zip(mass, log_posterior.tolist()) if p > 0)
+        best = _oracle_top_rows((log_likelihood + matrix.log_priors).tolist(), TRACE_TOP_ROWS)
+        diagnostics = run.posterior[set_index]
+        assert diagnostics.entropy == pytest.approx(entropy, rel=1e-12, abs=1e-15)
+        assert diagnostics.map_mass == mass[map_index]
+        assert diagnostics.top_mass == pytest.approx(sum(mass[i] for i in best), rel=1e-12)
+        assert 0.0 <= diagnostics.map_mass <= diagnostics.top_mass <= 1.0 + 1e-12
+        assert diagnostics.entropy >= 0.0
+        # top_mass is the mass of the rows a top trace writes (to its 12 digits).
+        written = sum(math.exp(float(line.rsplit(b",", 1)[1])) for line in top_lines[set_index])
+        assert diagnostics.top_mass == pytest.approx(written, rel=1e-9)
