@@ -334,14 +334,7 @@ def cmd_run(config: ExperimentConfig, engine: str, mode: str = "chat") -> int:
                 )
             else:
                 trace_path = run_dir / f"{rule_id}.posterior.csv"
-                run = run_enumerative(
-                    exemplar_list, grammar, noise,
-                    max_size=config.learner.max_size,
-                    max_hypotheses=config.learner.max_hypotheses,
-                    trace_path=trace_path,
-                    hypotheses=hypotheses(),
-                    top_trace=True,
-                )
+                run = run_enumerative(exemplar_list, hypotheses(), noise, trace_path)
             series_path = run_dir / f"{rule_id}.series.json"
             elicited_path = run_dir / f"{rule_id}.elicited.json"
             save_series(series_from_sets(run.rule_id, exemplar_list, (
@@ -426,20 +419,35 @@ def cmd_run(config: ExperimentConfig, engine: str, mode: str = "chat") -> int:
 
 # --- grade -----------------------------------------------------------------
 
+# What reading a per-rule JSON document that is truncated or of the wrong
+# shape raises (json.JSONDecodeError is a ValueError).
+_UNREADABLE = (KeyError, TypeError, ValueError)
+
+
 def cmd_grade(config: ExperimentConfig, elicited_path: Path, series_dir: Path | None) -> int:
     rules = read_rules_manifest(config.rules)
     vocab = config.load_vocab()
     lists, failures = _load_lists(config, rules)
     if not elicited_path.exists():
         raise ConfigError(f"elicited file {elicited_path} does not exist")
+    unreadable: dict[str, str] = {}  # rule_id -> why its elicited file was skipped
     if elicited_path.is_dir():
         # A run directory: one <rule_id>.elicited.json per rule.
         elicited_doc = {}
         for path in sorted(elicited_path.glob("*.elicited.json")):
-            doc = json.loads(path.read_text())
-            elicited_doc[doc["rule_id"]] = doc["per_set"]
+            try:
+                doc = json.loads(path.read_text())
+                elicited_doc[doc["rule_id"]] = doc["per_set"]
+            except _UNREADABLE as error:
+                rule_id = path.name.removesuffix(".elicited.json")
+                unreadable[rule_id] = f"unreadable elicited file {path}: {error}"
     else:
-        elicited_doc = json.loads(elicited_path.read_text())
+        try:
+            elicited_doc = json.loads(elicited_path.read_text())
+        except json.JSONDecodeError as error:
+            raise DataError(f"elicited file {elicited_path} is not valid JSON: {error}") from error
+        if not isinstance(elicited_doc, dict):
+            raise DataError(f"elicited file {elicited_path} must hold a JSON object")
 
     reports_dir = config.output_dir / "reports"
     reports_dir.mkdir(parents=True, exist_ok=True)
@@ -450,12 +458,16 @@ def cmd_grade(config: ExperimentConfig, elicited_path: Path, series_dir: Path | 
     for rule_id in sorted(lists):
         sources = elicited_doc.get(rule_id)
         if sources is None:
-            failures.append((rule_id, "no elicited entry"))
+            failures.append((rule_id, unreadable.get(rule_id, "no elicited entry")))
             continue
         if isinstance(sources, dict):
             sources = sources.get("per_set", [])
         series_path = series_dir / f"{rule_id}.series.json" if series_dir is not None else None
-        series = load_series(series_path) if series_path and series_path.exists() else None
+        try:
+            series = load_series(series_path) if series_path and series_path.exists() else None
+        except _UNREADABLE as error:
+            failures.append((rule_id, f"unreadable series file {series_path}: {error}"))
+            continue
         grades[rule_id] = grade_session(lists[rule_id], sources, vocab, series)
 
     report = match_rate(
@@ -524,7 +536,10 @@ def cmd_report(config: ExperimentConfig, series_dirs: dict[str, Path]) -> int:
         for rule_id in lists:
             path = directory / f"{rule_id}.series.json"
             if path.exists():
-                found[rule_id] = load_series(path)
+                try:
+                    found[rule_id] = load_series(path)
+                except _UNREADABLE as error:
+                    failures.append((rule_id, f"unreadable series file {path}: {error}"))
         if not found:
             failures.append((cohort, f"no series files under {directory}"))
             continue

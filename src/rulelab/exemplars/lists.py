@@ -150,11 +150,11 @@ def save_list(exemplar_list: ExemplarList, path: str | Path) -> None:
     write_json(path, _list_document(exemplar_list))
 
 
-def load_list(path: str | Path, verify: bool = True) -> ExemplarList:
+def load_list(path: str | Path) -> ExemplarList:
     """Load a persisted list.
 
-    With ``verify`` (the default), every stored gold label is re-derived
-    from the rule; a mismatch raises :class:`LabelSoundnessError`.
+    Every stored gold label is re-derived from the rule; a mismatch raises
+    :class:`LabelSoundnessError`.
     """
     doc = json.loads(Path(path).read_text())
     vocab = FeatureVocab(
@@ -179,11 +179,10 @@ def load_list(path: str | Path, verify: bool = True) -> ExemplarList:
         seed=int(doc["seed"]),
         sets=tuple(sets),
     )
-    if verify:
-        for set_index, object_index, ctx, label in loaded.iter_items():
-            if evaluate(concept, ctx) != label:
-                raise LabelSoundnessError(
-                    f"{path}: stored label at set {set_index}, object {object_index} "
-                    f"disagrees with the rule"
-                )
+    for set_index, object_index, ctx, label in loaded.iter_items():
+        if evaluate(concept, ctx) != label:
+            raise LabelSoundnessError(
+                f"{path}: stored label at set {set_index}, object {object_index} "
+                f"disagrees with the rule"
+            )
     return loaded

@@ -36,17 +36,10 @@ from .inference import (
 )
 
 
-def noise_grid(
-    step: float = 0.05,
-    alpha_range: tuple[float, float] = (0.0, 1.0),
-    beta_range: tuple[float, float] = (0.0, 1.0),
-) -> list[tuple[float, float]]:
-    """A rectangular (alpha, beta) lattice with the given step."""
-    def axis(lo: float, hi: float) -> list[float]:
-        count = int(round((hi - lo) / step))
-        return [round(lo + i * step, 10) for i in range(count + 1)]
-
-    return [(a, b) for a in axis(*alpha_range) for b in axis(*beta_range)]
+def noise_grid(step: float = 0.05) -> list[tuple[float, float]]:
+    """The (alpha, beta) lattice over [0, 1] x [0, 1] with the given step."""
+    axis = [round(i * step, 10) for i in range(int(round(1.0 / step)) + 1)]
+    return [(a, b) for a in axis for b in axis]
 
 
 def _behaviour_classes(matrix: EvalMatrix) -> EvalMatrix:

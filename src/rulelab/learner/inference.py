@@ -17,18 +17,18 @@ from __future__ import annotations
 
 import csv
 import functools
+import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
 from itertools import islice
-from types import SimpleNamespace
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from ..dsl import Concept, Context, ContextBatch, evaluate_batch, size as concept_size
 from ..dsl.sexpr import print_concept
-from ..exemplars import ExemplarList
+from ..exemplars import ExemplarList, write_atomic
 from .grammar import Grammar, GrammarError, substitute
 
 
@@ -354,8 +354,7 @@ def predictive_trajectory(matrix: EvalMatrix, noise: NoiseParams) -> np.ndarray:
     return noise.alpha * rule_mass + (1.0 - noise.alpha) * noise.beta
 
 
-_ROWS_PER_WRITE = 4096
-# Rows per set boundary in a top trace, and in BoundaryDiagnostics.top_mass.
+# Rows per set boundary in a trace, and in BoundaryDiagnostics.top_mass.
 TRACE_TOP_ROWS = 20
 
 
@@ -371,16 +370,6 @@ def _top_rows(score: np.ndarray, k: int) -> np.ndarray:
     return candidates[np.argsort(-score[candidates], kind="stable")[:k]]
 
 
-def _ranked(steps, log_priors: np.ndarray):
-    """The kernel's ``steps``, each with its boundary's
-    :data:`TRACE_TOP_ROWS` best rows by ``log_likelihood + log_prior``
-    (:func:`_top_rows`) appended: the one ranking that both the top trace
-    and :attr:`BoundaryDiagnostics.top_mass` read."""
-    for log_likelihood, log_posterior, map_index in steps:
-        top = _top_rows(log_likelihood + log_priors, TRACE_TOP_ROWS)
-        yield log_likelihood, log_posterior, map_index, top
-
-
 def _diagnostics(
     log_posterior: np.ndarray, map_index: int, top: np.ndarray
 ) -> BoundaryDiagnostics:
@@ -394,99 +383,74 @@ def _diagnostics(
     return BoundaryDiagnostics(float(entropy), float(mass[map_index]), float(top_mass))
 
 
-def _texts(values: np.ndarray, fmt) -> list[str]:
-    """``[fmt(v) for v in values]``, calling ``fmt`` once per distinct
-    float.  Floats are told apart by their bit patterns, so -0.0 and 0.0,
-    and NaNs with different payloads, each get the text ``fmt`` gives them."""
-    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
-    distinct, inverse = np.unique(bits, return_inverse=True)
-    texts = np.array([fmt(v) for v in distinct.view(np.float64).tolist()], dtype=object)
-    return texts[inverse.ravel()].tolist()
-
-
-def _write_trace(
-    steps, path: str | Path, printed: list[str], log_priors: np.ndarray, top: bool = False
-):
-    """Pass the kernel's ``steps`` through, writing each boundary's rows
-    (set_index, concept, log_prior, log_likelihood, log_posterior) to
-    ``path`` as CSV before yielding it.  With ``top`` false every row is
-    written in row order; with it true each step must carry its best rows
-    (:func:`_ranked`), and only those are written, best first, each line as
-    the full trace has it.
-
-    The bytes are those of a ``csv.writer`` given every row with each float
-    formatted as ``"{:.12g}"``, but made with less work.  The
-    ``concept,log_prior,`` part of each row is rendered through
-    ``csv.writer`` once per rule, so a concept is quoted as csv would quote
-    it.  An int or a formatted float never needs quoting, so the other
-    fields are plain text: at each boundary every distinct score is
-    formatted once, and rows are joined from per-row pieces and written
-    ``_ROWS_PER_WRITE`` at a time (about 0.4 MB of text)."""
-    # csv.writer hands each row to write() whole; the default dialect's
-    # "\r\n" is replaced here but still decides what gets quoted.
-    prefixes: list[str] = []
-    csv.writer(SimpleNamespace(write=lambda line: prefixes.append(line[:-2] + ","))).writerows(
-        zip(printed, map("{:.12g}".format, log_priors.tolist()))
-    )
-    with open(path, "w", newline="") as handle:
-        csv.writer(handle).writerow(
-            ["set_index", "concept", "log_prior", "log_likelihood", "log_posterior"]
+def _trace_rows(
+    set_index: int,
+    rows: np.ndarray,
+    printed: Sequence[str],
+    log_priors: np.ndarray,
+    log_likelihood: np.ndarray,
+    log_posterior: np.ndarray,
+) -> list[tuple]:
+    """One boundary's trace rows for the hypotheses ``rows``, in that order:
+    (set_index, concept, log_prior, log_likelihood, log_posterior), each
+    float formatted as ``"{:.12g}"``."""
+    fmt = "{:.12g}".format
+    return [
+        (set_index, printed[i], fmt(prior), fmt(ll), fmt(lp))
+        for i, prior, ll, lp in zip(
+            rows.tolist(),
+            log_priors[rows].tolist(),
+            log_likelihood[rows].tolist(),
+            log_posterior[rows].tolist(),
         )
-        for set_index, step in enumerate(steps):
-            log_likelihood, log_posterior = step[:2]
-            rows = prefixes
-            if top:
-                order = step[3]
-                rows = [prefixes[i] for i in order.tolist()]
-                log_likelihood, log_posterior = log_likelihood[order], log_posterior[order]
-            # Row i is pieces[4i : 4i + 4]: set index, prefix, log-likelihood, log-posterior.
-            pieces: list[str | None] = [None] * (4 * len(rows))
-            pieces[0::4] = [f"{set_index},"] * len(rows)
-            pieces[1::4] = rows
-            pieces[2::4] = _texts(log_likelihood, "{:.12g},".format)
-            pieces[3::4] = _texts(log_posterior, "{:.12g}\r\n".format)
-            for start in range(0, len(pieces), 4 * _ROWS_PER_WRITE):
-                handle.write("".join(pieces[start : start + 4 * _ROWS_PER_WRITE]))
-            yield step
+    ]
+
+
+def _write_trace(path: str | Path, rows: list[tuple]) -> None:
+    """Write the header and ``rows`` to ``path`` as CSV, atomically."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(["set_index", "concept", "log_prior", "log_likelihood", "log_posterior"])
+    writer.writerows(rows)
+    write_atomic(path, buffer.getvalue())
 
 
 def run_enumerative(
     exemplar_list: ExemplarList,
-    grammar: Grammar,
+    hypotheses: HypothesisList,
     noise: NoiseParams,
-    max_size: int,
-    max_hypotheses: int = 200_000,
     trace_path: str | Path | None = None,
-    hypotheses: HypothesisList | None = None,
-    top_trace: bool = False,
 ) -> LearnerRun:
-    """Replay the labeling task with exact posterior inference.
+    """Replay the labeling task with exact posterior inference over
+    ``hypotheses`` (an :func:`enumerate_hypotheses` list; a caller running
+    many lists enumerates once and passes the result to each).
 
     Each set is predicted from the posterior conditioned on all previous
     sets' gold labels, then the posterior absorbs the set.  When
-    ``trace_path`` is given, per-timestep hypothesis scores are written as
-    CSV (set_index, concept, log_prior, log_likelihood, log_posterior):
-    every hypothesis at every boundary, or with ``top_trace`` only the
-    :data:`TRACE_TOP_ROWS` best, MAP first.  ``hypotheses``, when given,
-    must be ``enumerate_hypotheses(grammar, max_size, max_hypotheses)``; a
-    caller running many lists enumerates once and passes the result to
-    each, and the trace reuses the printed forms it carries.
+    ``trace_path`` is given, the :data:`TRACE_TOP_ROWS` best hypotheses of
+    each set boundary by ``log_likelihood + log_prior``, MAP first, are
+    written there as CSV (set_index, concept, log_prior, log_likelihood,
+    log_posterior).  Every hypothesis's scores stay available from
+    :func:`posterior_by_set`.
     """
-    if hypotheses is None:
-        hypotheses = enumerate_hypotheses(grammar, max_size, max_hypotheses)
     matrix = build_eval_matrix(hypotheses, exemplar_list)
     concepts = [c for c, _lp in hypotheses]
-    steps = _ranked(posterior_by_set(matrix, noise), matrix.log_priors)
-    if trace_path is not None:
-        steps = _write_trace(steps, trace_path, hypotheses.printed, matrix.log_priors, top_trace)
-
+    steps = posterior_by_set(matrix, noise)
     per_set = []
     posterior = []
+    trace: list[tuple] = []
     offsets = matrix.offsets
     try:
         # The last boundary, after every set, only gives the final MAP.
-        for set_index, (_ll, log_posterior, map_index, top) in enumerate(steps):
+        for set_index, (log_likelihood, log_posterior, map_index) in enumerate(steps):
+            # One ranking for both the trace and top_mass.
+            top = _top_rows(log_likelihood + matrix.log_priors, TRACE_TOP_ROWS)
             posterior.append(_diagnostics(log_posterior, map_index, top))
+            if trace_path is not None:
+                trace += _trace_rows(
+                    set_index, top, hypotheses.printed, matrix.log_priors,
+                    log_likelihood, log_posterior,
+                )
             if set_index == len(exemplar_list.sets):
                 continue
             start, end = offsets[set_index], offsets[set_index + 1]
@@ -500,9 +464,11 @@ def run_enumerative(
                 )
             )
     except DegeneratePosteriorError as error:
-        if trace_path is not None:  # no partial trace for a failed rule
+        if trace_path is not None:  # no trace, not even an old one, for a failed rule
             Path(trace_path).unlink(missing_ok=True)
         raise DegeneratePosteriorError(f"rule {exemplar_list.rule_id!r}: {error}") from None
+    if trace_path is not None:
+        _write_trace(trace_path, trace)
     return LearnerRun(
         rule_id=exemplar_list.rule_id,
         per_set=tuple(per_set),

@@ -144,7 +144,7 @@ def test_run_plot_writes_the_library_top_trace(workspace):
     """Each rule's trace is run_enumerative's top trace, and its elicited
     file carries the posterior diagnostics of every set boundary."""
     from rulelab.catalog import DEFAULT_VOCAB
-    from rulelab.learner import NoiseParams, default_grammar, run_enumerative
+    from rulelab.learner import NoiseParams, default_grammar, enumerate_hypotheses, run_enumerative
 
     run(workspace, "gen")
     run_dir = workspace / "out" / "runs" / "plot"
@@ -155,8 +155,8 @@ def test_run_plot_writes_the_library_top_trace(workspace):
     for rule_id in ("blue", "exists-triangle"):
         exemplar_list = load_list(workspace / "out" / "lists" / f"{rule_id}.json")
         path = workspace / f"{rule_id}.top.csv"
-        library = run_enumerative(exemplar_list, grammar, NoiseParams(0.95, 0.5), max_size=3,
-                                  trace_path=path, top_trace=True)
+        library = run_enumerative(exemplar_list, enumerate_hypotheses(grammar, 3),
+                                  NoiseParams(0.95, 0.5), trace_path=path)
         assert (run_dir / f"{rule_id}.posterior.csv").read_bytes() == path.read_bytes()
         doc = json.loads((run_dir / f"{rule_id}.elicited.json").read_text())
         assert doc["posterior"] == [dataclasses.asdict(d) for d in library.posterior]
@@ -491,6 +491,53 @@ def test_grade_empty_elicited_file(workspace, capsys):
     assert run(workspace, "grade", "--elicited", str(workspace / "elicited.json")) == EXIT_DATA
     doc = json.loads((workspace / "out" / "reports" / "grading.json").read_text())
     assert doc["match_rate"] is None
+
+
+@pytest.mark.parametrize("text, error", [
+    ('{"blue": ["(is-color blue)"', "is not valid JSON"),
+    ('["(is-color blue)"]', "must hold a JSON object"),
+], ids=["truncated", "not-an-object"])
+def test_grade_malformed_elicited_file_exits_3(workspace, capsys, text, error):
+    run(workspace, "gen")
+    path = workspace / "elicited.json"
+    path.write_text(text)
+    assert run(workspace, "grade", "--elicited", str(path)) == EXIT_DATA
+    assert f"data error: elicited file {path} {error}" in capsys.readouterr().err
+
+
+_OTHER_RULES = {"not-circle", "circle-or-blue", "small-and-blue", "exists-triangle",
+                "same-color-as-another"}
+
+
+def _rule_ids(csv_path) -> set[str]:
+    """The rule_id column of a report CSV, past its inputs line and header."""
+    return {row[0] for row in csv.reader(csv_path.read_text().splitlines()[2:])}
+
+
+@pytest.mark.parametrize("kind", ["elicited", "series"])
+def test_grade_a_truncated_run_file_fails_only_its_rule(workspace, capsys, kind):
+    run(workspace, "gen")
+    run(workspace, "run", "--engine", "plot")
+    run_dir = workspace / "out" / "runs" / "plot"
+    bad = run_dir / f"blue.{kind}.json"
+    bad.write_text(bad.read_text()[:100])
+    capsys.readouterr()
+    assert run(workspace, "grade", "--elicited", str(run_dir),
+               "--series-dir", str(run_dir)) == EXIT_DATA
+    assert f"rule 'blue' failed: unreadable {kind} file {bad}:" in capsys.readouterr().err
+    assert _rule_ids(workspace / "out" / "reports" / "grading_summary.csv") == _OTHER_RULES
+
+
+def test_report_a_truncated_series_file_fails_only_its_rule(workspace, capsys):
+    run(workspace, "gen")
+    run(workspace, "run", "--engine", "plot")
+    run_dir = workspace / "out" / "runs" / "plot"
+    bad = run_dir / "blue.series.json"
+    bad.write_text(bad.read_text()[:100])
+    capsys.readouterr()
+    assert run(workspace, "report", "--series", f"plot={run_dir}") == EXIT_DATA
+    assert f"report: 'blue': unreadable series file {bad}:" in capsys.readouterr().err
+    assert _rule_ids(workspace / "out" / "reports" / "trajectories.csv") == _OTHER_RULES
 
 
 def _write_human_csv(workspace, rule_ids, n_subjects=6, seed=0):

@@ -52,7 +52,6 @@ def test_label_soundness_on_load(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(LabelSoundnessError):
         load_list(path)
-    load_list(path, verify=False)  # opt-out tolerates the tamper
 
 
 def test_persisted_bytes_are_stable(tmp_path):

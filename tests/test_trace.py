@@ -5,7 +5,6 @@ import math
 import struct
 import tempfile
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,8 +24,7 @@ from rulelab.learner import (
     posterior_by_set,
     run_enumerative,
 )
-from rulelab.learner import inference
-from rulelab.learner.inference import _top_rows, _write_trace
+from rulelab.learner.inference import _top_rows, _trace_rows, _write_trace
 
 
 def oracle_write_trace(steps, path, printed, log_priors):
@@ -42,6 +40,19 @@ def oracle_write_trace(steps, path, printed, log_priors):
             scores = (map(fmt, log_likelihood.tolist()), map(fmt, log_posterior.tolist()))
             writer.writerows(zip([set_index] * len(printed), printed, priors, *scores))
             yield step
+
+
+def library_write_trace(steps, path, printed, log_priors):
+    """The library's trace code given every row of every boundary, in row
+    order: the rows :func:`_trace_rows` formats, written by
+    :func:`_write_trace` after the last step."""
+    every_row = np.arange(len(printed))
+    rows = []
+    for set_index, step in enumerate(steps):
+        log_likelihood, log_posterior, _map = step
+        rows += _trace_rows(set_index, every_row, printed, log_priors, log_likelihood, log_posterior)
+        yield step
+    _write_trace(path, rows)
 
 
 def _bits_to_float(bits: int) -> float:
@@ -79,7 +90,7 @@ def _write(writer, steps, printed, log_priors) -> tuple[bytes, list]:
 @given(data=st.data())
 def test_trace_bytes_equal_the_csv_writer_oracle(data):
     n_rows = data.draw(st.integers(1, 25), label="rows")
-    # A small pool makes repeated values, so deduplication has work to do.
+    # A small pool repeats values, as real scores do.
     pool = data.draw(st.lists(FLOATS, min_size=1, max_size=6), label="pool")
     column = st.lists(
         st.one_of(st.sampled_from(pool), FLOATS), min_size=n_rows, max_size=n_rows
@@ -89,11 +100,8 @@ def test_trace_bytes_equal_the_csv_writer_oracle(data):
     n_boundaries = data.draw(st.integers(0, 4), label="boundaries")
     steps = [(data.draw(column), data.draw(column), 0) for _ in range(n_boundaries)]
 
-    rows_per_write = data.draw(st.integers(1, 30), label="rows per write")
-
     expected, expected_steps = _write(oracle_write_trace, steps, printed, log_priors)
-    with mock.patch.object(inference, "_ROWS_PER_WRITE", rows_per_write):
-        actual, actual_steps = _write(_write_trace, steps, printed, log_priors)
+    actual, actual_steps = _write(library_write_trace, steps, printed, log_priors)
     assert actual == expected
     assert all(a is e for a, e in zip(actual_steps, expected_steps))
     assert len(actual_steps) == len(steps)
@@ -106,7 +114,7 @@ def test_signed_zero_and_nan_payloads_keep_their_own_text(tmp_path):
     printed = [f"c{i}" for i in range(len(values))]
     steps = [(values, values[::-1].copy(), 0)]
     expected, _ = _write(oracle_write_trace, steps, printed, values)
-    actual, _ = _write(_write_trace, steps, printed, values)
+    actual, _ = _write(library_write_trace, steps, printed, values)
     assert actual == expected
     assert actual.splitlines()[2] == b"0,c1,-0,-0,-0"
 
@@ -122,34 +130,30 @@ def test_enumerative_trace_matches_oracle_on_a_real_rule(tmp_path):
     matrix = build_eval_matrix(hypotheses, exemplar_list)
     printed = [print_concept(c, V) for c, _lp in hypotheses]
     oracle = tmp_path / "oracle.csv"
-    for _step in oracle_write_trace(posterior_by_set(matrix, noise), oracle, printed,
-                                    matrix.log_priors):
-        pass
+    scores = [
+        log_likelihood + matrix.log_priors
+        for log_likelihood, _lp, _map in oracle_write_trace(
+            posterior_by_set(matrix, noise), oracle, printed, matrix.log_priors
+        )
+    ]
 
     trace = tmp_path / "trace.csv"
-    run = run_enumerative(exemplar_list, grammar, noise, max_size=3, trace_path=trace)
-    assert trace.read_bytes() == oracle.read_bytes()
+    run = run_enumerative(exemplar_list, hypotheses, noise, trace_path=trace)
+    assert trace.read_bytes() == _oracle_top_trace(oracle, scores)
 
-    # Passing the enumerated list in changes nothing.
-    passed_in = tmp_path / "passed-in.csv"
-    again = run_enumerative(
-        exemplar_list, grammar, noise, max_size=3, trace_path=passed_in, hypotheses=hypotheses
-    )
-    assert again == run
-    assert passed_in.read_bytes() == oracle.read_bytes()
+    # Tracing changes nothing else.
+    assert run_enumerative(exemplar_list, hypotheses, noise) == run
 
 
 def test_degenerate_rule_leaves_no_trace_even_over_an_old_one(tmp_path):
     grammar = default_grammar(V)
     exemplar_list = generate_list(EXACTLY_ONE_BLUE, V, seed=5, rule_id="exactly-one-blue")
     trace = tmp_path / "exactly-one-blue.posterior.csv"
-    run_enumerative(exemplar_list, grammar, NoiseParams(0.9, 0.5), max_size=2, trace_path=trace)
+    hypotheses = enumerate_hypotheses(grammar, 2)
+    run_enumerative(exemplar_list, hypotheses, NoiseParams(0.9, 0.5), trace_path=trace)
     assert trace.stat().st_size > 0
     with pytest.raises(DegeneratePosteriorError, match="exactly-one-blue"):
-        run_enumerative(
-            exemplar_list, grammar, NoiseParams(1.0, 0.5), max_size=2, trace_path=trace,
-            hypotheses=enumerate_hypotheses(grammar, 2),
-        )
+        run_enumerative(exemplar_list, hypotheses, NoiseParams(1.0, 0.5), trace_path=trace)
     assert not trace.exists()
 
 
@@ -181,6 +185,17 @@ def _boundary_lines(path: Path) -> dict[int, list[bytes]]:
     return by_set
 
 
+def _oracle_top_trace(full: Path, scores) -> bytes:
+    """The top trace that the oracle's full trace at ``full`` implies: at
+    each boundary, the lines of its ``TRACE_TOP_ROWS`` best rows by that
+    boundary's entry of ``scores``, best first."""
+    by_set = _boundary_lines(full)
+    lines = [b"set_index,concept,log_prior,log_likelihood,log_posterior"]
+    for set_index, score in enumerate(scores):
+        lines += [by_set[set_index][i] for i in _oracle_top_rows(score.tolist(), TRACE_TOP_ROWS)]
+    return b"".join(line + b"\r\n" for line in lines)
+
+
 @pytest.mark.parametrize("max_size", [1, 3])
 def test_top_trace_is_the_best_lines_of_the_full_trace_map_first(tmp_path, max_size):
     grammar = default_grammar(V)
@@ -188,19 +203,17 @@ def test_top_trace_is_the_best_lines_of_the_full_trace_map_first(tmp_path, max_s
     exemplar_list = generate_list(EXACTLY_ONE_BLUE, V, seed=5, rule_id="exactly-one-blue")
     hypotheses = enumerate_hypotheses(grammar, max_size)
     full, top = tmp_path / "full.csv", tmp_path / "top.csv"
-    full_run = run_enumerative(
-        exemplar_list, grammar, noise, max_size=max_size, trace_path=full, hypotheses=hypotheses
-    )
-    top_run = run_enumerative(
-        exemplar_list, grammar, noise, max_size=max_size, trace_path=top,
-        hypotheses=hypotheses, top_trace=True,
-    )
-    assert top_run == full_run
+    matrix = build_eval_matrix(hypotheses, exemplar_list)
+    for _step in oracle_write_trace(posterior_by_set(matrix, noise), full, hypotheses.printed,
+                                    matrix.log_priors):
+        pass
+    untraced_run = run_enumerative(exemplar_list, hypotheses, noise)
+    top_run = run_enumerative(exemplar_list, hypotheses, noise, trace_path=top)
+    assert top_run == untraced_run
     full_lines, top_lines = _boundary_lines(full), _boundary_lines(top)
     n_sets = len(exemplar_list.sets)
     assert sorted(top_lines) == sorted(full_lines) == list(range(n_sets + 1))
     maps = [p.map_concept for p in top_run.per_set] + [top_run.final_map]
-    matrix = build_eval_matrix(hypotheses, exemplar_list)
     for set_index, (log_likelihood, _lp, _map) in enumerate(posterior_by_set(matrix, noise)):
         lines = top_lines[set_index]
         assert len(lines) == min(TRACE_TOP_ROWS, len(hypotheses))
@@ -217,9 +230,8 @@ def test_boundary_diagnostics_match_the_full_posterior(tmp_path):
     exemplar_list = generate_list(EXACTLY_ONE_BLUE, V, seed=5, rule_id="exactly-one-blue")
     hypotheses = enumerate_hypotheses(grammar, 3)
     top = tmp_path / "top.csv"
-    run = run_enumerative(exemplar_list, grammar, noise, max_size=3, trace_path=top,
-                          hypotheses=hypotheses, top_trace=True)
-    untraced = run_enumerative(exemplar_list, grammar, noise, max_size=3, hypotheses=hypotheses)
+    run = run_enumerative(exemplar_list, hypotheses, noise, trace_path=top)
+    untraced = run_enumerative(exemplar_list, hypotheses, noise)
     assert untraced.posterior == run.posterior
     assert len(run.posterior) == len(exemplar_list.sets) + 1
     top_lines = _boundary_lines(top)
