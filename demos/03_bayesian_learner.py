@@ -37,7 +37,8 @@ for bound in (1, 2, 3):
 # --- 2. Watching the posterior learn a rule -----------------------------------
 rule = parse_concept("(and (is-color blue) (is-shape circle))", vocab)
 exemplar_list = generate_list(rule, vocab, seed=23, rule_id="blue-circle")
-run = run_enumerative(exemplar_list, enumerate_hypotheses(grammar, 3), noise)
+hypotheses = enumerate_hypotheses(grammar, 3)
+run = run_enumerative(exemplar_list, hypotheses, build_eval_matrix(hypotheses, exemplar_list), noise)
 
 print("\nset | MAP rule so far                                  | set accuracy")
 for prediction in run.per_set:

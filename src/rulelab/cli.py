@@ -25,6 +25,7 @@ import json
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterator
 
 from .catalog import DEFAULT_VOCAB, RuleSpec, read_rules_manifest
 from .dsl import DslError, FeatureVocab, load_vocab, parse_concept, print_concept
@@ -59,7 +60,7 @@ from .learner import (
     run_enumerative,
     run_mh,
 )
-from .learner import inference  # enumerate_hypotheses is looked up at call time
+from .learner import inference  # its functions are looked up at call time
 from .metrics import (
     LabelSeries,
     RuleGrade,
@@ -93,6 +94,11 @@ class ConfigError(Exception):
 
 class DataError(Exception):
     pass
+
+
+# What reading a per-rule JSON document that is truncated or of the wrong
+# shape raises (json.JSONDecodeError is a ValueError).
+_UNREADABLE = (KeyError, TypeError, ValueError)
 
 
 @dataclass
@@ -129,7 +135,10 @@ class ExperimentConfig:
     def load_vocab(self) -> FeatureVocab:
         if self.vocab_path is None:
             return DEFAULT_VOCAB
-        return load_vocab(self.vocab_path)
+        try:
+            return load_vocab(self.vocab_path)
+        except (DslError, *_UNREADABLE) as error:
+            raise ConfigError(f"vocab file {self.vocab_path} is unreadable: {error}") from error
 
     def load_grammar(self, vocab: FeatureVocab) -> Grammar:
         if self.learner.grammar is None:
@@ -284,7 +293,13 @@ def cmd_gen(config: ExperimentConfig) -> int:
 
 # --- run -------------------------------------------------------------------
 
-def _load_lists(config: ExperimentConfig, rules: list[RuleSpec]) -> tuple[dict[str, ExemplarList], list[tuple[str, str]]]:
+def _load_lists(
+    config: ExperimentConfig, rules: list[RuleSpec], vocab: FeatureVocab
+) -> tuple[dict[str, ExemplarList], list[tuple[str, str]]]:
+    """Each rule's exemplar list, and (rule_id, message) for each rule whose
+    list is missing, unreadable or written under a vocab other than
+    ``vocab``: the learner evaluates every list in one batch, whose feature
+    indices are the config vocab's."""
     lists = {}
     failures = []
     for rule in rules:
@@ -293,19 +308,25 @@ def _load_lists(config: ExperimentConfig, rules: list[RuleSpec]) -> tuple[dict[s
             failures.append((rule.rule_id, f"missing list file {path}"))
             continue
         try:
-            lists[rule.rule_id] = load_list(path)
-        except (DslError, json.JSONDecodeError, KeyError) as error:
-            failures.append((rule.rule_id, f"unreadable list file: {error}"))
+            exemplar_list = load_list(path)
+        except (DslError, *_UNREADABLE) as error:
+            failures.append((rule.rule_id, f"unreadable list file {path}: {error!r}"))
+            continue
+        if exemplar_list.vocab != vocab:
+            failures.append((rule.rule_id, f"list file {path} has a vocab other than the config's"))
+            continue
+        lists[rule.rule_id] = exemplar_list
     return lists, failures
 
 
 def cmd_run(config: ExperimentConfig, engine: str, mode: str = "chat") -> int:
     rules = read_rules_manifest(config.rules)
     vocab = config.load_vocab()
-    lists, failures = _load_lists(config, rules)
+    lists, failures = _load_lists(config, rules, vocab)
     run_dir = config.output_dir / "runs" / engine
     run_dir.mkdir(parents=True, exist_ok=True)
     inputs = _inputs_of(config)
+    rule_ids = sorted(lists)
 
     if engine == "plot":
         grammar = config.load_grammar(vocab)
@@ -314,13 +335,17 @@ def cmd_run(config: ExperimentConfig, engine: str, mode: str = "chat") -> int:
             raise ConfigError("learner.seed is required for the mh engine")
 
         @functools.cache
-        def hypotheses() -> list:
-            # The list depends only on (grammar, max_size): enumerated on
-            # the first rule, shared by the rest.  A failed enumeration is
-            # not cached, so each rule reports it.
-            return inference.enumerate_hypotheses(
+        def table() -> tuple[list, Iterator]:
+            # The hypotheses depend only on (grammar, max_size): enumerated
+            # on the first rule and evaluated once over every rule's list.
+            # Rules run in rule_ids order and each takes the next list's
+            # matrix, so one matrix is alive at a time.  A failed
+            # enumeration or evaluation is not cached, so each rule reports it.
+            hypotheses = inference.enumerate_hypotheses(
                 grammar, config.learner.max_size, config.learner.max_hypotheses
             )
+            matrices = inference.build_eval_matrices(hypotheses, [lists[r] for r in rule_ids])
+            return hypotheses, matrices
 
         def run_rule(rule_id: str) -> list[Path]:
             exemplar_list = lists[rule_id]
@@ -333,8 +358,9 @@ def cmd_run(config: ExperimentConfig, engine: str, mode: str = "chat") -> int:
                     max_size=config.learner.max_size,
                 )
             else:
+                hypotheses, matrices = table()
                 trace_path = run_dir / f"{rule_id}.posterior.csv"
-                run = run_enumerative(exemplar_list, hypotheses(), noise, trace_path)
+                run = run_enumerative(exemplar_list, hypotheses, next(matrices), noise, trace_path)
             series_path = run_dir / f"{rule_id}.series.json"
             elicited_path = run_dir / f"{rule_id}.elicited.json"
             save_series(series_from_sets(run.rule_id, exemplar_list, (
@@ -380,15 +406,16 @@ def cmd_run(config: ExperimentConfig, engine: str, mode: str = "chat") -> int:
     else:
         raise ConfigError(f"unknown engine {engine!r}")
 
-    def attempt(rule_id: str) -> list[Path] | Exception:
+    def attempt(rule_id: str) -> list[Path] | str:
         try:
             return run_rule(rule_id)
         except TransportError:
             raise
         except Exception as error:  # per-rule isolation
-            return error
+            # The message alone: the error's traceback would keep the
+            # rule's frames, and its eval matrix, alive.
+            return str(error)
 
-    rule_ids = sorted(lists)
     if engine == "llm":  # sessions wait on the network, so workers overlap them
         with concurrent.futures.ThreadPoolExecutor(max_workers=config.workers) as pool:
             outcomes = list(pool.map(attempt, rule_ids))
@@ -396,8 +423,8 @@ def cmd_run(config: ExperimentConfig, engine: str, mode: str = "chat") -> int:
         outcomes = [attempt(rule_id) for rule_id in rule_ids]
     written: list[Path] = []
     for rule_id, outcome in zip(rule_ids, outcomes):
-        if isinstance(outcome, Exception):
-            failures.append((rule_id, str(outcome)))
+        if isinstance(outcome, str):
+            failures.append((rule_id, outcome))
         else:
             written.extend(outcome)
 
@@ -419,15 +446,10 @@ def cmd_run(config: ExperimentConfig, engine: str, mode: str = "chat") -> int:
 
 # --- grade -----------------------------------------------------------------
 
-# What reading a per-rule JSON document that is truncated or of the wrong
-# shape raises (json.JSONDecodeError is a ValueError).
-_UNREADABLE = (KeyError, TypeError, ValueError)
-
-
 def cmd_grade(config: ExperimentConfig, elicited_path: Path, series_dir: Path | None) -> int:
     rules = read_rules_manifest(config.rules)
     vocab = config.load_vocab()
-    lists, failures = _load_lists(config, rules)
+    lists, failures = _load_lists(config, rules, vocab)
     if not elicited_path.exists():
         raise ConfigError(f"elicited file {elicited_path} does not exist")
     unreadable: dict[str, str] = {}  # rule_id -> why its elicited file was skipped
@@ -525,7 +547,7 @@ def _human_series(records, gold: ExemplarList) -> list[LabelSeries]:
 def cmd_report(config: ExperimentConfig, series_dirs: dict[str, Path]) -> int:
     rules = read_rules_manifest(config.rules)
     kinds = {rule.rule_id: rule.kind for rule in rules}
-    lists, failures = _load_lists(config, rules)
+    lists, failures = _load_lists(config, rules, config.load_vocab())
     reports_dir = config.output_dir / "reports"
     reports_dir.mkdir(parents=True, exist_ok=True)
     inputs = _inputs_of(config, *(p for p in [config.human_data] if p))
@@ -628,7 +650,7 @@ def cmd_fit_noise(config: ExperimentConfig) -> int:
         raise ConfigError("fit-noise requires 'human_data' in the config")
     rules = read_rules_manifest(config.rules)
     vocab = config.load_vocab()
-    lists, failures = _load_lists(config, rules)
+    lists, failures = _load_lists(config, rules, vocab)
     if failures:
         for rule_id, message in failures:
             print(f"fit-noise: rule {rule_id!r}: {message}", file=sys.stderr)

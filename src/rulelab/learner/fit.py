@@ -12,7 +12,8 @@ same likelihood at every set and make the same predictions, so each class
 becomes one row of the list's eval matrix, carrying the summed prior mass
 of its members.  The predictions are those of the full matrix (up to
 rounding); the rows are no longer hypotheses, so a collapsed matrix is
-only ever used for predictions.
+only ever used for predictions.  The hypotheses are evaluated once over
+every list's contexts (:func:`build_eval_matrices`).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .inference import (
     DegeneratePosteriorError,
     EvalMatrix,
     NoiseParams,
-    build_eval_matrix,
+    build_eval_matrices,
     enumerate_hypotheses,
     predictive_trajectory,
 )
@@ -109,12 +110,14 @@ def fit_noise(
         raise ValueError("need one human table per exemplar list")
 
     hypotheses = enumerate_hypotheses(grammar, max_size, max_hypotheses)
+    # Each list's full matrix is collapsed as it is gathered, then dropped.
+    collapsed = map(_behaviour_classes, build_eval_matrices(hypotheses, lists))
     prepared = []
     human_chunks = []
-    for exemplar_list, table in zip(lists, humans):
+    for exemplar_list, table, classes in zip(lists, humans, collapsed):
         proportions = [table.proportion(s, o) for s, o, _ctx, _label in exemplar_list.iter_items()]
         keep = np.array([p is not None for p in proportions], dtype=bool)
-        prepared.append((_behaviour_classes(build_eval_matrix(hypotheses, exemplar_list)), keep))
+        prepared.append((classes, keep))
         human_chunks.append(np.array([p for p in proportions if p is not None], dtype=float))
     human = np.concatenate(human_chunks)
 

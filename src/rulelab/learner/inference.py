@@ -240,10 +240,9 @@ class EvalMatrix:
         return cells
 
 
-def _flatten_list(exemplar_list: ExemplarList) -> tuple[ContextBatch, np.ndarray, list[int]]:
-    """A list's objects in presentation order: their contexts as one batch,
-    their gold labels, and the start object index of each set plus the
-    final total."""
+def _list_objects(exemplar_list: ExemplarList) -> tuple[list[Context], np.ndarray, list[int]]:
+    """A list's objects in presentation order: their contexts, their gold
+    labels, and the start object index of each set plus the final total."""
     contexts = []
     gold = []
     offsets = [0]
@@ -252,17 +251,59 @@ def _flatten_list(exemplar_list: ExemplarList) -> tuple[ContextBatch, np.ndarray
             contexts.append(exemplar_set.context_for(i))
             gold.append(label)
         offsets.append(len(contexts))
-    batch = ContextBatch.from_contexts(contexts, exemplar_list.vocab)
-    return batch, np.array(gold, dtype=bool), offsets
+    return contexts, np.array(gold, dtype=bool), offsets
+
+
+def _flatten_list(exemplar_list: ExemplarList) -> tuple[ContextBatch, np.ndarray, list[int]]:
+    """:func:`_list_objects` with the contexts packed as one batch."""
+    contexts, gold, offsets = _list_objects(exemplar_list)
+    return ContextBatch.from_contexts(contexts, exemplar_list.vocab), gold, offsets
+
+
+def build_eval_matrices(
+    hypotheses: Sequence[tuple[Concept, float]], lists: Sequence[ExemplarList]
+) -> Iterator[EvalMatrix]:
+    """One :class:`EvalMatrix` per list, in list order, from one evaluation.
+
+    The hypotheses are evaluated once, with :func:`evaluate_batch`, over the
+    distinct contexts of every list in first-seen order; the batch
+    evaluator's cost is per concept, not per context, so one call over
+    every list costs about what one list's call costs.  The table is built
+    before this returns; each list's matrix is then a column gather of it,
+    made only when the iterator reaches that list, so a caller that drops
+    each matrix before taking the next holds one list's matrix (and its
+    :attr:`EvalMatrix.cells`) at a time.  A context's truth values do not
+    depend on the other contexts of its batch, so each matrix is bitwise
+    the one evaluating its list alone would give.  The lists must share a
+    vocab, which shapes the batch."""
+    vocabs = {exemplar_list.vocab for exemplar_list in lists}
+    if len(vocabs) > 1:
+        raise ValueError("lists evaluated together must share one vocab")
+    columns: dict[Context, int] = {}  # distinct context -> its column of the table
+    layouts = []
+    for exemplar_list in lists:
+        contexts, gold, offsets = _list_objects(exemplar_list)
+        index = np.array([columns.setdefault(c, len(columns)) for c in contexts], dtype=np.intp)
+        layouts.append((index, gold, offsets))
+    if not layouts:
+        return iter(())
+    batch = ContextBatch.from_contexts(list(columns), vocabs.pop())
+    table = evaluate_batch([concept for concept, _lp in hypotheses], batch)
+    log_priors = np.array([lp for _c, lp in hypotheses], dtype=float)
+    # take keeps the C order of a one-list evaluate_batch, so each matrix
+    # matches it in layout as well as value (table[:, index] is Fortran-ordered).
+    return (
+        EvalMatrix(log_priors, table.take(index, axis=1), gold, offsets)
+        for index, gold, offsets in layouts
+    )
 
 
 def build_eval_matrix(
     hypotheses: Sequence[tuple[Concept, float]], exemplar_list: ExemplarList
 ) -> EvalMatrix:
-    batch, gold, offsets = _flatten_list(exemplar_list)
-    agree_true = evaluate_batch([concept for concept, _lp in hypotheses], batch)
-    log_priors = np.array([lp for _c, lp in hypotheses], dtype=float)
-    return EvalMatrix(log_priors, agree_true, gold, offsets)
+    """One list's :class:`EvalMatrix`: :func:`build_eval_matrices` of that
+    list alone."""
+    return next(build_eval_matrices(hypotheses, [exemplar_list]))
 
 
 # The four (agrees, label) cells in the order of EvalMatrix.cells.
@@ -418,12 +459,15 @@ def _write_trace(path: str | Path, rows: list[tuple]) -> None:
 def run_enumerative(
     exemplar_list: ExemplarList,
     hypotheses: HypothesisList,
+    matrix: EvalMatrix,
     noise: NoiseParams,
     trace_path: str | Path | None = None,
 ) -> LearnerRun:
     """Replay the labeling task with exact posterior inference over
-    ``hypotheses`` (an :func:`enumerate_hypotheses` list; a caller running
-    many lists enumerates once and passes the result to each).
+    ``hypotheses`` (an :func:`enumerate_hypotheses` list), scored through
+    ``matrix``, their :class:`EvalMatrix` over ``exemplar_list``.  A caller
+    running many lists enumerates once and evaluates once
+    (:func:`build_eval_matrices`), and passes each list its matrix.
 
     Each set is predicted from the posterior conditioned on all previous
     sets' gold labels, then the posterior absorbs the set.  When
@@ -433,7 +477,6 @@ def run_enumerative(
     log_posterior).  Every hypothesis's scores stay available from
     :func:`posterior_by_set`.
     """
-    matrix = build_eval_matrix(hypotheses, exemplar_list)
     concepts = [c for c, _lp in hypotheses]
     steps = posterior_by_set(matrix, noise)
     per_set = []

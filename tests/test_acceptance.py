@@ -183,7 +183,9 @@ def test_criterion_4_learnability_smoke():
             started = time.monotonic()
             concept = parse_concept(source, V)
             exemplar_list = generate_list(concept, V, seed=500 + seed_offset, rule_id=source)
-            run = run_enumerative(exemplar_list, enumerate_hypotheses(grammar, 3), noise)
+            hypotheses = enumerate_hypotheses(grammar, 3)
+            matrix = build_eval_matrix(hypotheses, exemplar_list)
+            run = run_enumerative(exemplar_list, hypotheses, matrix, noise)
             records = []
             for prediction in run.per_set:
                 gold = exemplar_list.sets[prediction.set_index].labels

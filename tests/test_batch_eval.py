@@ -30,7 +30,13 @@ from rulelab.dsl import (
 from rulelab.dsl import equivalence
 from rulelab.dsl.batch import feature_dtype
 from rulelab.exemplars import generate_list
-from rulelab.learner import build_eval_matrix, default_grammar, enumerate_hypotheses
+from rulelab.learner import (
+    build_eval_matrices,
+    build_eval_matrix,
+    default_grammar,
+    enumerate_hypotheses,
+    inference,
+)
 
 # Nested quantifiers in both scopes, exactly-one, and color majority and
 # minority of bound variables as well as the target.
@@ -107,6 +113,63 @@ def test_eval_matrix_matches_per_cell_loop():
     expected = reference([c for c, _lp in hypotheses], contexts)
     assert matrix.agree_true.dtype == bool
     np.testing.assert_array_equal(matrix.agree_true, expected)
+
+
+def test_shared_table_matches_each_list_evaluated_alone(monkeypatch):
+    """One evaluate_batch call over the distinct contexts of every list;
+    each list's matrix is bitwise its own evaluate_batch matrix, and
+    sampled cells agree with evaluate."""
+    hypotheses = enumerate_hypotheses(default_grammar(V), 3)
+    concepts = [c for c, _lp in hypotheses]
+    same_shape = parse_concept("(exists others (same-shape 0 1))", V)
+    blue = parse_concept("(is-color blue)", V)
+    lists = [
+        generate_list(same_shape, V, seed=3, rule_id="same-shape"),
+        # The same seed draws the same objects: every context is shared.
+        generate_list(blue, V, seed=3, rule_id="blue-on-the-same-objects"),
+        generate_list(blue, V, seed=4, rule_id="blue"),
+    ]
+    lists.append(lists[0])  # one list passed twice
+    per_list = [[ctx for _s, _o, ctx, _label in lst.iter_items()] for lst in lists]
+    distinct = {ctx for contexts in per_list for ctx in contexts}
+    assert len(distinct) == len(per_list[0]) + len(per_list[2]) < sum(map(len, per_list))
+
+    batches = []
+    real = inference.evaluate_batch
+
+    def counted(concepts, batch):
+        batches.append(len(batch))
+        return real(concepts, batch)
+
+    monkeypatch.setattr(inference, "evaluate_batch", counted)
+    matrices = list(build_eval_matrices(hypotheses, lists))
+    assert batches == [len(distinct)]
+
+    rng = random.Random(7)
+    for exemplar_list, contexts, matrix in zip(lists, per_list, matrices, strict=True):
+        alone = real(concepts, ContextBatch.from_contexts(contexts, V))
+        assert matrix.agree_true.dtype == bool and matrix.agree_true.flags.c_contiguous
+        np.testing.assert_array_equal(matrix.agree_true, alone)
+        np.testing.assert_array_equal(
+            matrix.gold, [label for _s, _o, _ctx, label in exemplar_list.iter_items()]
+        )
+        assert matrix.offsets == np.cumsum([0] + [len(s.labels) for s in exemplar_list.sets]).tolist()
+        np.testing.assert_array_equal(matrix.log_priors, [lp for _c, lp in hypotheses])
+        for _ in range(300):
+            i, j = rng.randrange(len(concepts)), rng.randrange(len(contexts))
+            assert matrix.agree_true[i, j] == evaluate(concepts[i], contexts[j])
+
+
+def test_shared_table_needs_one_vocab():
+    hypotheses = enumerate_hypotheses(default_grammar(V), 1)
+    assert list(build_eval_matrices(hypotheses, [])) == []
+    other = FeatureVocab(colors=("green", "blue", "yellow"))
+    lists = [
+        generate_list(parse_concept("(is-color blue)", V), V, seed=1),
+        generate_list(parse_concept("(is-color blue)", other), other, seed=1),
+    ]
+    with pytest.raises(ValueError, match="vocab"):
+        build_eval_matrices(hypotheses, lists)
 
 
 def test_canonical_blocks_are_enumerate_contexts_in_order():

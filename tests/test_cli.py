@@ -144,7 +144,9 @@ def test_run_plot_writes_the_library_top_trace(workspace):
     """Each rule's trace is run_enumerative's top trace, and its elicited
     file carries the posterior diagnostics of every set boundary."""
     from rulelab.catalog import DEFAULT_VOCAB
-    from rulelab.learner import NoiseParams, default_grammar, enumerate_hypotheses, run_enumerative
+    from rulelab.learner import (
+        NoiseParams, build_eval_matrix, default_grammar, enumerate_hypotheses, run_enumerative,
+    )
 
     run(workspace, "gen")
     run_dir = workspace / "out" / "runs" / "plot"
@@ -155,8 +157,10 @@ def test_run_plot_writes_the_library_top_trace(workspace):
     for rule_id in ("blue", "exists-triangle"):
         exemplar_list = load_list(workspace / "out" / "lists" / f"{rule_id}.json")
         path = workspace / f"{rule_id}.top.csv"
-        library = run_enumerative(exemplar_list, enumerate_hypotheses(grammar, 3),
-                                  NoiseParams(0.95, 0.5), trace_path=path)
+        hypotheses = enumerate_hypotheses(grammar, 3)
+        matrix = build_eval_matrix(hypotheses, exemplar_list)  # the list evaluated alone
+        library = run_enumerative(exemplar_list, hypotheses, matrix, NoiseParams(0.95, 0.5),
+                                  trace_path=path)
         assert (run_dir / f"{rule_id}.posterior.csv").read_bytes() == path.read_bytes()
         doc = json.loads((run_dir / f"{rule_id}.elicited.json").read_text())
         assert doc["posterior"] == [dataclasses.asdict(d) for d in library.posterior]
@@ -292,8 +296,20 @@ def test_run_plot_enumerates_once_for_all_rules(workspace, monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(inference, "enumerate_hypotheses", counted)
+    evaluated = []
+    real_evaluate = inference.evaluate_batch
+
+    def counted_evaluate(concepts, batch):
+        evaluated.append(len(batch))
+        return real_evaluate(concepts, batch)
+
+    monkeypatch.setattr(inference, "evaluate_batch", counted_evaluate)
     assert run(workspace, "run", "--engine", "plot") == EXIT_OK
     assert len(calls) == 1
+    lists = [load_list(p) for p in (workspace / "out" / "lists").glob("*.json")
+             if p.name != "manifest.json"]
+    distinct = {ctx for exemplar_list in lists for _s, _o, ctx, _label in exemplar_list.iter_items()}
+    assert evaluated == [len(distinct)]  # and evaluates once
     assert len(list((workspace / "out" / "runs" / "plot").glob("*.posterior.csv"))) == 6
 
 
@@ -326,6 +342,34 @@ def test_run_plot_reports_a_failed_enumeration_for_every_rule(workspace, capsys)
     failed = [line for line in capsys.readouterr().err.splitlines() if "failed" in line]
     assert len(failed) == 6
     assert all("more than 10 hypotheses" in line for line in failed)
+
+
+def test_run_plot_keeps_one_eval_matrix_alive_at_a_time(workspace, monkeypatch, capsys):
+    """The rules share one evaluation, but each rule's matrix, with its
+    cells index, is gone before the next rule's is gathered, whether its
+    rule succeeded or failed."""
+    import weakref
+
+    import rulelab.cli as cli_module
+
+    run(workspace, "gen")
+    handed_out = []  # weak references to each rule's matrix and its cells
+    alive_at_start = []  # how many of them were alive as each rule started
+    real = cli_module.run_enumerative
+
+    def watched(exemplar_list, hypotheses, matrix, *args):
+        alive_at_start.append(sum(ref() is not None for ref in handed_out))
+        learner_run = real(exemplar_list, hypotheses, matrix, *args)
+        handed_out.extend([weakref.ref(matrix), weakref.ref(matrix.cells)])
+        if exemplar_list.rule_id == "blue":  # the first rule
+            raise RuntimeError("no result for blue")
+        return learner_run
+
+    monkeypatch.setattr(cli_module, "run_enumerative", watched)
+    assert run(workspace, "run", "--engine", "plot") == EXIT_DATA
+    assert "rule 'blue' failed: no result for blue" in capsys.readouterr().err
+    assert alive_at_start == [0] * 6
+    assert [ref() for ref in handed_out] == [None] * 12
 
 
 def test_llm_sessions_share_one_rate_limiter(workspace, monkeypatch):
@@ -605,6 +649,73 @@ def test_report_leaves_fully_excluded_set_blank(workspace):
     assert cells[("blue", "plot", "2")] == ""
     assert cells[("blue", "plot", "3")] != ""
     assert cells[("not-circle", "plot", "2")] != ""
+
+
+@pytest.fixture()
+def every_input(workspace):
+    """Inputs for every command that loads lists: the lists, a plot run,
+    and human data for two rules (at max_size 2 and a coarse fit grid)."""
+    config = json.loads((workspace / "config.json").read_text())
+    config["learner"]["max_size"] = 2
+    config["fit_grid_step"] = 0.5
+    (workspace / "config.json").write_text(json.dumps(config))
+    run(workspace, "gen")
+    assert run(workspace, "run", "--engine", "plot") == EXIT_OK
+    _write_human_csv(workspace, ["blue", "not-circle"])
+    return workspace
+
+
+def _list_command(workspace, command) -> int:
+    run_dir = str(workspace / "out" / "runs" / "plot")
+    return run(workspace, *{
+        "run": ("run", "--engine", "plot"),
+        "grade": ("grade", "--elicited", run_dir),
+        "report": ("report", "--series", f"plot={run_dir}"),
+        "fit-noise": ("fit-noise",),
+    }[command])
+
+
+_LIST_COMMANDS = ["run", "grade", "report", "fit-noise"]
+
+
+@pytest.mark.parametrize("command", _LIST_COMMANDS)
+@pytest.mark.parametrize("key, value", [("seed", "abc"), ("seed", [1]), ("sets", 5)])
+def test_a_wrong_typed_list_value_is_that_rules_data_error(every_input, capsys, command,
+                                                           key, value):
+    path = every_input / "out" / "lists" / "blue.json"
+    doc = json.loads(path.read_text())
+    doc[key] = value
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert _list_command(every_input, command) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "'blue'" in err and f"unreadable list file {path}: " in err
+
+
+@pytest.mark.parametrize("command", _LIST_COMMANDS)
+def test_a_list_under_another_vocab_is_that_rules_data_error(every_input, capsys, command):
+    """Its objects and labels agree with its own vocab, but the learner's
+    batch uses the config's feature indices."""
+    path = every_input / "out" / "lists" / "blue.json"
+    doc = json.loads(path.read_text())
+    doc["vocab"]["colors"].reverse()
+    path.write_text(json.dumps(doc))
+    assert load_list(path).vocab.colors == tuple(doc["vocab"]["colors"])
+    capsys.readouterr()
+    assert _list_command(every_input, command) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "'blue'" in err and f"list file {path} has a vocab other than the config's" in err
+
+
+@pytest.mark.parametrize("command", _LIST_COMMANDS)
+def test_a_malformed_vocab_file_is_a_config_error(every_input, capsys, command):
+    (every_input / "vocab.json").write_text('{"sizes": ["small"]')
+    config = json.loads((every_input / "config.json").read_text())
+    config["vocab"] = "vocab.json"
+    (every_input / "config.json").write_text(json.dumps(config))
+    capsys.readouterr()
+    assert _list_command(every_input, command) == EXIT_CONFIG
+    assert "vocab.json is unreadable" in capsys.readouterr().err
 
 
 def test_split_partitions_manifest(workspace):

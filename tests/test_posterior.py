@@ -191,7 +191,8 @@ def test_vectorized_runner_matches_reference():
     noise = NoiseParams(0.85, 0.4)
     exemplar_list = generate_list(BLUE, V, seed=33, rule_id="blue")
     hypotheses = enumerate_hypotheses(grammar, 2)
-    run = run_enumerative(exemplar_list, hypotheses, noise)
+    matrix = build_eval_matrix(hypotheses, exemplar_list)
+    run = run_enumerative(exemplar_list, hypotheses, matrix, noise)
 
     state = PosteriorState.from_hypotheses(hypotheses, V)
     for prediction in run.per_set:
@@ -216,8 +217,9 @@ def test_posterior_kernel_matches_reference_on_fol_list(alpha, beta):
     noise = NoiseParams(alpha, beta)
     exemplar_list = generate_list(EXACTLY_ONE_BLUE, V, seed=5, rule_id="exactly-one-blue")
     hypotheses = enumerate_hypotheses(grammar, 2)
-    trajectory = predictive_trajectory(build_eval_matrix(hypotheses, exemplar_list), noise)
-    run = run_enumerative(exemplar_list, hypotheses, noise)
+    matrix = build_eval_matrix(hypotheses, exemplar_list)
+    trajectory = predictive_trajectory(matrix, noise)
+    run = run_enumerative(exemplar_list, hypotheses, matrix, noise)
     assert len(run.per_set) == len(exemplar_list.sets)
     assert len(trajectory) == exemplar_list.n_objects
 
@@ -246,7 +248,7 @@ def test_posterior_kernel_and_reference_both_degenerate_at_alpha_one(tmp_path):
         predictive_trajectory(matrix, noise)
     trace = tmp_path / "exactly-one-blue.posterior.csv"
     with pytest.raises(DegeneratePosteriorError, match="exactly-one-blue"):
-        run_enumerative(exemplar_list, hypotheses, noise, trace_path=trace)
+        run_enumerative(exemplar_list, hypotheses, matrix, noise, trace_path=trace)
     assert not trace.exists()  # no partial trace is left behind
 
     # The reference dies in the same set: boundary k is the first the

@@ -138,11 +138,11 @@ def test_enumerative_trace_matches_oracle_on_a_real_rule(tmp_path):
     ]
 
     trace = tmp_path / "trace.csv"
-    run = run_enumerative(exemplar_list, hypotheses, noise, trace_path=trace)
+    run = run_enumerative(exemplar_list, hypotheses, matrix, noise, trace_path=trace)
     assert trace.read_bytes() == _oracle_top_trace(oracle, scores)
 
     # Tracing changes nothing else.
-    assert run_enumerative(exemplar_list, hypotheses, noise) == run
+    assert run_enumerative(exemplar_list, hypotheses, matrix, noise) == run
 
 
 def test_degenerate_rule_leaves_no_trace_even_over_an_old_one(tmp_path):
@@ -150,10 +150,11 @@ def test_degenerate_rule_leaves_no_trace_even_over_an_old_one(tmp_path):
     exemplar_list = generate_list(EXACTLY_ONE_BLUE, V, seed=5, rule_id="exactly-one-blue")
     trace = tmp_path / "exactly-one-blue.posterior.csv"
     hypotheses = enumerate_hypotheses(grammar, 2)
-    run_enumerative(exemplar_list, hypotheses, NoiseParams(0.9, 0.5), trace_path=trace)
+    matrix = build_eval_matrix(hypotheses, exemplar_list)
+    run_enumerative(exemplar_list, hypotheses, matrix, NoiseParams(0.9, 0.5), trace_path=trace)
     assert trace.stat().st_size > 0
     with pytest.raises(DegeneratePosteriorError, match="exactly-one-blue"):
-        run_enumerative(exemplar_list, hypotheses, NoiseParams(1.0, 0.5), trace_path=trace)
+        run_enumerative(exemplar_list, hypotheses, matrix, NoiseParams(1.0, 0.5), trace_path=trace)
     assert not trace.exists()
 
 
@@ -207,8 +208,8 @@ def test_top_trace_is_the_best_lines_of_the_full_trace_map_first(tmp_path, max_s
     for _step in oracle_write_trace(posterior_by_set(matrix, noise), full, hypotheses.printed,
                                     matrix.log_priors):
         pass
-    untraced_run = run_enumerative(exemplar_list, hypotheses, noise)
-    top_run = run_enumerative(exemplar_list, hypotheses, noise, trace_path=top)
+    untraced_run = run_enumerative(exemplar_list, hypotheses, matrix, noise)
+    top_run = run_enumerative(exemplar_list, hypotheses, matrix, noise, trace_path=top)
     assert top_run == untraced_run
     full_lines, top_lines = _boundary_lines(full), _boundary_lines(top)
     n_sets = len(exemplar_list.sets)
@@ -230,12 +231,12 @@ def test_boundary_diagnostics_match_the_full_posterior(tmp_path):
     exemplar_list = generate_list(EXACTLY_ONE_BLUE, V, seed=5, rule_id="exactly-one-blue")
     hypotheses = enumerate_hypotheses(grammar, 3)
     top = tmp_path / "top.csv"
-    run = run_enumerative(exemplar_list, hypotheses, noise, trace_path=top)
-    untraced = run_enumerative(exemplar_list, hypotheses, noise)
+    matrix = build_eval_matrix(hypotheses, exemplar_list)
+    run = run_enumerative(exemplar_list, hypotheses, matrix, noise, trace_path=top)
+    untraced = run_enumerative(exemplar_list, hypotheses, matrix, noise)
     assert untraced.posterior == run.posterior
     assert len(run.posterior) == len(exemplar_list.sets) + 1
     top_lines = _boundary_lines(top)
-    matrix = build_eval_matrix(hypotheses, exemplar_list)
     for set_index, step in enumerate(posterior_by_set(matrix, noise)):
         log_likelihood, log_posterior, map_index = step
         mass = np.exp(log_posterior).tolist()
