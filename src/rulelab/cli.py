@@ -18,19 +18,19 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import csv
 import dataclasses
-import functools
 import hashlib
 import json
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator
 
 from .catalog import DEFAULT_VOCAB, RuleSpec, read_rules_manifest
 from .dsl import DslError, FeatureVocab, load_vocab, parse_concept, print_concept
 from .exemplars import (
     ExemplarList,
+    SubjectRecord,
     filter_subjects,
     generate_list,
     human_proportions,
@@ -52,6 +52,7 @@ from .harness import (
 )
 from .learner import (
     Grammar,
+    HypothesisBudgetError,
     NoiseParams,
     default_grammar,
     fit_noise,
@@ -96,8 +97,8 @@ class DataError(Exception):
     pass
 
 
-# What reading a per-rule JSON document that is truncated or of the wrong
-# shape raises (json.JSONDecodeError is a ValueError).
+# What reading a JSON or CSV file that is truncated or of the wrong shape
+# raises (json.JSONDecodeError is a ValueError).
 _UNREADABLE = (KeyError, TypeError, ValueError)
 
 
@@ -122,6 +123,9 @@ class ExperimentConfig:
     rules: Path
     lists_dir: Path
     output_dir: Path
+    manifest: list[RuleSpec]  # the rules file, read and checked with the config
+    vocab: FeatureVocab  # the vocab file's, or the stock vocab
+    grammar: Grammar  # the learner.grammar file's, or the stock grammar
     vocab_path: Path | None = None
     seed: int | None = None
     endpoint: Path | None = None
@@ -131,19 +135,6 @@ class ExperimentConfig:
     grade_max_set_size: int = 5
     workers: int = 1
     subsamples: int = 10_000
-
-    def load_vocab(self) -> FeatureVocab:
-        if self.vocab_path is None:
-            return DEFAULT_VOCAB
-        try:
-            return load_vocab(self.vocab_path)
-        except (DslError, *_UNREADABLE) as error:
-            raise ConfigError(f"vocab file {self.vocab_path} is unreadable: {error}") from error
-
-    def load_grammar(self, vocab: FeatureVocab) -> Grammar:
-        if self.learner.grammar is None:
-            return default_grammar(vocab)
-        return load_grammar(self.learner.grammar, vocab)
 
 
 def _checked(doc: dict, key: str, default, valid, want: str, prefix: str = ""):
@@ -159,6 +150,14 @@ _POSITIVE = (lambda v: isinstance(v, int) and v >= 1, "a positive integer")
 _UNIT = (lambda v: isinstance(v, (int, float)) and 0.0 <= v <= 1.0, "a number in [0, 1]")
 _STEP = (lambda v: isinstance(v, (int, float)) and 0.0 < v <= 1.0, "a number in (0, 1]")
 _SEED = (lambda v: v is None or isinstance(v, int), "an integer")
+
+
+def _read(name: str, path: Path, reader):
+    """``reader(path)``; a file it cannot read or check is a config error."""
+    try:
+        return reader(path)
+    except (OSError, DslError, *_UNREADABLE) as error:
+        raise ConfigError(f"{name} file {path} is unreadable: {error}") from error
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -212,31 +211,32 @@ def load_config(path: str | Path) -> ExperimentConfig:
     if learner.engine not in ("enumerate", "mh"):
         raise ConfigError(f"learner.engine must be enumerate or mh, got {learner.engine!r}")
 
-    config = ExperimentConfig(
+    paths = {key: resolve(key) for key in ("rules", "vocab", "endpoint", "human_data")}
+    paths["learner.grammar"] = Path(grammar) if grammar else None
+    for name, file_path in paths.items():
+        if file_path is not None and not file_path.exists():
+            raise ConfigError(f"config {name!r} points at missing file {file_path}")
+    vocab = DEFAULT_VOCAB if paths["vocab"] is None else _read("vocab", paths["vocab"], load_vocab)
+    return ExperimentConfig(
         path=path,
-        rules=resolve("rules"),
+        rules=paths["rules"],
         lists_dir=resolve("lists_dir"),
         output_dir=resolve("output_dir"),
-        vocab_path=resolve("vocab"),
+        manifest=_read("rules", paths["rules"], read_rules_manifest),
+        vocab=vocab,
+        grammar=default_grammar(vocab) if grammar is None else _read(
+            "learner.grammar", paths["learner.grammar"], lambda p: load_grammar(p, vocab)
+        ),
+        vocab_path=paths["vocab"],
         seed=_checked(doc, "seed", None, *_SEED),
-        endpoint=resolve("endpoint"),
-        human_data=resolve("human_data"),
+        endpoint=paths["endpoint"],
+        human_data=paths["human_data"],
         learner=learner,
         fit_grid_step=float(_checked(doc, "fit_grid_step", 0.05, *_STEP)),
         grade_max_set_size=_checked(doc, "grade_max_set_size", 5, *_POSITIVE),
         workers=_checked(doc, "workers", 1, *_POSITIVE),
         subsamples=_checked(doc, "subsamples", 10_000, *_POSITIVE),
     )
-    for name, file_path in (
-        ("rules", config.rules),
-        ("vocab", config.vocab_path),
-        ("endpoint", config.endpoint),
-        ("human_data", config.human_data),
-        ("learner.grammar", Path(learner.grammar) if learner.grammar else None),
-    ):
-        if file_path is not None and not Path(file_path).exists():
-            raise ConfigError(f"config {name!r} points at missing file {file_path}")
-    return config
 
 
 def _rule_seed(base_seed: int, rule_id: str) -> int:
@@ -255,25 +255,23 @@ def _inputs_of(config: ExperimentConfig, *extra: Path | str) -> dict[str, str]:
 # --- gen -------------------------------------------------------------------
 
 def cmd_gen(config: ExperimentConfig) -> int:
-    rules = read_rules_manifest(config.rules)
-    if not rules:
+    if not config.manifest:
         print("warning: rules manifest is empty, nothing to generate", file=sys.stderr)
         return EXIT_OK
     if config.seed is None:
         raise ConfigError("gen requires a top-level 'seed' in the config")
-    vocab = config.load_vocab()
     config.lists_dir.mkdir(parents=True, exist_ok=True)
 
     failures = []
     written = []
-    for rule in rules:
+    for rule in config.manifest:
         try:
-            concept = parse_concept(rule.source, vocab)
+            concept = parse_concept(rule.source, config.vocab)
         except DslError as error:
             failures.append((rule.rule_id, str(error)))
             continue
         exemplar_list = generate_list(
-            concept, vocab, seed=_rule_seed(config.seed, rule.rule_id), rule_id=rule.rule_id
+            concept, config.vocab, seed=_rule_seed(config.seed, rule.rule_id), rule_id=rule.rule_id
         )
         out_path = config.lists_dir / f"{rule.rule_id}.json"
         save_list(exemplar_list, out_path)
@@ -293,16 +291,13 @@ def cmd_gen(config: ExperimentConfig) -> int:
 
 # --- run -------------------------------------------------------------------
 
-def _load_lists(
-    config: ExperimentConfig, rules: list[RuleSpec], vocab: FeatureVocab
-) -> tuple[dict[str, ExemplarList], list[tuple[str, str]]]:
+def _load_lists(config: ExperimentConfig) -> tuple[dict[str, ExemplarList], list[tuple[str, str]]]:
     """Each rule's exemplar list, and (rule_id, message) for each rule whose
-    list is missing, unreadable or written under a vocab other than
-    ``vocab``: the learner evaluates every list in one batch, whose feature
+    list is missing, unreadable or written under a vocab other than the
+    config's: the learner evaluates every list in one batch, whose feature
     indices are the config vocab's."""
-    lists = {}
-    failures = []
-    for rule in rules:
+    lists, failures = {}, []
+    for rule in config.manifest:
         path = config.lists_dir / f"{rule.rule_id}.json"
         if not path.exists():
             failures.append((rule.rule_id, f"missing list file {path}"))
@@ -312,53 +307,69 @@ def _load_lists(
         except (DslError, *_UNREADABLE) as error:
             failures.append((rule.rule_id, f"unreadable list file {path}: {error!r}"))
             continue
-        if exemplar_list.vocab != vocab:
+        if exemplar_list.vocab != config.vocab:
             failures.append((rule.rule_id, f"list file {path} has a vocab other than the config's"))
             continue
         lists[rule.rule_id] = exemplar_list
     return lists, failures
 
 
+def _attempt(function, *args):
+    """``function(*args)``, or its error's message: one rule's failure must
+    not stop the others (a transport error stops the run).  The message alone:
+    the error's traceback would keep the rule's frames, and its matrix, alive."""
+    try:
+        return function(*args)
+    except TransportError:
+        raise
+    except Exception as error:  # per-rule isolation
+        return str(error)
+
+
+def _enumerate(config: ExperimentConfig):
+    return inference.enumerate_hypotheses(
+        config.grammar, config.learner.max_size, config.learner.max_hypotheses
+    )
+
+
+def _eval_table(config: ExperimentConfig, lists: list[ExemplarList]):
+    """The hypotheses, and an iterator over each list's eval matrix."""
+    hypotheses = _enumerate(config)
+    return hypotheses, inference.build_eval_matrices(hypotheses, lists)
+
+
 def cmd_run(config: ExperimentConfig, engine: str, mode: str = "chat") -> int:
-    rules = read_rules_manifest(config.rules)
-    vocab = config.load_vocab()
-    lists, failures = _load_lists(config, rules, vocab)
+    lists, failures = _load_lists(config)
     run_dir = config.output_dir / "runs" / engine
     run_dir.mkdir(parents=True, exist_ok=True)
     inputs = _inputs_of(config)
     rule_ids = sorted(lists)
 
     if engine == "plot":
-        grammar = config.load_grammar(vocab)
         noise = config.learner.noise()
         if config.learner.engine == "mh" and config.learner.seed is None:
             raise ConfigError("learner.seed is required for the mh engine")
-
-        @functools.cache
-        def table() -> tuple[list, Iterator]:
-            # The hypotheses depend only on (grammar, max_size): enumerated
-            # on the first rule and evaluated once over every rule's list.
-            # Rules run in rule_ids order and each takes the next list's
-            # matrix, so one matrix is alive at a time.  A failed
-            # enumeration or evaluation is not cached, so each rule reports it.
-            hypotheses = inference.enumerate_hypotheses(
-                grammar, config.learner.max_size, config.learner.max_hypotheses
-            )
-            matrices = inference.build_eval_matrices(hypotheses, [lists[r] for r in rule_ids])
-            return hypotheses, matrices
+        # Enumerated and evaluated once over every rule's list.  Rules run in
+        # rule_ids order and each takes the next list's matrix, so one matrix
+        # is alive at a time.  A failed enumeration or evaluation fails each rule.
+        table = None
+        if config.learner.engine == "enumerate" and rule_ids:
+            table = _attempt(_eval_table, config, [lists[r] for r in rule_ids])
 
         def run_rule(rule_id: str) -> list[Path]:
             exemplar_list = lists[rule_id]
             trace_path = None
             if config.learner.engine == "mh":
                 run = run_mh(
-                    exemplar_list, grammar, noise,
+                    exemplar_list, config.grammar, noise,
                     iterations=config.learner.mh_iterations,
                     seed=config.learner.seed,
                     max_size=config.learner.max_size,
                 )
             else:
-                hypotheses, matrices = table()
+                if isinstance(table, str):
+                    raise DataError(table)
+                hypotheses, matrices = table
                 trace_path = run_dir / f"{rule_id}.posterior.csv"
                 run = run_enumerative(exemplar_list, hypotheses, next(matrices), noise, trace_path)
             series_path = run_dir / f"{rule_id}.series.json"
@@ -369,8 +380,8 @@ def cmd_run(config: ExperimentConfig, engine: str, mode: str = "chat") -> int:
             elicited = {
                 "inputs": inputs,
                 "rule_id": rule_id,
-                "per_set": [print_concept(p.map_concept, vocab) for p in run.per_set],
-                "final": print_concept(run.final_map, vocab),
+                "per_set": [print_concept(p.map_concept, config.vocab) for p in run.per_set],
+                "final": print_concept(run.final_map, config.vocab),
             }
             if run.posterior:  # exact inference only
                 elicited["posterior"] = [dataclasses.asdict(d) for d in run.posterior]
@@ -406,21 +417,11 @@ def cmd_run(config: ExperimentConfig, engine: str, mode: str = "chat") -> int:
     else:
         raise ConfigError(f"unknown engine {engine!r}")
 
-    def attempt(rule_id: str) -> list[Path] | str:
-        try:
-            return run_rule(rule_id)
-        except TransportError:
-            raise
-        except Exception as error:  # per-rule isolation
-            # The message alone: the error's traceback would keep the
-            # rule's frames, and its eval matrix, alive.
-            return str(error)
-
     if engine == "llm":  # sessions wait on the network, so workers overlap them
         with concurrent.futures.ThreadPoolExecutor(max_workers=config.workers) as pool:
-            outcomes = list(pool.map(attempt, rule_ids))
+            outcomes = list(pool.map(_attempt, [run_rule] * len(rule_ids), rule_ids))
     else:  # the learner is CPU-bound under the GIL: threads would gain nothing
-        outcomes = [attempt(rule_id) for rule_id in rule_ids]
+        outcomes = [_attempt(run_rule, rule_id) for rule_id in rule_ids]
     written: list[Path] = []
     for rule_id, outcome in zip(rule_ids, outcomes):
         if isinstance(outcome, str):
@@ -440,16 +441,14 @@ def cmd_run(config: ExperimentConfig, engine: str, mode: str = "chat") -> int:
     for rule_id, message in failures:
         print(f"run[{engine}]: rule {rule_id!r} failed: {message}", file=sys.stderr)
     completed = sum(1 for rule_id in rule_ids if rule_id not in failed_ids)
-    print(f"run[{engine}]: completed {completed} of {len(rules)} rules -> {run_dir}")
+    print(f"run[{engine}]: completed {completed} of {len(config.manifest)} rules -> {run_dir}")
     return EXIT_DATA if failures else EXIT_OK
 
 
 # --- grade -----------------------------------------------------------------
 
 def cmd_grade(config: ExperimentConfig, elicited_path: Path, series_dir: Path | None) -> int:
-    rules = read_rules_manifest(config.rules)
-    vocab = config.load_vocab()
-    lists, failures = _load_lists(config, rules, vocab)
+    lists, failures = _load_lists(config)
     if not elicited_path.exists():
         raise ConfigError(f"elicited file {elicited_path} does not exist")
     unreadable: dict[str, str] = {}  # rule_id -> why its elicited file was skipped
@@ -490,12 +489,12 @@ def cmd_grade(config: ExperimentConfig, elicited_path: Path, series_dir: Path | 
         except _UNREADABLE as error:
             failures.append((rule_id, f"unreadable series file {series_path}: {error}"))
             continue
-        grades[rule_id] = grade_session(lists[rule_id], sources, vocab, series)
+        grades[rule_id] = grade_session(lists[rule_id], sources, config.vocab, series)
 
     report = match_rate(
         {rule_id: grade.final for rule_id, grade in grades.items()},
         {rule_id: lists[rule_id] for rule_id in grades},
-        vocab,
+        config.vocab,
         max_set_size=config.grade_max_set_size,
     )
     write_grading_csvs(reports_dir, grades, {v.rule_id: v for v in report.verdicts}, inputs)
@@ -544,10 +543,32 @@ def _human_series(records, gold: ExemplarList) -> list[LabelSeries]:
     ]
 
 
+def _kept_subjects(
+    config: ExperimentConfig, lists: dict[str, ExemplarList]
+) -> tuple[dict[str, list[SubjectRecord]], list[tuple[str, str]]]:
+    """The subjects the filter keeps for each rule with a list and human data,
+    and (rule_id, message) for each such rule whose subjects it cannot score
+    or removes entirely.  A subject file that does not parse is a data error."""
+    try:
+        records = read_subject_csv(config.human_data)
+    except (OSError, csv.Error, *_UNREADABLE) as error:
+        raise DataError(f"subject file {config.human_data} is unreadable: {error}") from error
+    by_rule: dict[str, list[SubjectRecord]] = {}
+    for record in records:
+        by_rule.setdefault(record.rule_id, []).append(record)
+    kept, failures = {}, []
+    for rule_id, rule_records in sorted(by_rule.items()):
+        if rule_id in lists:
+            try:
+                kept[rule_id], _report = filter_subjects(rule_records, lists[rule_id])
+            except ValueError as error:  # EmptyPoolError among them
+                failures.append((rule_id, str(error)))
+    return kept, failures
+
+
 def cmd_report(config: ExperimentConfig, series_dirs: dict[str, Path]) -> int:
-    rules = read_rules_manifest(config.rules)
-    kinds = {rule.rule_id: rule.kind for rule in rules}
-    lists, failures = _load_lists(config, rules, config.load_vocab())
+    kinds = {rule.rule_id: rule.kind for rule in config.manifest}
+    lists, failures = _load_lists(config)
     reports_dir = config.output_dir / "reports"
     reports_dir.mkdir(parents=True, exist_ok=True)
     inputs = _inputs_of(config, *(p for p in [config.human_data] if p))
@@ -567,22 +588,18 @@ def cmd_report(config: ExperimentConfig, series_dirs: dict[str, Path]) -> int:
             continue
         cohort_series[cohort] = found
 
-    human_by_rule: dict[str, list] = {}
-    if config.human_data is not None:
-        for record in read_subject_csv(config.human_data):
-            human_by_rule.setdefault(record.rule_id, []).append(record)
     # Each kept subject as a series, scored once per window.
     human_series: dict[str, list[LabelSeries]] = {}
-    for rule_id, records in sorted(human_by_rule.items()):
-        if rule_id in lists:
-            kept, _filter_report = filter_subjects(records, lists[rule_id])
-            human_series[rule_id] = _human_series(kept, lists[rule_id])
+    if config.human_data is not None:
+        kept, emptied = _kept_subjects(config, lists)
+        failures.extend(emptied)
+        human_series = {r: _human_series(records, lists[r]) for r, records in kept.items()}
     human_scores = {rule_id: window_scores(series) for rule_id, series in human_series.items()}
 
     summaries = []
     for cohort, by_rule in sorted(cohort_series.items()):
         summaries.append(summarize_series(cohort, by_rule, kinds))
-    if human_by_rule:
+    if config.human_data is not None:
         summaries.append(summarize_subjects("human", human_scores, kinds))
     write_summary_csv(reports_dir / "summary.csv", summaries, inputs)
 
@@ -626,13 +643,12 @@ def cmd_report(config: ExperimentConfig, series_dirs: dict[str, Path]) -> int:
 # --- split -----------------------------------------------------------------
 
 def cmd_split(config: ExperimentConfig, held_out: int, seed: int | None) -> int:
-    rules = read_rules_manifest(config.rules)
     if seed is None:
         seed = config.seed
     if seed is None:
         raise ConfigError("split requires --seed or a top-level 'seed' in the config")
     try:
-        train, held = split_rules([r.rule_id for r in rules], held_out, seed)
+        train, held = split_rules([r.rule_id for r in config.manifest], held_out, seed)
     except ValueError as error:
         raise DataError(str(error)) from error
     splits_dir = config.output_dir / "splits"
@@ -648,38 +664,19 @@ def cmd_split(config: ExperimentConfig, held_out: int, seed: int | None) -> int:
 def cmd_fit_noise(config: ExperimentConfig) -> int:
     if config.human_data is None:
         raise ConfigError("fit-noise requires 'human_data' in the config")
-    rules = read_rules_manifest(config.rules)
-    vocab = config.load_vocab()
-    lists, failures = _load_lists(config, rules, vocab)
+    lists, failures = _load_lists(config)
+    if not failures:
+        kept, failures = _kept_subjects(config, lists)
     if failures:
         for rule_id, message in failures:
             print(f"fit-noise: rule {rule_id!r}: {message}", file=sys.stderr)
-        raise DataError("fit-noise needs every rule's exemplar list")
-
-    records_by_rule: dict[str, list] = {}
-    for record in read_subject_csv(config.human_data):
-        records_by_rule.setdefault(record.rule_id, []).append(record)
-
-    fit_lists = []
-    tables = []
-    for rule_id in sorted(lists):
-        if rule_id not in records_by_rule:
-            continue
-        kept, _report = filter_subjects(records_by_rule[rule_id], lists[rule_id])
-        tables.append(human_proportions(kept, lists[rule_id]))
-        fit_lists.append(lists[rule_id])
-    if not fit_lists:
+        raise DataError("fit-noise needs every rule's exemplar list and kept subjects")
+    if not kept:
         raise DataError("no rules have both an exemplar list and human data")
 
-    grammar = config.load_grammar(vocab)
-    fit = fit_noise(
-        fit_lists,
-        tables,
-        noise_grid(config.fit_grid_step),
-        grammar,
-        max_size=config.learner.max_size,
-        max_hypotheses=config.learner.max_hypotheses,
-    )
+    fit_lists = [lists[rule_id] for rule_id in kept]
+    tables = [human_proportions(records, lists[rule_id]) for rule_id, records in kept.items()]
+    fit = fit_noise(fit_lists, tables, noise_grid(config.fit_grid_step), _enumerate(config))
     fitted, runner_up = fit.noise, fit.runner_up
     reports_dir = config.output_dir / "reports"
     reports_dir.mkdir(parents=True, exist_ok=True)
@@ -772,7 +769,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, CredentialError, EndpointConfigError) as error:
         print(f"config error: {error}", file=sys.stderr)
         return EXIT_CONFIG
-    except DataError as error:
+    except (DataError, HypothesisBudgetError) as error:
         print(f"data error: {error}", file=sys.stderr)
         return EXIT_DATA
     except TransportError as error:

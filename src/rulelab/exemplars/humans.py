@@ -176,7 +176,8 @@ def read_subject_csv(path: str | Path) -> list[SubjectRecord]:
     subject_id, rule_id, set_index, object_index, response."""
     grouped: dict[tuple[str, str], dict[tuple[int, int], bool]] = {}
     with open(path, newline="") as handle:
-        for row in csv.DictReader(handle):
+        # A short row's missing fields read as "", which fails to parse.
+        for row in csv.DictReader(handle, restval=""):
             key = (row["subject_id"], row["rule_id"])
             responses = grouped.setdefault(key, {})
             responses[(int(row["set_index"]), int(row["object_index"]))] = _parse_response(

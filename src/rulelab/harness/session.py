@@ -72,6 +72,7 @@ def http_transport(url: str, payload: dict, headers: dict, timeout: float) -> di
         with urllib.request.urlopen(request, timeout=timeout) as response:
             status, body = response.status, response.read()
     except urllib.error.HTTPError as error:
+        error.close()  # the error holds the reply, and the reply its socket
         raise TransportError(f"POST {url}: {error}", status=error.code) from error
     except (OSError, http.client.HTTPException, ValueError) as error:
         raise TransportError(f"POST {url}: {error}") from error

@@ -26,13 +26,12 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from ..exemplars import ExemplarList, HumanResponseTable
-from .grammar import Grammar
 from .inference import (
     DegeneratePosteriorError,
     EvalMatrix,
+    HypothesisList,
     NoiseParams,
     build_eval_matrices,
-    enumerate_hypotheses,
     predictive_trajectory,
 )
 
@@ -96,11 +95,10 @@ def fit_noise(
     lists: Sequence[ExemplarList],
     humans: Sequence[HumanResponseTable],
     grid: Iterable[tuple[float, float]],
-    grammar: Grammar,
-    max_size: int,
-    max_hypotheses: int = 200_000,
+    hypotheses: HypothesisList,
 ) -> NoiseFit:
-    """Pick the grid point whose predictive trajectories best explain the
+    """Pick the grid point whose predictive trajectories over
+    ``hypotheses`` (an :func:`enumerate_hypotheses` list) best explain the
     human proportions (squared Pearson correlation, pooled over lists),
     and report it with its runner-up as a :class:`NoiseFit`."""
     grid = list(grid)
@@ -109,7 +107,6 @@ def fit_noise(
     if len(lists) != len(humans):
         raise ValueError("need one human table per exemplar list")
 
-    hypotheses = enumerate_hypotheses(grammar, max_size, max_hypotheses)
     # Each list's full matrix is collapsed as it is gathered, then dropped.
     collapsed = map(_behaviour_classes, build_eval_matrices(hypotheses, lists))
     prepared = []

@@ -228,21 +228,23 @@ class Derivation:
         return 1 + sum(c.n_applications() for c in self.children)
 
 
+MAX_DEPTH = 80  # nested production applications in one sampled derivation
+
+
 def sample_derivation(
     grammar: Grammar,
     rng: random.Random,
     nonterminal: str | None = None,
-    max_depth: int = 80,
 ) -> Derivation:
     """Draw a derivation from the grammar's prior.
 
-    Recursion deeper than ``max_depth`` restarts the draw; restarts consume
+    Recursion deeper than :data:`MAX_DEPTH` restarts the draw; restarts consume
     randomness deterministically, so equal seeds still give equal samples.
     """
     nt = grammar.start if nonterminal is None else nonterminal
 
     def draw(symbol: str, depth: int) -> Derivation:
-        if depth > max_depth:
+        if depth > MAX_DEPTH:
             raise _TooDeep()
         productions = grammar.productions_for(symbol)
         weights = [p.weight for p in productions]

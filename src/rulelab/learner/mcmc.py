@@ -36,6 +36,8 @@ from .inference import (
     map_rule,
 )
 
+MAX_BURN_IN = 1000  # untallied steps at the head of a chain, at most a tenth of it
+
 
 class _TruthRows:
     """Each concept's truth row over a batch of labelled objects, evaluated
@@ -92,12 +94,11 @@ def mh_sample(
     iterations: int,
     seed: int,
     max_size: int | None = None,
-    burn_in: int | None = None,
 ) -> PosteriorState:
     """Empirical posterior over concepts from ``iterations`` MH steps.
 
-    Deterministic under a fixed seed.  ``burn_in`` defaults to
-    min(1000, iterations // 10); burn-in states are not tallied.  An
+    Deterministic under a fixed seed.  The first min(:data:`MAX_BURN_IN`,
+    iterations // 10) states are burn-in and are not tallied.  An
     entry's ``log_prior`` is NaN: the chain meets a concept through one
     derivation at a time, while its prior sums over all of them (see
     :func:`enumerate_hypotheses`).
@@ -105,7 +106,7 @@ def mh_sample(
     batch = ContextBatch.from_contexts([ctx for ctx, _label in evidence], grammar.vocab)
     gold = np.array([label for _ctx, label in evidence], dtype=bool)
     rows = _TruthRows(batch, gold, [0, len(evidence)], noise)
-    return _chain(grammar, rows, 1, iterations, seed, max_size, burn_in)
+    return _chain(grammar, rows, 1, iterations, seed, max_size)
 
 
 def _chain(
@@ -115,15 +116,13 @@ def _chain(
     iterations: int,
     seed: int,
     max_size: int | None,
-    burn_in: int | None,
 ) -> PosteriorState:
     """:func:`mh_sample` conditioned on the objects of ``rows`` before
     ``boundary``."""
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
     rng = random.Random(seed)
-    if burn_in is None:
-        burn_in = min(1000, iterations // 10)
+    burn_in = min(MAX_BURN_IN, iterations // 10)
 
     def fresh_state() -> Derivation:
         while True:
@@ -201,7 +200,7 @@ def run_mh(
     n_sets = len(exemplar_list.sets)
     per_set = []
     for set_index in range(n_sets):
-        state = _chain(grammar, rows, set_index, iterations, seed + set_index, max_size, None)
+        state = _chain(grammar, rows, set_index, iterations, seed + set_index, max_size)
         start, end = offsets[set_index], offsets[set_index + 1]
         log_weights = np.array([entry.log_weight for entry in state.entries])
         truth = np.array([rows[entry.concept][0][start:end] for entry in state.entries])
@@ -214,7 +213,7 @@ def run_mh(
                 labels=tuple(p > 0.5 for p in predictive),
             )
         )
-    final_state = _chain(grammar, rows, n_sets, iterations, seed + n_sets, max_size, None)
+    final_state = _chain(grammar, rows, n_sets, iterations, seed + n_sets, max_size)
     return LearnerRun(
         rule_id=exemplar_list.rule_id, per_set=tuple(per_set), final_map=map_rule(final_state)
     )

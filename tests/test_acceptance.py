@@ -269,7 +269,7 @@ def test_criterion_6_noise_recovery():
                 proportions[(set_index, object_index)] = float(predictions[j])
             lists.append(exemplar_list)
             tables.append(ExactTable(proportions))
-        fitted = fit_noise(lists, tables, noise_grid(0.05), grammar, max_size=3)
+        fitted = fit_noise(lists, tables, noise_grid(0.05), hypotheses)
         assert fitted.noise == NoiseParams(0.8, 0.4)
 
 

@@ -333,15 +333,26 @@ def test_run_plot_prints_each_hypothesis_once(workspace, monkeypatch):
     assert len(printed) == len(set(printed)) == n_hypotheses
 
 
-def test_run_plot_reports_a_failed_enumeration_for_every_rule(workspace, capsys):
+def test_run_plot_reports_a_failed_enumeration_for_every_rule(workspace, monkeypatch, capsys):
+    from rulelab.learner import inference
+
     run(workspace, "gen")
     config = json.loads((workspace / "config.json").read_text())
     config["learner"]["max_hypotheses"] = 10
     (workspace / "config.json").write_text(json.dumps(config))
+    calls = []
+    real = inference.enumerate_hypotheses
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(inference, "enumerate_hypotheses", counted)
     assert run(workspace, "run", "--engine", "plot") == EXIT_DATA
     failed = [line for line in capsys.readouterr().err.splitlines() if "failed" in line]
     assert len(failed) == 6
     assert all("more than 10 hypotheses" in line for line in failed)
+    assert len(calls) == 1  # the failed enumeration is not run again for each rule
 
 
 def test_run_plot_keeps_one_eval_matrix_alive_at_a_time(workspace, monkeypatch, capsys):
@@ -668,14 +679,17 @@ def every_input(workspace):
 def _list_command(workspace, command) -> int:
     run_dir = str(workspace / "out" / "runs" / "plot")
     return run(workspace, *{
+        "gen": ("gen",),
         "run": ("run", "--engine", "plot"),
         "grade": ("grade", "--elicited", run_dir),
         "report": ("report", "--series", f"plot={run_dir}"),
+        "split": ("split", "--held-out", "1"),
         "fit-noise": ("fit-noise",),
     }[command])
 
 
 _LIST_COMMANDS = ["run", "grade", "report", "fit-noise"]
+_EVERY_COMMAND = ["gen", "split", *_LIST_COMMANDS]
 
 
 @pytest.mark.parametrize("command", _LIST_COMMANDS)
@@ -716,6 +730,122 @@ def test_a_malformed_vocab_file_is_a_config_error(every_input, capsys, command):
     capsys.readouterr()
     assert _list_command(every_input, command) == EXIT_CONFIG
     assert "vocab.json is unreadable" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", _EVERY_COMMAND)
+@pytest.mark.parametrize("change, error", [
+    pytest.param(lambda rules: rules + rules[:1], "duplicate rule ids", id="duplicate-ids"),
+    pytest.param(lambda rules: [{**rules[0], "kind": "modal"}, *rules[1:]], "kind must be",
+                 id="bad-kind"),
+])
+def test_a_bad_rules_manifest_is_a_config_error(every_input, capsys, command, change, error):
+    path = every_input / "rules.json"
+    doc = json.loads(path.read_text())
+    doc["rules"] = change(doc["rules"])
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert _list_command(every_input, command) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"rules file {path} is unreadable: " in err and error in err
+
+
+@pytest.mark.parametrize("command", _EVERY_COMMAND)
+@pytest.mark.parametrize("text, error", [
+    pytest.param('{"start": "S", "productions": [', "Expecting value", id="not-json"),
+    pytest.param(json.dumps({"start": "S", "productions": [
+        {"lhs": "S", "template": "(is-color blue)"}, {"lhs": "S", "template": "(not T)"},
+    ]}), "nonterminal 'T' in '(not T)' has no productions", id="undefined-nonterminal"),
+])
+def test_a_bad_grammar_file_is_a_config_error(every_input, capsys, command, text, error):
+    """Every command reads the grammar with the config, not only those
+    that use it."""
+    path = every_input / "grammar.json"
+    path.write_text(text)
+    config = json.loads((every_input / "config.json").read_text())
+    config["learner"]["grammar"] = "grammar.json"
+    (every_input / "config.json").write_text(json.dumps(config))
+    capsys.readouterr()
+    assert _list_command(every_input, command) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"learner.grammar file {path} is unreadable: " in err and error in err
+
+
+@pytest.mark.parametrize("command", ["report", "fit-noise"])
+@pytest.mark.parametrize("line, error", [
+    pytest.param("s0,blue,0,1,maybe", "'maybe'", id="not-a-response"),
+    pytest.param("s0,blue,0,1", "got ''", id="short-row"),
+])
+def test_an_unparseable_subject_file_is_a_data_error(every_input, capsys, command, line, error):
+    path = every_input / "humans.csv"
+    lines = path.read_text().splitlines()
+    lines[5] = line
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert _list_command(every_input, command) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"subject file {path} is unreadable: " in err and error in err
+
+
+def _cut_short(row):  # every subject stops before the set filter's minimum
+    return row if int(row[2]) < 4 else None
+
+
+def _off_the_list(row):  # every response is to an object the list lacks
+    return [*row[:3], "99", row[4]]
+
+
+_UNFILTERABLE = [
+    pytest.param(_cut_short, "no subjects left for rule 'blue'", id="all-subjects-excluded"),
+    pytest.param(_off_the_list, "subject s0 has no responses", id="no-response-on-the-list"),
+]
+
+
+def _mangle_subjects(workspace, rule_id, change):
+    path = workspace / "humans.csv"
+    header, *rows = csv.reader(path.read_text().splitlines())
+    rows = [change(row) if row[1] == rule_id else row for row in rows]
+    path.write_text("\n".join(",".join(row) for row in [header, *rows] if row) + "\n")
+
+
+@pytest.mark.parametrize("change, error", _UNFILTERABLE)
+def test_report_goes_on_past_a_rule_whose_subjects_cannot_be_filtered(every_input, capsys,
+                                                                      change, error):
+    _mangle_subjects(every_input, "blue", change)
+    capsys.readouterr()
+    assert _list_command(every_input, "report") == EXIT_DATA
+    assert f"report: 'blue': {error}" in capsys.readouterr().err
+    reports = every_input / "out" / "reports"
+    cohorts = {tuple(row.split(",")[:2]) for row in
+               (reports / "trajectories.csv").read_text().splitlines()[2:]}
+    assert ("not-circle", "human") in cohorts and ("blue", "human") not in cohorts
+    assert ("blue", "plot") in cohorts
+    summary = (reports / "summary.csv").read_text().splitlines()
+    assert [line for line in summary if line.startswith("human,")][0].split(",")[1]
+
+
+@pytest.mark.parametrize("change, error", _UNFILTERABLE)
+def test_fit_noise_stops_at_a_rule_whose_subjects_cannot_be_filtered(every_input, monkeypatch,
+                                                                     capsys, change, error):
+    import rulelab.cli as cli_module
+
+    _mangle_subjects(every_input, "blue", change)
+    fits = []
+    monkeypatch.setattr(cli_module, "fit_noise", lambda *args: fits.append(args))
+    capsys.readouterr()
+    assert _list_command(every_input, "fit-noise") == EXIT_DATA
+    assert f"fit-noise: rule 'blue': {error}" in capsys.readouterr().err
+    assert fits == []
+    assert not (every_input / "out" / "reports" / "noise_fit.json").exists()
+
+
+def test_fit_noise_over_its_hypothesis_budget_is_a_data_error(every_input, capsys):
+    config = json.loads((every_input / "config.json").read_text())
+    config["learner"]["max_hypotheses"] = 10
+    (every_input / "config.json").write_text(json.dumps(config))
+    capsys.readouterr()
+    assert _list_command(every_input, "fit-noise") == EXIT_DATA
+    assert "more than 10 hypotheses" in capsys.readouterr().err
+    assert not (every_input / "out" / "reports" / "noise_fit.json").exists()
 
 
 def test_split_partitions_manifest(workspace):

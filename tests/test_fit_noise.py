@@ -52,14 +52,14 @@ def test_grid_helper():
 
 def test_single_point_grid():
     lists, tables = model_tables(NoiseParams(0.8, 0.4))
-    fitted = fit_noise(lists, tables, [(0.7, 0.3)], GRAMMAR, MAX_SIZE)
+    fitted = fit_noise(lists, tables, [(0.7, 0.3)], enumerate_hypotheses(GRAMMAR, MAX_SIZE))
     assert fitted.noise == NoiseParams(0.7, 0.3)
     assert fitted.runner_up is None and fitted.runner_up_r2 is None
 
 
 def test_recovers_generating_point():
     lists, tables = model_tables(NoiseParams(0.8, 0.4))
-    fitted = fit_noise(lists, tables, noise_grid(0.05), GRAMMAR, MAX_SIZE)
+    fitted = fit_noise(lists, tables, noise_grid(0.05), enumerate_hypotheses(GRAMMAR, MAX_SIZE))
     assert fitted.noise == NoiseParams(0.8, 0.4)
 
 
@@ -76,14 +76,14 @@ def test_gold_label_humans_push_alpha_to_grid_max():
         lists.append(exemplar_list)
         tables.append(HumanResponseTable(rule_id=f"r{i}", n_true=n_true, n_total=n_total))
     grid = [(a, b) for a in (0.6, 0.8, 0.95) for b in (0.3, 0.5, 0.7)]
-    fitted = fit_noise(lists, tables, grid, GRAMMAR, MAX_SIZE)
+    fitted = fit_noise(lists, tables, grid, enumerate_hypotheses(GRAMMAR, MAX_SIZE))
     assert fitted.noise.alpha == 0.95
 
 
 def test_empty_grid_rejected():
     lists, tables = model_tables(NoiseParams(0.8, 0.4))
     with pytest.raises(ValueError):
-        fit_noise(lists, tables, [], GRAMMAR, MAX_SIZE)
+        fit_noise(lists, tables, [], enumerate_hypotheses(GRAMMAR, MAX_SIZE))
 
 
 def test_missing_human_entries_are_skipped():
@@ -93,7 +93,7 @@ def test_missing_human_entries_are_skipped():
         if key[0] == 0:
             tables[0].n_total[key] = 0
             tables[0].n_true[key] = 0
-    fitted = fit_noise(lists, tables, noise_grid(0.1), GRAMMAR, MAX_SIZE)
+    fitted = fit_noise(lists, tables, noise_grid(0.1), enumerate_hypotheses(GRAMMAR, MAX_SIZE))
     assert fitted.noise == NoiseParams(0.8, 0.4)
 
 
@@ -218,7 +218,7 @@ def test_fit_matches_full_matrix_grid_loop():
     grid = noise_grid(0.05)
     prepared, human = fit_inputs(lists, tables, max_size=3)
     expected, expected_scores = reference_fit(prepared, human, grid)
-    fitted = fit_noise(lists, tables, grid, GRAMMAR, 3)
+    fitted = fit_noise(lists, tables, grid, enumerate_hypotheses(GRAMMAR, 3))
     assert fitted.noise == expected
     # Runner-up and undefined points as the full-matrix loop sees them.
     ranked = sorted(

@@ -181,9 +181,9 @@ def test_fit_pools_the_oracles_scores(monkeypatch):
         lists.append(exemplar_list)
         tables.append(HumanResponseTable(f"r{i}", n_true, {key: 1000 for key in n_true}))
     grid = noise_grid(0.1)
-    actual = fit_noise(lists, tables, grid, grammar, 3)
+    actual = fit_noise(lists, tables, grid, enumerate_hypotheses(grammar, 3))
     monkeypatch.setattr(fit_module, "predictive_trajectory", oracle_predictive_trajectory)
-    assert fit_noise(lists, tables, grid, grammar, 3) == actual
+    assert fit_noise(lists, tables, grid, enumerate_hypotheses(grammar, 3)) == actual
 
 
 def test_cells_index_lives_only_as_long_as_its_matrix(size3_matrices):

@@ -635,6 +635,18 @@ def test_transport_errors_carry_the_reply_status():
     assert refused.value.status is None and refused.value.retryable
 
 
+@pytest.mark.parametrize("status", [404, 429, 503])
+def test_an_error_status_reply_is_closed_when_its_error_is_raised(status):
+    """The TransportError chains the HTTPError, which holds the reply: an
+    unclosed reply would keep its socket until garbage collection."""
+    with _Server(status=status, body=b'{"error": "no"}') as server:
+        with pytest.raises(TransportError) as raised:
+            http_transport(server.url + "/completions", {}, {}, 5.0)
+    reply = raised.value.__cause__
+    assert reply.code == status
+    assert reply.fp.closed
+
+
 _KILLED_CHILD = """
 import os, signal, sys
 from test_session import ChatOracle, endpoint, fixture_list
