@@ -178,8 +178,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     for required in ("rules", "lists_dir", "output_dir"):
-        if required not in doc:
-            raise ConfigError(f"config key {required!r} is required")
+        if doc.get(required) is None:
+            raise ConfigError(f"config key {required!r} is required and must not be null")
 
     base = path.parent
 
@@ -676,7 +676,11 @@ def cmd_fit_noise(config: ExperimentConfig) -> int:
 
     fit_lists = [lists[rule_id] for rule_id in kept]
     tables = [human_proportions(records, lists[rule_id]) for rule_id, records in kept.items()]
-    fit = fit_noise(fit_lists, tables, noise_grid(config.fit_grid_step), _enumerate(config))
+    hypotheses = _enumerate(config)
+    try:
+        fit = fit_noise(fit_lists, tables, noise_grid(config.fit_grid_step), hypotheses)
+    except ValueError as error:  # the subjects' data leave the fit undefined
+        raise DataError(f"fit-noise: {error}") from error
     fitted, runner_up = fit.noise, fit.runner_up
     reports_dir = config.output_dir / "reports"
     reports_dir.mkdir(parents=True, exist_ok=True)

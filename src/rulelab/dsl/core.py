@@ -101,24 +101,15 @@ class Context:
 
 
 class Concept:
-    """Base class for concept AST nodes.  Nodes are immutable."""
+    """Base class for concept AST nodes.  Nodes are immutable.
 
-    __slots__ = ()
-
-
-@dataclass(frozen=True, slots=True)
-class FeatureIs(Concept):
-    dim: str
-    value: int
-    var: int = 0
-
-
-class _Composite(Concept):
-    """A node with a concept below it.  Its hash is computed from its fields
-    on first use and kept, so a dict lookup does not walk the subtree each
+    A node's hash covers its kind (the class name, which hashes the same
+    under a fixed ``PYTHONHASHSEED``) and its fields.  It is computed on
+    first use and kept, so a dict lookup does not walk the subtree each
     time.  ``str`` hashes are seeded per process, so the kept hash must not
     be pickled; dataclass pickles a frozen slotted node as its fields alone,
-    and an unpickled node computes its hash afresh."""
+    and an unpickled node computes its hash afresh.
+    """
 
     __slots__ = ("_hash",)
 
@@ -126,48 +117,64 @@ class _Composite(Concept):
         try:
             return self._hash
         except AttributeError:
-            value = hash(tuple(getattr(self, name) for name in self.__match_args__))
+            fields = (getattr(self, name) for name in self.__match_args__)
+            value = hash((type(self).__name__, *fields))
             object.__setattr__(self, "_hash", value)
             return value
 
 
-@dataclass(frozen=True, slots=True)
-class Not(_Composite):
+def _node(cls):
+    """Make ``cls`` a frozen slotted dataclass that keeps the node hash;
+    dataclass would install a field hash of its own."""
+    cls = dataclass(frozen=True, slots=True)(cls)
+    cls.__hash__ = Concept.__hash__
+    return cls
+
+
+@_node
+class FeatureIs(Concept):
+    dim: str
+    value: int
+    var: int = 0
+
+
+@_node
+class Not(Concept):
     body: Concept
 
 
-@dataclass(frozen=True, slots=True)
-class And(_Composite):
+@_node
+class And(Concept):
     left: Concept
     right: Concept
 
 
-@dataclass(frozen=True, slots=True)
-class Or(_Composite):
+@_node
+class Or(Concept):
     left: Concept
     right: Concept
 
 
-@dataclass(frozen=True, slots=True)
-class Xor(_Composite):
+@_node
+class Xor(Concept):
     left: Concept
     right: Concept
 
 
-@dataclass(frozen=True, slots=True)
-class Implies(_Composite):
+@_node
+class Implies(Concept):
     left: Concept
     right: Concept
 
 
-@dataclass(frozen=True, slots=True)
-class Iff(_Composite):
+@_node
+class Iff(Concept):
     left: Concept
     right: Concept
 
 
-@dataclass(frozen=True, slots=True)
-class Quant(_Composite):
+@_node
+class Quant(Concept):
     """Quantifier binding one fresh variable over the displayed set.
 
     ``scope`` is "others" (every object except the target) or "all"
@@ -179,7 +186,7 @@ class Quant(_Composite):
     body: Concept
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Rel(Concept):
     """Binary feature relation between two in-scope variables."""
 
@@ -188,7 +195,7 @@ class Rel(Concept):
     right: int
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class MajorityColor(Concept):
     """True iff the variable's color count strictly exceeds every other
     color count present in the set."""
@@ -196,7 +203,7 @@ class MajorityColor(Concept):
     var: int = 0
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class MinorityColor(Concept):
     """True iff the variable's color count is strictly below every other
     color count present in the set."""
@@ -204,35 +211,48 @@ class MinorityColor(Concept):
     var: int = 0
 
 
-# dataclass gives each class its own field hash; take the kept one instead.
-for _node in (Not, And, Or, Xor, Implies, Iff, Quant):
-    _node.__hash__ = _Composite.__hash__
+@_node
+class Hole(Concept):
+    """A grammar nonterminal occurrence inside a production template."""
+
+    nonterminal: str
+
+
+def parts(concept: Concept) -> tuple[tuple[Concept, ...], int, tuple[int, ...], bool]:
+    """The node's shape as ``(children, binds, refs, reads_set)``.
+
+    ``children`` are its sub-concepts in field order; each sits under
+    ``binds`` more binders than the node itself (1 below a quantifier, 0
+    elsewhere).  ``refs`` are the node's own variable references.
+    ``reads_set`` holds when its value depends on objects its references do
+    not name: a quantifier ranges over the set, and the majority and
+    minority tests count its colors.
+    """
+    if isinstance(concept, FeatureIs):
+        return (), 0, (concept.var,), False
+    if isinstance(concept, (And, Or, Xor, Implies, Iff)):
+        return (concept.left, concept.right), 0, (), False
+    if isinstance(concept, Not):
+        return (concept.body,), 0, (), False
+    if isinstance(concept, Quant):
+        return (concept.body,), 1, (), True
+    if isinstance(concept, Rel):
+        return (), 0, (concept.left, concept.right), False
+    if isinstance(concept, (MajorityColor, MinorityColor)):
+        return (), 0, (concept.var,), True
+    if isinstance(concept, Hole):
+        return (), 0, (), False
+    raise DslError(f"not a concept node: {concept!r}")
 
 
 def size(concept: Concept) -> int:
     """Node count of the AST."""
-    if isinstance(concept, (FeatureIs, Rel, MajorityColor, MinorityColor)):
-        return 1
-    if isinstance(concept, Not):
-        return 1 + size(concept.body)
-    if isinstance(concept, Quant):
-        return 1 + size(concept.body)
-    if isinstance(concept, (And, Or, Xor, Implies, Iff)):
-        return 1 + size(concept.left) + size(concept.right)
-    raise DslError(f"not a concept node: {concept!r}")
+    return 1 + sum(map(size, parts(concept)[0]))
 
 
 def depth(concept: Concept) -> int:
     """Maximum nesting depth of the AST."""
-    if isinstance(concept, (FeatureIs, Rel, MajorityColor, MinorityColor)):
-        return 1
-    if isinstance(concept, Not):
-        return 1 + depth(concept.body)
-    if isinstance(concept, Quant):
-        return 1 + depth(concept.body)
-    if isinstance(concept, (And, Or, Xor, Implies, Iff)):
-        return 1 + max(depth(concept.left), depth(concept.right))
-    raise DslError(f"not a concept node: {concept!r}")
+    return 1 + max(map(depth, parts(concept)[0]), default=0)
 
 
 def max_var_excess(concept: Concept, binders: int = 0) -> int:
@@ -241,39 +261,21 @@ def max_var_excess(concept: Concept, binders: int = 0) -> int:
     0 means every reference resolves to a binder or the implicit target;
     anything positive is an unbound reference.
     """
-    if isinstance(concept, FeatureIs):
-        return max(0, concept.var - binders)
-    if isinstance(concept, (MajorityColor, MinorityColor)):
-        return max(0, concept.var - binders)
-    if isinstance(concept, Rel):
-        return max(0, concept.left - binders, concept.right - binders)
-    if isinstance(concept, Not):
-        return max_var_excess(concept.body, binders)
-    if isinstance(concept, Quant):
-        return max_var_excess(concept.body, binders + 1)
-    if isinstance(concept, (And, Or, Xor, Implies, Iff)):
-        return max(
-            max_var_excess(concept.left, binders),
-            max_var_excess(concept.right, binders),
-        )
-    raise DslError(f"not a concept node: {concept!r}")
+    children, binds, refs, _reads_set = parts(concept)
+    inner = binders + binds
+    return max(
+        [0, *(ref - binders for ref in refs), *(max_var_excess(c, inner) for c in children)]
+    )
 
 
 def is_target_only(concept: Concept) -> bool:
     """True when the concept's truth value depends only on the target object.
 
-    Holds for quantifier- and relation-free concepts; used to shortcut
-    equivalence checking to single-object contexts.
+    Holds when no node reads the set and every reference is the target;
+    used to shortcut equivalence checking to single-object contexts.
     """
-    if isinstance(concept, FeatureIs):
-        return concept.var == 0
-    if isinstance(concept, (Rel, Quant, MajorityColor, MinorityColor)):
-        return False
-    if isinstance(concept, Not):
-        return is_target_only(concept.body)
-    if isinstance(concept, (And, Or, Xor, Implies, Iff)):
-        return is_target_only(concept.left) and is_target_only(concept.right)
-    raise DslError(f"not a concept node: {concept!r}")
+    children, _binds, refs, reads_set = parts(concept)
+    return not reads_set and all(ref == 0 for ref in refs) and all(map(is_target_only, children))
 
 
 def _resolve(var: int, env: tuple[int, ...], target: int) -> int:

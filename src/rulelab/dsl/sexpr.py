@@ -27,6 +27,7 @@ from .core import (
     DslError,
     FeatureIs,
     FeatureVocab,
+    Hole,
     Iff,
     Implies,
     MajorityColor,

@@ -117,6 +117,11 @@ def fit_noise(
         prepared.append((classes, keep))
         human_chunks.append(np.array([p for p in proportions if p is not None], dtype=float))
     human = np.concatenate(human_chunks)
+    if np.unique(human).size < 2:
+        raise ValueError(
+            "the human proportions are constant, so no grid point can produce "
+            "a defined correlation"
+        )
 
     scored = [
         (r2, alpha, beta) for alpha, beta, r2 in _grid_r2(prepared, human, grid) if r2 is not None

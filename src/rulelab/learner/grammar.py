@@ -20,19 +20,17 @@ from ..dsl import (
     And,
     Concept,
     DslError,
-    FeatureIs,
     FeatureVocab,
     Iff,
     Implies,
-    MajorityColor,
-    MinorityColor,
     Not,
     Or,
     Quant,
-    Rel,
     UnboundVariableError,
     Xor,
+    parts,
 )
+from ..dsl.core import Hole
 from ..dsl.sexpr import parse_template
 from ..exemplars.lists import write_json
 
@@ -41,23 +39,12 @@ class GrammarError(DslError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class Hole(Concept):
-    """A nonterminal occurrence inside a production template."""
-
-    nonterminal: str
-
-
 def _template_parts(template: Concept, depth: int = 0):
     """Yield (node, binder depth) for every node of a template, holes included."""
     yield template, depth
-    if isinstance(template, Not):
-        yield from _template_parts(template.body, depth)
-    elif isinstance(template, Quant):
-        yield from _template_parts(template.body, depth + 1)
-    elif isinstance(template, (And, Or, Xor, Implies, Iff)):
-        yield from _template_parts(template.left, depth)
-        yield from _template_parts(template.right, depth)
+    children, binds, _refs, _reads_set = parts(template)
+    for child in children:
+        yield from _template_parts(child, depth + binds)
 
 
 @dataclass(frozen=True)
@@ -87,17 +74,6 @@ class Production:
         return sum(
             1 for node, _depth in _template_parts(self.template) if not isinstance(node, Hole)
         )
-
-    def max_var_reach(self) -> int:
-        """Largest (var index - local binder depth) over the template's
-        variable references; bounds how many outer binders it needs."""
-        reach = -1
-        for node, depth in _template_parts(self.template):
-            if isinstance(node, (FeatureIs, MajorityColor, MinorityColor)):
-                reach = max(reach, node.var - depth)
-            elif isinstance(node, Rel):
-                reach = max(reach, node.left - depth, node.right - depth)
-        return reach
 
 
 def substitute(template: Concept, fills: list[Concept]) -> Concept:
@@ -205,7 +181,9 @@ class Grammar:
         for production in self.productions:
             if production.lhs not in min_depth:
                 continue  # unreachable from start; harmless
-            reach = production.max_var_reach()
+            # How many binders outside the template its references need.
+            walk = _template_parts(production.template)
+            reach = max((ref - depth for node, depth in walk for ref in parts(node)[2]), default=-1)
             if reach > min_depth[production.lhs]:
                 raise UnboundVariableError(
                     f"production {production.lhs} -> {production.source!r} references a "

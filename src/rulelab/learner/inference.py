@@ -133,20 +133,21 @@ def enumerate_hypotheses(
         else:
             cell[concept] = log_p
 
-    merged: dict[Concept, float] = {}
+    rows: list[tuple[str, Concept, float]] = []
     for target_size in range(1, max_size + 1):
-        for concept, log_p in exact(grammar.start, target_size).items():
-            _accumulate(merged, concept, log_p)
-        if len(merged) > max_hypotheses:
+        # A concept has one size, so the cells of the sizes are disjoint and
+        # are taken here in size order.
+        cell = exact(grammar.start, target_size)
+        if len(rows) + len(cell) > max_hypotheses:
             raise HypothesisBudgetError(
                 f"more than {max_hypotheses} hypotheses at size {target_size}"
             )
-    rows = sorted(
-        (((concept_size(c), print_concept(c, grammar.vocab)), c, lp) for c, lp in merged.items()),
-        key=lambda row: row[0],
-    )
-    hypotheses = HypothesisList((concept, log_p) for _key, concept, log_p in rows)
-    hypotheses.printed = [key[1] for key, _concept, _log_p in rows]
+        rows += sorted(
+            ((print_concept(c, grammar.vocab), c, lp) for c, lp in cell.items()),
+            key=lambda row: row[0],
+        )
+    hypotheses = HypothesisList((concept, log_p) for _printed, concept, log_p in rows)
+    hypotheses.printed = [printed for printed, _concept, _log_p in rows]
     return hypotheses
 
 

@@ -3,11 +3,16 @@
 import csv
 import dataclasses
 import json
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import rulelab
 from rulelab.catalog import DEMO_RULES, write_rules_manifest
 from rulelab.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
 from rulelab.dsl import evaluate, parse_concept
@@ -44,6 +49,15 @@ def test_missing_config_is_config_error(tmp_path):
 def test_config_with_unknown_keys_rejected(tmp_path):
     (tmp_path / "config.json").write_text(json.dumps({"rules": "r", "surprise": 1}))
     assert main(["gen", "--config", str(tmp_path / "config.json")]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("key", ["rules", "lists_dir", "output_dir"])
+def test_a_null_required_path_is_a_config_error(workspace, capsys, key):
+    config = json.loads((workspace / "config.json").read_text())
+    config[key] = None
+    (workspace / "config.json").write_text(json.dumps(config))
+    assert run(workspace, "gen") == EXIT_CONFIG
+    assert f"config key {key!r} is required and must not be null" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("section, key, value", [
@@ -848,6 +862,21 @@ def test_fit_noise_over_its_hypothesis_budget_is_a_data_error(every_input, capsy
     assert not (every_input / "out" / "reports" / "noise_fit.json").exists()
 
 
+def test_fit_noise_on_constant_human_proportions_is_a_data_error(workspace, capsys):
+    run(workspace, "gen")
+    _write_human_csv(workspace, ["blue", "not-circle"])
+    lines = (workspace / "humans.csv").read_text().splitlines()
+    answers = [lines[0]] + [row.rsplit(",", 1)[0] + ",True" for row in lines[1:]]
+    (workspace / "humans.csv").write_text("\n".join(answers) + "\n")
+    config = json.loads((workspace / "config.json").read_text())
+    config["learner"]["max_size"] = 2
+    (workspace / "config.json").write_text(json.dumps(config))
+    capsys.readouterr()
+    assert run(workspace, "fit-noise") == EXIT_DATA
+    assert "the human proportions are constant" in capsys.readouterr().err
+    assert not (workspace / "out" / "reports" / "noise_fit.json").exists()
+
+
 def test_split_partitions_manifest(workspace):
     assert run(workspace, "split", "--held-out", "2") == EXIT_OK
     manifest = workspace / "out" / "splits" / "split_seed11_held2.json"
@@ -893,12 +922,23 @@ def test_fit_noise_end_to_end(workspace):
 def test_pipeline_outputs_are_byte_identical_across_workspaces(tmp_path):
     """gen -> run (plot) -> grade -> report, twice from the same config in two
     fresh workspaces: every file written, manifests and posterior traces
-    included, is byte-identical."""
+    included, is byte-identical.  The second workspace runs the CLI in a
+    subprocess under another string hash seed, so no output may depend on
+    the order of a set or on a hash value."""
     rules = [r for r in DEMO_RULES if r.rule_id in (
         "blue", "circle-or-blue", "exists-triangle", "same-color-as-another",
     )]
+    src = str(Path(rulelab.__file__).resolve().parents[1])
+    hash_seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+
+    def in_subprocess(workspace, *argv) -> int:
+        command = [sys.executable, "-m", "rulelab.cli", argv[0],
+                   "--config", str(workspace / "config.json"), *argv[1:]]
+        return subprocess.run(command, env=env, capture_output=True, timeout=300).returncode
+
     outputs = []
-    for name in ("first", "second"):
+    for name, command in (("first", run), ("second", in_subprocess)):
         workspace = tmp_path / name
         workspace.mkdir()
         write_rules_manifest(rules, workspace / "rules.json")
@@ -906,12 +946,12 @@ def test_pipeline_outputs_are_byte_identical_across_workspaces(tmp_path):
             "rules": "rules.json", "lists_dir": "out/lists", "output_dir": "out", "seed": 11,
             "learner": {"max_size": 3, "alpha": 0.95, "beta": 0.5}, "subsamples": 200,
         }))
-        assert run(workspace, "gen") == EXIT_OK
+        assert command(workspace, "gen") == EXIT_OK
         _write_human_csv(workspace, [r.rule_id for r in rules])
         run_dir = workspace / "out" / "runs" / "plot"
-        assert run(workspace, "run", "--engine", "plot") == EXIT_OK
-        assert run(workspace, "grade", "--elicited", str(run_dir), "--series-dir", str(run_dir)) == EXIT_OK
-        assert run(workspace, "report", "--series", f"plot={run_dir}") == EXIT_OK
+        assert command(workspace, "run", "--engine", "plot") == EXIT_OK
+        assert command(workspace, "grade", "--elicited", str(run_dir), "--series-dir", str(run_dir)) == EXIT_OK
+        assert command(workspace, "report", "--series", f"plot={run_dir}") == EXIT_OK
         out = workspace / "out"
         outputs.append({
             str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()

@@ -17,9 +17,14 @@ from rulelab.dsl import (
     DslError,
     FeatureIs,
     FeatureVocab,
+    Iff,
+    Implies,
+    MajorityColor,
+    MinorityColor,
     Not,
     Obj,
     Or,
+    Xor,
     depth,
     evaluate,
     is_target_only,
@@ -159,6 +164,8 @@ def test_is_target_only():
     assert is_target_only(parse_concept("(and (is-color blue) (not (is-shape circle)))", V))
     assert not is_target_only(parse_concept("(exists others (is-color blue 0))", V))
     assert not is_target_only(parse_concept("(majority-color)", V))
+    # Outside any quantifier both variables of a relation are the target.
+    assert is_target_only(parse_concept("(same-color 0 0)", V))
 
 
 # Concepts of every composite kind, each built twice from text.
@@ -179,9 +186,21 @@ def test_equal_concepts_built_apart_hash_equal(text):
     hash(a)  # keep a's hash; b computes its own
     assert hash(a) == hash(b)
     assert {a: 1}[b] == 1
-    # The kept hash is the field hash dataclass would give.
+    # The kept hash is the hash of the node's kind and fields.
     fields = tuple(getattr(a, name) for name in a.__match_args__)
-    assert hash(a) == hash(fields)
+    assert hash(a) == hash((type(a).__name__, *fields))
+
+
+def test_hashes_tell_node_kinds_apart():
+    from rulelab.learner import default_grammar, enumerate_hypotheses
+
+    concepts = [concept for concept, _log_prior in enumerate_hypotheses(default_grammar(V), 4)]
+    assert len(concepts) == 9_568
+    assert len({hash(concept) for concept in concepts}) == 9_568
+    left, right = parse_concept("(is-color blue)", V), parse_concept("(is-shape circle)", V)
+    binary = [node(left, right) for node in (And, Or, Xor, Implies, Iff)]
+    assert len({hash(concept) for concept in binary}) == 5
+    assert hash(MajorityColor(0)) != hash(MinorityColor(0))
 
 
 def test_pickled_concept_rehashes_under_another_hash_seed(tmp_path):

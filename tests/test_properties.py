@@ -1,9 +1,29 @@
-"""Pointwise logical identities over random concepts and contexts."""
+"""Pointwise logical identities over random concepts and contexts, and the
+AST folds checked against the printed form."""
 
+import pytest
 from hypothesis import given, settings
 
 from conftest import concept_strategy, context_strategy
-from rulelab.dsl import And, Iff, Implies, Not, Or, Quant, Xor, evaluate
+from rulelab.catalog import DEFAULT_VOCAB as V
+from rulelab.dsl import (
+    And,
+    Context,
+    Iff,
+    Implies,
+    Not,
+    Or,
+    Quant,
+    UnboundVariableError,
+    Xor,
+    depth,
+    evaluate,
+    is_target_only,
+    max_var_excess,
+    parse_concept,
+    print_concept,
+    size,
+)
 
 
 @settings(max_examples=300, deadline=None)
@@ -39,3 +59,34 @@ def test_double_negation_and_commutativity(a, b, ctx):
     assert evaluate(Not(Not(a)), ctx) == evaluate(a, ctx)
     assert evaluate(And(a, b), ctx) == evaluate(And(b, a), ctx)
     assert evaluate(Or(a, b), ctx) == evaluate(Or(b, a), ctx)
+
+
+@settings(max_examples=300, deadline=None)
+@given(concept_strategy(max_budget=9))
+def test_size_and_depth_count_the_printed_parens(concept):
+    text = print_concept(concept, V)
+    assert size(concept) == text.count("(")
+    nesting, deepest = 0, 0
+    for char in text:
+        nesting += {"(": 1, ")": -1}.get(char, 0)
+        deepest = max(deepest, nesting)
+    assert depth(concept) == deepest
+
+
+@settings(max_examples=300, deadline=None)
+@given(concept_strategy(max_budget=7, binders=2))
+def test_max_var_excess_is_zero_exactly_when_the_parser_binds_every_variable(concept):
+    text = print_concept(concept, V)
+    if max_var_excess(concept) == 0:
+        parse_concept(text, V)
+    else:
+        with pytest.raises(UnboundVariableError):
+            parse_concept(text, V)
+
+
+@settings(max_examples=300, deadline=None)
+@given(concept_strategy(), context_strategy())
+def test_a_target_only_concept_sees_only_the_target(concept, ctx):
+    if is_target_only(concept):
+        alone = Context((ctx.objects[ctx.target],), 0)
+        assert evaluate(concept, ctx) == evaluate(concept, alone)
