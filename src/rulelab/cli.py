@@ -150,6 +150,7 @@ _POSITIVE = (lambda v: isinstance(v, int) and v >= 1, "a positive integer")
 _UNIT = (lambda v: isinstance(v, (int, float)) and 0.0 <= v <= 1.0, "a number in [0, 1]")
 _STEP = (lambda v: isinstance(v, (int, float)) and 0.0 < v <= 1.0, "a number in (0, 1]")
 _SEED = (lambda v: v is None or isinstance(v, int), "an integer")
+_PATH = (lambda v: v is None or isinstance(v, str), "a path string")
 
 
 def _read(name: str, path: Path, reader):
@@ -168,6 +169,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as error:
         raise ConfigError(f"config {path} is not valid JSON: {error}") from error
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config {path} must hold a JSON object")
 
     known = {
         "rules", "lists_dir", "output_dir", "vocab", "seed", "endpoint",
@@ -180,6 +183,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
     for required in ("rules", "lists_dir", "output_dir"):
         if doc.get(required) is None:
             raise ConfigError(f"config key {required!r} is required and must not be null")
+    for key in ("rules", "lists_dir", "output_dir", "vocab", "endpoint", "human_data"):
+        _checked(doc, key, None, *_PATH)
 
     base = path.parent
 
@@ -188,14 +193,14 @@ def load_config(path: str | Path) -> ExperimentConfig:
             return None
         return (base / doc[key]).resolve() if not Path(doc[key]).is_absolute() else Path(doc[key])
 
-    learner_doc = doc.get("learner", {})
+    learner_doc = _checked(doc, "learner", {}, lambda v: isinstance(v, dict), "an object")
     unknown = set(learner_doc) - {
         "grammar", "max_size", "alpha", "beta", "engine", "mh_iterations",
         "seed", "max_hypotheses",
     }
     if unknown:
         raise ConfigError(f"unknown learner config keys: {sorted(unknown)}")
-    grammar = learner_doc.get("grammar")
+    grammar = _checked(learner_doc, "grammar", None, *_PATH, "learner.")
     if grammar is not None and not Path(grammar).is_absolute():
         grammar = str((base / grammar).resolve())
     learner = LearnerSettings(
@@ -483,6 +488,12 @@ def cmd_grade(config: ExperimentConfig, elicited_path: Path, series_dir: Path | 
             continue
         if isinstance(sources, dict):
             sources = sources.get("per_set", [])
+        if not isinstance(sources, list) or not all(
+            source is None or isinstance(source, str) for source in sources
+        ):
+            failures.append((rule_id, f"elicited entry must be a list of printed rules "
+                                      f"or nulls, got {sources!r}"))
+            continue
         series_path = series_dir / f"{rule_id}.series.json" if series_dir is not None else None
         try:
             series = load_series(series_path) if series_path and series_path.exists() else None

@@ -6,9 +6,10 @@ vocabulary's object universe, for every choice of target.  Contexts equal
 as multisets-with-target are enumerated once: the target is placed at
 position 0 and the remaining objects form a sorted multiset, which is
 sound because evaluation never depends on the order of non-target objects.
-The full check evaluates both concepts over that universe as
+The check evaluates both concepts over that universe as
 :class:`~rulelab.dsl.batch.ContextBatch` blocks, one per set size, in
-fixed-size chunks, and stops at the first chunk where they differ.
+fixed-size chunks, and stops at the first chunk where they differ; for
+two concepts that read only the target object it stops after set size 1.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Iterator
 import numpy as np
 
 from .batch import MAX_OBJECTS, ContextBatch, evaluate_batch, feature_dtype
-from .core import Concept, Context, DslError, FeatureVocab, Obj, evaluate, is_target_only
+from .core import Concept, Context, DslError, FeatureVocab, Obj, is_target_only
 
 # Contexts per evaluated chunk of the universe: bounds the memory of one
 # comparison and lets a difference end the walk early.
@@ -104,18 +105,16 @@ def equivalent(
     if a == b:
         return True
     if is_target_only(a) and is_target_only(b):
-        # Truth depends only on the target object: single-object contexts
-        # cover the whole universe of behaviors.
-        return all(
-            evaluate(a, ctx) == evaluate(b, ctx)
-            for obj in object_universe(vocab)
-            for ctx in (Context((obj,), 0),)
-        )
-    total = count_contexts(vocab, max_set_size)
-    if total > max_contexts:
-        raise ContextBudgetError(
-            f"{total} contexts exceed the cap of {max_contexts}; lower max_set_size"
-        )
+        # Truth depends only on the target object: the one-object contexts
+        # cover the whole universe of behaviors, so neither the budget nor
+        # the set-size bound applies.
+        max_set_size = 1
+    else:
+        total = count_contexts(vocab, max_set_size)
+        if total > max_contexts:
+            raise ContextBudgetError(
+                f"{total} contexts exceed the cap of {max_contexts}; lower max_set_size"
+            )
     # Smallest sets first: most differences show there, before the larger
     # blocks are built or evaluated.
     for set_size in range(1, max_set_size + 1):

@@ -110,8 +110,6 @@ class _Parser:
             if self.template_mode:
                 # A bare atom in concept position names a grammar
                 # nonterminal; grammar validation rejects unknown ones.
-                from ..learner.grammar import Hole
-
                 return Hole(token.text)
             raise ConceptSyntaxError(
                 f"expected '(' opening a concept, found {token.text!r}", token.position

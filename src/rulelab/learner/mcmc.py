@@ -8,7 +8,9 @@ cancel against the proposal density and the acceptance ratio reduces to
 
 Passing ``max_size`` rejects proposals whose concept exceeds the bound, so
 the chain targets the same truncated posterior that exact enumeration
-normalizes over.
+normalizes over.  A concept's likelihood comes from the exact engine's
+kernel (:mod:`rulelab.learner.inference`) applied to its one truth row, so
+every score is bitwise the per-object reference sum, for any (alpha, beta).
 """
 
 from __future__ import annotations
@@ -29,10 +31,10 @@ from .inference import (
     NoiseParams,
     Observation,
     PosteriorState,
-    SetPrediction,
-    _flatten_list,
-    _likelihood_factors,
-    _predictive,
+    _boundary_log_likelihood,
+    _cells,
+    _list_objects,
+    _set_prediction,
     map_rule,
 )
 
@@ -42,16 +44,14 @@ MAX_BURN_IN = 1000  # untallied steps at the head of a chain, at most a tenth of
 class _TruthRows:
     """Each concept's truth row over a batch of labelled objects, evaluated
     once and kept with the concept's log-likelihood of the objects before
-    each boundary in ``offsets``.  The logs of the four factor values are
-    gathered through the row's (agrees, label) cells and added in object
-    order, so each score is bitwise the per-object sum of log factors."""
+    each boundary in ``offsets``, scored by the exact engine's kernel
+    (:func:`~rulelab.learner.inference._boundary_log_likelihood`), so each
+    score is bitwise the per-object sum of log factors."""
 
     def __init__(
         self, batch: ContextBatch, gold: np.ndarray, offsets: list[int], noise: NoiseParams
     ):
-        self.batch, self.gold, self.offsets = batch, gold, offsets
-        factors = _likelihood_factors(noise).tolist()
-        self.log_factors = np.array([math.log(f) if f > 0.0 else -math.inf for f in factors])
+        self.batch, self.gold, self.offsets, self.noise = batch, gold, offsets, noise
         self.rows: dict[Concept, tuple[np.ndarray, list[float]]] = {}
 
     def __getitem__(self, concept: Concept) -> tuple[np.ndarray, list[float]]:
@@ -59,9 +59,9 @@ class _TruthRows:
         found = self.rows.get(concept)
         if found is None:
             row = evaluate_batch([concept], self.batch)[0]
-            cumulative = np.zeros(len(row) + 1)  # entry j: the first j objects
-            np.cumsum(self.log_factors[2 * (row == self.gold) + self.gold], out=cumulative[1:])
-            found = self.rows[concept] = (row, cumulative[self.offsets].tolist())
+            cells = _cells(row[None], self.gold)
+            scores = _boundary_log_likelihood(cells, self.offsets, self.noise)
+            found = self.rows[concept] = (row, scores[:, 0].tolist())
         return found
 
 
@@ -130,13 +130,9 @@ def _chain(
             if max_size is None or derivation.concept_size() <= max_size:
                 return derivation
 
-    likelihood_cache: dict[Concept, float] = {}
-
     def scored(derivation: Derivation) -> tuple[Concept, float]:
         concept = derivation.concept()
-        if concept not in likelihood_cache:
-            likelihood_cache[concept] = rows[concept][1][boundary]
-        return concept, likelihood_cache[concept]
+        return concept, rows[concept][1][boundary]
 
     current = fresh_state()
     current_concept, current_ll = scored(current)
@@ -170,7 +166,7 @@ def _chain(
         HypothesisEntry(
             concept=concept,
             log_prior=float("nan"),
-            log_likelihood=likelihood_cache[concept],
+            log_likelihood=rows[concept][1][boundary],
             log_weight=math.log(count / total),
         )
         for concept, count in sorted(counts.items(), key=lambda item: -item[1])
@@ -195,8 +191,9 @@ def run_mh(
     chain reads one set of truth rows over the whole list, so each concept
     any chain meets is evaluated once per run.
     """
-    rows = _TruthRows(*_flatten_list(exemplar_list), noise)
-    offsets = rows.offsets
+    contexts, gold, offsets = _list_objects(exemplar_list)
+    batch = ContextBatch.from_contexts(contexts, exemplar_list.vocab)
+    rows = _TruthRows(batch, gold, offsets, noise)
     n_sets = len(exemplar_list.sets)
     per_set = []
     for set_index in range(n_sets):
@@ -204,15 +201,7 @@ def run_mh(
         start, end = offsets[set_index], offsets[set_index + 1]
         log_weights = np.array([entry.log_weight for entry in state.entries])
         truth = np.array([rows[entry.concept][0][start:end] for entry in state.entries])
-        predictive = _predictive(log_weights, truth, noise).tolist()
-        per_set.append(
-            SetPrediction(
-                set_index=set_index,
-                map_concept=map_rule(state),
-                p_true=tuple(predictive),
-                labels=tuple(p > 0.5 for p in predictive),
-            )
-        )
+        per_set.append(_set_prediction(set_index, map_rule(state), log_weights, truth, noise))
     final_state = _chain(grammar, rows, n_sets, iterations, seed + n_sets, max_size)
     return LearnerRun(
         rule_id=exemplar_list.rule_id, per_set=tuple(per_set), final_map=map_rule(final_state)

@@ -2,9 +2,13 @@
 
 It scores a hypothesis one labelled object at a time with
 :func:`rulelab.dsl.evaluate`, the DSL's reference semantics.  The library
-scores from truth rows instead (:func:`rulelab.dsl.evaluate_batch`):
-enumeration through :func:`rulelab.learner.posterior_by_set`, MH through the
-rows each run keeps.  Tests compare the two.
+scores from truth rows instead (:func:`rulelab.dsl.evaluate_batch`), with
+one kernel for exact enumeration (:func:`rulelab.learner.posterior_by_set`)
+and MH (the rows each run keeps).  The kernel takes ``math.log`` of the same
+factor values as :func:`observation_log_factor` and adds the logs in the
+same object order as :func:`log_likelihood`, so every library score equals
+the reference sum here bit for bit, for any (alpha, beta).  Tests compare
+the two.
 
 The noise model: with probability ``alpha`` an observed label follows the
 hypothesis; otherwise it is drawn from a baseline that emits True with

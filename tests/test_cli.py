@@ -597,6 +597,36 @@ def test_grade_a_truncated_run_file_fails_only_its_rule(workspace, capsys, kind)
     assert _rule_ids(workspace / "out" / "reports" / "grading_summary.csv") == _OTHER_RULES
 
 
+_WRONG_SHAPE = "elicited entry must be a list of printed rules or nulls, got "
+
+
+@pytest.mark.parametrize("entry, shown", [
+    (5, "5"), ([1, 2], "[1, 2]"), ({"per_set": 5}, "5"), ("(is-color blue)", "'(is-color blue)'"),
+], ids=["number", "numbers", "per-set-number", "string"])
+def test_grade_a_wrong_shaped_elicited_entry_fails_only_its_rule(workspace, capsys, entry, shown):
+    run(workspace, "gen")
+    rules = json.loads((workspace / "rules.json").read_text())["rules"]
+    elicited = {row["id"]: [row["source"]] * 25 for row in rules}
+    elicited["blue"] = entry
+    (workspace / "elicited.json").write_text(json.dumps(elicited))
+    capsys.readouterr()
+    assert run(workspace, "grade", "--elicited", str(workspace / "elicited.json")) == EXIT_DATA
+    assert f"rule 'blue' failed: {_WRONG_SHAPE}{shown}" in capsys.readouterr().err
+    assert _rule_ids(workspace / "out" / "reports" / "grading_summary.csv") == _OTHER_RULES
+
+
+def test_grade_a_run_file_with_a_wrong_shaped_per_set_fails_only_its_rule(workspace, capsys):
+    run(workspace, "gen")
+    run(workspace, "run", "--engine", "plot")
+    run_dir = workspace / "out" / "runs" / "plot"
+    bad = run_dir / "blue.elicited.json"
+    bad.write_text(json.dumps({**json.loads(bad.read_text()), "per_set": 5}))
+    capsys.readouterr()
+    assert run(workspace, "grade", "--elicited", str(run_dir)) == EXIT_DATA
+    assert f"rule 'blue' failed: {_WRONG_SHAPE}5" in capsys.readouterr().err
+    assert _rule_ids(workspace / "out" / "reports" / "grading_summary.csv") == _OTHER_RULES
+
+
 def test_report_a_truncated_series_file_fails_only_its_rule(workspace, capsys):
     run(workspace, "gen")
     run(workspace, "run", "--engine", "plot")
@@ -744,6 +774,43 @@ def test_a_malformed_vocab_file_is_a_config_error(every_input, capsys, command):
     capsys.readouterr()
     assert _list_command(every_input, command) == EXIT_CONFIG
     assert "vocab.json is unreadable" in capsys.readouterr().err
+
+
+def _set_config_key(workspace, dotted_key, value):
+    config = json.loads((workspace / "config.json").read_text())
+    *section, key = dotted_key.split(".")
+    (config[section[0]] if section else config)[key] = value
+    (workspace / "config.json").write_text(json.dumps(config))
+
+
+@pytest.mark.parametrize("command", _EVERY_COMMAND)
+@pytest.mark.parametrize("key, value", [
+    ("rules", 5), ("lists_dir", ["lists"]), ("output_dir", {"dir": "out"}), ("vocab", 1.5),
+    ("endpoint", True), ("human_data", ["humans.csv"]), ("learner.grammar", 3),
+])
+def test_a_path_key_that_is_not_a_string_is_a_config_error(workspace, capsys, command,
+                                                            key, value):
+    _set_config_key(workspace, key, value)
+    assert _list_command(workspace, command) == EXIT_CONFIG
+    assert f"config error: {key} must be a path string, got {value!r}" in capsys.readouterr().err
+    assert not (workspace / "out").exists()
+
+
+@pytest.mark.parametrize("command", _EVERY_COMMAND)
+@pytest.mark.parametrize("value", [[], 5, "fast", None])
+def test_a_learner_that_is_not_an_object_is_a_config_error(workspace, capsys, command, value):
+    _set_config_key(workspace, "learner", value)
+    assert _list_command(workspace, command) == EXIT_CONFIG
+    assert f"config error: learner must be an object, got {value!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", _EVERY_COMMAND)
+@pytest.mark.parametrize("text", ["[1, 2]", '"rules.json"', "null"])
+def test_a_config_that_is_not_an_object_is_a_config_error(workspace, capsys, command, text):
+    path = workspace / "config.json"
+    path.write_text(text)
+    assert _list_command(workspace, command) == EXIT_CONFIG
+    assert f"config error: config {path} must hold a JSON object" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", _EVERY_COMMAND)

@@ -81,3 +81,32 @@ def test_reflexive(concept):
 @given(concept_strategy(max_budget=3), concept_strategy(max_budget=3))
 def test_symmetric(a, b):
     assert equivalent(a, b, V, max_set_size=2) == equivalent(b, a, V, max_set_size=2)
+
+
+def test_target_only_pairs_walk_one_object_contexts_in_a_batch(monkeypatch):
+    """Two concepts that read only the target are compared over the
+    one-object block by the batch evaluator, with no per-object
+    evaluate, no context budget and no set-size bound."""
+    import rulelab.dsl
+    from rulelab.dsl import core, equivalence
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-object evaluate called")
+
+    assert "evaluate" not in vars(equivalence)
+    monkeypatch.setattr(rulelab.dsl, "evaluate", refuse)
+    monkeypatch.setattr(core, "evaluate", refuse)
+    blocks = []
+    canonical_block = equivalence.canonical_block
+
+    def counting(vocab, set_size):
+        blocks.append(set_size)
+        return canonical_block(vocab, set_size)
+
+    monkeypatch.setattr(equivalence, "canonical_block", counting)
+    not_circle = parse_concept("(not (is-shape circle))", V)
+    triangle_or_rectangle = parse_concept("(or (is-shape triangle) (is-shape rectangle))", V)
+    blue = parse_concept("(is-color blue)", V)
+    assert equivalent(not_circle, triangle_or_rectangle, V, max_set_size=9, max_contexts=1)
+    assert not equivalent(not_circle, blue, V, max_set_size=9, max_contexts=1)
+    assert blocks == [1, 1]

@@ -9,7 +9,7 @@ import pytest
 
 from reference import PosteriorState, log_likelihood, posterior_predictive
 from rulelab.catalog import DEFAULT_VOCAB as V
-from rulelab.dsl import evaluate_batch, parse_concept
+from rulelab.dsl import ContextBatch, evaluate_batch, parse_concept
 from rulelab.exemplars import generate_list
 from rulelab.learner import (
     NoiseParams,
@@ -165,15 +165,17 @@ def test_entry_log_likelihood_is_the_reference_sum(noise):
 
 
 def test_truth_row_scores_are_the_reference_sums_bitwise():
-    from rulelab.learner.inference import _flatten_list
+    from rulelab.learner.inference import _list_objects
     from rulelab.learner.mcmc import _TruthRows
 
     exemplar_list = generate_list(EXACTLY_ONE_BLUE, V, seed=2, rule_id="one-blue")
     hypotheses = enumerate_hypotheses(default_grammar(V), 2)
+    contexts, gold, offsets = _list_objects(exemplar_list)
+    batch = ContextBatch.from_contexts(contexts, V)
     prefixes = (0, 1, 4, 25)
     for alpha, beta in ((0.0, 0.5), (1.0, 0.5), (0.95, 0.5), (0.85, 0.3), (0.5, 1.0), (0.7, 0.0)):
         noise = NoiseParams(alpha, beta)
-        rows = _TruthRows(*_flatten_list(exemplar_list), noise)
+        rows = _TruthRows(batch, gold, offsets, noise)
         for upto_set in prefixes:
             evidence = evidence_from_list(exemplar_list, upto_set=upto_set)
             for concept, _prior in hypotheses:
