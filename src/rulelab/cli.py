@@ -27,7 +27,16 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .catalog import DEFAULT_VOCAB, RuleSpec, read_rules_manifest
-from .dsl import DslError, FeatureVocab, load_vocab, parse_concept, print_concept
+from .dsl import (
+    MAX_CONTEXTS,
+    MAX_OBJECTS,
+    DslError,
+    FeatureVocab,
+    count_contexts,
+    load_vocab,
+    parse_concept,
+    print_concept,
+)
 from .exemplars import (
     ExemplarList,
     SubjectRecord,
@@ -222,6 +231,19 @@ def load_config(path: str | Path) -> ExperimentConfig:
         if file_path is not None and not file_path.exists():
             raise ConfigError(f"config {name!r} points at missing file {file_path}")
     vocab = DEFAULT_VOCAB if paths["vocab"] is None else _read("vocab", paths["vocab"], load_vocab)
+    grade_max_set_size = _checked(doc, "grade_max_set_size", 5, *_POSITIVE)
+    # grade's equivalence walk would fail on either bound only once it ran.
+    if grade_max_set_size > MAX_OBJECTS:
+        raise ConfigError(
+            f"grade_max_set_size must be at most {MAX_OBJECTS}, the largest displayed set, "
+            f"got {grade_max_set_size}"
+        )
+    contexts = count_contexts(vocab, grade_max_set_size)
+    if contexts > MAX_CONTEXTS:
+        raise ConfigError(
+            f"grade_max_set_size {grade_max_set_size} spans {contexts} contexts of this "
+            f"vocab, above the equivalence check's cap of {MAX_CONTEXTS}"
+        )
     return ExperimentConfig(
         path=path,
         rules=paths["rules"],
@@ -238,7 +260,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
         human_data=paths["human_data"],
         learner=learner,
         fit_grid_step=float(_checked(doc, "fit_grid_step", 0.05, *_STEP)),
-        grade_max_set_size=_checked(doc, "grade_max_set_size", 5, *_POSITIVE),
+        grade_max_set_size=grade_max_set_size,
         workers=_checked(doc, "workers", 1, *_POSITIVE),
         subsamples=_checked(doc, "subsamples", 10_000, *_POSITIVE),
     )

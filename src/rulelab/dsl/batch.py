@@ -95,23 +95,22 @@ class ContextBatch:
     def __len__(self) -> int:
         return len(self.target)
 
-    def __getitem__(self, rows: slice) -> "ContextBatch":
-        return ContextBatch(
-            self.features[rows],
-            self.present[rows],
-            self.target[rows],
-            self.others[rows],
-            self.color_counts[rows],
-        )
-
 
 def evaluate_batch(concepts: Sequence[Concept], batch: ContextBatch) -> np.ndarray:
     """Truth values as a ``bool[len(concepts), len(batch)]`` array: row ``i``
     column ``j`` is ``evaluate(concepts[i], context j)``."""
     evaluator = _Evaluator(batch)
+    memo = evaluator.memo
     out = np.empty((len(concepts), len(batch)), dtype=bool)
-    for i, concept in enumerate(concepts):
-        out[i] = evaluator.value(concept, 0)
+    for concept, row in zip(concepts, out):
+        found = memo.get((concept, 0))
+        if found is None:
+            # A later concept may hold this one as a subterm: the memo keeps
+            # its row of out, not a copy.
+            row[...] = evaluator._compute(concept, 0)
+            memo[concept, 0] = row
+        else:
+            row[...] = found
     return out
 
 

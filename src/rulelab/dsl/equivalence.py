@@ -6,15 +6,15 @@ vocabulary's object universe, for every choice of target.  Contexts equal
 as multisets-with-target are enumerated once: the target is placed at
 position 0 and the remaining objects form a sorted multiset, which is
 sound because evaluation never depends on the order of non-target objects.
-The check evaluates both concepts over that universe as
-:class:`~rulelab.dsl.batch.ContextBatch` blocks, one per set size, in
-fixed-size chunks, and stops at the first chunk where they differ; for
-two concepts that read only the target object it stops after set size 1.
+The check streams that universe as :class:`~rulelab.dsl.batch.ContextBatch`
+chunks of about ``_CHUNK_CONTEXTS`` contexts, smallest sets first
+(:func:`canonical_chunks`), holds one chunk at a time and stops at the
+first chunk where the two concepts differ; for two concepts that read only
+the target object it stops after set size 1.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from typing import Iterator
@@ -27,6 +27,9 @@ from .core import Concept, Context, DslError, FeatureVocab, Obj, is_target_only
 # Contexts per evaluated chunk of the universe: bounds the memory of one
 # comparison and lets a difference end the walk early.
 _CHUNK_CONTEXTS = 1 << 16
+
+# equivalent's default cap on the contexts of one walk.
+MAX_CONTEXTS = 2_000_000
 
 
 class ContextBudgetError(DslError):
@@ -58,32 +61,44 @@ def enumerate_contexts(vocab: FeatureVocab, max_set_size: int) -> Iterator[Conte
                 yield Context((target,) + rest, 0)
 
 
-@functools.lru_cache(maxsize=8)
-def canonical_block(vocab: FeatureVocab, set_size: int) -> ContextBatch:
+def canonical_chunks(vocab: FeatureVocab, set_size: int) -> Iterator[ContextBatch]:
     """The contexts of :func:`enumerate_contexts` that hold ``set_size``
-    objects, in the same order, as a read-only :class:`ContextBatch` built
-    from object-index arrays."""
+    objects, in the same order, as :class:`ContextBatch` chunks of about
+    ``_CHUNK_CONTEXTS`` contexts (every target for at least one multiset of
+    the other objects).
+
+    A chunk is the product of its rest-multisets and the targets, so its
+    arrays are filled by broadcasting; ``present``, ``others`` and
+    ``target`` are the same for every context of one set size and are
+    read-only broadcast views."""
     if not 1 <= set_size <= MAX_OBJECTS:
         raise DslError(f"set_size must lie in 1..{MAX_OBJECTS}, got {set_size}")
     table = np.array(
         [(o.size, o.color, o.shape) for o in object_universe(vocab)], dtype=feature_dtype(vocab)
     )
     n_universe = len(table)
-    id_dtype = np.min_scalar_type(n_universe)
-    combos = list(itertools.combinations_with_replacement(range(n_universe), set_size - 1))
-    rest = np.array(combos, dtype=id_dtype).reshape(len(combos), set_size - 1)
-    ids = np.zeros((len(rest) * n_universe, MAX_OBJECTS), dtype=id_dtype)
-    ids[:, 0] = np.tile(np.arange(n_universe, dtype=id_dtype), len(rest))
-    ids[:, 1:set_size] = np.repeat(rest, n_universe, axis=0)
-    batch = ContextBatch.from_arrays(
-        table[ids],
-        np.full(len(ids), set_size, dtype=np.uint8),
-        np.zeros(len(ids), dtype=np.uint8),
-        vocab,
-    )
-    for array in (batch.features, batch.present, batch.target, batch.others, batch.color_counts):
-        array.flags.writeable = False
-    return batch
+    one_hot = np.eye(len(vocab.colors), dtype=np.uint8)[table[:, 1]]  # (n_universe, n_colors)
+    slots = np.arange(MAX_OBJECTS)
+    present = slots < set_size
+    others = present & (slots != 0)
+    combos = itertools.combinations_with_replacement(range(n_universe), set_size - 1)
+    rests_per_chunk = max(1, _CHUNK_CONTEXTS // n_universe)
+    while True:
+        rest = np.array(list(itertools.islice(combos, rests_per_chunk)), dtype=np.intp)
+        if not len(rest):
+            return
+        n = len(rest) * n_universe
+        features = np.zeros((len(rest), n_universe, MAX_OBJECTS, 3), dtype=table.dtype)
+        features[:, :, 0] = table
+        features[:, :, 1:set_size] = table[rest][:, None]
+        color_counts = one_hot[rest].sum(axis=1, dtype=np.uint8)[:, None] + one_hot
+        yield ContextBatch(
+            features.reshape(n, MAX_OBJECTS, 3),
+            np.broadcast_to(present, (n, MAX_OBJECTS)),
+            np.broadcast_to(np.uint8(0), (n,)),
+            np.broadcast_to(others, (n, MAX_OBJECTS)),
+            color_counts.reshape(n, len(vocab.colors)),
+        )
 
 
 def equivalent(
@@ -91,7 +106,7 @@ def equivalent(
     b: Concept,
     vocab: FeatureVocab,
     max_set_size: int = 5,
-    max_contexts: int = 2_000_000,
+    max_contexts: int = MAX_CONTEXTS,
 ) -> bool:
     """Decide truth-functional equivalence over the bounded universe.
 
@@ -116,11 +131,10 @@ def equivalent(
                 f"{total} contexts exceed the cap of {max_contexts}; lower max_set_size"
             )
     # Smallest sets first: most differences show there, before the larger
-    # blocks are built or evaluated.
+    # chunks are built or evaluated.
     for set_size in range(1, max_set_size + 1):
-        block = canonical_block(vocab, set_size)
-        for start in range(0, len(block), _CHUNK_CONTEXTS):
-            truth = evaluate_batch((a, b), block[start:start + _CHUNK_CONTEXTS])
+        for chunk in canonical_chunks(vocab, set_size):
+            truth = evaluate_batch((a, b), chunk)
             if not np.array_equal(truth[0], truth[1]):
                 return False
     return True

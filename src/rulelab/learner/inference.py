@@ -16,6 +16,7 @@ is bitwise the per-object sum of ``math.log`` factors, for any (alpha, beta).
 
 from __future__ import annotations
 
+import bisect
 import csv
 import functools
 import io
@@ -236,12 +237,12 @@ class EvalMatrix:
 
 
 def _cells(agree_true: np.ndarray, gold: np.ndarray) -> np.ndarray:
-    """(n_objects, n_rows) intp: ``2 * agrees + label`` for each cell of
+    """(n_objects, n_rows) uint8: ``2 * agrees + label`` for each cell of
     ``agree_true`` (truth rows by objects), where ``agrees`` says the row
     gives the object its ``gold`` label.  It indexes the four log factors
     of :func:`_log_factors`.  Objects are rows, so a running sum over
     objects adds one contiguous row at a time."""
-    cells = (agree_true == gold).T.astype(np.intp, order="C")
+    cells = (agree_true == gold).T.astype(np.uint8, order="C")
     cells <<= 1
     cells |= gold[:, None]
     return cells
@@ -307,6 +308,11 @@ def build_eval_matrix(
     return next(build_eval_matrices(hypotheses, [exemplar_list]))
 
 
+# Bytes of log factors the kernel gathers at a time (one object row at
+# least): a fit grid's few hundred behaviour classes take one block.
+_BLOCK_BYTES = 1 << 19
+
+
 def _log_factors(noise: NoiseParams) -> np.ndarray:
     """``math.log`` of the four values an observation's factor can take,
     -inf where it is 0, indexed by its cell ``2 * agrees + label``."""
@@ -323,27 +329,48 @@ def _boundary_log_likelihood(
     cells: np.ndarray, offsets: Sequence[int], noise: NoiseParams
 ) -> np.ndarray:
     """(len(offsets), n_rows): entry [k, r] is truth row r's log-likelihood
-    of the objects before ``offsets[k]``, from ``cells`` (:func:`_cells`).
+    of the objects before ``offsets[k]``, from ``cells`` (:func:`_cells`);
+    ``offsets`` is nondecreasing.
 
     Each row's log factors (:func:`_log_factors`) are added one object at
     a time in object order, so every result is bitwise the per-object
-    reference sum."""
+    reference sum.  The objects are taken in blocks of about
+    ``_BLOCK_BYTES`` of log factors, each block starting from the running
+    sum the last one ended on, so beyond its result the kernel holds one
+    block."""
     n_objects, n_rows = cells.shape
-    cumulative = np.empty((n_objects + 1, n_rows))  # row j: the first j objects
+    if any(b < a for a, b in zip([0, *offsets], [*offsets, n_objects])):
+        raise ValueError(f"offsets must be nondecreasing within 0..{n_objects}")
+    log_factors = _log_factors(noise)
+    block_objects = max(1, _BLOCK_BYTES // (8 * max(n_rows, 1)))
+    # Row j: the sum over the objects before start + j.
+    cumulative = np.empty((min(block_objects, n_objects) + 1, n_rows))
     cumulative[0] = 0.0
-    # mode="clip" (a no-op on indices 0..3) lets take write straight into
-    # out; the default mode writes to a buffer first.
-    np.take(_log_factors(noise), cells, out=cumulative[1:], mode="clip")
-    if n_rows == 1:
-        # One truth row (MH): np.cumsum makes the same additions in the same
-        # order as the loop below, so the bits are equal, and for a 76-object
-        # row it takes 0.011 ms against the loop's 0.15 ms.  Over many rows
-        # the loop, which adds whole contiguous rows, is the faster.
-        np.cumsum(cumulative[1:], axis=0, out=cumulative[1:])
-    else:
-        for previous, row in zip(cumulative[1:], cumulative[2:]):
-            row += previous
-    return cumulative[offsets]
+    out = np.empty((len(offsets), n_rows))
+    done = bisect.bisect_right(offsets, 0)  # out's rows written so far
+    out[:done] = 0.0
+    for start in range(0, n_objects, block_objects):
+        stop = min(start + block_objects, n_objects)
+        rows = cumulative[:stop - start + 1]
+        # mode="clip" (a no-op on in-range indices) lets take write straight
+        # into its out; the default mode writes to a buffer first.
+        np.take(log_factors, cells[start:stop], out=rows[1:], mode="clip")
+        if n_rows == 1:
+            # One truth row (MH): np.cumsum makes the same additions in the
+            # same order as the loop below, so the bits are equal, and for a
+            # 76-object row it takes 0.011 ms against the loop's 0.15 ms.
+            # Over many rows the loop, which adds whole contiguous rows, is
+            # the faster.
+            np.cumsum(rows, axis=0, out=rows)
+        else:
+            for previous, row in zip(rows, rows[1:]):
+                row += previous
+        end = bisect.bisect_right(offsets, stop)
+        here = np.asarray(offsets[done:end], dtype=np.intp) - start
+        np.take(rows, here, axis=0, out=out[done:end], mode="clip")
+        done = end
+        cumulative[0] = rows[-1]
+    return out
 
 
 def posterior_by_set(

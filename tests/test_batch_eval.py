@@ -10,6 +10,7 @@ from rulelab.catalog import DEFAULT_VOCAB as V
 from rulelab.dsl import (
     And,
     ContextBatch,
+    DslError,
     FeatureIs,
     FeatureVocab,
     Iff,
@@ -19,7 +20,7 @@ from rulelab.dsl import (
     Or,
     Quant,
     UnboundVariableError,
-    canonical_block,
+    canonical_chunks,
     count_contexts,
     enumerate_contexts,
     equivalent,
@@ -172,14 +173,26 @@ def test_shared_table_needs_one_vocab():
         build_eval_matrices(hypotheses, lists)
 
 
-def test_canonical_blocks_are_enumerate_contexts_in_order():
-    blocks = [canonical_block(V, set_size) for set_size in (1, 2, 3)]
-    walked = ContextBatch.from_contexts(list(enumerate_contexts(V, 3)), V)
-    assert sum(len(block) for block in blocks) == count_contexts(V, 3)
-    for name in ("features", "present", "target", "others", "color_counts"):
-        joined = np.concatenate([getattr(block, name) for block in blocks])
-        np.testing.assert_array_equal(joined, getattr(walked, name))
-    assert not blocks[0].features.flags.writeable
+def test_canonical_chunks_are_enumerate_contexts_in_order(monkeypatch):
+    """Joined, the chunks of set sizes 1..4 are the packed enumeration field
+    by field, at the default chunk size, at 97 contexts and at 1, which is
+    below the 27-object universe: a chunk then holds every target of one
+    multiset of the other objects."""
+    walked = ContextBatch.from_contexts(list(enumerate_contexts(V, 4)), V)
+    for chunk_contexts in (equivalence._CHUNK_CONTEXTS, 97, 1):
+        monkeypatch.setattr(equivalence, "_CHUNK_CONTEXTS", chunk_contexts)
+        chunks = [chunk for set_size in (1, 2, 3, 4) for chunk in canonical_chunks(V, set_size)]
+        assert sum(len(chunk) for chunk in chunks) == count_contexts(V, 4)
+        assert max(len(chunk) for chunk in chunks) <= max(chunk_contexts, 27)
+        for name in ("features", "present", "target", "others", "color_counts"):
+            joined = np.concatenate([getattr(chunk, name) for chunk in chunks])
+            assert joined.dtype == getattr(walked, name).dtype, name
+            np.testing.assert_array_equal(joined, getattr(walked, name), err_msg=name)
+    assert len(chunks) == count_contexts(V, 4) // 27
+    assert not chunks[-1].present.flags.writeable
+    for set_size in (0, 6):
+        with pytest.raises(DslError):
+            next(canonical_chunks(V, set_size))
 
 
 def walk_equivalent(a, b, contexts):

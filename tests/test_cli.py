@@ -15,7 +15,7 @@ import pytest
 import rulelab
 from rulelab.catalog import DEMO_RULES, write_rules_manifest
 from rulelab.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
-from rulelab.dsl import evaluate, parse_concept
+from rulelab.dsl import FeatureVocab, evaluate, parse_concept, save_vocab
 from rulelab.exemplars import load_list, read_split_manifest
 
 
@@ -595,6 +595,36 @@ def test_grade_a_truncated_run_file_fails_only_its_rule(workspace, capsys, kind)
                "--series-dir", str(run_dir)) == EXIT_DATA
     assert f"rule 'blue' failed: unreadable {kind} file {bad}:" in capsys.readouterr().err
     assert _rule_ids(workspace / "out" / "reports" / "grading_summary.csv") == _OTHER_RULES
+
+
+@pytest.mark.parametrize("sizes, set_size, reason", [
+    (("small", "medium", "large"), 6, "grade_max_set_size must be at most 5, the largest "
+                                      "displayed set, got 6"),
+    (("tiny", "small", "medium", "large"), 5, "grade_max_set_size 5 spans 3290040 contexts of "
+                                              "this vocab, above the equivalence check's cap"),
+], ids=["above-five-objects", "over-the-context-cap"])
+def test_a_grade_set_size_the_equivalence_walk_cannot_take_is_a_config_error(
+    workspace, capsys, sizes, set_size, reason
+):
+    """grade compares each rule with its gold rule over every context up to
+    ``grade_max_set_size`` objects; a size that walk cannot take is a
+    config error naming the key, before any rule is graded."""
+    save_vocab(FeatureVocab(sizes=sizes), workspace / "vocab.json")
+    config = json.loads((workspace / "config.json").read_text())
+    config["vocab"] = "vocab.json"
+    config["grade_max_set_size"] = 4
+    (workspace / "config.json").write_text(json.dumps(config))
+    assert run(workspace, "gen") == EXIT_OK
+    rules = json.loads((workspace / "rules.json").read_text())["rules"]
+    # Not target-only, so the walk is not cut to one-object sets.
+    elicited = {row["id"]: ["(exists others (is-color green 0))"] * 25 for row in rules}
+    (workspace / "elicited.json").write_text(json.dumps(elicited))
+    config["grade_max_set_size"] = set_size
+    (workspace / "config.json").write_text(json.dumps(config))
+    capsys.readouterr()
+    assert run(workspace, "grade", "--elicited", str(workspace / "elicited.json")) == EXIT_CONFIG
+    assert reason in capsys.readouterr().err
+    assert not (workspace / "out" / "reports").exists()
 
 
 _WRONG_SHAPE = "elicited entry must be a list of printed rules or nulls, got "

@@ -1,5 +1,7 @@
 """Bounded-universe truth-functional equivalence."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 
@@ -7,6 +9,7 @@ from conftest import concept_strategy
 from rulelab.catalog import DEFAULT_VOCAB as V
 from rulelab.dsl import (
     ContextBudgetError,
+    FeatureVocab,
     count_contexts,
     enumerate_contexts,
     equivalent,
@@ -97,16 +100,35 @@ def test_target_only_pairs_walk_one_object_contexts_in_a_batch(monkeypatch):
     monkeypatch.setattr(rulelab.dsl, "evaluate", refuse)
     monkeypatch.setattr(core, "evaluate", refuse)
     blocks = []
-    canonical_block = equivalence.canonical_block
+    canonical_chunks = equivalence.canonical_chunks
 
     def counting(vocab, set_size):
         blocks.append(set_size)
-        return canonical_block(vocab, set_size)
+        return canonical_chunks(vocab, set_size)
 
-    monkeypatch.setattr(equivalence, "canonical_block", counting)
+    monkeypatch.setattr(equivalence, "canonical_chunks", counting)
     not_circle = parse_concept("(not (is-shape circle))", V)
     triangle_or_rectangle = parse_concept("(or (is-shape triangle) (is-shape rectangle))", V)
     blue = parse_concept("(is-color blue)", V)
     assert equivalent(not_circle, triangle_or_rectangle, V, max_set_size=9, max_contexts=1)
     assert not equivalent(not_circle, blue, V, max_set_size=9, max_contexts=1)
     assert blocks == [1, 1]
+
+
+def test_a_full_walk_holds_one_chunk_at_a_time():
+    """Comparing two equivalent concepts over all 849,555 contexts up to set
+    size 5 stays within a few chunks' memory.  The vocab's value names are
+    used by no other test, so the walk builds its own universe."""
+    vocab = FeatureVocab(
+        sizes=("s1", "s2", "s3"), colors=("c1", "c2", "c3"), shapes=("h1", "h2", "h3")
+    )
+    a = parse_concept("(exists others (same-shape 0 1))", vocab)
+    b = parse_concept("(exists others (same-shape 1 0))", vocab)
+    assert count_contexts(vocab, 5) == 849_555
+    tracemalloc.start()
+    try:
+        assert equivalent(a, b, vocab, max_set_size=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20

@@ -13,6 +13,7 @@ sum must also agree bitwise at noise points where ``np.log`` and
 
 import gc
 import math
+import tracemalloc
 import weakref
 from itertools import islice
 
@@ -37,9 +38,9 @@ from rulelab.learner import (
     posterior_by_set,
 )
 from rulelab.learner import fit as fit_module
-from rulelab.learner import predictive_trajectory
+from rulelab.learner import inference, predictive_trajectory
 from rulelab.learner.fit import _behaviour_classes, _grid_r2
-from rulelab.learner.inference import _list_objects
+from rulelab.learner.inference import _boundary_log_likelihood, _cells, _list_objects
 from rulelab.learner.mcmc import _TruthRows
 
 GRID = noise_grid(0.05)
@@ -258,6 +259,61 @@ unit = st.sampled_from([0.0, 1.0, 0.5, 0.05, 0.95]) | st.floats(0.0, 1.0)
 @given(small_matrices(), unit, unit)
 def test_kernel_matches_oracle_on_random_matrices(matrix, alpha, beta):
     assert_bitwise_equal(matrix, NoiseParams(alpha, beta))
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_matrices(), unit, unit, st.sampled_from([1, 3]))
+def test_kernel_matches_oracle_in_object_blocks(matrix, alpha, beta, block_objects):
+    """Blocks of one and three objects: the running sum carried from block
+    to block keeps every bit, one-row matrices (MH's path) included."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(inference, "_BLOCK_BYTES", 8 * len(matrix.log_priors) * block_objects)
+        assert_bitwise_equal(matrix, NoiseParams(alpha, beta))
+
+
+@pytest.mark.parametrize("block_objects", [1, 3])
+@pytest.mark.parametrize("name", ["xor-full", "one-blue-collapsed"])
+def test_set_boundaries_inside_and_at_block_edges(size3_matrices, monkeypatch, name, block_objects):
+    matrix = size3_matrices[name]
+    n_rows = len(matrix.log_priors)
+    assert {offset % 3 for offset in matrix.offsets} == {0, 1, 2}  # inside and at edges
+    for alpha, beta in GRID[::37] + [(0.0, 0.0), (1.0, 0.5)]:
+        noise = NoiseParams(alpha, beta)
+        expected = oracle_boundary_log_likelihood(matrix, noise)
+        monkeypatch.setattr(inference, "_BLOCK_BYTES", 8 * n_rows * block_objects)
+        actual = _boundary_log_likelihood(matrix.cells, matrix.offsets, noise)
+        assert np.array_equal(actual.view(np.int64), expected.view(np.int64)), noise
+        monkeypatch.setattr(inference, "_BLOCK_BYTES", 8 * block_objects)
+        for row in (0, n_rows // 2, n_rows - 1):
+            one = _boundary_log_likelihood(matrix.cells[:, row:row + 1], matrix.offsets, noise)
+            assert np.array_equal(one[:, 0].view(np.int64), expected[:, row].view(np.int64)), noise
+
+
+def test_kernel_holds_one_block_beyond_its_result():
+    """On a lab-sized matrix (9,568 rows, 25 sets of 2 to 4 objects) the
+    kernel's traced peak is its result plus under 2 MB."""
+    rng = np.random.default_rng(7)
+    n_rows = 9568
+    offsets = np.concatenate([[0], np.cumsum(rng.integers(2, 5, size=25))]).tolist()
+    agree_true = rng.random((n_rows, offsets[-1])) < 0.5
+    cells = _cells(agree_true, rng.random(offsets[-1]) < 0.5)
+    assert cells.dtype == np.uint8
+    tracemalloc.start()
+    try:
+        result = _boundary_log_likelihood(cells, offsets, NoiseParams(0.95, 0.5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.shape == (26, n_rows)
+    assert peak < result.nbytes + 2 * 2**20
+
+
+def test_offsets_must_be_nondecreasing_within_the_objects():
+    cells = np.zeros((4, 2), dtype=np.uint8)
+    noise = NoiseParams(0.9, 0.5)
+    for offsets in ([0, 5], [0, 3, 2], [-1, 4]):
+        with pytest.raises(ValueError, match="nondecreasing"):
+            _boundary_log_likelihood(cells, offsets, noise)
 
 
 @pytest.mark.parametrize("alpha, beta", [
