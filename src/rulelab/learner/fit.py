@@ -6,14 +6,10 @@ maximizing the squared Pearson correlation between pooled model
 probabilities and pooled human True-proportions wins.  Ties prefer larger
 alpha, then larger beta.
 
-The grid runs on each list's behaviour classes rather than its hypotheses.
-Hypotheses that say True on exactly the same objects of a list have the
-same likelihood at every set and make the same predictions, so each class
-becomes one row of the list's eval matrix, carrying the summed prior mass
-of its members.  The predictions are those of the full matrix (up to
-rounding); the rows are no longer hypotheses, so a collapsed matrix is
-only ever used for predictions.  The hypotheses are evaluated once over
-every list's contexts (:func:`build_eval_matrices`).
+The hypotheses are evaluated once over every list's contexts
+(:func:`build_eval_matrices`), and each grid point scores every list's
+eval matrix through :func:`predictive_trajectory`, which works on the
+list's behaviour classes.
 """
 
 from __future__ import annotations
@@ -40,17 +36,6 @@ def noise_grid(step: float = 0.05) -> list[tuple[float, float]]:
     """The (alpha, beta) lattice over [0, 1] x [0, 1] with the given step."""
     axis = [round(i * step, 10) for i in range(int(round(1.0 / step)) + 1)]
     return [(a, b) for a in axis for b in axis]
-
-
-def _behaviour_classes(matrix: EvalMatrix) -> EvalMatrix:
-    """One row per distinct ``agree_true`` row, with the log of its
-    members' summed prior mass."""
-    rows, inverse, counts = np.unique(
-        matrix.agree_true, axis=0, return_inverse=True, return_counts=True
-    )
-    members = np.argsort(inverse.reshape(-1), kind="stable")  # grouped by class
-    log_priors = np.logaddexp.reduceat(matrix.log_priors[members], np.cumsum(counts) - counts)
-    return EvalMatrix(log_priors, rows, matrix.gold, matrix.offsets)
 
 
 def _grid_r2(
@@ -107,14 +92,12 @@ def fit_noise(
     if len(lists) != len(humans):
         raise ValueError("need one human table per exemplar list")
 
-    # Each list's full matrix is collapsed as it is gathered, then dropped.
-    collapsed = map(_behaviour_classes, build_eval_matrices(hypotheses, lists))
     prepared = []
     human_chunks = []
-    for exemplar_list, table, classes in zip(lists, humans, collapsed):
+    for exemplar_list, table, matrix in zip(lists, humans, build_eval_matrices(hypotheses, lists)):
         proportions = [table.proportion(s, o) for s, o, _ctx, _label in exemplar_list.iter_items()]
         keep = np.array([p is not None for p in proportions], dtype=bool)
-        prepared.append((classes, keep))
+        prepared.append((matrix, keep))
         human_chunks.append(np.array([p for p in proportions if p is not None], dtype=float))
     human = np.concatenate(human_chunks)
     if np.unique(human).size < 2:

@@ -12,6 +12,10 @@ budget; :mod:`rulelab.learner.mcmc` provides the sampling engine validated
 against this one.  Both score a truth row (:func:`rulelab.dsl.evaluate_batch`)
 with one kernel, :func:`_boundary_log_likelihood`, so every score of either
 is bitwise the per-object sum of ``math.log`` factors, for any (alpha, beta).
+Exact inference runs the kernel once per behaviour class of a list, the
+hypotheses that say True on the same objects (:class:`EvalMatrix`): a
+run gathers the class scores back to the hypotheses one boundary at a
+time, and a noise fit predicts from the classes directly.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from itertools import islice
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -221,28 +224,57 @@ class LearnerRun:
 
 @dataclass(frozen=True)
 class EvalMatrix:
-    """Cached hypothesis-by-object evaluations for one exemplar list."""
+    """One exemplar list's hypotheses, grouped into behaviour classes.
+
+    Hypotheses that say True on exactly the same objects of the list have
+    the same cells, so the kernel gives them the same log-likelihood, bit
+    for bit, at every boundary, and they make the same predictions.  The
+    kernel therefore scores each class once, and :func:`posterior_by_set`
+    gathers the scores back to the hypotheses through ``inverse``."""
 
     log_priors: np.ndarray  # (n_hyps,)
-    agree_true: np.ndarray  # (n_hyps, n_objects) bool: hypothesis says True
+    classes: np.ndarray  # (n_classes, n_objects) bool: the class says True
+    inverse: np.ndarray  # (n_hyps,) each hypothesis's row of ``classes``
     gold: np.ndarray  # (n_objects,) bool
     offsets: list[int]  # start object index per set, plus final total
 
     @functools.cached_property
     def cells(self) -> np.ndarray:
-        """:func:`_cells` of the matrix.  The noise does not enter it, so
+        """:func:`_cells` of the classes.  The noise does not enter it, so
         it is built on first use and lives as long as the matrix (a grid
         fit reuses it at every point)."""
-        return _cells(self.agree_true, self.gold)
+        return _cells(self.classes, self.gold)
+
+    @functools.cached_property
+    def class_log_priors(self) -> np.ndarray:
+        """(n_classes,): the log of each class's summed prior mass, its
+        members' log priors folded by ``np.logaddexp.reduceat`` in
+        hypothesis order."""
+        counts = np.bincount(self.inverse, minlength=len(self.classes))
+        members = np.argsort(self.inverse, kind="stable")  # grouped by class
+        return np.logaddexp.reduceat(self.log_priors[members], np.cumsum(counts) - counts)
 
 
-def _cells(agree_true: np.ndarray, gold: np.ndarray) -> np.ndarray:
+def _collapse(truth: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of ``truth`` (hypotheses by objects, bool) in
+    lexicographic order, False before True, and each row's index among
+    them.  Each row is packed to bytes, first object in the high bit, and
+    compared as one ``np.void`` key, whose byte order is that row order."""
+    packed = np.packbits(truth, axis=1)
+    if packed.shape[1] == 0:  # no objects: every row is the one empty row
+        packed = np.zeros((len(truth), 1), dtype=np.uint8)
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).reshape(-1)
+    _keys, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return truth[first], inverse
+
+
+def _cells(truth: np.ndarray, gold: np.ndarray) -> np.ndarray:
     """(n_objects, n_rows) uint8: ``2 * agrees + label`` for each cell of
-    ``agree_true`` (truth rows by objects), where ``agrees`` says the row
-    gives the object its ``gold`` label.  It indexes the four log factors
-    of :func:`_log_factors`.  Objects are rows, so a running sum over
-    objects adds one contiguous row at a time."""
-    cells = (agree_true == gold).T.astype(np.uint8, order="C")
+    ``truth`` (truth rows by objects), where ``agrees`` says the row gives
+    the object its ``gold`` label.  It indexes the four log factors of
+    :func:`_log_factors`.  Objects are rows, so a running sum over objects
+    adds one contiguous row at a time."""
+    cells = (truth == gold).T.astype(np.uint8, order="C")
     cells <<= 1
     cells |= gold[:, None]
     return cells
@@ -272,8 +304,9 @@ def build_eval_matrices(
     evaluator's cost is per concept, not per context, so one call over
     every list costs about what one list's call costs.  The table is built
     before this returns; each list's matrix is then a column gather of it,
-    made only when the iterator reaches that list, so a caller that drops
-    each matrix before taking the next holds one list's matrix (and its
+    collapsed to behaviour classes (:func:`_collapse`) only when the
+    iterator reaches that list, so a caller that drops each matrix before
+    taking the next holds one list's matrix (and its
     :attr:`EvalMatrix.cells`) at a time.  A context's truth values do not
     depend on the other contexts of its batch, so each matrix is bitwise
     the one evaluating its list alone would give.  The lists must share a
@@ -292,10 +325,8 @@ def build_eval_matrices(
     batch = ContextBatch.from_contexts(list(columns), vocabs.pop())
     table = evaluate_batch([concept for concept, _lp in hypotheses], batch)
     log_priors = np.array([lp for _c, lp in hypotheses], dtype=float)
-    # take keeps the C order of a one-list evaluate_batch, so each matrix
-    # matches it in layout as well as value (table[:, index] is Fortran-ordered).
     return (
-        EvalMatrix(log_priors, table.take(index, axis=1), gold, offsets)
+        EvalMatrix(log_priors, *_collapse(table.take(index, axis=1)), gold, offsets)
         for index, gold, offsets in layouts
     )
 
@@ -373,14 +404,31 @@ def _boundary_log_likelihood(
     return out
 
 
+def _normalise(log_post_unnorm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row of ``log_post_unnorm`` (boundaries by rows) normalised, and
+    each row's argmax; raises :class:`DegeneratePosteriorError` when some
+    row has no mass at all."""
+    map_index = np.argmax(log_post_unnorm, axis=1)
+    peak = log_post_unnorm[np.arange(len(map_index)), map_index]
+    if np.isneginf(peak).any():
+        raise DegeneratePosteriorError("no hypothesis explains the evidence")
+    mass = np.sum(np.exp(log_post_unnorm - peak[:, None]), axis=1)
+    # math.log, not np.log: the normaliser rounds as it always has.
+    log_z = [p + math.log(m) for p, m in zip(peak.tolist(), mass.tolist())]
+    return log_post_unnorm - np.array(log_z)[:, None], map_index
+
+
 def posterior_by_set(
     matrix: EvalMatrix, noise: NoiseParams
 ) -> Iterator[tuple[np.ndarray, np.ndarray, int]]:
-    """The posterior at each set boundary 0..n_sets, conditioned on every
-    earlier set's gold labels: yields ``(log_likelihood, log_posterior,
-    map_index)``.  Every boundary is scored and normalised before the first
-    yield; a boundary no hypothesis explains raises
-    :class:`DegeneratePosteriorError` only when reached.  Exact ties in the
+    """The posterior over the hypotheses at each set boundary 0..n_sets,
+    conditioned on every earlier set's gold labels: yields
+    ``(log_likelihood, log_posterior, map_index)``.  The kernel scores the
+    matrix's behaviour classes at every boundary up front; each boundary's
+    scores are then gathered to the hypotheses and normalised when it is
+    reached, so beyond the class scores only one boundary's hypothesis
+    vectors are alive, and a boundary no hypothesis explains raises
+    :class:`DegeneratePosteriorError` only then.  Exact ties in the
     computed scores go to the lowest row, which for rows in
     :func:`enumerate_hypotheses` order is the smaller, then
     lexicographically earlier, concept.  Rows whose scores are equal in
@@ -388,19 +436,11 @@ def posterior_by_set(
     a cumulative sum taken in object order, so rows with equal priors and
     equal agreement counts but disagreements at different objects can round
     apart in the last bits, and the MAP is then whichever rounds highest."""
-    log_likelihood = _boundary_log_likelihood(matrix.cells, matrix.offsets, noise)
-    log_post_unnorm = log_likelihood + matrix.log_priors
-    map_index = np.argmax(log_post_unnorm, axis=1)
-    peak = log_post_unnorm[np.arange(len(map_index)), map_index]
-    with np.errstate(invalid="ignore"):  # a degenerate row is -inf - -inf
-        mass = np.sum(np.exp(log_post_unnorm - peak[:, None]), axis=1)
-        # math.log, not np.log: the normaliser rounds as it always has.
-        log_z = [p + math.log(m) for p, m in zip(peak.tolist(), mass.tolist())]
-        log_posterior = log_post_unnorm - np.array(log_z)[:, None]
-    for row, (row_peak, row_map) in enumerate(zip(peak.tolist(), map_index.tolist())):
-        if row_peak == float("-inf"):
-            raise DegeneratePosteriorError("no hypothesis explains the evidence")
-        yield log_likelihood[row], log_posterior[row], row_map
+    class_log_likelihood = _boundary_log_likelihood(matrix.cells, matrix.offsets, noise)
+    for class_scores in class_log_likelihood:
+        log_likelihood = class_scores[matrix.inverse]
+        log_posterior, map_index = _normalise((log_likelihood + matrix.log_priors)[None])
+        yield log_likelihood, log_posterior[0], int(map_index[0])
 
 
 def _set_prediction(
@@ -419,16 +459,16 @@ def _set_prediction(
 
 def predictive_trajectory(matrix: EvalMatrix, noise: NoiseParams) -> np.ndarray:
     """Per-object P(True), each predicted from the posterior over all
-    previous sets' evidence."""
-    n_sets = len(matrix.offsets) - 1
-    # islice stops at the last set: the boundary after it predicts nothing.
-    steps = islice(posterior_by_set(matrix, noise), n_sets)
-    posteriors = np.exp([log_posterior for _ll, log_posterior, _map in steps])
-    posteriors = posteriors.reshape(n_sets, len(matrix.log_priors))
+    previous sets' evidence.  The posterior is taken over the matrix's
+    behaviour classes, whose members predict alike."""
+    # The boundary after the last set predicts nothing.
+    before_each_set = matrix.offsets[:-1]
+    log_likelihood = _boundary_log_likelihood(matrix.cells, before_each_set, noise)
+    log_posterior, _map = _normalise(log_likelihood + matrix.class_log_priors)
     # Row k of the product predicts every object from the posterior before
     # set k; each object reads the row of its own set.
-    set_of_object = np.repeat(np.arange(n_sets), np.diff(matrix.offsets))
-    rule_mass = (posteriors @ matrix.agree_true)[set_of_object, np.arange(len(set_of_object))]
+    set_of_object = np.repeat(np.arange(len(before_each_set)), np.diff(matrix.offsets))
+    rule_mass = (np.exp(log_posterior) @ matrix.classes)[set_of_object, np.arange(len(set_of_object))]
     return noise.alpha * rule_mass + (1.0 - noise.alpha) * noise.beta
 
 
@@ -533,7 +573,7 @@ def run_enumerative(
                 )
             if set_index == len(exemplar_list.sets):
                 continue
-            truth = matrix.agree_true[:, offsets[set_index]:offsets[set_index + 1]]
+            truth = matrix.classes[matrix.inverse, offsets[set_index]:offsets[set_index + 1]]
             per_set.append(
                 _set_prediction(set_index, concepts[map_index], log_posterior, truth, noise)
             )

@@ -14,8 +14,8 @@ from ..exemplars.lists import ExemplarList, write_json
 class ObjectRecord:
     """One labeled (or excluded) object in presentation order.
 
-    ``model`` is None when the object was excluded; ``p_true`` and
-    ``human`` are optional per-source probabilities.
+    ``model`` is None when the object was excluded; ``p_true`` is the
+    source's probability of True, when it gives one.
     """
 
     set_index: int
@@ -23,13 +23,10 @@ class ObjectRecord:
     gold: bool
     model: bool | None = None
     p_true: float | None = None
-    human: float | None = None
 
     def __post_init__(self):
-        for name in ("p_true", "human"):
-            value = getattr(self, name)
-            if value is not None and not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {value}")
+        if self.p_true is not None and not 0.0 <= self.p_true <= 1.0:
+            raise ValueError(f"p_true must lie in [0, 1], got {self.p_true}")
 
 
 @dataclass
@@ -79,7 +76,6 @@ def save_series(series: LabelSeries, path: str | Path) -> None:
                 "gold": r.gold,
                 "model": r.model,
                 "p_true": r.p_true,
-                "human": r.human,
             }
             for r in series.records
         ],
@@ -88,6 +84,8 @@ def save_series(series: LabelSeries, path: str | Path) -> None:
 
 
 def load_series(path: str | Path) -> LabelSeries:
+    """Read a :func:`save_series` file.  Files written before records lost
+    their always-null ``"human"`` key still load; the key is ignored."""
     doc = json.loads(Path(path).read_text())
     records = [
         ObjectRecord(
@@ -96,7 +94,6 @@ def load_series(path: str | Path) -> LabelSeries:
             gold=r["gold"],
             model=r["model"],
             p_true=r["p_true"],
-            human=r["human"],
         )
         for r in doc["records"]
     ]

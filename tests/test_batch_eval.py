@@ -112,8 +112,9 @@ def test_eval_matrix_matches_per_cell_loop():
     matrix = build_eval_matrix(hypotheses, exemplar_list)
     contexts = [ctx for _s, _o, ctx, _label in exemplar_list.iter_items()]
     expected = reference([c for c, _lp in hypotheses], contexts)
-    assert matrix.agree_true.dtype == bool
-    np.testing.assert_array_equal(matrix.agree_true, expected)
+    assert matrix.classes.dtype == bool
+    assert len({row.tobytes() for row in matrix.classes}) == len(matrix.classes)
+    np.testing.assert_array_equal(matrix.classes[matrix.inverse], expected)
 
 
 def test_shared_table_matches_each_list_evaluated_alone(monkeypatch):
@@ -149,8 +150,8 @@ def test_shared_table_matches_each_list_evaluated_alone(monkeypatch):
     rng = random.Random(7)
     for exemplar_list, contexts, matrix in zip(lists, per_list, matrices, strict=True):
         alone = real(concepts, ContextBatch.from_contexts(contexts, V))
-        assert matrix.agree_true.dtype == bool and matrix.agree_true.flags.c_contiguous
-        np.testing.assert_array_equal(matrix.agree_true, alone)
+        assert matrix.classes.dtype == bool and matrix.classes.flags.c_contiguous
+        np.testing.assert_array_equal(matrix.classes[matrix.inverse], alone)
         np.testing.assert_array_equal(
             matrix.gold, [label for _s, _o, _ctx, label in exemplar_list.iter_items()]
         )
@@ -158,7 +159,7 @@ def test_shared_table_matches_each_list_evaluated_alone(monkeypatch):
         np.testing.assert_array_equal(matrix.log_priors, [lp for _c, lp in hypotheses])
         for _ in range(300):
             i, j = rng.randrange(len(concepts)), rng.randrange(len(contexts))
-            assert matrix.agree_true[i, j] == evaluate(concepts[i], contexts[j])
+            assert matrix.classes[matrix.inverse[i], j] == evaluate(concepts[i], contexts[j])
 
 
 def test_shared_table_needs_one_vocab():

@@ -10,6 +10,7 @@ from rulelab.dsl import parse_concept
 from rulelab.exemplars import ExemplarList, HumanResponseTable, generate_list
 from rulelab.learner import (
     DegeneratePosteriorError,
+    EvalMatrix,
     NoiseParams,
     build_eval_matrix,
     default_grammar,
@@ -19,7 +20,7 @@ from rulelab.learner import (
     posterior_by_set,
     predictive_trajectory,
 )
-from rulelab.learner.fit import _behaviour_classes, _grid_r2
+from rulelab.learner.fit import _grid_r2
 
 GRAMMAR = default_grammar(V)
 MAX_SIZE = 2
@@ -107,19 +108,20 @@ EXACTLY_ONE_BLUE = parse_concept("(exactly-one all (is-color blue 0))", V)
 
 def reference_trajectory(matrix, noise):
     """predictive_trajectory as a loop over sets: each set's objects are
-    predicted from the posterior before that set."""
+    predicted from the posterior over the hypotheses before that set."""
     predictions = np.empty(matrix.offsets[-1])
     offsets = matrix.offsets
+    truth = matrix.classes[matrix.inverse]  # a row per hypothesis
     for start, end, (_ll, log_posterior, _map) in zip(
         offsets, offsets[1:], posterior_by_set(matrix, noise)
     ):
-        rule_mass = np.exp(log_posterior) @ matrix.agree_true[:, start:end]
+        rule_mass = np.exp(log_posterior) @ truth[:, start:end]
         predictions[start:end] = noise.alpha * rule_mass + (1.0 - noise.alpha) * noise.beta
     return predictions
 
 
 def fit_inputs(lists, tables, max_size):
-    """Each list's full eval matrix with its mask of objects that have human
+    """Each list's eval matrix with its mask of objects that have human
     data, and the pooled human proportions."""
     hypotheses = enumerate_hypotheses(GRAMMAR, max_size)
     prepared, human = [], []
@@ -132,8 +134,9 @@ def fit_inputs(lists, tables, max_size):
 
 
 def reference_fit(prepared, human, grid):
-    """The grid loop over full (uncollapsed) eval matrices: returns the best
-    (alpha, beta) and every point's r2 (None where skipped)."""
+    """The grid loop over the hypotheses of each eval matrix, not its
+    classes: returns the best (alpha, beta) and every point's r2 (None
+    where skipped)."""
     best, scores = None, []
     for alpha, beta in grid:
         noise = NoiseParams(alpha, beta)
@@ -162,36 +165,39 @@ def size3_hypotheses():
     return enumerate_hypotheses(GRAMMAR, 3)
 
 
+def collapsed(matrix: EvalMatrix) -> EvalMatrix:
+    """The matrix with each behaviour class one hypothesis, carrying its
+    members' summed prior."""
+    classes = np.arange(len(matrix.classes))
+    return EvalMatrix(matrix.class_log_priors, matrix.classes, classes, matrix.gold, matrix.offsets)
+
+
 def test_behaviour_classes_merge_rows_and_sum_priors(size3_hypotheses):
     exemplar_list = generate_list(SAME_COLOR_AS_ANOTHER, V, seed=4, rule_id="same-color")
-    full = build_eval_matrix(size3_hypotheses, exemplar_list)
-    classes = _behaviour_classes(full)
-    assert len(classes.log_priors) < len(full.log_priors)
-    assert len({row.tobytes() for row in classes.agree_true}) == len(classes.log_priors)
+    matrix = build_eval_matrix(size3_hypotheses, exemplar_list)
+    assert len(matrix.classes) < len(matrix.log_priors) == len(matrix.inverse)
+    assert len({row.tobytes() for row in matrix.classes}) == len(matrix.classes)
     mass: dict[bytes, float] = {}
-    for row, log_prior in zip(full.agree_true, full.log_priors):
+    for row, log_prior in zip(matrix.classes[matrix.inverse], matrix.log_priors):
         mass[row.tobytes()] = mass.get(row.tobytes(), 0.0) + math.exp(log_prior)
-    for row, log_prior in zip(classes.agree_true, classes.log_priors):
+    assert len(mass) == len(matrix.classes)
+    for row, log_prior in zip(matrix.classes, matrix.class_log_priors):
         assert log_prior == pytest.approx(math.log(mass[row.tobytes()]), abs=1e-12)
-    assert np.array_equal(classes.gold, full.gold) and classes.offsets == full.offsets
 
 
 @pytest.mark.parametrize("alpha, beta", [(0.95, 0.5), (0.75, 1.0), (0.5, 0.2), (0.2, 0.9)])
 def test_collapsed_trajectory_matches_full(size3_hypotheses, alpha, beta):
     noise = NoiseParams(alpha, beta)
     exemplar_list = generate_list(SAME_COLOR_AS_ANOTHER, V, seed=4, rule_id="same-color")
-    full = build_eval_matrix(size3_hypotheses, exemplar_list)
-    expected = reference_trajectory(full, noise)
-    assert np.max(np.abs(predictive_trajectory(full, noise) - expected)) <= 1e-12
-    collapsed = predictive_trajectory(_behaviour_classes(full), noise)
-    assert np.max(np.abs(collapsed - expected)) <= 1e-12
+    matrix = build_eval_matrix(size3_hypotheses, exemplar_list)
+    expected = reference_trajectory(matrix, noise)
+    assert np.max(np.abs(predictive_trajectory(matrix, noise) - expected)) <= 1e-12
 
 
 def test_collapsed_and_full_degenerate_in_the_same_set(size3_hypotheses):
     noise = NoiseParams(1.0, 0.5)
     exemplar_list = generate_list(EXACTLY_ONE_BLUE, V, seed=2, rule_id="exactly-one-blue")
     full = build_eval_matrix(size3_hypotheses, exemplar_list)
-    collapsed = _behaviour_classes(full)
 
     def boundaries_reached(matrix):
         reached = 0
@@ -202,8 +208,8 @@ def test_collapsed_and_full_degenerate_in_the_same_set(size3_hypotheses):
 
     reached = boundaries_reached(full)
     assert 0 < reached < len(exemplar_list.sets)
-    assert boundaries_reached(collapsed) == reached
-    for matrix in (full, collapsed):
+    assert boundaries_reached(collapsed(full)) == reached
+    for matrix in (full, collapsed(full)):
         with pytest.raises(DegeneratePosteriorError):
             predictive_trajectory(matrix, noise)
 
@@ -229,8 +235,7 @@ def test_fit_matches_full_matrix_grid_loop():
     assert abs(fitted.r2 - ranked[0][0]) <= 1e-12 and abs(fitted.runner_up_r2 - ranked[1][0]) <= 1e-12
     assert fitted.undefined_points == sum(r2 is None for r2 in expected_scores)
 
-    collapsed = [(_behaviour_classes(matrix), keep) for matrix, keep in prepared]
-    scores = [r2 for _a, _b, r2 in _grid_r2(collapsed, human, grid)]
+    scores = [r2 for _a, _b, r2 in _grid_r2(prepared, human, grid)]
     skipped = [point for point, r2 in zip(grid, expected_scores) if r2 is None]
     # alpha = 0 predicts a constant; alpha = 1 leaves r3 no hypothesis.
     assert {alpha for alpha, _beta in skipped} == {0.0, 1.0}

@@ -1,14 +1,18 @@
 """The posterior kernel against the per-cell form it replaced, bit for bit.
 
-The oracle takes ``math.log`` of every (hypothesis, object) cell's factor,
-the log the per-object reference learner takes, sums with ``cumsum``, pads
-with ``np.pad`` and normalises each boundary as it is reached.  The kernel
-takes the log of four factor values and gathers them through
-``EvalMatrix.cells``; its scores must have the same bits (compared as
-``int64`` views), the same MAP rows, and a degenerate boundary must raise
-at the same place.  The exact engine, MH's truth rows and the reference
-sum must also agree bitwise at noise points where ``np.log`` and
-``math.log`` round apart.
+The oracle works on every hypothesis row of a list's truth table
+(:class:`Rows`).  It takes ``math.log`` of every (hypothesis, object)
+cell's factor, the log the per-object reference learner takes, sums with
+``cumsum``, pads with ``np.pad`` and normalises each boundary as it is
+reached.  The kernel takes the log of four factor values, gathers them
+through ``EvalMatrix.cells`` for each behaviour class, and gathers the
+class scores back to the hypotheses; its scores must have the same bits
+(compared as ``int64`` views), the same MAP rows, and a degenerate boundary
+must raise at the same place.  The classes themselves are checked against
+the ``np.unique(axis=0)`` collapse the noise fit used to make, and
+predictions against the oracle on those classes.  The exact engine, MH's
+truth rows and the reference sum must also agree bitwise at noise points
+where ``np.log`` and ``math.log`` round apart.
 """
 
 import gc
@@ -16,6 +20,7 @@ import math
 import tracemalloc
 import weakref
 from itertools import islice
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -24,12 +29,14 @@ from hypothesis import strategies as st
 
 from reference import log_likelihood
 from rulelab.catalog import DEFAULT_VOCAB as V
-from rulelab.dsl import ContextBatch, parse_concept
+from rulelab.catalog import DEMO_RULES
+from rulelab.dsl import ContextBatch, evaluate_batch, parse_concept
 from rulelab.exemplars import HumanResponseTable, generate_list
 from rulelab.learner import (
     DegeneratePosteriorError,
     EvalMatrix,
     NoiseParams,
+    build_eval_matrices,
     build_eval_matrix,
     default_grammar,
     enumerate_hypotheses,
@@ -39,8 +46,8 @@ from rulelab.learner import (
 )
 from rulelab.learner import fit as fit_module
 from rulelab.learner import inference, predictive_trajectory
-from rulelab.learner.fit import _behaviour_classes, _grid_r2
-from rulelab.learner.inference import _boundary_log_likelihood, _cells, _list_objects
+from rulelab.learner.fit import _grid_r2
+from rulelab.learner.inference import _boundary_log_likelihood, _cells, _collapse, _list_objects
 from rulelab.learner.mcmc import _TruthRows
 
 GRID = noise_grid(0.05)
@@ -59,15 +66,46 @@ def math_log(factors: np.ndarray) -> np.ndarray:
     return logs[inverse].reshape(factors.shape)
 
 
-def oracle_boundary_log_likelihood(matrix: EvalMatrix, noise: NoiseParams) -> np.ndarray:
+class Rows(NamedTuple):
+    """A list's truth table with one row per hypothesis: what the oracle
+    scores."""
+
+    log_priors: np.ndarray  # (n_rows,)
+    truth: np.ndarray  # (n_rows, n_objects) bool
+    gold: np.ndarray
+    offsets: list[int]
+
+
+def rows_of(matrix: EvalMatrix) -> Rows:
+    return Rows(matrix.log_priors, matrix.classes[matrix.inverse], matrix.gold, matrix.offsets)
+
+
+def matrix_of(rows: Rows) -> EvalMatrix:
+    return EvalMatrix(rows.log_priors, *_collapse(rows.truth), rows.gold, rows.offsets)
+
+
+def oracle_classes(rows: Rows) -> tuple[Rows, np.ndarray]:
+    """The behaviour classes as the noise fit made them before the kernel
+    took classes: one row per distinct truth row, in ``np.unique(axis=0)``
+    order, with the log of its members' summed prior mass; and each row's
+    class."""
+    truth, inverse, counts = np.unique(
+        rows.truth, axis=0, return_inverse=True, return_counts=True
+    )
+    members = np.argsort(inverse.reshape(-1), kind="stable")  # grouped by class
+    log_priors = np.logaddexp.reduceat(rows.log_priors[members], np.cumsum(counts) - counts)
+    return Rows(log_priors, truth, rows.gold, rows.offsets), inverse.reshape(-1)
+
+
+def oracle_boundary_log_likelihood(matrix: Rows, noise: NoiseParams) -> np.ndarray:
     base = np.where(matrix.gold, noise.beta, 1.0 - noise.beta)
-    agree = matrix.agree_true == matrix.gold
+    agree = matrix.truth == matrix.gold
     factors = math_log(noise.alpha * agree + (1.0 - noise.alpha) * base)
     cumulative = np.pad(np.cumsum(factors, axis=1), ((0, 0), (1, 0)))  # column j: first j objects
     return np.ascontiguousarray(cumulative[:, matrix.offsets].T)
 
 
-def oracle_posterior_by_set(matrix: EvalMatrix, noise: NoiseParams):
+def oracle_posterior_by_set(matrix: Rows, noise: NoiseParams):
     log_likelihood = oracle_boundary_log_likelihood(matrix, noise)
     log_post_unnorm = log_likelihood + matrix.log_priors
     map_index = np.argmax(log_post_unnorm, axis=1)
@@ -81,14 +119,28 @@ def oracle_posterior_by_set(matrix: EvalMatrix, noise: NoiseParams):
         yield log_likelihood[row], log_post_unnorm[row] - log_z, int(map_index[row])
 
 
-def oracle_predictive_trajectory(matrix: EvalMatrix, noise: NoiseParams) -> np.ndarray:
+def oracle_predictive_trajectory(matrix: Rows, noise: NoiseParams) -> np.ndarray:
     n_sets = len(matrix.offsets) - 1
     steps = islice(oracle_posterior_by_set(matrix, noise), n_sets)
     posteriors = np.exp([log_posterior for _ll, log_posterior, _map in steps])
     posteriors = posteriors.reshape(n_sets, len(matrix.log_priors))
     set_of_object = np.repeat(np.arange(n_sets), np.diff(matrix.offsets))
-    rule_mass = (posteriors @ matrix.agree_true)[set_of_object, np.arange(len(set_of_object))]
+    rule_mass = (posteriors @ matrix.truth)[set_of_object, np.arange(len(set_of_object))]
     return noise.alpha * rule_mass + (1.0 - noise.alpha) * noise.beta
+
+
+def oracle_fit_trajectory():
+    """What the noise fit has always scored: the oracle's predictions on a
+    matrix's rows collapsed by ``np.unique(axis=0)``.  Each matrix is
+    collapsed once, and kept, so its ``id`` stays its own."""
+    seen: dict[int, tuple[EvalMatrix, Rows]] = {}
+
+    def trajectory(matrix: EvalMatrix, noise: NoiseParams) -> np.ndarray:
+        if id(matrix) not in seen:
+            seen[id(matrix)] = matrix, oracle_classes(rows_of(matrix))[0]
+        return oracle_predictive_trajectory(seen[id(matrix)][1], noise)
+
+    return trajectory
 
 
 def trajectory_bits(trajectory, matrix, noise):
@@ -111,10 +163,27 @@ def bits(kernel, matrix, noise):
     return steps, False
 
 
-def assert_bitwise_equal(matrix, noise):
+def row_kernel_posterior_by_set(matrix: Rows, noise: NoiseParams):
+    """The kernel on every hypothesis row, every boundary normalised at
+    once, as :func:`posterior_by_set` scored before it took classes."""
+    log_likelihood = _boundary_log_likelihood(_cells(matrix.truth, matrix.gold), matrix.offsets, noise)
+    log_post_unnorm = log_likelihood + matrix.log_priors
+    map_index = np.argmax(log_post_unnorm, axis=1)
+    peak = log_post_unnorm[np.arange(len(map_index)), map_index]
+    with np.errstate(invalid="ignore"):  # a degenerate row is -inf - -inf
+        mass = np.sum(np.exp(log_post_unnorm - peak[:, None]), axis=1)
+        log_z = [p + math.log(m) for p, m in zip(peak.tolist(), mass.tolist())]
+        log_posterior = log_post_unnorm - np.array(log_z)[:, None]
+    for row, (row_peak, row_map) in enumerate(zip(peak.tolist(), map_index.tolist())):
+        if row_peak == float("-inf"):
+            raise DegeneratePosteriorError("no hypothesis explains the evidence")
+        yield log_likelihood[row], log_posterior[row], row_map
+
+
+def assert_bitwise_equal(matrix, noise, reference=oracle_posterior_by_set):
     """Returns how many boundaries were reached and whether the kernel
-    raised, once both agree."""
-    expected, expected_raised = bits(oracle_posterior_by_set, matrix, noise)
+    raised, once it and ``reference`` on the matrix's rows agree."""
+    expected, expected_raised = bits(reference, rows_of(matrix), noise)
     actual, actual_raised = bits(posterior_by_set, matrix, noise)
     where = f"at (alpha, beta) = ({noise.alpha}, {noise.beta})"
     assert (len(actual), actual_raised) == (len(expected), expected_raised), where
@@ -132,8 +201,122 @@ def size3_matrices():
     for name, concept, seed in (("xor", CIRCLE_XOR_BLUE, 5), ("one-blue", EXACTLY_ONE_BLUE, 2)):
         full = build_eval_matrix(hypotheses, generate_list(concept, V, seed=seed, rule_id=name))
         matrices[f"{name}-full"] = full
-        matrices[f"{name}-collapsed"] = _behaviour_classes(full)
+        # Each class one hypothesis, with its members' summed prior.
+        matrices[f"{name}-collapsed"] = matrix_of(oracle_classes(rows_of(full))[0])
     return matrices
+
+
+# The lab's max_size-4 rules.
+SIZE4_RULES = ("circle-xor-blue", "same-shape-as-a-yellow", "exists-triangle", "unique-blue")
+
+
+@pytest.fixture(scope="module")
+def catalog_tables():
+    """Per max_size, ``(matrix, truth)`` for lists of catalog rules: every
+    rule at max_size 3 and the four size-4 rules at max_size 4.  ``truth``
+    is the list's evaluation alone, one row per hypothesis."""
+    tables = {}
+    for max_size in (3, 4):
+        hypotheses = enumerate_hypotheses(default_grammar(V), max_size)
+        concepts = [concept for concept, _lp in hypotheses]
+        rules = [rule for rule in DEMO_RULES if max_size == 3 or rule.rule_id in SIZE4_RULES]
+        lists = [
+            generate_list(parse_concept(rule.source, V), V, seed=seed, rule_id=rule.rule_id)
+            for seed, rule in enumerate(rules)
+        ]
+        tables[max_size] = [
+            (matrix, evaluate_batch(concepts, ContextBatch.from_contexts(_list_objects(lst)[0], V)))
+            for lst, matrix in zip(lists, build_eval_matrices(hypotheses, lists))
+        ]
+    assert len(tables[4][0][1]) == 9568
+    return tables
+
+
+NOISE_POINTS = [(0.95, 0.5), (0.134, 0.847), (1.0, 0.5), (0.75, 1.0), (0.5, 0.2), (0.0, 0.0)]
+
+
+@pytest.mark.parametrize("max_size", [3, 4])
+def test_class_kernel_gathered_to_rows_is_the_row_kernel(catalog_tables, size3_matrices, max_size):
+    """On real lists, the kernel on behaviour classes, gathered back to the
+    hypotheses, gives every score, MAP row and degenerate boundary of the
+    kernel run on every hypothesis row."""
+    matrices = [matrix for matrix, _truth in catalog_tables[max_size]]
+    if max_size == 3:
+        matrices.append(size3_matrices["one-blue-full"])
+    raised_at = {}
+    for i, matrix in enumerate(matrices):
+        assert len(matrix.classes) < len(matrix.log_priors)
+        for alpha, beta in NOISE_POINTS:
+            noise = NoiseParams(alpha, beta)
+            reached, raised = assert_bitwise_equal(matrix, noise, row_kernel_posterior_by_set)
+            if raised:
+                raised_at[i, alpha, beta] = reached
+    if max_size == 3:  # alpha 1 on exactly-one-blue: no size-3 concept fits
+        n_sets = len(matrices[-1].offsets) - 1
+        assert 0 < raised_at[len(matrices) - 1, 1.0, 0.5] < n_sets
+
+
+def assert_collapse_is_the_oracles(log_priors: np.ndarray, truth: np.ndarray) -> EvalMatrix:
+    """``_collapse`` gives ``np.unique(axis=0)``'s classes and inverse, and
+    the matrix's class priors are the oracle's, bit for bit."""
+    n_objects = truth.shape[1]
+    rows = Rows(log_priors, truth, np.zeros(n_objects, dtype=bool), [0, n_objects])
+    matrix = matrix_of(rows)
+    expected, inverse = oracle_classes(rows)
+    assert matrix.classes.dtype == bool and matrix.classes.flags.c_contiguous
+    assert matrix.classes.shape == expected.truth.shape
+    assert np.array_equal(matrix.classes, expected.truth)
+    assert np.array_equal(matrix.inverse, inverse)
+    assert np.array_equal(matrix.class_log_priors.view(np.int64), expected.log_priors.view(np.int64))
+    return matrix
+
+
+@pytest.mark.parametrize("max_size", [3, 4])
+def test_collapse_is_the_unique_rows_collapse(catalog_tables, max_size):
+    for matrix, truth in catalog_tables[max_size]:
+        collapsed = assert_collapse_is_the_oracles(matrix.log_priors, truth)
+        assert np.array_equal(matrix.classes, collapsed.classes)
+        assert np.array_equal(matrix.inverse, collapsed.inverse)
+
+
+@pytest.mark.parametrize("n_hyps, n_objects, draw, n_classes", [
+    (3, 0, "random", 1),  # no objects: one class
+    (0, 5, "random", 0),  # no hypotheses: no class
+    (4, 9, "equal", 1),  # every row equal, over two bytes
+    (1, 1, "random", 1),
+    (60, 3, "random", 8),  # rows repeat
+    (60, 17, "one-hot", 17),  # rows that differ in one bit, in every byte
+])
+def test_collapse_edge_cases(n_hyps, n_objects, draw, n_classes):
+    rng = np.random.default_rng(n_hyps * 100 + n_objects)
+    if draw == "equal":
+        truth = np.tile(rng.random(n_objects) < 0.5, (n_hyps, 1))
+    elif draw == "one-hot":
+        truth = np.eye(n_objects, dtype=bool)[rng.permutation(n_hyps) % n_objects]
+    else:
+        truth = rng.random((n_hyps, n_objects)) < 0.5
+    log_priors = rng.uniform(-20.0, 0.0, size=n_hyps)
+    matrix = assert_collapse_is_the_oracles(log_priors, truth)
+    assert len(matrix.classes) == n_classes
+
+
+def test_posterior_by_set_holds_one_boundary_beyond_the_class_scores(catalog_tables):
+    """Iterating the posterior of a size-4 list (9,568 hypotheses, 26
+    boundaries) traces under the kernel's class result plus 2 MB.  One
+    (26, 9,568) float64 array is 2.0 MB, and scoring every row at once
+    held four or more."""
+    matrix = catalog_tables[4][0][0]
+    assert len(matrix.log_priors) == 9568 and len(matrix.offsets) == 26
+    matrix.cells, matrix.class_log_priors  # built before tracing, as a fit grid has them
+    class_result = 8 * len(matrix.offsets) * len(matrix.classes)
+    tracemalloc.start()
+    try:
+        reached = sum(1 for _step in posterior_by_set(matrix, NoiseParams(0.95, 0.5)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert reached == 26
+    assert peak < class_result + 2 * 2**20
 
 
 @pytest.mark.parametrize("name", ["xor-full", "xor-collapsed", "one-blue-full", "one-blue-collapsed"])
@@ -142,12 +325,13 @@ def test_kernel_matches_per_cell_oracle_on_the_grid(size3_matrices, name):
     corners = {(a, b) for a in (0.0, 1.0) for b in (0.0, 1.0)}
     assert corners <= set(GRID)
     raised_at = {}
+    fit_oracle = oracle_fit_trajectory()
     for alpha, beta in GRID:
         noise = NoiseParams(alpha, beta)
         reached, raised = assert_bitwise_equal(matrix, noise)
         if raised:
             raised_at[(alpha, beta)] = reached
-        expected = trajectory_bits(oracle_predictive_trajectory, matrix, noise)
+        expected = trajectory_bits(fit_oracle, matrix, noise)
         actual = trajectory_bits(predictive_trajectory, matrix, noise)
         assert (actual is None) == (expected is None), f"trajectory at {noise}"
         assert actual is None or np.array_equal(actual, expected), f"trajectory at {noise}"
@@ -163,7 +347,8 @@ def test_degenerate_boundary_is_the_same_full_and_collapsed(size3_matrices):
     full = bits(posterior_by_set, size3_matrices["one-blue-full"], noise)
     collapsed = bits(posterior_by_set, size3_matrices["one-blue-collapsed"], noise)
     assert full[1] and collapsed[1]
-    assert len(full[0]) == len(collapsed[0]) == len(bits(oracle_posterior_by_set, size3_matrices["one-blue-full"], noise)[0])
+    oracle = bits(oracle_posterior_by_set, rows_of(size3_matrices["one-blue-full"]), noise)
+    assert len(full[0]) == len(collapsed[0]) == len(oracle[0])
 
 
 def test_grid_r2_is_the_oracles_sequence(size3_matrices, monkeypatch):
@@ -171,14 +356,14 @@ def test_grid_r2_is_the_oracles_sequence(size3_matrices, monkeypatch):
     (and the skipped points) of the per-cell kernel."""
     prepared, human = [], []
     rng = np.random.default_rng(3)
-    for name in ("xor-collapsed", "one-blue-collapsed"):
+    for name in ("xor-full", "one-blue-full"):
         matrix = size3_matrices[name]
         keep = rng.random(matrix.offsets[-1]) < 0.9
         prepared.append((matrix, keep))
         human.append(rng.random(int(keep.sum())))
     human = np.concatenate(human)
     actual = list(_grid_r2(prepared, human, GRID))
-    monkeypatch.setattr(fit_module, "predictive_trajectory", oracle_predictive_trajectory)
+    monkeypatch.setattr(fit_module, "predictive_trajectory", oracle_fit_trajectory())
     expected = list(_grid_r2(prepared, human, GRID))
     assert actual == expected
     assert sum(r2 is None for _a, _b, r2 in actual) > 0
@@ -198,18 +383,19 @@ def test_fit_pools_the_oracles_scores(monkeypatch):
         tables.append(HumanResponseTable(f"r{i}", n_true, {key: 1000 for key in n_true}))
     grid = noise_grid(0.1)
     actual = fit_noise(lists, tables, grid, enumerate_hypotheses(grammar, 3))
-    monkeypatch.setattr(fit_module, "predictive_trajectory", oracle_predictive_trajectory)
+    monkeypatch.setattr(fit_module, "predictive_trajectory", oracle_fit_trajectory())
     assert fit_noise(lists, tables, grid, enumerate_hypotheses(grammar, 3)) == actual
 
 
 def test_cells_index_lives_only_as_long_as_its_matrix(size3_matrices):
     source = size3_matrices["xor-full"]
-    matrix = EvalMatrix(source.log_priors, source.agree_true, source.gold, source.offsets)
+    matrix = EvalMatrix(source.log_priors, source.classes, source.inverse, source.gold, source.offsets)
     predictive_trajectory(matrix, NoiseParams(0.9, 0.5))
     cells = matrix.cells
     list(posterior_by_set(matrix, NoiseParams(0.5, 0.2)))
     assert matrix.cells is cells  # built once, reused at the next grid point
-    assert cells.shape == (source.offsets[-1], len(source.log_priors))
+    assert cells.shape == (source.offsets[-1], len(source.classes))  # a column per class
+    assert len(source.classes) < len(source.log_priors)
     index = weakref.ref(cells)
     del matrix, cells
     gc.collect()
@@ -241,7 +427,7 @@ def small_matrices(draw):
     n_hyps = draw(st.integers(1, 6))
     set_sizes = draw(st.lists(st.integers(0, 4), min_size=0, max_size=5))
     n_objects = sum(set_sizes)
-    agree_true = np.array(
+    truth = np.array(
         draw(st.lists(st.booleans(), min_size=n_hyps * n_objects, max_size=n_hyps * n_objects)),
         dtype=bool,
     ).reshape(n_hyps, n_objects)
@@ -249,7 +435,8 @@ def small_matrices(draw):
     prior_pool = st.sampled_from([-1.0, -2.5, -0.1]) | st.floats(-50.0, 0.0)
     log_priors = np.array(draw(st.lists(prior_pool, min_size=n_hyps, max_size=n_hyps)))
     offsets = np.concatenate([[0], np.cumsum(set_sizes)]).astype(int).tolist()
-    return EvalMatrix(log_priors, agree_true, gold, offsets)
+    # Few hypotheses over few objects: rows often repeat, so classes merge.
+    return matrix_of(Rows(log_priors, truth, gold, offsets))
 
 
 unit = st.sampled_from([0.0, 1.0, 0.5, 0.05, 0.95]) | st.floats(0.0, 1.0)
@@ -267,7 +454,7 @@ def test_kernel_matches_oracle_in_object_blocks(matrix, alpha, beta, block_objec
     """Blocks of one and three objects: the running sum carried from block
     to block keeps every bit, one-row matrices (MH's path) included."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(inference, "_BLOCK_BYTES", 8 * len(matrix.log_priors) * block_objects)
+        patch.setattr(inference, "_BLOCK_BYTES", 8 * len(matrix.classes) * block_objects)
         assert_bitwise_equal(matrix, NoiseParams(alpha, beta))
 
 
@@ -275,11 +462,12 @@ def test_kernel_matches_oracle_in_object_blocks(matrix, alpha, beta, block_objec
 @pytest.mark.parametrize("name", ["xor-full", "one-blue-collapsed"])
 def test_set_boundaries_inside_and_at_block_edges(size3_matrices, monkeypatch, name, block_objects):
     matrix = size3_matrices[name]
-    n_rows = len(matrix.log_priors)
+    classes = Rows(matrix.class_log_priors, matrix.classes, matrix.gold, matrix.offsets)
+    n_rows = len(matrix.classes)
     assert {offset % 3 for offset in matrix.offsets} == {0, 1, 2}  # inside and at edges
     for alpha, beta in GRID[::37] + [(0.0, 0.0), (1.0, 0.5)]:
         noise = NoiseParams(alpha, beta)
-        expected = oracle_boundary_log_likelihood(matrix, noise)
+        expected = oracle_boundary_log_likelihood(classes, noise)
         monkeypatch.setattr(inference, "_BLOCK_BYTES", 8 * n_rows * block_objects)
         actual = _boundary_log_likelihood(matrix.cells, matrix.offsets, noise)
         assert np.array_equal(actual.view(np.int64), expected.view(np.int64)), noise
@@ -295,8 +483,8 @@ def test_kernel_holds_one_block_beyond_its_result():
     rng = np.random.default_rng(7)
     n_rows = 9568
     offsets = np.concatenate([[0], np.cumsum(rng.integers(2, 5, size=25))]).tolist()
-    agree_true = rng.random((n_rows, offsets[-1])) < 0.5
-    cells = _cells(agree_true, rng.random(offsets[-1]) < 0.5)
+    truth = rng.random((n_rows, offsets[-1])) < 0.5
+    cells = _cells(truth, rng.random(offsets[-1]) < 0.5)
     assert cells.dtype == np.uint8
     tracemalloc.start()
     try:

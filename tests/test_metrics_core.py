@@ -1,5 +1,6 @@
-"""Accuracy windows, correlation, chance baseline, cross-entropy."""
+"""Accuracy windows, correlation, chance baseline, cross-entropy, series files."""
 
+import json
 import math
 import random
 
@@ -18,8 +19,10 @@ from rulelab.metrics import (
     cross_entropy,
     cross_entropy_series,
     last_quarter_count,
+    load_series,
     pearson_r,
     r_squared,
+    save_series,
 )
 
 
@@ -192,3 +195,35 @@ def test_overall_accuracy_is_weighted_per_set_combination():
         weighted += set_accuracy * len(in_set)
         attempted_total += len(in_set)
     assert accuracy(series, "overall") == pytest.approx(weighted / attempted_total, abs=1e-12)
+
+
+def test_series_files_drop_the_human_key_and_old_files_still_load(tmp_path):
+    """Records no longer carry ``"human"``, which no source ever set; a file
+    written with it (always null) still loads, and saving it again leaves
+    the key out and changes nothing else."""
+    old = {
+        "rule_id": "r",
+        "records": [
+            {"set_index": 0, "object_index": 0, "gold": True, "model": True,
+             "p_true": 0.75, "human": None},
+            {"set_index": 0, "object_index": 1, "gold": False, "model": None,
+             "p_true": None, "human": None},
+        ],
+    }
+    old_path = tmp_path / "old.series.json"
+    old_path.write_text(json.dumps(old))
+    series = load_series(old_path)
+    assert series.records == [
+        ObjectRecord(0, 0, gold=True, model=True, p_true=0.75),
+        ObjectRecord(0, 1, gold=False, model=None),
+    ]
+    new_path = tmp_path / "new.series.json"
+    save_series(series, new_path)
+    saved = json.loads(new_path.read_text())
+    assert all("human" not in record for record in saved["records"])
+    for record in old["records"]:
+        del record["human"]
+    assert saved == old
+    assert load_series(new_path) == series
+    with pytest.raises(ValueError, match="p_true"):
+        ObjectRecord(0, 0, gold=True, p_true=1.5)
