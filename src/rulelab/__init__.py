@@ -6,8 +6,7 @@ harness, and the metrics that compare learners to human learning
 trajectories.
 """
 
-from . import catalog, dsl, exemplars, harness, learner, metrics
-from .catalog import ALTERNATE_VOCAB, DEFAULT_VOCAB, DEMO_RULES, RuleSpec
+from ._lazy import lazy_exports
 
 __version__ = "0.1.0"
 
@@ -23,3 +22,12 @@ __all__ = [
     "learner",
     "metrics",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".catalog": ("catalog", "ALTERNATE_VOCAB", "DEFAULT_VOCAB", "DEMO_RULES", "RuleSpec"),
+    ".dsl": ("dsl",),
+    ".exemplars": ("exemplars",),
+    ".harness": ("harness",),
+    ".learner": ("learner",),
+    ".metrics": ("metrics",),
+})

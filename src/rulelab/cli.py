@@ -17,7 +17,6 @@ error, 3 data error, 4 transport error.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import dataclasses
 import hashlib
@@ -25,72 +24,65 @@ import json
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
+from ._lazy import lazy_exports
 from .catalog import DEFAULT_VOCAB, RuleSpec, read_rules_manifest
-from .dsl import (
-    MAX_CONTEXTS,
-    MAX_OBJECTS,
-    DslError,
-    FeatureVocab,
-    count_contexts,
-    load_vocab,
-    parse_concept,
-    print_concept,
-)
-from .exemplars import (
-    ExemplarList,
-    SubjectRecord,
-    filter_subjects,
-    generate_list,
-    human_proportions,
-    load_list,
-    read_subject_csv,
-    save_list,
-    split_rules,
-    write_json,
-    write_split_manifest,
-)
-from .harness import (
-    CredentialError,
-    EndpointConfigError,
-    RateLimiter,
-    TransportError,
-    load_endpoint_config,
-    run_session,
-    transcript_series,
-)
-from .learner import (
-    Grammar,
-    HypothesisBudgetError,
-    NoiseParams,
-    default_grammar,
-    fit_noise,
-    load_grammar,
-    noise_grid,
-    run_enumerative,
-    run_mh,
-)
-from .learner import inference  # its functions are looked up at call time
-from .metrics import (
-    LabelSeries,
-    RuleGrade,
-    cohort_report,
-    grade_session,
-    hash_inputs,
-    load_series,
-    match_rate,
-    save_series,
-    series_from_sets,
-    set_trajectory,
-    subsample_baseline,
-    summarize_series,
-    summarize_subjects,
-    window_scores,
-    write_delta_csv,
-    write_grading_csvs,
-    write_summary_csv,
-    write_trajectory_csv,
-)
+from .dsl import MAX_CONTEXTS, MAX_OBJECTS, DslError, FeatureVocab, count_contexts, load_vocab
+from .harness import CredentialError, EndpointConfigError, TransportError
+from .learner import Grammar, HypothesisBudgetError, default_grammar, load_grammar
+
+if TYPE_CHECKING:
+    from .exemplars import ExemplarList, SubjectRecord
+    from .metrics import LabelSeries, RuleGrade
+
+# The library names each command runs.  main binds a command's names into
+# this module's globals when it dispatches the command, so a command loads
+# only the modules it runs: gen, report and split never import numpy, and
+# only the llm engine's HTTP transport imports the HTTP stack.
+_COMMAND_NAMES = {
+    "gen": ("generate_list", "hash_inputs", "parse_concept", "save_list", "write_json"),
+    "run": (
+        "NoiseParams", "RateLimiter", "hash_inputs", "inference", "load_endpoint_config",
+        "load_list", "print_concept", "run_enumerative", "run_mh", "run_session", "save_series",
+        "series_from_sets", "transcript_series", "write_json",
+    ),
+    "grade": (
+        "grade_session", "hash_inputs", "load_list", "load_series", "match_rate",
+        "write_grading_csvs", "write_json",
+    ),
+    "report": (
+        "cohort_report", "filter_subjects", "hash_inputs", "load_list", "load_series",
+        "read_subject_csv", "series_from_sets", "set_trajectory", "subsample_baseline",
+        "summarize_series", "summarize_subjects", "window_scores", "write_delta_csv",
+        "write_summary_csv", "write_trajectory_csv",
+    ),
+    "split": ("split_rules", "write_split_manifest"),
+    "fit-noise": (
+        "filter_subjects", "fit_noise", "hash_inputs", "human_proportions", "inference",
+        "load_list", "noise_grid", "read_subject_csv", "write_json",
+    ),
+}
+
+# Where each of those names lives.  A lookup of ``rulelab.cli.<name>`` also
+# binds it (a value patched in first is kept), so a test or a tracer can
+# replace one before the command runs.
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".dsl": ("parse_concept", "print_concept"),
+    ".exemplars": (
+        "filter_subjects", "generate_list", "human_proportions", "load_list", "read_subject_csv",
+        "save_list", "split_rules", "write_json", "write_split_manifest",
+    ),
+    ".harness": ("RateLimiter", "load_endpoint_config", "run_session", "transcript_series"),
+    ".learner": ("NoiseParams", "fit_noise", "noise_grid", "run_enumerative", "run_mh"),
+    ".learner.inference": ("inference",),  # its functions are looked up at call time
+    ".metrics": (
+        "cohort_report", "grade_session", "hash_inputs", "load_series", "match_rate",
+        "save_series", "series_from_sets", "set_trajectory", "subsample_baseline",
+        "summarize_series", "summarize_subjects", "window_scores", "write_delta_csv",
+        "write_grading_csvs", "write_summary_csv", "write_trajectory_csv",
+    ),
+})
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -121,9 +113,6 @@ class LearnerSettings:
     mh_iterations: int = 20_000
     seed: int | None = None
     max_hypotheses: int = 200_000
-
-    def noise(self) -> NoiseParams:
-        return NoiseParams(self.alpha, self.beta)
 
 
 @dataclass
@@ -373,7 +362,7 @@ def cmd_run(config: ExperimentConfig, engine: str, mode: str = "chat") -> int:
     rule_ids = sorted(lists)
 
     if engine == "plot":
-        noise = config.learner.noise()
+        noise = NoiseParams(config.learner.alpha, config.learner.beta)
         if config.learner.engine == "mh" and config.learner.seed is None:
             raise ConfigError("learner.seed is required for the mh engine")
         # Enumerated and evaluated once over every rule's list.  Rules run in
@@ -445,6 +434,8 @@ def cmd_run(config: ExperimentConfig, engine: str, mode: str = "chat") -> int:
         raise ConfigError(f"unknown engine {engine!r}")
 
     if engine == "llm":  # sessions wait on the network, so workers overlap them
+        import concurrent.futures
+
         with concurrent.futures.ThreadPoolExecutor(max_workers=config.workers) as pool:
             outcomes = list(pool.map(_attempt, [run_rule] * len(rule_ids), rule_ids))
     else:  # the learner is CPU-bound under the GIL: threads would gain nothing
@@ -779,10 +770,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _bind(command: str) -> None:
+    """Bind ``command``'s library names into this module's globals."""
+    module = sys.modules[__name__]
+    for name in _COMMAND_NAMES[command]:
+        getattr(module, name)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = load_config(args.config)
+        _bind(args.command)
         if args.command == "gen":
             return cmd_gen(config)
         if args.command == "run":

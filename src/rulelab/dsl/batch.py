@@ -22,6 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
+    MAX_OBJECTS,
     And,
     Concept,
     Context,
@@ -40,7 +41,6 @@ from .core import (
     Xor,
 )
 
-MAX_OBJECTS = 5
 _FEATURE_AXIS = {"size": 0, "color": 1, "shape": 2}
 _REL_AXIS = {"same-color": 1, "same-shape": 2, "same-size": 0, "size-gt": 0, "size-ge": 0}
 

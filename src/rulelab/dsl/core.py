@@ -13,6 +13,7 @@ to the target as variable 0.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 
@@ -71,6 +72,21 @@ class FeatureVocab:
 
     def n_objects(self) -> int:
         return len(self.sizes) * len(self.colors) * len(self.shapes)
+
+
+# The largest displayed set.
+MAX_OBJECTS = 5
+
+# equivalent's default cap on the contexts of one walk.
+MAX_CONTEXTS = 2_000_000
+
+
+def count_contexts(vocab: FeatureVocab, max_set_size: int) -> int:
+    """Number of canonical contexts (target first, the other objects a
+    multiset) that :func:`rulelab.dsl.equivalence.enumerate_contexts`
+    yields up to ``max_set_size``."""
+    n = vocab.n_objects()
+    return n * sum(math.comb(n + r - 1, r) for r in range(max_set_size))
 
 
 @dataclass(frozen=True, slots=True)

@@ -16,20 +16,26 @@ the target object it stops after set size 1.
 from __future__ import annotations
 
 import itertools
-import math
 from typing import Iterator
 
 import numpy as np
 
-from .batch import MAX_OBJECTS, ContextBatch, evaluate_batch, feature_dtype
-from .core import Concept, Context, DslError, FeatureVocab, Obj, is_target_only
+from .batch import ContextBatch, evaluate_batch, feature_dtype
+from .core import (
+    MAX_CONTEXTS,
+    MAX_OBJECTS,
+    Concept,
+    Context,
+    DslError,
+    FeatureVocab,
+    Obj,
+    count_contexts,
+    is_target_only,
+)
 
 # Contexts per evaluated chunk of the universe: bounds the memory of one
 # comparison and lets a difference end the walk early.
 _CHUNK_CONTEXTS = 1 << 16
-
-# equivalent's default cap on the contexts of one walk.
-MAX_CONTEXTS = 2_000_000
 
 
 class ContextBudgetError(DslError):
@@ -44,12 +50,6 @@ def object_universe(vocab: FeatureVocab) -> tuple[Obj, ...]:
         for c in range(len(vocab.colors))
         for h in range(len(vocab.shapes))
     )
-
-
-def count_contexts(vocab: FeatureVocab, max_set_size: int) -> int:
-    """Number of canonical contexts enumerated up to ``max_set_size``."""
-    n = vocab.n_objects()
-    return n * sum(math.comb(n + r - 1, r) for r in range(max_set_size))
 
 
 def enumerate_contexts(vocab: FeatureVocab, max_set_size: int) -> Iterator[Context]:

@@ -1,35 +1,6 @@
 """Hosted-model harness: prompts, sessions, extraction, transcripts."""
 
-from .config import CredentialError, EndpointConfig, EndpointConfigError, load_endpoint_config
-from .extract import (
-    DegenerateMassError,
-    Exclusion,
-    ExtractionResult,
-    extract_labels,
-    label_token_family,
-    true_probability,
-)
-from .prompts import (
-    CHAT_PREAMBLE,
-    COMPLETION_PREAMBLE,
-    ELICITATION_ADDENDUM,
-    MODES,
-    PromptBundle,
-    build_prompt,
-    render_object,
-)
-from .session import (
-    RateLimiter,
-    SessionTranscript,
-    SetEntry,
-    TranscriptMismatchError,
-    TransportError,
-    http_transport,
-    load_transcript,
-    run_session,
-    save_transcript,
-    transcript_series,
-)
+from .._lazy import lazy_exports
 
 __all__ = [
     "CHAT_PREAMBLE",
@@ -60,3 +31,23 @@ __all__ = [
     "transcript_series",
     "true_probability",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".config": (
+        "CredentialError", "EndpointConfig", "EndpointConfigError", "TransportError",
+        "load_endpoint_config",
+    ),
+    ".extract": (
+        "DegenerateMassError", "Exclusion", "ExtractionResult", "extract_labels",
+        "label_token_family", "true_probability",
+    ),
+    ".prompts": (
+        "CHAT_PREAMBLE", "COMPLETION_PREAMBLE", "ELICITATION_ADDENDUM", "MODES", "PromptBundle",
+        "build_prompt", "render_object",
+    ),
+    ".session": (
+        "RateLimiter", "SessionTranscript", "SetEntry", "TranscriptMismatchError",
+        "http_transport", "load_transcript", "run_session", "save_transcript",
+        "transcript_series",
+    ),
+})

@@ -18,6 +18,23 @@ class EndpointConfigError(ValueError):
     """An endpoint config file that cannot be used as written."""
 
 
+class TransportError(RuntimeError):
+    """A request failed.  ``status`` is the HTTP status of the reply, or
+    None when no reply came (a refused or reset connection, a timeout).  A
+    session retries a failure only if it is :attr:`retryable`, and raises
+    it once the configured retries are spent."""
+
+    def __init__(self, message: str, status: int | None = None):
+        super().__init__(message)
+        self.status = status
+
+    @property
+    def retryable(self) -> bool:
+        """No reply, a timeout or rate-limit reply (408, 429), or a server
+        error (5xx).  Any other reply would come back the same."""
+        return self.status is None or self.status in (408, 429) or 500 <= self.status < 600
+
+
 @dataclass(frozen=True)
 class EndpointConfig:
     base_url: str

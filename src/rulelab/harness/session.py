@@ -10,12 +10,9 @@ work is never repeated.
 from __future__ import annotations
 
 import hashlib
-import http.client
 import json
 import threading
 import time
-import urllib.error
-import urllib.request
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
@@ -25,7 +22,7 @@ from typing import Callable
 from ..exemplars import ExemplarList
 from ..exemplars.lists import write_atomic
 from ..metrics.series import LabelSeries, series_from_sets
-from .config import EndpointConfig
+from .config import EndpointConfig, TransportError
 from .extract import (
     DegenerateMassError,
     ExtractionResult,
@@ -37,23 +34,6 @@ from .prompts import PromptBundle, build_prompt, render_object
 Transport = Callable[[str, dict, dict, float], dict]
 
 
-class TransportError(RuntimeError):
-    """A request failed.  ``status`` is the HTTP status of the reply, or
-    None when no reply came (a refused or reset connection, a timeout).  A
-    session retries a failure only if it is :attr:`retryable`, and raises
-    it once the configured retries are spent."""
-
-    def __init__(self, message: str, status: int | None = None):
-        super().__init__(message)
-        self.status = status
-
-    @property
-    def retryable(self) -> bool:
-        """No reply, a timeout or rate-limit reply (408, 429), or a server
-        error (5xx).  Any other reply would come back the same."""
-        return self.status is None or self.status in (408, 429) or 500 <= self.status < 600
-
-
 class TranscriptMismatchError(RuntimeError):
     """An existing transcript disagrees with the session being resumed."""
 
@@ -61,7 +41,13 @@ class TranscriptMismatchError(RuntimeError):
 def http_transport(url: str, payload: dict, headers: dict, timeout: float) -> dict:
     """POST ``payload`` as JSON and return the parsed JSON reply.  Network
     errors, timeouts, 4xx/5xx statuses and a body that is not JSON all
-    raise :class:`TransportError`, carrying the reply's status if one came."""
+    raise :class:`TransportError`, carrying the reply's status if one came.
+    The HTTP stack is imported here: only a session without its own
+    transport talks HTTP."""
+    import http.client
+    import urllib.error
+    import urllib.request
+
     try:
         request = urllib.request.Request(
             url,

@@ -1,41 +1,6 @@
 """Bayesian hypothesis learner: grammar, enumeration, MCMC, noise fitting."""
 
-from .fit import NoiseFit, fit_noise, noise_grid
-from .grammar import (
-    Derivation,
-    Grammar,
-    GrammarError,
-    Hole,
-    Production,
-    default_grammar,
-    grammar_from_pairs,
-    load_grammar,
-    sample_derivation,
-    save_grammar,
-    substitute,
-)
-from .inference import (
-    TRACE_TOP_ROWS,
-    BoundaryDiagnostics,
-    DegeneratePosteriorError,
-    EmptyStateError,
-    EvalMatrix,
-    HypothesisBudgetError,
-    HypothesisEntry,
-    LearnerRun,
-    NoiseParams,
-    PosteriorState,
-    SetPrediction,
-    build_eval_matrices,
-    build_eval_matrix,
-    enumerate_hypotheses,
-    evidence_from_list,
-    map_rule,
-    posterior_by_set,
-    predictive_trajectory,
-    run_enumerative,
-)
-from .mcmc import mh_sample, run_mh
+from .._lazy import lazy_exports
 
 __all__ = [
     "TRACE_TOP_ROWS",
@@ -74,3 +39,20 @@ __all__ = [
     "save_grammar",
     "substitute",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".fit": ("NoiseFit", "fit_noise", "noise_grid"),
+    ".grammar": (
+        "Derivation", "Grammar", "GrammarError", "Hole", "HypothesisBudgetError", "Production",
+        "default_grammar", "grammar_from_pairs", "load_grammar", "sample_derivation",
+        "save_grammar", "substitute",
+    ),
+    ".inference": (
+        "TRACE_TOP_ROWS", "BoundaryDiagnostics", "DegeneratePosteriorError", "EmptyStateError",
+        "EvalMatrix", "HypothesisEntry", "LearnerRun", "NoiseParams", "PosteriorState",
+        "SetPrediction", "build_eval_matrices", "build_eval_matrix", "enumerate_hypotheses",
+        "evidence_from_list", "map_rule", "posterior_by_set", "predictive_trajectory",
+        "run_enumerative",
+    ),
+    ".mcmc": ("mh_sample", "run_mh"),
+})

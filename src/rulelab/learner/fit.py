@@ -38,6 +38,18 @@ def noise_grid(step: float = 0.05) -> list[tuple[float, float]]:
     return [(a, b) for a in axis for b in axis]
 
 
+def _by_class(matrix: EvalMatrix) -> EvalMatrix:
+    """``matrix`` with each behaviour class as one hypothesis that holds
+    the class's prior mass: what :func:`predictive_trajectory` reads,
+    without the ``(n_hyps,)`` arrays, which the grid would keep alive.  A
+    one-member class folds its prior to itself, so the class priors are
+    bitwise the same."""
+    return EvalMatrix(
+        matrix.class_log_priors, matrix.classes, np.arange(len(matrix.classes)),
+        matrix.gold, matrix.offsets,
+    )
+
+
 def _grid_r2(
     prepared: Sequence[tuple[EvalMatrix, np.ndarray]],
     human: np.ndarray,
@@ -97,7 +109,7 @@ def fit_noise(
     for exemplar_list, table, matrix in zip(lists, humans, build_eval_matrices(hypotheses, lists)):
         proportions = [table.proportion(s, o) for s, o, _ctx, _label in exemplar_list.iter_items()]
         keep = np.array([p is not None for p in proportions], dtype=bool)
-        prepared.append((matrix, keep))
+        prepared.append((_by_class(matrix), keep))
         human_chunks.append(np.array([p for p in proportions if p is not None], dtype=float))
     human = np.concatenate(human_chunks)
     if np.unique(human).size < 2:

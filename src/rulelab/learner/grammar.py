@@ -39,6 +39,10 @@ class GrammarError(DslError):
     pass
 
 
+class HypothesisBudgetError(GrammarError):
+    """Enumeration would produce more hypotheses than the caller allows."""
+
+
 def _template_parts(template: Concept, depth: int = 0):
     """Yield (node, binder depth) for every node of a template, holes included."""
     yield template, depth

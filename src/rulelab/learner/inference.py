@@ -34,11 +34,7 @@ import numpy as np
 from ..dsl import Concept, Context, ContextBatch, evaluate_batch, size as concept_size
 from ..dsl.sexpr import print_concept
 from ..exemplars import ExemplarList, write_atomic
-from .grammar import Grammar, GrammarError, substitute
-
-
-class HypothesisBudgetError(GrammarError):
-    """Enumeration would produce more hypotheses than the caller allows."""
+from .grammar import Grammar, GrammarError, HypothesisBudgetError, substitute
 
 
 class EmptyStateError(ValueError):

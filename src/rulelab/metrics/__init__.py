@@ -1,51 +1,6 @@
 """Quantitative measures: accuracies, correlation, grading, trajectories."""
 
-from .core import (
-    EmptyWindowError,
-    WINDOWS,
-    ZeroVarianceError,
-    accuracy,
-    chance_baseline,
-    cross_entropy,
-    cross_entropy_series,
-    last_quarter_count,
-    pearson_r,
-    r_squared,
-)
-from .grading import (
-    MatchReport,
-    RuleGrade,
-    RuleVerdict,
-    SetReport,
-    consistency,
-    grade_session,
-    match_rate,
-    rule_likelihood,
-    rule_likelihood_counts,
-)
-from .reports import (
-    AccuracySummary,
-    RULE_CLASSES,
-    hash_inputs,
-    summarize_series,
-    summarize_subjects,
-    window_scores,
-    write_delta_csv,
-    write_grading_csvs,
-    write_summary_csv,
-    write_trajectory_csv,
-)
-from .series import LabelSeries, ObjectRecord, load_series, save_series, series_from_sets
-from .trajectory import (
-    CohortReport,
-    DEFAULT_PERCENTILES,
-    RuleComparison,
-    TrajectoryReport,
-    cohort_report,
-    quantile,
-    set_trajectory,
-    subsample_baseline,
-)
+from .._lazy import lazy_exports
 
 __all__ = [
     "AccuracySummary",
@@ -91,3 +46,24 @@ __all__ = [
     "write_summary_csv",
     "write_trajectory_csv",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".core": (
+        "EmptyWindowError", "WINDOWS", "ZeroVarianceError", "accuracy", "chance_baseline",
+        "cross_entropy", "cross_entropy_series", "last_quarter_count", "pearson_r", "r_squared",
+    ),
+    ".grading": (
+        "MatchReport", "RuleGrade", "RuleVerdict", "SetReport", "consistency", "grade_session",
+        "match_rate", "rule_likelihood", "rule_likelihood_counts",
+    ),
+    ".reports": (
+        "AccuracySummary", "RULE_CLASSES", "hash_inputs", "summarize_series",
+        "summarize_subjects", "window_scores", "write_delta_csv", "write_grading_csvs",
+        "write_summary_csv", "write_trajectory_csv",
+    ),
+    ".series": ("LabelSeries", "ObjectRecord", "load_series", "save_series", "series_from_sets"),
+    ".trajectory": (
+        "CohortReport", "DEFAULT_PERCENTILES", "RuleComparison", "TrajectoryReport",
+        "cohort_report", "quantile", "set_trajectory", "subsample_baseline",
+    ),
+})

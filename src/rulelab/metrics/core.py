@@ -1,13 +1,18 @@
-"""Accuracy windows, correlation, chance baseline, and cross-entropy."""
+"""Accuracy windows, correlation, chance baseline, and cross-entropy.
+
+numpy is imported by the correlation functions alone, so the report path,
+which scores accuracies, runs without it.
+"""
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .series import LabelSeries
+
+if TYPE_CHECKING:
+    import numpy as np
 
 WINDOWS = ("overall", "last_quarter")
 
@@ -45,6 +50,8 @@ def accuracy(series: LabelSeries, window: str = "overall") -> float:
 def pearson_r(model: Sequence[float], human: Sequence[float]) -> float:
     """Signed Pearson correlation; pairs with a missing human value are
     dropped before computing."""
+    import numpy as np
+
     xs, ys = _paired(model, human)
     if np.ptp(xs) == 0.0 or np.ptp(ys) == 0.0:
         raise ZeroVarianceError("one of the vectors is constant")
@@ -61,6 +68,8 @@ def r_squared(model: Sequence[float], human: Sequence[float]) -> float:
 
 
 def _paired(model: Sequence[float], human: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    import numpy as np
+
     if len(model) != len(human):
         raise ValueError("vectors must be aligned by object")
     pairs = [(m, h) for m, h in zip(model, human) if h is not None and m is not None]

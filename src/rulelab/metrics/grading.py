@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Mapping, Sequence
 
 from ..dsl import Concept, Context, DslError, FeatureVocab, equivalent, evaluate, parse_concept
@@ -106,21 +107,31 @@ def grade_session(
 
     n_sets = len(exemplar_list.sets)
     concepts_by_set = concepts[:n_sets] + [None] * (n_sets - len(concepts))
-    evidence: list[Observation] = []
-    likelihoods = []
-    session = []
-    for set_index, (exemplar_set, concept) in enumerate(zip(exemplar_list.sets, concepts_by_set)):
-        likelihoods.append(
-            rule_likelihood(concept, evidence) if concept is not None and evidence else None
-        )
-        if concept is not None:
-            labels = labels_by_set.get(set_index, {}).items()
-            session.append(SetReport(concept, tuple(
-                (exemplar_set.context_for(i), label) for i, label in labels
-            )))
-        evidence += [
-            (exemplar_set.context_for(i), label) for i, label in enumerate(exemplar_set.labels)
-        ]
+    # Set k's rule is scored on the objects before set k.  Each distinct
+    # rule is evaluated once per object up to its last set, and its
+    # (correct, total) at every set comes from the running counts.
+    evidence = evidence_from_list(exemplar_list)
+    seen_before = list(accumulate((len(s.labels) for s in exemplar_list.sets), initial=0))
+    reach = {c: seen_before[k] for k, c in enumerate(concepts_by_set) if c is not None}
+    correct_before = {
+        concept: list(accumulate(
+            (evaluate(concept, ctx) == label for ctx, label in evidence[:n]), initial=0
+        ))
+        for concept, n in reach.items()
+    }
+    likelihoods = [
+        correct_before[concept][seen_before[k]] / seen_before[k]
+        if concept is not None and seen_before[k] else None
+        for k, concept in enumerate(concepts_by_set)
+    ]
+    session = [
+        SetReport(concept, tuple(
+            (exemplar_set.context_for(i), label)
+            for i, label in labels_by_set.get(set_index, {}).items()
+        ))
+        for set_index, (exemplar_set, concept) in enumerate(zip(exemplar_list.sets, concepts_by_set))
+        if concept is not None
+    ]
     labeled = any(label is not None for report in session for _ctx, label in report.labels)
     return RuleGrade(
         sources=tuple(sources[:n_sets]) + (None,) * (n_sets - len(sources)),

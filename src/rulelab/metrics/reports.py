@@ -12,14 +12,16 @@ import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from ..exemplars.humans import propagated_baseline
 from ..exemplars.lists import write_atomic
 from .core import WINDOWS, EmptyWindowError, accuracy
-from .grading import RuleGrade, RuleVerdict
 from .series import LabelSeries
 from .trajectory import CohortReport, TrajectoryReport
+
+if TYPE_CHECKING:  # grading needs the learner, and with it numpy
+    from .grading import RuleGrade, RuleVerdict
 
 RULE_CLASSES = ("all", "propositional", "fol")
 

@@ -1,6 +1,7 @@
 """Cohort comparisons and learning-trajectory aggregation.
 
-Quantiles use linear interpolation throughout.  The subsample baseline
+Quantiles use linear interpolation throughout, bit for bit as
+``numpy.percentile`` computes it, in pure Python.  The subsample baseline
 repeatedly picks one cohort member per rule at random and measures how
 often that member falls in the cohort's bottom quartile, which calibrates
 how a single learner-sized sample deviates from the cohort median.
@@ -8,11 +9,10 @@ how a single learner-sized sample deviates from the cohort median.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Mapping, Sequence
-
-import numpy as np
 
 from .core import chance_baseline
 from .series import LabelSeries
@@ -21,10 +21,28 @@ DEFAULT_PERCENTILES = (25.0, 20.0, 10.0, 1.0)
 
 
 def quantile(values: Sequence[float], q: float) -> float:
-    """q-th percentile (0-100) with linear interpolation."""
+    """q-th percentile (0-100) with linear interpolation: the virtual index
+    ``(n - 1) * q / 100`` between its two neighbours, and past the last
+    value the last value, in ``numpy.percentile``'s operations and order."""
     if not values:
         raise ValueError("no values")
-    return float(np.percentile(np.asarray(values, dtype=float), q))
+    if not 0.0 <= q <= 100.0:
+        raise ValueError("Percentiles must be in the range [0, 100]")
+    ordered = sorted(float(v) for v in values)
+    if any(math.isnan(v) for v in ordered):
+        return math.nan
+    virtual = (len(ordered) - 1) * (q / 100)
+    below = math.floor(virtual)
+    if virtual >= len(ordered) - 1:
+        lower = upper = len(ordered) - 1
+        below = -1  # numpy's index of the last value, which its weight reads
+    else:
+        lower, upper = below, below + 1
+    weight = virtual - below
+    a, b = ordered[lower], ordered[upper]
+    if weight >= 0.5:  # interpolated from the upper end, as numpy's _lerp does
+        return b - (b - a) * (1 - weight)
+    return a + (b - a) * weight
 
 
 @dataclass(frozen=True)
@@ -92,16 +110,25 @@ def subsample_baseline(
     for the model on every rule."""
     if not cohort_scores:
         raise ValueError("no rules")
+    if n_subsamples < 1:
+        raise ValueError("n_subsamples must be positive")
     rng = random.Random(seed)
-    rule_ids = sorted(cohort_scores)
-    bands = {rule_id: quantile(list(cohort_scores[rule_id]), percentile) for rule_id in rule_ids}
-    rates = np.empty(n_subsamples, dtype=float)
-    for i in range(n_subsamples):
-        below = sum(
-            rng.choice(list(cohort_scores[rule_id])) < bands[rule_id] for rule_id in rule_ids
-        )
-        rates[i] = below / len(rule_ids)
-    return float(rates.mean()), float(rates.std())
+    # Each member's below-band flag, per rule in rule order; a draw picks
+    # a flag by the same rng.choice index it would pick the member by.
+    flags = []
+    for rule_id in sorted(cohort_scores):
+        scores = list(cohort_scores[rule_id])
+        band = quantile(scores, percentile)
+        flags.append([score < band for score in scores])
+    # The rates are below / n_rules, so their moments follow exactly from
+    # the integer counts of each draw.
+    total = total_squares = 0
+    for _ in range(n_subsamples):
+        below = sum(rng.choice(rule_flags) for rule_flags in flags)
+        total += below
+        total_squares += below * below
+    scale = n_subsamples * len(flags)
+    return total / scale, math.sqrt(n_subsamples * total_squares - total * total) / scale
 
 
 @dataclass(frozen=True)

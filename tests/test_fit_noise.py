@@ -214,6 +214,30 @@ def test_collapsed_and_full_degenerate_in_the_same_set(size3_hypotheses):
             predictive_trajectory(matrix, noise)
 
 
+def test_grid_matrices_hold_no_hypothesis_arrays(size3_hypotheses, monkeypatch):
+    """The grid keeps per list only what ``predictive_trajectory`` reads:
+    the behaviour classes, not an array over every hypothesis."""
+    import rulelab.learner.fit as fit
+
+    seen = []
+    grid_r2 = fit._grid_r2
+
+    def spy(prepared, human, grid):
+        seen.extend(matrix for matrix, _keep in prepared)
+        return grid_r2(prepared, human, grid)
+
+    monkeypatch.setattr(fit, "_grid_r2", spy)
+    lists, tables = model_tables(NoiseParams(0.8, 0.4))
+    fit_noise(lists, tables, noise_grid(0.25), size3_hypotheses)
+    n_hyps = len(size3_hypotheses)
+    assert len(seen) == len(lists)
+    for matrix in seen:
+        assert len(matrix.classes) < n_hyps
+        arrays = [value for value in vars(matrix).values() if isinstance(value, np.ndarray)]
+        assert len(arrays) >= 4  # the fields, and the cells and class priors the grid cached
+        assert all(n_hyps not in array.shape for array in arrays)
+
+
 def test_fit_matches_full_matrix_grid_loop():
     lists, tables = model_tables(NoiseParams(0.8, 0.4))
     # A list no size-3 concept explains: its posterior dies at alpha = 1.

@@ -6,12 +6,14 @@ from fractions import Fraction
 import pytest
 
 from rulelab.catalog import DEFAULT_VOCAB as V
-from rulelab.dsl import Not, equivalent, evaluate, parse_concept
+from rulelab.catalog import DEMO_RULES
+from rulelab.dsl import DslError, Not, equivalent, evaluate, parse_concept, print_concept
 from rulelab.exemplars import generate_list
 from rulelab.learner import evidence_from_list
 from rulelab.metrics import (
     LabelSeries,
     ObjectRecord,
+    RuleGrade,
     SetReport,
     consistency,
     grade_session,
@@ -222,3 +224,86 @@ def test_grade_session_without_labels_under_a_rule():
     assert grade.consistency is None
     assert all(likelihood is None for likelihood in grade.likelihoods)
     assert grade.final is None and grade.mean_likelihood is None
+
+
+def per_set_grade(exemplar_list, sources, vocab, series=None) -> RuleGrade:
+    """The per-set form of :func:`grade_session`: every set re-scores its
+    rule on the whole evidence grown so far."""
+    concepts, unparseable = [], []
+    for set_index, source in enumerate(sources):
+        try:
+            concepts.append(None if source is None else parse_concept(source, vocab))
+        except DslError as error:
+            concepts.append(None)
+            unparseable.append((set_index, source, str(error)))
+    labels_by_set = {}
+    for record in series.records if series is not None else ():
+        labels_by_set.setdefault(record.set_index, {})[record.object_index] = record.model
+    n_sets = len(exemplar_list.sets)
+    concepts_by_set = concepts[:n_sets] + [None] * (n_sets - len(concepts))
+    evidence, likelihoods, session = [], [], []
+    for set_index, (exemplar_set, concept) in enumerate(zip(exemplar_list.sets, concepts_by_set)):
+        likelihoods.append(
+            rule_likelihood(concept, evidence) if concept is not None and evidence else None
+        )
+        if concept is not None:
+            labels = labels_by_set.get(set_index, {}).items()
+            session.append(SetReport(concept, tuple(
+                (exemplar_set.context_for(i), label) for i, label in labels
+            )))
+        evidence += [
+            (exemplar_set.context_for(i), label) for i, label in enumerate(exemplar_set.labels)
+        ]
+    labeled = any(label is not None for report in session for _ctx, label in report.labels)
+    return RuleGrade(
+        sources=tuple(sources[:n_sets]) + (None,) * (n_sets - len(sources)),
+        likelihoods=tuple(likelihoods),
+        consistency=consistency(session) if labeled else None,
+        final=concepts[-1] if concepts else None,
+        unparseable=tuple(unparseable),
+    )
+
+
+def _reported_rules(exemplar_list, rng: random.Random) -> list[str | None]:
+    """One printed rule per set, drawn with repeats from a few catalog
+    rules, the gold rule, no rule and one that does not parse."""
+    pool = [rule.source for rule in rng.sample(DEMO_RULES, 4)]
+    pool += [print_concept(exemplar_list.concept, V), None, "(is-color mauve)"]
+    n_sets = len(exemplar_list.sets)
+    return [rng.choice(pool) for _ in range(n_sets + rng.choice((-3, 0, 2)))]
+
+
+def _sampled_series(exemplar_list, rng: random.Random) -> LabelSeries:
+    records = [
+        ObjectRecord(s, o, label, rng.choice((True, False, None)))
+        for s, o, _ctx, label in exemplar_list.iter_items()
+    ]
+    return LabelSeries(exemplar_list.rule_id, records)
+
+
+@pytest.mark.parametrize("rule", DEMO_RULES, ids=[rule.rule_id for rule in DEMO_RULES])
+def test_grade_session_is_the_per_set_loop(rule, monkeypatch):
+    """The same RuleGrade as the per-set loop on every catalog rule, with
+    each distinct rule evaluated at most once per object of the list."""
+    import rulelab.metrics.grading as grading
+
+    rng = random.Random(rule.rule_id)
+    exemplar_list = generate_list(parse_concept(rule.source, V), V, seed=11, rule_id=rule.rule_id)
+    sources = _reported_rules(exemplar_list, rng)
+    series = _sampled_series(exemplar_list, rng)
+    for with_series in (None, series):
+        assert grade_session(exemplar_list, sources, V, with_series) == per_set_grade(
+            exemplar_list, sources, V, with_series
+        )
+
+    calls = []
+
+    def counted(concept, ctx):
+        calls.append(concept)
+        return evaluate(concept, ctx)
+
+    monkeypatch.setattr(grading, "evaluate", counted)
+    grade_session(exemplar_list, sources, V)  # no series: consistency evaluates nothing
+    distinct = {parse_concept(s, V) for s in sources if s is not None and "mauve" not in s}
+    n_objects = sum(len(s.labels) for s in exemplar_list.sets)
+    assert len(calls) <= n_objects * len(distinct)

@@ -1,6 +1,12 @@
 """Cohort comparison and trajectory aggregation."""
 
+import random
+import struct
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rulelab.metrics import (
     LabelSeries,
@@ -59,6 +65,72 @@ def test_subsample_baseline_deterministic():
     # One of five scores sits below the interpolated 25th percentile.
     assert mean == pytest.approx(0.2, abs=0.05)
     assert sd > 0
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    values=st.one_of(
+        # Ties: a few distinct values, drawn repeatedly.
+        st.lists(st.sampled_from([-1.5, -0.25, 0.0, 0.1, 0.3, 1 / 3, 0.7, 2.0]), min_size=1),
+        st.lists(st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=True), min_size=1),
+    ),
+    q=st.one_of(
+        st.sampled_from([0, 1, 10, 20, 25, 50, 100, 0.0, 25.0, 50.0, 100.0]),
+        st.floats(0.0, 100.0),
+    ),
+)
+def test_quantile_is_bitwise_numpy_percentile(values, q):
+    """A single value, ties, negatives, the report's percentiles and any q
+    in [0, 100].  Zeros compare by value: numpy's partition leaves equal
+    values in no set order, so which of 0.0 and -0.0 it returns is its own."""
+    expected = float(np.percentile(np.asarray(values, dtype=float), q))
+    result = quantile(values, q)
+    assert _bits(result) == _bits(expected) or result == expected == 0.0
+
+
+def test_quantile_rejects_a_percentile_outside_0_100():
+    for q in (-1e-9, 100.5):
+        with pytest.raises(ValueError):
+            quantile([0.1, 0.2], q)
+
+
+def numpy_subsample_baseline(cohort_scores, n_subsamples, seed, percentile=25.0):
+    """The numpy form of :func:`subsample_baseline`: a copy of the cohort
+    per draw, and the mean and SD of the float rates."""
+    rng = random.Random(seed)
+    rule_ids = sorted(cohort_scores)
+    bands = {
+        r: float(np.percentile(np.asarray(cohort_scores[r], dtype=float), percentile))
+        for r in rule_ids
+    }
+    rates = np.empty(n_subsamples, dtype=float)
+    for i in range(n_subsamples):
+        below = sum(rng.choice(list(cohort_scores[r])) < bands[r] for r in rule_ids)
+        rates[i] = below / len(rule_ids)
+    return float(rates.mean()), float(rates.std())
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_subsample_baseline_matches_the_numpy_form(seed):
+    rng = random.Random(seed)
+    cohort = {
+        f"r{i}": [rng.randint(0, 12) / 12 for _ in range(rng.randint(1, 25))]
+        for i in range(rng.randint(1, 12))
+    }
+    n_subsamples = (1, 7, 500, 2000)[seed % 4]
+    mean, sd = subsample_baseline(cohort, n_subsamples, seed=seed)
+    expected_mean, expected_sd = numpy_subsample_baseline(cohort, n_subsamples, seed)
+    assert abs(mean - expected_mean) <= 1e-12
+    assert abs(sd - expected_sd) <= 1e-12
+
+
+def test_subsample_baseline_needs_a_draw():
+    with pytest.raises(ValueError):
+        subsample_baseline({"r": [0.5]}, n_subsamples=0, seed=1)
 
 
 def series(labels_by_set, gold=True) -> LabelSeries:
