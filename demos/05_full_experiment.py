@@ -29,7 +29,6 @@ with tempfile.TemporaryDirectory() as tmp:
         "output_dir": "out",
         "seed": 7,
         "learner": {"max_size": 3, "alpha": 0.95, "beta": 0.5},
-        "subsamples": 1000,
     }, indent=2))
     config = ["--config", str(workspace / "config.json")]
 

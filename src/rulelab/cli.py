@@ -132,7 +132,6 @@ class ExperimentConfig:
     fit_grid_step: float = 0.05
     grade_max_set_size: int = 5
     workers: int = 1
-    subsamples: int = 10_000
 
 
 def _checked(doc: dict, key: str, default, valid, want: str, prefix: str = ""):
@@ -172,8 +171,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
     known = {
         "rules", "lists_dir", "output_dir", "vocab", "seed", "endpoint",
-        "human_data", "learner", "fit_grid_step", "grade_max_set_size",
-        "workers", "subsamples",
+        "human_data", "learner", "fit_grid_step", "grade_max_set_size", "workers",
     }
     unknown = set(doc) - known
     if unknown:
@@ -251,7 +249,6 @@ def load_config(path: str | Path) -> ExperimentConfig:
         fit_grid_step=float(_checked(doc, "fit_grid_step", 0.05, *_STEP)),
         grade_max_set_size=grade_max_set_size,
         workers=_checked(doc, "workers", 1, *_POSITIVE),
-        subsamples=_checked(doc, "subsamples", 10_000, *_POSITIVE),
     )
 
 
@@ -649,9 +646,7 @@ def cmd_report(config: ExperimentConfig, series_dirs: dict[str, Path]) -> int:
             continue
         comparison = cohort_report(shared, model_scores)
         write_delta_csv(reports_dir / f"deltas_{cohort}.csv", comparison, kinds, inputs)
-        baseline_mean, baseline_sd = subsample_baseline(
-            shared, n_subsamples=config.subsamples, seed=config.seed or 0
-        )
+        baseline_mean, baseline_sd = subsample_baseline(shared)
         print(
             f"report: {cohort} bottom-quartile rate "
             f"{comparison.bottom_quartile_rate():.3f} "

@@ -35,6 +35,27 @@ class TransportError(RuntimeError):
         return self.status is None or self.status in (408, 429) or 500 <= self.status < 600
 
 
+def _number(value) -> bool:
+    """An int or a float; JSON booleans are never numbers here."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# Each numeric field's valid values, and their description for the error.
+_RANGES = {
+    "temperature": (lambda v: _number(v) and v >= 0, "a number >= 0"),
+    "top_logprobs": (lambda v: _integer(v) and v >= 1, "an integer >= 1"),
+    "timeout": (lambda v: _number(v) and v > 0, "a number > 0"),
+    "max_retries": (lambda v: _integer(v) and v >= 0, "an integer >= 0"),
+    "retry_backoff": (lambda v: _number(v) and v >= 0, "a number >= 0"),
+    "max_sets": (lambda v: v is None or _integer(v) and v >= 1, "null or an integer >= 1"),
+    "rate_limit_per_s": (lambda v: v is None or _number(v) and v > 0, "null or a number > 0"),
+}
+
+
 @dataclass(frozen=True)
 class EndpointConfig:
     base_url: str
@@ -55,10 +76,10 @@ class EndpointConfig:
             parts = None
         if parts is None or parts.scheme not in ("http", "https") or not parts.netloc:
             raise ValueError(f"base_url must be an http(s) URL, got {self.base_url!r}")
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
-        if self.top_logprobs < 1:
-            raise ValueError("top_logprobs must be >= 1")
+        for name, (valid, want) in _RANGES.items():
+            value = getattr(self, name)
+            if not valid(value):
+                raise ValueError(f"{name} must be {want}, got {value!r}")
 
     def credential(self) -> str:
         value = os.environ.get(self.credential_env)

@@ -90,7 +90,6 @@ class RateLimiter:
 @dataclass
 class SetEntry:
     set_index: int
-    prompt: dict
     exchanges: list[dict]
     labels: list[bool | None]
     exclusions: list[dict]
@@ -100,7 +99,6 @@ class SetEntry:
     def to_document(self) -> dict:
         return {
             "set_index": self.set_index,
-            "prompt": self.prompt,
             "exchanges": self.exchanges,
             "labels": self.labels,
             "exclusions": self.exclusions,
@@ -134,10 +132,11 @@ class SessionTranscript:
 
     @classmethod
     def from_document(cls, doc: dict) -> "SessionTranscript":
+        """Read a transcript document.  Older transcripts also stored each
+        set's prompt, which its requests hold; that key is ignored."""
         sets = [
             SetEntry(
                 set_index=entry["set_index"],
-                prompt=entry["prompt"],
                 exchanges=entry["exchanges"],
                 labels=[None if x is None else bool(x) for x in entry["labels"]],
                 exclusions=entry["exclusions"],
@@ -206,7 +205,7 @@ class _Caller:
             cache_path = self.cache_dir / f"{key}.json"
             if cache_path.exists():
                 return json.loads(cache_path.read_text())
-        retries = max(self.endpoint.max_retries, 0)
+        retries = self.endpoint.max_retries
         for attempt in range(retries + 1):
             if attempt:
                 self.sleep(self.endpoint.retry_backoff * 2 ** (attempt - 1))
@@ -352,7 +351,6 @@ def run_session(
     for set_index in range(len(transcript.sets), n_sets):
         exemplar_set = exemplar_list.sets[set_index]
         expected = [render_object(obj, vocab) for obj in exemplar_set.objects]
-        bundle = build_prompt(exemplar_list, set_index, mode)
         if transcript.sets and transcript.sets[-1].set_index >= set_index:
             raise TranscriptMismatchError("transcript sets out of order")
 
@@ -379,20 +377,18 @@ def run_session(
                 p_true.append(_completion_p_true(response))
             entry = SetEntry(
                 set_index=set_index,
-                prompt=bundle.as_document(),
                 exchanges=exchanges,
                 labels=labels,
                 exclusions=exclusions,
                 p_true=p_true,
             )
         else:
-            payload = _chat_payload(endpoint, bundle)
+            payload = _chat_payload(endpoint, build_prompt(exemplar_list, set_index, mode))
             response = caller(chat_url, payload)
             text = _chat_response_text(response)
             extraction = extract_labels(text, expected, mode)
             entry = SetEntry(
                 set_index=set_index,
-                prompt=bundle.as_document(),
                 exchanges=[{"request": payload, "response": response}],
                 labels=extraction.labels,
                 exclusions=[

@@ -2,15 +2,14 @@
 
 Quantiles use linear interpolation throughout, bit for bit as
 ``numpy.percentile`` computes it, in pure Python.  The subsample baseline
-repeatedly picks one cohort member per rule at random and measures how
-often that member falls in the cohort's bottom quartile, which calibrates
-how a single learner-sized sample deviates from the cohort median.
+is the exact mean and SD of how often one cohort member per rule, drawn at
+random, falls in the cohort's bottom quartile, which calibrates how a
+single learner-sized sample deviates from the cohort median.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -100,35 +99,22 @@ def cohort_report(
     return CohortReport(rows=tuple(rows), percentiles=tuple(percentiles))
 
 
-def subsample_baseline(
-    cohort_scores: Mapping[str, Sequence[float]],
-    n_subsamples: int,
-    seed: int,
-    percentile: float = 25.0,
-) -> tuple[float, float]:
-    """Mean and SD of the bottom-band rate when one cohort member stands in
-    for the model on every rule."""
+def subsample_baseline(cohort_scores: Mapping[str, Sequence[float]]) -> tuple[float, float]:
+    """Exact mean and SD of the bottom-band rate when one cohort member per
+    rule, drawn uniformly, stands in for the model.  Each rule's flag is an
+    independent Bernoulli(p_r), p_r its members' share below the band that
+    :meth:`CohortReport.bottom_quartile_rate` reads, so over R rules the
+    rate has mean sum(p_r) / R and SD sqrt(sum(p_r (1 - p_r))) / R."""
     if not cohort_scores:
         raise ValueError("no rules")
-    if n_subsamples < 1:
-        raise ValueError("n_subsamples must be positive")
-    rng = random.Random(seed)
-    # Each member's below-band flag, per rule in rule order; a draw picks
-    # a flag by the same rng.choice index it would pick the member by.
-    flags = []
-    for rule_id in sorted(cohort_scores):
-        scores = list(cohort_scores[rule_id])
-        band = quantile(scores, percentile)
-        flags.append([score < band for score in scores])
-    # The rates are below / n_rules, so their moments follow exactly from
-    # the integer counts of each draw.
-    total = total_squares = 0
-    for _ in range(n_subsamples):
-        below = sum(rng.choice(rule_flags) for rule_flags in flags)
-        total += below
-        total_squares += below * below
-    scale = n_subsamples * len(flags)
-    return total / scale, math.sqrt(n_subsamples * total_squares - total * total) / scale
+    shares = []
+    for scores in cohort_scores.values():
+        band = quantile(scores, DEFAULT_PERCENTILES[0])
+        shares.append(sum(score < band for score in scores) / len(scores))
+    n_rules = len(shares)
+    mean = math.fsum(shares) / n_rules
+    sd = math.sqrt(math.fsum(p * (1 - p) for p in shares)) / n_rules
+    return mean, sd
 
 
 @dataclass(frozen=True)

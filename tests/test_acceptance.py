@@ -400,7 +400,6 @@ def test_criterion_10_end_to_end_dry_run(tmp_path, capsys):
                     "output_dir": "out",
                     "seed": 2024,
                     "learner": {"max_size": 3, "alpha": 0.95, "beta": 0.5},
-                    "subsamples": 1000,
                 }
             )
         )

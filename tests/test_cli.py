@@ -32,7 +32,6 @@ def workspace(tmp_path):
         "output_dir": "out",
         "seed": 11,
         "learner": {"max_size": 3, "alpha": 0.95, "beta": 0.5, "seed": 1},
-        "subsamples": 200,
     }
     (tmp_path / "config.json").write_text(json.dumps(config))
     return tmp_path
@@ -79,8 +78,6 @@ def test_a_null_required_path_is_a_config_error(workspace, capsys, key):
     (None, "seed", "x"),
     (None, "workers", 0),
     (None, "workers", "2"),
-    (None, "subsamples", 0),
-    (None, "subsamples", "abc"),
     (None, "fit_grid_step", 0),
     (None, "fit_grid_step", 1.5),
     (None, "fit_grid_step", "fine"),
@@ -472,13 +469,16 @@ _GOOD_ENDPOINT = {
     json.dumps({key: v for key, v in _GOOD_ENDPOINT.items() if key != "model"}),
     '{"base_url": "https://example.test/v1", "model": ',
     json.dumps([_GOOD_ENDPOINT]),
+    json.dumps({**_GOOD_ENDPOINT, "timeout": -5}),
+    json.dumps({**_GOOD_ENDPOINT, "max_sets": 0}),
 ], ids=["unknown-key", "negative-temperature", "notaurl", "file-url", "no-model",
-        "truncated-json", "not-an-object"])
+        "truncated-json", "not-an-object", "negative-timeout", "zero-max-sets"])
 def test_bad_endpoint_config_is_config_error(workspace, monkeypatch, capsys, endpoint_text):
     """A bad endpoint file exits 2 before any request: no POST, no backoff."""
     import functools
 
     import rulelab.cli as cli_module
+    from rulelab.harness import TransportError
     from rulelab.harness import session as session_module
 
     run(workspace, "gen")
@@ -488,11 +488,10 @@ def test_bad_endpoint_config_is_config_error(workspace, monkeypatch, capsys, end
     (workspace / "config.json").write_text(json.dumps(config))
     monkeypatch.setenv("RULELAB_PRESENT_KEY", "k")
     posts, sleeps = [], []
-    real_transport = session_module.http_transport
 
-    def counted_transport(*args, **kwargs):
+    def counted_transport(*args, **kwargs):  # records a request, and sends none
         posts.append(args[0])
-        return real_transport(*args, **kwargs)
+        raise TransportError("no request may be sent")
 
     monkeypatch.setattr(session_module, "http_transport", counted_transport)
     monkeypatch.setattr(
@@ -1041,7 +1040,7 @@ def test_pipeline_outputs_are_byte_identical_across_workspaces(tmp_path):
         write_rules_manifest(rules, workspace / "rules.json")
         (workspace / "config.json").write_text(json.dumps({
             "rules": "rules.json", "lists_dir": "out/lists", "output_dir": "out", "seed": 11,
-            "learner": {"max_size": 3, "alpha": 0.95, "beta": 0.5}, "subsamples": 200,
+            "learner": {"max_size": 3, "alpha": 0.95, "beta": 0.5},
         }))
         assert command(workspace, "gen") == EXIT_OK
         _write_human_csv(workspace, [r.rule_id for r in rules])

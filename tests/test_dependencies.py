@@ -123,7 +123,7 @@ def test_each_command_loads_only_what_it_runs(tmp_path):
     write_rules_manifest(rules, tmp_path / "rules.json")
     config = {
         "rules": "rules.json", "lists_dir": "out/lists", "output_dir": "out", "seed": 5,
-        "learner": {"max_size": 2}, "subsamples": 50,
+        "learner": {"max_size": 2},
     }
     (tmp_path / "config.json").write_text(json.dumps(config))
 

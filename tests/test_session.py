@@ -309,6 +309,33 @@ def test_endpoint_rejects_a_base_url_that_is_not_http(base_url):
         endpoint(base_url=base_url)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("timeout", -5), ("timeout", 0), ("timeout", True),
+    ("max_retries", -1), ("max_retries", 1.5), ("max_retries", True),
+    ("retry_backoff", -1.0), ("retry_backoff", "0.5"),
+    ("max_sets", 0), ("max_sets", -2), ("max_sets", 2.5), ("max_sets", "3"), ("max_sets", True),
+    ("rate_limit_per_s", -1), ("rate_limit_per_s", 0), ("rate_limit_per_s", True),
+    ("top_logprobs", True), ("top_logprobs", 2.5),
+    ("temperature", True), ("temperature", -0.1),
+])
+def test_endpoint_file_rejects_an_out_of_range_number(tmp_path, key, value):
+    """JSON booleans are never numbers, and each number must be in range."""
+    from rulelab.harness import EndpointConfigError, load_endpoint_config
+
+    path = tmp_path / "endpoint.json"
+    path.write_text(json.dumps({"base_url": "https://fake.test/v1", "model": "m", key: value}))
+    with pytest.raises(EndpointConfigError, match=key):
+        load_endpoint_config(path)
+
+
+def test_endpoint_accepts_each_range_at_its_edge():
+    endpoint(
+        timeout=0.5, max_retries=0, retry_backoff=0, max_sets=1, rate_limit_per_s=0.25,
+        top_logprobs=1, temperature=0,
+    )
+    endpoint(max_sets=None, rate_limit_per_s=None)
+
+
 def test_rate_limiter_spacing():
     now = {"t": 0.0}
     naps = []
@@ -437,6 +464,84 @@ def test_save_transcript_matches_document_dump(tmp_path):
                              transport=_excluding_oracle())
     save_transcript(transcript, path)
     assert path.read_text() == _document_bytes(transcript)
+
+
+def _oracle_for(mode: str):
+    if mode == "completion":
+        return CompletionOracle()
+    return ChatOracle(rule_line="Rule: blue objects only" if mode == "chat+elicitation" else None)
+
+
+def _prompt_document(mode: str, requests: list[dict]) -> dict:
+    """The prompt document a set's first request was sent from."""
+    if mode == "completion":
+        return {"mode": mode, "prefix": requests[0]["prompt"]}
+    system, *turns = requests[0]["messages"]
+    return {
+        "mode": mode,
+        "system": system["content"],
+        "turns": [[turn["role"], turn["content"]] for turn in turns],
+    }
+
+
+@pytest.mark.parametrize("mode", ["chat", "completion", "chat+elicitation"])
+def test_saved_entries_keep_the_prompt_once_as_the_request(tmp_path, mode):
+    """No entry stores a prompt beside its requests, and each request is the
+    payload built from build_prompt for its set (and object, in completion
+    mode), so the requests hold everything a stored prompt held."""
+    from rulelab.harness import build_prompt
+    from rulelab.harness.session import _chat_payload, _completion_payload
+
+    exemplar_list = fixture_list(n_sets=4)
+    config = endpoint()
+    path = tmp_path / "t.json"
+    run_session(exemplar_list, config, mode, transport=_oracle_for(mode), transcript_path=path)
+    saved = json.loads(path.read_text())["sets"]
+    assert len(saved) == 4
+    for entry in saved:
+        assert "prompt" not in entry
+        set_index = entry["set_index"]
+        requests = [exchange["request"] for exchange in entry["exchanges"]]
+        bundle = build_prompt(exemplar_list, set_index, mode)
+        if mode == "completion":
+            objects = range(len(exemplar_list.sets[set_index].objects))
+            assert requests == [
+                _completion_payload(config, build_prompt(exemplar_list, set_index, mode, j))
+                for j in objects
+            ]
+        else:
+            assert requests == [_chat_payload(config, bundle)]
+        assert _prompt_document(mode, requests) == bundle.as_document()
+
+
+@pytest.mark.parametrize("mode", ["chat", "completion", "chat+elicitation"])
+def test_a_transcript_that_stores_prompts_resumes_to_a_fresh_runs_bytes(tmp_path, mode):
+    """Older transcripts stored each set's prompt beside its requests.  Such
+    a transcript resumes with no request for its finished sets, and the
+    completed file is the bytes of a fresh run, which stores no prompt."""
+    from rulelab.harness import build_prompt
+
+    exemplar_list = fixture_list(n_sets=5)
+    fresh_path = tmp_path / "fresh.json"
+    run_session(
+        exemplar_list, endpoint(), mode, transport=_oracle_for(mode), transcript_path=fresh_path
+    )
+    old = json.loads(fresh_path.read_text())
+    old["sets"] = old["sets"][:3]
+    for entry in old["sets"]:
+        entry["prompt"] = build_prompt(exemplar_list, entry["set_index"], mode).as_document()
+    old["exclusion_count"] = sum(len(entry["exclusions"]) for entry in old["sets"])
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(old, indent=2, sort_keys=True) + "\n")
+
+    oracle = _oracle_for(mode)
+    run_session(exemplar_list, endpoint(), mode, transport=oracle, transcript_path=path)
+    unfinished = json.loads(fresh_path.read_text())["sets"][3:]
+    assert [payload for _url, payload in oracle.calls] == [
+        exchange["request"] for entry in unfinished for exchange in entry["exchanges"]
+    ]
+    assert path.read_bytes() == fresh_path.read_bytes()
+    assert all("prompt" not in entry for entry in json.loads(path.read_text())["sets"])
 
 
 def _retokenized(response: dict, cuts: set[int]) -> dict:

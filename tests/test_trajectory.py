@@ -1,7 +1,10 @@
 """Cohort comparison and trajectory aggregation."""
 
+import itertools
+import math
 import random
 import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -56,17 +59,6 @@ def test_bottom_quartile_rate():
     assert report.bottom_quartile_rate() == 0.5
 
 
-def test_subsample_baseline_deterministic():
-    cohort = {f"r{i}": [0.2, 0.4, 0.6, 0.8, 1.0] for i in range(10)}
-    first = subsample_baseline(cohort, n_subsamples=500, seed=5)
-    second = subsample_baseline(cohort, n_subsamples=500, seed=5)
-    assert first == second
-    mean, sd = first
-    # One of five scores sits below the interpolated 25th percentile.
-    assert mean == pytest.approx(0.2, abs=0.05)
-    assert sd > 0
-
-
 def _bits(x: float) -> bytes:
     return struct.pack("<d", x)
 
@@ -98,39 +90,51 @@ def test_quantile_rejects_a_percentile_outside_0_100():
             quantile([0.1, 0.2], q)
 
 
-def numpy_subsample_baseline(cohort_scores, n_subsamples, seed, percentile=25.0):
-    """The numpy form of :func:`subsample_baseline`: a copy of the cohort
-    per draw, and the mean and SD of the float rates."""
-    rng = random.Random(seed)
+def exhaustive_baseline(cohort_scores):
+    """Mean and SD of the bottom-quartile rate over every one-member-per-rule
+    draw, each equally likely, in exact arithmetic."""
     rule_ids = sorted(cohort_scores)
-    bands = {
-        r: float(np.percentile(np.asarray(cohort_scores[r], dtype=float), percentile))
-        for r in rule_ids
-    }
-    rates = np.empty(n_subsamples, dtype=float)
-    for i in range(n_subsamples):
-        below = sum(rng.choice(list(cohort_scores[r])) < bands[r] for r in rule_ids)
-        rates[i] = below / len(rule_ids)
-    return float(rates.mean()), float(rates.std())
+    flags = []
+    for r in rule_ids:
+        band = float(np.percentile(np.asarray(cohort_scores[r], dtype=float), 25.0))
+        flags.append([score < band for score in cohort_scores[r]])
+    rates = [Fraction(sum(draw), len(rule_ids)) for draw in itertools.product(*flags)]
+    mean = sum(rates, Fraction(0)) / len(rates)
+    variance = sum(((rate - mean) ** 2 for rate in rates), Fraction(0)) / len(rates)
+    return mean, variance
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_subsample_baseline_matches_the_numpy_form(seed):
+def _random_cohort(seed):
     rng = random.Random(seed)
-    cohort = {
-        f"r{i}": [rng.randint(0, 12) / 12 for _ in range(rng.randint(1, 25))]
-        for i in range(rng.randint(1, 12))
+    return {
+        f"r{i}": [rng.randint(0, 6) / 6 for _ in range(rng.randint(1, 6))]
+        for i in range(rng.randint(1, 5))
     }
-    n_subsamples = (1, 7, 500, 2000)[seed % 4]
-    mean, sd = subsample_baseline(cohort, n_subsamples, seed=seed)
-    expected_mean, expected_sd = numpy_subsample_baseline(cohort, n_subsamples, seed)
-    assert abs(mean - expected_mean) <= 1e-12
-    assert abs(sd - expected_sd) <= 1e-12
 
 
-def test_subsample_baseline_needs_a_draw():
+@pytest.mark.parametrize("cohort", [
+    # Ties at the band: 0.5 is the 25th percentile and three members hold it.
+    {"ties": [0.0, 0.5, 0.5, 0.5, 1.0]},
+    {
+        "ties": [0.0, 0.5, 0.5, 0.5, 1.0],
+        "all-equal": [0.7, 0.7, 0.7],  # p_r = 0
+        "one-member": [0.3],  # p_r = 0
+        "spread": [0.1, 0.2, 0.4, 0.8],
+        "low-ties": [0.0, 0.0, 1.0, 1.0],  # the band is the lowest score: p_r = 0
+    },
+    {"all-equal": [0.4] * 4, "one-member": [1.0]},
+    *(_random_cohort(seed) for seed in range(6)),
+], ids=["ties", "mixed", "all-zero", *(f"random-{seed}" for seed in range(6))])
+def test_subsample_baseline_is_the_exhaustive_draw(cohort):
+    mean, sd = subsample_baseline(cohort)
+    expected_mean, expected_variance = exhaustive_baseline(cohort)
+    assert abs(mean - float(expected_mean)) <= 1e-12
+    assert abs(sd - math.sqrt(expected_variance)) <= 1e-12
+
+
+def test_subsample_baseline_of_no_rules_raises():
     with pytest.raises(ValueError):
-        subsample_baseline({"r": [0.5]}, n_subsamples=0, seed=1)
+        subsample_baseline({})
 
 
 def series(labels_by_set, gold=True) -> LabelSeries:
