@@ -10,20 +10,7 @@ from ._lazy import lazy_exports
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ALTERNATE_VOCAB",
-    "DEFAULT_VOCAB",
-    "DEMO_RULES",
-    "RuleSpec",
-    "catalog",
-    "dsl",
-    "exemplars",
-    "harness",
-    "learner",
-    "metrics",
-]
-
-__getattr__, __dir__ = lazy_exports(globals(), {
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
     ".catalog": ("catalog", "ALTERNATE_VOCAB", "DEFAULT_VOCAB", "DEMO_RULES", "RuleSpec"),
     ".dsl": ("dsl",),
     ".exemplars": ("exemplars",),

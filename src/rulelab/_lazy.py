@@ -3,6 +3,8 @@
 A package ``__init__`` lists where each public name lives instead of
 importing it, so ``from rulelab.dsl import evaluate`` loads ``dsl.core``
 alone, and numpy is loaded only by the modules that compute with it.
+That table is the package's only list of its names: its ``__all__`` is
+the list ``lazy_exports`` returns.
 """
 
 from __future__ import annotations
@@ -12,18 +14,21 @@ from typing import Callable, Mapping, Sequence
 
 
 def lazy_exports(
-    namespace: dict, exports: Mapping[str, Sequence[str]]
-) -> tuple[Callable[[str], object], Callable[[], list[str]]]:
-    """A module ``__getattr__`` and ``__dir__`` for the module whose
-    globals are ``namespace``.
+    namespace: dict, *tables: Mapping[str, Sequence[str]]
+) -> tuple[Callable[[str], object], Callable[[], list[str]], list[str]]:
+    """A module ``__getattr__``, ``__dir__`` and ``__all__`` for the module
+    whose globals are ``namespace``.
 
-    ``exports`` maps a module, relative to the namespace's package, to the
+    Each table maps a module, relative to the namespace's package, to the
     names it provides; a name that is the module's own last component is
     the module itself.  The first lookup of a name imports its module and
     binds the value in ``namespace``, unless a value was bound there first
     (a patch), which is kept; later lookups never reach ``__getattr__``.
+    A name may appear in several tables, always under the same module.
     """
-    where = {name: module for module, names in exports.items() for name in names}
+    where = {
+        name: module for table in tables for module, names in table.items() for name in names
+    }
 
     def __getattr__(name: str):
         try:
@@ -39,4 +44,4 @@ def lazy_exports(
     def __dir__() -> list[str]:
         return sorted(set(namespace) | set(where))
 
-    return __getattr__, __dir__
+    return __getattr__, __dir__, list(where)

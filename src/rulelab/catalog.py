@@ -12,6 +12,7 @@ never published alongside it.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,6 +32,12 @@ ALTERNATE_VOCAB = FeatureVocab(
 )
 
 
+# A rule id names the rule's files (``<id>.json``, ``<id>.series.json``, ...)
+# beside each directory's ``manifest.json``, so it holds no path separator
+# or dot, and is not ``manifest`` in any case (file systems may fold case).
+_RULE_ID = re.compile(r"[A-Za-z0-9][A-Za-z0-9_-]*")
+
+
 @dataclass(frozen=True)
 class RuleSpec:
     rule_id: str
@@ -40,6 +47,12 @@ class RuleSpec:
     def __post_init__(self):
         if self.kind not in ("propositional", "fol"):
             raise ValueError(f"kind must be propositional or fol, got {self.kind!r}")
+        if (not isinstance(self.rule_id, str) or not _RULE_ID.fullmatch(self.rule_id)
+                or self.rule_id.casefold() == "manifest"):
+            raise ValueError(
+                f"rule id must match {_RULE_ID.pattern} and not be 'manifest', "
+                f"got {self.rule_id!r}"
+            )
 
 
 DEMO_RULES: tuple[RuleSpec, ...] = (

@@ -6,7 +6,6 @@ Commands:
     run        replay the labeling task (engine: plot or llm)
     grade      grade elicited rules: likelihood, consistency, match
     report     summary, trajectory, and delta CSVs from label series
-    split      seeded train/held-out partition of the rule manifest
     fit-noise  grid-fit the learner's noise parameters to human data
 
 Every command is deterministic given the config file and caches; all
@@ -21,6 +20,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import re
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -36,53 +36,51 @@ if TYPE_CHECKING:
     from .exemplars import ExemplarList, SubjectRecord
     from .metrics import LabelSeries, RuleGrade
 
-# The library names each command runs.  main binds a command's names into
-# this module's globals when it dispatches the command, so a command loads
-# only the modules it runs: gen, report and split never import numpy, and
-# only the llm engine's HTTP transport imports the HTTP stack.
-_COMMAND_NAMES = {
-    "gen": ("generate_list", "hash_inputs", "parse_concept", "save_list", "write_json"),
-    "run": (
-        "NoiseParams", "RateLimiter", "hash_inputs", "inference", "load_endpoint_config",
-        "load_list", "print_concept", "run_enumerative", "run_mh", "run_session", "save_series",
-        "series_from_sets", "transcript_series", "write_json",
-    ),
-    "grade": (
-        "grade_session", "hash_inputs", "load_list", "load_series", "match_rate",
-        "write_grading_csvs", "write_json",
-    ),
-    "report": (
-        "cohort_report", "filter_subjects", "hash_inputs", "load_list", "load_series",
-        "read_subject_csv", "series_from_sets", "set_trajectory", "subsample_baseline",
-        "summarize_series", "summarize_subjects", "window_scores", "write_delta_csv",
-        "write_summary_csv", "write_trajectory_csv",
-    ),
-    "split": ("split_rules", "write_split_manifest"),
-    "fit-noise": (
-        "filter_subjects", "fit_noise", "hash_inputs", "human_proportions", "inference",
-        "load_list", "noise_grid", "read_subject_csv", "write_json",
-    ),
+# The library names each command runs, under the module each lives in.
+# main binds a command's names into this module's globals when it
+# dispatches the command, so a command loads only the modules it runs: gen
+# and report never import numpy, and only the llm engine's HTTP transport
+# imports the HTTP stack.  A lookup of ``rulelab.cli.<name>`` also binds it
+# (a value patched in first is kept), so a test or a tracer can replace one
+# before the command runs.
+_COMMANDS = {
+    "gen": {
+        ".dsl": ("parse_concept",),
+        ".exemplars": ("generate_list", "save_list", "write_json"),
+        ".metrics": ("hash_inputs",),
+    },
+    "run": {
+        ".dsl": ("print_concept",),
+        ".exemplars": ("load_list", "write_json"),
+        ".harness": ("RateLimiter", "load_endpoint_config", "run_session", "transcript_series"),
+        ".learner": ("NoiseParams", "run_enumerative", "run_mh"),
+        ".learner.inference": ("inference",),  # its functions are looked up at call time
+        ".metrics": ("hash_inputs", "save_series", "series_from_sets"),
+    },
+    "grade": {
+        ".exemplars": ("load_list", "write_json"),
+        ".metrics": (
+            "grade_session", "hash_inputs", "load_series", "match_rate", "write_grading_csvs",
+        ),
+    },
+    "report": {
+        ".exemplars": ("filter_subjects", "load_list", "read_subject_csv"),
+        ".metrics": (
+            "cohort_report", "hash_inputs", "load_series", "series_from_sets", "set_trajectory",
+            "subsample_baseline", "summarize_series", "summarize_subjects", "window_scores",
+            "write_delta_csv", "write_summary_csv", "write_trajectory_csv",
+        ),
+    },
+    "fit-noise": {
+        ".exemplars": (
+            "filter_subjects", "human_proportions", "load_list", "read_subject_csv", "write_json",
+        ),
+        ".learner": ("fit_noise", "noise_grid"),
+        ".learner.inference": ("inference",),
+        ".metrics": ("hash_inputs",),
+    },
 }
-
-# Where each of those names lives.  A lookup of ``rulelab.cli.<name>`` also
-# binds it (a value patched in first is kept), so a test or a tracer can
-# replace one before the command runs.
-__getattr__, __dir__ = lazy_exports(globals(), {
-    ".dsl": ("parse_concept", "print_concept"),
-    ".exemplars": (
-        "filter_subjects", "generate_list", "human_proportions", "load_list", "read_subject_csv",
-        "save_list", "split_rules", "write_json", "write_split_manifest",
-    ),
-    ".harness": ("RateLimiter", "load_endpoint_config", "run_session", "transcript_series"),
-    ".learner": ("NoiseParams", "fit_noise", "noise_grid", "run_enumerative", "run_mh"),
-    ".learner.inference": ("inference",),  # its functions are looked up at call time
-    ".metrics": (
-        "cohort_report", "grade_session", "hash_inputs", "load_series", "match_rate",
-        "save_series", "series_from_sets", "set_trajectory", "subsample_baseline",
-        "summarize_series", "summarize_subjects", "window_scores", "write_delta_csv",
-        "write_grading_csvs", "write_summary_csv", "write_trajectory_csv",
-    ),
-})
+__getattr__, __dir__, _ = lazy_exports(globals(), *_COMMANDS.values())
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -103,16 +101,44 @@ class DataError(Exception):
 _UNREADABLE = (KeyError, TypeError, ValueError)
 
 
+def _checked(doc: dict, key: str, default, valid, want: str, prefix: str = ""):
+    """``doc[key]`` (or ``default``) if ``valid`` holds for it; JSON booleans
+    are never numbers here."""
+    value = doc.get(key, default)
+    if isinstance(value, bool) or not valid(value):
+        raise ConfigError(f"{prefix}{key} must be {want}, got {value!r}")
+    return value
+
+
+_POSITIVE = (lambda v: isinstance(v, int) and v >= 1, "a positive integer")
+_UNIT = (lambda v: isinstance(v, (int, float)) and 0.0 <= v <= 1.0, "a number in [0, 1]")
+_STEP = (lambda v: isinstance(v, (int, float)) and 0.0 < v <= 1.0, "a number in (0, 1]")
+_SEED = (lambda v: v is None or isinstance(v, int), "an integer")
+_PATH = (lambda v: v is None or isinstance(v, str), "a path string")
+_ENGINE = (lambda v: v in ("enumerate", "mh"), "enumerate or mh")
+
+
+def _setting(default, check):
+    """A learner config key: its default, and the ``_checked`` test its
+    value must pass."""
+    return field(default=default, metadata={"check": check})
+
+
 @dataclass
 class LearnerSettings:
-    grammar: str | None = None
-    max_size: int = 3
-    alpha: float = 0.95
-    beta: float = 0.5
-    engine: str = "enumerate"  # "enumerate" | "mh"
-    mh_iterations: int = 20_000
-    seed: int | None = None
-    max_hypotheses: int = 200_000
+    """The config's ``learner`` block: each field is one of its keys."""
+
+    grammar: str | None = _setting(None, _PATH)
+    max_size: int = _setting(3, _POSITIVE)
+    alpha: float = _setting(0.95, _UNIT)
+    beta: float = _setting(0.5, _UNIT)
+    engine: str = _setting("enumerate", _ENGINE)
+    mh_iterations: int = _setting(20_000, _POSITIVE)
+    seed: int | None = _setting(None, _SEED)
+    max_hypotheses: int = _setting(200_000, _POSITIVE)
+
+    def __post_init__(self):
+        self.alpha, self.beta = float(self.alpha), float(self.beta)
 
 
 @dataclass
@@ -132,22 +158,6 @@ class ExperimentConfig:
     fit_grid_step: float = 0.05
     grade_max_set_size: int = 5
     workers: int = 1
-
-
-def _checked(doc: dict, key: str, default, valid, want: str, prefix: str = ""):
-    """``doc[key]`` (or ``default``) if ``valid`` holds for it; JSON booleans
-    are never numbers here."""
-    value = doc.get(key, default)
-    if isinstance(value, bool) or not valid(value):
-        raise ConfigError(f"{prefix}{key} must be {want}, got {value!r}")
-    return value
-
-
-_POSITIVE = (lambda v: isinstance(v, int) and v >= 1, "a positive integer")
-_UNIT = (lambda v: isinstance(v, (int, float)) and 0.0 <= v <= 1.0, "a number in [0, 1]")
-_STEP = (lambda v: isinstance(v, (int, float)) and 0.0 < v <= 1.0, "a number in (0, 1]")
-_SEED = (lambda v: v is None or isinstance(v, int), "an integer")
-_PATH = (lambda v: v is None or isinstance(v, str), "a path string")
 
 
 def _read(name: str, path: Path, reader):
@@ -190,30 +200,21 @@ def load_config(path: str | Path) -> ExperimentConfig:
         return (base / doc[key]).resolve() if not Path(doc[key]).is_absolute() else Path(doc[key])
 
     learner_doc = _checked(doc, "learner", {}, lambda v: isinstance(v, dict), "an object")
-    unknown = set(learner_doc) - {
-        "grammar", "max_size", "alpha", "beta", "engine", "mh_iterations",
-        "seed", "max_hypotheses",
-    }
+    settings = dataclasses.fields(LearnerSettings)
+    unknown = set(learner_doc) - {setting.name for setting in settings}
     if unknown:
         raise ConfigError(f"unknown learner config keys: {sorted(unknown)}")
-    grammar = _checked(learner_doc, "grammar", None, *_PATH, "learner.")
-    if grammar is not None and not Path(grammar).is_absolute():
-        grammar = str((base / grammar).resolve())
-    learner = LearnerSettings(
-        grammar=grammar,
-        max_size=_checked(learner_doc, "max_size", 3, *_POSITIVE, "learner."),
-        alpha=float(_checked(learner_doc, "alpha", 0.95, *_UNIT, "learner.")),
-        beta=float(_checked(learner_doc, "beta", 0.5, *_UNIT, "learner.")),
-        engine=learner_doc.get("engine", "enumerate"),
-        mh_iterations=_checked(learner_doc, "mh_iterations", 20_000, *_POSITIVE, "learner."),
-        seed=_checked(learner_doc, "seed", None, *_SEED, "learner."),
-        max_hypotheses=_checked(learner_doc, "max_hypotheses", 200_000, *_POSITIVE, "learner."),
-    )
-    if learner.engine not in ("enumerate", "mh"):
-        raise ConfigError(f"learner.engine must be enumerate or mh, got {learner.engine!r}")
+    learner = LearnerSettings(**{
+        setting.name: _checked(
+            learner_doc, setting.name, setting.default, *setting.metadata["check"], "learner."
+        )
+        for setting in settings
+    })
+    if learner.grammar is not None and not Path(learner.grammar).is_absolute():
+        learner.grammar = str((base / learner.grammar).resolve())
 
     paths = {key: resolve(key) for key in ("rules", "vocab", "endpoint", "human_data")}
-    paths["learner.grammar"] = Path(grammar) if grammar else None
+    paths["learner.grammar"] = Path(learner.grammar) if learner.grammar else None
     for name, file_path in paths.items():
         if file_path is not None and not file_path.exists():
             raise ConfigError(f"config {name!r} points at missing file {file_path}")
@@ -238,7 +239,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
         output_dir=resolve("output_dir"),
         manifest=_read("rules", paths["rules"], read_rules_manifest),
         vocab=vocab,
-        grammar=default_grammar(vocab) if grammar is None else _read(
+        grammar=default_grammar(vocab) if learner.grammar is None else _read(
             "learner.grammar", paths["learner.grammar"], lambda p: load_grammar(p, vocab)
         ),
         vocab_path=paths["vocab"],
@@ -587,6 +588,28 @@ def _kept_subjects(
     return kept, failures
 
 
+# A cohort name labels its rows in the CSVs and names its deltas_<name>.csv;
+# "human" is the subjects' cohort.
+_COHORT = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")
+
+
+def _series_dirs(items: list[str]) -> dict[str, Path]:
+    """The series directory of each cohort named by ``--series NAME=DIR``."""
+    series_dirs = {}
+    for item in items:
+        name, equals, directory = item.partition("=")
+        if not equals:
+            raise ConfigError(f"--series expects NAME=DIR, got {item!r}")
+        if not _COHORT.fullmatch(name) or name == "human":
+            raise ConfigError(
+                f"--series NAME must match {_COHORT.pattern} and not be 'human', got {item!r}"
+            )
+        if name in series_dirs:
+            raise ConfigError(f"--series names the cohort {name!r} twice")
+        series_dirs[name] = Path(directory)
+    return series_dirs
+
+
 def cmd_report(config: ExperimentConfig, series_dirs: dict[str, Path]) -> int:
     kinds = {rule.rule_id: rule.kind for rule in config.manifest}
     lists, failures = _load_lists(config)
@@ -657,25 +680,6 @@ def cmd_report(config: ExperimentConfig, series_dirs: dict[str, Path]) -> int:
         print(f"report: {name!r}: {message}", file=sys.stderr)
     print(f"report: wrote CSVs to {reports_dir}")
     return EXIT_DATA if failures else EXIT_OK
-
-
-# --- split -----------------------------------------------------------------
-
-def cmd_split(config: ExperimentConfig, held_out: int, seed: int | None) -> int:
-    if seed is None:
-        seed = config.seed
-    if seed is None:
-        raise ConfigError("split requires --seed or a top-level 'seed' in the config")
-    try:
-        train, held = split_rules([r.rule_id for r in config.manifest], held_out, seed)
-    except ValueError as error:
-        raise DataError(str(error)) from error
-    splits_dir = config.output_dir / "splits"
-    splits_dir.mkdir(parents=True, exist_ok=True)
-    out_path = splits_dir / f"split_seed{seed}_held{held_out}.json"
-    write_split_manifest(train, held, seed, out_path)
-    print(f"split: {len(train)} train / {len(held)} held-out -> {out_path}")
-    return EXIT_OK
 
 
 # --- fit-noise -------------------------------------------------------------
@@ -757,10 +761,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="cohort name and series directory (repeatable)",
     )
 
-    split = add("split", "partition the rule manifest")
-    split.add_argument("--held-out", type=int, required=True)
-    split.add_argument("--seed", type=int)
-
     add("fit-noise", "fit noise parameters to human data")
     return parser
 
@@ -768,8 +768,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _bind(command: str) -> None:
     """Bind ``command``'s library names into this module's globals."""
     module = sys.modules[__name__]
-    for name in _COMMAND_NAMES[command]:
-        getattr(module, name)
+    for names in _COMMANDS[command].values():
+        for name in names:
+            getattr(module, name)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -785,15 +786,7 @@ def main(argv: list[str] | None = None) -> int:
             series_dir = Path(args.series_dir) if args.series_dir else None
             return cmd_grade(config, Path(args.elicited), series_dir)
         if args.command == "report":
-            series_dirs = {}
-            for item in args.series:
-                if "=" not in item:
-                    raise ConfigError(f"--series expects NAME=DIR, got {item!r}")
-                name, _, directory = item.partition("=")
-                series_dirs[name] = Path(directory)
-            return cmd_report(config, series_dirs)
-        if args.command == "split":
-            return cmd_split(config, args.held_out, args.seed)
+            return cmd_report(config, _series_dirs(args.series))
         if args.command == "fit-noise":
             return cmd_fit_noise(config)
         raise ConfigError(f"unknown command {args.command!r}")

@@ -2,53 +2,7 @@
 
 from .._lazy import lazy_exports
 
-__all__ = [
-    "And",
-    "Concept",
-    "ConceptSyntaxError",
-    "Context",
-    "ContextBatch",
-    "ContextBudgetError",
-    "DIMENSIONS",
-    "DslError",
-    "FeatureIs",
-    "FeatureVocab",
-    "Iff",
-    "Implies",
-    "MAX_CONTEXTS",
-    "MAX_OBJECTS",
-    "MajorityColor",
-    "MinorityColor",
-    "Not",
-    "Obj",
-    "Or",
-    "Quant",
-    "QUANT_KINDS",
-    "QUANT_SCOPES",
-    "Rel",
-    "REL_KINDS",
-    "UnboundVariableError",
-    "Xor",
-    "canonical_chunks",
-    "count_contexts",
-    "depth",
-    "enumerate_contexts",
-    "equivalent",
-    "evaluate",
-    "evaluate_batch",
-    "is_target_only",
-    "max_var_excess",
-    "load_concept_file",
-    "load_vocab",
-    "object_universe",
-    "parse_concept",
-    "parts",
-    "print_concept",
-    "save_vocab",
-    "size",
-]
-
-__getattr__, __dir__ = lazy_exports(globals(), {
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
     ".core": (
         "And", "Concept", "Context", "DIMENSIONS", "DslError", "FeatureIs", "FeatureVocab",
         "Iff", "Implies", "MAX_CONTEXTS", "MAX_OBJECTS", "MajorityColor", "MinorityColor",

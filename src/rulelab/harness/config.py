@@ -6,7 +6,7 @@ import hashlib
 import json
 import os
 import urllib.parse
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 
@@ -120,19 +120,7 @@ def load_endpoint_config(path: str | Path) -> EndpointConfig:
         raise EndpointConfigError(f"endpoint config {path} is unreadable: {error}") from error
     if not isinstance(doc, dict):
         raise EndpointConfigError(f"endpoint config {path} must be a JSON object")
-    known = {
-        "base_url",
-        "model",
-        "temperature",
-        "top_logprobs",
-        "timeout",
-        "max_retries",
-        "retry_backoff",
-        "credential_env",
-        "max_sets",
-        "rate_limit_per_s",
-    }
-    unknown = set(doc) - known
+    unknown = set(doc) - {f.name for f in fields(EndpointConfig)}
     if unknown:
         raise EndpointConfigError(f"unknown endpoint config keys: {sorted(unknown)}")
     try:

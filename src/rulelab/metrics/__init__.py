@@ -2,52 +2,7 @@
 
 from .._lazy import lazy_exports
 
-__all__ = [
-    "AccuracySummary",
-    "CohortReport",
-    "DEFAULT_PERCENTILES",
-    "EmptyWindowError",
-    "LabelSeries",
-    "MatchReport",
-    "ObjectRecord",
-    "RULE_CLASSES",
-    "RuleComparison",
-    "RuleGrade",
-    "RuleVerdict",
-    "SetReport",
-    "TrajectoryReport",
-    "WINDOWS",
-    "ZeroVarianceError",
-    "accuracy",
-    "chance_baseline",
-    "cohort_report",
-    "consistency",
-    "cross_entropy",
-    "cross_entropy_series",
-    "grade_session",
-    "hash_inputs",
-    "last_quarter_count",
-    "load_series",
-    "match_rate",
-    "pearson_r",
-    "quantile",
-    "r_squared",
-    "rule_likelihood",
-    "rule_likelihood_counts",
-    "save_series",
-    "series_from_sets",
-    "set_trajectory",
-    "subsample_baseline",
-    "summarize_series",
-    "summarize_subjects",
-    "window_scores",
-    "write_delta_csv",
-    "write_grading_csvs",
-    "write_summary_csv",
-    "write_trajectory_csv",
-]
-
-__getattr__, __dir__ = lazy_exports(globals(), {
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
     ".core": (
         "EmptyWindowError", "WINDOWS", "ZeroVarianceError", "accuracy", "chance_baseline",
         "cross_entropy", "cross_entropy_series", "last_quarter_count", "pearson_r", "r_squared",

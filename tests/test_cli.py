@@ -16,7 +16,7 @@ import rulelab
 from rulelab.catalog import DEMO_RULES, write_rules_manifest
 from rulelab.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
 from rulelab.dsl import FeatureVocab, evaluate, parse_concept, save_vocab
-from rulelab.exemplars import load_list, read_split_manifest
+from rulelab.exemplars import load_list
 
 
 @pytest.fixture()
@@ -119,6 +119,33 @@ def test_gen_empty_manifest_warns(tmp_path, capsys):
     assert main(["gen", "--config", str(tmp_path / "config.json")]) == EXIT_OK
     assert "empty" in capsys.readouterr().err
     assert not (tmp_path / "lists").exists()
+
+
+@pytest.mark.parametrize("rule_id", [
+    "manifest", "Manifest", "../escape", "a/b", "a.b", "", "-blue", "_blue", "blue\n", 5, None,
+])
+def test_a_rule_id_that_cannot_name_its_files_is_a_config_error(workspace, capsys, rule_id):
+    """A rule's id names its list, series and trace files, beside each
+    directory's manifest.json: ``manifest`` would overwrite the lists'
+    manifest, and ``../escape`` would write outside the lists directory."""
+    path = workspace / "rules.json"
+    doc = json.loads(path.read_text())
+    doc["rules"][0]["id"] = rule_id
+    path.write_text(json.dumps(doc))
+    assert run(workspace, "gen") == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"rules file {path} is unreadable: rule id must match " in err and repr(rule_id) in err
+    assert not (workspace / "out").exists()
+
+
+@pytest.mark.parametrize("rule_id", ["blue", "B2", "0", "a_b-c", "manifest-2", "manifests"])
+def test_a_rule_id_of_letters_digits_dashes_and_underscores_is_kept(workspace, rule_id):
+    path = workspace / "rules.json"
+    doc = json.loads(path.read_text())
+    doc["rules"] = [{**doc["rules"][0], "id": rule_id}]
+    path.write_text(json.dumps(doc))
+    assert run(workspace, "gen") == EXIT_OK
+    assert load_list(workspace / "out" / "lists" / f"{rule_id}.json").rule_id == rule_id
 
 
 def test_gen_reports_parse_failures(tmp_path, capsys):
@@ -716,6 +743,37 @@ def test_report_with_humans_adds_rows_and_deltas(workspace):
     assert ",human," in trajectories and ",plot," in trajectories
 
 
+@pytest.mark.parametrize("series, error", [
+    pytest.param(["human=out/runs/plot"], "and not be 'human'", id="human"),
+    pytest.param(["plot=out/runs/plot", "plot=out/runs/mh"], "names the cohort 'plot' twice",
+                 id="repeated"),
+    pytest.param(["=out/runs/plot"], "NAME must match", id="empty"),
+    pytest.param(["../plot=out/runs/plot"], "NAME must match", id="parent-dir"),
+    pytest.param(["a/b=out/runs/plot"], "NAME must match", id="separator"),
+    pytest.param(["plot"], "expects NAME=DIR", id="no-dir"),
+])
+def test_a_series_name_that_cannot_name_its_cohort_is_a_config_error(workspace, capsys,
+                                                                     series, error):
+    """A cohort name labels its CSV rows and names its deltas file: "human"
+    would merge with the subjects' rows, a repeated name would drop a
+    directory, and an empty one would write deltas_.csv."""
+    argv = [arg for item in series for arg in ("--series", item)]
+    assert run(workspace, "report", *argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --series ") and error in err
+    assert not (workspace / "out").exists()
+
+
+def test_report_keeps_each_named_cohort(workspace):
+    run(workspace, "gen")
+    run(workspace, "run", "--engine", "plot")
+    plot_dir = workspace / "out" / "runs" / "plot"
+    assert run(workspace, "report", "--series", f"plot={plot_dir}",
+               "--series", f"model-4.1_b={plot_dir}") == EXIT_OK
+    summary = (workspace / "out" / "reports" / "summary.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in summary[2:]] == ["model-4.1_b", "plot"]
+
+
 def test_report_leaves_fully_excluded_set_blank(workspace):
     from rulelab.metrics import LabelSeries, load_series, save_series
 
@@ -756,13 +814,12 @@ def _list_command(workspace, command) -> int:
         "run": ("run", "--engine", "plot"),
         "grade": ("grade", "--elicited", run_dir),
         "report": ("report", "--series", f"plot={run_dir}"),
-        "split": ("split", "--held-out", "1"),
         "fit-noise": ("fit-noise",),
     }[command])
 
 
 _LIST_COMMANDS = ["run", "grade", "report", "fit-noise"]
-_EVERY_COMMAND = ["gen", "split", *_LIST_COMMANDS]
+_EVERY_COMMAND = ["gen", *_LIST_COMMANDS]
 
 
 @pytest.mark.parametrize("command", _LIST_COMMANDS)
@@ -847,6 +904,8 @@ def test_a_config_that_is_not_an_object_is_a_config_error(workspace, capsys, com
     pytest.param(lambda rules: rules + rules[:1], "duplicate rule ids", id="duplicate-ids"),
     pytest.param(lambda rules: [{**rules[0], "kind": "modal"}, *rules[1:]], "kind must be",
                  id="bad-kind"),
+    pytest.param(lambda rules: [{**rules[0], "id": "../blue"}, *rules[1:]], "rule id must",
+                 id="bad-id"),
 ])
 def test_a_bad_rules_manifest_is_a_config_error(every_input, capsys, command, change, error):
     path = every_input / "rules.json"
@@ -973,15 +1032,11 @@ def test_fit_noise_on_constant_human_proportions_is_a_data_error(workspace, caps
     assert not (workspace / "out" / "reports" / "noise_fit.json").exists()
 
 
-def test_split_partitions_manifest(workspace):
-    assert run(workspace, "split", "--held-out", "2") == EXIT_OK
-    manifest = workspace / "out" / "splits" / "split_seed11_held2.json"
-    train, held = read_split_manifest(manifest)
-    assert len(train) == 4 and len(held) == 2
-
-
-def test_split_held_out_too_large(workspace):
-    assert run(workspace, "split", "--held-out", "6") == EXIT_DATA
+def test_split_is_an_unknown_command(workspace, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        run(workspace, "split", "--held-out", "1")
+    assert exit_info.value.code == EXIT_CONFIG
+    assert "invalid choice: 'split'" in capsys.readouterr().err
 
 
 def test_fit_noise_requires_human_data(workspace):

@@ -117,8 +117,8 @@ def _run_command(workspace: Path, *argv: str) -> set:
 
 
 def test_each_command_loads_only_what_it_runs(tmp_path):
-    """gen and report load no numpy; run --engine plot and grade load no
-    HTTP stack."""
+    """gen and report load no numpy; run --engine plot (either learner
+    engine), grade and fit-noise load no HTTP stack."""
     rules = [r for r in DEMO_RULES if r.rule_id in ("blue", "exists-triangle")]
     write_rules_manifest(rules, tmp_path / "rules.json")
     config = {
@@ -152,6 +152,19 @@ def test_each_command_loads_only_what_it_runs(tmp_path):
     assert not _heavy(report_modules)
     assert (tmp_path / "out" / "reports" / "deltas_plot.csv").exists()
 
+    # fit-noise and the mh engine bind names no other command binds first.
+    config["fit_grid_step"] = 0.25
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    fit_modules = _run_command(tmp_path, "fit-noise")
+    assert "numpy" in fit_modules and not {"http.client", "ssl"} & fit_modules
+    assert (tmp_path / "out" / "reports" / "noise_fit.json").exists()
+    config["learner"].update(engine="mh", mh_iterations=200, seed=3)
+    config["output_dir"] = "out-mh"
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    mh_modules = _run_command(tmp_path, "run", "--engine", "plot")
+    assert "numpy" in mh_modules and not {"http.client", "ssl"} & mh_modules
+    assert (tmp_path / "out-mh" / "runs" / "plot" / "blue.series.json").exists()
+
 
 @pytest.mark.parametrize("package", PACKAGES)
 def test_every_exported_name_resolves(package):
@@ -173,9 +186,13 @@ def test_subpackages_resolve_through_the_top_package():
 
 
 def test_each_command_binds_names_the_cli_can_resolve():
+    """Each name in a command's entry is the named module's value."""
     import rulelab.cli as cli
 
-    for command, names in cli._COMMAND_NAMES.items():
-        for name in names:
-            assert getattr(cli, name) is not None, (command, name)
+    for command, bindings in cli._COMMANDS.items():
+        for module_name, names in bindings.items():
+            module = importlib.import_module(module_name, "rulelab")
+            for name in names:
+                want = module if module_name.endswith(f".{name}") else getattr(module, name)
+                assert getattr(cli, name) is want, (command, name)
 
