@@ -16,7 +16,7 @@ __getattr__, __dir__, __all__ = lazy_exports(globals(), {
         "object_universe",
     ),
     ".sexpr": (
-        "ConceptSyntaxError", "load_concept_file", "load_vocab", "parse_concept",
+        "ConceptSyntaxError", "load_vocab", "parse_concept",
         "print_concept", "save_vocab",
     ),
 })

@@ -221,20 +221,6 @@ def print_concept(concept: Concept, vocab: FeatureVocab) -> str:
     raise DslError(f"not a printable concept node: {concept!r}")
 
 
-def load_concept_file(path: str | Path, vocab: FeatureVocab) -> list[tuple[int, str, Concept]]:
-    """Read a concepts file: one concept per line, ``#`` comments.
-
-    Returns (line number, stripped source, concept) triples.
-    """
-    out = []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        out.append((lineno, line, parse_concept(line, vocab)))
-    return out
-
-
 def load_vocab(path: str | Path) -> FeatureVocab:
     """Read a vocabulary JSON document {sizes: [], colors: [], shapes: []}."""
     doc = json.loads(Path(path).read_text())

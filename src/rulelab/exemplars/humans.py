@@ -78,9 +78,6 @@ class HumanResponseTable:
             return None
         return self.n_true.get((set_index, object_index), 0) / total
 
-    def missing(self) -> list[tuple[int, int]]:
-        return sorted(key for key, total in self.n_total.items() if total == 0)
-
 
 def filter_subjects(
     records: list[SubjectRecord], gold: ExemplarList

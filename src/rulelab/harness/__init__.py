@@ -13,7 +13,7 @@ __getattr__, __dir__, __all__ = lazy_exports(globals(), {
     ),
     ".prompts": (
         "CHAT_PREAMBLE", "COMPLETION_PREAMBLE", "ELICITATION_ADDENDUM", "MODES", "PromptBundle",
-        "build_prompt", "render_object",
+        "build_prompt",
     ),
     ".session": (
         "RateLimiter", "SessionTranscript", "SetEntry", "TranscriptMismatchError",

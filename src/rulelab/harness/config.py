@@ -80,6 +80,19 @@ class EndpointConfig:
             value = getattr(self, name)
             if not valid(value):
                 raise ValueError(f"{name} must be {want}, got {value!r}")
+        # The model names the directory its transcripts are written to,
+        # under the output directory; "org/model" nests.
+        model = self.model
+        if (
+            not isinstance(model, str)
+            or os.path.isabs(model)
+            or "\\" in model
+            or {"", ".", ".."} & set(model.split("/"))
+        ):
+            raise ValueError(
+                "model must be a relative path with no backslash and no empty, '.' or '..' "
+                f"part, got {model!r}"
+            )
 
     def credential(self) -> str:
         value = os.environ.get(self.credential_env)
@@ -112,8 +125,9 @@ class EndpointConfig:
 
 def load_endpoint_config(path: str | Path) -> EndpointConfig:
     """Read an endpoint config file.  A file that cannot be read or parsed,
-    an unknown or missing key, a bad value, or a ``base_url`` that is not an
-    http(s) URL raises :class:`EndpointConfigError`."""
+    an unknown or missing key, a bad value, a ``base_url`` that is not an
+    http(s) URL, or a ``model`` that cannot name a directory below the
+    output directory raises :class:`EndpointConfigError`."""
     try:
         doc = json.loads(Path(path).read_text())
     except (OSError, ValueError) as error:  # ValueError: bad JSON or bad UTF-8

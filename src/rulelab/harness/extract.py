@@ -60,9 +60,6 @@ class ExtractionResult:
     rule_text: str | None = None
     lines: list[int | None] = field(default_factory=list)
 
-    def n_labeled(self) -> int:
-        return sum(label is not None for label in self.labels)
-
 
 _LABEL_LINE = re.compile(r"^(?P<desc>.+?)->(?P<label>.+)$")
 _RULE_LINE = re.compile(r"^\s*rule\s*:\s*(?P<text>.+)$", re.IGNORECASE)

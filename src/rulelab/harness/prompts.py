@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..dsl import FeatureVocab, Obj
 from ..exemplars import ExemplarList
 
 MODES = ("chat", "completion", "chat+elicitation")
@@ -73,14 +72,10 @@ class PromptBundle:
         return doc
 
 
-def render_object(obj: Obj, vocab: FeatureVocab) -> str:
-    return obj.render(vocab)
-
-
 def _group_query(exemplar_list: ExemplarList, set_index: int) -> str:
     lines = [f"Group {set_index + 1}:"]
     lines += [
-        f"- {render_object(obj, exemplar_list.vocab)}"
+        f"- {obj.render(exemplar_list.vocab)}"
         for obj in exemplar_list.sets[set_index].objects
     ]
     return "\n".join(lines)
@@ -89,7 +84,7 @@ def _group_query(exemplar_list: ExemplarList, set_index: int) -> str:
 def _group_answer(exemplar_list: ExemplarList, set_index: int) -> str:
     exemplar_set = exemplar_list.sets[set_index]
     return "\n".join(
-        f"- {render_object(obj, exemplar_list.vocab)} -> {label}"
+        f"- {obj.render(exemplar_list.vocab)} -> {label}"
         for obj, label in zip(exemplar_set.objects, exemplar_set.labels)
     )
 
@@ -124,8 +119,8 @@ def build_prompt(
         parts.append(f"Group {upto_set + 1}:")
         for j in range(upto_object):
             obj = queried.objects[j]
-            parts.append(f"- {render_object(obj, exemplar_list.vocab)} -> {queried.labels[j]}")
-        parts.append(f"- {render_object(queried.objects[upto_object], exemplar_list.vocab)} ->")
+            parts.append(f"- {obj.render(exemplar_list.vocab)} -> {queried.labels[j]}")
+        parts.append(f"- {queried.objects[upto_object].render(exemplar_list.vocab)} ->")
         return PromptBundle(mode=mode, prefix="\n".join(parts))
 
     system = CHAT_PREAMBLE + (ELICITATION_ADDENDUM if mode == "chat+elicitation" else "")

@@ -5,6 +5,14 @@ every earlier set.  Responses are cached on disk keyed by (endpoint config
 hash, request payload), transcripts are persisted after every set, and an
 interrupted session resumes from its transcript, so the expensive network
 work is never repeated.
+
+One loop sends every request, in every prompt mode.  A mode changes only
+data, picked once per session: the endpoint path, the payload builder, the
+reply reader, and how a set is split into requests.  A chat-mode set is one
+request; in completion mode each object is one, its prompt holding the
+set's earlier objects already labelled.  Each request appends its exchange,
+labels, True-probabilities and exclusions to its set's entry, an
+exclusion's object index counted from the set's first object.
 """
 
 from __future__ import annotations
@@ -14,7 +22,7 @@ import json
 import threading
 import time
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import accumulate
 from pathlib import Path
 from typing import Callable
@@ -29,7 +37,7 @@ from .extract import (
     extract_labels,
     true_probability,
 )
-from .prompts import PromptBundle, build_prompt, render_object
+from .prompts import PromptBundle, build_prompt
 
 Transport = Callable[[str, dict, dict, float], dict]
 
@@ -97,14 +105,7 @@ class SetEntry:
     rule_text: str | None = None
 
     def to_document(self) -> dict:
-        return {
-            "set_index": self.set_index,
-            "exchanges": self.exchanges,
-            "labels": self.labels,
-            "exclusions": self.exclusions,
-            "p_true": self.p_true,
-            "rule_text": self.rule_text,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -149,8 +150,10 @@ class SessionTranscript:
 
 
 def _entry_fragment(entry: SetEntry) -> str:
-    """``entry`` as its lines appear in a saved transcript's "sets" array."""
-    text = json.dumps(entry.to_document(), indent=2, sort_keys=True)
+    """``entry`` as its lines appear in a saved transcript's "sets" array.
+    Its fields are dumped as they stand: they are its document, and the
+    deep copy ``to_document`` makes would double the cost."""
+    text = json.dumps(vars(entry), indent=2, sort_keys=True)
     return "    " + text.replace("\n", "\n    ")
 
 
@@ -247,52 +250,58 @@ def _completion_payload(endpoint: EndpointConfig, bundle: PromptBundle) -> dict:
     }
 
 
-def _chat_response_text(response: dict) -> str:
-    return response["choices"][0]["message"]["content"]
-
-
-def _completion_response_text(response: dict) -> str:
-    return response["choices"][0]["text"]
-
-
-def _top_logprob_pairs(entry) -> list[tuple[str, float]]:
-    if isinstance(entry, dict) and all(isinstance(v, (int, float)) for v in entry.values()):
-        return list(entry.items())
-    return [(item["token"], item["logprob"]) for item in entry]
-
-
-def _completion_p_true(response: dict) -> float | None:
-    logprobs = response["choices"][0].get("logprobs")
-    if not logprobs or not logprobs.get("top_logprobs"):
-        return None
+def _p_true(top_logprobs) -> float | None:
+    """The True-probability at a label position from its top tokens, given
+    as a token -> logprob mapping or as a list of items; None when they
+    hold no True/False variant."""
+    if not isinstance(top_logprobs, dict) or not all(
+        isinstance(v, (int, float)) for v in top_logprobs.values()
+    ):
+        top_logprobs = [(item["token"], item["logprob"]) for item in top_logprobs]
     try:
-        return true_probability(_top_logprob_pairs(logprobs["top_logprobs"][0]))
+        return true_probability(top_logprobs)
     except DegenerateMassError:
         return None
 
 
-def _chat_p_true(response: dict, extraction: ExtractionResult) -> list[float | None]:
-    """Each labelled object's True-probability, read at the token holding
-    the first character of the label word on the line it matched."""
-    content = (response["choices"][0].get("logprobs") or {}).get("content") or []
+def _read_completion(response: dict, objects: list[str]) -> tuple[ExtractionResult, list]:
+    """The one queried object's label, and its True-probability from the
+    reply's first top logprobs (None when the reply carries none)."""
+    choice = response["choices"][0]
+    extraction = extract_labels(choice["text"], objects, "completion")
+    top = (choice.get("logprobs") or {}).get("top_logprobs")
+    return extraction, [_p_true(top[0]) if top else None]
+
+
+def _read_chat(response: dict, objects: list[str]) -> tuple[ExtractionResult, list]:
+    """The queried objects' labels, and each labelled object's
+    True-probability, read at the token holding the first character of the
+    label word on the line it matched.  Both chat modes read replies alike."""
+    choice = response["choices"][0]
+    extraction = extract_labels(choice["message"]["content"], objects, "chat")
+    content = (choice.get("logprobs") or {}).get("content") or []
     tokens = [item["token"] for item in content]
     token_starts = list(accumulate(map(len, tokens), initial=0))
     lines = "".join(tokens).splitlines(keepends=True)
     line_starts = list(accumulate(map(len, lines), initial=0))
-    out: list[float | None] = []
+    p_true: list[float | None] = []
     for label, line_index in zip(extraction.labels, extraction.lines):
         if label is None or line_index >= len(lines):
-            out.append(None)
+            p_true.append(None)
             continue
         # A labelled line ends with its label word, which is as long as
         # str(label); the line is shorter only if the tokens do not spell the reply.
         column = max(len(lines[line_index].rstrip()) - len(str(label)), 0)
         item = content[bisect_right(token_starts, line_starts[line_index] + column) - 1]
-        try:
-            out.append(true_probability(_top_logprob_pairs(item.get("top_logprobs", []))))
-        except DegenerateMassError:
-            out.append(None)
-    return out
+        p_true.append(_p_true(item.get("top_logprobs", [])))
+    return extraction, p_true
+
+
+# What a prompt mode changes, picked once per session: the endpoint path,
+# the payload builder, the reply reader, and whether each object of a set
+# is a request of its own (else the set is one request).
+_COMPLETION = ("/completions", _completion_payload, _read_completion, True)
+_CHAT = ("/chat/completions", _chat_payload, _read_chat, False)
 
 
 def run_session(
@@ -344,61 +353,27 @@ def run_session(
     if transcript_path is not None and len(transcript.sets) < n_sets:
         fragments = [_entry_fragment(e) for e in transcript.sets]
 
-    vocab = exemplar_list.vocab
-    chat_url = endpoint.base_url.rstrip("/") + "/chat/completions"
-    completion_url = endpoint.base_url.rstrip("/") + "/completions"
-
+    path, payload_for, read, per_object = _COMPLETION if mode == "completion" else _CHAT
+    url = endpoint.base_url.rstrip("/") + path
     for set_index in range(len(transcript.sets), n_sets):
-        exemplar_set = exemplar_list.sets[set_index]
-        expected = [render_object(obj, vocab) for obj in exemplar_set.objects]
         if transcript.sets and transcript.sets[-1].set_index >= set_index:
             raise TranscriptMismatchError("transcript sets out of order")
-
-        if mode == "completion":
-            exchanges = []
-            labels: list[bool | None] = []
-            exclusions: list[dict] = []
-            p_true: list[float | None] = []
-            for object_index in range(len(expected)):
-                object_bundle = build_prompt(
-                    exemplar_list, set_index, mode, upto_object=object_index
-                )
-                payload = _completion_payload(endpoint, object_bundle)
-                response = caller(completion_url, payload)
-                exchanges.append({"request": payload, "response": response})
-                extraction = extract_labels(
-                    _completion_response_text(response), [expected[object_index]], mode
-                )
-                labels.append(extraction.labels[0])
-                exclusions += [
-                    {"object_index": object_index, "reason": e.reason}
-                    for e in extraction.exclusions
-                ]
-                p_true.append(_completion_p_true(response))
-            entry = SetEntry(
-                set_index=set_index,
-                exchanges=exchanges,
-                labels=labels,
-                exclusions=exclusions,
-                p_true=p_true,
-            )
-        else:
-            payload = _chat_payload(endpoint, build_prompt(exemplar_list, set_index, mode))
-            response = caller(chat_url, payload)
-            text = _chat_response_text(response)
-            extraction = extract_labels(text, expected, mode)
-            entry = SetEntry(
-                set_index=set_index,
-                exchanges=[{"request": payload, "response": response}],
-                labels=extraction.labels,
-                exclusions=[
-                    {"object_index": e.object_index, "reason": e.reason}
-                    for e in extraction.exclusions
-                ],
-                p_true=_chat_p_true(response, extraction),
-                rule_text=extraction.rule_text,
-            )
-
+        objects = [o.render(exemplar_list.vocab) for o in exemplar_list.sets[set_index].objects]
+        # A query is the index of its first object and the objects it asks for.
+        queries = [(i, [o]) for i, o in enumerate(objects)] if per_object else [(0, objects)]
+        entry = SetEntry(set_index, exchanges=[], labels=[], exclusions=[], p_true=[])
+        for first, queried in queries:
+            payload = payload_for(endpoint, build_prompt(exemplar_list, set_index, mode, first))
+            response = caller(url, payload)
+            extraction, p_true = read(response, queried)
+            entry.exchanges.append({"request": payload, "response": response})
+            entry.labels += extraction.labels
+            entry.exclusions += [
+                {"object_index": first + e.object_index, "reason": e.reason}
+                for e in extraction.exclusions
+            ]
+            entry.p_true += p_true
+            entry.rule_text = extraction.rule_text
         transcript.sets.append(entry)
         if transcript_path is not None:
             fragments.append(_entry_fragment(entry))

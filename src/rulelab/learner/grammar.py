@@ -28,6 +28,7 @@ from ..dsl import (
     Quant,
     UnboundVariableError,
     Xor,
+    max_var_excess,
     parts,
 )
 from ..dsl.core import Hole
@@ -132,10 +133,6 @@ class Grammar:
         object.__setattr__(self, "_min_sizes", self._compute_min_sizes())
         self._check_variable_scopes()
 
-    @property
-    def nonterminals(self) -> tuple[str, ...]:
-        return tuple(self._by_lhs)
-
     def productions_for(self, nonterminal: str) -> tuple[Production, ...]:
         try:
             return self._by_lhs[nonterminal]
@@ -186,8 +183,7 @@ class Grammar:
             if production.lhs not in min_depth:
                 continue  # unreachable from start; harmless
             # How many binders outside the template its references need.
-            walk = _template_parts(production.template)
-            reach = max((ref - depth for node, depth in walk for ref in parts(node)[2]), default=-1)
+            reach = max_var_excess(production.template)
             if reach > min_depth[production.lhs]:
                 raise UnboundVariableError(
                     f"production {production.lhs} -> {production.source!r} references a "

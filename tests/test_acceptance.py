@@ -375,7 +375,7 @@ def test_criterion_9_harness_determinism(tmp_path):
             ["small blue circle", "large green triangle"],
             "chat",
         )
-        assert chat.n_labeled() + len(chat.exclusions) == 2
+        assert sum(label is not None for label in chat.labels) + len(chat.exclusions) == 2
         assert {e.reason for e in chat.exclusions} == {"non-boolean label", "object-mismatch"}
 
 

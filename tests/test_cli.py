@@ -529,6 +529,58 @@ def test_bad_endpoint_config_is_config_error(workspace, monkeypatch, capsys, end
     assert posts == [] and sleeps == []
 
 
+def _offline_llm_workspace(workspace, monkeypatch, model) -> list[str]:
+    """Set ``workspace`` up for the llm engine with ``model``, one set per
+    rule, and a transport that answers every request with an empty reply.
+    Returns the list the transport records each request's URL in."""
+    from rulelab.harness import session as session_module
+
+    run(workspace, "gen")
+    (workspace / "endpoint.json").write_text(
+        json.dumps({**_GOOD_ENDPOINT, "model": model, "max_sets": 1})
+    )
+    config = json.loads((workspace / "config.json").read_text())
+    config["endpoint"] = "endpoint.json"
+    (workspace / "config.json").write_text(json.dumps(config))
+    monkeypatch.setenv("RULELAB_PRESENT_KEY", "k")
+    posts = []
+
+    def empty_reply(url, payload, headers, timeout):
+        posts.append(url)
+        return {"choices": [{"message": {"content": ""}}]}
+
+    monkeypatch.setattr(session_module, "http_transport", empty_reply)
+    return posts
+
+
+def test_an_endpoint_model_that_leaves_the_output_directory_is_a_config_error(
+    workspace, monkeypatch, capsys
+):
+    """The model names the directory transcripts go to, under the output
+    directory: ``../../x`` would put them beside the config file."""
+    posts = _offline_llm_workspace(workspace, monkeypatch, "../../x")
+    out = workspace / "out"
+    before = sorted(p for p in workspace.rglob("*") if out not in (p, *p.parents))
+    assert run(workspace, "run", "--engine", "llm") == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "model must be a relative path" in err
+    assert sorted(p for p in workspace.rglob("*") if out not in (p, *p.parents)) == before
+    assert not (out / "transcripts").exists()
+    assert posts == []
+
+
+def test_an_endpoint_model_with_an_org_prefix_nests_its_transcripts(workspace, monkeypatch):
+    from rulelab.harness import load_transcript
+
+    posts = _offline_llm_workspace(workspace, monkeypatch, "org/model")
+    assert run(workspace, "run", "--engine", "llm") == EXIT_OK
+    rule_ids = sorted(r["id"] for r in json.loads((workspace / "rules.json").read_text())["rules"])
+    assert len(posts) == len(rule_ids)
+    model_dir = workspace / "out" / "transcripts" / "org" / "model"
+    assert sorted(p.name for p in model_dir.iterdir()) == [f"{r}.json" for r in rule_ids]
+    assert load_transcript(model_dir / "blue.json").endpoint["model"] == "org/model"
+
+
 def test_grade_gold_elicited_matches_everything(workspace):
     run(workspace, "gen")
     rules = json.loads((workspace / "rules.json").read_text())["rules"]

@@ -95,7 +95,8 @@ def test_exclusion_accounting_balances():
     objects = ["a b c", "d e f", "g h i"]
     response = "- a b c -> True\n- x y z -> False\n"
     result = extract_labels(response, objects, "chat")
-    assert result.n_labeled() + len(result.exclusions) == len(objects)
+    labeled = sum(label is not None for label in result.labels)
+    assert labeled + len(result.exclusions) == len(objects)
 
 
 def test_rule_line_extracted_and_skipped():

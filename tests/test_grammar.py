@@ -19,7 +19,7 @@ from rulelab.learner import (
 def test_default_grammar_shape():
     grammar = default_grammar(V)
     assert grammar.start == "S"
-    assert set(grammar.nonterminals) == {"S", "Q"}
+    assert {production.lhs for production in grammar.productions} == {"S", "Q"}
     assert grammar.min_size("S") == 1
     assert grammar.min_size("Q") == 1
 
@@ -103,22 +103,30 @@ def test_each_template_is_walked_once_per_production_not_per_step(monkeypatch):
     from rulelab.exemplars import generate_list
     from rulelab.learner import NoiseParams, evidence_from_list, grammar, mh_sample
 
-    walks = Counter()
-    walk = grammar._template_parts
+    walks, scope_checks = Counter(), Counter()
+    walk, var_excess = grammar._template_parts, grammar.max_var_excess
 
     def counted(template, depth=0):
         walks[id(template)] += 1
         return walk(template, depth)
 
+    def counted_excess(template, binders=0):
+        scope_checks[id(template)] += 1
+        return var_excess(template, binders)
+
     monkeypatch.setattr(grammar, "_template_parts", counted)
+    monkeypatch.setattr(grammar, "max_var_excess", counted_excess)
     built = default_grammar(V)
     templates = {id(p.template) for p in built.productions}
     at_build = {key: n for key, n in walks.items() if key in templates}
-    # holes, skeleton_size and the variable-scope check: once each.
-    assert set(at_build) == templates and max(at_build.values()) == 3
+    # holes and skeleton_size walk each template once; the variable-scope
+    # check reads each template's max_var_excess once.
+    assert set(at_build) == templates and max(at_build.values()) == 2
+    assert scope_checks == Counter(templates)
 
     exemplar_list = generate_list(parse_concept("(is-color blue)", V), V, seed=3, rule_id="blue")
     evidence = evidence_from_list(exemplar_list, upto_set=4)
     for seed in (1, 2):
         mh_sample(built, evidence, NoiseParams(0.9, 0.5), 2_000, seed, max_size=3)
     assert {key: n for key, n in walks.items() if key in templates} == at_build
+    assert scope_checks == Counter(templates)

@@ -15,7 +15,6 @@ from rulelab.dsl import (
     Quant,
     UnboundVariableError,
     Xor,
-    load_concept_file,
     load_vocab,
     parse_concept,
     print_concept,
@@ -93,21 +92,6 @@ def test_alternate_vocab_parses_its_own_values():
     assert print_concept(concept, ALTERNATE_VOCAB) == "(and (is-color red) (is-shape square))"
     with pytest.raises(DslError):
         parse_concept("(is-color red)", V)
-
-
-def test_concept_file_roundtrip(tmp_path):
-    path = tmp_path / "rules.concepts"
-    path.write_text(
-        "# a comment line\n"
-        "(is-color blue)\n"
-        "\n"
-        "(not (is-shape circle))  # trailing comment\n"
-    )
-    loaded = load_concept_file(path, V)
-    assert [(line, source) for line, source, _c in loaded] == [
-        (2, "(is-color blue)"),
-        (4, "(not (is-shape circle))"),
-    ]
 
 
 def test_vocab_json_roundtrip(tmp_path):

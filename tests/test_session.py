@@ -309,6 +309,20 @@ def test_endpoint_rejects_a_base_url_that_is_not_http(base_url):
         endpoint(base_url=base_url)
 
 
+@pytest.mark.parametrize("model", [
+    "", ".", "..", "../../x", "a/../../x", "a/./b", "a//b", "a/", "/abs", "a\\b", "..\\x", None, 7,
+])
+def test_endpoint_rejects_a_model_that_cannot_name_a_directory_below_the_output(model):
+    """The model names the directory its transcripts are written to."""
+    with pytest.raises(ValueError, match="model must be a relative path"):
+        endpoint(model=model)
+
+
+@pytest.mark.parametrize("model", ["m", "gpt-4.1", "org/model", "org/model:8b", "a..b/.c"])
+def test_endpoint_keeps_a_model_of_named_parts(model):
+    assert endpoint(model=model).model == model
+
+
 @pytest.mark.parametrize("key, value", [
     ("timeout", -5), ("timeout", 0), ("timeout", True),
     ("max_retries", -1), ("max_retries", 1.5), ("max_retries", True),
@@ -514,34 +528,189 @@ def test_saved_entries_keep_the_prompt_once_as_the_request(tmp_path, mode):
         assert _prompt_document(mode, requests) == bundle.as_document()
 
 
+def _completion_query(prompt: str) -> tuple[int, int, str]:
+    """The set index, object index and description a completion prompt asks for."""
+    lines = prompt.splitlines()
+    group = max(i for i, line in enumerate(lines) if line.startswith("Group "))
+    set_index = int(lines[group].split()[1].rstrip(":")) - 1
+    return set_index, len(lines) - group - 2, lines[-1].strip("- ").rstrip("->").strip()
+
+
+class ScriptedTransport:
+    """Answers each request from the gold rule, spoiled by a fault chosen
+    from the request itself: in chat modes by the queried set, in
+    completion mode by the queried set and object.  A fault depends on the
+    request alone, so a cached, resumed or fresh session meets the same
+    replies.
+
+    Chat faults, by set index mod 4: the first label word is "Maybe"; the
+    second object is re-described; the reply has no logprobs; the first
+    label's top tokens hold no True/False variant.  Completion faults, by
+    (set index + object index) mod 4: the reply is "Perhaps"; it has no
+    logprobs; its top tokens hold no True/False variant; none (its top
+    tokens come as a list of items rather than a mapping)."""
+
+    def __init__(self, mode):
+        self.rule_line = "Rule: blue objects only" if mode == "chat+elicitation" else None
+        self.calls = []
+
+    def __call__(self, url, payload, headers, timeout):
+        self.calls.append((url, payload))
+        if "prompt" in payload:
+            return self._completion(payload["prompt"])
+        return self._chat(payload["messages"])
+
+    def _chat(self, messages):
+        set_index = sum(message["role"] == "user" for message in messages) - 1
+        query = messages[-1]["content"]
+        objects = _parse_objects([line[2:] for line in query.splitlines() if line.startswith("- ")])
+        fault = set_index % 4
+        tokens = [(self.rule_line + "\n", None)] if self.rule_line else []
+        for index, (description, label) in enumerate(objects):
+            word, top = f" {label}", _label_logprobs(label)
+            if fault == 0 and index == 0:
+                word = " Maybe"
+            if fault == 1 and index == min(1, len(objects) - 1):
+                description = "enormous chartreuse blob"
+            if fault == 3 and index == 0:
+                top = [{"token": " Yes", "logprob": math.log(0.6)},
+                       {"token": " No", "logprob": math.log(0.3)}]
+            tokens += [(f"- {description} ->", None), (word, top), ("\n", None)]
+        choice = {"message": {"content": "".join(token for token, _top in tokens)}}
+        if fault != 2:
+            choice["logprobs"] = {"content": [
+                {"token": token, "logprob": -0.1, **({"top_logprobs": top} if top else {})}
+                for token, top in tokens
+            ]}
+        return {"choices": [choice]}
+
+    def _completion(self, prompt):
+        set_index, object_index, description = _completion_query(prompt)
+        (_description, label), = _parse_objects([description])
+        fault = (set_index + object_index) % 4
+        text = " Perhaps" if fault == 0 else f" {label}"
+        win, lose = (" True", " False") if label else (" False", " True")
+        top = {win: math.log(0.8), lose: math.log(0.1)}
+        if fault == 2:
+            top = {" Yes": math.log(0.8), " No": math.log(0.1)}
+        if fault == 3:
+            top = [{"token": token, "logprob": logprob} for token, logprob in top.items()]
+        choice = {"text": text}
+        if fault != 1:
+            choice["logprobs"] = {"tokens": [text], "top_logprobs": [top]}
+        return {"choices": [choice]}
+
+
+SCRIPTED_SETS, SCRIPTED_PARTIAL_SETS = 5, 3
+
+
+def _scripted_session_files(work: Path, mode: str) -> dict[str, str]:
+    """Run a scripted session over five sets and return the files it
+    leaves, by path under ``work``: its transcript, cache and series, and
+    the transcript of a run of the same session cut after three sets."""
+    from rulelab.metrics import save_series
+
+    exemplar_list = fixture_list(n_sets=SCRIPTED_SETS)
+    finished = SCRIPTED_PARTIAL_SETS
+    if mode == "completion":
+        finished = sum(len(s.objects) for s in exemplar_list.sets[:SCRIPTED_PARTIAL_SETS])
+    script = ScriptedTransport(mode)
+
+    def cut(url, payload, headers, timeout):
+        if len(script.calls) == finished:
+            raise TransportError("cut", status=400)
+        return script(url, payload, headers, timeout)
+
+    with pytest.raises(TransportError):
+        run_session(exemplar_list, endpoint(), mode, transport=cut,
+                    transcript_path=work / "partial.json")
+    transcript = run_session(
+        exemplar_list, endpoint(), mode, transport=ScriptedTransport(mode),
+        cache_dir=work / "cache", transcript_path=work / "transcript.json",
+    )
+    save_series(transcript_series(transcript, exemplar_list), work / "series.json")
+    return {
+        path.relative_to(work).as_posix(): path.read_text()
+        for path in sorted(work.rglob("*")) if path.is_file()
+    }
+
+
+def _scripted_golden(mode: str) -> dict[str, str]:
+    """The files ``_scripted_session_files`` left in ``mode`` when the golden
+    was recorded, before completion mode shared the chat modes' loop."""
+    name = f"session_{mode.replace('+', '_')}.json"
+    return json.loads((Path(__file__).parent / "golden" / name).read_text())
+
+
+@pytest.mark.parametrize("mode", ["chat", "completion", "chat+elicitation"])
+def test_scripted_session_files_match_their_golden_bytes(tmp_path, mode):
+    """Transcripts, cache files and series are frozen byte for byte, so a
+    cache or transcript written by an earlier version still hits and
+    resumes.  The script covers each way a reply can be read badly."""
+    files = _scripted_session_files(tmp_path, mode)
+    golden = _scripted_golden(mode)
+    assert sorted(files) == sorted(golden)
+    for path, text in golden.items():
+        assert files[path] == text, path
+    transcript = json.loads(files["transcript.json"])
+    assert transcript["exclusion_count"] > 0
+    assert None in [p for entry in transcript["sets"] for p in entry["p_true"]]
+
+
 @pytest.mark.parametrize("mode", ["chat", "completion", "chat+elicitation"])
 def test_a_transcript_that_stores_prompts_resumes_to_a_fresh_runs_bytes(tmp_path, mode):
-    """Older transcripts stored each set's prompt beside its requests.  Such
-    a transcript resumes with no request for its finished sets, and the
-    completed file is the bytes of a fresh run, which stores no prompt."""
+    """The golden transcript of a scripted session cut after three of five
+    sets, with each set's prompt stored beside its requests as older
+    versions did, resumes with no request for its finished sets.  The
+    completed file is the bytes of a fresh run, which stores no prompt,
+    and of the golden uncut transcript."""
     from rulelab.harness import build_prompt
 
-    exemplar_list = fixture_list(n_sets=5)
+    golden = _scripted_golden(mode)
+    exemplar_list = fixture_list(n_sets=SCRIPTED_SETS)
     fresh_path = tmp_path / "fresh.json"
     run_session(
-        exemplar_list, endpoint(), mode, transport=_oracle_for(mode), transcript_path=fresh_path
+        exemplar_list, endpoint(), mode, transport=ScriptedTransport(mode),
+        transcript_path=fresh_path,
     )
-    old = json.loads(fresh_path.read_text())
-    old["sets"] = old["sets"][:3]
+    assert fresh_path.read_text() == golden["transcript.json"]
+    old = json.loads(golden["partial.json"])
+    assert len(old["sets"]) == SCRIPTED_PARTIAL_SETS
     for entry in old["sets"]:
         entry["prompt"] = build_prompt(exemplar_list, entry["set_index"], mode).as_document()
-    old["exclusion_count"] = sum(len(entry["exclusions"]) for entry in old["sets"])
     path = tmp_path / "old.json"
     path.write_text(json.dumps(old, indent=2, sort_keys=True) + "\n")
 
-    oracle = _oracle_for(mode)
-    run_session(exemplar_list, endpoint(), mode, transport=oracle, transcript_path=path)
-    unfinished = json.loads(fresh_path.read_text())["sets"][3:]
-    assert [payload for _url, payload in oracle.calls] == [
+    script = ScriptedTransport(mode)
+    run_session(exemplar_list, endpoint(), mode, transport=script, transcript_path=path)
+    unfinished = json.loads(fresh_path.read_text())["sets"][SCRIPTED_PARTIAL_SETS:]
+    assert [payload for _url, payload in script.calls] == [
         exchange["request"] for entry in unfinished for exchange in entry["exchanges"]
     ]
     assert path.read_bytes() == fresh_path.read_bytes()
     assert all("prompt" not in entry for entry in json.loads(path.read_text())["sets"])
+
+
+def test_completion_exclusions_name_the_object_within_its_set():
+    """Completion mode queries one object at a time; an exclusion names
+    the object's index in its set, not its index in the query."""
+    exemplar_list = fixture_list()
+    spoiled = {(2, 2), (4, 1)}  # (set, object), neither a set's first object
+    oracle = CompletionOracle()
+
+    def transport(url, payload, headers, timeout):
+        response = oracle(url, payload, headers, timeout)
+        if _completion_query(payload["prompt"])[:2] in spoiled:
+            response["choices"][0]["text"] = " Perhaps"
+        return response
+
+    transcript = run_session(exemplar_list, endpoint(), "completion", transport=transport)
+    assert [(entry.set_index, e["object_index"], e["reason"])
+            for entry in transcript.sets for e in entry.exclusions] == [
+        (2, 2, "non-boolean completion"), (4, 1, "non-boolean completion"),
+    ]
+    assert [(entry.set_index, i) for entry in transcript.sets
+            for i, label in enumerate(entry.labels) if label is None] == sorted(spoiled)
 
 
 def _retokenized(response: dict, cuts: set[int]) -> dict:

@@ -116,7 +116,6 @@ def test_human_proportions():
     assert table.proportion(0, 0) == 0.75
     assert table.proportion(0, 1) == 0.0
     assert table.proportion(3, 1) is None
-    assert (3, 1) in table.missing()
 
 
 def test_unanimous_true_is_one():
