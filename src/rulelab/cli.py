@@ -699,6 +699,7 @@ def cmd_fit_noise(config: ExperimentConfig) -> int:
 
     fit_lists = [lists[rule_id] for rule_id in kept]
     tables = [human_proportions(records, lists[rule_id]) for rule_id, records in kept.items()]
+    del kept  # the fit reads only the proportions: free the subjects' records before it
     hypotheses = _enumerate(config)
     try:
         fit = fit_noise(fit_lists, tables, noise_grid(config.fit_grid_step), hypotheses)

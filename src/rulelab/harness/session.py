@@ -266,11 +266,12 @@ def _p_true(top_logprobs) -> float | None:
 
 def _read_completion(response: dict, objects: list[str]) -> tuple[ExtractionResult, list]:
     """The one queried object's label, and its True-probability from the
-    reply's first top logprobs (None when the reply carries none)."""
+    reply's first top logprobs (None when the reply carries none, or when
+    the label is excluded, as the chat reader gives for an excluded label)."""
     choice = response["choices"][0]
     extraction = extract_labels(choice["text"], objects, "completion")
     top = (choice.get("logprobs") or {}).get("top_logprobs")
-    return extraction, [_p_true(top[0]) if top else None]
+    return extraction, [_p_true(top[0]) if top and extraction.labels[0] is not None else None]
 
 
 def _read_chat(response: dict, objects: list[str]) -> tuple[ExtractionResult, list]:

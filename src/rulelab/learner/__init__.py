@@ -3,7 +3,7 @@
 from .._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(globals(), {
-    ".fit": ("NoiseFit", "fit_noise", "noise_grid"),
+    ".fit": ("NoiseFit", "fit_noise", "noise_grid", "predictive_trajectory"),
     ".grammar": (
         "Derivation", "Grammar", "GrammarError", "Hole", "HypothesisBudgetError", "Production",
         "default_grammar", "grammar_from_pairs", "load_grammar", "sample_derivation",
@@ -13,8 +13,7 @@ __getattr__, __dir__, __all__ = lazy_exports(globals(), {
         "TRACE_TOP_ROWS", "BoundaryDiagnostics", "DegeneratePosteriorError", "EmptyStateError",
         "EvalMatrix", "HypothesisEntry", "LearnerRun", "NoiseParams", "PosteriorState",
         "SetPrediction", "build_eval_matrices", "build_eval_matrix", "enumerate_hypotheses",
-        "evidence_from_list", "map_rule", "posterior_by_set", "predictive_trajectory",
-        "run_enumerative",
+        "evidence_from_list", "map_rule", "posterior_by_set", "run_enumerative",
     ),
     ".mcmc": ("mh_sample", "run_mh"),
 })

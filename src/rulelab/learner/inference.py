@@ -13,9 +13,11 @@ against this one.  Both score a truth row (:func:`rulelab.dsl.evaluate_batch`)
 with one kernel, :func:`_boundary_log_likelihood`, so every score of either
 is bitwise the per-object sum of ``math.log`` factors, for any (alpha, beta).
 Exact inference runs the kernel once per behaviour class of a list, the
-hypotheses that say True on the same objects (:class:`EvalMatrix`): a
+hypotheses that say True on the same objects (:class:`EvalMatrix`), and a
 run gathers the class scores back to the hypotheses one boundary at a
-time, and a noise fit predicts from the classes directly.
+time.  The noise fit's predictions (:mod:`rulelab.learner.fit`) do not
+run the kernel: they score each boundary's classes grouped by their two
+agreement counts.
 """
 
 from __future__ import annotations
@@ -237,18 +239,9 @@ class EvalMatrix:
     @functools.cached_property
     def cells(self) -> np.ndarray:
         """:func:`_cells` of the classes.  The noise does not enter it, so
-        it is built on first use and lives as long as the matrix (a grid
-        fit reuses it at every point)."""
+        it is built on first use and lives as long as the matrix (each
+        :func:`posterior_by_set` call on the matrix reuses it)."""
         return _cells(self.classes, self.gold)
-
-    @functools.cached_property
-    def class_log_priors(self) -> np.ndarray:
-        """(n_classes,): the log of each class's summed prior mass, its
-        members' log priors folded by ``np.logaddexp.reduceat`` in
-        hypothesis order."""
-        counts = np.bincount(self.inverse, minlength=len(self.classes))
-        members = np.argsort(self.inverse, kind="stable")  # grouped by class
-        return np.logaddexp.reduceat(self.log_priors[members], np.cumsum(counts) - counts)
 
 
 def _collapse(truth: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -451,21 +444,6 @@ def _set_prediction(
     rule_mass = np.exp(log_posterior) @ truth
     p_true = (noise.alpha * rule_mass + (1.0 - noise.alpha) * noise.beta).tolist()
     return SetPrediction(set_index, map_concept, tuple(p_true), tuple(p > 0.5 for p in p_true))
-
-
-def predictive_trajectory(matrix: EvalMatrix, noise: NoiseParams) -> np.ndarray:
-    """Per-object P(True), each predicted from the posterior over all
-    previous sets' evidence.  The posterior is taken over the matrix's
-    behaviour classes, whose members predict alike."""
-    # The boundary after the last set predicts nothing.
-    before_each_set = matrix.offsets[:-1]
-    log_likelihood = _boundary_log_likelihood(matrix.cells, before_each_set, noise)
-    log_posterior, _map = _normalise(log_likelihood + matrix.class_log_priors)
-    # Row k of the product predicts every object from the posterior before
-    # set k; each object reads the row of its own set.
-    set_of_object = np.repeat(np.arange(len(before_each_set)), np.diff(matrix.offsets))
-    rule_mass = (np.exp(log_posterior) @ matrix.classes)[set_of_object, np.arange(len(set_of_object))]
-    return noise.alpha * rule_mass + (1.0 - noise.alpha) * noise.beta
 
 
 # Rows per set boundary in a trace, and in BoundaryDiagnostics.top_mass.

@@ -1122,6 +1122,22 @@ def test_fit_noise_end_to_end(workspace):
     assert (workspace / "out" / "reports" / "noise_fit.json").read_bytes() == first
 
 
+@pytest.mark.parametrize("step", [0.15, 0.35])
+def test_fit_noise_at_a_step_that_does_not_divide_one(workspace, step):
+    """The grid stops at the last multiple of the step below 1, so no point
+    is an invalid noise parameter (at 0.15 the axis used to reach 1.05)."""
+    run(workspace, "gen")
+    _write_human_csv(workspace, ["blue", "not-circle"], n_subjects=8)
+    config = json.loads((workspace / "config.json").read_text())
+    config["fit_grid_step"] = step
+    config["learner"]["max_size"] = 2
+    (workspace / "config.json").write_text(json.dumps(config))
+    assert run(workspace, "fit-noise") == EXIT_OK
+    doc = json.loads((workspace / "out" / "reports" / "noise_fit.json").read_text())
+    assert doc["grid_step"] == step
+    assert 0.0 <= doc["alpha"] <= 1.0 and 0.0 <= doc["beta"] <= 1.0
+
+
 def test_pipeline_outputs_are_byte_identical_across_workspaces(tmp_path):
     """gen -> run (plot) -> grade -> report, twice from the same config in two
     fresh workspaces: every file written, manifests and posterior traces

@@ -20,7 +20,7 @@ from rulelab.learner import (
     posterior_by_set,
     predictive_trajectory,
 )
-from rulelab.learner.fit import _grid_r2
+from rulelab.learner.fit import _GroupTable, _grid_r2
 
 GRAMMAR = default_grammar(V)
 MAX_SIZE = 2
@@ -49,6 +49,26 @@ def test_grid_helper():
     assert grid == [(0.0, 0.0), (0.0, 0.5), (0.0, 1.0), (0.5, 0.0), (0.5, 0.5), (0.5, 1.0),
                     (1.0, 0.0), (1.0, 0.5), (1.0, 1.0)]
     assert len(noise_grid(0.05)) == 21 * 21
+
+
+@pytest.mark.parametrize("step", [0.05, 0.1, 0.25, 0.5])
+def test_grid_at_a_step_that_divides_one_is_unchanged(step):
+    axis = [round(i * step, 10) for i in range(int(round(1.0 / step)) + 1)]
+    assert axis[-1] == 1.0
+    assert noise_grid(step) == [(a, b) for a in axis for b in axis]
+
+
+@pytest.mark.parametrize("step, size, last", [
+    (0.15, 7, 0.9), (0.35, 3, 0.7), (0.3, 4, 0.9), (0.4, 3, 0.8), (0.45, 3, 0.9), (0.7, 2, 0.7),
+    (1.0, 2, 1.0), (1 / 3, 4, 1.0), (1 / 93, 94, 1.0), (0.02, 51, 1.0), (0.07, 15, 0.98),
+])
+def test_grid_axis_never_passes_one(step, size, last):
+    """The multiples of the step up to 1: a step that does not divide 1
+    stops short of it, and one that does reaches it despite rounding."""
+    axis = sorted({alpha for alpha, _beta in noise_grid(step)})
+    assert len(axis) == size and axis[0] == 0.0 and axis[-1] == last
+    assert sorted({beta for _alpha, beta in noise_grid(step)}) == axis
+    assert all(NoiseParams(a, b) for a, b in noise_grid(step))  # each a valid point
 
 
 def test_single_point_grid():
@@ -168,21 +188,35 @@ def size3_hypotheses():
 def collapsed(matrix: EvalMatrix) -> EvalMatrix:
     """The matrix with each behaviour class one hypothesis, carrying its
     members' summed prior."""
+    sizes = np.bincount(matrix.inverse, minlength=len(matrix.classes))
+    members = np.argsort(matrix.inverse, kind="stable")  # grouped by class
+    log_priors = np.logaddexp.reduceat(matrix.log_priors[members], np.cumsum(sizes) - sizes)
     classes = np.arange(len(matrix.classes))
-    return EvalMatrix(matrix.class_log_priors, matrix.classes, classes, matrix.gold, matrix.offsets)
+    return EvalMatrix(log_priors, matrix.classes, classes, matrix.gold, matrix.offsets)
 
 
 def test_behaviour_classes_merge_rows_and_sum_priors(size3_hypotheses):
+    """Rows merge into classes, and the noise fit's groups sum the priors
+    of every hypothesis with the same agreement counts at a boundary."""
     exemplar_list = generate_list(SAME_COLOR_AS_ANOTHER, V, seed=4, rule_id="same-color")
     matrix = build_eval_matrix(size3_hypotheses, exemplar_list)
     assert len(matrix.classes) < len(matrix.log_priors) == len(matrix.inverse)
     assert len({row.tobytes() for row in matrix.classes}) == len(matrix.classes)
-    mass: dict[bytes, float] = {}
-    for row, log_prior in zip(matrix.classes[matrix.inverse], matrix.log_priors):
-        mass[row.tobytes()] = mass.get(row.tobytes(), 0.0) + math.exp(log_prior)
-    assert len(mass) == len(matrix.classes)
-    for row, log_prior in zip(matrix.classes, matrix.class_log_priors):
-        assert log_prior == pytest.approx(math.log(mass[row.tobytes()]), abs=1e-12)
+    table = _GroupTable.build([matrix])
+    truth = matrix.classes[matrix.inverse]
+    for k, (start, size) in enumerate(zip(table.starts, table.sizes)):
+        seen = slice(0, matrix.offsets[k])
+        agrees = truth[:, seen] == matrix.gold[seen]
+        a_true = np.count_nonzero(agrees & matrix.gold[seen], axis=1)
+        a_false = np.count_nonzero(agrees & ~matrix.gold[seen], axis=1)
+        mass: dict[tuple[int, int], float] = {}
+        for pair, log_prior in zip(zip(a_true.tolist(), a_false.tolist()), matrix.log_priors):
+            mass[pair] = mass.get(pair, 0.0) + math.exp(log_prior)
+        assert len(mass) == size < len(matrix.classes) or k == 0
+        groups = slice(start, start + size)
+        pairs = zip(table.counts[3, groups].tolist(), table.counts[2, groups].tolist())
+        for pair, log_prior in zip(pairs, table.log_priors[groups]):
+            assert log_prior == pytest.approx(math.log(mass[pair]), abs=1e-12)
 
 
 @pytest.mark.parametrize("alpha, beta", [(0.95, 0.5), (0.75, 1.0), (0.5, 0.2), (0.2, 0.9)])
@@ -215,27 +249,36 @@ def test_collapsed_and_full_degenerate_in_the_same_set(size3_hypotheses):
 
 
 def test_grid_matrices_hold_no_hypothesis_arrays(size3_hypotheses, monkeypatch):
-    """The grid keeps per list only what ``predictive_trajectory`` reads:
-    the behaviour classes, not an array over every hypothesis."""
+    """The grid keeps only its table of (aT, aF) groups, with no array over
+    every hypothesis or every class, and fewer groups than the lists have
+    classes at their boundaries; its scores are the full-matrix loop's
+    within 1e-12, with the same undefined points and winner."""
     import rulelab.learner.fit as fit
 
     seen = []
     grid_r2 = fit._grid_r2
 
-    def spy(prepared, human, grid):
-        seen.extend(matrix for matrix, _keep in prepared)
-        return grid_r2(prepared, human, grid)
+    def spy(table, keep, human, grid):
+        seen.append(table)
+        return grid_r2(table, keep, human, grid)
 
     monkeypatch.setattr(fit, "_grid_r2", spy)
     lists, tables = model_tables(NoiseParams(0.8, 0.4))
-    fit_noise(lists, tables, noise_grid(0.25), size3_hypotheses)
+    grid = noise_grid(0.25)
+    fitted = fit_noise(lists, tables, grid, size3_hypotheses)
+    [table] = seen
+    matrices = [build_eval_matrix(size3_hypotheses, exemplar_list) for exemplar_list in lists]
+    class_boundaries = sum(len(m.classes) * (len(m.offsets) - 1) for m in matrices)
+    assert len(table.log_priors) < class_boundaries
+    arrays = [value for part in (table, table.whole, table.partial)
+              for value in vars(part).values() if isinstance(value, np.ndarray)]
+    assert len(arrays) >= 10
     n_hyps = len(size3_hypotheses)
-    assert len(seen) == len(lists)
-    for matrix in seen:
-        assert len(matrix.classes) < n_hyps
-        arrays = [value for value in vars(matrix).values() if isinstance(value, np.ndarray)]
-        assert len(arrays) >= 4  # the fields, and the cells and class priors the grid cached
-        assert all(n_hyps not in array.shape for array in arrays)
+    assert all(n_hyps not in array.shape and class_boundaries not in array.shape for array in arrays)
+    prepared, human = fit_inputs(lists, tables, max_size=3)
+    expected, expected_scores = reference_fit(prepared, human, grid)
+    assert fitted.noise == expected
+    assert fitted.undefined_points == sum(r2 is None for r2 in expected_scores)
 
 
 def test_fit_matches_full_matrix_grid_loop():
@@ -259,7 +302,9 @@ def test_fit_matches_full_matrix_grid_loop():
     assert abs(fitted.r2 - ranked[0][0]) <= 1e-12 and abs(fitted.runner_up_r2 - ranked[1][0]) <= 1e-12
     assert fitted.undefined_points == sum(r2 is None for r2 in expected_scores)
 
-    scores = [r2 for _a, _b, r2 in _grid_r2(prepared, human, grid)]
+    table = _GroupTable.build(matrix for matrix, _keep in prepared)
+    keep = np.concatenate([keep for _matrix, keep in prepared])
+    scores = [r2 for _a, _b, r2 in _grid_r2(table, keep, human, grid)]
     skipped = [point for point, r2 in zip(grid, expected_scores) if r2 is None]
     # alpha = 0 predicts a constant; alpha = 1 leaves r3 no hypothesis.
     assert {alpha for alpha, _beta in skipped} == {0.0, 1.0}

@@ -691,6 +691,24 @@ def test_a_transcript_that_stores_prompts_resumes_to_a_fresh_runs_bytes(tmp_path
     assert all("prompt" not in entry for entry in json.loads(path.read_text())["sets"])
 
 
+@pytest.mark.parametrize("mode", ["chat", "completion", "chat+elicitation"])
+def test_an_excluded_object_has_no_p_true(mode):
+    """Every mode gives an excluded label no True-probability, so metrics
+    that read ``p_true`` skip the objects whose labels they skip.  The
+    script's non-boolean completions carry top logprobs, which completion
+    mode used to keep."""
+    transcript = run_session(
+        fixture_list(n_sets=SCRIPTED_SETS), endpoint(), mode, transport=ScriptedTransport(mode)
+    )
+    excluded = [(entry.set_index, i) for entry in transcript.sets
+                for i, label in enumerate(entry.labels) if label is None]
+    assert excluded
+    for entry in transcript.sets:
+        assert len(entry.p_true) == len(entry.labels)
+        for label, p_true in zip(entry.labels, entry.p_true):
+            assert label is not None or p_true is None, (entry.set_index, entry.p_true)
+
+
 def test_completion_exclusions_name_the_object_within_its_set():
     """Completion mode queries one object at a time; an exclusion names
     the object's index in its set, not its index in the query."""
