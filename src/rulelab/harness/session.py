@@ -6,6 +6,13 @@ hash, request payload), transcripts are persisted after every set, and an
 interrupted session resumes from its transcript, so the expensive network
 work is never repeated.
 
+A transcript stores each exchange as its request's key and its reply: the
+request itself is rebuilt from the list, so storing it would repeat every
+earlier set's history in every set.  Resuming rebuilds each loaded set's
+requests and re-reads its replies, and any difference from the stored keys,
+labels, True-probabilities, exclusions or rule text is a
+:class:`TranscriptMismatchError`.
+
 One loop sends every request, in every prompt mode.  A mode changes only
 data, picked once per session: the endpoint path, the payload builder, the
 reply reader, and how a set is split into requests.  A chat-mode set is one
@@ -134,7 +141,8 @@ class SessionTranscript:
     @classmethod
     def from_document(cls, doc: dict) -> "SessionTranscript":
         """Read a transcript document.  Older transcripts also stored each
-        set's prompt, which its requests hold; that key is ignored."""
+        set's prompt, which is ignored, and each exchange's request in
+        place of its key, which :func:`run_session` keys on resume."""
         sets = [
             SetEntry(
                 set_index=entry["set_index"],
@@ -150,19 +158,19 @@ class SessionTranscript:
 
 
 def _entry_fragment(entry: SetEntry) -> str:
-    """``entry`` as its lines appear in a saved transcript's "sets" array.
-    Its fields are dumped as they stand: they are its document, and the
-    deep copy ``to_document`` makes would double the cost."""
-    text = json.dumps(vars(entry), indent=2, sort_keys=True)
-    return "    " + text.replace("\n", "\n    ")
+    """``entry`` as its line appears in a saved transcript's "sets" array,
+    written by the C encoder, which ``indent`` would turn off.  Its fields
+    are dumped as they stand: they are its document, and the deep copy
+    ``to_document`` makes would double the cost."""
+    return "    " + json.dumps(vars(entry), sort_keys=True)
 
 
 def _write_transcript(
     transcript: SessionTranscript, fragments: list[str], path: str | Path
 ) -> None:
-    """Save ``transcript`` from its entries' fragments.  The bytes are those
-    of ``json.dumps(to_document(), indent=2, sort_keys=True)`` plus a
-    newline, because "sets" is the document's last key."""
+    """Save ``transcript`` from its entries' fragments: the head indented
+    as ``json.dumps(indent=2, sort_keys=True)`` writes it, then one line per
+    set, since "sets" is the document's last key."""
     head = json.dumps(transcript._header(), indent=2, sort_keys=True)  # ends "\n}"
     sets = "[\n" + ",\n".join(fragments) + "\n  ]" if fragments else "[]"
     write_atomic(path, f'{head[:-2]},\n  "sets": {sets}\n}}\n')
@@ -174,6 +182,13 @@ def save_transcript(transcript: SessionTranscript, path: str | Path) -> None:
 
 def load_transcript(path: str | Path) -> SessionTranscript:
     return SessionTranscript.from_document(json.loads(Path(path).read_text()))
+
+
+def _request_key(endpoint: EndpointConfig, payload: dict) -> str:
+    """The sha256 naming a request: its cache file's name and its
+    transcript key."""
+    document = {"endpoint": endpoint.cache_key(), "payload": payload}
+    return hashlib.sha256(json.dumps(document, sort_keys=True).encode()).hexdigest()
 
 
 class _Caller:
@@ -197,14 +212,10 @@ class _Caller:
         self.rate_limiter = rate_limiter
         self.sleep = sleep
 
-    def __call__(self, url: str, payload: dict) -> dict:
+    def __call__(self, url: str, payload: dict, key: str) -> dict:
+        """The reply to ``payload``, whose :func:`_request_key` is ``key``."""
         cache_path = None
         if self.cache_dir is not None:
-            key = hashlib.sha256(
-                json.dumps(
-                    {"endpoint": self.endpoint.cache_key(), "payload": payload}, sort_keys=True
-                ).encode()
-            ).hexdigest()
             cache_path = self.cache_dir / f"{key}.json"
             if cache_path.exists():
                 return json.loads(cache_path.read_text())
@@ -253,7 +264,9 @@ def _completion_payload(endpoint: EndpointConfig, bundle: PromptBundle) -> dict:
 def _p_true(top_logprobs) -> float | None:
     """The True-probability at a label position from its top tokens, given
     as a token -> logprob mapping or as a list of items; None when they
-    hold no True/False variant."""
+    hold no True/False variant or are null."""
+    if not top_logprobs:
+        return None
     if not isinstance(top_logprobs, dict) or not all(
         isinstance(v, (int, float)) for v in top_logprobs.values()
     ):
@@ -267,9 +280,10 @@ def _p_true(top_logprobs) -> float | None:
 def _read_completion(response: dict, objects: list[str]) -> tuple[ExtractionResult, list]:
     """The one queried object's label, and its True-probability from the
     reply's first top logprobs (None when the reply carries none, or when
-    the label is excluded, as the chat reader gives for an excluded label)."""
+    the label is excluded, as the chat reader gives for an excluded label).
+    A null or missing text, as a refusal gives, is an empty reply."""
     choice = response["choices"][0]
-    extraction = extract_labels(choice["text"], objects, "completion")
+    extraction = extract_labels(choice.get("text") or "", objects, "completion")
     top = (choice.get("logprobs") or {}).get("top_logprobs")
     return extraction, [_p_true(top[0]) if top and extraction.labels[0] is not None else None]
 
@@ -277,9 +291,10 @@ def _read_completion(response: dict, objects: list[str]) -> tuple[ExtractionResu
 def _read_chat(response: dict, objects: list[str]) -> tuple[ExtractionResult, list]:
     """The queried objects' labels, and each labelled object's
     True-probability, read at the token holding the first character of the
-    label word on the line it matched.  Both chat modes read replies alike."""
+    label word on the line it matched.  Both chat modes read replies alike.
+    A null or missing content, as a refusal gives, is an empty reply."""
     choice = response["choices"][0]
-    extraction = extract_labels(choice["message"]["content"], objects, "chat")
+    extraction = extract_labels(choice["message"].get("content") or "", objects, "chat")
     content = (choice.get("logprobs") or {}).get("content") or []
     tokens = [item["token"] for item in content]
     token_starts = list(accumulate(map(len, tokens), initial=0))
@@ -294,7 +309,7 @@ def _read_chat(response: dict, objects: list[str]) -> tuple[ExtractionResult, li
         # str(label); the line is shorter only if the tokens do not spell the reply.
         column = max(len(lines[line_index].rstrip()) - len(str(label)), 0)
         item = content[bisect_right(token_starts, line_starts[line_index] + column) - 1]
-        p_true.append(_p_true(item.get("top_logprobs", [])))
+        p_true.append(_p_true(item.get("top_logprobs")))
     return extraction, p_true
 
 
@@ -303,6 +318,51 @@ def _read_chat(response: dict, objects: list[str]) -> tuple[ExtractionResult, li
 # is a request of its own (else the set is one request).
 _COMPLETION = ("/completions", _completion_payload, _read_completion, True)
 _CHAT = ("/chat/completions", _chat_payload, _read_chat, False)
+
+
+def _read_entry(set_index: int, requests: list[tuple], responses, read) -> SetEntry:
+    """Set ``set_index``'s entry from its requests, each ``(first object
+    index, queried objects, payload, key)``, and their replies, each read as
+    ``responses`` yields it."""
+    entry = SetEntry(set_index, exchanges=[], labels=[], exclusions=[], p_true=[])
+    for (first, queried, _payload, key), response in zip(requests, responses):
+        extraction, p_true = read(response, queried)
+        entry.exchanges.append({"key": key, "response": response})
+        entry.labels += extraction.labels
+        entry.exclusions += [
+            {"object_index": first + e.object_index, "reason": e.reason}
+            for e in extraction.exclusions
+        ]
+        entry.p_true += p_true
+        entry.rule_text = extraction.rule_text
+    return entry
+
+
+def _checked_entry(
+    loaded: SetEntry, set_index: int, requests: list[tuple], endpoint: EndpointConfig, read
+) -> SetEntry:
+    """``loaded`` as a fresh run stores it, once checked against set
+    ``set_index``'s rebuilt ``requests``: its exchanges must carry their
+    keys, and its replies must read as its labels, exclusions,
+    True-probabilities and rule text.  An older exchange stores its request
+    in place of the key, and is keyed from it."""
+    if loaded.set_index != set_index:
+        raise TranscriptMismatchError(
+            f"transcript set {set_index} has set_index {loaded.set_index}"
+        )
+    stored = [
+        exchange["key"] if "key" in exchange else _request_key(endpoint, exchange["request"])
+        for exchange in loaded.exchanges
+    ]
+    if stored != [key for *_, key in requests]:
+        raise TranscriptMismatchError(f"set {set_index}'s requests are not the list's")
+    entry = _read_entry(
+        set_index, requests, [exchange["response"] for exchange in loaded.exchanges], read
+    )
+    read_as = (entry.labels, entry.exclusions, entry.p_true, entry.rule_text)
+    if read_as != (loaded.labels, loaded.exclusions, loaded.p_true, loaded.rule_text):
+        raise TranscriptMismatchError(f"set {set_index}'s replies do not read as it stores")
+    return entry
 
 
 def run_session(
@@ -320,7 +380,9 @@ def run_session(
     With the default HTTP transport the endpoint credential must be
     resolvable up front.  Transport failures surface as
     :class:`TransportError` after retries, with the transcript persisted up
-    to the last completed set.
+    to the last completed set.  An existing transcript that is not this
+    session's, or any of whose sets differs from what the list and its
+    replies give, raises :class:`TranscriptMismatchError`.
     """
     headers = {}
     if transport is None:
@@ -329,6 +391,23 @@ def run_session(
     if rate_limiter is None and endpoint.rate_limit_per_s:
         rate_limiter = RateLimiter(endpoint.rate_limit_per_s, sleep=sleep)
     caller = _Caller(endpoint, transport, headers, cache_dir, rate_limiter, sleep)
+
+    n_sets = len(exemplar_list.sets)
+    if endpoint.max_sets is not None:
+        n_sets = min(n_sets, endpoint.max_sets)
+    path, payload_for, read, per_object = _COMPLETION if mode == "completion" else _CHAT
+    url = endpoint.base_url.rstrip("/") + path
+
+    def requests(set_index: int) -> list[tuple]:
+        """Each request of a set: the index of its first object, the
+        objects it asks for, its payload and its key."""
+        objects = [o.render(exemplar_list.vocab) for o in exemplar_list.sets[set_index].objects]
+        queries = [(i, [o]) for i, o in enumerate(objects)] if per_object else [(0, objects)]
+        out = []
+        for first, queried in queries:
+            payload = payload_for(endpoint, build_prompt(exemplar_list, set_index, mode, first))
+            out.append((first, queried, payload, _request_key(endpoint, payload)))
+        return out
 
     transcript = SessionTranscript(
         rule_id=exemplar_list.rule_id, mode=mode, endpoint=endpoint.public_fields()
@@ -341,11 +420,15 @@ def run_session(
             or existing.endpoint != transcript.endpoint
         ):
             raise TranscriptMismatchError(f"{transcript_path} belongs to a different session")
-        transcript = existing
+        if len(existing.sets) > n_sets:
+            raise TranscriptMismatchError(
+                f"{transcript_path} has {len(existing.sets)} sets; the session has {n_sets}"
+            )
+        transcript.sets = [
+            _checked_entry(loaded, set_index, requests(set_index), endpoint, read)
+            for set_index, loaded in enumerate(existing.sets)
+        ]
 
-    n_sets = len(exemplar_list.sets)
-    if endpoint.max_sets is not None:
-        n_sets = min(n_sets, endpoint.max_sets)
     # Each entry is serialized once, as it is loaded or appended, so saving
     # after every set costs the new set rather than the whole transcript.
     # A transcript with no set left to append is never saved, so its
@@ -354,27 +437,10 @@ def run_session(
     if transcript_path is not None and len(transcript.sets) < n_sets:
         fragments = [_entry_fragment(e) for e in transcript.sets]
 
-    path, payload_for, read, per_object = _COMPLETION if mode == "completion" else _CHAT
-    url = endpoint.base_url.rstrip("/") + path
     for set_index in range(len(transcript.sets), n_sets):
-        if transcript.sets and transcript.sets[-1].set_index >= set_index:
-            raise TranscriptMismatchError("transcript sets out of order")
-        objects = [o.render(exemplar_list.vocab) for o in exemplar_list.sets[set_index].objects]
-        # A query is the index of its first object and the objects it asks for.
-        queries = [(i, [o]) for i, o in enumerate(objects)] if per_object else [(0, objects)]
-        entry = SetEntry(set_index, exchanges=[], labels=[], exclusions=[], p_true=[])
-        for first, queried in queries:
-            payload = payload_for(endpoint, build_prompt(exemplar_list, set_index, mode, first))
-            response = caller(url, payload)
-            extraction, p_true = read(response, queried)
-            entry.exchanges.append({"request": payload, "response": response})
-            entry.labels += extraction.labels
-            entry.exclusions += [
-                {"object_index": first + e.object_index, "reason": e.reason}
-                for e in extraction.exclusions
-            ]
-            entry.p_true += p_true
-            entry.rule_text = extraction.rule_text
+        sent = requests(set_index)
+        responses = (caller(url, payload, key) for *_, payload, key in sent)
+        entry = _read_entry(set_index, sent, responses, read)
         transcript.sets.append(entry)
         if transcript_path is not None:
             fragments.append(_entry_fragment(entry))

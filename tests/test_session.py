@@ -361,7 +361,15 @@ def test_rate_limiter_spacing():
 
 
 def _document_bytes(transcript: SessionTranscript) -> str:
-    return json.dumps(transcript.to_document(), indent=2, sort_keys=True) + "\n"
+    """The bytes a saved ``transcript`` holds: its head indented by two,
+    then each set as one compact line, which parse back to its document."""
+    document = transcript.to_document()
+    lines = [json.dumps(entry, sort_keys=True) for entry in document.pop("sets")]
+    head = json.dumps(document, indent=2, sort_keys=True)[:-2]  # cut "\n}"
+    sets = "[\n" + ",\n".join("    " + line for line in lines) + "\n  ]" if lines else "[]"
+    text = f'{head},\n  "sets": {sets}\n}}\n'
+    assert json.loads(text) == transcript.to_document()
+    return text
 
 
 def _count_fragments(monkeypatch) -> dict[int, int]:
@@ -486,6 +494,20 @@ def _oracle_for(mode: str):
     return ChatOracle(rule_line="Rule: blue objects only" if mode == "chat+elicitation" else None)
 
 
+def _rebuilt_payloads(exemplar_list, config: EndpointConfig, mode: str, set_index: int) -> list[dict]:
+    """The payloads sent for set ``set_index``: one per object in completion
+    mode, else one."""
+    from rulelab.harness import build_prompt
+    from rulelab.harness.session import _chat_payload, _completion_payload
+
+    if mode == "completion":
+        return [
+            _completion_payload(config, build_prompt(exemplar_list, set_index, mode, j))
+            for j in range(len(exemplar_list.sets[set_index].objects))
+        ]
+    return [_chat_payload(config, build_prompt(exemplar_list, set_index, mode))]
+
+
 def _prompt_document(mode: str, requests: list[dict]) -> dict:
     """The prompt document a set's first request was sent from."""
     if mode == "completion":
@@ -500,31 +522,31 @@ def _prompt_document(mode: str, requests: list[dict]) -> dict:
 
 @pytest.mark.parametrize("mode", ["chat", "completion", "chat+elicitation"])
 def test_saved_entries_keep_the_prompt_once_as_the_request(tmp_path, mode):
-    """No entry stores a prompt beside its requests, and each request is the
-    payload built from build_prompt for its set (and object, in completion
-    mode), so the requests hold everything a stored prompt held."""
+    """No entry stores a prompt or a request: each exchange holds the key of
+    the payload built from build_prompt for its set (and object, in
+    completion mode), which is the name of its cache file, and its reply."""
     from rulelab.harness import build_prompt
-    from rulelab.harness.session import _chat_payload, _completion_payload
+    from rulelab.harness.session import _request_key
 
     exemplar_list = fixture_list(n_sets=4)
     config = endpoint()
     path = tmp_path / "t.json"
-    run_session(exemplar_list, config, mode, transport=_oracle_for(mode), transcript_path=path)
+    run_session(exemplar_list, config, mode, transport=_oracle_for(mode), transcript_path=path,
+                cache_dir=tmp_path / "cache")
     saved = json.loads(path.read_text())["sets"]
     assert len(saved) == 4
     for entry in saved:
         assert "prompt" not in entry
+        assert all(sorted(exchange) == ["key", "response"] for exchange in entry["exchanges"])
         set_index = entry["set_index"]
-        requests = [exchange["request"] for exchange in entry["exchanges"]]
+        requests = _rebuilt_payloads(exemplar_list, config, mode, set_index)
+        assert [exchange["key"] for exchange in entry["exchanges"]] == [
+            _request_key(config, payload) for payload in requests
+        ]
+        for exchange in entry["exchanges"]:
+            cached = tmp_path / "cache" / f"{exchange['key']}.json"
+            assert json.loads(cached.read_text()) == exchange["response"]
         bundle = build_prompt(exemplar_list, set_index, mode)
-        if mode == "completion":
-            objects = range(len(exemplar_list.sets[set_index].objects))
-            assert requests == [
-                _completion_payload(config, build_prompt(exemplar_list, set_index, mode, j))
-                for j in objects
-            ]
-        else:
-            assert requests == [_chat_payload(config, bundle)]
         assert _prompt_document(mode, requests) == bundle.as_document()
 
 
@@ -637,7 +659,7 @@ def _scripted_session_files(work: Path, mode: str) -> dict[str, str]:
 
 def _scripted_golden(mode: str) -> dict[str, str]:
     """The files ``_scripted_session_files`` left in ``mode`` when the golden
-    was recorded, before completion mode shared the chat modes' loop."""
+    was recorded, after transcripts stored keys in place of requests."""
     name = f"session_{mode.replace('+', '_')}.json"
     return json.loads((Path(__file__).parent / "golden" / name).read_text())
 
@@ -657,38 +679,183 @@ def test_scripted_session_files_match_their_golden_bytes(tmp_path, mode):
     assert None in [p for entry in transcript["sets"] for p in entry["p_true"]]
 
 
-@pytest.mark.parametrize("mode", ["chat", "completion", "chat+elicitation"])
-def test_a_transcript_that_stores_prompts_resumes_to_a_fresh_runs_bytes(tmp_path, mode):
+def _resumes_to_a_fresh_runs_bytes(tmp_path, mode: str, with_prompt: bool) -> None:
     """The golden transcript of a scripted session cut after three of five
-    sets, with each set's prompt stored beside its requests as older
-    versions did, resumes with no request for its finished sets.  The
-    completed file is the bytes of a fresh run, which stores no prompt,
-    and of the golden uncut transcript."""
+    sets, laid out as older versions wrote it (indented, each exchange
+    storing its request in place of its key and, ``with_prompt``, each set's
+    prompt beside them), resumes with no request for its finished sets.  The
+    completed file is the bytes of a fresh run and of the golden uncut
+    transcript."""
     from rulelab.harness import build_prompt
+    from rulelab.harness.session import _request_key
 
     golden = _scripted_golden(mode)
     exemplar_list = fixture_list(n_sets=SCRIPTED_SETS)
+    config = endpoint()
     fresh_path = tmp_path / "fresh.json"
     run_session(
-        exemplar_list, endpoint(), mode, transport=ScriptedTransport(mode),
+        exemplar_list, config, mode, transport=ScriptedTransport(mode),
         transcript_path=fresh_path,
     )
     assert fresh_path.read_text() == golden["transcript.json"]
     old = json.loads(golden["partial.json"])
     assert len(old["sets"]) == SCRIPTED_PARTIAL_SETS
     for entry in old["sets"]:
-        entry["prompt"] = build_prompt(exemplar_list, entry["set_index"], mode).as_document()
+        payloads = _rebuilt_payloads(exemplar_list, config, mode, entry["set_index"])
+        assert len(payloads) == len(entry["exchanges"])
+        for exchange, payload in zip(entry["exchanges"], payloads):
+            assert exchange.pop("key") == _request_key(config, payload)
+            exchange["request"] = payload
+        if with_prompt:
+            entry["prompt"] = build_prompt(exemplar_list, entry["set_index"], mode).as_document()
     path = tmp_path / "old.json"
     path.write_text(json.dumps(old, indent=2, sort_keys=True) + "\n")
 
     script = ScriptedTransport(mode)
-    run_session(exemplar_list, endpoint(), mode, transport=script, transcript_path=path)
-    unfinished = json.loads(fresh_path.read_text())["sets"][SCRIPTED_PARTIAL_SETS:]
+    run_session(exemplar_list, config, mode, transport=script, transcript_path=path)
     assert [payload for _url, payload in script.calls] == [
-        exchange["request"] for entry in unfinished for exchange in entry["exchanges"]
+        payload for set_index in range(SCRIPTED_PARTIAL_SETS, SCRIPTED_SETS)
+        for payload in _rebuilt_payloads(exemplar_list, config, mode, set_index)
     ]
     assert path.read_bytes() == fresh_path.read_bytes()
-    assert all("prompt" not in entry for entry in json.loads(path.read_text())["sets"])
+
+
+@pytest.mark.parametrize("mode", ["chat", "completion", "chat+elicitation"])
+def test_a_transcript_that_stores_prompts_resumes_to_a_fresh_runs_bytes(tmp_path, mode):
+    _resumes_to_a_fresh_runs_bytes(tmp_path, mode, with_prompt=True)
+
+
+@pytest.mark.parametrize("mode", ["chat", "completion", "chat+elicitation"])
+def test_a_transcript_that_stores_requests_resumes_to_a_fresh_runs_bytes(tmp_path, mode):
+    _resumes_to_a_fresh_runs_bytes(tmp_path, mode, with_prompt=False)
+
+
+def test_saved_entry_lines_grow_linearly(tmp_path):
+    """A saved set is one line holding its own replies and keys, not the
+    earlier sets' history: set 24's line (two objects) is under 1.5 times
+    set 2's (four objects)."""
+    path = tmp_path / "t.json"
+    exemplar_list = fixture_list(n_sets=25)
+    run_session(exemplar_list, endpoint(), "chat+elicitation",
+                transport=ChatOracle(rule_line="Rule: blue objects only"), transcript_path=path)
+    lines = [line for line in path.read_text().splitlines() if line.startswith('    {"')]
+    assert [json.loads(line.rstrip(","))["set_index"] for line in lines] == list(range(25))
+    assert len(lines[24]) < 1.5 * len(lines[2])
+
+
+def _edit_reply(document: dict) -> None:
+    message = document["sets"][1]["exchanges"][0]["response"]["choices"][0]["message"]
+    message["content"] = message["content"].rpartition("->")[0] + "-> Maybe"  # the last label
+
+
+def _edit_label(document: dict) -> None:
+    labels = document["sets"][1]["labels"]
+    labels[0] = not labels[0]
+
+
+@pytest.mark.parametrize("edit", [_edit_reply, _edit_label])
+@pytest.mark.parametrize("complete", [True, False])
+def test_resume_rejects_an_edited_transcript(tmp_path, edit, complete):
+    """A stored reply or label that no longer matches the other is caught
+    on resume, whether or not a set is left to append, before any request."""
+    path = tmp_path / "t.json"
+    n_sets = 4 if complete else 5
+    run_session(fixture_list(n_sets=4), endpoint(), "chat+elicitation",
+                transport=_excluding_oracle(), transcript_path=path)
+    document = json.loads(path.read_text())
+    edit(document)
+    path.write_text(json.dumps(document))
+    oracle = _excluding_oracle()
+    with pytest.raises(TranscriptMismatchError, match="set 1"):
+        run_session(fixture_list(n_sets=n_sets), endpoint(), "chat+elicitation",
+                    transport=oracle, transcript_path=path)
+    assert oracle.calls == []
+
+
+def test_resume_rejects_a_transcript_of_an_edited_list(tmp_path):
+    import dataclasses
+
+    path = tmp_path / "t.json"
+    exemplar_list = fixture_list(n_sets=4)
+    run_session(exemplar_list, endpoint(), "chat", transport=ChatOracle(), transcript_path=path)
+    sets = list(exemplar_list.sets)
+    first, *rest = sets[2].objects
+    sets[2] = dataclasses.replace(
+        sets[2], objects=(dataclasses.replace(first, size=(first.size + 1) % 3), *rest)
+    )
+    edited = dataclasses.replace(exemplar_list, sets=tuple(sets))
+    with pytest.raises(TranscriptMismatchError, match="set 2's requests"):
+        run_session(edited, endpoint(), "chat", transport=ChatOracle(), transcript_path=path)
+
+
+def test_resume_rejects_a_transcript_of_another_list_seed(tmp_path):
+    """Same rule id, another list: with max_sets 3 both sessions are
+    complete after three sets, so nothing is left to append."""
+    path = tmp_path / "t.json"
+    run_session(fixture_list(seed=9), endpoint(max_sets=3), "chat", transport=ChatOracle(),
+                transcript_path=path)
+    oracle = ChatOracle()
+    with pytest.raises(TranscriptMismatchError, match="set 0's requests"):
+        run_session(fixture_list(seed=10), endpoint(max_sets=3), "chat", transport=oracle,
+                    transcript_path=path)
+    assert oracle.calls == []
+
+
+def test_resume_rejects_a_transcript_longer_than_the_list(tmp_path):
+    path = tmp_path / "t.json"
+    run_session(fixture_list(n_sets=5), endpoint(), "chat", transport=ChatOracle(),
+                transcript_path=path)
+    with pytest.raises(TranscriptMismatchError, match="5 sets"):
+        run_session(fixture_list(n_sets=3), endpoint(), "chat", transport=ChatOracle(),
+                    transcript_path=path)
+
+
+@pytest.mark.parametrize("mode, choice, reason", [
+    ("chat", {"message": {"role": "assistant", "content": None, "refusal": "No."}},
+     "object-mismatch"),
+    ("chat", {"message": {"role": "assistant"}}, "object-mismatch"),
+    ("chat+elicitation", {"message": {"role": "assistant", "content": None}}, "object-mismatch"),
+    ("completion", {"text": None}, "non-boolean completion"),
+    ("completion", {}, "non-boolean completion"),
+])
+def test_a_null_or_missing_reply_text_excludes_every_object(tmp_path, mode, choice, reason):
+    """A refusal's null (or absent) text is an empty reply, on the first run
+    and on a rerun that reads the cached reply."""
+    exemplar_list = fixture_list(n_sets=3)
+    for _run in range(2):
+        transcript = run_session(
+            exemplar_list, endpoint(), mode, cache_dir=tmp_path / "cache",
+            transport=lambda url, payload, headers, timeout: {"choices": [dict(choice)]},
+        )
+        for entry, exemplar_set in zip(transcript.sets, exemplar_list.sets):
+            n_objects = len(exemplar_set.objects)
+            assert entry.labels == entry.p_true == [None] * n_objects
+            assert entry.exclusions == [
+                {"object_index": i, "reason": reason} for i in range(n_objects)
+            ]
+            assert entry.rule_text is None
+
+
+@pytest.mark.parametrize("mode", ["chat", "completion", "chat+elicitation"])
+def test_null_top_logprobs_give_no_p_true(mode):
+    """A label read from a reply whose top logprobs are null has no
+    True-probability."""
+    oracle = _oracle_for(mode)
+
+    def transport(url, payload, headers, timeout):
+        response = oracle(url, payload, headers, timeout)
+        logprobs = response["choices"][0]["logprobs"]
+        if mode == "completion":
+            logprobs["top_logprobs"] = [None]
+        for item in logprobs.get("content", []):
+            item["top_logprobs"] = None
+        return response
+
+    exemplar_list = fixture_list(n_sets=3)
+    transcript = run_session(exemplar_list, endpoint(), mode, transport=transport)
+    for entry, exemplar_set in zip(transcript.sets, exemplar_list.sets):
+        assert entry.labels == list(exemplar_set.labels)
+        assert entry.p_true == [None] * len(exemplar_set.objects)
 
 
 @pytest.mark.parametrize("mode", ["chat", "completion", "chat+elicitation"])
