@@ -154,9 +154,12 @@ def load_list(path: str | Path) -> ExemplarList:
     """Load a persisted list.
 
     Every stored gold label is re-derived from the rule; a mismatch raises
-    :class:`LabelSoundnessError`.
+    :class:`LabelSoundnessError`.  A list with no sets, or a set with no
+    objects, raises :class:`DslError`: nothing downstream can score it.
     """
     doc = json.loads(Path(path).read_text())
+    if not doc["sets"]:
+        raise DslError(f"{path}: the list has no sets")
     vocab = FeatureVocab(
         sizes=tuple(doc["vocab"]["sizes"]),
         colors=tuple(doc["vocab"]["colors"]),
@@ -169,6 +172,8 @@ def load_list(path: str | Path) -> ExemplarList:
             Obj(vocab.index("size", s), vocab.index("color", c), vocab.index("shape", h))
             for s, c, h in entry["objects"]
         )
+        if not objects:
+            raise DslError(f"{path}: set {len(sets)} has no objects")
         labels = tuple(bool(x) for x in entry["labels"])
         sets.append(ExemplarSet(objects, labels))
     loaded = ExemplarList(

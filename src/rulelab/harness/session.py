@@ -53,6 +53,11 @@ class TranscriptMismatchError(RuntimeError):
     """An existing transcript disagrees with the session being resumed."""
 
 
+class UnreadableReplyError(RuntimeError):
+    """A reply lacks what its mode's reader reads, as an error object sent
+    in place of ``choices`` does."""
+
+
 def http_transport(url: str, payload: dict, headers: dict, timeout: float) -> dict:
     """POST ``payload`` as JSON and return the parsed JSON reply.  Network
     errors, timeouts, 4xx/5xx statuses and a body that is not JSON all
@@ -202,6 +207,7 @@ class _Caller:
         cache_dir: str | Path | None,
         rate_limiter: RateLimiter | None,
         sleep: Callable[[float], None],
+        read: Callable,
     ):
         self.endpoint = endpoint
         self.transport = transport
@@ -211,14 +217,21 @@ class _Caller:
             self.cache_dir.mkdir(parents=True, exist_ok=True)
         self.rate_limiter = rate_limiter
         self.sleep = sleep
+        self.read = read
 
-    def __call__(self, url: str, payload: dict, key: str) -> dict:
-        """The reply to ``payload``, whose :func:`_request_key` is ``key``."""
+    def __call__(self, url: str, payload: dict, key: str, queried: list[str]) -> tuple[dict, tuple]:
+        """The reply to ``payload``, whose :func:`_request_key` is ``key``,
+        and the mode's reading of it for the ``queried`` objects.  A reply is
+        read before it is cached, so one that cannot be read is never
+        cached: it raises :class:`UnreadableReplyError`, and a rerun asks
+        again."""
         cache_path = None
         if self.cache_dir is not None:
             cache_path = self.cache_dir / f"{key}.json"
             if cache_path.exists():
-                return json.loads(cache_path.read_text())
+                response = json.loads(cache_path.read_text())
+                what = f"cached reply {cache_path}"
+                return response, _read_reply(self.read, response, queried, what)
         retries = self.endpoint.max_retries
         for attempt in range(retries + 1):
             if attempt:
@@ -233,9 +246,10 @@ class _Caller:
                     raise TransportError(
                         f"request failed after {attempt + 1} attempts: {error}", error.status
                     ) from error
+        reading = _read_reply(self.read, response, queried, "reply")
         if cache_path is not None:
             write_atomic(cache_path, json.dumps(response, sort_keys=True) + "\n")
-        return response
+        return response, reading
 
 
 def _chat_payload(endpoint: EndpointConfig, bundle: PromptBundle) -> dict:
@@ -320,13 +334,25 @@ _COMPLETION = ("/completions", _completion_payload, _read_completion, True)
 _CHAT = ("/chat/completions", _chat_payload, _read_chat, False)
 
 
-def _read_entry(set_index: int, requests: list[tuple], responses, read) -> SetEntry:
+def _read_reply(read, response, queried: list[str], what: str) -> tuple[ExtractionResult, list]:
+    """``read(response, queried)``, or :class:`UnreadableReplyError`, naming
+    ``what`` was read and quoting the reply's start, when ``response`` lacks
+    a field the reader reads."""
+    try:
+        return read(response, queried)
+    except (LookupError, TypeError, AttributeError) as error:
+        quoted = json.dumps(response, sort_keys=True)
+        raise UnreadableReplyError(
+            f"{what} cannot be read ({type(error).__name__}: {error}): {quoted[:200]}"
+        ) from None
+
+
+def _read_entry(set_index: int, requests: list[tuple], replies) -> SetEntry:
     """Set ``set_index``'s entry from its requests, each ``(first object
-    index, queried objects, payload, key)``, and their replies, each read as
-    ``responses`` yields it."""
+    index, queried objects, payload, key)``, and their replies, each
+    ``(response, (extraction, p_true))`` as ``replies`` yields it."""
     entry = SetEntry(set_index, exchanges=[], labels=[], exclusions=[], p_true=[])
-    for (first, queried, _payload, key), response in zip(requests, responses):
-        extraction, p_true = read(response, queried)
+    for (first, *_, key), (response, (extraction, p_true)) in zip(requests, replies):
         entry.exchanges.append({"key": key, "response": response})
         entry.labels += extraction.labels
         entry.exclusions += [
@@ -356,9 +382,11 @@ def _checked_entry(
     ]
     if stored != [key for *_, key in requests]:
         raise TranscriptMismatchError(f"set {set_index}'s requests are not the list's")
-    entry = _read_entry(
-        set_index, requests, [exchange["response"] for exchange in loaded.exchanges], read
-    )
+    what = f"set {set_index}'s stored reply"
+    entry = _read_entry(set_index, requests, [
+        (exchange["response"], _read_reply(read, exchange["response"], queried, what))
+        for (_first, queried, *_), exchange in zip(requests, loaded.exchanges)
+    ])
     read_as = (entry.labels, entry.exclusions, entry.p_true, entry.rule_text)
     if read_as != (loaded.labels, loaded.exclusions, loaded.p_true, loaded.rule_text):
         raise TranscriptMismatchError(f"set {set_index}'s replies do not read as it stores")
@@ -382,7 +410,9 @@ def run_session(
     :class:`TransportError` after retries, with the transcript persisted up
     to the last completed set.  An existing transcript that is not this
     session's, or any of whose sets differs from what the list and its
-    replies give, raises :class:`TranscriptMismatchError`.
+    replies give, raises :class:`TranscriptMismatchError`.  A reply the
+    mode's reader cannot read raises :class:`UnreadableReplyError` and is
+    not cached.
     """
     headers = {}
     if transport is None:
@@ -390,12 +420,12 @@ def run_session(
         transport = http_transport
     if rate_limiter is None and endpoint.rate_limit_per_s:
         rate_limiter = RateLimiter(endpoint.rate_limit_per_s, sleep=sleep)
-    caller = _Caller(endpoint, transport, headers, cache_dir, rate_limiter, sleep)
+    path, payload_for, read, per_object = _COMPLETION if mode == "completion" else _CHAT
+    caller = _Caller(endpoint, transport, headers, cache_dir, rate_limiter, sleep, read)
 
     n_sets = len(exemplar_list.sets)
     if endpoint.max_sets is not None:
         n_sets = min(n_sets, endpoint.max_sets)
-    path, payload_for, read, per_object = _COMPLETION if mode == "completion" else _CHAT
     url = endpoint.base_url.rstrip("/") + path
 
     def requests(set_index: int) -> list[tuple]:
@@ -439,8 +469,8 @@ def run_session(
 
     for set_index in range(len(transcript.sets), n_sets):
         sent = requests(set_index)
-        responses = (caller(url, payload, key) for *_, payload, key in sent)
-        entry = _read_entry(set_index, sent, responses, read)
+        replies = (caller(url, payload, key, queried) for _first, queried, payload, key in sent)
+        entry = _read_entry(set_index, sent, replies)
         transcript.sets.append(entry)
         if transcript_path is not None:
             fragments.append(_entry_fragment(entry))

@@ -10,21 +10,21 @@ therefore contributes the likelihood factor
 Exact inference enumerates every concept the grammar derives up to a node
 budget; :mod:`rulelab.learner.mcmc` provides the sampling engine validated
 against this one.  Both score a truth row (:func:`rulelab.dsl.evaluate_batch`)
-with one kernel, :func:`_boundary_log_likelihood`, so every score of either
-is bitwise the per-object sum of ``math.log`` factors, for any (alpha, beta).
-Exact inference runs the kernel once per behaviour class of a list, the
-hypotheses that say True on the same objects (:class:`EvalMatrix`), and a
-run gathers the class scores back to the hypotheses one boundary at a
-time.  The noise fit's predictions (:mod:`rulelab.learner.fit`) do not
-run the kernel: they score each boundary's classes grouped by their two
-agreement counts.
+the same way: each object's cell code (:func:`_cell_codes`) picks one of
+four ``math.log`` factors (:func:`_log_factors`), and one running sum adds
+them in object order, so every score of either is bitwise the per-object
+sum of ``math.log`` factors, for any (alpha, beta).  Exact inference keeps
+that sum once per behaviour class of a list, the hypotheses that say True
+on the same objects (:class:`EvalMatrix`), and gathers the class scores to
+the hypotheses at each set boundary (:func:`posterior_by_set`).  The noise
+fit's predictions (:mod:`rulelab.learner.fit`) do not take the running
+sum: they score each boundary's classes grouped by their two agreement
+counts.
 """
 
 from __future__ import annotations
 
-import bisect
 import csv
-import functools
 import io
 import math
 from dataclasses import dataclass
@@ -225,23 +225,16 @@ class EvalMatrix:
     """One exemplar list's hypotheses, grouped into behaviour classes.
 
     Hypotheses that say True on exactly the same objects of the list have
-    the same cells, so the kernel gives them the same log-likelihood, bit
-    for bit, at every boundary, and they make the same predictions.  The
-    kernel therefore scores each class once, and :func:`posterior_by_set`
-    gathers the scores back to the hypotheses through ``inverse``."""
+    the same cell codes, so they get the same log-likelihood, bit for bit,
+    at every boundary, and they make the same predictions.
+    :func:`posterior_by_set` therefore scores each class once and gathers
+    the scores back to the hypotheses through ``inverse``."""
 
     log_priors: np.ndarray  # (n_hyps,)
     classes: np.ndarray  # (n_classes, n_objects) bool: the class says True
     inverse: np.ndarray  # (n_hyps,) each hypothesis's row of ``classes``
     gold: np.ndarray  # (n_objects,) bool
     offsets: list[int]  # start object index per set, plus final total
-
-    @functools.cached_property
-    def cells(self) -> np.ndarray:
-        """:func:`_cells` of the classes.  The noise does not enter it, so
-        it is built on first use and lives as long as the matrix (each
-        :func:`posterior_by_set` call on the matrix reuses it)."""
-        return _cells(self.classes, self.gold)
 
 
 def _collapse(truth: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -257,16 +250,16 @@ def _collapse(truth: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return truth[first], inverse
 
 
-def _cells(truth: np.ndarray, gold: np.ndarray) -> np.ndarray:
+def _cell_codes(truth: np.ndarray, gold: np.ndarray) -> np.ndarray:
     """(n_objects, n_rows) uint8: ``2 * agrees + label`` for each cell of
     ``truth`` (truth rows by objects), where ``agrees`` says the row gives
     the object its ``gold`` label.  It indexes the four log factors of
     :func:`_log_factors`.  Objects are rows, so a running sum over objects
-    adds one contiguous row at a time."""
-    cells = (truth == gold).T.astype(np.uint8, order="C")
-    cells <<= 1
-    cells |= gold[:, None]
-    return cells
+    gathers one contiguous row at a time."""
+    codes = (truth == gold).T.astype(np.uint8, order="C")
+    codes <<= 1
+    codes |= gold[:, None]
+    return codes
 
 
 def _list_objects(exemplar_list: ExemplarList) -> tuple[list[Context], np.ndarray, list[int]]:
@@ -295,11 +288,10 @@ def build_eval_matrices(
     before this returns; each list's matrix is then a column gather of it,
     collapsed to behaviour classes (:func:`_collapse`) only when the
     iterator reaches that list, so a caller that drops each matrix before
-    taking the next holds one list's matrix (and its
-    :attr:`EvalMatrix.cells`) at a time.  A context's truth values do not
-    depend on the other contexts of its batch, so each matrix is bitwise
-    the one evaluating its list alone would give.  The lists must share a
-    vocab, which shapes the batch."""
+    taking the next holds one list's matrix at a time.  A context's truth
+    values do not depend on the other contexts of its batch, so each matrix
+    is bitwise the one evaluating its list alone would give.  The lists
+    must share a vocab, which shapes the batch."""
     vocabs = {exemplar_list.vocab for exemplar_list in lists}
     if len(vocabs) > 1:
         raise ValueError("lists evaluated together must share one vocab")
@@ -328,11 +320,6 @@ def build_eval_matrix(
     return next(build_eval_matrices(hypotheses, [exemplar_list]))
 
 
-# Bytes of log factors the kernel gathers at a time (one object row at
-# least): a fit grid's few hundred behaviour classes take one block.
-_BLOCK_BYTES = 1 << 19
-
-
 def _log_factors(noise: NoiseParams) -> np.ndarray:
     """``math.log`` of the four values an observation's factor can take,
     -inf where it is 0, indexed by its cell ``2 * agrees + label``."""
@@ -345,66 +332,16 @@ def _log_factors(noise: NoiseParams) -> np.ndarray:
     return np.array(logs)
 
 
-def _boundary_log_likelihood(
-    cells: np.ndarray, offsets: Sequence[int], noise: NoiseParams
-) -> np.ndarray:
-    """(len(offsets), n_rows): entry [k, r] is truth row r's log-likelihood
-    of the objects before ``offsets[k]``, from ``cells`` (:func:`_cells`);
-    ``offsets`` is nondecreasing.
-
-    Each row's log factors (:func:`_log_factors`) are added one object at
-    a time in object order, so every result is bitwise the per-object
-    reference sum.  The objects are taken in blocks of about
-    ``_BLOCK_BYTES`` of log factors, each block starting from the running
-    sum the last one ended on, so beyond its result the kernel holds one
-    block."""
-    n_objects, n_rows = cells.shape
-    if any(b < a for a, b in zip([0, *offsets], [*offsets, n_objects])):
-        raise ValueError(f"offsets must be nondecreasing within 0..{n_objects}")
-    log_factors = _log_factors(noise)
-    block_objects = max(1, _BLOCK_BYTES // (8 * max(n_rows, 1)))
-    # Row j: the sum over the objects before start + j.
-    cumulative = np.empty((min(block_objects, n_objects) + 1, n_rows))
-    cumulative[0] = 0.0
-    out = np.empty((len(offsets), n_rows))
-    done = bisect.bisect_right(offsets, 0)  # out's rows written so far
-    out[:done] = 0.0
-    for start in range(0, n_objects, block_objects):
-        stop = min(start + block_objects, n_objects)
-        rows = cumulative[:stop - start + 1]
-        # mode="clip" (a no-op on in-range indices) lets take write straight
-        # into its out; the default mode writes to a buffer first.
-        np.take(log_factors, cells[start:stop], out=rows[1:], mode="clip")
-        if n_rows == 1:
-            # One truth row (MH): np.cumsum makes the same additions in the
-            # same order as the loop below, so the bits are equal, and for a
-            # 76-object row it takes 0.011 ms against the loop's 0.15 ms.
-            # Over many rows the loop, which adds whole contiguous rows, is
-            # the faster.
-            np.cumsum(rows, axis=0, out=rows)
-        else:
-            for previous, row in zip(rows, rows[1:]):
-                row += previous
-        end = bisect.bisect_right(offsets, stop)
-        here = np.asarray(offsets[done:end], dtype=np.intp) - start
-        np.take(rows, here, axis=0, out=out[done:end], mode="clip")
-        done = end
-        cumulative[0] = rows[-1]
-    return out
-
-
-def _normalise(log_post_unnorm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row of ``log_post_unnorm`` (boundaries by rows) normalised, and
-    each row's argmax; raises :class:`DegeneratePosteriorError` when some
-    row has no mass at all."""
-    map_index = np.argmax(log_post_unnorm, axis=1)
-    peak = log_post_unnorm[np.arange(len(map_index)), map_index]
-    if np.isneginf(peak).any():
+def _normalise(log_post_unnorm: np.ndarray) -> tuple[np.ndarray, int]:
+    """``log_post_unnorm`` normalised, and its argmax; raises
+    :class:`DegeneratePosteriorError` when it has no mass at all."""
+    map_index = int(np.argmax(log_post_unnorm))
+    peak = float(log_post_unnorm[map_index])
+    if peak == -math.inf:
         raise DegeneratePosteriorError("no hypothesis explains the evidence")
-    mass = np.sum(np.exp(log_post_unnorm - peak[:, None]), axis=1)
+    mass = float(np.sum(np.exp(log_post_unnorm - peak)))
     # math.log, not np.log: the normaliser rounds as it always has.
-    log_z = [p + math.log(m) for p, m in zip(peak.tolist(), mass.tolist())]
-    return log_post_unnorm - np.array(log_z)[:, None], map_index
+    return log_post_unnorm - (peak + math.log(mass)), map_index
 
 
 def posterior_by_set(
@@ -412,24 +349,30 @@ def posterior_by_set(
 ) -> Iterator[tuple[np.ndarray, np.ndarray, int]]:
     """The posterior over the hypotheses at each set boundary 0..n_sets,
     conditioned on every earlier set's gold labels: yields
-    ``(log_likelihood, log_posterior, map_index)``.  The kernel scores the
-    matrix's behaviour classes at every boundary up front; each boundary's
-    scores are then gathered to the hypotheses and normalised when it is
-    reached, so beyond the class scores only one boundary's hypothesis
-    vectors are alive, and a boundary no hypothesis explains raises
-    :class:`DegeneratePosteriorError` only then.  Exact ties in the
-    computed scores go to the lowest row, which for rows in
+    ``(log_likelihood, log_posterior, map_index)``.  One running sum per
+    behaviour class adds each object's log factor in object order, so every
+    score is bitwise the per-object reference sum; at each boundary the
+    class scores are gathered to the hypotheses and normalised, so beyond
+    the cell codes and the class scores one boundary's hypothesis vectors
+    are alive, and a boundary no hypothesis explains raises
+    :class:`DegeneratePosteriorError` only when it is reached.  Exact ties
+    in the computed scores go to the lowest row, which for rows in
     :func:`enumerate_hypotheses` order is the smaller, then
     lexicographically earlier, concept.  Rows whose scores are equal in
-    exact arithmetic are not always tied here: each row's log-likelihood is
-    a cumulative sum taken in object order, so rows with equal priors and
+    exact arithmetic are not always tied here: rows with equal priors and
     equal agreement counts but disagreements at different objects can round
     apart in the last bits, and the MAP is then whichever rounds highest."""
-    class_log_likelihood = _boundary_log_likelihood(matrix.cells, matrix.offsets, noise)
-    for class_scores in class_log_likelihood:
+    log_factors = _log_factors(noise)
+    codes = _cell_codes(matrix.classes, matrix.gold)
+    class_scores = np.zeros(len(matrix.classes))
+    start = 0
+    for stop in matrix.offsets:
+        for j in range(start, stop):
+            class_scores += np.take(log_factors, codes[j])
+        start = stop
         log_likelihood = class_scores[matrix.inverse]
-        log_posterior, map_index = _normalise((log_likelihood + matrix.log_priors)[None])
-        yield log_likelihood, log_posterior[0], int(map_index[0])
+        log_posterior, map_index = _normalise(log_likelihood + matrix.log_priors)
+        yield log_likelihood, log_posterior, map_index
 
 
 def _set_prediction(

@@ -8,9 +8,10 @@ cancel against the proposal density and the acceptance ratio reduces to
 
 Passing ``max_size`` rejects proposals whose concept exceeds the bound, so
 the chain targets the same truncated posterior that exact enumeration
-normalizes over.  A concept's likelihood comes from the exact engine's
-kernel (:mod:`rulelab.learner.inference`) applied to its one truth row, so
-every score is bitwise the per-object reference sum, for any (alpha, beta).
+normalizes over.  A concept's likelihood is the exact engine's running sum
+(:mod:`rulelab.learner.inference`) over its one truth row: the ``math.log``
+factors its cell codes pick, added in object order, so every score is
+bitwise the per-object reference sum, for any (alpha, beta).
 """
 
 from __future__ import annotations
@@ -31,9 +32,9 @@ from .inference import (
     NoiseParams,
     Observation,
     PosteriorState,
-    _boundary_log_likelihood,
-    _cells,
+    _cell_codes,
     _list_objects,
+    _log_factors,
     _set_prediction,
     map_rule,
 )
@@ -44,14 +45,15 @@ MAX_BURN_IN = 1000  # untallied steps at the head of a chain, at most a tenth of
 class _TruthRows:
     """Each concept's truth row over a batch of labelled objects, evaluated
     once and kept with the concept's log-likelihood of the objects before
-    each boundary in ``offsets``, scored by the exact engine's kernel
-    (:func:`~rulelab.learner.inference._boundary_log_likelihood`), so each
-    score is bitwise the per-object sum of log factors."""
+    each boundary in ``offsets``: the cumulative sum, in object order, of
+    the log factors its cell codes pick, so each score is bitwise the
+    per-object sum of log factors, as in the exact engine."""
 
     def __init__(
         self, batch: ContextBatch, gold: np.ndarray, offsets: list[int], noise: NoiseParams
     ):
-        self.batch, self.gold, self.offsets, self.noise = batch, gold, offsets, noise
+        self.batch, self.gold, self.offsets = batch, gold, offsets
+        self.log_factors = _log_factors(noise)
         self.rows: dict[Concept, tuple[np.ndarray, list[float]]] = {}
 
     def __getitem__(self, concept: Concept) -> tuple[np.ndarray, list[float]]:
@@ -59,9 +61,9 @@ class _TruthRows:
         found = self.rows.get(concept)
         if found is None:
             row = evaluate_batch([concept], self.batch)[0]
-            cells = _cells(row[None], self.gold)
-            scores = _boundary_log_likelihood(cells, self.offsets, self.noise)
-            found = self.rows[concept] = (row, scores[:, 0].tolist())
+            codes = _cell_codes(row[None], self.gold)[:, 0]
+            cumulative = [0.0, *np.cumsum(self.log_factors[codes]).tolist()]
+            found = self.rows[concept] = (row, [cumulative[k] for k in self.offsets])
         return found
 
 

@@ -394,22 +394,22 @@ def test_run_plot_reports_a_failed_enumeration_for_every_rule(workspace, monkeyp
 
 
 def test_run_plot_keeps_one_eval_matrix_alive_at_a_time(workspace, monkeypatch, capsys):
-    """The rules share one evaluation, but each rule's matrix, with its
-    cells index, is gone before the next rule's is gathered, whether its
-    rule succeeded or failed."""
+    """The rules share one evaluation, but each rule's matrix is gone
+    before the next rule's is gathered, whether its rule succeeded or
+    failed."""
     import weakref
 
     import rulelab.cli as cli_module
 
     run(workspace, "gen")
-    handed_out = []  # weak references to each rule's matrix and its cells
+    handed_out = []  # weak references to each rule's matrix
     alive_at_start = []  # how many of them were alive as each rule started
     real = cli_module.run_enumerative
 
     def watched(exemplar_list, hypotheses, matrix, *args):
         alive_at_start.append(sum(ref() is not None for ref in handed_out))
         learner_run = real(exemplar_list, hypotheses, matrix, *args)
-        handed_out.extend([weakref.ref(matrix), weakref.ref(matrix.cells)])
+        handed_out.append(weakref.ref(matrix))
         if exemplar_list.rule_id == "blue":  # the first rule
             raise RuntimeError("no result for blue")
         return learner_run
@@ -418,7 +418,7 @@ def test_run_plot_keeps_one_eval_matrix_alive_at_a_time(workspace, monkeypatch, 
     assert run(workspace, "run", "--engine", "plot") == EXIT_DATA
     assert "rule 'blue' failed: no result for blue" in capsys.readouterr().err
     assert alive_at_start == [0] * 6
-    assert [ref() for ref in handed_out] == [None] * 12
+    assert [ref() for ref in handed_out] == [None] * 6
 
 
 def test_llm_sessions_share_one_rate_limiter(workspace, monkeypatch):
@@ -579,6 +579,34 @@ def test_an_endpoint_model_with_an_org_prefix_nests_its_transcripts(workspace, m
     model_dir = workspace / "out" / "transcripts" / "org" / "model"
     assert sorted(p.name for p in model_dir.iterdir()) == [f"{r}.json" for r in rule_ids]
     assert load_transcript(model_dir / "blue.json").endpoint["model"] == "org/model"
+
+
+def test_an_unreadable_reply_fails_its_rule_and_is_not_cached(workspace, monkeypatch, capsys):
+    """A 200 reply carrying an error object in place of ``choices`` fails
+    its rule alone, with a message that names it, and is not cached: the
+    rerun asks for that rule's set again, once, and completes."""
+    from rulelab.harness import session as session_module
+
+    posts = _offline_llm_workspace(workspace, monkeypatch, "fake-model")
+    good = session_module.http_transport
+    calls = []
+    errors = iter([{"error": {"message": "overloaded"}}])  # for whichever rule asks first
+
+    def overloaded_once(url, payload, headers, timeout):
+        calls.append(url)
+        return next(errors, None) or good(url, payload, headers, timeout)
+
+    monkeypatch.setattr(session_module, "http_transport", overloaded_once)
+    rule_ids = sorted(r["id"] for r in json.loads((workspace / "rules.json").read_text())["rules"])
+    assert run(workspace, "run", "--engine", "llm") == EXIT_DATA
+    failed = [line for line in capsys.readouterr().err.splitlines() if "failed" in line]
+    assert len(failed) == 1
+    assert "reply cannot be read (KeyError: 'choices')" in failed[0] and "overloaded" in failed[0]
+    cache_dir = workspace / "out" / "cache"
+    assert len(list(cache_dir.iterdir())) == len(rule_ids) - 1 == len(posts)
+    assert run(workspace, "run", "--engine", "llm") == EXIT_OK
+    assert len(calls) == len(rule_ids) + 1
+    assert len(list(cache_dir.iterdir())) == len(rule_ids)
 
 
 def test_grade_gold_elicited_matches_everything(workspace):
@@ -881,6 +909,30 @@ def test_a_wrong_typed_list_value_is_that_rules_data_error(every_input, capsys, 
     path = every_input / "out" / "lists" / "blue.json"
     doc = json.loads(path.read_text())
     doc[key] = value
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert _list_command(every_input, command) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "'blue'" in err and f"unreadable list file {path}: " in err
+
+
+def _no_sets(doc):
+    doc["sets"] = []
+
+
+def _an_empty_set(doc):
+    doc["sets"][3] = {"objects": [], "labels": []}
+
+
+@pytest.mark.parametrize("command", _LIST_COMMANDS)
+@pytest.mark.parametrize("empty", [_no_sets, _an_empty_set])
+def test_a_list_with_nothing_to_score_is_that_rules_data_error(every_input, capsys, command,
+                                                               empty):
+    """A list with no sets, or with a set of no objects, is unreadable: a
+    plot run of it would have no per-set MAP for the report to read."""
+    path = every_input / "out" / "lists" / "blue.json"
+    doc = json.loads(path.read_text())
+    empty(doc)
     path.write_text(json.dumps(doc))
     capsys.readouterr()
     assert _list_command(every_input, command) == EXIT_DATA

@@ -1,28 +1,27 @@
-"""The posterior kernel against the per-cell form it replaced, bit for bit.
+"""The posterior's running sum against the per-cell form it replaced, bit for bit.
 
 The oracle works on every hypothesis row of a list's truth table
 (:class:`Rows`).  It takes ``math.log`` of every (hypothesis, object)
 cell's factor, the log the per-object reference learner takes, sums with
 ``cumsum``, pads with ``np.pad`` and normalises each boundary as it is
-reached.  The kernel takes the log of four factor values, gathers them
-through ``EvalMatrix.cells`` for each behaviour class, and gathers the
-class scores back to the hypotheses; its scores must have the same bits
+reached.  :func:`posterior_by_set` takes the log of four factor values,
+adds the ones each object's cell codes pick to one running sum per
+behaviour class, and gathers the class scores back to the hypotheses at
+each boundary; its scores must have the same bits
 (compared as ``int64`` views), the same MAP rows, and a degenerate boundary
 must raise at the same place.  The classes themselves are checked against
 the ``np.unique(axis=0)`` collapse the noise fit used to make.  The noise
 fit's predictions come from (aT, aF) groups, whose ``count * log factor``
-sums round apart from the kernel's object-order sums, so they are checked
+sums round apart from the object-order sums, so they are checked
 against the oracle on the classes within 1e-12, with the same undefined
 points and the same winner.  The exact engine, MH's truth rows and the
 reference sum must also agree bitwise at noise points where ``np.log`` and
 ``math.log`` round apart.
 """
 
-import gc
 import heapq
 import math
 import tracemalloc
-import weakref
 from itertools import islice
 from typing import NamedTuple
 
@@ -50,7 +49,7 @@ from rulelab.learner import (
 )
 from rulelab.learner import inference, predictive_trajectory
 from rulelab.learner.fit import _GroupTable, _grid_r2
-from rulelab.learner.inference import _boundary_log_likelihood, _cells, _collapse, _list_objects
+from rulelab.learner.inference import _collapse, _list_objects
 from rulelab.learner.mcmc import _TruthRows
 
 GRID = noise_grid(0.05)
@@ -156,14 +155,15 @@ def trajectory_or_none(trajectory, matrix, noise):
 
 def class_path_trajectory(matrix: EvalMatrix, noise: NoiseParams) -> np.ndarray:
     """``predictive_trajectory`` as it was on behaviour classes: the
-    kernel's class scores (bitwise the oracle's) before each set,
+    oracle's class scores (bitwise the posterior's) before each set,
     normalised with each class's summed prior, times the classes."""
     sizes = np.bincount(matrix.inverse, minlength=len(matrix.classes))
     members = np.argsort(matrix.inverse, kind="stable")  # grouped by class
     class_priors = np.logaddexp.reduceat(matrix.log_priors[members], np.cumsum(sizes) - sizes)
     before_each_set = matrix.offsets[:-1]
-    log_likelihood = _boundary_log_likelihood(matrix.cells, before_each_set, noise)
-    log_posterior, _map = inference._normalise(log_likelihood + class_priors)
+    classes = Rows(class_priors, matrix.classes, matrix.gold, before_each_set)
+    log_likelihood = oracle_boundary_log_likelihood(classes, noise)
+    log_posterior = np.array([inference._normalise(row)[0] for row in log_likelihood + class_priors])
     set_of_object = np.repeat(np.arange(len(before_each_set)), np.diff(matrix.offsets))
     rule_mass = (np.exp(log_posterior) @ matrix.classes)[set_of_object, np.arange(len(set_of_object))]
     return noise.alpha * rule_mass + (1.0 - noise.alpha) * noise.beta
@@ -219,9 +219,9 @@ def bits(kernel, matrix, noise):
 
 
 def row_kernel_posterior_by_set(matrix: Rows, noise: NoiseParams):
-    """The kernel on every hypothesis row, every boundary normalised at
-    once, as :func:`posterior_by_set` scored before it took classes."""
-    log_likelihood = _boundary_log_likelihood(_cells(matrix.truth, matrix.gold), matrix.offsets, noise)
+    """The oracle's sums on every hypothesis row, every boundary normalised
+    at once, as :func:`posterior_by_set` scored before it took classes."""
+    log_likelihood = oracle_boundary_log_likelihood(matrix, noise)
     log_post_unnorm = log_likelihood + matrix.log_priors
     map_index = np.argmax(log_post_unnorm, axis=1)
     peak = log_post_unnorm[np.arange(len(map_index)), map_index]
@@ -353,15 +353,14 @@ def test_collapse_edge_cases(n_hyps, n_objects, draw, n_classes):
     assert len(matrix.classes) == n_classes
 
 
-def test_posterior_by_set_holds_one_boundary_beyond_the_class_scores(catalog_tables):
+def test_posterior_by_set_traces_under_one_mib(catalog_tables):
     """Iterating the posterior of a size-4 list (9,568 hypotheses, 26
-    boundaries) traces under the kernel's class result plus 2 MB.  One
-    (26, 9,568) float64 array is 2.0 MB, and scoring every row at once
-    held four or more."""
+    boundaries, 3,920 classes) traces under 1 MiB, its cell codes
+    included: one running score per class, and one boundary's hypothesis
+    vectors.  Scoring every boundary's classes up front held a (26, 3,920)
+    array of 0.78 MiB and traced 1.77 MiB without the cell codes."""
     matrix = catalog_tables[4][0][0]
-    assert len(matrix.log_priors) == 9568 and len(matrix.offsets) == 26
-    matrix.cells  # built before tracing: the cell codes live as long as the matrix
-    class_result = 8 * len(matrix.offsets) * len(matrix.classes)
+    assert (len(matrix.log_priors), len(matrix.offsets), len(matrix.classes)) == (9568, 26, 3920)
     tracemalloc.start()
     try:
         reached = sum(1 for _step in posterior_by_set(matrix, NoiseParams(0.95, 0.5)))
@@ -369,7 +368,7 @@ def test_posterior_by_set_holds_one_boundary_beyond_the_class_scores(catalog_tab
     finally:
         tracemalloc.stop()
     assert reached == 26
-    assert peak < class_result + 2 * 2**20
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("name", ["xor-full", "xor-collapsed", "one-blue-full", "one-blue-collapsed"])
@@ -449,21 +448,6 @@ def test_fit_pools_the_oracles_scores():
     assert actual.undefined_points == len(grid) - len(scored) > 0
 
 
-def test_cells_index_lives_only_as_long_as_its_matrix(size3_matrices):
-    source = size3_matrices["xor-full"]
-    matrix = EvalMatrix(source.log_priors, source.classes, source.inverse, source.gold, source.offsets)
-    list(posterior_by_set(matrix, NoiseParams(0.9, 0.5)))
-    cells = matrix.cells
-    list(posterior_by_set(matrix, NoiseParams(0.5, 0.2)))
-    assert matrix.cells is cells  # built once, reused at the next noise point
-    assert cells.shape == (source.offsets[-1], len(source.classes))  # a column per class
-    assert len(source.classes) < len(source.log_priors)
-    index = weakref.ref(cells)
-    del matrix, cells
-    gc.collect()
-    assert index() is None
-
-
 def test_keeps_the_rounded_map_of_unique_blue():
     """Rows 71 and 80 tie in exact arithmetic at boundary 24 of lab-s3's
     unique-blue list (equal priors, 64 agreements and 9 disagreements), but
@@ -508,63 +492,6 @@ unit = st.sampled_from([0.0, 1.0, 0.5, 0.05, 0.95]) | st.floats(0.0, 1.0)
 @given(small_matrices(), unit, unit)
 def test_kernel_matches_oracle_on_random_matrices(matrix, alpha, beta):
     assert_bitwise_equal(matrix, NoiseParams(alpha, beta))
-
-
-@settings(max_examples=200, deadline=None)
-@given(small_matrices(), unit, unit, st.sampled_from([1, 3]))
-def test_kernel_matches_oracle_in_object_blocks(matrix, alpha, beta, block_objects):
-    """Blocks of one and three objects: the running sum carried from block
-    to block keeps every bit, one-row matrices (MH's path) included."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(inference, "_BLOCK_BYTES", 8 * len(matrix.classes) * block_objects)
-        assert_bitwise_equal(matrix, NoiseParams(alpha, beta))
-
-
-@pytest.mark.parametrize("block_objects", [1, 3])
-@pytest.mark.parametrize("name", ["xor-full", "one-blue-collapsed"])
-def test_set_boundaries_inside_and_at_block_edges(size3_matrices, monkeypatch, name, block_objects):
-    matrix = size3_matrices[name]
-    classes = oracle_classes(rows_of(matrix))[0]
-    assert np.array_equal(classes.truth, matrix.classes)
-    n_rows = len(matrix.classes)
-    assert {offset % 3 for offset in matrix.offsets} == {0, 1, 2}  # inside and at edges
-    for alpha, beta in GRID[::37] + [(0.0, 0.0), (1.0, 0.5)]:
-        noise = NoiseParams(alpha, beta)
-        expected = oracle_boundary_log_likelihood(classes, noise)
-        monkeypatch.setattr(inference, "_BLOCK_BYTES", 8 * n_rows * block_objects)
-        actual = _boundary_log_likelihood(matrix.cells, matrix.offsets, noise)
-        assert np.array_equal(actual.view(np.int64), expected.view(np.int64)), noise
-        monkeypatch.setattr(inference, "_BLOCK_BYTES", 8 * block_objects)
-        for row in (0, n_rows // 2, n_rows - 1):
-            one = _boundary_log_likelihood(matrix.cells[:, row:row + 1], matrix.offsets, noise)
-            assert np.array_equal(one[:, 0].view(np.int64), expected[:, row].view(np.int64)), noise
-
-
-def test_kernel_holds_one_block_beyond_its_result():
-    """On a lab-sized matrix (9,568 rows, 25 sets of 2 to 4 objects) the
-    kernel's traced peak is its result plus under 2 MB."""
-    rng = np.random.default_rng(7)
-    n_rows = 9568
-    offsets = np.concatenate([[0], np.cumsum(rng.integers(2, 5, size=25))]).tolist()
-    truth = rng.random((n_rows, offsets[-1])) < 0.5
-    cells = _cells(truth, rng.random(offsets[-1]) < 0.5)
-    assert cells.dtype == np.uint8
-    tracemalloc.start()
-    try:
-        result = _boundary_log_likelihood(cells, offsets, NoiseParams(0.95, 0.5))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert result.shape == (26, n_rows)
-    assert peak < result.nbytes + 2 * 2**20
-
-
-def test_offsets_must_be_nondecreasing_within_the_objects():
-    cells = np.zeros((4, 2), dtype=np.uint8)
-    noise = NoiseParams(0.9, 0.5)
-    for offsets in ([0, 5], [0, 3, 2], [-1, 4]):
-        with pytest.raises(ValueError, match="nondecreasing"):
-            _boundary_log_likelihood(cells, offsets, noise)
 
 
 @pytest.mark.parametrize("alpha, beta", [

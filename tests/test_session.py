@@ -30,6 +30,7 @@ from rulelab.harness import (
     run_session,
     transcript_series,
 )
+from rulelab.harness.session import UnreadableReplyError
 
 BLUE = parse_concept("(is-color blue)", V)
 
@@ -179,6 +180,33 @@ def test_cache_replay_makes_zero_calls(tmp_path):
     b = run_session(fixture_list(), endpoint(), "chat", transport=second, cache_dir=cache_dir)
     assert second.calls == []
     assert a.to_document() == b.to_document()
+
+
+@pytest.mark.parametrize("mode", ["chat", "completion"])
+def test_an_unreadable_reply_is_not_cached(tmp_path, mode):
+    """A 200 reply the mode's reader cannot read, an error object here,
+    fails the session with a message that names it and leaves no cache
+    file or transcript set, so a rerun sends the request again."""
+    cache_dir = tmp_path / "cache"
+    path = tmp_path / "transcript.json"
+    exemplar_list = fixture_list(n_sets=1)
+    sent = []
+
+    def overloaded(url, payload, headers, timeout):
+        sent.append(url)
+        return {"error": {"message": "overloaded"}}
+
+    with pytest.raises(UnreadableReplyError, match=r"^reply cannot be read \(KeyError: 'choices'\).*overloaded"):
+        run_session(exemplar_list, endpoint(), mode, transport=overloaded, cache_dir=cache_dir,
+                    transcript_path=path)
+    assert len(sent) == 1
+    assert list(cache_dir.iterdir()) == [] and not path.exists()
+    oracle = _oracle_for(mode)
+    transcript = run_session(exemplar_list, endpoint(), mode, transport=oracle,
+                             cache_dir=cache_dir, transcript_path=path)
+    n_requests = len(exemplar_list.sets[0].objects) if mode == "completion" else 1
+    assert len(oracle.calls) == n_requests == len(list(cache_dir.iterdir()))
+    assert transcript.sets[0].labels == list(exemplar_list.sets[0].labels)
 
 
 def test_cache_keyed_by_endpoint_config(tmp_path):
