@@ -463,6 +463,24 @@ def cmd_run(config: ExperimentConfig, engine: str, mode: str = "chat") -> int:
 
 # --- grade -----------------------------------------------------------------
 
+def _read_series(path: Path, exemplar_list: ExemplarList) -> LabelSeries:
+    """The series file at ``path``, checked against its rule's list: its
+    ``rule_id`` must be the list's, and its records' (set_index,
+    object_index, gold) the list's objects over its first k >= 1 whole
+    sets, in order, as a session capped by ``max_sets`` writes them.
+    Raises ValueError for any other file."""
+    series = load_series(path)
+    if series.rule_id != exemplar_list.rule_id:
+        raise ValueError(f"rule_id {series.rule_id!r} is not {exemplar_list.rule_id!r}")
+    items = [(s, o, gold) for s, o, _ctx, gold in exemplar_list.iter_items()]
+    found = [(r.set_index, r.object_index, r.gold) for r in series.records]
+    n = len(found)
+    # items[n] starts a set, unless the records stop inside one.
+    if not found or found != items[:n] or (n < len(items) and items[n][1] != 0):
+        raise ValueError("its records are not the list's objects and gold labels over whole sets")
+    return series
+
+
 def cmd_grade(config: ExperimentConfig, elicited_path: Path, series_dir: Path | None) -> int:
     lists, failures = _load_lists(config)
     if not elicited_path.exists():
@@ -507,7 +525,8 @@ def cmd_grade(config: ExperimentConfig, elicited_path: Path, series_dir: Path | 
             continue
         series_path = series_dir / f"{rule_id}.series.json" if series_dir is not None else None
         try:
-            series = load_series(series_path) if series_path and series_path.exists() else None
+            exists = series_path is not None and series_path.exists()
+            series = _read_series(series_path, lists[rule_id]) if exists else None
         except _UNREADABLE as error:
             failures.append((rule_id, f"unreadable series file {series_path}: {error}"))
             continue
@@ -624,7 +643,7 @@ def cmd_report(config: ExperimentConfig, series_dirs: dict[str, Path]) -> int:
             path = directory / f"{rule_id}.series.json"
             if path.exists():
                 try:
-                    found[rule_id] = load_series(path)
+                    found[rule_id] = _read_series(path, lists[rule_id])
                 except _UNREADABLE as error:
                     failures.append((rule_id, f"unreadable series file {path}: {error}"))
         if not found:

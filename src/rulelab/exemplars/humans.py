@@ -84,6 +84,10 @@ def filter_subjects(
 ) -> tuple[list[SubjectRecord], FilterReport]:
     """Apply the two-stage subject filter for one rule.
 
+    A subject's completed sets, tested against :data:`MIN_SETS`, are the
+    sets of ``gold`` it has a response in, and at most the record's
+    ``sets_completed``: responses to sets the list lacks do not count.
+
     Raises :class:`EmptyPoolError` if no subject survives either stage.
     """
     report = FilterReport()
@@ -94,9 +98,11 @@ def filter_subjects(
                 f"subject {record.subject_id} is for rule {record.rule_id!r}, "
                 f"not {gold.rule_id!r}"
             )
-        if record.sets_completed < MIN_SETS:
+        answered = {s for s, _o in record.responses if 0 <= s < len(gold.sets)}
+        completed = min(record.sets_completed, len(answered))
+        if completed < MIN_SETS:
             report.exclusions.append(
-                Exclusion(record.subject_id, "min-sets", f"completed {record.sets_completed} sets")
+                Exclusion(record.subject_id, "min-sets", f"completed {completed} sets")
             )
         else:
             pool.append(record)

@@ -28,11 +28,11 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
+from ..dsl import Concept
 from ..exemplars import ExemplarList, HumanResponseTable
 from .inference import (
     DegeneratePosteriorError,
     EvalMatrix,
-    HypothesisList,
     NoiseParams,
     _log_factors,
     build_eval_matrices,
@@ -263,7 +263,7 @@ def fit_noise(
     lists: Sequence[ExemplarList],
     humans: Sequence[HumanResponseTable],
     grid: Iterable[tuple[float, float]],
-    hypotheses: HypothesisList,
+    hypotheses: Sequence[tuple[Concept, float]],
 ) -> NoiseFit:
     """Pick the grid point whose predictive trajectories over
     ``hypotheses`` (an :func:`enumerate_hypotheses` list) best explain the

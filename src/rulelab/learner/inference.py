@@ -74,24 +74,17 @@ def evidence_from_list(exemplar_list: ExemplarList, upto_set: int | None = None)
     return out
 
 
-class HypothesisList(list):
-    """The ``(concept, log_prior)`` pairs :func:`enumerate_hypotheses`
-    returns.  ``printed`` holds each concept's printed form under the
-    grammar's vocabulary, which the sort computes anyway, so a run over many
-    lists prints every hypothesis once."""
-
-    printed: list[str]
-
-
 def enumerate_hypotheses(
     grammar: Grammar, max_size: int, max_hypotheses: int = 200_000
-) -> HypothesisList:
-    """All concepts the grammar derives with node count <= ``max_size``.
+) -> list[tuple[Concept, float]]:
+    """All concepts the grammar derives with node count <= ``max_size``, as
+    ``(concept, log_prior)`` pairs.
 
     Each concept appears once; when distinct derivations produce the same
     concept their probabilities are summed, so the returned log-priors
     account for the grammar's full mass on each concept (and total at most
-    one).  Results are sorted by (size, printed form) for determinism.
+    one).  Results are sorted by (size, printed form under the grammar's
+    vocab) for determinism; the printed forms are dropped once sorted.
     """
     if max_size < 1:
         raise GrammarError("max_size must be at least 1")
@@ -136,21 +129,16 @@ def enumerate_hypotheses(
         else:
             cell[concept] = log_p
 
-    rows: list[tuple[str, Concept, float]] = []
+    hypotheses: list[tuple[Concept, float]] = []
     for target_size in range(1, max_size + 1):
         # A concept has one size, so the cells of the sizes are disjoint and
         # are taken here in size order.
         cell = exact(grammar.start, target_size)
-        if len(rows) + len(cell) > max_hypotheses:
+        if len(hypotheses) + len(cell) > max_hypotheses:
             raise HypothesisBudgetError(
                 f"more than {max_hypotheses} hypotheses at size {target_size}"
             )
-        rows += sorted(
-            ((print_concept(c, grammar.vocab), c, lp) for c, lp in cell.items()),
-            key=lambda row: row[0],
-        )
-    hypotheses = HypothesisList((concept, log_p) for _printed, concept, log_p in rows)
-    hypotheses.printed = [printed for printed, _concept, _log_p in rows]
+        hypotheses += sorted(cell.items(), key=lambda item: print_concept(item[0], grammar.vocab))
     return hypotheses
 
 
@@ -378,14 +366,14 @@ def posterior_by_set(
 def _set_prediction(
     set_index: int,
     map_concept: Concept,
-    log_posterior: np.ndarray,
+    mass: np.ndarray,
     truth: np.ndarray,
     noise: NoiseParams,
 ) -> SetPrediction:
     """Set ``set_index``'s prediction: P(True) for each column of ``truth``
-    (hypotheses by the set's objects) under the posterior's mixture."""
-    rule_mass = np.exp(log_posterior) @ truth
-    p_true = (noise.alpha * rule_mass + (1.0 - noise.alpha) * noise.beta).tolist()
+    (hypotheses by the set's objects) under the mixture whose weights are
+    ``mass``, the posterior probability of each row of ``truth``."""
+    p_true = (noise.alpha * (mass @ truth) + (1.0 - noise.alpha) * noise.beta).tolist()
     return SetPrediction(set_index, map_concept, tuple(p_true), tuple(p > 0.5 for p in p_true))
 
 
@@ -406,11 +394,11 @@ def _top_rows(score: np.ndarray, k: int) -> np.ndarray:
 
 
 def _diagnostics(
-    log_posterior: np.ndarray, map_index: int, top: np.ndarray
+    log_posterior: np.ndarray, mass: np.ndarray, map_index: int, top: np.ndarray
 ) -> BoundaryDiagnostics:
     """Entropy, MAP mass and the mass of the ``top`` rows of one
-    boundary's posterior."""
-    mass = np.exp(log_posterior)
+    boundary's posterior, given as ``log_posterior`` and as ``mass``, its
+    ``np.exp``."""
     with np.errstate(invalid="ignore"):  # 0 * -inf where a row has no mass
         # 0.0 - sum, not -sum: a point mass has entropy 0.0, not -0.0.
         entropy = 0.0 - np.sum(mass * log_posterior, where=mass > 0)
@@ -427,13 +415,14 @@ def _trace_rows(
     log_posterior: np.ndarray,
 ) -> list[tuple]:
     """One boundary's trace rows for the hypotheses ``rows``, in that order:
-    (set_index, concept, log_prior, log_likelihood, log_posterior), each
-    float formatted as ``"{:.12g}"``."""
+    (set_index, concept, log_prior, log_likelihood, log_posterior), where
+    ``printed`` holds the rows' printed concepts, in the same order, and
+    each float is formatted as ``"{:.12g}"``."""
     fmt = "{:.12g}".format
     return [
-        (set_index, printed[i], fmt(prior), fmt(ll), fmt(lp))
-        for i, prior, ll, lp in zip(
-            rows.tolist(),
+        (set_index, concept, fmt(prior), fmt(ll), fmt(lp))
+        for concept, prior, ll, lp in zip(
+            printed,
             log_priors[rows].tolist(),
             log_likelihood[rows].tolist(),
             log_posterior[rows].tolist(),
@@ -452,7 +441,7 @@ def _write_trace(path: str | Path, rows: list[tuple]) -> None:
 
 def run_enumerative(
     exemplar_list: ExemplarList,
-    hypotheses: HypothesisList,
+    hypotheses: Sequence[tuple[Concept, float]],
     matrix: EvalMatrix,
     noise: NoiseParams,
     trace_path: str | Path | None = None,
@@ -464,14 +453,15 @@ def run_enumerative(
     (:func:`build_eval_matrices`), and passes each list its matrix.
 
     Each set is predicted from the posterior conditioned on all previous
-    sets' gold labels, then the posterior absorbs the set.  When
-    ``trace_path`` is given, the :data:`TRACE_TOP_ROWS` best hypotheses of
-    each set boundary by ``log_likelihood + log_prior``, MAP first, are
-    written there as CSV (set_index, concept, log_prior, log_likelihood,
-    log_posterior).  Every hypothesis's scores stay available from
-    :func:`posterior_by_set`.
+    sets' gold labels, then the posterior absorbs the set; each boundary's
+    posterior is exponentiated once, for both its diagnostics and its
+    prediction.  When ``trace_path`` is given, the :data:`TRACE_TOP_ROWS`
+    best hypotheses of each set boundary by ``log_likelihood + log_prior``,
+    MAP first, are written there as CSV (set_index, concept, log_prior,
+    log_likelihood, log_posterior), each concept printed under the list's
+    vocab as its row is written.  Every hypothesis's scores stay available
+    from :func:`posterior_by_set`.
     """
-    concepts = [c for c, _lp in hypotheses]
     steps = posterior_by_set(matrix, noise)
     per_set = []
     posterior = []
@@ -482,18 +472,18 @@ def run_enumerative(
         for set_index, (log_likelihood, log_posterior, map_index) in enumerate(steps):
             # One ranking for both the trace and top_mass.
             top = _top_rows(log_likelihood + matrix.log_priors, TRACE_TOP_ROWS)
-            posterior.append(_diagnostics(log_posterior, map_index, top))
+            mass = np.exp(log_posterior)
+            posterior.append(_diagnostics(log_posterior, mass, map_index, top))
             if trace_path is not None:
+                printed = [print_concept(hypotheses[i][0], exemplar_list.vocab) for i in top]
                 trace += _trace_rows(
-                    set_index, top, hypotheses.printed, matrix.log_priors,
-                    log_likelihood, log_posterior,
+                    set_index, top, printed, matrix.log_priors, log_likelihood, log_posterior
                 )
             if set_index == len(exemplar_list.sets):
                 continue
             truth = matrix.classes[matrix.inverse, offsets[set_index]:offsets[set_index + 1]]
-            per_set.append(
-                _set_prediction(set_index, concepts[map_index], log_posterior, truth, noise)
-            )
+            map_concept = hypotheses[map_index][0]
+            per_set.append(_set_prediction(set_index, map_concept, mass, truth, noise))
     except DegeneratePosteriorError as error:
         if trace_path is not None:  # no trace, not even an old one, for a failed rule
             Path(trace_path).unlink(missing_ok=True)
@@ -503,6 +493,6 @@ def run_enumerative(
     return LearnerRun(
         rule_id=exemplar_list.rule_id,
         per_set=tuple(per_set),
-        final_map=concepts[map_index],
+        final_map=hypotheses[map_index][0],
         posterior=tuple(posterior),
     )

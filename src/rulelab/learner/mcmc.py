@@ -201,9 +201,9 @@ def run_mh(
     for set_index in range(n_sets):
         state = _chain(grammar, rows, set_index, iterations, seed + set_index, max_size)
         start, end = offsets[set_index], offsets[set_index + 1]
-        log_weights = np.array([entry.log_weight for entry in state.entries])
+        mass = np.exp(np.array([entry.log_weight for entry in state.entries]))
         truth = np.array([rows[entry.concept][0][start:end] for entry in state.entries])
-        per_set.append(_set_prediction(set_index, map_rule(state), log_weights, truth, noise))
+        per_set.append(_set_prediction(set_index, map_rule(state), mass, truth, noise))
     final_state = _chain(grammar, rows, n_sets, iterations, seed + n_sets, max_size)
     return LearnerRun(
         rule_id=exemplar_list.rule_id, per_set=tuple(per_set), final_map=map_rule(final_state)

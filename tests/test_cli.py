@@ -351,11 +351,12 @@ def test_run_plot_enumerates_once_for_all_rules(workspace, monkeypatch):
     assert len(list((workspace / "out" / "runs" / "plot").glob("*.posterior.csv"))) == 6
 
 
-def test_run_plot_prints_each_hypothesis_once(workspace, monkeypatch):
-    """The traces of every rule share the printed forms that enumeration
-    made; no rule prints the hypotheses again."""
+def test_run_plot_prints_only_the_sort_keys_and_the_traced_rows(workspace, monkeypatch):
+    """Enumeration prints each hypothesis once, for its sort, and keeps no
+    printed form; a rule prints only the rows its trace writes, at most
+    TRACE_TOP_ROWS per set boundary."""
     from rulelab.catalog import DEFAULT_VOCAB
-    from rulelab.learner import default_grammar, inference
+    from rulelab.learner import TRACE_TOP_ROWS, default_grammar, inference
 
     run(workspace, "gen")
     n_hypotheses = len(inference.enumerate_hypotheses(default_grammar(DEFAULT_VOCAB), 3))
@@ -368,7 +369,15 @@ def test_run_plot_prints_each_hypothesis_once(workspace, monkeypatch):
 
     monkeypatch.setattr(inference, "print_concept", counted)
     assert run(workspace, "run", "--engine", "plot") == EXIT_OK
-    assert len(printed) == len(set(printed)) == n_hypotheses
+    assert len(set(printed[:n_hypotheses])) == n_hypotheses
+    traces = list((workspace / "out" / "runs" / "plot").glob("*.posterior.csv"))
+    traced_rows = sum(len(path.read_text().splitlines()) - 1 for path in traces)
+    lists = [load_list(p) for p in (workspace / "out" / "lists").glob("*.json")
+             if p.name != "manifest.json"]
+    boundaries = sum(len(exemplar_list.sets) + 1 for exemplar_list in lists)
+    assert len(traces) == 6
+    assert 0 < traced_rows <= TRACE_TOP_ROWS * boundaries
+    assert len(printed) == n_hypotheses + traced_rows
 
 
 def test_run_plot_reports_a_failed_enumeration_for_every_rule(workspace, monkeypatch, capsys):
@@ -773,6 +782,67 @@ def test_report_a_truncated_series_file_fails_only_its_rule(workspace, capsys):
     assert run(workspace, "report", "--series", f"plot={run_dir}") == EXIT_DATA
     assert f"report: 'blue': unreadable series file {bad}:" in capsys.readouterr().err
     assert _rule_ids(workspace / "out" / "reports" / "trajectories.csv") == _OTHER_RULES
+
+
+def _edit_blue_series(run_dir, edit) -> Path:
+    path = run_dir / "blue.series.json"
+    doc = json.loads(path.read_text())
+    edit(doc, doc["records"])
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def _cut_inside_the_last_set(doc, records):
+    assert records[-2]["set_index"] == records[-1]["set_index"]  # the last set has two objects
+    del records[-1]
+
+
+def _flip_every_gold(doc, records):
+    for record in records:
+        record["gold"] = not record["gold"]
+
+
+_SERIES_EDITS = {
+    "other-rule": lambda doc, records: doc.update(rule_id="not-circle"),
+    "object-past-its-set": lambda doc, records: records[-1].update(object_index=8),
+    "no-records": lambda doc, records: records.clear(),
+    "cut-inside-a-set": _cut_inside_the_last_set,
+    "every-gold-flipped": _flip_every_gold,
+}
+_SERIES_COMMANDS = {
+    "grade": lambda run_dir: ("grade", "--elicited", str(run_dir), "--series-dir", str(run_dir)),
+    "report": lambda run_dir: ("report", "--series", f"plot={run_dir}"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_SERIES_COMMANDS))
+@pytest.mark.parametrize("edit", sorted(_SERIES_EDITS))
+def test_a_series_file_that_is_not_its_lists_fails_only_its_rule(workspace, capsys, command, edit):
+    """A series must be its rule's, and walk the list's objects and gold
+    labels over whole sets from the first, in order."""
+    run(workspace, "gen")
+    run(workspace, "run", "--engine", "plot")
+    run_dir = workspace / "out" / "runs" / "plot"
+    bad = _edit_blue_series(run_dir, _SERIES_EDITS[edit])
+    capsys.readouterr()
+    assert run(workspace, *_SERIES_COMMANDS[command](run_dir)) == EXIT_DATA
+    err = capsys.readouterr().err
+    prefix = "grade: rule 'blue' failed: " if command == "grade" else "report: 'blue': "
+    assert f"{prefix}unreadable series file {bad}: " in err
+    report = "grading_summary.csv" if command == "grade" else "trajectories.csv"
+    assert _rule_ids(workspace / "out" / "reports" / report) == _OTHER_RULES
+
+
+@pytest.mark.parametrize("command", sorted(_SERIES_COMMANDS))
+def test_a_series_of_the_first_whole_sets_is_read(workspace, command):
+    """A session capped by max_sets writes its list's first sets only."""
+    run(workspace, "gen")
+    run(workspace, "run", "--engine", "plot")
+    run_dir = workspace / "out" / "runs" / "plot"
+    _edit_blue_series(run_dir, lambda doc, records: doc.update(
+        records=[r for r in records if r["set_index"] < 3]
+    ))
+    assert run(workspace, *_SERIES_COMMANDS[command](run_dir)) == EXIT_OK
 
 
 def _write_human_csv(workspace, rule_ids, n_subjects=6, seed=0):

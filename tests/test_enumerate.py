@@ -101,8 +101,3 @@ def test_enumeration_is_deterministic():
     assert first == second
     printed = [print_concept(c, V) for c, _ in first]
     assert printed == sorted(printed, key=lambda s: (size(parse_concept(s, V)), s))
-
-
-def test_enumeration_carries_each_printed_form():
-    hypotheses = enumerate_hypotheses(default_grammar(V), 3)
-    assert hypotheses.printed == [print_concept(c, V) for c, _ in hypotheses]

@@ -33,7 +33,7 @@ from hypothesis import strategies as st
 from reference import PosteriorState, log_likelihood, posterior_predictive
 from rulelab.catalog import DEFAULT_VOCAB as V
 from rulelab.catalog import DEMO_RULES
-from rulelab.dsl import ContextBatch, evaluate_batch, parse_concept
+from rulelab.dsl import ContextBatch, evaluate_batch, parse_concept, print_concept
 from rulelab.exemplars import HumanResponseTable, generate_list
 from rulelab.learner import (
     DegeneratePosteriorError,
@@ -464,8 +464,8 @@ def test_keeps_the_rounded_map_of_unique_blue():
     assert map_index == 80
     assert hypotheses[71][1] == hypotheses[80][1]
     assert log_likelihood[80] > log_likelihood[71]
-    assert hypotheses.printed[71] == "(and (is-color blue) (is-color green))"
-    assert hypotheses.printed[80] == "(and (is-color blue) (minority-color))"
+    assert print_concept(hypotheses[71][0], V) == "(and (is-color blue) (is-color green))"
+    assert print_concept(hypotheses[80][0], V) == "(and (is-color blue) (minority-color))"
 
 
 @st.composite
@@ -513,7 +513,8 @@ def test_engines_and_reference_score_bitwise_alike(alpha, beta):
     exact = np.array([ll for ll, _lp, _map in posterior_by_set(matrix, noise)])
     assert exact.shape == (len(offsets), len(hypotheses)) == (26, 70)
     evidence = evidence_from_list(exemplar_list)
-    for (concept, _prior), printed, exact_row in zip(hypotheses, hypotheses.printed, exact.T):
+    for (concept, _prior), exact_row in zip(hypotheses, exact.T):
+        printed = print_concept(concept, V)
         reference = np.array([log_likelihood(concept, evidence[:end], noise) for end in offsets])
         mh = np.array(rows[concept][1])
         assert np.array_equal(mh.view(np.int64), reference.view(np.int64)), printed

@@ -56,6 +56,23 @@ def test_min_sets_exclusion():
     assert [(e.subject_id, e.reason) for e in report.exclusions] == [("s-short", "min-sets")]
 
 
+def test_min_sets_counts_only_the_lists_sets(tmp_path):
+    """Sets 0-2 of the five-set list plus sets 30-32, which it lacks: six
+    sets in the file, three of the list's."""
+    gold = ten_object_gold()
+    responses = {(s, o): True for s in (0, 1, 2, 30, 31, 32) for o in (0, 1)}
+    keepers = [subject_with_accuracy(f"s{i}", gold, 0) for i in range(3)]
+    write_subject_csv([SubjectRecord("s-off-list", "blue", responses, 6)] + keepers,
+                      tmp_path / "subjects.csv")
+    records = read_subject_csv(tmp_path / "subjects.csv")
+    assert [r.sets_completed for r in records if r.subject_id == "s-off-list"] == [6]
+    kept, report = filter_subjects(records, gold)
+    assert [record.subject_id for record in kept] == ["s0", "s1", "s2"]
+    assert [(e.subject_id, e.reason, e.detail) for e in report.exclusions] == [
+        ("s-off-list", "min-sets", "completed 3 sets")
+    ]
+
+
 def test_outlier_exclusion_on_planted_pool():
     # Pool accuracies {0.9 x9, 0.1}: mean 0.82, population SD 0.24, so the
     # 0.1 subject sits below the 2-SD bound of 0.34 and is excluded.

@@ -205,7 +205,8 @@ def test_top_trace_is_the_best_lines_of_the_full_trace_map_first(tmp_path, max_s
     hypotheses = enumerate_hypotheses(grammar, max_size)
     full, top = tmp_path / "full.csv", tmp_path / "top.csv"
     matrix = build_eval_matrix(hypotheses, exemplar_list)
-    for _step in oracle_write_trace(posterior_by_set(matrix, noise), full, hypotheses.printed,
+    printed = [print_concept(c, V) for c, _lp in hypotheses]
+    for _step in oracle_write_trace(posterior_by_set(matrix, noise), full, printed,
                                     matrix.log_priors):
         pass
     untraced_run = run_enumerative(exemplar_list, hypotheses, matrix, noise)
@@ -221,7 +222,7 @@ def test_top_trace_is_the_best_lines_of_the_full_trace_map_first(tmp_path, max_s
         assert set(lines) <= set(full_lines[set_index])
         expected = _oracle_top_rows((log_likelihood + matrix.log_priors).tolist(), TRACE_TOP_ROWS)
         concepts = [next(csv.reader([line.decode()]))[1] for line in lines]
-        assert concepts == [hypotheses.printed[i] for i in expected]
+        assert concepts == [printed[i] for i in expected]
         assert concepts[0] == print_concept(maps[set_index], V)
 
 
