@@ -38,11 +38,12 @@ if TYPE_CHECKING:
 
 # The library names each command runs, under the module each lives in.
 # main binds a command's names into this module's globals when it
-# dispatches the command, so a command loads only the modules it runs: gen
-# and report never import numpy, and only the llm engine's HTTP transport
-# imports the HTTP stack.  A lookup of ``rulelab.cli.<name>`` also binds it
-# (a value patched in first is kept), so a test or a tracer can replace one
-# before the command runs.
+# dispatches the command, so a command loads only the modules it runs:
+# gen, report and run --engine llm never import numpy, grade imports it
+# only for a pair that needs the equivalence walk, and only the llm
+# engine's HTTP transport imports the HTTP stack.  A lookup of
+# ``rulelab.cli.<name>`` also binds it (a value patched in first is kept),
+# so a test or a tracer can replace one before the command runs.
 _COMMANDS = {
     "gen": {
         ".dsl": ("parse_concept",),
@@ -53,9 +54,11 @@ _COMMANDS = {
         ".dsl": ("print_concept",),
         ".exemplars": ("load_list", "write_json"),
         ".harness": ("RateLimiter", "load_endpoint_config", "run_session", "transcript_series"),
+        ".metrics": ("hash_inputs", "save_series", "series_from_sets"),
+    },
+    "run --engine plot": {  # bound after "run", for the plot engine only
         ".learner": ("NoiseParams", "run_enumerative", "run_mh"),
         ".learner.inference": ("inference",),  # its functions are looked up at call time
-        ".metrics": ("hash_inputs", "save_series", "series_from_sets"),
     },
     "grade": {
         ".exemplars": ("load_list", "write_json"),
@@ -798,6 +801,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = load_config(args.config)
         _bind(args.command)
+        if args.command == "run" and args.engine == "plot":
+            _bind("run --engine plot")
         if args.command == "gen":
             return cmd_gen(config)
         if args.command == "run":

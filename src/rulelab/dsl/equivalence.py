@@ -6,32 +6,50 @@ vocabulary's object universe, for every choice of target.  Contexts equal
 as multisets-with-target are enumerated once: the target is placed at
 position 0 and the remaining objects form a sorted multiset, which is
 sound because evaluation never depends on the order of non-target objects.
-The check streams that universe as :class:`~rulelab.dsl.batch.ContextBatch`
-chunks of about ``_CHUNK_CONTEXTS`` contexts, smallest sets first
-(:func:`canonical_chunks`), holds one chunk at a time and stops at the
-first chunk where the two concepts differ; for two concepts that read only
-the target object it stops after set size 1.
+
+:func:`equivalent` settles each pair at the cheapest of three levels:
+
+0. equal concepts, or equal :func:`operand_order_form`, need no contexts;
+1. the reference ``evaluate`` runs over the sets of one and two objects
+   (every set, for two concepts that read only the target), where most
+   differences show;
+2. only a pair that agrees on all of those loads numpy and streams the
+   larger sets as :class:`~rulelab.dsl.batch.ContextBatch` chunks of about
+   ``_CHUNK_CONTEXTS`` contexts (:func:`canonical_chunks`), one chunk at a
+   time, stopping at the first chunk where the two concepts differ.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
-import numpy as np
-
-from .batch import ContextBatch, evaluate_batch, feature_dtype
 from .core import (
     MAX_CONTEXTS,
     MAX_OBJECTS,
+    And,
     Concept,
     Context,
     DslError,
     FeatureVocab,
+    Iff,
     Obj,
+    Or,
+    Xor,
     count_contexts,
+    evaluate,
     is_target_only,
 )
+
+if TYPE_CHECKING:
+    from .batch import ContextBatch
+
+# The connectives whose two operands ``evaluate`` treats alike.
+_COMMUTATIVE = (And, Or, Xor, Iff)
+
+# The largest set the reference evaluator walks before the batch evaluator
+# takes over: 27 + 729 contexts under the default vocabulary.
+_REFERENCE_SET_SIZE = 2
 
 # Contexts per evaluated chunk of the universe: bounds the memory of one
 # comparison and lets a difference end the walk early.
@@ -71,6 +89,10 @@ def canonical_chunks(vocab: FeatureVocab, set_size: int) -> Iterator[ContextBatc
     arrays are filled by broadcasting; ``present``, ``others`` and
     ``target`` are the same for every context of one set size and are
     read-only broadcast views."""
+    import numpy as np
+
+    from .batch import ContextBatch, feature_dtype
+
     if not 1 <= set_size <= MAX_OBJECTS:
         raise DslError(f"set_size must lie in 1..{MAX_OBJECTS}, got {set_size}")
     table = np.array(
@@ -101,6 +123,22 @@ def canonical_chunks(vocab: FeatureVocab, set_size: int) -> Iterator[ContextBatc
         )
 
 
+def operand_order_form(concept: Concept) -> Concept:
+    """``concept`` with the two operands of every ``and``, ``or``, ``xor``
+    and ``iff`` put in a fixed order (by ``repr``), recursively.
+
+    Those connectives are commutative under ``evaluate``, so two concepts
+    with equal forms have equal truth values on every context.  No other
+    rewrite is made."""
+    fields = [
+        operand_order_form(value) if isinstance(value, Concept) else value
+        for value in (getattr(concept, name) for name in concept.__match_args__)
+    ]
+    if isinstance(concept, _COMMUTATIVE):
+        fields.sort(key=repr)
+    return type(concept)(*fields)
+
+
 def equivalent(
     a: Concept,
     b: Concept,
@@ -110,6 +148,13 @@ def equivalent(
 ) -> bool:
     """Decide truth-functional equivalence over the bounded universe.
 
+    The pair is settled at the cheapest level that decides it: equal
+    concepts or equal :func:`operand_order_form` (no contexts); ``evaluate``
+    over the sets of at most two objects; the batch evaluator over the
+    larger sets, chunk by chunk.  Two concepts that read only the target
+    are decided on the one-object sets, which cover every behaviour they
+    can have, so neither the budget nor the set-size bound applies to them.
+
     Raises :class:`ContextBudgetError` when the enumeration would exceed
     ``max_contexts``; callers can lower ``max_set_size`` and retry.  A walk
     that reaches sets of more than five objects, the largest displayed
@@ -117,12 +162,9 @@ def equivalent(
     """
     if max_set_size < 1:
         raise DslError("max_set_size must be at least 1")
-    if a == b:
+    if a == b or operand_order_form(a) == operand_order_form(b):
         return True
     if is_target_only(a) and is_target_only(b):
-        # Truth depends only on the target object: the one-object contexts
-        # cover the whole universe of behaviors, so neither the budget nor
-        # the set-size bound applies.
         max_set_size = 1
     else:
         total = count_contexts(vocab, max_set_size)
@@ -130,9 +172,18 @@ def equivalent(
             raise ContextBudgetError(
                 f"{total} contexts exceed the cap of {max_contexts}; lower max_set_size"
             )
-    # Smallest sets first: most differences show there, before the larger
-    # chunks are built or evaluated.
-    for set_size in range(1, max_set_size + 1):
+    # Smallest sets first: most differences show there, before numpy is
+    # loaded or a chunk of the larger sets is built.
+    small = enumerate_contexts(vocab, min(max_set_size, _REFERENCE_SET_SIZE))
+    if any(evaluate(a, ctx) != evaluate(b, ctx) for ctx in small):
+        return False
+    if max_set_size <= _REFERENCE_SET_SIZE:
+        return True
+    import numpy as np
+
+    from .batch import evaluate_batch
+
+    for set_size in range(_REFERENCE_SET_SIZE + 1, max_set_size + 1):
         for chunk in canonical_chunks(vocab, set_size):
             truth = evaluate_batch((a, b), chunk)
             if not np.array_equal(truth[0], truth[1]):

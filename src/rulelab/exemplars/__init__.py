@@ -9,7 +9,8 @@ __getattr__, __dir__, __all__ = lazy_exports(globals(), {
         "propagated_baseline", "read_subject_csv", "write_subject_csv",
     ),
     ".lists": (
-        "ExemplarList", "ExemplarSet", "LabelSoundnessError", "generate_list", "load_list",
-        "save_list", "write_atomic", "write_json",
+        "ExemplarList", "ExemplarSet", "LabelSoundnessError", "Observation",
+        "evidence_from_list", "generate_list", "load_list", "save_list", "write_atomic",
+        "write_json",
     ),
 })

@@ -59,6 +59,21 @@ class ExemplarList:
                 yield set_index, object_index, exemplar_set.context_for(object_index), label
 
 
+# One labelled object: its context and its gold label.
+Observation = tuple[Context, bool]
+
+
+def evidence_from_list(exemplar_list: ExemplarList, upto_set: int | None = None) -> list[Observation]:
+    """Flatten a list's labeled objects (optionally only sets before
+    ``upto_set``) into presentation-ordered evidence."""
+    out = []
+    for set_index, _object_index, ctx, label in exemplar_list.iter_items():
+        if upto_set is not None and set_index >= upto_set:
+            break
+        out.append((ctx, label))
+    return out
+
+
 def generate_list(
     concept: Concept,
     vocab: FeatureVocab,

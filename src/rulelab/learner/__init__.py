@@ -13,7 +13,8 @@ __getattr__, __dir__, __all__ = lazy_exports(globals(), {
         "TRACE_TOP_ROWS", "BoundaryDiagnostics", "DegeneratePosteriorError", "EmptyStateError",
         "EvalMatrix", "HypothesisEntry", "LearnerRun", "NoiseParams", "PosteriorState",
         "SetPrediction", "build_eval_matrices", "build_eval_matrix", "enumerate_hypotheses",
-        "evidence_from_list", "map_rule", "posterior_by_set", "run_enumerative",
+        "map_rule", "posterior_by_set", "run_enumerative",
     ),
     ".mcmc": ("mh_sample", "run_mh"),
+    "..exemplars": ("evidence_from_list",),  # grading uses it without the learner
 })

@@ -60,20 +60,6 @@ class NoiseParams:
             raise ValueError(f"beta must lie in [0, 1], got {self.beta}")
 
 
-Observation = tuple[Context, bool]
-
-
-def evidence_from_list(exemplar_list: ExemplarList, upto_set: int | None = None) -> list[Observation]:
-    """Flatten a list's labeled objects (optionally only sets before
-    ``upto_set``) into presentation-ordered evidence."""
-    out = []
-    for set_index, _object_index, ctx, label in exemplar_list.iter_items():
-        if upto_set is not None and set_index >= upto_set:
-            break
-        out.append((ctx, label))
-    return out
-
-
 def enumerate_hypotheses(
     grammar: Grammar, max_size: int, max_hypotheses: int = 200_000
 ) -> list[tuple[Concept, float]]:

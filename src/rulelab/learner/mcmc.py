@@ -24,13 +24,12 @@ from typing import Iterable
 import numpy as np
 
 from ..dsl import Concept, ContextBatch, evaluate_batch
-from ..exemplars import ExemplarList
+from ..exemplars import ExemplarList, Observation
 from .grammar import Derivation, Grammar, sample_derivation
 from .inference import (
     HypothesisEntry,
     LearnerRun,
     NoiseParams,
-    Observation,
     PosteriorState,
     _cell_codes,
     _list_objects,

@@ -16,8 +16,7 @@ from itertools import accumulate
 from typing import Mapping, Sequence
 
 from ..dsl import Concept, Context, DslError, FeatureVocab, equivalent, evaluate, parse_concept
-from ..exemplars import ExemplarList
-from ..learner.inference import Observation, evidence_from_list
+from ..exemplars import ExemplarList, Observation, evidence_from_list
 from .series import LabelSeries
 
 

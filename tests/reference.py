@@ -23,6 +23,7 @@ import math
 from typing import Iterable, Sequence
 
 from rulelab.dsl import Concept, Context, evaluate
+from rulelab.exemplars import Observation
 from rulelab.learner import (
     DegeneratePosteriorError,
     EmptyStateError,
@@ -30,7 +31,6 @@ from rulelab.learner import (
     NoiseParams,
 )
 from rulelab.learner import PosteriorState as _LibraryState
-from rulelab.learner.inference import Observation
 
 
 def _log(x: float) -> float:

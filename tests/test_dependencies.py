@@ -74,9 +74,21 @@ print(json.dumps(sorted(sys.modules)))
 
 _COMMAND = """
 import json, sys
+exec(sys.argv[1])
 from rulelab.cli import main
-code = main(sys.argv[1:])
+code = main(sys.argv[2:])
 print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
+"""
+
+# An llm endpoint credential, and a transport that sends nothing: every
+# reply is an empty message.
+_OFFLINE_LLM = """
+import os
+os.environ["RULELAB_PRESENT_KEY"] = "k"
+from rulelab.harness import session
+session.http_transport = lambda url, payload, headers, timeout: {
+    "choices": [{"message": {"content": ""}}]
+}
 """
 
 
@@ -92,6 +104,8 @@ def _heavy(modules) -> set:
     "import rulelab.cli",
     "import rulelab; rulelab.dsl, rulelab.exemplars, rulelab.harness, rulelab.metrics",
     "from rulelab.dsl import evaluate, parse_concept, count_contexts, MAX_CONTEXTS",
+    "from rulelab.dsl import equivalent",
+    "from rulelab.metrics import match_rate, grade_session",
     "from rulelab.harness import run_session, transcript_series, TransportError",
     "from rulelab.metrics import load_series, save_series, quantile, cohort_report",
     "from rulelab.learner import default_grammar, HypothesisBudgetError",
@@ -104,11 +118,11 @@ def test_light_imports_load_no_numpy_and_no_http(statement):
     assert not _heavy(json.loads(out))
 
 
-def _run_command(workspace: Path, *argv: str) -> set:
-    """Run one rulelab command in a fresh interpreter; the modules it left
-    loaded."""
+def _run_command(workspace: Path, *argv: str, setup: str = "") -> set:
+    """Run one rulelab command in a fresh interpreter, after the statements
+    ``setup``; the modules it left loaded."""
     out = subprocess.run(
-        [sys.executable, "-c", _COMMAND, argv[0], "--config", "config.json", *argv[1:]],
+        [sys.executable, "-c", _COMMAND, setup, argv[0], "--config", "config.json", *argv[1:]],
         cwd=workspace, env=_env(), capture_output=True, text=True, check=True,
     ).stdout
     result = json.loads(out.splitlines()[-1])
@@ -117,8 +131,9 @@ def _run_command(workspace: Path, *argv: str) -> set:
 
 
 def test_each_command_loads_only_what_it_runs(tmp_path):
-    """gen and report load no numpy; run --engine plot (either learner
-    engine), grade and fit-noise load no HTTP stack."""
+    """gen, report and run --engine llm load no numpy; run --engine plot
+    (either learner engine), grade and fit-noise load no HTTP stack; grade
+    loads numpy only for a pair that needs the walk past two objects."""
     rules = [r for r in DEMO_RULES if r.rule_id in ("blue", "exists-triangle")]
     write_rules_manifest(rules, tmp_path / "rules.json")
     config = {
@@ -148,6 +163,27 @@ def test_each_command_loads_only_what_it_runs(tmp_path):
         tmp_path, "grade", "--elicited", "out/runs/plot", "--series-dir", "out/runs/plot"
     )
     assert not {"http.client", "ssl"} & grade_modules
+
+    def grade_elicited(finals: dict) -> set:
+        (tmp_path / "elicited.json").write_text(json.dumps(
+            {rule_id: [source] for rule_id, source in finals.items()}
+        ))
+        return _run_command(tmp_path, "grade", "--elicited", "elicited.json")
+
+    # The gold rule itself, and one that differs on a one-object set.
+    settled = {
+        "blue": "(is-color blue)", "exists-triangle": "(exists others (is-shape triangle 0))",
+    }
+    assert not _heavy(grade_elicited(settled))
+    # Equal to "(exists all (is-shape triangle 0))" on every set, so only the
+    # walk over sets of three to five objects can tell.
+    walked = {
+        **settled,
+        "exists-triangle": "(or (is-shape triangle) (exists others (is-shape triangle 0)))",
+    }
+    assert "numpy" in grade_elicited(walked)
+    grading = json.loads((tmp_path / "out" / "reports" / "grading.json").read_text())
+    assert grading["equivalence_rate"] == 1.0
     report_modules = _run_command(tmp_path, "report", "--series", "plot=out/runs/plot")
     assert not _heavy(report_modules)
     assert (tmp_path / "out" / "reports" / "deltas_plot.csv").exists()
@@ -164,6 +200,16 @@ def test_each_command_loads_only_what_it_runs(tmp_path):
     mh_modules = _run_command(tmp_path, "run", "--engine", "plot")
     assert "numpy" in mh_modules and not {"http.client", "ssl"} & mh_modules
     assert (tmp_path / "out-mh" / "runs" / "plot" / "blue.series.json").exists()
+
+    (tmp_path / "endpoint.json").write_text(json.dumps({
+        "base_url": "https://example.test/v1", "model": "m",
+        "credential_env": "RULELAB_PRESENT_KEY", "max_sets": 1,
+    }))
+    config["endpoint"] = "endpoint.json"
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    llm_modules = _run_command(tmp_path, "run", "--engine", "llm", setup=_OFFLINE_LLM)
+    assert not {"numpy", "rulelab.learner.inference"} & llm_modules
+    assert (tmp_path / "out-mh" / "runs" / "llm" / "blue.series.json").exists()
 
 
 @pytest.mark.parametrize("package", PACKAGES)

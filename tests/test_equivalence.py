@@ -13,8 +13,10 @@ from rulelab.dsl import (
     count_contexts,
     enumerate_contexts,
     equivalent,
+    evaluate,
     parse_concept,
 )
+from rulelab.dsl.equivalence import operand_order_form
 
 
 def test_context_count_matches_enumeration():
@@ -86,33 +88,110 @@ def test_symmetric(a, b):
     assert equivalent(a, b, V, max_set_size=2) == equivalent(b, a, V, max_set_size=2)
 
 
-def test_target_only_pairs_walk_one_object_contexts_in_a_batch(monkeypatch):
-    """Two concepts that read only the target are compared over the
-    one-object block by the batch evaluator, with no per-object
-    evaluate, no context budget and no set-size bound."""
-    import rulelab.dsl
-    from rulelab.dsl import core, equivalence
+def test_target_only_pairs_are_decided_by_evaluate_on_one_object_sets(monkeypatch):
+    """Two concepts that read only the target are compared by ``evaluate``
+    over the 27 one-object contexts, with no chunk, no context budget and
+    no set-size bound."""
+    from rulelab.dsl import equivalence
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("per-object evaluate called")
+    def refuse(vocab, set_size):
+        raise AssertionError("canonical_chunks called")
 
-    assert "evaluate" not in vars(equivalence)
-    monkeypatch.setattr(rulelab.dsl, "evaluate", refuse)
-    monkeypatch.setattr(core, "evaluate", refuse)
-    blocks = []
-    canonical_chunks = equivalence.canonical_chunks
+    walked, evaluated = [], []
+    enumerate_contexts, evaluate = equivalence.enumerate_contexts, equivalence.evaluate
 
-    def counting(vocab, set_size):
-        blocks.append(set_size)
-        return canonical_chunks(vocab, set_size)
+    def recording(vocab, max_set_size):
+        walked.append(max_set_size)
+        return enumerate_contexts(vocab, max_set_size)
 
-    monkeypatch.setattr(equivalence, "canonical_chunks", counting)
+    def counting(concept, ctx):
+        evaluated.append(len(ctx.objects))
+        return evaluate(concept, ctx)
+
+    monkeypatch.setattr(equivalence, "canonical_chunks", refuse)
+    monkeypatch.setattr(equivalence, "enumerate_contexts", recording)
+    monkeypatch.setattr(equivalence, "evaluate", counting)
     not_circle = parse_concept("(not (is-shape circle))", V)
     triangle_or_rectangle = parse_concept("(or (is-shape triangle) (is-shape rectangle))", V)
     blue = parse_concept("(is-color blue)", V)
     assert equivalent(not_circle, triangle_or_rectangle, V, max_set_size=9, max_contexts=1)
+    assert evaluated == [1] * 2 * 27
     assert not equivalent(not_circle, blue, V, max_set_size=9, max_contexts=1)
-    assert blocks == [1, 1]
+    assert walked == [1, 1]
+
+
+# One pair per level that can settle it: the smallest set they differ on
+# (None when they agree on every set of up to three objects), and whether
+# the batch walk over sets of three objects is reached.
+LEVEL_PAIRS = {
+    "identical": (
+        "(exists others (same-shape 0 1))", "(exists others (same-shape 0 1))", None, False,
+    ),
+    "operands swapped under a quantifier": (
+        "(exists others (and (is-color yellow 0) (same-shape 0 1)))",
+        "(exists others (and (same-shape 0 1) (is-color yellow 0)))",
+        None, False,
+    ),
+    "target-only": (
+        "(not (is-shape circle))", "(or (is-shape triangle) (is-shape rectangle))", None, False,
+    ),
+    "differs on one object": (
+        "(exists others (is-color blue 0))", "(exists all (is-color blue 0))", 1, False,
+    ),
+    "differs only on two objects": (
+        "(exists others (is-color blue 0))", "(exists others (is-shape circle 0))", 2, False,
+    ),
+    # "Exactly one other shares my shape" is "some other does" until a third
+    # object can share it too.
+    "differs only on three objects": (
+        "(exists others (same-shape 0 1))", "(exactly-one others (same-shape 0 1))", 3, True,
+    ),
+    "equivalent, not by operand order": (
+        "(exists others (same-shape 0 1))", "(exists others (same-shape 1 0))", None, True,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(LEVEL_PAIRS))
+def test_each_level_keeps_the_reference_walks_verdict(monkeypatch, name):
+    """Every pair gets the verdict of ``evaluate`` over every context of up to
+    three objects, and only a pair that agrees on every set of one and two
+    objects, and is not equal by operand order, reaches the chunked walk."""
+    from rulelab.dsl import equivalence
+
+    left, right, first_difference, walks = LEVEL_PAIRS[name]
+    a, b = parse_concept(left, V), parse_concept(right, V)
+    chunked = []
+    canonical_chunks = equivalence.canonical_chunks
+
+    def recording(vocab, set_size):
+        chunked.append(set_size)
+        return canonical_chunks(vocab, set_size)
+
+    monkeypatch.setattr(equivalence, "canonical_chunks", recording)
+    differ_on = [
+        len(ctx.objects) for ctx in enumerate_contexts(V, 3) if evaluate(a, ctx) != evaluate(b, ctx)
+    ]
+    assert min(differ_on, default=None) == first_difference
+    assert equivalent(a, b, V, max_set_size=3) == (not differ_on)
+    assert chunked == ([3] if walks else [])
+
+
+@pytest.mark.parametrize("name", ["identical", "operands swapped under a quantifier"])
+def test_equal_operand_order_forms_skip_the_budget(name):
+    left, right, _first_difference, _walks = LEVEL_PAIRS[name]
+    assert equivalent(parse_concept(left, V), parse_concept(right, V), V, max_contexts=1)
+
+
+_UP_TO_THREE = list(enumerate_contexts(V, 3))
+
+
+@settings(max_examples=25, deadline=None)
+@given(concept_strategy(max_budget=6))
+def test_operand_order_form_agrees_with_the_concept(concept):
+    form = operand_order_form(concept)
+    assert operand_order_form(form) == form
+    assert all(evaluate(form, ctx) == evaluate(concept, ctx) for ctx in _UP_TO_THREE)
 
 
 def test_a_full_walk_holds_one_chunk_at_a_time():
