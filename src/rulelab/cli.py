@@ -477,9 +477,8 @@ def _read_series(path: Path, exemplar_list: ExemplarList) -> LabelSeries:
         raise ValueError(f"rule_id {series.rule_id!r} is not {exemplar_list.rule_id!r}")
     items = [(s, o, gold) for s, o, _ctx, gold in exemplar_list.iter_items()]
     found = [(r.set_index, r.object_index, r.gold) for r in series.records]
-    n = len(found)
-    # items[n] starts a set, unless the records stop inside one.
-    if not found or found != items[:n] or (n < len(items) and items[n][1] != 0):
+    # Whole sets end at a set boundary: the record count is one of the offsets.
+    if not found or found != items[:len(found)] or len(found) not in exemplar_list.offsets:
         raise ValueError("its records are not the list's objects and gold labels over whole sets")
     return series
 
@@ -490,14 +489,19 @@ def cmd_grade(config: ExperimentConfig, elicited_path: Path, series_dir: Path | 
         raise ConfigError(f"elicited file {elicited_path} does not exist")
     unreadable: dict[str, str] = {}  # rule_id -> why its elicited file was skipped
     if elicited_path.is_dir():
-        # A run directory: one <rule_id>.elicited.json per rule.
+        # A run directory: each rule reads its own <rule_id>.elicited.json,
+        # which must name that rule; no other file is read.
         elicited_doc = {}
-        for path in sorted(elicited_path.glob("*.elicited.json")):
+        for rule_id in lists:
+            path = elicited_path / f"{rule_id}.elicited.json"
+            if not path.exists():
+                continue
             try:
                 doc = json.loads(path.read_text())
-                elicited_doc[doc["rule_id"]] = doc["per_set"]
+                if doc["rule_id"] != rule_id:
+                    raise ValueError(f"rule_id {doc['rule_id']!r} is not {rule_id!r}")
+                elicited_doc[rule_id] = doc["per_set"]
             except _UNREADABLE as error:
-                rule_id = path.name.removesuffix(".elicited.json")
                 unreadable[rule_id] = f"unreadable elicited file {path}: {error}"
     else:
         try:

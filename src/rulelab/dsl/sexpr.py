@@ -230,5 +230,7 @@ def load_vocab(path: str | Path) -> FeatureVocab:
 
 
 def save_vocab(vocab: FeatureVocab, path: str | Path) -> None:
+    from ..exemplars.lists import write_json  # exemplars.lists imports dsl
+
     doc = {"sizes": list(vocab.sizes), "colors": list(vocab.colors), "shapes": list(vocab.shapes)}
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_json(path, doc)

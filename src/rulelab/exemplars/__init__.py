@@ -11,6 +11,6 @@ __getattr__, __dir__, __all__ = lazy_exports(globals(), {
     ".lists": (
         "ExemplarList", "ExemplarSet", "LabelSoundnessError", "Observation",
         "evidence_from_list", "generate_list", "load_list", "save_list", "write_atomic",
-        "write_json",
+        "write_csv", "write_json",
     ),
 })

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .lists import ExemplarList
+from .lists import ExemplarList, write_csv
 
 MIN_SETS = 5
 SD_LIMIT = 2.0
@@ -38,16 +38,11 @@ class SubjectRecord:
     sets_completed: int
 
     def accuracy(self, gold: ExemplarList) -> float:
-        correct = total = 0
-        for set_index, object_index, _ctx, label in gold.iter_items():
-            response = self.responses.get((set_index, object_index))
-            if response is None:
-                continue
-            total += 1
-            correct += response == label
-        if total == 0:
+        answers = [(self.responses.get((s, o)), label) for s, o, _ctx, label in gold.iter_items()]
+        scored = [response == label for response, label in answers if response is not None]
+        if not scored:
             raise ValueError(f"subject {self.subject_id} has no responses")
-        return correct / total
+        return sum(scored) / len(scored)
 
 
 @dataclass(frozen=True)
@@ -140,14 +135,8 @@ def human_proportions(kept: list[SubjectRecord], gold: ExemplarList) -> HumanRes
     n_total: dict[tuple[int, int], int] = {}
     for set_index, object_index, _ctx, _label in gold.iter_items():
         key = (set_index, object_index)
-        n_true[key] = 0
-        n_total[key] = 0
-        for record in kept:
-            response = record.responses.get(key)
-            if response is None:
-                continue
-            n_total[key] += 1
-            n_true[key] += response
+        answers = [r.responses[key] for r in kept if r.responses.get(key) is not None]
+        n_true[key], n_total[key] = sum(answers), len(answers)
     return HumanResponseTable(rule_id=gold.rule_id, n_true=n_true, n_total=n_total)
 
 
@@ -176,16 +165,24 @@ def _parse_response(text: str) -> bool:
 
 def read_subject_csv(path: str | Path) -> list[SubjectRecord]:
     """Read human responses from CSV with columns
-    subject_id, rule_id, set_index, object_index, response."""
+    subject_id, rule_id, set_index, object_index, response.
+
+    Raises ValueError for a row that does not parse, or for a second
+    response by one subject to one object of one rule's list."""
     grouped: dict[tuple[str, str], dict[tuple[int, int], bool]] = {}
     with open(path, newline="") as handle:
         # A short row's missing fields read as "", which fails to parse.
         for row in csv.DictReader(handle, restval=""):
             key = (row["subject_id"], row["rule_id"])
             responses = grouped.setdefault(key, {})
-            responses[(int(row["set_index"]), int(row["object_index"]))] = _parse_response(
-                row["response"]
-            )
+            item = (int(row["set_index"]), int(row["object_index"]))
+            response = _parse_response(row["response"])
+            if item in responses:
+                raise ValueError(
+                    f"subject {key[0]} answers rule {key[1]!r} set {item[0]}, "
+                    f"object {item[1]} twice"
+                )
+            responses[item] = response
     records = []
     for (subject_id, rule_id), responses in grouped.items():
         sets_completed = len({set_index for set_index, _ in responses})
@@ -195,11 +192,9 @@ def read_subject_csv(path: str | Path) -> list[SubjectRecord]:
 
 
 def write_subject_csv(records: list[SubjectRecord], path: str | Path) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["subject_id", "rule_id", "set_index", "object_index", "response"])
-        for record in records:
-            for (set_index, object_index), response in sorted(record.responses.items()):
-                writer.writerow(
-                    [record.subject_id, record.rule_id, set_index, object_index, response]
-                )
+    """Write ``records`` atomically in :func:`read_subject_csv`'s format."""
+    write_csv(path, ["subject_id", "rule_id", "set_index", "object_index", "response"], (
+        [record.subject_id, record.rule_id, set_index, object_index, response]
+        for record in records
+        for (set_index, object_index), response in sorted(record.responses.items())
+    ))

@@ -9,12 +9,16 @@ identical persisted files.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import os
 import random
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate, pairwise
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator, Sequence
 
 from ..dsl import Concept, Context, DslError, FeatureVocab, Obj, evaluate, parse_concept, print_concept
 
@@ -40,6 +44,15 @@ class ExemplarSet:
 
 @dataclass(frozen=True)
 class ExemplarList:
+    """A rule's sets in presentation order.
+
+    Every consumer reads the list's flat layout, computed once per list and
+    kept on it: ``offsets`` (the index of each set's first object, then the
+    object count), ``contexts`` (every object's context) and ``gold`` (every
+    object's gold label), all in presentation order.  Set ``k``'s objects
+    are ``contexts[offsets[k]:offsets[k + 1]]``, and the objects before it
+    are the first ``offsets[k]``."""
+
     rule_id: str
     source: str
     concept: Concept
@@ -47,16 +60,28 @@ class ExemplarList:
     seed: int
     sets: tuple[ExemplarSet, ...]
 
+    @cached_property
+    def offsets(self) -> tuple[int, ...]:
+        return tuple(accumulate((len(s.objects) for s in self.sets), initial=0))
+
+    @cached_property
+    def contexts(self) -> tuple[Context, ...]:
+        return tuple(s.context_for(i) for s in self.sets for i in range(len(s.objects)))
+
+    @cached_property
+    def gold(self) -> tuple[bool, ...]:
+        return tuple(label for s in self.sets for label in s.labels)
+
     @property
     def n_objects(self) -> int:
-        return sum(len(s.objects) for s in self.sets)
+        return self.offsets[-1]
 
     def iter_items(self) -> Iterator[tuple[int, int, Context, bool]]:
         """Yield (set_index, object_index, context, gold label) in
-        presentation order."""
-        for set_index, exemplar_set in enumerate(self.sets):
-            for object_index, label in enumerate(exemplar_set.labels):
-                yield set_index, object_index, exemplar_set.context_for(object_index), label
+        presentation order; the contexts are the list's own, built once."""
+        for set_index, (start, end) in enumerate(pairwise(self.offsets)):
+            for object_index, i in enumerate(range(start, end)):
+                yield set_index, object_index, self.contexts[i], self.gold[i]
 
 
 # One labelled object: its context and its gold label.
@@ -64,14 +89,12 @@ Observation = tuple[Context, bool]
 
 
 def evidence_from_list(exemplar_list: ExemplarList, upto_set: int | None = None) -> list[Observation]:
-    """Flatten a list's labeled objects (optionally only sets before
-    ``upto_set``) into presentation-ordered evidence."""
-    out = []
-    for set_index, _object_index, ctx, label in exemplar_list.iter_items():
-        if upto_set is not None and set_index >= upto_set:
-            break
-        out.append((ctx, label))
-    return out
+    """A list's labeled objects as presentation-ordered evidence: all of
+    them, or those of the sets before ``upto_set`` (none for 0 or less,
+    all past the last set)."""
+    offsets = exemplar_list.offsets
+    end = offsets[-1] if upto_set is None else offsets[max(0, min(upto_set, len(offsets) - 1))]
+    return list(zip(exemplar_list.contexts[:end], exemplar_list.gold[:end]))
 
 
 def generate_list(
@@ -159,6 +182,18 @@ def write_atomic(path: str | Path, text: str) -> None:
 def write_json(path: str | Path, doc) -> None:
     """Write ``doc`` atomically as indented JSON with sorted keys."""
     write_atomic(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+def write_csv(path: str | Path, header: Sequence, rows: Iterable[Sequence], head: str = "") -> None:
+    """Write the text ``head``, then ``header`` and ``rows`` as CSV records
+    ending in ``\\r\\n``, atomically: every row is formatted before the
+    file is touched, so a row that fails leaves the old file as it was."""
+    buffer = io.StringIO()
+    buffer.write(head)
+    writer = csv.writer(buffer)
+    writer.writerow(header)
+    writer.writerows(rows)
+    write_atomic(path, buffer.getvalue())
 
 
 def save_list(exemplar_list: ExemplarList, path: str | Path) -> None:

@@ -24,8 +24,6 @@ counts.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -35,7 +33,7 @@ import numpy as np
 
 from ..dsl import Concept, Context, ContextBatch, evaluate_batch, size as concept_size
 from ..dsl.sexpr import print_concept
-from ..exemplars import ExemplarList, write_atomic
+from ..exemplars import ExemplarList, write_csv
 from .grammar import Grammar, GrammarError, HypothesisBudgetError, substitute
 
 
@@ -236,29 +234,16 @@ def _cell_codes(truth: np.ndarray, gold: np.ndarray) -> np.ndarray:
     return codes
 
 
-def _list_objects(exemplar_list: ExemplarList) -> tuple[list[Context], np.ndarray, list[int]]:
-    """A list's objects in presentation order: their contexts, their gold
-    labels, and the start object index of each set plus the final total."""
-    contexts = []
-    gold = []
-    offsets = [0]
-    for exemplar_set in exemplar_list.sets:
-        for i, label in enumerate(exemplar_set.labels):
-            contexts.append(exemplar_set.context_for(i))
-            gold.append(label)
-        offsets.append(len(contexts))
-    return contexts, np.array(gold, dtype=bool), offsets
-
-
 def build_eval_matrices(
     hypotheses: Sequence[tuple[Concept, float]], lists: Sequence[ExemplarList]
 ) -> Iterator[EvalMatrix]:
     """One :class:`EvalMatrix` per list, in list order, from one evaluation.
 
     The hypotheses are evaluated once, with :func:`evaluate_batch`, over the
-    distinct contexts of every list in first-seen order; the batch
-    evaluator's cost is per concept, not per context, so one call over
-    every list costs about what one list's call costs.  The table is built
+    distinct contexts of every list's layout (its ``contexts``; each matrix
+    keeps the list's ``gold`` and ``offsets``) in first-seen order; the
+    batch evaluator's cost is per concept, not per context, so one call
+    over every list costs about what one list's call costs.  The table is built
     before this returns; each list's matrix is then a column gather of it,
     collapsed to behaviour classes (:func:`_collapse`) only when the
     iterator reaches that list, so a caller that drops each matrix before
@@ -272,9 +257,9 @@ def build_eval_matrices(
     columns: dict[Context, int] = {}  # distinct context -> its column of the table
     layouts = []
     for exemplar_list in lists:
-        contexts, gold, offsets = _list_objects(exemplar_list)
-        index = np.array([columns.setdefault(c, len(columns)) for c in contexts], dtype=np.intp)
-        layouts.append((index, gold, offsets))
+        index = [columns.setdefault(c, len(columns)) for c in exemplar_list.contexts]
+        gold = np.array(exemplar_list.gold, dtype=bool)
+        layouts.append((np.array(index, dtype=np.intp), gold, list(exemplar_list.offsets)))
     if not layouts:
         return iter(())
     batch = ContextBatch.from_contexts(list(columns), vocabs.pop())
@@ -418,11 +403,7 @@ def _trace_rows(
 
 def _write_trace(path: str | Path, rows: list[tuple]) -> None:
     """Write the header and ``rows`` to ``path`` as CSV, atomically."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(["set_index", "concept", "log_prior", "log_likelihood", "log_posterior"])
-    writer.writerows(rows)
-    write_atomic(path, buffer.getvalue())
+    write_csv(path, ["set_index", "concept", "log_prior", "log_likelihood", "log_posterior"], rows)
 
 
 def run_enumerative(

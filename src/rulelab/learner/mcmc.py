@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -32,7 +32,6 @@ from .inference import (
     NoiseParams,
     PosteriorState,
     _cell_codes,
-    _list_objects,
     _log_factors,
     _set_prediction,
     map_rule,
@@ -49,7 +48,7 @@ class _TruthRows:
     per-object sum of log factors, as in the exact engine."""
 
     def __init__(
-        self, batch: ContextBatch, gold: np.ndarray, offsets: list[int], noise: NoiseParams
+        self, batch: ContextBatch, gold: np.ndarray, offsets: Sequence[int], noise: NoiseParams
     ):
         self.batch, self.gold, self.offsets = batch, gold, offsets
         self.log_factors = _log_factors(noise)
@@ -189,12 +188,13 @@ def run_mh(
 
     Set ``s`` is predicted from a chain conditioned on sets 0..s-1 and
     seeded with ``seed + s``, so runs are deterministic end to end.  Every
-    chain reads one set of truth rows over the whole list, so each concept
-    any chain meets is evaluated once per run.
+    chain reads one set of truth rows over the whole list's layout (its
+    ``contexts``, ``gold`` and ``offsets``), so each concept any chain
+    meets is evaluated once per run.
     """
-    contexts, gold, offsets = _list_objects(exemplar_list)
-    batch = ContextBatch.from_contexts(contexts, exemplar_list.vocab)
-    rows = _TruthRows(batch, gold, offsets, noise)
+    offsets = exemplar_list.offsets
+    batch = ContextBatch.from_contexts(exemplar_list.contexts, exemplar_list.vocab)
+    rows = _TruthRows(batch, np.array(exemplar_list.gold, dtype=bool), offsets, noise)
     n_sets = len(exemplar_list.sets)
     per_set = []
     for set_index in range(n_sets):

@@ -106,12 +106,13 @@ def grade_session(
 
     n_sets = len(exemplar_list.sets)
     concepts_by_set = concepts[:n_sets] + [None] * (n_sets - len(concepts))
-    # Set k's rule is scored on the objects before set k.  Each distinct
-    # rule is evaluated once per object up to its last set, and its
-    # (correct, total) at every set comes from the running counts.
+    # Set k's rule is scored on the objects before set k, the first
+    # offsets[k].  Each distinct rule is evaluated once per object up to
+    # its last set, and its (correct, total) at every set comes from the
+    # running counts.
+    offsets = exemplar_list.offsets
     evidence = evidence_from_list(exemplar_list)
-    seen_before = list(accumulate((len(s.labels) for s in exemplar_list.sets), initial=0))
-    reach = {c: seen_before[k] for k, c in enumerate(concepts_by_set) if c is not None}
+    reach = {c: offsets[k] for k, c in enumerate(concepts_by_set) if c is not None}
     correct_before = {
         concept: list(accumulate(
             (evaluate(concept, ctx) == label for ctx, label in evidence[:n]), initial=0
@@ -119,8 +120,8 @@ def grade_session(
         for concept, n in reach.items()
     }
     likelihoods = [
-        correct_before[concept][seen_before[k]] / seen_before[k]
-        if concept is not None and seen_before[k] else None
+        correct_before[concept][offsets[k]] / offsets[k]
+        if concept is not None and offsets[k] else None
         for k, concept in enumerate(concepts_by_set)
     ]
     session = [

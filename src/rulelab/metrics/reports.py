@@ -6,16 +6,14 @@ of each input that produced it, so reports are traceable to their data.
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from ..exemplars.humans import propagated_baseline
-from ..exemplars.lists import write_atomic
+from ..exemplars.lists import write_csv
 from .core import WINDOWS, EmptyWindowError, accuracy
 from .series import LabelSeries
 from .trajectory import CohortReport, TrajectoryReport
@@ -35,12 +33,7 @@ def hash_inputs(paths: Sequence[str | Path]) -> dict[str, str]:
 
 
 def _write_csv(path: str | Path, header: list[str], rows: list[list], inputs: Mapping[str, str]):
-    buffer = io.StringIO()
-    buffer.write("# inputs: " + json.dumps(dict(sorted(inputs.items()))) + "\n")
-    writer = csv.writer(buffer)
-    writer.writerow(header)
-    writer.writerows(rows)
-    write_atomic(path, buffer.getvalue())
+    write_csv(path, header, rows, "# inputs: " + json.dumps(dict(sorted(inputs.items()))) + "\n")
 
 
 def _format(value) -> str:

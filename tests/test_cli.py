@@ -712,6 +712,41 @@ def test_grade_a_truncated_run_file_fails_only_its_rule(workspace, capsys, kind)
     assert _rule_ids(workspace / "out" / "reports" / "grading_summary.csv") == _OTHER_RULES
 
 
+
+def test_grade_reads_only_each_rules_own_elicited_file(workspace, capsys):
+    """A stray file in a run directory, even one that names a rule, does
+    not replace that rule's elicited rules."""
+    run(workspace, "gen")
+    run(workspace, "run", "--engine", "plot")
+    run_dir = workspace / "out" / "runs" / "plot"
+    assert run(workspace, "grade", "--elicited", str(run_dir)) == EXIT_OK
+    reports = workspace / "out" / "reports"
+    expected = {path.name: path.read_bytes() for path in reports.iterdir()}
+    blue = json.loads((run_dir / "blue.elicited.json").read_text())
+    (run_dir / "copy_of_blue.elicited.json").write_text(
+        json.dumps({**blue, "per_set": ["(is-color green)"] * 25})
+    )
+    (run_dir / "notes.elicited.json").write_text("not json")
+    capsys.readouterr()
+    assert run(workspace, "grade", "--elicited", str(run_dir)) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    assert {path.name: path.read_bytes() for path in reports.iterdir()} == expected
+
+
+def test_grade_an_elicited_file_naming_another_rule_fails_its_rule(workspace, capsys):
+    run(workspace, "gen")
+    run(workspace, "run", "--engine", "plot")
+    run_dir = workspace / "out" / "runs" / "plot"
+    bad = run_dir / "blue.elicited.json"
+    bad.write_text(json.dumps({**json.loads(bad.read_text()), "rule_id": "not-circle"}))
+    capsys.readouterr()
+    assert run(workspace, "grade", "--elicited", str(run_dir)) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert (f"rule 'blue' failed: unreadable elicited file {bad}: "
+            f"rule_id 'not-circle' is not 'blue'") in err
+    assert _rule_ids(workspace / "out" / "reports" / "grading_summary.csv") == _OTHER_RULES
+
+
 @pytest.mark.parametrize("sizes, set_size, reason", [
     (("small", "medium", "large"), 6, "grade_max_set_size must be at most 5, the largest "
                                       "displayed set, got 6"),
@@ -1129,12 +1164,28 @@ def test_an_unparseable_subject_file_is_a_data_error(every_input, capsys, comman
     assert f"subject file {path} is unreadable: " in err and error in err
 
 
+
+@pytest.mark.parametrize("command", ["report", "fit-noise"])
+def test_a_subject_file_answering_one_object_twice_is_a_data_error(every_input, capsys, command):
+    path = every_input / "humans.csv"
+    lines = path.read_text().splitlines()
+    subject, rule_id, set_index, object_index, response = lines[1].split(",")
+    flipped = "False" if response == "True" else "True"
+    lines.append(",".join([subject, rule_id, set_index, object_index, flipped]))
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert _list_command(every_input, command) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert (f"subject file {path} is unreadable: subject {subject} answers rule "
+            f"{rule_id!r} set {set_index}, object {object_index} twice") in err
+
+
 def _cut_short(row):  # every subject stops before the set filter's minimum
     return row if int(row[2]) < 4 else None
 
 
-def _off_the_list(row):  # every response is to an object the list lacks
-    return [*row[:3], "99", row[4]]
+def _off_the_list(row):  # every response is to an object the list lacks, each once
+    return [*row[:3], str(99 + int(row[3])), row[4]]
 
 
 _UNFILTERABLE = [

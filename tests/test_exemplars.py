@@ -9,6 +9,7 @@ from rulelab.dsl import parse_concept
 from rulelab.exemplars import (
     ExemplarSet,
     LabelSoundnessError,
+    evidence_from_list,
     generate_list,
     load_list,
     save_list,
@@ -130,3 +131,63 @@ def test_write_atomic_syncs_the_file_then_its_directory(tmp_path, monkeypatch):
     write_atomic(tmp_path / "a.json", "{}\n")
     assert synced == ["file", "replace", "dir"]
     assert (tmp_path / "a.json").read_text() == "{}\n"
+
+
+def _walked_evidence(exemplar_list, upto_set):
+    """The evidence walk ``evidence_from_list`` replaced: every labeled
+    object of the sets before ``upto_set``, in presentation order."""
+    out = []
+    for set_index, exemplar_set in enumerate(exemplar_list.sets):
+        if upto_set is not None and set_index >= upto_set:
+            break
+        out += [(exemplar_set.context_for(i), label) for i, label in enumerate(exemplar_set.labels)]
+    return out
+
+
+def _layout_lists(tmp_path):
+    lists = [generate_list(BLUE, V, seed=seed, n_sets=n_sets)
+             for seed, n_sets in ((1, 25), (2, 1), (3, 7), (4, 40))]
+    save_list(lists[0], tmp_path / "blue.json")
+    return lists + [load_list(tmp_path / "blue.json")]
+
+
+def test_the_layout_agrees_with_the_sets(tmp_path):
+    for exemplar_list in _layout_lists(tmp_path):
+        sets = exemplar_list.sets
+        assert exemplar_list.offsets[0] == 0
+        assert [b - a for a, b in zip(exemplar_list.offsets, exemplar_list.offsets[1:])] == [
+            len(s.objects) for s in sets
+        ]
+        assert exemplar_list.n_objects == exemplar_list.offsets[-1] == len(exemplar_list.contexts)
+        assert exemplar_list.contexts == tuple(
+            s.context_for(i) for s in sets for i in range(len(s.objects))
+        )
+        assert exemplar_list.gold == tuple(label for s in sets for label in s.labels)
+        assert list(exemplar_list.iter_items()) == [
+            (k, i, s.context_for(i), label)
+            for k, s in enumerate(sets) for i, label in enumerate(s.labels)
+        ]
+        for k in range(len(sets)):
+            start, end = exemplar_list.offsets[k], exemplar_list.offsets[k + 1]
+            assert exemplar_list.contexts[start:end] == tuple(
+                sets[k].context_for(i) for i in range(len(sets[k].objects))
+            )
+
+
+def test_the_layout_is_computed_once_and_kept():
+    exemplar_list = generate_list(BLUE, V, seed=5)
+    assert exemplar_list.contexts is exemplar_list.contexts
+    assert exemplar_list.offsets is exemplar_list.offsets
+    contexts = exemplar_list.contexts
+    assert all(ctx is contexts[i] for i, (_s, _o, ctx, _l) in enumerate(exemplar_list.iter_items()))
+    assert exemplar_list == generate_list(BLUE, V, seed=5)  # the cache is not a field
+    assert hash(exemplar_list) == hash(generate_list(BLUE, V, seed=5))
+
+
+def test_evidence_is_a_slice_of_the_layout_with_the_walks_result(tmp_path):
+    for exemplar_list in _layout_lists(tmp_path):
+        n_sets = len(exemplar_list.sets)
+        for upto_set in (None, -1, 0, 1, n_sets - 1, n_sets, n_sets + 3):
+            assert evidence_from_list(exemplar_list, upto_set) == _walked_evidence(
+                exemplar_list, upto_set
+            ), upto_set

@@ -49,7 +49,7 @@ from rulelab.learner import (
 )
 from rulelab.learner import inference, predictive_trajectory
 from rulelab.learner.fit import _GroupTable, _grid_r2
-from rulelab.learner.inference import _collapse, _list_objects
+from rulelab.learner.inference import _collapse
 from rulelab.learner.mcmc import _TruthRows
 
 GRID = noise_grid(0.05)
@@ -280,7 +280,7 @@ def catalog_tables():
             for seed, rule in enumerate(rules)
         ]
         tables[max_size] = [
-            (matrix, evaluate_batch(concepts, ContextBatch.from_contexts(_list_objects(lst)[0], V)))
+            (matrix, evaluate_batch(concepts, ContextBatch.from_contexts(lst.contexts, V)))
             for lst, matrix in zip(lists, build_eval_matrices(hypotheses, lists))
         ]
     assert len(tables[4][0][1]) == 9568
@@ -507,8 +507,8 @@ def test_engines_and_reference_score_bitwise_alike(alpha, beta):
     noise = NoiseParams(alpha, beta)
     exemplar_list = generate_list(EXACTLY_ONE_BLUE, V, seed=2, rule_id="one-blue")
     hypotheses = enumerate_hypotheses(default_grammar(V), 2)
-    contexts, gold, offsets = _list_objects(exemplar_list)
-    rows = _TruthRows(ContextBatch.from_contexts(contexts, V), gold, offsets, noise)
+    gold, offsets = np.array(exemplar_list.gold, dtype=bool), exemplar_list.offsets
+    rows = _TruthRows(ContextBatch.from_contexts(exemplar_list.contexts, V), gold, offsets, noise)
     matrix = build_eval_matrix(hypotheses, exemplar_list)
     exact = np.array([ll for ll, _lp, _map in posterior_by_set(matrix, noise)])
     assert exact.shape == (len(offsets), len(hypotheses)) == (26, 70)

@@ -5,6 +5,7 @@ import pkgutil
 from importlib import import_module
 from itertools import islice
 
+import numpy as np
 import pytest
 
 from reference import PosteriorState, log_likelihood, posterior_predictive
@@ -165,13 +166,12 @@ def test_entry_log_likelihood_is_the_reference_sum(noise):
 
 
 def test_truth_row_scores_are_the_reference_sums_bitwise():
-    from rulelab.learner.inference import _list_objects
     from rulelab.learner.mcmc import _TruthRows
 
     exemplar_list = generate_list(EXACTLY_ONE_BLUE, V, seed=2, rule_id="one-blue")
     hypotheses = enumerate_hypotheses(default_grammar(V), 2)
-    contexts, gold, offsets = _list_objects(exemplar_list)
-    batch = ContextBatch.from_contexts(contexts, V)
+    gold, offsets = np.array(exemplar_list.gold, dtype=bool), exemplar_list.offsets
+    batch = ContextBatch.from_contexts(exemplar_list.contexts, V)
     prefixes = (0, 1, 4, 25)
     for alpha, beta in ((0.0, 0.5), (1.0, 0.5), (0.95, 0.5), (0.85, 0.3), (0.5, 1.0), (0.7, 0.0)):
         noise = NoiseParams(alpha, beta)

@@ -183,3 +183,32 @@ def test_csv_rejects_non_boolean_response(tmp_path):
     )
     with pytest.raises(ValueError):
         read_subject_csv(path)
+
+
+def test_an_interrupted_write_leaves_the_previous_cohort_file(tmp_path):
+    """Every row is formatted before the file is touched: a record that
+    fails after the first was formatted leaves the previous file, byte for
+    byte, rather than a smaller cohort that reads as valid."""
+    gold = ten_object_gold()
+    path = tmp_path / "humans.csv"
+    write_subject_csv([subject_with_accuracy("s0", gold, 0)], path)
+    previous = path.read_bytes()
+    assert previous.startswith(b"subject_id,rule_id,set_index,object_index,response\r\ns0,blue,0,0,True\r\n")
+    broken = SubjectRecord("s2", "blue", None, sets_completed=5)
+    with pytest.raises(AttributeError):
+        write_subject_csv([subject_with_accuracy("s1", gold, 1), broken], path)
+    assert path.read_bytes() == previous
+    assert [p.name for p in tmp_path.iterdir()] == ["humans.csv"]
+
+
+def test_a_second_answer_to_one_object_is_refused(tmp_path):
+    path = tmp_path / "humans.csv"
+    path.write_text(
+        "subject_id,rule_id,set_index,object_index,response\n"
+        "s1,blue,0,0,True\n"
+        "s1,red,0,0,True\n"
+        "s2,blue,0,0,True\n"
+        "s1,blue,0,0,False\n"
+    )
+    with pytest.raises(ValueError, match="subject s1 answers rule 'blue' set 0, object 0 twice"):
+        read_subject_csv(path)
