@@ -72,8 +72,8 @@ print(f"  kept {len(kept)} of {len(cohort)} subjects "
 for exclusion in report.exclusions:
     print(f"  excluded {exclusion.subject_id!r}: {exclusion.reason} ({exclusion.detail})")
 
-table = human_proportions(kept, exemplar_list)
-print(f"  proportion True at set 1, object 1: {table.proportion(0, 0):.2f}")
+proportions = human_proportions(kept, exemplar_list)  # one per object, in layout order
+print(f"  proportion True at set 1, object 1: {proportions[0]:.2f}")
 
 # --- 4. Aggregating per-rule accuracies ---------------------------------------
 mean, sd = propagated_baseline([(0.83, 0.04), (0.71, 0.06), (0.92, 0.03)])

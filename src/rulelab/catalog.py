@@ -53,6 +53,8 @@ class RuleSpec:
                 f"rule id must match {_RULE_ID.pattern} and not be 'manifest', "
                 f"got {self.rule_id!r}"
             )
+        if not isinstance(self.source, str):
+            raise ValueError(f"source must be a string, got {self.source!r}")
 
 
 DEMO_RULES: tuple[RuleSpec, ...] = (

@@ -23,6 +23,7 @@ import json
 import re
 import sys
 from dataclasses import dataclass, field
+from itertools import pairwise
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -584,10 +585,9 @@ def _human_series(records, gold: ExemplarList) -> list[LabelSeries]:
     """One series per subject; an object the subject never reached is unlabeled."""
     return [
         series_from_sets(gold.rule_id, gold, (
-            (s, [record.responses.get((s, i)) for i in range(len(exemplar_set.labels))], None)
-            for s, exemplar_set in enumerate(gold.sets)
+            (s, answers[start:stop], None) for s, (start, stop) in enumerate(pairwise(gold.offsets))
         ))
-        for record in records
+        for answers in (record.answers(gold) for record in records)
     ]
 
 
@@ -724,11 +724,11 @@ def cmd_fit_noise(config: ExperimentConfig) -> int:
         raise DataError("no rules have both an exemplar list and human data")
 
     fit_lists = [lists[rule_id] for rule_id in kept]
-    tables = [human_proportions(records, lists[rule_id]) for rule_id, records in kept.items()]
+    proportions = [human_proportions(records, lists[rule_id]) for rule_id, records in kept.items()]
     del kept  # the fit reads only the proportions: free the subjects' records before it
     hypotheses = _enumerate(config)
     try:
-        fit = fit_noise(fit_lists, tables, noise_grid(config.fit_grid_step), hypotheses)
+        fit = fit_noise(fit_lists, proportions, noise_grid(config.fit_grid_step), hypotheses)
     except ValueError as error:  # the subjects' data leave the fit undefined
         raise DataError(f"fit-noise: {error}") from error
     fitted, runner_up = fit.noise, fit.runner_up

@@ -14,6 +14,7 @@ to the target as variable 0.
 from __future__ import annotations
 
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass
 
@@ -22,6 +23,10 @@ DIMENSIONS = ("size", "color", "shape")
 QUANT_KINDS = ("exists", "forall", "exactly-one")
 QUANT_SCOPES = ("others", "all")
 REL_KINDS = ("same-color", "same-shape", "same-size", "size-gt", "size-ge")
+
+# One atom of the concept syntax (:mod:`rulelab.dsl.sexpr`): no whitespace,
+# parenthesis or comment sign.
+ATOM = re.compile(r"[^\s()#]+")
 
 
 class DslError(Exception):
@@ -37,7 +42,9 @@ class FeatureVocab:
     """The feature values objects can take.
 
     ``sizes`` is ordered: its index order is the size order used by the
-    size-comparison relations.
+    size-comparison relations.  Each value is a non-empty string with no
+    whitespace, ``(``, ``)`` or ``#``, so that a printed concept reads back
+    as itself; values are distinct within a dimension.
     """
 
     sizes: tuple[str, ...] = ("small", "medium", "large")
@@ -45,13 +52,15 @@ class FeatureVocab:
     shapes: tuple[str, ...] = ("circle", "rectangle", "triangle")
 
     def __post_init__(self):
-        object.__setattr__(self, "sizes", tuple(self.sizes))
-        object.__setattr__(self, "colors", tuple(self.colors))
-        object.__setattr__(self, "shapes", tuple(self.shapes))
         for dim in DIMENSIONS:
-            values = self.values(dim)
+            values = tuple(self.values(dim))
+            object.__setattr__(self, f"{dim}s", values)
             if not values:
                 raise DslError(f"vocab dimension {dim!r} is empty")
+            bad = [v for v in values if not isinstance(v, str) or not ATOM.fullmatch(v)]
+            if bad:
+                raise DslError(f"vocab {dim} value {bad[0]!r} is not a non-empty string free of "
+                               "whitespace, '(', ')' and '#'")
             if len(set(values)) != len(values):
                 raise DslError(f"vocab dimension {dim!r} has duplicate values")
 

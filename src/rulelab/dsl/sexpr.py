@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .core import (
+    ATOM,
     And,
     Concept,
     DslError,
@@ -43,7 +44,7 @@ from .core import (
     REL_KINDS,
 )
 
-_TOKEN_RE = re.compile(r"[()]|[^\s()#]+|#[^\n]*")
+_TOKEN_RE = re.compile(rf"[()]|{ATOM.pattern}|#[^\n]*")
 
 _BINARY = {"and": And, "or": Or, "xor": Xor, "implies": Implies, "iff": Iff}
 _FEATURE_HEADS = {"is-size": "size", "is-color": "color", "is-shape": "shape"}
@@ -222,11 +223,15 @@ def print_concept(concept: Concept, vocab: FeatureVocab) -> str:
 
 
 def load_vocab(path: str | Path) -> FeatureVocab:
-    """Read a vocabulary JSON document {sizes: [], colors: [], shapes: []}."""
+    """Read a vocabulary JSON document {sizes: [], colors: [], shapes: []}.
+    Each dimension must be a JSON list of values that :class:`FeatureVocab`
+    accepts; anything else raises :class:`DslError`."""
     doc = json.loads(Path(path).read_text())
-    return FeatureVocab(
-        sizes=tuple(doc["sizes"]), colors=tuple(doc["colors"]), shapes=tuple(doc["shapes"])
-    )
+    dims = {dim: doc[dim] for dim in ("sizes", "colors", "shapes")}
+    for dim, values in dims.items():
+        if not isinstance(values, list):
+            raise DslError(f"vocab {dim} must be a JSON list, got {values!r}")
+    return FeatureVocab(**dims)
 
 
 def save_vocab(vocab: FeatureVocab, path: str | Path) -> None:

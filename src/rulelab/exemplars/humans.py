@@ -26,10 +26,11 @@ class EmptyPoolError(ValueError):
 
 @dataclass(frozen=True)
 class SubjectRecord:
-    """One participant's responses to one rule's exemplar list.
+    """One participant's responses to one rule's exemplar list, as read.
 
     ``responses`` maps (set_index, object_index) to the given label;
-    objects the subject never reached are simply absent.
+    objects the subject never reached are simply absent.  Readers take the
+    answers in the list's layout order from :meth:`answers`.
     """
 
     subject_id: str
@@ -37,9 +38,16 @@ class SubjectRecord:
     responses: dict[tuple[int, int], bool]
     sets_completed: int
 
+    def answers(self, gold: ExemplarList) -> tuple[bool | None, ...]:
+        """The subject's answer to each object of ``gold``, in the list's
+        layout order (``gold.contexts``), None where there is none.
+        Answers to objects or sets the list lacks are not read."""
+        get = self.responses.get
+        return tuple(get((s, o)) for s, o, _ctx, _label in gold.iter_items())
+
     def accuracy(self, gold: ExemplarList) -> float:
-        answers = [(self.responses.get((s, o)), label) for s, o, _ctx, label in gold.iter_items()]
-        scored = [response == label for response, label in answers if response is not None]
+        scored = [answer == label for answer, label in zip(self.answers(gold), gold.gold)
+                  if answer is not None]
         if not scored:
             raise ValueError(f"subject {self.subject_id} has no responses")
         return sum(scored) / len(scored)
@@ -57,21 +65,6 @@ class FilterReport:
     exclusions: list[Exclusion] = field(default_factory=list)
     pool_mean: float | None = None
     pool_sd: float | None = None
-
-
-@dataclass
-class HumanResponseTable:
-    """Per-object response counts for a rule's kept subjects."""
-
-    rule_id: str
-    n_true: dict[tuple[int, int], int]
-    n_total: dict[tuple[int, int], int]
-
-    def proportion(self, set_index: int, object_index: int) -> float | None:
-        total = self.n_total.get((set_index, object_index), 0)
-        if total == 0:
-            return None
-        return self.n_true.get((set_index, object_index), 0) / total
 
 
 def filter_subjects(
@@ -127,17 +120,15 @@ def filter_subjects(
     return kept, report
 
 
-def human_proportions(kept: list[SubjectRecord], gold: ExemplarList) -> HumanResponseTable:
-    """Per-object True counts over subjects with a response at that object."""
+def human_proportions(kept: list[SubjectRecord], gold: ExemplarList) -> tuple[float | None, ...]:
+    """The share of ``kept`` subjects who answered True at each object of
+    ``gold``, among those who answered there, in the list's layout order:
+    one value per object, None where no subject answered."""
     if not kept:
         raise EmptyPoolError("no kept subjects")
-    n_true: dict[tuple[int, int], int] = {}
-    n_total: dict[tuple[int, int], int] = {}
-    for set_index, object_index, _ctx, _label in gold.iter_items():
-        key = (set_index, object_index)
-        answers = [r.responses[key] for r in kept if r.responses.get(key) is not None]
-        n_true[key], n_total[key] = sum(answers), len(answers)
-    return HumanResponseTable(rule_id=gold.rule_id, n_true=n_true, n_total=n_total)
+    columns = zip(*(record.answers(gold) for record in kept))  # one per object
+    answered = ([answer for answer in column if answer is not None] for column in columns)
+    return tuple(sum(answers) / len(answers) if answers else None for answers in answered)
 
 
 def propagated_baseline(per_rule_stats: list[tuple[float, float]]) -> tuple[float, float]:
@@ -167,10 +158,12 @@ def read_subject_csv(path: str | Path) -> list[SubjectRecord]:
     """Read human responses from CSV with columns
     subject_id, rule_id, set_index, object_index, response.
 
-    Raises ValueError for a row that does not parse, or for a second
-    response by one subject to one object of one rule's list."""
+    The file is UTF-8, with or without a leading byte-order mark (as
+    spreadsheet programs' "CSV UTF-8" export writes).  Raises ValueError
+    for a row that does not parse, or for a second response by one subject
+    to one object of one rule's list."""
     grouped: dict[tuple[str, str], dict[tuple[int, int], bool]] = {}
-    with open(path, newline="") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         # A short row's missing fields read as "", which fails to parse.
         for row in csv.DictReader(handle, restval=""):
             key = (row["subject_id"], row["rule_id"])
@@ -192,7 +185,8 @@ def read_subject_csv(path: str | Path) -> list[SubjectRecord]:
 
 
 def write_subject_csv(records: list[SubjectRecord], path: str | Path) -> None:
-    """Write ``records`` atomically in :func:`read_subject_csv`'s format."""
+    """Write ``records`` atomically in :func:`read_subject_csv`'s format,
+    with no byte-order mark."""
     write_csv(path, ["subject_id", "rule_id", "set_index", "object_index", "response"], (
         [record.subject_id, record.rule_id, set_index, object_index, response]
         for record in records

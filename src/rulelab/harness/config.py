@@ -44,8 +44,9 @@ def _integer(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-# Each numeric field's valid values, and their description for the error.
+# Each checked field's valid values, and their description for the error.
 _RANGES = {
+    "credential_env": (lambda v: isinstance(v, str) and v != "", "a non-empty string"),
     "temperature": (lambda v: _number(v) and v >= 0, "a number >= 0"),
     "top_logprobs": (lambda v: _integer(v) and v >= 1, "an integer >= 1"),
     "timeout": (lambda v: _number(v) and v > 0, "a number > 0"),

@@ -29,7 +29,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from ..dsl import Concept
-from ..exemplars import ExemplarList, HumanResponseTable
+from ..exemplars import ExemplarList
 from .inference import (
     DegeneratePosteriorError,
     EvalMatrix,
@@ -261,34 +261,40 @@ class NoiseFit:
 
 def fit_noise(
     lists: Sequence[ExemplarList],
-    humans: Sequence[HumanResponseTable],
+    humans: Sequence[Sequence[float | None]],
     grid: Iterable[tuple[float, float]],
     hypotheses: Sequence[tuple[Concept, float]],
 ) -> NoiseFit:
     """Pick the grid point whose predictive trajectories over
     ``hypotheses`` (an :func:`enumerate_hypotheses` list) best explain the
     human proportions (squared Pearson correlation, pooled over lists),
-    and report it with its runner-up as a :class:`NoiseFit`."""
+    and report it with its runner-up as a :class:`NoiseFit`.
+
+    ``humans`` holds one proportion vector per list, as
+    :func:`rulelab.exemplars.human_proportions` returns it: one value per
+    object in the list's layout order, None where no subject answered, so
+    that the object is left out of the fit.  A vector whose length is not
+    its list's object count raises ValueError."""
     grid = list(grid)
     if not grid:
         raise ValueError("grid must be non-empty")
     if len(lists) != len(humans):
-        raise ValueError("need one human table per exemplar list")
-
+        raise ValueError("need one proportion vector per exemplar list")
+    for exemplar_list, proportions in zip(lists, humans):
+        if len(proportions) != exemplar_list.n_objects:
+            raise ValueError(f"rule {exemplar_list.rule_id!r}: {len(proportions)} human "
+                             f"proportions for {exemplar_list.n_objects} objects")
+    # The table is built before the human arrays: made before it, they raised
+    # lab-s3's fit-noise peak RSS (child ru_maxrss) from 40.0 to 40.7 MB.
     table = _GroupTable.build(build_eval_matrices(hypotheses, lists))
-    keep = []
-    human = []
-    for exemplar_list, responses in zip(lists, humans):
-        proportions = [responses.proportion(s, o) for s, o, _ctx, _label in exemplar_list.iter_items()]
-        keep += [p is not None for p in proportions]
-        human += [p for p in proportions if p is not None]
-    human = np.array(human, dtype=float)
+    pooled = [p for proportions in humans for p in proportions]
+    keep = np.array([p is not None for p in pooled], dtype=bool)
+    human = np.array([p for p in pooled if p is not None], dtype=float)
     if np.unique(human).size < 2:
         raise ValueError(
             "the human proportions are constant, so no grid point can produce "
             "a defined correlation"
         )
-    keep = np.array(keep, dtype=bool)
 
     scored = [
         (r2, alpha, beta) for alpha, beta, r2 in _grid_r2(table, keep, human, grid) if r2 is not None

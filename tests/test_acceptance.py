@@ -248,28 +248,15 @@ def test_criterion_6_noise_recovery():
             "(xor (is-shape circle) (is-color blue))",
             "(exists others (same-color 0 1))",
         ]
-        lists, tables = [], []
-
-        class ExactTable:
-            def __init__(self, proportions):
-                self.proportions = proportions
-
-            def proportion(self, set_index, object_index):
-                return self.proportions[(set_index, object_index)]
-
+        lists, humans = [], []
         for i, source in enumerate(sources):
             exemplar_list = generate_list(parse_concept(source, V), V, seed=100 + i, rule_id=f"r{i}")
             predictions = predictive_trajectory(
                 build_eval_matrix(hypotheses, exemplar_list), true_noise
             )
-            proportions = {}
-            for j, (set_index, object_index, _ctx, _label) in enumerate(
-                exemplar_list.iter_items()
-            ):
-                proportions[(set_index, object_index)] = float(predictions[j])
             lists.append(exemplar_list)
-            tables.append(ExactTable(proportions))
-        fitted = fit_noise(lists, tables, noise_grid(0.05), hypotheses)
+            humans.append(predictions.tolist())  # exact proportions, in layout order
+        fitted = fit_noise(lists, humans, noise_grid(0.05), hypotheses)
         assert fitted.noise == NoiseParams(0.8, 0.4)
 
 

@@ -507,8 +507,12 @@ _GOOD_ENDPOINT = {
     json.dumps([_GOOD_ENDPOINT]),
     json.dumps({**_GOOD_ENDPOINT, "timeout": -5}),
     json.dumps({**_GOOD_ENDPOINT, "max_sets": 0}),
+    json.dumps({**_GOOD_ENDPOINT, "credential_env": 5}),
+    json.dumps({**_GOOD_ENDPOINT, "credential_env": None}),
+    json.dumps({**_GOOD_ENDPOINT, "credential_env": ["RULELAB_PRESENT_KEY"]}),
 ], ids=["unknown-key", "negative-temperature", "notaurl", "file-url", "no-model",
-        "truncated-json", "not-an-object", "negative-timeout", "zero-max-sets"])
+        "truncated-json", "not-an-object", "negative-timeout", "zero-max-sets",
+        "int-credential-env", "null-credential-env", "list-credential-env"])
 def test_bad_endpoint_config_is_config_error(workspace, monkeypatch, capsys, endpoint_text):
     """A bad endpoint file exits 2 before any request: no POST, no backoff."""
     import functools
@@ -1071,6 +1075,34 @@ def test_a_malformed_vocab_file_is_a_config_error(every_input, capsys, command):
     assert "vocab.json is unreadable" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", _EVERY_COMMAND)
+@pytest.mark.parametrize("change, error", [
+    pytest.param({"colors": ["light blue", "green"]}, "vocab color value 'light blue' is not",
+                 id="space"),
+    pytest.param({"sizes": [1, 2, 3]}, "vocab size value 1 is not", id="integers"),
+    pytest.param({"sizes": "abc"}, "vocab sizes must be a JSON list, got 'abc'",
+                 id="string-dimension"),
+    pytest.param({"shapes": ["circle", "(square)"]}, "vocab shape value '(square)' is not",
+                 id="parenthesis"),
+    pytest.param({"shapes": ["circle", "square#1"]}, "vocab shape value 'square#1' is not",
+                 id="comment-sign"),
+])
+def test_a_vocab_the_concept_syntax_cannot_read_back_is_a_config_error(
+    workspace, capsys, command, change, error
+):
+    """A printed concept must parse back as itself, so a vocab value is a
+    non-empty string with no whitespace, parenthesis or '#'; every command
+    refuses any other with the config."""
+    doc = {"sizes": ["small", "medium", "large"], "colors": ["blue", "green", "yellow"],
+           "shapes": ["circle", "rectangle", "triangle"], **change}
+    (workspace / "vocab.json").write_text(json.dumps(doc))
+    _set_config_key(workspace, "vocab", "vocab.json")
+    capsys.readouterr()
+    assert _list_command(workspace, command) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "vocab.json is unreadable: " in err and error in err
+
+
 def _set_config_key(workspace, dotted_key, value):
     config = json.loads((workspace / "config.json").read_text())
     *section, key = dotted_key.split(".")
@@ -1115,6 +1147,12 @@ def test_a_config_that_is_not_an_object_is_a_config_error(workspace, capsys, com
                  id="bad-kind"),
     pytest.param(lambda rules: [{**rules[0], "id": "../blue"}, *rules[1:]], "rule id must",
                  id="bad-id"),
+    pytest.param(lambda rules: [{**rules[0], "source": 5}, *rules[1:]],
+                 "source must be a string, got 5", id="int-source"),
+    pytest.param(lambda rules: [{**rules[0], "source": None}, *rules[1:]],
+                 "source must be a string, got None", id="null-source"),
+    pytest.param(lambda rules: [{**rules[0], "source": ["(is-color blue)"]}, *rules[1:]],
+                 "source must be a string, got ['(is-color blue)']", id="list-source"),
 ])
 def test_a_bad_rules_manifest_is_a_config_error(every_input, capsys, command, change, error):
     path = every_input / "rules.json"

@@ -7,7 +7,7 @@ import pytest
 
 from rulelab.catalog import DEFAULT_VOCAB as V
 from rulelab.dsl import parse_concept
-from rulelab.exemplars import ExemplarList, HumanResponseTable, generate_list
+from rulelab.exemplars import ExemplarList, generate_list
 from rulelab.learner import (
     DegeneratePosteriorError,
     EvalMatrix,
@@ -27,21 +27,17 @@ MAX_SIZE = 2
 RULES = ["(is-color blue)", "(exists others (same-color 0 1))", "(is-size small)"]
 
 
-def model_tables(noise: NoiseParams, seeds=range(3)) -> tuple[list[ExemplarList], list[HumanResponseTable]]:
+def model_humans(noise: NoiseParams, seeds=range(3)) -> tuple[list[ExemplarList], list[list]]:
     """Synthetic 'humans': the model's own predictive trajectory, voiced as
-    exact response proportions (denominator 1000 per object)."""
+    exact response proportions, one vector per list."""
     hypotheses = enumerate_hypotheses(GRAMMAR, MAX_SIZE)
-    lists, tables = [], []
+    lists, humans = [], []
     for i, (source, seed) in enumerate(zip(RULES, seeds)):
         exemplar_list = generate_list(parse_concept(source, V), V, seed=seed, rule_id=f"r{i}")
         predictions = predictive_trajectory(build_eval_matrix(hypotheses, exemplar_list), noise)
-        n_true, n_total = {}, {}
-        for j, (set_index, object_index, _ctx, _label) in enumerate(exemplar_list.iter_items()):
-            n_true[(set_index, object_index)] = predictions[j] * 1000.0
-            n_total[(set_index, object_index)] = 1000
         lists.append(exemplar_list)
-        tables.append(HumanResponseTable(rule_id=f"r{i}", n_true=n_true, n_total=n_total))
-    return lists, tables
+        humans.append(predictions.tolist())
+    return lists, humans
 
 
 def test_grid_helper():
@@ -72,50 +68,53 @@ def test_grid_axis_never_passes_one(step, size, last):
 
 
 def test_single_point_grid():
-    lists, tables = model_tables(NoiseParams(0.8, 0.4))
-    fitted = fit_noise(lists, tables, [(0.7, 0.3)], enumerate_hypotheses(GRAMMAR, MAX_SIZE))
+    lists, humans = model_humans(NoiseParams(0.8, 0.4))
+    fitted = fit_noise(lists, humans, [(0.7, 0.3)], enumerate_hypotheses(GRAMMAR, MAX_SIZE))
     assert fitted.noise == NoiseParams(0.7, 0.3)
     assert fitted.runner_up is None and fitted.runner_up_r2 is None
 
 
 def test_recovers_generating_point():
-    lists, tables = model_tables(NoiseParams(0.8, 0.4))
-    fitted = fit_noise(lists, tables, noise_grid(0.05), enumerate_hypotheses(GRAMMAR, MAX_SIZE))
+    lists, humans = model_humans(NoiseParams(0.8, 0.4))
+    fitted = fit_noise(lists, humans, noise_grid(0.05), enumerate_hypotheses(GRAMMAR, MAX_SIZE))
     assert fitted.noise == NoiseParams(0.8, 0.4)
 
 
 def test_gold_label_humans_push_alpha_to_grid_max():
     # Perfectly rule-following humans: alpha should hit the top of the grid.
     lists = []
-    tables = []
+    humans = []
     for i, source in enumerate(RULES):
         exemplar_list = generate_list(parse_concept(source, V), V, seed=50 + i, rule_id=f"r{i}")
-        n_true, n_total = {}, {}
-        for set_index, object_index, _ctx, label in exemplar_list.iter_items():
-            n_true[(set_index, object_index)] = 1000 if label else 0
-            n_total[(set_index, object_index)] = 1000
         lists.append(exemplar_list)
-        tables.append(HumanResponseTable(rule_id=f"r{i}", n_true=n_true, n_total=n_total))
+        humans.append([1.0 if label else 0.0 for label in exemplar_list.gold])
     grid = [(a, b) for a in (0.6, 0.8, 0.95) for b in (0.3, 0.5, 0.7)]
-    fitted = fit_noise(lists, tables, grid, enumerate_hypotheses(GRAMMAR, MAX_SIZE))
+    fitted = fit_noise(lists, humans, grid, enumerate_hypotheses(GRAMMAR, MAX_SIZE))
     assert fitted.noise.alpha == 0.95
 
 
 def test_empty_grid_rejected():
-    lists, tables = model_tables(NoiseParams(0.8, 0.4))
+    lists, humans = model_humans(NoiseParams(0.8, 0.4))
     with pytest.raises(ValueError):
-        fit_noise(lists, tables, [], enumerate_hypotheses(GRAMMAR, MAX_SIZE))
+        fit_noise(lists, humans, [], enumerate_hypotheses(GRAMMAR, MAX_SIZE))
 
 
 def test_missing_human_entries_are_skipped():
-    lists, tables = model_tables(NoiseParams(0.8, 0.4))
+    lists, humans = model_humans(NoiseParams(0.8, 0.4))
     # Blank out one set's worth of humans; fitting still recovers the point.
-    for key in list(tables[0].n_total):
-        if key[0] == 0:
-            tables[0].n_total[key] = 0
-            tables[0].n_true[key] = 0
-    fitted = fit_noise(lists, tables, noise_grid(0.1), enumerate_hypotheses(GRAMMAR, MAX_SIZE))
+    humans[0][:lists[0].offsets[1]] = [None] * lists[0].offsets[1]
+    fitted = fit_noise(lists, humans, noise_grid(0.1), enumerate_hypotheses(GRAMMAR, MAX_SIZE))
     assert fitted.noise == NoiseParams(0.8, 0.4)
+
+
+def test_a_proportion_vector_of_another_length_is_refused():
+    lists, humans = model_humans(NoiseParams(0.8, 0.4))
+    n = lists[1].n_objects
+    for vector in (humans[1][:-1], humans[1] + [0.5]):
+        message = f"rule 'r1': {len(vector)} human proportions for {n} objects"
+        with pytest.raises(ValueError, match=message):
+            fit_noise(lists, [humans[0], vector, humans[2]], [(0.8, 0.4)],
+                      enumerate_hypotheses(GRAMMAR, MAX_SIZE))
 
 
 # --- behaviour classes ------------------------------------------------------
@@ -140,13 +139,12 @@ def reference_trajectory(matrix, noise):
     return predictions
 
 
-def fit_inputs(lists, tables, max_size):
+def fit_inputs(lists, humans, max_size):
     """Each list's eval matrix with its mask of objects that have human
     data, and the pooled human proportions."""
     hypotheses = enumerate_hypotheses(GRAMMAR, max_size)
     prepared, human = [], []
-    for exemplar_list, table in zip(lists, tables):
-        proportions = [table.proportion(s, o) for s, o, _c, _l in exemplar_list.iter_items()]
+    for exemplar_list, proportions in zip(lists, humans):
         keep = np.array([p is not None for p in proportions])
         prepared.append((build_eval_matrix(hypotheses, exemplar_list), keep))
         human += [p for p in proportions if p is not None]
@@ -263,9 +261,9 @@ def test_grid_matrices_hold_no_hypothesis_arrays(size3_hypotheses, monkeypatch):
         return grid_r2(table, keep, human, grid)
 
     monkeypatch.setattr(fit, "_grid_r2", spy)
-    lists, tables = model_tables(NoiseParams(0.8, 0.4))
+    lists, humans = model_humans(NoiseParams(0.8, 0.4))
     grid = noise_grid(0.25)
-    fitted = fit_noise(lists, tables, grid, size3_hypotheses)
+    fitted = fit_noise(lists, humans, grid, size3_hypotheses)
     [table] = seen
     matrices = [build_eval_matrix(size3_hypotheses, exemplar_list) for exemplar_list in lists]
     class_boundaries = sum(len(m.classes) * (len(m.offsets) - 1) for m in matrices)
@@ -275,23 +273,22 @@ def test_grid_matrices_hold_no_hypothesis_arrays(size3_hypotheses, monkeypatch):
     assert len(arrays) >= 10
     n_hyps = len(size3_hypotheses)
     assert all(n_hyps not in array.shape and class_boundaries not in array.shape for array in arrays)
-    prepared, human = fit_inputs(lists, tables, max_size=3)
+    prepared, human = fit_inputs(lists, humans, max_size=3)
     expected, expected_scores = reference_fit(prepared, human, grid)
     assert fitted.noise == expected
     assert fitted.undefined_points == sum(r2 is None for r2 in expected_scores)
 
 
 def test_fit_matches_full_matrix_grid_loop():
-    lists, tables = model_tables(NoiseParams(0.8, 0.4))
+    lists, humans = model_humans(NoiseParams(0.8, 0.4))
     # A list no size-3 concept explains: its posterior dies at alpha = 1.
     exemplar_list = generate_list(EXACTLY_ONE_BLUE, V, seed=2, rule_id="r3")
-    n_true = {(s, o): 700 if label else 300 for s, o, _c, label in exemplar_list.iter_items()}
     lists.append(exemplar_list)
-    tables.append(HumanResponseTable("r3", n_true, {key: 1000 for key in n_true}))
+    humans.append([0.7 if label else 0.3 for label in exemplar_list.gold])
     grid = noise_grid(0.05)
-    prepared, human = fit_inputs(lists, tables, max_size=3)
+    prepared, human = fit_inputs(lists, humans, max_size=3)
     expected, expected_scores = reference_fit(prepared, human, grid)
-    fitted = fit_noise(lists, tables, grid, enumerate_hypotheses(GRAMMAR, 3))
+    fitted = fit_noise(lists, humans, grid, enumerate_hypotheses(GRAMMAR, 3))
     assert fitted.noise == expected
     # Runner-up and undefined points as the full-matrix loop sees them.
     ranked = sorted(

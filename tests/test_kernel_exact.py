@@ -34,7 +34,7 @@ from reference import PosteriorState, log_likelihood, posterior_predictive
 from rulelab.catalog import DEFAULT_VOCAB as V
 from rulelab.catalog import DEMO_RULES
 from rulelab.dsl import ContextBatch, evaluate_batch, parse_concept, print_concept
-from rulelab.exemplars import HumanResponseTable, generate_list
+from rulelab.exemplars import generate_list
 from rulelab.learner import (
     DegeneratePosteriorError,
     EvalMatrix,
@@ -428,19 +428,17 @@ def test_fit_pools_the_oracles_scores():
     from rulelab.learner import fit_noise
 
     hypotheses = enumerate_hypotheses(default_grammar(V), 3)
-    lists, tables = [], []
+    lists, humans = [], []
     for i, (concept, seed) in enumerate(((CIRCLE_XOR_BLUE, 5), (EXACTLY_ONE_BLUE, 2))):
         exemplar_list = generate_list(concept, V, seed=seed, rule_id=f"r{i}")
-        n_true = {(s, o): (700 if label else 300) - 37 * (o % 3)
-                  for s, o, _c, label in exemplar_list.iter_items()}
         lists.append(exemplar_list)
-        tables.append(HumanResponseTable(f"r{i}", n_true, {key: 1000 for key in n_true}))
+        humans.append([((700 if label else 300) - 37 * (o % 3)) / 1000
+                       for _s, o, _c, label in exemplar_list.iter_items()])
     grid = noise_grid(0.1)
-    actual = fit_noise(lists, tables, grid, hypotheses)
+    actual = fit_noise(lists, humans, grid, hypotheses)
     prepared = [(matrix, np.ones(matrix.offsets[-1], dtype=bool))
                 for matrix in build_eval_matrices(hypotheses, lists)]
-    human = np.array([table.proportion(s, o) for lst, table in zip(lists, tables)
-                      for s, o, _c, _l in lst.iter_items()])
+    human = np.array([p for proportions in humans for p in proportions])
     scored = [(r2, a, b) for a, b, r2 in oracle_grid_r2(prepared, human, grid) if r2 is not None]
     best, runner_up = heapq.nlargest(2, scored)
     assert (actual.noise, actual.runner_up) == (NoiseParams(*best[1:]), NoiseParams(*runner_up[1:]))
@@ -680,17 +678,14 @@ def test_lab_sized_fit_keeps_the_class_paths_winner():
              for i, rule in enumerate(rules)]
     matrices = list(build_eval_matrices(hypotheses, lists))
     rng = np.random.default_rng(2024)
-    tables, prepared, human = [], [], []
+    prepared, human = [], []
     for exemplar_list, matrix in zip(lists, matrices):
         p_true = class_path_trajectory(matrix, NoiseParams(0.75, 0.9))
         n_true = np.clip(np.round(30 * p_true + rng.normal(0.0, 2.0, len(p_true))), 0, 30)
-        keys = [(s, o) for s, o, _c, _l in exemplar_list.iter_items()]
-        tables.append(HumanResponseTable(exemplar_list.rule_id, dict(zip(keys, n_true.tolist())),
-                                         {key: 30 for key in keys}))
-        prepared.append((matrix, np.ones(len(keys), dtype=bool)))
+        prepared.append((matrix, np.ones(exemplar_list.n_objects, dtype=bool)))
         human.append(n_true / 30)
     assert len(lists) == 12
-    fitted = fit_noise(lists, tables, GRID, hypotheses)
+    fitted = fit_noise(lists, [proportions.tolist() for proportions in human], GRID, hypotheses)
     scores = oracle_grid_r2(prepared, np.concatenate(human), GRID, class_path_trajectory)
     scored = [(r2, a, b) for a, b, r2 in scores if r2 is not None]
     best, runner_up = heapq.nlargest(2, scored)

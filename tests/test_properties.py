@@ -1,14 +1,19 @@
 """Pointwise logical identities over random concepts and contexts, and the
 AST folds checked against the printed form."""
 
-import pytest
-from hypothesis import given, settings
+import random
 
-from conftest import concept_strategy, context_strategy
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from conftest import concept_strategy, context_strategy, random_concept
 from rulelab.catalog import DEFAULT_VOCAB as V
 from rulelab.dsl import (
     And,
     Context,
+    DslError,
+    FeatureVocab,
     Iff,
     Implies,
     Not,
@@ -90,3 +95,20 @@ def test_a_target_only_concept_sees_only_the_target(concept, ctx):
     if is_target_only(concept):
         alone = Context((ctx.objects[ctx.target],), 0)
         assert evaluate(concept, ctx) == evaluate(concept, alone)
+
+
+# Short distinct values over every character, the syntax's delimiters
+# included, so that some drawn vocabs are refused.
+_VALUES = st.lists(st.text(st.characters(), min_size=1, max_size=4), min_size=1, max_size=3,
+                   unique=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_VALUES, _VALUES, _VALUES, st.integers(0, 2**32 - 1), st.integers(1, 9))
+def test_every_accepted_vocab_prints_concepts_that_read_back(sizes, colors, shapes, seed, budget):
+    try:
+        vocab = FeatureVocab(sizes=sizes, colors=colors, shapes=shapes)
+    except DslError:
+        assume(False)
+    concept = random_concept(random.Random(seed), budget, vocab=vocab)
+    assert parse_concept(print_concept(concept, vocab), vocab) == concept

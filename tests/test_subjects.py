@@ -1,6 +1,9 @@
-"""Subject preprocessing, response tables, and baseline propagation."""
+"""Subject preprocessing, answers and proportions in layout order, and baseline
+propagation."""
 
+import codecs
 import math
+import random
 
 import pytest
 
@@ -12,6 +15,7 @@ from rulelab.exemplars import (
     ExemplarSet,
     SubjectRecord,
     filter_subjects,
+    generate_list,
     human_proportions,
     propagated_baseline,
     read_subject_csv,
@@ -129,16 +133,17 @@ def test_human_proportions():
         SubjectRecord("c", "blue", {(0, 0): True}, 5),
         SubjectRecord("d", "blue", {(0, 0): False}, 5),
     ]
-    table = human_proportions(records, gold)
-    assert table.proportion(0, 0) == 0.75
-    assert table.proportion(0, 1) == 0.0
-    assert table.proportion(3, 1) is None
+    proportions = human_proportions(records, gold)  # set s, object o at 2 * s + o
+    assert len(proportions) == 10
+    assert proportions[0] == 0.75
+    assert proportions[1] == 0.0
+    assert proportions[7] is None
 
 
 def test_unanimous_true_is_one():
     gold = ten_object_gold()
     records = [SubjectRecord(s, "blue", {(0, 0): True}, 5) for s in "abc"]
-    assert human_proportions(records, gold).proportion(0, 0) == 1.0
+    assert human_proportions(records, gold)[0] == 1.0
 
 
 def test_proportions_monotone_under_added_true():
@@ -147,10 +152,80 @@ def test_proportions_monotone_under_added_true():
         SubjectRecord("a", "blue", {(0, 0): True}, 5),
         SubjectRecord("b", "blue", {(0, 0): False}, 5),
     ]
-    before = human_proportions(records, gold).proportion(0, 0)
+    before = human_proportions(records, gold)[0]
     records.append(SubjectRecord("c", "blue", {(0, 0): True}, 5))
-    after = human_proportions(records, gold).proportion(0, 0)
+    after = human_proportions(records, gold)[0]
     assert after > before
+
+
+def oracle_answers(record: SubjectRecord, gold: ExemplarList) -> list:
+    """Each object's answer, set by set, looked up by (set, object)."""
+    return [record.responses.get((s, o))
+            for s, exemplar_set in enumerate(gold.sets) for o in range(len(exemplar_set.objects))]
+
+
+def oracle_proportions(kept: list[SubjectRecord], gold: ExemplarList) -> list:
+    """Per-(set, object) True and total counts over every response read,
+    each object's share from them, None where its total is 0."""
+    n_true, n_total = {}, {}
+    for record in kept:
+        for key, response in record.responses.items():
+            n_true[key] = n_true.get(key, 0) + response
+            n_total[key] = n_total.get(key, 0) + 1
+    return [n_true[(s, o)] / n_total[(s, o)] if n_total.get((s, o)) else None
+            for s, o, _ctx, _label in gold.iter_items()]
+
+
+def seeded_subjects(gold: ExemplarList, rng: random.Random, n: int) -> list[SubjectRecord]:
+    """Subjects who skip some objects, answer objects past the end of a
+    set, and answer sets past the end of the list."""
+    records = []
+    for i in range(n):
+        responses = {}
+        for s, o, _ctx, label in gold.iter_items():
+            if rng.random() < 0.7:
+                responses[(s, o)] = label if rng.random() < 0.8 else not label
+        for _ in range(rng.randint(0, 4)):
+            s = rng.randrange(len(gold.sets) + 3)
+            responses[(s, rng.randint(5, 7) if s < len(gold.sets) else rng.randrange(5))] = (
+                rng.random() < 0.5
+            )
+        records.append(SubjectRecord(f"s{i}", gold.rule_id, responses, len(gold.sets)))
+    return records
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_answers_and_proportions_are_the_per_object_counts_in_layout_order(seed):
+    rng = random.Random(seed)
+    gold = generate_list(parse_concept("(is-color blue)", V), V, seed=seed,
+                         n_sets=rng.randint(1, 30), rule_id="blue")
+    records = seeded_subjects(gold, rng, rng.randint(1, 8))
+    for record in records:
+        answers = record.answers(gold)
+        assert isinstance(answers, tuple) and list(answers) == oracle_answers(record, gold)
+        scored = [a == label for a, label in zip(oracle_answers(record, gold), gold.gold)
+                  if a is not None]
+        if scored:
+            assert record.accuracy(gold) == sum(scored) / len(scored)
+    proportions = human_proportions(records, gold)
+    assert isinstance(proportions, tuple) and len(proportions) == gold.n_objects
+    assert list(proportions) == oracle_proportions(records, gold)
+
+
+def test_human_series_slice_the_answers_by_set():
+    """report's series of a subject holds its answers set by set."""
+    import rulelab.cli as cli
+
+    assert cli.series_from_sets  # a lookup binds the name, as report's dispatch does
+    rng = random.Random(7)
+    gold = generate_list(parse_concept("(is-shape circle)", V), V, seed=7, rule_id="circle")
+    records = seeded_subjects(gold, rng, 4)
+    for record, series in zip(records, cli._human_series(records, gold)):
+        rows = [(r.set_index, r.object_index, r.gold, r.model, r.p_true) for r in series.records]
+        assert rows == [
+            (s, o, label, answer, None)
+            for (s, o, _ctx, label), answer in zip(gold.iter_items(), oracle_answers(record, gold))
+        ]
 
 
 def test_propagated_baseline_single_rule():
@@ -174,6 +249,19 @@ def test_subject_csv_roundtrip(tmp_path):
     write_subject_csv(records, path)
     loaded = read_subject_csv(path)
     assert loaded == sorted(records, key=lambda r: (r.rule_id, r.subject_id))
+
+
+def test_a_byte_order_mark_is_read(tmp_path):
+    """A spreadsheet's "CSV UTF-8" export starts with a UTF-8 byte-order
+    mark; the first column still reads as subject_id.  The writer adds no
+    mark."""
+    gold = ten_object_gold()
+    records = [subject_with_accuracy("s0", gold, 1), subject_with_accuracy("s1", gold, 0)]
+    path = tmp_path / "humans.csv"
+    write_subject_csv(records, path)
+    assert path.read_bytes().startswith(b"subject_id,")
+    path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+    assert read_subject_csv(path) == records
 
 
 def test_csv_rejects_non_boolean_response(tmp_path):
