@@ -100,8 +100,7 @@ def filter_subjects(
     accuracies = [record.accuracy(gold) for record in pool]
     mean = sum(accuracies) / len(accuracies)
     sd = math.sqrt(sum((a - mean) ** 2 for a in accuracies) / len(accuracies))
-    report.pool_mean = mean
-    report.pool_sd = sd
+    report.pool_mean, report.pool_sd = mean, sd
 
     kept = []
     for record, accuracy in zip(pool, accuracies):
@@ -120,15 +119,27 @@ def filter_subjects(
     return kept, report
 
 
-def human_proportions(kept: list[SubjectRecord], gold: ExemplarList) -> tuple[float | None, ...]:
+class Proportions(tuple):
+    """One share of True answers per object of a list, in its layout order,
+    None where no subject answered.  ``n_true`` and ``n_total`` are the
+    per-object counts (True answers, answers) that the shares are made of."""
+
+    def __new__(cls, n_true: tuple[int, ...], n_total: tuple[int, ...]) -> Proportions:
+        self = super().__new__(cls, (t / n if n else None for t, n in zip(n_true, n_total)))
+        self.n_true, self.n_total = n_true, n_total
+        return self
+
+
+def human_proportions(kept: list[SubjectRecord], gold: ExemplarList) -> Proportions:
     """The share of ``kept`` subjects who answered True at each object of
     ``gold``, among those who answered there, in the list's layout order:
-    one value per object, None where no subject answered."""
+    a tuple of one value per object, None where no subject answered, with
+    the counts it is made of (:class:`Proportions`)."""
     if not kept:
         raise EmptyPoolError("no kept subjects")
     columns = zip(*(record.answers(gold) for record in kept))  # one per object
-    answered = ([answer for answer in column if answer is not None] for column in columns)
-    return tuple(sum(answers) / len(answers) if answers else None for answers in answered)
+    answered = [[answer for answer in column if answer is not None] for column in columns]
+    return Proportions(tuple(map(sum, answered)), tuple(map(len, answered)))
 
 
 def propagated_baseline(per_rule_stats: list[tuple[float, float]]) -> tuple[float, float]:
@@ -176,12 +187,9 @@ def read_subject_csv(path: str | Path) -> list[SubjectRecord]:
                     f"object {item[1]} twice"
                 )
             responses[item] = response
-    records = []
-    for (subject_id, rule_id), responses in grouped.items():
-        sets_completed = len({set_index for set_index, _ in responses})
-        records.append(SubjectRecord(subject_id, rule_id, responses, sets_completed))
-    records.sort(key=lambda r: (r.rule_id, r.subject_id))
-    return records
+    return sorted((SubjectRecord(subject_id, rule_id, responses, len({s for s, _o in responses}))
+                   for (subject_id, rule_id), responses in grouped.items()),
+                  key=lambda r: (r.rule_id, r.subject_id))
 
 
 def write_subject_csv(records: list[SubjectRecord], path: str | Path) -> None:

@@ -164,16 +164,21 @@ def oracle_answers(record: SubjectRecord, gold: ExemplarList) -> list:
             for s, exemplar_set in enumerate(gold.sets) for o in range(len(exemplar_set.objects))]
 
 
-def oracle_proportions(kept: list[SubjectRecord], gold: ExemplarList) -> list:
+def oracle_counts(kept: list[SubjectRecord], gold: ExemplarList) -> tuple[list, list]:
     """Per-(set, object) True and total counts over every response read,
-    each object's share from them, None where its total is 0."""
+    taken for each object of the list in layout order."""
     n_true, n_total = {}, {}
     for record in kept:
         for key, response in record.responses.items():
             n_true[key] = n_true.get(key, 0) + response
             n_total[key] = n_total.get(key, 0) + 1
-    return [n_true[(s, o)] / n_total[(s, o)] if n_total.get((s, o)) else None
-            for s, o, _ctx, _label in gold.iter_items()]
+    keys = [(s, o) for s, o, _ctx, _label in gold.iter_items()]
+    return [n_true.get(key, 0) for key in keys], [n_total.get(key, 0) for key in keys]
+
+
+def oracle_proportions(kept: list[SubjectRecord], gold: ExemplarList) -> list:
+    """Each object's share from its counts, None where its total is 0."""
+    return [t / n if n else None for t, n in zip(*oracle_counts(kept, gold))]
 
 
 def seeded_subjects(gold: ExemplarList, rng: random.Random, n: int) -> list[SubjectRecord]:
@@ -210,6 +215,7 @@ def test_answers_and_proportions_are_the_per_object_counts_in_layout_order(seed)
     proportions = human_proportions(records, gold)
     assert isinstance(proportions, tuple) and len(proportions) == gold.n_objects
     assert list(proportions) == oracle_proportions(records, gold)
+    assert (list(proportions.n_true), list(proportions.n_total)) == oracle_counts(records, gold)
 
 
 def test_human_series_slice_the_answers_by_set():
