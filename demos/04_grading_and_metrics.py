@@ -6,55 +6,50 @@
 from rulelab.catalog import DEFAULT_VOCAB as vocab
 from rulelab.dsl import evaluate, parse_concept
 from rulelab.exemplars import generate_list
-from rulelab.learner import evidence_from_list
 from rulelab.metrics import (
-    LabelSeries,
-    ObjectRecord,
-    SetReport,
     accuracy,
     chance_baseline,
-    consistency,
     cross_entropy,
+    grade_session,
     last_quarter_count,
     match_rate,
     r_squared,
-    rule_likelihood,
 )
+
+# Every score reads label vectors: one label (or None, excluded) per object,
+# in the list's layout order, so set k is the slice offsets[k]:offsets[k + 1].
 
 # --- 1. Accuracy windows -------------------------------------------------------
 # "Last quarter" means the final ceil(N/4) objects by presentation order;
 # excluded objects are dropped after the window is cut.
 gold_rule = parse_concept("(is-color blue)", vocab)
 exemplar_list = generate_list(gold_rule, vocab, seed=3, rule_id="blue")
-records = []
-for set_index, object_index, ctx, label in exemplar_list.iter_items():
-    model = label if (set_index + object_index) % 7 else not label  # imperfect labeler
-    records.append(ObjectRecord(set_index, object_index, label, model))
-series = LabelSeries("blue", records)
+labels = [
+    label if (set_index + object_index) % 7 else not label  # imperfect labeler
+    for set_index, object_index, _ctx, label in exemplar_list.iter_items()
+]
 n = exemplar_list.n_objects
 print(f"list of {n} objects; last-quarter window = {last_quarter_count(n)} objects")
-print(f"overall accuracy      : {accuracy(series):.3f}")
-print(f"last-quarter accuracy : {accuracy(series, 'last_quarter'):.3f}")
-true_rate = sum(r.gold for r in records) / n
+print(f"overall accuracy      : {accuracy(labels, exemplar_list.gold):.3f}")
+print(f"last-quarter accuracy : {accuracy(labels, exemplar_list.gold, 'last_quarter'):.3f}")
+true_rate = sum(exemplar_list.gold) / n
 print(f"chance baseline at p={true_rate:.2f}: {chance_baseline(true_rate):.3f}")
 
 # --- 2. Likelihood: how much of the seen evidence a rule explains ---------------
-evidence = evidence_from_list(exemplar_list, upto_set=12)
+# Set k's reported rule is scored on the gold labels of the sets before it.
 for source in ("(is-color blue)", "(not (is-color yellow))", "(is-shape circle)"):
-    candidate = parse_concept(source, vocab)
-    print(f"likelihood of {source:24s} after 12 sets: "
-          f"{rule_likelihood(candidate, evidence):.3f}")
+    grade = grade_session(exemplar_list, [source] * 13, vocab)
+    print(f"likelihood of {source:24s} after 12 sets: {grade.likelihoods[12]:.3f}")
 
 # --- 3. Consistency: do emitted labels follow the reported rule? ----------------
-reported = parse_concept("(is-color blue)", vocab)
-session = []
-for exemplar_set in exemplar_list.sets[:10]:
-    labels = tuple(
-        (exemplar_set.context_for(i), evaluate(reported, exemplar_set.context_for(i)))
-        for i in range(len(exemplar_set.objects))
-    )
-    session.append(SetReport(concept=reported, labels=labels))
-print(f"consistency of a self-applied rule: {consistency(session):.3f}")
+# The labels of the first 10 sets, each emitted under the rule reported for it.
+reported = "(is-color blue)"
+emitted = [
+    evaluate(parse_concept(reported, vocab), ctx)
+    for ctx in exemplar_list.contexts[:exemplar_list.offsets[10]]
+]
+grade = grade_session(exemplar_list, [reported] * 10, vocab, emitted)
+print(f"consistency of a self-applied rule: {grade.consistency:.3f}")
 
 # --- 4. Match rate: strict likelihood-1.0 plus bounded-universe equivalence -----
 lists = {

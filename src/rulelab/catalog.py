@@ -112,7 +112,7 @@ def write_rules_manifest(rules: list[RuleSpec], path: str | Path) -> None:
 
 
 def read_rules_manifest(path: str | Path) -> list[RuleSpec]:
-    doc = json.loads(Path(path).read_text())
+    doc = json.loads(Path(path).read_text(encoding="utf-8"))
     rules = [RuleSpec(row["id"], row["kind"], row["source"]) for row in doc["rules"]]
     ids = [rule.rule_id for rule in rules]
     if len(set(ids)) != len(ids):

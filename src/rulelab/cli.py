@@ -23,7 +23,6 @@ import json
 import re
 import sys
 from dataclasses import dataclass, field
-from itertools import pairwise
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -35,7 +34,7 @@ from .learner import Grammar, HypothesisBudgetError, default_grammar, load_gramm
 
 if TYPE_CHECKING:
     from .exemplars import ExemplarList, SubjectRecord
-    from .metrics import LabelSeries, RuleGrade
+    from .metrics import RuleGrade
 
 # The library names each command runs, under the module each lives in.
 # main binds a command's names into this module's globals when it
@@ -70,8 +69,8 @@ _COMMANDS = {
     "report": {
         ".exemplars": ("filter_subjects", "load_list", "read_subject_csv"),
         ".metrics": (
-            "cohort_report", "hash_inputs", "load_series", "series_from_sets", "set_trajectory",
-            "subsample_baseline", "summarize_series", "summarize_subjects", "window_scores",
+            "cohort_report", "hash_inputs", "load_series", "set_trajectory", "subsample_baseline",
+            "summarize_series", "summarize_subjects", "window_scores",
             "write_delta_csv", "write_summary_csv", "write_trajectory_csv",
         ),
     },
@@ -177,7 +176,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
     if not path.exists():
         raise ConfigError(f"config file {path} does not exist")
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as error:
         raise ConfigError(f"config {path} is not valid JSON: {error}") from error
     if not isinstance(doc, dict):
@@ -467,12 +466,13 @@ def cmd_run(config: ExperimentConfig, engine: str, mode: str = "chat") -> int:
 
 # --- grade -----------------------------------------------------------------
 
-def _read_series(path: Path, exemplar_list: ExemplarList) -> LabelSeries:
-    """The series file at ``path``, checked against its rule's list: its
-    ``rule_id`` must be the list's, and its records' (set_index,
-    object_index, gold) the list's objects over its first k >= 1 whole
-    sets, in order, as a session capped by ``max_sets`` writes them.
-    Raises ValueError for any other file."""
+def _read_series(path: Path, exemplar_list: ExemplarList) -> tuple[bool | None, ...]:
+    """The model labels of the series file at ``path``, one per object in
+    the list's layout order, None where one was excluded.  The file is
+    checked against its rule's list: its ``rule_id`` must be the list's,
+    and its records' (set_index, object_index, gold) the list's objects
+    over its first k >= 1 whole sets, in order, as a session capped by
+    ``max_sets`` writes them.  Raises ValueError for any other file."""
     series = load_series(path)
     if series.rule_id != exemplar_list.rule_id:
         raise ValueError(f"rule_id {series.rule_id!r} is not {exemplar_list.rule_id!r}")
@@ -481,7 +481,7 @@ def _read_series(path: Path, exemplar_list: ExemplarList) -> LabelSeries:
     # Whole sets end at a set boundary: the record count is one of the offsets.
     if not found or found != items[:len(found)] or len(found) not in exemplar_list.offsets:
         raise ValueError("its records are not the list's objects and gold labels over whole sets")
-    return series
+    return tuple(r.model for r in series.records)
 
 
 def cmd_grade(config: ExperimentConfig, elicited_path: Path, series_dir: Path | None) -> int:
@@ -498,7 +498,7 @@ def cmd_grade(config: ExperimentConfig, elicited_path: Path, series_dir: Path | 
             if not path.exists():
                 continue
             try:
-                doc = json.loads(path.read_text())
+                doc = json.loads(path.read_text(encoding="utf-8"))
                 if doc["rule_id"] != rule_id:
                     raise ValueError(f"rule_id {doc['rule_id']!r} is not {rule_id!r}")
                 elicited_doc[rule_id] = doc["per_set"]
@@ -506,7 +506,7 @@ def cmd_grade(config: ExperimentConfig, elicited_path: Path, series_dir: Path | 
                 unreadable[rule_id] = f"unreadable elicited file {path}: {error}"
     else:
         try:
-            elicited_doc = json.loads(elicited_path.read_text())
+            elicited_doc = json.loads(elicited_path.read_text(encoding="utf-8"))
         except json.JSONDecodeError as error:
             raise DataError(f"elicited file {elicited_path} is not valid JSON: {error}") from error
         if not isinstance(elicited_doc, dict):
@@ -534,11 +534,11 @@ def cmd_grade(config: ExperimentConfig, elicited_path: Path, series_dir: Path | 
         series_path = series_dir / f"{rule_id}.series.json" if series_dir is not None else None
         try:
             exists = series_path is not None and series_path.exists()
-            series = _read_series(series_path, lists[rule_id]) if exists else None
+            labels = _read_series(series_path, lists[rule_id]) if exists else ()
         except _UNREADABLE as error:
             failures.append((rule_id, f"unreadable series file {series_path}: {error}"))
             continue
-        grades[rule_id] = grade_session(lists[rule_id], sources, config.vocab, series)
+        grades[rule_id] = grade_session(lists[rule_id], sources, config.vocab, labels)
 
     report = match_rate(
         {rule_id: grade.final for rule_id, grade in grades.items()},
@@ -580,16 +580,6 @@ def cmd_grade(config: ExperimentConfig, elicited_path: Path, series_dir: Path | 
 
 
 # --- report ----------------------------------------------------------------
-
-def _human_series(records, gold: ExemplarList) -> list[LabelSeries]:
-    """One series per subject; an object the subject never reached is unlabeled."""
-    return [
-        series_from_sets(gold.rule_id, gold, (
-            (s, answers[start:stop], None) for s, (start, stop) in enumerate(pairwise(gold.offsets))
-        ))
-        for answers in (record.answers(gold) for record in records)
-    ]
-
 
 def _kept_subjects(
     config: ExperimentConfig, lists: dict[str, ExemplarList]
@@ -643,7 +633,8 @@ def cmd_report(config: ExperimentConfig, series_dirs: dict[str, Path]) -> int:
     reports_dir.mkdir(parents=True, exist_ok=True)
     inputs = _inputs_of(config, *(p for p in [config.human_data] if p))
 
-    cohort_series: dict[str, dict[str, LabelSeries]] = {}
+    # One label vector per cohort and rule, one per kept subject for humans.
+    cohort_labels: dict[str, dict[str, tuple[bool | None, ...]]] = {}
     for cohort, directory in series_dirs.items():
         found = {}
         for rule_id in lists:
@@ -656,39 +647,42 @@ def cmd_report(config: ExperimentConfig, series_dirs: dict[str, Path]) -> int:
         if not found:
             failures.append((cohort, f"no series files under {directory}"))
             continue
-        cohort_series[cohort] = found
+        cohort_labels[cohort] = found
 
-    # Each kept subject as a series, scored once per window.
-    human_series: dict[str, list[LabelSeries]] = {}
+    human_answers: dict[str, list[tuple[bool | None, ...]]] = {}
     if config.human_data is not None:
         kept, emptied = _kept_subjects(config, lists)
         failures.extend(emptied)
-        human_series = {r: _human_series(records, lists[r]) for r, records in kept.items()}
-    human_scores = {rule_id: window_scores(series) for rule_id, series in human_series.items()}
+        human_answers = {
+            r: [record.answers(lists[r]) for record in records] for r, records in kept.items()
+        }
+    gold = {rule_id: exemplar_list.gold for rule_id, exemplar_list in lists.items()}
+    human_scores = {r: window_scores(answers, gold[r]) for r, answers in human_answers.items()}
 
     summaries = []
-    for cohort, by_rule in sorted(cohort_series.items()):
-        summaries.append(summarize_series(cohort, by_rule, kinds))
+    for cohort, by_rule in sorted(cohort_labels.items()):
+        summaries.append(summarize_series(cohort, by_rule, gold, kinds))
     if config.human_data is not None:
         summaries.append(summarize_subjects("human", human_scores, kinds))
     write_summary_csv(reports_dir / "summary.csv", summaries, inputs)
 
-    # Each cohort's member series per rule; the human cohort comes last.
-    members = [(c, {r: [s] for r, s in m.items()}) for c, m in sorted(cohort_series.items())]
-    members.append(("human", human_series))
+    # Each cohort's member vectors per rule; the human cohort comes last.
+    members = [(c, {r: [v] for r, v in m.items()}) for c, m in sorted(cohort_labels.items())]
+    members.append(("human", human_answers))
     trajectories = {}
-    for rule_id in sorted(lists):
-        reports = [set_trajectory(m[rule_id], cohort) for cohort, m in members if rule_id in m]
+    for rule_id, exemplar_list in sorted(lists.items()):
+        reports = [set_trajectory(m[rule_id], exemplar_list, cohort)
+                   for cohort, m in members if rule_id in m]
         if reports:
             trajectories[rule_id] = reports
     write_trajectory_csv(reports_dir / "trajectories.csv", trajectories, inputs)
 
     last_quarter = {r: s["last_quarter"] for r, s in human_scores.items() if s["last_quarter"]}
-    for cohort, by_rule in sorted(cohort_series.items()):
+    for cohort, by_rule in sorted(cohort_labels.items()):
         model_scores = {  # a rule whose last quarter has no label drops out
             rule_id: score
             for rule_id in last_quarter if rule_id in by_rule
-            for score in window_scores([by_rule[rule_id]])["last_quarter"]
+            for score in window_scores([by_rule[rule_id]], gold[rule_id])["last_quarter"]
         }
         shared = {r: last_quarter[r] for r in model_scores}
         if not shared:

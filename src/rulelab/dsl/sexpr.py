@@ -91,11 +91,16 @@ class _Parser:
         return token
 
     def _var(self, token: _Token) -> int:
-        if not token.text.isdigit():
-            raise ConceptSyntaxError(
-                f"expected a variable index, found {token.text!r}", token.position
-            )
-        return int(token.text)
+        # isdigit() also holds for digits int() refuses, such as superscripts;
+        # int() also refuses a decimal past the interpreter's digit limit.
+        if token.text.isdecimal():
+            try:
+                return int(token.text)
+            except ValueError:
+                pass
+        raise ConceptSyntaxError(
+            f"expected a variable index, found {token.text!r}", token.position
+        )
 
     def _optional_var(self) -> int:
         token = self._peek()
@@ -226,7 +231,7 @@ def load_vocab(path: str | Path) -> FeatureVocab:
     """Read a vocabulary JSON document {sizes: [], colors: [], shapes: []}.
     Each dimension must be a JSON list of values that :class:`FeatureVocab`
     accepts; anything else raises :class:`DslError`."""
-    doc = json.loads(Path(path).read_text())
+    doc = json.loads(Path(path).read_text(encoding="utf-8"))
     dims = {dim: doc[dim] for dim in ("sizes", "colors", "shapes")}
     for dim, values in dims.items():
         if not isinstance(values, list):

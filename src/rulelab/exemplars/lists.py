@@ -164,7 +164,7 @@ def write_atomic(path: str | Path, text: str) -> None:
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        with open(tmp, "w") as handle:
+        with open(tmp, "w", encoding="utf-8") as handle:
             handle.write(text)
             handle.flush()
             os.fsync(handle.fileno())
@@ -207,7 +207,7 @@ def load_list(path: str | Path) -> ExemplarList:
     :class:`LabelSoundnessError`.  A list with no sets, or a set with no
     objects, raises :class:`DslError`: nothing downstream can score it.
     """
-    doc = json.loads(Path(path).read_text())
+    doc = json.loads(Path(path).read_text(encoding="utf-8"))
     if not doc["sets"]:
         raise DslError(f"{path}: the list has no sets")
     vocab = FeatureVocab(

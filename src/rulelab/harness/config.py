@@ -130,7 +130,7 @@ def load_endpoint_config(path: str | Path) -> EndpointConfig:
     http(s) URL, or a ``model`` that cannot name a directory below the
     output directory raises :class:`EndpointConfigError`."""
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, ValueError) as error:  # ValueError: bad JSON or bad UTF-8
         raise EndpointConfigError(f"endpoint config {path} is unreadable: {error}") from error
     if not isinstance(doc, dict):

@@ -186,7 +186,7 @@ def save_transcript(transcript: SessionTranscript, path: str | Path) -> None:
 
 
 def load_transcript(path: str | Path) -> SessionTranscript:
-    return SessionTranscript.from_document(json.loads(Path(path).read_text()))
+    return SessionTranscript.from_document(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
 def _request_key(endpoint: EndpointConfig, payload: dict) -> str:
@@ -229,7 +229,7 @@ class _Caller:
         if self.cache_dir is not None:
             cache_path = self.cache_dir / f"{key}.json"
             if cache_path.exists():
-                response = json.loads(cache_path.read_text())
+                response = json.loads(cache_path.read_text(encoding="utf-8"))
                 what = f"cached reply {cache_path}"
                 return response, _read_reply(self.read, response, queried, what)
         retries = self.endpoint.max_retries

@@ -285,7 +285,7 @@ def grammar_from_pairs(
 def load_grammar(path: str | Path, vocab: FeatureVocab) -> Grammar:
     """Read a grammar JSON document:
     {"start": ..., "productions": [{"lhs", "template", "weight"}, ...]}."""
-    doc = json.loads(Path(path).read_text())
+    doc = json.loads(Path(path).read_text(encoding="utf-8"))
     pairs = [
         (row["lhs"], row["template"], float(row.get("weight", 1.0)))
         for row in doc["productions"]

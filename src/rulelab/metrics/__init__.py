@@ -8,8 +8,8 @@ __getattr__, __dir__, __all__ = lazy_exports(globals(), {
         "cross_entropy", "cross_entropy_series", "last_quarter_count", "pearson_r", "r_squared",
     ),
     ".grading": (
-        "MatchReport", "RuleGrade", "RuleVerdict", "SetReport", "consistency", "grade_session",
-        "match_rate", "rule_likelihood", "rule_likelihood_counts",
+        "MatchReport", "RuleGrade", "RuleVerdict", "grade_session", "match_rate",
+        "rule_likelihood_counts",
     ),
     ".reports": (
         "AccuracySummary", "RULE_CLASSES", "hash_inputs", "summarize_series",

@@ -9,8 +9,6 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Sequence
 
-from .series import LabelSeries
-
 if TYPE_CHECKING:
     import numpy as np
 
@@ -30,21 +28,24 @@ def last_quarter_count(n_objects: int) -> int:
     return -(-n_objects // 4)
 
 
-def accuracy(series: LabelSeries, window: str = "overall") -> float:
-    """Proportion of correct model labels over the window.
+def accuracy(labels: Sequence[bool | None], gold: Sequence[bool], window: str = "overall") -> float:
+    """Proportion of correct labels over the window.
 
-    The window is cut over all objects in presentation order first;
-    excluded objects are then dropped from both numerator and denominator.
+    ``labels`` holds one label per object, None where it was excluded, in
+    the list's layout order from its first object; ``gold`` holds the
+    list's gold labels in the same order.  The window is cut over all of
+    ``labels`` first; excluded objects are then dropped from both
+    numerator and denominator.
     """
     if window not in WINDOWS:
         raise ValueError(f"window must be one of {WINDOWS}, got {window!r}")
-    records = series.records
-    if window == "last_quarter":
-        records = records[len(records) - last_quarter_count(len(records)):]
-    attempted = [r for r in records if r.model is not None]
-    if not attempted:
+    if len(labels) > len(gold):
+        raise ValueError(f"{len(labels)} labels for {len(gold)} gold labels")
+    start = len(labels) - last_quarter_count(len(labels)) if window == "last_quarter" else 0
+    scored = [label == g for label, g in zip(labels[start:], gold[start:]) if label is not None]
+    if not scored:
         raise EmptyWindowError(f"no labeled objects in the {window} window")
-    return sum(r.model == r.gold for r in attempted) / len(attempted)
+    return sum(scored) / len(scored)
 
 
 def pearson_r(model: Sequence[float], human: Sequence[float]) -> float:

@@ -2,7 +2,8 @@
 
 *Likelihood* of a rule is the fraction of already-seen gold labels it
 accounts for.  *Consistency* is the fraction of a session's emitted labels
-that agree with the rule reported alongside them.  *Match rate* is the
+that agree with the rule reported alongside them.  Both read one truth
+vector per reported rule, in the list's layout order.  *Match rate* is the
 fraction of rules whose final reported rule reaches likelihood exactly 1.0
 over the full list; the stricter bounded-universe equivalence rate is
 reported next to it.
@@ -15,9 +16,8 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Mapping, Sequence
 
-from ..dsl import Concept, Context, DslError, FeatureVocab, equivalent, evaluate, parse_concept
+from ..dsl import Concept, DslError, FeatureVocab, equivalent, evaluate, parse_concept
 from ..exemplars import ExemplarList, Observation, evidence_from_list
-from .series import LabelSeries
 
 
 def rule_likelihood_counts(concept: Concept, evidence: Sequence[Observation]) -> tuple[int, int]:
@@ -27,40 +27,6 @@ def rule_likelihood_counts(concept: Concept, evidence: Sequence[Observation]) ->
         raise ValueError("evidence must be non-empty")
     correct = sum(evaluate(concept, ctx) == label for ctx, label in evidence)
     return correct, len(evidence)
-
-
-def rule_likelihood(concept: Concept, evidence: Sequence[Observation]) -> float:
-    correct, total = rule_likelihood_counts(concept, evidence)
-    return correct / total
-
-
-@dataclass(frozen=True)
-class SetReport:
-    """One set's reported rule with the labels emitted while it was held.
-
-    ``labels`` pairs each labeled object's context with the emitted label;
-    excluded objects carry None and do not count toward consistency.
-    """
-
-    concept: Concept | None
-    labels: tuple[tuple[Context, bool | None], ...]
-
-
-def consistency(session: Sequence[SetReport]) -> float:
-    """Fraction of labeled objects agreeing with the concurrently reported
-    rule.  Sets without a reported rule are skipped."""
-    agreed = total = 0
-    for report in session:
-        if report.concept is None:
-            continue
-        for ctx, label in report.labels:
-            if label is None:
-                continue
-            total += 1
-            agreed += evaluate(report.concept, ctx) == label
-    if total == 0:
-        raise ValueError("no labeled objects under a reported rule")
-    return agreed / total
 
 
 @dataclass(frozen=True)
@@ -88,10 +54,21 @@ def grade_session(
     exemplar_list: ExemplarList,
     sources: Sequence[str | None],
     vocab: FeatureVocab,
-    series: LabelSeries | None = None,
+    labels: Sequence[bool | None] = (),
 ) -> RuleGrade:
-    """Grade the rules reported for each set (``sources``, printed); the
-    labels ``series`` emitted, if given, are scored for consistency."""
+    """Grade the rules reported for each set (``sources``, printed).
+
+    Set k's rule is scored for likelihood on the objects before set k, the
+    first ``offsets[k]``.  ``labels``, if given, holds the label emitted for
+    each object, None where it was excluded, in the list's layout order
+    over its first whole sets; each label of set k is scored for
+    consistency against set k's rule.  Each distinct rule is evaluated once
+    per object, up to the last object it is scored on, and both scores are
+    read from that one truth vector.
+    """
+    offsets = exemplar_list.offsets
+    if len(labels) not in offsets:
+        raise ValueError("labels must cover the list's first whole sets")
     concepts: list[Concept | None] = []
     unparseable = []
     for set_index, source in enumerate(sources):
@@ -100,43 +77,37 @@ def grade_session(
         except DslError as error:
             concepts.append(None)
             unparseable.append((set_index, source, str(error)))
-    labels_by_set: dict[int, dict[int, bool | None]] = {}
-    for record in series.records if series is not None else ():
-        labels_by_set.setdefault(record.set_index, {})[record.object_index] = record.model
 
     n_sets = len(exemplar_list.sets)
     concepts_by_set = concepts[:n_sets] + [None] * (n_sets - len(concepts))
-    # Set k's rule is scored on the objects before set k, the first
-    # offsets[k].  Each distinct rule is evaluated once per object up to
-    # its last set, and its (correct, total) at every set comes from the
-    # running counts.
-    offsets = exemplar_list.offsets
-    evidence = evidence_from_list(exemplar_list)
-    reach = {c: offsets[k] for k, c in enumerate(concepts_by_set) if c is not None}
-    correct_before = {
-        concept: list(accumulate(
-            (evaluate(concept, ctx) == label for ctx, label in evidence[:n]), initial=0
-        ))
+    # Set k's rule is scored on the objects before set k and on set k's
+    # labels; offsets grow with k, so each rule's last set reaches furthest.
+    reach = {
+        concept: max(offsets[k], min(offsets[k + 1], len(labels)))
+        for k, concept in enumerate(concepts_by_set) if concept is not None
+    }
+    truth = {
+        concept: [evaluate(concept, ctx) for ctx in exemplar_list.contexts[:n]]
         for concept, n in reach.items()
+    }
+    correct_before = {
+        concept: list(accumulate((t == g for t, g in zip(row, exemplar_list.gold)), initial=0))
+        for concept, row in truth.items()
     }
     likelihoods = [
         correct_before[concept][offsets[k]] / offsets[k]
         if concept is not None and offsets[k] else None
         for k, concept in enumerate(concepts_by_set)
     ]
-    session = [
-        SetReport(concept, tuple(
-            (exemplar_set.context_for(i), label)
-            for i, label in labels_by_set.get(set_index, {}).items()
-        ))
-        for set_index, (exemplar_set, concept) in enumerate(zip(exemplar_list.sets, concepts_by_set))
-        if concept is not None
+    agreed = [
+        truth[concept][i] == labels[i]
+        for k, concept in enumerate(concepts_by_set) if concept is not None
+        for i in range(offsets[k], min(offsets[k + 1], len(labels))) if labels[i] is not None
     ]
-    labeled = any(label is not None for report in session for _ctx, label in report.labels)
     return RuleGrade(
         sources=tuple(sources[:n_sets]) + (None,) * (n_sets - len(sources)),
         likelihoods=tuple(likelihoods),
-        consistency=consistency(session) if labeled else None,
+        consistency=sum(agreed) / len(agreed) if agreed else None,
         final=concepts[-1] if concepts else None,
         unparseable=tuple(unparseable),
     )

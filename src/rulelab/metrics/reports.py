@@ -15,7 +15,6 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 from ..exemplars.humans import propagated_baseline
 from ..exemplars.lists import write_csv
 from .core import WINDOWS, EmptyWindowError, accuracy
-from .series import LabelSeries
 from .trajectory import CohortReport, TrajectoryReport
 
 if TYPE_CHECKING:  # grading needs the learner, and with it numpy
@@ -56,22 +55,29 @@ class AccuracySummary:
 
 def summarize_series(
     cohort: str,
-    series_by_rule: Mapping[str, LabelSeries],
+    labels_by_rule: Mapping[str, Sequence[bool | None]],
+    gold: Mapping[str, Sequence[bool]],
     kinds: Mapping[str, str],
 ) -> AccuracySummary:
-    """Mean per-rule accuracy for each (rule class, window) cell."""
-    one_each = {rule_id: window_scores([series]) for rule_id, series in series_by_rule.items()}
+    """Mean per-rule accuracy for each (rule class, window) cell, from one
+    label vector per rule scored against that rule's gold labels."""
+    one_each = {
+        rule_id: window_scores([labels], gold[rule_id]) for rule_id, labels in labels_by_rule.items()
+    }
     return AccuracySummary(cohort, summarize_subjects(cohort, one_each, kinds).cells, sds={})
 
 
-def window_scores(series: Sequence[LabelSeries]) -> dict[str, list[float]]:
-    """Each series' accuracy in every window; a series whose window has no
-    label is left out of that window."""
+def window_scores(
+    vectors: Sequence[Sequence[bool | None]], gold: Sequence[bool]
+) -> dict[str, list[float]]:
+    """Each label vector's :func:`accuracy` against one list's ``gold`` in
+    every window; a vector whose window has no label is left out of that
+    window."""
     scores: dict[str, list[float]] = {window: [] for window in WINDOWS}
-    for one in series:
+    for labels in vectors:
         for window in WINDOWS:
             try:
-                scores[window].append(accuracy(one, window))
+                scores[window].append(accuracy(labels, gold, window))
             except EmptyWindowError:
                 continue
     return scores

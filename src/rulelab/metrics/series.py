@@ -1,4 +1,7 @@
-"""Per-object label records: the common currency of all metrics."""
+"""Label series files: a session's per-object labels as written to disk.
+
+The metrics score label vectors in the list's layout order; a series is the
+file form of one, read back and checked by the command that scores it."""
 
 from __future__ import annotations
 
@@ -86,7 +89,7 @@ def save_series(series: LabelSeries, path: str | Path) -> None:
 def load_series(path: str | Path) -> LabelSeries:
     """Read a :func:`save_series` file.  Files written before records lost
     their always-null ``"human"`` key still load; the key is ignored."""
-    doc = json.loads(Path(path).read_text())
+    doc = json.loads(Path(path).read_text(encoding="utf-8"))
     records = [
         ObjectRecord(
             set_index=r["set_index"],

@@ -11,10 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from itertools import pairwise
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .core import chance_baseline
-from .series import LabelSeries
+
+if TYPE_CHECKING:
+    from ..exemplars.lists import ExemplarList
 
 DEFAULT_PERCENTILES = (25.0, 20.0, 10.0, 1.0)
 
@@ -127,25 +130,33 @@ class TrajectoryReport:
     chance: float
 
 
-def set_trajectory(series_by_member: Sequence[LabelSeries], cohort: str) -> TrajectoryReport:
-    """Mean per-set accuracy across a cohort's label series (all series must
-    describe the same exemplar list)."""
-    if not series_by_member:
-        raise ValueError("no series")
-    n_sets = max(r.set_index for s in series_by_member for r in s.records) + 1
+def set_trajectory(
+    vectors: Sequence[Sequence[bool | None]], exemplar_list: ExemplarList, cohort: str
+) -> TrajectoryReport:
+    """Mean per-set accuracy across a cohort's label vectors on one list.
+
+    Each vector holds one label per object, None where it was excluded, in
+    the list's layout order over its first whole sets; set k is the slice
+    ``offsets[k]:offsets[k + 1]``.  The trajectory runs to the last set any
+    vector reaches, and its chance baseline is taken at the True rate of the
+    gold labels the first vector covers."""
+    if not vectors:
+        raise ValueError("no label vectors")
+    offsets, gold = exemplar_list.offsets, exemplar_list.gold
+    if any(len(labels) not in offsets for labels in vectors) or not vectors[0]:
+        raise ValueError("a label vector must cover the list's first k >= 1 whole sets")
     per_set = []
-    for set_index in range(n_sets):
+    for start, stop in pairwise(offsets[:offsets.index(max(map(len, vectors))) + 1]):
         scores = []
-        for series in series_by_member:
-            records = [
-                r for r in series.records if r.set_index == set_index and r.model is not None
-            ]
-            if records:
-                scores.append(sum(r.model == r.gold for r in records) / len(records))
+        for labels in vectors:
+            scored = [label == g for label, g in zip(labels[start:stop], gold[start:stop])
+                      if label is not None]
+            if scored:
+                scores.append(sum(scored) / len(scored))
         per_set.append(sum(scores) / len(scores) if scores else None)
-    gold = [r.gold for r in series_by_member[0].records]
+    covered = gold[:len(vectors[0])]
     return TrajectoryReport(
         cohort=cohort,
         per_set_accuracy=tuple(per_set),
-        chance=chance_baseline(sum(gold) / len(gold)),
+        chance=chance_baseline(sum(covered) / len(covered)),
     )

@@ -26,6 +26,7 @@ from rulelab.dsl import (
     REL_KINDS,
     Xor,
 )
+from rulelab.exemplars import ExemplarList, SubjectRecord
 
 _BINARY_NODES = (And, Or, Xor, Implies, Iff)
 
@@ -97,3 +98,21 @@ def concept_strategy(max_budget: int = 7, binders: int = 0) -> st.SearchStrategy
 
 def context_strategy() -> st.SearchStrategy[Context]:
     return st.builds(lambda seed: random_context(random.Random(seed)), st.integers(0, 2**32 - 1))
+
+
+def seeded_subjects(gold: ExemplarList, rng: random.Random, n: int) -> list[SubjectRecord]:
+    """Subjects who skip some objects, answer objects past the end of a
+    set, and answer sets past the end of the list."""
+    records = []
+    for i in range(n):
+        responses = {}
+        for s, o, _ctx, label in gold.iter_items():
+            if rng.random() < 0.7:
+                responses[(s, o)] = label if rng.random() < 0.8 else not label
+        for _ in range(rng.randint(0, 4)):
+            s = rng.randrange(len(gold.sets) + 3)
+            responses[(s, rng.randint(5, 7) if s < len(gold.sets) else rng.randrange(5))] = (
+                rng.random() < 0.5
+            )
+        records.append(SubjectRecord(f"s{i}", gold.rule_id, responses, len(gold.sets)))
+    return records

@@ -153,13 +153,17 @@ def test_gen_reports_parse_failures(tmp_path, capsys):
         json.dumps({"rules": [
             {"id": "ok", "kind": "propositional", "source": "(is-color blue)"},
             {"id": "broken", "kind": "propositional", "source": "(is-color mauve)"},
+            # A superscript digit passes str.isdigit() but not int().
+            {"id": "superscript", "kind": "fol", "source": "(exists others (same-color 0 ²))"},
         ]})
     )
     (tmp_path / "config.json").write_text(
         json.dumps({"rules": "rules.json", "lists_dir": "lists", "output_dir": "out", "seed": 1})
     )
     assert main(["gen", "--config", str(tmp_path / "config.json")]) == EXIT_DATA
-    assert "broken" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "'broken' failed to parse" in err
+    assert "'superscript' failed to parse" in err
     assert (tmp_path / "lists" / "ok.json").exists()
 
 
@@ -1392,3 +1396,47 @@ def test_pipeline_outputs_are_byte_identical_across_workspaces(tmp_path):
                      "reports/grading_per_set.csv", "reports/deltas_plot.csv"):
         assert expected in first
     assert [name for name in first if first[name] != second[name]] == []
+
+
+def test_files_are_utf8_under_an_ascii_locale(tmp_path):
+    """Files are read and written as UTF-8 whatever the locale's encoding:
+    under an ASCII locale, a vocab, rules manifest and elicited file naming
+    the color "vért" are read, the grading CSV that prints the rule is
+    written, and a subject file of subject "sé" round-trips."""
+    vocab = {"sizes": ["small", "large"], "colors": ["blue", "vért"], "shapes": ["circle"]}
+    rules = {"rules": [{"id": "vert", "kind": "propositional", "source": "(is-color vért)"}]}
+    elicited = {"vert": ["(is-color vért)"] * 25}
+    for name, doc in (("vocab", vocab), ("rules", rules), ("elicited", elicited)):
+        text = json.dumps(doc, ensure_ascii=False)
+        (tmp_path / f"{name}.json").write_text(text, encoding="utf-8")
+    (tmp_path / "config.json").write_text(json.dumps({
+        "rules": "rules.json", "vocab": "vocab.json", "lists_dir": "out/lists",
+        "output_dir": "out", "seed": 3,
+    }))
+    src = str(Path(rulelab.__file__).resolve().parents[1])
+    env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0", PYTHONPATH=src)
+    env.pop("PYTHONIOENCODING", None)
+
+    def in_ascii_locale(*argv: str) -> subprocess.CompletedProcess:
+        return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True,
+                              encoding="utf-8", timeout=120)
+
+    probe = in_ascii_locale("-c", "import locale; print(locale.getpreferredencoding(False))")
+    assert probe.stdout.strip() == "ANSI_X3.4-1968"
+    config = str(tmp_path / "config.json")
+    for argv in (["gen"], ["grade", "--elicited", str(tmp_path / "elicited.json")]):
+        done = in_ascii_locale("-m", "rulelab.cli", argv[0], "--config", config, *argv[1:])
+        assert done.returncode == EXIT_OK, done.stderr
+    per_set = (tmp_path / "out" / "reports" / "grading_per_set.csv").read_bytes()
+    assert "vert,1,(is-color vért),1".encode("utf-8") in per_set
+
+    subjects = tmp_path / "subjects.csv"
+    done = in_ascii_locale("-c", (
+        "import sys\n"
+        "from rulelab.exemplars import SubjectRecord, read_subject_csv, write_subject_csv\n"
+        "record = SubjectRecord('s\\u00e9', 'vert', {(0, 0): True}, 1)\n"
+        "write_subject_csv([record], sys.argv[1])\n"
+        "assert read_subject_csv(sys.argv[1]) == [record]\n"
+    ), str(subjects))
+    assert done.returncode == 0, done.stderr
+    assert "sé,vert,0,0,True".encode("utf-8") in subjects.read_bytes()

@@ -5,40 +5,42 @@ from fractions import Fraction
 
 import pytest
 
+from metrics_reference import per_set_grade, series_of
 from rulelab.catalog import DEFAULT_VOCAB as V
 from rulelab.catalog import DEMO_RULES
-from rulelab.dsl import DslError, Not, equivalent, evaluate, parse_concept, print_concept
+from rulelab.dsl import Not, equivalent, evaluate, parse_concept, print_concept
 from rulelab.exemplars import generate_list
 from rulelab.learner import evidence_from_list
-from rulelab.metrics import (
-    LabelSeries,
-    ObjectRecord,
-    RuleGrade,
-    SetReport,
-    consistency,
-    grade_session,
-    match_rate,
-    rule_likelihood,
-    rule_likelihood_counts,
-)
+from rulelab.metrics import grade_session, match_rate, rule_likelihood_counts
 
 GOLD = parse_concept("(implies (is-shape circle) (is-color blue))", V)
+GOLD_SOURCE = print_concept(GOLD, V)
+
+
+def reported_each_set(exemplar_list, source: str) -> list[str]:
+    return [source] * len(exemplar_list.sets)
 
 
 def test_gold_concept_has_likelihood_one():
     exemplar_list = generate_list(GOLD, V, seed=3)
     evidence = evidence_from_list(exemplar_list)
-    assert rule_likelihood(GOLD, evidence) == 1.0
     correct, total = rule_likelihood_counts(GOLD, evidence)
     assert correct == total == exemplar_list.n_objects
+    grade = grade_session(exemplar_list, reported_each_set(exemplar_list, GOLD_SOURCE), V)
+    assert grade.likelihoods[0] is None  # no earlier evidence
+    assert grade.likelihoods[1:] == (1.0,) * (len(exemplar_list.sets) - 1)
 
 
 def test_negated_concept_has_complementary_likelihood():
     exemplar_list = generate_list(GOLD, V, seed=3)
     evidence = evidence_from_list(exemplar_list)
-    assert rule_likelihood(Not(GOLD), evidence) == pytest.approx(
-        1.0 - rule_likelihood(GOLD, evidence)
-    )
+    correct, total = rule_likelihood_counts(GOLD, evidence)
+    assert rule_likelihood_counts(Not(GOLD), evidence) == (total - correct, total)
+    negated = print_concept(Not(GOLD), V)
+    gold_grade = grade_session(exemplar_list, reported_each_set(exemplar_list, GOLD_SOURCE), V)
+    negated_grade = grade_session(exemplar_list, reported_each_set(exemplar_list, negated), V)
+    for likelihood, complement in zip(gold_grade.likelihoods[1:], negated_grade.likelihoods[1:]):
+        assert complement == pytest.approx(1.0 - likelihood)
 
 
 def test_equivalent_concepts_share_likelihood():
@@ -50,45 +52,45 @@ def test_equivalent_concepts_share_likelihood():
     for seed in range(5):
         exemplar_list = generate_list(GOLD, V, seed=seed)
         evidence = evidence_from_list(exemplar_list)
-        assert rule_likelihood(a, evidence) == rule_likelihood(b, evidence)
+        assert rule_likelihood_counts(a, evidence) == rule_likelihood_counts(b, evidence)
+        grades = [
+            grade_session(exemplar_list, reported_each_set(exemplar_list, print_concept(c, V)), V)
+            for c in (a, b)
+        ]
+        assert grades[0].likelihoods == grades[1].likelihoods
 
 
 def test_empty_evidence_rejected():
     with pytest.raises(ValueError):
-        rule_likelihood(GOLD, [])
+        rule_likelihood_counts(GOLD, [])
 
 
 def test_consistency_of_self_applied_rule():
     exemplar_list = generate_list(GOLD, V, seed=5)
-    session = []
-    for exemplar_set in exemplar_list.sets:
-        labels = tuple(
-            (exemplar_set.context_for(i), evaluate(GOLD, exemplar_set.context_for(i)))
-            for i in range(len(exemplar_set.objects))
-        )
-        session.append(SetReport(concept=GOLD, labels=labels))
-    assert consistency(session) == 1.0
+    labels = [evaluate(GOLD, ctx) for ctx in exemplar_list.contexts]
+    sources = reported_each_set(exemplar_list, GOLD_SOURCE)
+    assert grade_session(exemplar_list, sources, V, labels).consistency == 1.0
 
 
 def test_consistency_counts_flips():
     exemplar_list = generate_list(GOLD, V, seed=5)
-    contexts = [
-        exemplar_list.sets[0].context_for(i)
-        for i in range(len(exemplar_list.sets[0].objects))
-    ]
-    # Ten objects via repetition; flip exactly one.
-    items = [(ctx, evaluate(GOLD, ctx)) for ctx in (contexts * 10)[:10]]
-    items[3] = (items[3][0], not items[3][1])
-    assert consistency([SetReport(GOLD, tuple(items))]) == 0.9
+    # Ten labeled objects over the first whole sets; flip exactly one.
+    n_labels = next(n for n in exemplar_list.offsets if n >= 10)
+    labels = [evaluate(GOLD, ctx) for ctx in exemplar_list.contexts[:10]]
+    labels[3] = not labels[3]
+    labels += [None] * (n_labels - 10)
+    sources = reported_each_set(exemplar_list, GOLD_SOURCE)
+    assert grade_session(exemplar_list, sources, V, labels).consistency == 0.9
 
 
 def test_consistency_skips_excluded_and_unreported():
-    ctx = generate_list(GOLD, V, seed=5).sets[0].context_for(0)
-    session = [
-        SetReport(GOLD, ((ctx, evaluate(GOLD, ctx)), (ctx, None))),
-        SetReport(None, ((ctx, not evaluate(GOLD, ctx)),)),
-    ]
-    assert consistency(session) == 1.0
+    exemplar_list = generate_list(GOLD, V, seed=5)
+    start, second, end = exemplar_list.offsets[:3]
+    assert second - start >= 2  # set 0 holds a labeled and an excluded object
+    truth = [evaluate(GOLD, ctx) for ctx in exemplar_list.contexts[:end]]
+    labels = [truth[0]] + [None] * (second - 1) + [not t for t in truth[second:end]]
+    sources = [GOLD_SOURCE, None]  # set 1, labeled against the rule, reports none
+    assert grade_session(exemplar_list, sources, V, labels).consistency == 1.0
 
 
 def test_consistency_closed_form_under_noise():
@@ -98,21 +100,16 @@ def test_consistency_closed_form_under_noise():
     rng = random.Random(19)
     alpha, beta = 0.75, 0.4
     exemplar_list = generate_list(GOLD, V, seed=9)
-    contexts = [ctx for _s, _o, ctx, _l in exemplar_list.iter_items()]
-    rule_true = [evaluate(GOLD, ctx) for ctx in contexts]
+    rule_true = [evaluate(GOLD, ctx) for ctx in exemplar_list.contexts]
     p_true = sum(rule_true) / len(rule_true)
     expected = alpha + (1 - alpha) * (beta * p_true + (1 - beta) * (1 - p_true))
 
+    sources = reported_each_set(exemplar_list, GOLD_SOURCE)
     trials = 4000
     agreements = 0
     for _ in range(trials):
-        items = []
-        for ctx, truth in zip(contexts, rule_true):
-            if rng.random() < alpha:
-                items.append((ctx, truth))
-            else:
-                items.append((ctx, rng.random() < beta))
-        agreements += consistency([SetReport(GOLD, tuple(items))])
+        labels = [truth if rng.random() < alpha else rng.random() < beta for truth in rule_true]
+        agreements += grade_session(exemplar_list, sources, V, labels).consistency
     observed = agreements / trials
     assert observed == pytest.approx(expected, abs=0.01)
 
@@ -164,19 +161,19 @@ def test_almost_perfect_likelihood_is_not_a_match():
 BLUE_SOURCE = "(is-color blue)"
 
 
-def _blue_session_series(exemplar_list):
+def _blue_session_labels(exemplar_list) -> list[bool | None]:
     """Labels following "blue", with every set's first object excluded, a
     flip in set 3 (graded) and flips in sets 1 and 2 (no parsed rule)."""
     blue = parse_concept(BLUE_SOURCE, V)
-    records = []
-    for set_index, object_index, ctx, label in exemplar_list.iter_items():
-        model = evaluate(blue, ctx)
+    labels = []
+    for set_index, object_index, ctx, _label in exemplar_list.iter_items():
+        label = evaluate(blue, ctx)
         if object_index == 0:
-            model = None
+            label = None
         elif set_index in (1, 2) or (set_index == 3 and object_index == 1):
-            model = not model
-        records.append(ObjectRecord(set_index, object_index, gold=label, model=model))
-    return LabelSeries(exemplar_list.rule_id, records)
+            label = not label
+        labels.append(label)
+    return labels
 
 
 def test_grade_session_per_set_likelihood():
@@ -208,7 +205,7 @@ def test_grade_session_consistency_skips_excluded_labels():
     sources = [BLUE_SOURCE, "(is-color ultraviolet)", None] + [BLUE_SOURCE] * (
         len(exemplar_list.sets) - 3
     )
-    grade = grade_session(exemplar_list, sources, V, _blue_session_series(exemplar_list))
+    grade = grade_session(exemplar_list, sources, V, _blue_session_labels(exemplar_list))
     # Scored: every object but the first, in the sets with a parsed rule.
     scored = sum(
         len(s.labels) - 1 for i, s in enumerate(exemplar_list.sets) if i not in (1, 2)
@@ -219,49 +216,11 @@ def test_grade_session_consistency_skips_excluded_labels():
 
 def test_grade_session_without_labels_under_a_rule():
     exemplar_list = generate_list(GOLD, V, seed=7, rule_id="gold")
-    series = _blue_session_series(exemplar_list)
-    grade = grade_session(exemplar_list, [None] * len(exemplar_list.sets), V, series)
+    labels = _blue_session_labels(exemplar_list)
+    grade = grade_session(exemplar_list, [None] * len(exemplar_list.sets), V, labels)
     assert grade.consistency is None
     assert all(likelihood is None for likelihood in grade.likelihoods)
     assert grade.final is None and grade.mean_likelihood is None
-
-
-def per_set_grade(exemplar_list, sources, vocab, series=None) -> RuleGrade:
-    """The per-set form of :func:`grade_session`: every set re-scores its
-    rule on the whole evidence grown so far."""
-    concepts, unparseable = [], []
-    for set_index, source in enumerate(sources):
-        try:
-            concepts.append(None if source is None else parse_concept(source, vocab))
-        except DslError as error:
-            concepts.append(None)
-            unparseable.append((set_index, source, str(error)))
-    labels_by_set = {}
-    for record in series.records if series is not None else ():
-        labels_by_set.setdefault(record.set_index, {})[record.object_index] = record.model
-    n_sets = len(exemplar_list.sets)
-    concepts_by_set = concepts[:n_sets] + [None] * (n_sets - len(concepts))
-    evidence, likelihoods, session = [], [], []
-    for set_index, (exemplar_set, concept) in enumerate(zip(exemplar_list.sets, concepts_by_set)):
-        likelihoods.append(
-            rule_likelihood(concept, evidence) if concept is not None and evidence else None
-        )
-        if concept is not None:
-            labels = labels_by_set.get(set_index, {}).items()
-            session.append(SetReport(concept, tuple(
-                (exemplar_set.context_for(i), label) for i, label in labels
-            )))
-        evidence += [
-            (exemplar_set.context_for(i), label) for i, label in enumerate(exemplar_set.labels)
-        ]
-    labeled = any(label is not None for report in session for _ctx, label in report.labels)
-    return RuleGrade(
-        sources=tuple(sources[:n_sets]) + (None,) * (n_sets - len(sources)),
-        likelihoods=tuple(likelihoods),
-        consistency=consistency(session) if labeled else None,
-        final=concepts[-1] if concepts else None,
-        unparseable=tuple(unparseable),
-    )
 
 
 def _reported_rules(exemplar_list, rng: random.Random) -> list[str | None]:
@@ -273,12 +232,8 @@ def _reported_rules(exemplar_list, rng: random.Random) -> list[str | None]:
     return [rng.choice(pool) for _ in range(n_sets + rng.choice((-3, 0, 2)))]
 
 
-def _sampled_series(exemplar_list, rng: random.Random) -> LabelSeries:
-    records = [
-        ObjectRecord(s, o, label, rng.choice((True, False, None)))
-        for s, o, _ctx, label in exemplar_list.iter_items()
-    ]
-    return LabelSeries(exemplar_list.rule_id, records)
+def _sampled_labels(exemplar_list, rng: random.Random) -> list[bool | None]:
+    return [rng.choice((True, False, None)) for _ in range(exemplar_list.n_objects)]
 
 
 @pytest.mark.parametrize("rule", DEMO_RULES, ids=[rule.rule_id for rule in DEMO_RULES])
@@ -290,11 +245,11 @@ def test_grade_session_is_the_per_set_loop(rule, monkeypatch):
     rng = random.Random(rule.rule_id)
     exemplar_list = generate_list(parse_concept(rule.source, V), V, seed=11, rule_id=rule.rule_id)
     sources = _reported_rules(exemplar_list, rng)
-    series = _sampled_series(exemplar_list, rng)
-    for with_series in (None, series):
-        assert grade_session(exemplar_list, sources, V, with_series) == per_set_grade(
-            exemplar_list, sources, V, with_series
-        )
+    labels = _sampled_labels(exemplar_list, rng)
+    assert grade_session(exemplar_list, sources, V) == per_set_grade(exemplar_list, sources, V)
+    assert grade_session(exemplar_list, sources, V, labels) == per_set_grade(
+        exemplar_list, sources, V, series_of(labels, exemplar_list)
+    )
 
     calls = []
 
@@ -303,7 +258,8 @@ def test_grade_session_is_the_per_set_loop(rule, monkeypatch):
         return evaluate(concept, ctx)
 
     monkeypatch.setattr(grading, "evaluate", counted)
-    grade_session(exemplar_list, sources, V)  # no series: consistency evaluates nothing
     distinct = {parse_concept(s, V) for s in sources if s is not None and "mauve" not in s}
-    n_objects = sum(len(s.labels) for s in exemplar_list.sets)
-    assert len(calls) <= n_objects * len(distinct)
+    for given in ((), labels):  # likelihood and consistency read one truth vector
+        calls.clear()
+        grade_session(exemplar_list, sources, V, given)
+        assert len(calls) <= exemplar_list.n_objects * len(distinct)

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from rulelab.metrics import (
     EmptyWindowError,
-    LabelSeries,
     ObjectRecord,
     ZeroVarianceError,
     accuracy,
@@ -26,12 +25,9 @@ from rulelab.metrics import (
 )
 
 
-def series_of(pairs, rule_id="r") -> LabelSeries:
-    records = [
-        ObjectRecord(set_index=i // 3, object_index=i % 3, gold=gold, model=model)
-        for i, (gold, model) in enumerate(pairs)
-    ]
-    return LabelSeries(rule_id, records)
+def vectors_of(pairs) -> tuple[list, list]:
+    """(labels, gold) from (gold, label) pairs."""
+    return [label for _gold, label in pairs], [gold for gold, _label in pairs]
 
 
 def test_last_quarter_count_is_ceiling():
@@ -43,28 +39,37 @@ def test_last_quarter_count_is_ceiling():
 
 
 def test_all_correct_is_one_in_both_windows():
-    series = series_of([(True, True)] * 75)
-    assert accuracy(series, "overall") == 1.0
-    assert accuracy(series, "last_quarter") == 1.0
+    labels, gold = vectors_of([(True, True)] * 75)
+    assert accuracy(labels, gold, "overall") == 1.0
+    assert accuracy(labels, gold, "last_quarter") == 1.0
 
 
 def test_windowing_then_exclusion():
     # 8 objects -> last quarter = final 2; one of them excluded.
     pairs = [(True, True)] * 6 + [(True, None), (True, False)]
-    series = series_of(pairs)
-    assert accuracy(series, "last_quarter") == 0.0  # only the final object counts
-    assert accuracy(series, "overall") == 6 / 7
+    labels, gold = vectors_of(pairs)
+    assert accuracy(labels, gold, "last_quarter") == 0.0  # only the final object counts
+    assert accuracy(labels, gold, "overall") == 6 / 7
+
+
+def test_windows_are_cut_over_the_labels_not_the_gold():
+    # Labels for the first 8 of 12 objects: the last quarter is objects 6 and 7.
+    labels, gold = vectors_of([(True, True)] * 6 + [(True, False), (False, False)])
+    gold += [True] * 4
+    assert accuracy(labels, gold, "last_quarter") == 0.5
+    with pytest.raises(ValueError):
+        accuracy(labels + [True] * 5, gold)
 
 
 def test_all_excluded_errors():
-    series = series_of([(True, None)] * 4)
+    labels, gold = vectors_of([(True, None)] * 4)
     with pytest.raises(EmptyWindowError):
-        accuracy(series, "overall")
+        accuracy(labels, gold, "overall")
 
 
 def test_window_name_checked():
     with pytest.raises(ValueError):
-        accuracy(series_of([(True, True)]), "first_half")
+        accuracy([True], [True], "first_half")
 
 
 def pearson_oracle(xs, ys):
@@ -177,24 +182,28 @@ def test_cross_entropy_series_sums():
 
 def test_overall_accuracy_is_weighted_per_set_combination():
     rng = random.Random(6)
-    records = []
-    for set_index in range(8):
-        for object_index in range(rng.randint(1, 5)):
+    sets = []
+    for _set_index in range(8):
+        pairs = []
+        for _object_index in range(rng.randint(1, 5)):
             gold = rng.random() < 0.5
             model = gold if rng.random() < 0.7 else (None if rng.random() < 0.3 else not gold)
-            records.append(ObjectRecord(set_index, object_index, gold, model))
-    series = LabelSeries("r", records)
+            pairs.append((gold, model))
+        sets.append(pairs)
+    labels, gold = vectors_of([pair for pairs in sets for pair in pairs])
 
     weighted = 0.0
     attempted_total = 0
-    for set_index in range(8):
-        in_set = [r for r in records if r.set_index == set_index and r.model is not None]
+    for pairs in sets:
+        in_set = [(g, m) for g, m in pairs if m is not None]
         if not in_set:
             continue
-        set_accuracy = sum(r.model == r.gold for r in in_set) / len(in_set)
+        set_accuracy = sum(m == g for g, m in in_set) / len(in_set)
         weighted += set_accuracy * len(in_set)
         attempted_total += len(in_set)
-    assert accuracy(series, "overall") == pytest.approx(weighted / attempted_total, abs=1e-12)
+    assert accuracy(labels, gold, "overall") == pytest.approx(
+        weighted / attempted_total, abs=1e-12
+    )
 
 
 def test_series_files_drop_the_human_key_and_old_files_still_load(tmp_path):

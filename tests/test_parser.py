@@ -65,6 +65,15 @@ def test_unbound_variable():
     parse_concept("(exists others (same-color 0 1))", V)
 
 
+@pytest.mark.parametrize("index", ["²", "1²", "⁰", "①", "9" * 5000], ids=[
+    "superscript-two", "one-superscript-two", "superscript-zero", "circled-one", "5000-digits",
+])
+def test_a_variable_index_int_cannot_read_is_a_syntax_error(index):
+    # Each passes str.isdigit() (the long one is past int()'s digit limit).
+    with pytest.raises(ConceptSyntaxError, match="expected a variable index"):
+        parse_concept(f"(exists others (same-color 0 {index}))", V)
+
+
 def test_trailing_input_rejected():
     with pytest.raises(ConceptSyntaxError):
         parse_concept("(is-color blue) (is-color green)", V)

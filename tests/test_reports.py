@@ -4,8 +4,6 @@ import csv
 import io
 
 from rulelab.metrics import (
-    LabelSeries,
-    ObjectRecord,
     cohort_report,
     summarize_series,
     write_delta_csv,
@@ -15,12 +13,9 @@ from rulelab.metrics import (
 from rulelab.metrics.trajectory import TrajectoryReport
 
 
-def _series(n_correct, n_total, rule_id):
-    records = [
-        ObjectRecord(i, 0, True, i < n_correct)
-        for i in range(n_total)
-    ]
-    return LabelSeries(rule_id, records)
+def _labels(n_correct, n_total):
+    """Labels for ``n_total`` objects whose gold labels are all True."""
+    return [i < n_correct for i in range(n_total)]
 
 
 def _read(path):
@@ -30,9 +25,10 @@ def _read(path):
 
 
 def test_summary_rows_split_by_kind(tmp_path):
-    series = {"p1": _series(8, 10, "p1"), "f1": _series(5, 10, "f1")}
+    labels = {"p1": _labels(8, 10), "f1": _labels(5, 10)}
+    gold = {"p1": [True] * 10, "f1": [True] * 10}
     kinds = {"p1": "propositional", "f1": "fol"}
-    summary = summarize_series("m", series, kinds)
+    summary = summarize_series("m", labels, gold, kinds)
     assert summary.cells[("all", "overall")] == 0.65
     assert summary.cells[("propositional", "overall")] == 0.8
     assert summary.cells[("fol", "overall")] == 0.5

@@ -7,6 +7,8 @@ import random
 
 import pytest
 
+import metrics_reference
+from conftest import seeded_subjects
 from rulelab.catalog import DEFAULT_VOCAB as V
 from rulelab.dsl import Obj, parse_concept
 from rulelab.exemplars import (
@@ -21,6 +23,7 @@ from rulelab.exemplars import (
     read_subject_csv,
     write_subject_csv,
 )
+from rulelab.metrics import set_trajectory, window_scores
 
 BLUE_INDEX = V.index("color", "blue")
 
@@ -181,24 +184,6 @@ def oracle_proportions(kept: list[SubjectRecord], gold: ExemplarList) -> list:
     return [t / n if n else None for t, n in zip(*oracle_counts(kept, gold))]
 
 
-def seeded_subjects(gold: ExemplarList, rng: random.Random, n: int) -> list[SubjectRecord]:
-    """Subjects who skip some objects, answer objects past the end of a
-    set, and answer sets past the end of the list."""
-    records = []
-    for i in range(n):
-        responses = {}
-        for s, o, _ctx, label in gold.iter_items():
-            if rng.random() < 0.7:
-                responses[(s, o)] = label if rng.random() < 0.8 else not label
-        for _ in range(rng.randint(0, 4)):
-            s = rng.randrange(len(gold.sets) + 3)
-            responses[(s, rng.randint(5, 7) if s < len(gold.sets) else rng.randrange(5))] = (
-                rng.random() < 0.5
-            )
-        records.append(SubjectRecord(f"s{i}", gold.rule_id, responses, len(gold.sets)))
-    return records
-
-
 @pytest.mark.parametrize("seed", range(6))
 def test_answers_and_proportions_are_the_per_object_counts_in_layout_order(seed):
     rng = random.Random(seed)
@@ -219,19 +204,22 @@ def test_answers_and_proportions_are_the_per_object_counts_in_layout_order(seed)
 
 
 def test_human_series_slice_the_answers_by_set():
-    """report's series of a subject holds its answers set by set."""
-    import rulelab.cli as cli
-
-    assert cli.series_from_sets  # a lookup binds the name, as report's dispatch does
+    """report scores each subject's answers in layout order, set by set:
+    the trajectory and window scores equal the per-record walk over each
+    subject's series of answers looked up by (set, object)."""
     rng = random.Random(7)
     gold = generate_list(parse_concept("(is-shape circle)", V), V, seed=7, rule_id="circle")
     records = seeded_subjects(gold, rng, 4)
-    for record, series in zip(records, cli._human_series(records, gold)):
-        rows = [(r.set_index, r.object_index, r.gold, r.model, r.p_true) for r in series.records]
-        assert rows == [
-            (s, o, label, answer, None)
-            for (s, o, _ctx, label), answer in zip(gold.iter_items(), oracle_answers(record, gold))
+    answers = [record.answers(gold) for record in records]
+    series = [metrics_reference.series_of(oracle_answers(r, gold), gold) for r in records]
+    for record, one in zip(records, series):
+        assert [(r.set_index, r.object_index, r.gold, r.model) for r in one.records] == [
+            (s, o, label, record.responses.get((s, o))) for s, o, _ctx, label in gold.iter_items()
         ]
+    assert set_trajectory(answers, gold, "human") == metrics_reference.set_trajectory(
+        series, "human"
+    )
+    assert window_scores(answers, gold.gold) == metrics_reference.window_scores(series)
 
 
 def test_propagated_baseline_single_rule():

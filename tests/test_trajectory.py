@@ -11,9 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rulelab.catalog import DEFAULT_VOCAB as V
+from rulelab.dsl import Obj, parse_concept
+from rulelab.exemplars import ExemplarList, ExemplarSet
 from rulelab.metrics import (
-    LabelSeries,
-    ObjectRecord,
     cohort_report,
     quantile,
     set_trajectory,
@@ -137,25 +138,33 @@ def test_subsample_baseline_of_no_rules_raises():
         subsample_baseline({})
 
 
-def series(labels_by_set, gold=True) -> LabelSeries:
-    records = []
-    for set_index, labels in enumerate(labels_by_set):
-        for object_index, label in enumerate(labels):
-            records.append(ObjectRecord(set_index, object_index, gold, label))
-    return LabelSeries("r", records)
+def all_true_list(n_sets: int, set_size: int) -> ExemplarList:
+    """A list of ``n_sets`` sets of ``set_size`` small blue circles, rule blue."""
+    blue = ExemplarSet((Obj(0, 0, 0),) * set_size, (True,) * set_size)
+    return ExemplarList("blue", "(is-color blue)", parse_concept("(is-color blue)", V), V, 0,
+                        (blue,) * n_sets)
 
 
 def test_set_trajectory_means():
-    member_a = series([[True, True], [True, False]])
-    member_b = series([[True, False], [True, True]])
-    report = set_trajectory([member_a, member_b], "cohort")
+    member_a = [True, True, True, False]
+    member_b = [True, False, True, True]
+    report = set_trajectory([member_a, member_b], all_true_list(2, 2), "cohort")
     assert report.per_set_accuracy == (0.75, 0.75)
     assert report.cohort == "cohort"
     assert report.chance == 1.0  # every gold label True
 
 
 def test_set_trajectory_skips_missing_members():
-    member_a = series([[True, True], [None, None]])
-    member_b = series([[True, False], [True, True]])
-    report = set_trajectory([member_a, member_b], "cohort")
+    member_a = [True, True, None, None]
+    member_b = [True, False, True, True]
+    report = set_trajectory([member_a, member_b], all_true_list(2, 2), "cohort")
     assert report.per_set_accuracy == (0.75, 1.0)
+
+
+def test_set_trajectory_runs_to_the_longest_vector_and_refuses_a_partial_set():
+    exemplar_list = all_true_list(3, 2)
+    report = set_trajectory([[True, True], [False, True, True, True]], exemplar_list, "cohort")
+    assert report.per_set_accuracy == (0.75, 1.0)
+    for vectors in ([], [[True]], [[]], [[True, True], [True] * 3]):
+        with pytest.raises(ValueError):
+            set_trajectory(vectors, exemplar_list, "cohort")
