@@ -40,8 +40,9 @@ if TYPE_CHECKING:
 # main binds a command's names into this module's globals when it
 # dispatches the command, so a command loads only the modules it runs:
 # gen, report and run --engine llm never import numpy, grade imports it
-# only for a pair that needs the equivalence walk, and only the llm
-# engine's HTTP transport imports the HTTP stack.  A lookup of
+# only for a pair too large, over the dimensions it reads, for the
+# equivalence check's evaluate level, and only the llm engine's HTTP
+# transport imports the HTTP stack.  A lookup of
 # ``rulelab.cli.<name>`` also binds it (a value patched in first is kept),
 # so a test or a tracer can replace one before the command runs.
 _COMMANDS = {

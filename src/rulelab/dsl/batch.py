@@ -23,6 +23,7 @@ import numpy as np
 
 from .core import (
     MAX_OBJECTS,
+    REL_DIMENSION,
     And,
     Concept,
     Context,
@@ -42,7 +43,7 @@ from .core import (
 )
 
 _FEATURE_AXIS = {"size": 0, "color": 1, "shape": 2}
-_REL_AXIS = {"same-color": 1, "same-shape": 2, "same-size": 0, "size-gt": 0, "size-ge": 0}
+_REL_AXIS = {kind: _FEATURE_AXIS[dim] for kind, dim in REL_DIMENSION.items()}
 
 
 def feature_dtype(vocab: FeatureVocab) -> np.dtype:

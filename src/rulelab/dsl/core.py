@@ -22,7 +22,12 @@ DIMENSIONS = ("size", "color", "shape")
 
 QUANT_KINDS = ("exists", "forall", "exactly-one")
 QUANT_SCOPES = ("others", "all")
-REL_KINDS = ("same-color", "same-shape", "same-size", "size-gt", "size-ge")
+# The dimension each relation compares.
+REL_DIMENSION = {
+    "same-color": "color", "same-shape": "shape", "same-size": "size",
+    "size-gt": "size", "size-ge": "size",
+}
+REL_KINDS = tuple(REL_DIMENSION)
 
 # One atom of the concept syntax (:mod:`rulelab.dsl.sexpr`): no whitespace,
 # parenthesis or comment sign.

@@ -7,12 +7,21 @@ as multisets-with-target are enumerated once: the target is placed at
 position 0 and the remaining objects form a sorted multiset, which is
 sound because evaluation never depends on the order of non-target objects.
 
+A dimension that neither concept reads cannot change a truth value, so the
+universe is first projected onto the dimensions the pair reads: each other
+dimension keeps one value.  Every context maps onto a context of that
+smaller universe with the same truth values, so the verdict is unchanged;
+a pair that reads only shape compares 105 contexts up to set size 5, not
+849,555.
+
 :func:`equivalent` settles each pair at the cheapest of three levels:
 
 0. equal concepts, or equal :func:`operand_order_form`, need no contexts;
-1. the reference ``evaluate`` runs over the sets of one and two objects
-   (every set, for two concepts that read only the target), where most
-   differences show;
+1. the reference ``evaluate`` runs over the smallest sets while their
+   contexts number at most ``_REFERENCE_CONTEXTS`` (sets of one and two
+   objects when the pair reads every dimension, every set up to five when
+   it reads one; only the one-object sets for two concepts that read only
+   the target), where most differences show;
 2. only a pair that agrees on all of those loads numpy and streams the
    larger sets as :class:`~rulelab.dsl.batch.ContextBatch` chunks of about
    ``_CHUNK_CONTEXTS`` contexts (:func:`canonical_chunks`), one chunk at a
@@ -25,20 +34,27 @@ import itertools
 from typing import TYPE_CHECKING, Iterator
 
 from .core import (
+    DIMENSIONS,
     MAX_CONTEXTS,
     MAX_OBJECTS,
+    REL_DIMENSION,
     And,
     Concept,
     Context,
     DslError,
+    FeatureIs,
     FeatureVocab,
     Iff,
+    MajorityColor,
+    MinorityColor,
     Obj,
     Or,
+    Rel,
     Xor,
     count_contexts,
     evaluate,
     is_target_only,
+    parts,
 )
 
 if TYPE_CHECKING:
@@ -47,9 +63,10 @@ if TYPE_CHECKING:
 # The connectives whose two operands ``evaluate`` treats alike.
 _COMMUTATIVE = (And, Or, Xor, Iff)
 
-# The largest set the reference evaluator walks before the batch evaluator
-# takes over: 27 + 729 contexts under the default vocabulary.
-_REFERENCE_SET_SIZE = 2
+# The most contexts the reference evaluator walks before the batch evaluator
+# takes the larger sets: the 27 + 729 sets of one and two objects under the
+# default vocabulary.
+_REFERENCE_CONTEXTS = 756
 
 # Contexts per evaluated chunk of the universe: bounds the memory of one
 # comparison and lets a difference end the walk early.
@@ -139,6 +156,19 @@ def operand_order_form(concept: Concept) -> Concept:
     return type(concept)(*fields)
 
 
+def _dimensions_read(concept: Concept) -> set[str]:
+    """The feature dimensions ``concept``'s truth value can depend on."""
+    if isinstance(concept, FeatureIs):
+        read = {concept.dim}
+    elif isinstance(concept, Rel):
+        read = {REL_DIMENSION[concept.kind]}
+    elif isinstance(concept, (MajorityColor, MinorityColor)):
+        read = {"color"}
+    else:
+        read = set()
+    return read.union(*map(_dimensions_read, parts(concept)[0]))
+
+
 def equivalent(
     a: Concept,
     b: Concept,
@@ -150,15 +180,17 @@ def equivalent(
 
     The pair is settled at the cheapest level that decides it: equal
     concepts or equal :func:`operand_order_form` (no contexts); ``evaluate``
-    over the sets of at most two objects; the batch evaluator over the
-    larger sets, chunk by chunk.  Two concepts that read only the target
-    are decided on the one-object sets, which cover every behaviour they
-    can have, so neither the budget nor the set-size bound applies to them.
+    over the smallest sets, while they hold at most ``_REFERENCE_CONTEXTS``
+    contexts; the batch evaluator over the larger sets, chunk by chunk.
+    Both walk the universe projected onto the dimensions the pair reads.
+    Two concepts that read only the target are decided on the one-object
+    sets, which cover every behaviour they can have, so neither the budget
+    nor the set-size bound applies to them.
 
-    Raises :class:`ContextBudgetError` when the enumeration would exceed
-    ``max_contexts``; callers can lower ``max_set_size`` and retry.  A walk
-    that reaches sets of more than five objects, the largest displayed
-    set, raises :class:`DslError`.
+    Raises :class:`ContextBudgetError` when the enumeration of the whole
+    vocabulary's universe would exceed ``max_contexts``; callers can lower
+    ``max_set_size`` and retry.  A walk that reaches sets of more than five
+    objects, the largest displayed set, raises :class:`DslError`.
     """
     if max_set_size < 1:
         raise DslError("max_set_size must be at least 1")
@@ -172,18 +204,26 @@ def equivalent(
             raise ContextBudgetError(
                 f"{total} contexts exceed the cap of {max_contexts}; lower max_set_size"
             )
+    read = _dimensions_read(a) | _dimensions_read(b)
+    vocab = FeatureVocab(*(
+        vocab.values(dim) if dim in read else vocab.values(dim)[:1] for dim in DIMENSIONS
+    ))
     # Smallest sets first: most differences show there, before numpy is
     # loaded or a chunk of the larger sets is built.
-    small = enumerate_contexts(vocab, min(max_set_size, _REFERENCE_SET_SIZE))
+    reference = 1
+    while (reference < max_set_size
+           and count_contexts(vocab, reference + 1) <= _REFERENCE_CONTEXTS):
+        reference += 1
+    small = enumerate_contexts(vocab, reference)
     if any(evaluate(a, ctx) != evaluate(b, ctx) for ctx in small):
         return False
-    if max_set_size <= _REFERENCE_SET_SIZE:
+    if max_set_size <= reference:
         return True
     import numpy as np
 
     from .batch import evaluate_batch
 
-    for set_size in range(_REFERENCE_SET_SIZE + 1, max_set_size + 1):
+    for set_size in range(reference + 1, max_set_size + 1):
         for chunk in canonical_chunks(vocab, set_size):
             truth = evaluate_batch((a, b), chunk)
             if not np.array_equal(truth[0], truth[1]):

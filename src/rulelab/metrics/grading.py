@@ -71,12 +71,22 @@ def grade_session(
         raise ValueError("labels must cover the list's first whole sets")
     concepts: list[Concept | None] = []
     unparseable = []
+    # A session often repeats one rule: each distinct source is parsed once,
+    # to its concept or its parse error.
+    parsed: dict[str, tuple[Concept | None, str | None]] = {}
     for set_index, source in enumerate(sources):
-        try:
-            concepts.append(None if source is None else parse_concept(source, vocab))
-        except DslError as error:
+        if source is None:
             concepts.append(None)
-            unparseable.append((set_index, source, str(error)))
+            continue
+        if source not in parsed:
+            try:
+                parsed[source] = parse_concept(source, vocab), None
+            except DslError as error:
+                parsed[source] = None, str(error)
+        concept, error = parsed[source]
+        concepts.append(concept)
+        if error is not None:
+            unparseable.append((set_index, source, error))
 
     n_sets = len(exemplar_list.sets)
     concepts_by_set = concepts[:n_sets] + [None] * (n_sets - len(concepts))

@@ -231,11 +231,13 @@ def test_equivalent_across_many_chunks(monkeypatch):
     rng = random.Random(12)
     contexts = list(enumerate_contexts(V, 3))
     unequal = [(random_concept(rng, 6), random_concept(rng, 6)) for _ in range(10)]
-    # Differ only on sets of three: "exactly one other shares my shape" is
-    # "some other does" until a third object can share it too.
+    # Differ only on sets of three: "exactly one other is my twin" is "some
+    # other is" until a third object can be one too.  They read all three
+    # dimensions, so the chunked walk, not ``evaluate``, finds it.
+    twin = "others (and (same-size 0 1) (and (same-color 0 1) (same-shape 0 1)))"
     late = (
-        parse_concept("(exists others (same-shape 0 1))", V),
-        parse_concept("(exactly-one others (same-shape 0 1))", V),
+        parse_concept(f"(exists {twin})", V),
+        parse_concept(f"(exactly-one {twin})", V),
     )
     for a, b in equal_pairs(rng, 10) + unequal + [late]:
         assert equivalent(a, b, V, max_set_size=3) == walk_equivalent(a, b, contexts)

@@ -133,7 +133,8 @@ def _run_command(workspace: Path, *argv: str, setup: str = "") -> set:
 def test_each_command_loads_only_what_it_runs(tmp_path):
     """gen, report and run --engine llm load no numpy; run --engine plot
     (either learner engine), grade and fit-noise load no HTTP stack; grade
-    loads numpy only for a pair that needs the walk past two objects."""
+    loads numpy only for a pair with more contexts, over the dimensions it
+    reads, than ``evaluate`` takes."""
     rules = [r for r in DEMO_RULES if r.rule_id in ("blue", "exists-triangle")]
     write_rules_manifest(rules, tmp_path / "rules.json")
     config = {
@@ -175,11 +176,21 @@ def test_each_command_loads_only_what_it_runs(tmp_path):
         "blue": "(is-color blue)", "exists-triangle": "(exists others (is-shape triangle 0))",
     }
     assert not _heavy(grade_elicited(settled))
-    # Equal to "(exists all (is-shape triangle 0))" on every set, so only the
-    # walk over sets of three to five objects can tell.
-    walked = {
+    # Equal to "(exists all (is-shape triangle 0))" on every set, and read
+    # only shape: ``evaluate`` takes all 105 contexts of its three values.
+    projected = {
         **settled,
         "exists-triangle": "(or (is-shape triangle) (exists others (is-shape triangle 0)))",
+    }
+    assert not _heavy(grade_elicited(projected))
+    grading = json.loads((tmp_path / "out" / "reports" / "grading.json").read_text())
+    assert grading["equivalence_rate"] == 1.0
+    # Equal to it too, but reads all three dimensions, so only the walk over
+    # sets of three to five objects can tell.
+    walked = {
+        **settled,
+        "exists-triangle":
+            "(exists all (or (is-shape triangle 0) (and (is-color blue 0) (size-gt 0 0))))",
     }
     assert "numpy" in grade_elicited(walked)
     grading = json.loads((tmp_path / "out" / "reports" / "grading.json").read_text())

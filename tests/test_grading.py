@@ -263,3 +263,25 @@ def test_grade_session_is_the_per_set_loop(rule, monkeypatch):
         calls.clear()
         grade_session(exemplar_list, sources, V, given)
         assert len(calls) <= exemplar_list.n_objects * len(distinct)
+
+
+def test_grade_session_parses_each_distinct_source_once(monkeypatch):
+    """A session that repeats rules, reports none and repeats an unparseable
+    rule parses each distinct source once, keeps one unparseable entry per
+    failing set and grades as the per-set loop does."""
+    import rulelab.metrics.grading as grading
+
+    exemplar_list = generate_list(GOLD, V, seed=7, rule_id="gold")
+    bad = "(is-color ultraviolet)"
+    sources = [BLUE_SOURCE, bad, None, GOLD_SOURCE, bad] + [BLUE_SOURCE, None, GOLD_SOURCE] * 6
+    parsed = []
+
+    def counted(source, vocab):
+        parsed.append(source)
+        return parse_concept(source, vocab)
+
+    monkeypatch.setattr(grading, "parse_concept", counted)
+    grade = grade_session(exemplar_list, sources, V)
+    assert sorted(parsed) == sorted({BLUE_SOURCE, bad, GOLD_SOURCE})
+    assert [(s, src) for s, src, _error in grade.unparseable] == [(1, bad), (4, bad)]
+    assert grade == per_set_grade(exemplar_list, sources, V)
