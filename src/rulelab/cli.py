@@ -41,8 +41,9 @@ if TYPE_CHECKING:
 # dispatches the command, so a command loads only the modules it runs:
 # gen, report and run --engine llm never import numpy, grade imports it
 # only for a pair too large, over the dimensions it reads, for the
-# equivalence check's evaluate level, and only the llm engine's HTTP
-# transport imports the HTTP stack.  A lookup of
+# equivalence check's evaluate level, run --engine plot imports none of the
+# harness's session, extraction and prompt modules, and only the llm
+# engine's HTTP transport imports the HTTP stack.  A lookup of
 # ``rulelab.cli.<name>`` also binds it (a value patched in first is kept),
 # so a test or a tracer can replace one before the command runs.
 _COMMANDS = {
@@ -54,12 +55,15 @@ _COMMANDS = {
     "run": {
         ".dsl": ("print_concept",),
         ".exemplars": ("load_list", "write_json"),
-        ".harness": ("RateLimiter", "load_endpoint_config", "run_session", "transcript_series"),
         ".metrics": ("hash_inputs", "save_series", "series_from_sets"),
     },
-    "run --engine plot": {  # bound after "run", for the plot engine only
+    # Bound after "run", for that engine only.
+    "run --engine plot": {
         ".learner": ("NoiseParams", "run_enumerative", "run_mh"),
         ".learner.inference": ("inference",),  # its functions are looked up at call time
+    },
+    "run --engine llm": {
+        ".harness": ("RateLimiter", "load_endpoint_config", "run_session", "transcript_series"),
     },
     "grade": {
         ".exemplars": ("load_list", "write_json"),
@@ -800,8 +804,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = load_config(args.config)
         _bind(args.command)
-        if args.command == "run" and args.engine == "plot":
-            _bind("run --engine plot")
+        if args.command == "run":
+            _bind(f"run --engine {args.engine}")
         if args.command == "gen":
             return cmd_gen(config)
         if args.command == "run":

@@ -10,7 +10,7 @@ __getattr__, __dir__, __all__ = lazy_exports(globals(), {
         "UnboundVariableError", "Xor", "count_contexts", "depth", "evaluate",
         "is_target_only", "max_var_excess", "parts", "size",
     ),
-    ".batch": ("ContextBatch", "evaluate_batch"),
+    ".batch": ("ContextBatch", "evaluate_batch", "evaluate_packed"),
     ".equivalence": (
         "ContextBudgetError", "canonical_chunks", "enumerate_contexts", "equivalent",
         "object_universe",

@@ -1,22 +1,38 @@
 """Batched concept evaluation: many concepts over many contexts at once.
 
-:func:`evaluate_batch` computes the same truth values as
+One kernel (:func:`evaluate_packed`) computes the same truth values as
 :func:`rulelab.dsl.core.evaluate`, which stays the reference semantics it
-is tested against, but walks each distinct subterm once for a whole
-:class:`ContextBatch` instead of once per (concept, context) pair.
+is tested against, for a whole :class:`ContextBatch` at a time.  It
+numbers each distinct ``(subterm, binder depth)`` of its concepts once and
+evaluates each once, children first, into packed truth rows:
+``np.packbits`` over the contexts, first context in the high bit, the tail
+byte's padding bits zero.  :func:`evaluate_batch` unpacks the rows it is
+asked for; the learner's hypothesis table stays packed.
 
 Contexts are padded to five object slots.  Under ``d`` enclosing binders a
-subterm evaluates to an array of shape ``(n,) + (5,) * d`` (or one that
-broadcasts to it): axis 0 runs over contexts and axis ``d - v`` over the
-slot bound to de Bruijn variable ``v``; variable ``d`` is the target.  A
-quantifier reduces the last axis under its scope mask, so padded slots
-never reach a result.  Subterms are memoized per ``(subterm, depth)`` and
-shared across every concept of one call.
+subterm's value is ``uint8[5 ** d, ceil(n / 8)]``: one packed row per
+assignment of slots to the bound variables, where row ``r`` gives
+variable ``v`` the slot ``r // 5 ** v % 5``, so variable 0 varies fastest;
+variable ``d`` is the target.  Each depth keeps its subterms' values in
+one store, row ``i`` for subterm number ``i``.
+
+- Leaves are computed unpacked, packed, and kept on the batch, so a batch
+  evaluated one concept at a time (an MH chain's) packs each leaf once.
+- Connectives are bitwise operations; a complement is an exclusive or with
+  the batch's valid bits, so padding stays zero.
+- A quantifier at depth ``d`` views its body's rows as ``(5 ** d, 5)`` and
+  reduces the slot axis bitwise under its packed scope mask, so padded
+  slots never reach a result.
+- Nodes of one kind at one depth and height (one more than their highest
+  child's) are computed together, in height order, as numpy operations
+  over their children's gathered rows, a bounded chunk at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -40,10 +56,13 @@ from .core import (
     Rel,
     UnboundVariableError,
     Xor,
+    parts,
 )
 
 _FEATURE_AXIS = {"size": 0, "color": 1, "shape": 2}
 _REL_AXIS = {kind: _FEATURE_AXIS[dim] for kind, dim in REL_DIMENSION.items()}
+# Bytes of gathered child rows one numpy operation of the kernel takes.
+_CHUNK_BYTES = 1 << 18
 
 
 def feature_dtype(vocab: FeatureVocab) -> np.dtype:
@@ -96,60 +115,211 @@ class ContextBatch:
     def __len__(self) -> int:
         return len(self.target)
 
+    # Derived from the fields on first use and kept: a batch evaluated many
+    # times (an MH chain's) computes them once.
+
+    @cached_property
+    def _valid_bits(self) -> np.ndarray:
+        """``uint8[ceil(n / 8)]``: every context's bit set, padding bits zero."""
+        return np.packbits(np.ones(len(self), dtype=bool))
+
+    @cached_property
+    def _scope_bits(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+        """Per quantifier scope, its packed ``(5, ceil(n / 8))`` slot rows
+        and their complement, padding bits zero in both."""
+        return {
+            scope: (np.packbits(mask.T, axis=-1), np.packbits(~mask.T, axis=-1))
+            for scope, mask in (("all", self.present), ("others", self.others))
+        }
+
+    @cached_property
+    def _packed_leaves(self) -> dict[tuple[Concept, int], np.ndarray]:
+        """The evaluation kernel's packed leaf rows, by (leaf, depth)."""
+        return {}
+
+    @cached_property
+    def _color_rank(self) -> tuple[np.ndarray, np.ndarray]:
+        """(majority, minority) per slot, ``bool[n, 5]``: the slot's color
+        count is strictly above / below every other color present in the
+        set."""
+        colors = self.features[:, :, 1]
+        counts = self.color_counts
+        mine = np.take_along_axis(counts, colors.astype(np.intp), axis=1)
+        majority = np.ones(colors.shape, dtype=bool)
+        minority = np.ones(colors.shape, dtype=bool)
+        for color in range(counts.shape[1]):
+            theirs = counts[:, color:color + 1]
+            rival = (colors != color) & (theirs > 0)
+            majority &= ~rival | (mine > theirs)
+            minority &= ~rival | (mine < theirs)
+        return majority, minority
+
 
 def evaluate_batch(concepts: Sequence[Concept], batch: ContextBatch) -> np.ndarray:
     """Truth values as a ``bool[len(concepts), len(batch)]`` array: row ``i``
-    column ``j`` is ``evaluate(concepts[i], context j)``."""
-    evaluator = _Evaluator(batch)
-    memo = evaluator.memo
-    out = np.empty((len(concepts), len(batch)), dtype=bool)
-    for concept, row in zip(concepts, out):
-        found = memo.get((concept, 0))
-        if found is None:
-            # A later concept may hold this one as a subterm: the memo keeps
-            # its row of out, not a copy.
-            row[...] = evaluator._compute(concept, 0)
-            memo[concept, 0] = row
+    column ``j`` is ``evaluate(concepts[i], context j)``.  The rows are
+    :func:`evaluate_packed`'s, unpacked."""
+    table, rows = evaluate_packed(concepts, batch)
+    return np.unpackbits(table[rows], axis=1, count=len(batch)).view(bool)
+
+
+def evaluate_packed(
+    concepts: Sequence[Concept], batch: ContextBatch
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(table, rows)``: ``table`` is ``uint8[k, ceil(len(batch) / 8)]``,
+    the packed truth rows of the distinct depth-0 subterms of ``concepts``,
+    and ``concepts[i]``'s row is ``table[rows[i]]``.  Context ``j`` is bit
+    ``7 - j % 8`` of byte ``j // 8``, and padding bits are zero."""
+    plan = _Plan()
+    rows = np.array([plan.number(concept, 0) for concept in concepts], dtype=np.intp)
+    del plan.ids  # the subterm numbering is done with: free it before the stores are made
+    return _Kernel(batch).run(plan)[:, 0], rows
+
+
+class _Plan:
+    """The distinct ``(subterm, depth)`` nodes of some concepts, numbered
+    once per depth.  Leaves are listed as ``(depth, number, leaf)``; the
+    other nodes are grouped by ``(height, depth, op)``, and a group's
+    columns are its node numbers, then each operand's number at the
+    operand's depth."""
+
+    def __init__(self):
+        self.ids: list[dict[Concept, int]] = [{}]  # per depth: subterm -> its number
+        self.heights: list[list[int]] = [[]]  # per depth, by number
+        self.leaves: list[tuple[int, int, Concept]] = []
+        self.groups: dict[tuple, list[list[int]]] = {}
+
+    def number(self, concept: Concept, depth: int) -> int:
+        """``concept``'s number at ``depth``, numbering it and its subterms
+        if it is new."""
+        ids, heights = self.ids[depth], self.heights[depth]
+        new = len(heights)
+        number = ids.setdefault(concept, new)
+        if number != new:
+            return number
+        heights.append(0)
+        children, binds, refs, _reads_set = parts(concept)
+        if not children:
+            if refs and max(refs) > depth:
+                raise UnboundVariableError(f"variable {max(refs)} unbound under {depth} binder(s)")
+            self.leaves.append((depth, number, concept))
+            return number
+        inner = depth + binds
+        if inner == len(self.ids):
+            self.ids.append({})
+            self.heights.append([])
+        operands = [self.number(child, inner) for child in children]
+        height = heights[number] = 1 + max(map(self.heights[inner].__getitem__, operands))
+        key = (height, depth, (concept.kind, concept.scope) if binds else type(concept))
+        group = self.groups.get(key)
+        if group is None:
+            self.groups[key] = [[number]] + [[operand] for operand in operands]
         else:
-            row[...] = found
-    return out
+            group[0].append(number)
+            for column, operand in zip(group[1:], operands):
+                column.append(operand)
+        return number
 
 
-class _Evaluator:
-    """One batch's memo of subterm values, keyed by (subterm, depth)."""
+class _Kernel:
+    """One batch's evaluation of a :class:`_Plan`'s groups into packed rows."""
 
     def __init__(self, batch: ContextBatch):
         self.batch = batch
         self.n = len(batch)
-        self.memo: dict[tuple[Concept, int], np.ndarray] = {}
-        self._color_rank: tuple[np.ndarray, np.ndarray] | None = None
+        self.width = (self.n + 7) // 8
+        self.valid = batch._valid_bits
 
-    def value(self, concept: Concept, depth: int) -> np.ndarray:
-        key = (concept, depth)
-        found = self.memo.get(key)
-        if found is None:
-            found = self.memo[key] = self._compute(concept, depth)
-        return found
+    def run(self, plan: _Plan) -> np.ndarray:
+        """The depth-0 store: ``uint8[count, 1, width]``, row ``i`` node
+        ``i``'s packed values.  Depth ``d``'s store is ``uint8[count, 5 **
+        d, width]``.  Leaves come first, then the groups in height order,
+        so every operand is computed before the nodes reading it."""
+        stores = [
+            np.empty((len(heights), MAX_OBJECTS ** depth, self.width), dtype=np.uint8)
+            for depth, heights in enumerate(plan.heights)
+        ]
+        packed = self.batch._packed_leaves
+        for depth, number, leaf in plan.leaves:
+            rows = packed.get((leaf, depth))
+            stores[depth][number] = self._pack_leaf(leaf, depth) if rows is None else rows
+        groups = plan.groups
+        for key in sorted(groups, key=itemgetter(0)):  # by height
+            _height, depth, op = key
+            numbers, *operands = groups[key]
+            quantifier = isinstance(op, tuple)
+            inner = depth + quantifier
+            if len(numbers) == 1:  # as in one concept's call: views, written in place
+                out = stores[depth][numbers[0]:numbers[0] + 1]
+                children = [stores[inner][column[0]:column[0] + 1] for column in operands]
+                if quantifier:
+                    self._quantify(out, *op, *children)
+                else:
+                    self._connect(out, op, *children)
+                continue
+            step = max(1, _CHUNK_BYTES // (MAX_OBJECTS ** inner * self.width or 1))
+            for first in range(0, len(numbers), step):
+                chunk = slice(first, first + step)
+                children = [stores[inner][column[chunk]] for column in operands]
+                stores[depth][numbers[chunk]] = (
+                    self._quantify(None, *op, *children) if quantifier
+                    else self._connect(None, op, *children)
+                )
+        return stores[0]
 
-    def _compute(self, concept: Concept, depth: int) -> np.ndarray:
+    def _connect(self, out, op: type, left: np.ndarray, right=None) -> np.ndarray:
+        """``op`` of the operands' rows, into ``out`` (or a new array when
+        it is None)."""
+        if op is And:
+            return np.bitwise_and(left, right, out=out)
+        if op is Or:
+            return np.bitwise_or(left, right, out=out)
+        if op is Xor:
+            return np.bitwise_xor(left, right, out=out)
+        if op is Not:
+            return np.bitwise_xor(left, self.valid, out=out)
+        if op is Implies:
+            values = np.bitwise_xor(left, self.valid, out=out)
+            values |= right
+            return values
+        if op is Iff:
+            values = np.bitwise_xor(left, right, out=out)
+            values ^= self.valid
+            return values
+        raise DslError(f"not a concept node: {op!r}")
+
+    def _quantify(self, out, kind: str, scope: str, body: np.ndarray) -> np.ndarray:
+        """The values under ``depth`` binders, into ``out`` (or a new array
+        when it is None), from the gathered ``body`` rows (nodes, 5 **
+        (depth + 1), width), reduced over the bound slot."""
+        body = body.reshape(len(body), body.shape[1] // MAX_OBJECTS, MAX_OBJECTS, self.width)
+        inside, outside = self.batch._scope_bits[scope]
+        if kind == "forall":
+            return np.bitwise_and.reduce(body | outside, axis=2, out=out)
+        body = body & inside
+        if kind == "exists":
+            return np.bitwise_or.reduce(body, axis=2, out=out)
+        one = body[:, :, 0].copy()  # exactly-one: some slot so far holds,
+        many = np.zeros_like(one)  # and two slots so far hold
+        for slot in range(1, MAX_OBJECTS):
+            many |= one & body[:, :, slot]
+            one |= body[:, :, slot]
+        return np.bitwise_and(one, ~many, out=out)
+
+    def _pack_leaf(self, leaf: Concept, depth: int) -> np.ndarray:
+        """The leaf's packed rows, ``uint8[5 ** depth, width]``, kept on the
+        batch: packed before they are broadcast over the slot rows."""
+        rows = np.empty((MAX_OBJECTS,) * depth + (self.width,), dtype=np.uint8)
+        rows[...] = np.packbits(self._leaf(leaf, depth), axis=-1)
+        rows = rows.reshape(MAX_OBJECTS ** depth, self.width)
+        self.batch._packed_leaves[leaf, depth] = rows
+        return rows
+
+    def _leaf(self, concept: Concept, depth: int) -> np.ndarray:
+        """A leaf's unpacked values, broadcastable to ``(5,) * depth + (n,)``."""
         if isinstance(concept, FeatureIs):
             values = self.batch.features[:, :, _FEATURE_AXIS[concept.dim]]
-            return self._slot(values, concept.var, depth) == concept.value
-        if isinstance(concept, And):
-            return self.value(concept.left, depth) & self.value(concept.right, depth)
-        if isinstance(concept, Or):
-            return self.value(concept.left, depth) | self.value(concept.right, depth)
-        if isinstance(concept, Not):
-            return ~self.value(concept.body, depth)
-        if isinstance(concept, Quant):
-            scope = self.batch.others if concept.scope == "others" else self.batch.present
-            mask = scope.reshape((self.n,) + (1,) * depth + (MAX_OBJECTS,))
-            body = self.value(concept.body, depth + 1)
-            if concept.kind == "exists":
-                return np.any(body & mask, axis=-1)
-            if concept.kind == "forall":
-                return np.all(body | ~mask, axis=-1)
-            return np.sum(body & mask, axis=-1, dtype=np.uint8) == 1
+            return self._slot(values == concept.value, concept.var, depth)
         if isinstance(concept, Rel):
             values = self.batch.features[:, :, _REL_AXIS[concept.kind]]
             a = self._slot(values, concept.left, depth)
@@ -159,44 +329,19 @@ class _Evaluator:
             if concept.kind == "size-ge":
                 return a >= b
             return a == b
-        if isinstance(concept, Xor):
-            return self.value(concept.left, depth) != self.value(concept.right, depth)
-        if isinstance(concept, Implies):
-            return ~self.value(concept.left, depth) | self.value(concept.right, depth)
-        if isinstance(concept, Iff):
-            return self.value(concept.left, depth) == self.value(concept.right, depth)
         if isinstance(concept, MajorityColor):
-            return self._slot(self.color_rank()[0], concept.var, depth)
+            return self._slot(self.batch._color_rank[0], concept.var, depth)
         if isinstance(concept, MinorityColor):
-            return self._slot(self.color_rank()[1], concept.var, depth)
+            return self._slot(self.batch._color_rank[1], concept.var, depth)
         raise DslError(f"not a concept node: {concept!r}")
 
     def _slot(self, per_slot: np.ndarray, var: int, depth: int) -> np.ndarray:
         """``per_slot`` (n, 5) as seen by variable ``var`` under ``depth``
         binders: the target's value, or the slot axis moved to axis
-        ``depth - var``."""
+        ``depth - 1 - var``, contexts last."""
         if var == depth:
             picked = per_slot[np.arange(self.n), self.batch.target]
-            return picked.reshape((self.n,) + (1,) * depth)
-        if var > depth:
-            raise UnboundVariableError(f"variable {var} unbound under {depth} binder(s)")
-        shape = [self.n] + [1] * depth
-        shape[depth - var] = MAX_OBJECTS
-        return per_slot.reshape(shape)
-
-    def color_rank(self) -> tuple[np.ndarray, np.ndarray]:
-        """(majority, minority) per slot: the slot's color count is strictly
-        above / below every other color present in the set."""
-        if self._color_rank is None:
-            colors = self.batch.features[:, :, 1]
-            counts = self.batch.color_counts
-            mine = np.take_along_axis(counts, colors.astype(np.intp), axis=1)
-            majority = np.ones(colors.shape, dtype=bool)
-            minority = np.ones(colors.shape, dtype=bool)
-            for color in range(counts.shape[1]):
-                theirs = counts[:, color:color + 1]
-                rival = (colors != color) & (theirs > 0)
-                majority &= ~rival | (mine > theirs)
-                minority &= ~rival | (mine < theirs)
-            self._color_rank = (majority, minority)
-        return self._color_rank
+            return picked.reshape((1,) * depth + (self.n,))
+        shape = [1] * depth + [self.n]
+        shape[depth - 1 - var] = MAX_OBJECTS
+        return per_slot.T.reshape(shape)

@@ -9,11 +9,12 @@ therefore contributes the likelihood factor
 
 Exact inference enumerates every concept the grammar derives up to a node
 budget; :mod:`rulelab.learner.mcmc` provides the sampling engine validated
-against this one.  Both score a truth row (:func:`rulelab.dsl.evaluate_batch`)
-the same way: each object's cell code (:func:`_cell_codes`) picks one of
-four ``math.log`` factors (:func:`_log_factors`), and one running sum adds
-them in object order, so every score of either is bitwise the per-object
-sum of ``math.log`` factors, for any (alpha, beta).  Exact inference keeps
+against this one.  Both score truth rows of one evaluation kernel
+(:func:`rulelab.dsl.evaluate_packed`) the same way: each object's cell
+code (:func:`_cell_codes`) picks one of four ``math.log`` factors
+(:func:`_log_factors`), and one running sum adds them in object order,
+so every score of either is bitwise the per-object sum of ``math.log``
+factors, for any (alpha, beta).  Exact inference keeps
 that sum once per behaviour class of a list, the hypotheses that say True
 on the same objects (:class:`EvalMatrix`), and gathers the class scores to
 the hypotheses at each set boundary (:func:`posterior_by_set`).  The noise
@@ -31,7 +32,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from ..dsl import Concept, Context, ContextBatch, evaluate_batch, size as concept_size
+from ..dsl import Concept, Context, ContextBatch, evaluate_packed, size as concept_size
 from ..dsl.sexpr import print_concept
 from ..exemplars import ExemplarList, write_csv
 from .grammar import Grammar, GrammarError, HypothesisBudgetError, substitute
@@ -209,17 +210,38 @@ class EvalMatrix:
     offsets: list[int]  # start object index per set, plus final total
 
 
-def _collapse(truth: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of ``truth`` (hypotheses by objects, bool) in
-    lexicographic order, False before True, and each row's index among
-    them.  Each row is packed to bytes, first object in the high bit, and
+# Cells of one list's truth table unpacked at a time.
+_CHUNK_CELLS = 1 << 18
+
+
+def _collapse(keys: np.ndarray, n_objects: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a truth table over ``n_objects`` objects, given
+    packed (``keys``: hypotheses by bytes, first object in the high bit,
+    padding bits zero), as a ``bool`` table in lexicographic order, False
+    before True, and each row's index among them.  Each row of ``keys`` is
     compared as one ``np.void`` key, whose byte order is that row order."""
-    packed = np.packbits(truth, axis=1)
-    if packed.shape[1] == 0:  # no objects: every row is the one empty row
-        packed = np.zeros((len(truth), 1), dtype=np.uint8)
-    keys = packed.view(np.dtype((np.void, packed.shape[1]))).reshape(-1)
-    _keys, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    return truth[first], inverse
+    if keys.shape[1] == 0:  # no objects: every row is the one empty row
+        keys = np.zeros((len(keys), 1), dtype=np.uint8)
+    void = keys.view(np.dtype((np.void, keys.shape[1]))).reshape(-1)
+    _keys, first, inverse = np.unique(void, return_index=True, return_inverse=True)
+    return np.unpackbits(keys[first], axis=1, count=n_objects).view(bool), inverse
+
+
+def _list_keys(table: np.ndarray, rows: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """The packed truth rows over one list's objects: row ``i`` is
+    ``table[rows[i]]``'s bits at ``columns``, in that order, repacked.  Only
+    the bytes spanning ``columns`` are unpacked, a bounded chunk of rows at
+    a time."""
+    keys = np.empty((len(rows), (len(columns) + 7) // 8), dtype=np.uint8)
+    if not len(columns):
+        return keys
+    low, high = columns.min() // 8, columns.max() // 8 + 1
+    columns = columns - 8 * low
+    step = max(1, _CHUNK_CELLS // (8 * (high - low)))
+    for start in range(0, len(rows), step):
+        bits = np.unpackbits(table[rows[start:start + step], low:high], axis=1)
+        keys[start:start + step] = np.packbits(bits.take(columns, axis=1), axis=1)
+    return keys
 
 
 def _cell_codes(truth: np.ndarray, gold: np.ndarray) -> np.ndarray:
@@ -239,18 +261,20 @@ def build_eval_matrices(
 ) -> Iterator[EvalMatrix]:
     """One :class:`EvalMatrix` per list, in list order, from one evaluation.
 
-    The hypotheses are evaluated once, with :func:`evaluate_batch`, over the
+    The hypotheses are evaluated once, by :func:`evaluate_packed`, over the
     distinct contexts of every list's layout (its ``contexts``; each matrix
     keeps the list's ``gold`` and ``offsets``) in first-seen order; the
-    batch evaluator's cost is per concept, not per context, so one call
-    over every list costs about what one list's call costs.  The table is built
-    before this returns; each list's matrix is then a column gather of it,
-    collapsed to behaviour classes (:func:`_collapse`) only when the
-    iterator reaches that list, so a caller that drops each matrix before
-    taking the next holds one list's matrix at a time.  A context's truth
-    values do not depend on the other contexts of its batch, so each matrix
-    is bitwise the one evaluating its list alone would give.  The lists
-    must share a vocab, which shapes the batch."""
+    kernel's cost is per distinct subterm, not per context, so one call
+    over every list costs about what one list's call costs.  The table,
+    one packed bit per (hypothesis, context), is built before this returns;
+    each list's matrix is then gathered from that list's columns a bounded
+    chunk of rows at a time, and collapsed to behaviour classes
+    (:func:`_collapse`) only when the iterator reaches that list, so a
+    caller that drops each matrix before taking the next holds one list's
+    matrix at a time.  A context's truth values do not depend on the other
+    contexts of its batch, so each matrix is bitwise the one evaluating its
+    list alone would give.  The lists must share a vocab, which shapes the
+    batch."""
     vocabs = {exemplar_list.vocab for exemplar_list in lists}
     if len(vocabs) > 1:
         raise ValueError("lists evaluated together must share one vocab")
@@ -263,10 +287,11 @@ def build_eval_matrices(
     if not layouts:
         return iter(())
     batch = ContextBatch.from_contexts(list(columns), vocabs.pop())
-    table = evaluate_batch([concept for concept, _lp in hypotheses], batch)
+    table, rows = evaluate_packed([concept for concept, _lp in hypotheses], batch)
     log_priors = np.array([lp for _c, lp in hypotheses], dtype=float)
     return (
-        EvalMatrix(log_priors, *_collapse(table.take(index, axis=1)), gold, offsets)
+        EvalMatrix(log_priors, *_collapse(_list_keys(table, rows, index), len(index)),
+                   gold, offsets)
         for index, gold, offsets in layouts
     )
 
@@ -425,14 +450,15 @@ def run_enumerative(
     prediction.  When ``trace_path`` is given, the :data:`TRACE_TOP_ROWS`
     best hypotheses of each set boundary by ``log_likelihood + log_prior``,
     MAP first, are written there as CSV (set_index, concept, log_prior,
-    log_likelihood, log_posterior), each concept printed under the list's
-    vocab as its row is written.  Every hypothesis's scores stay available
+    log_likelihood, log_posterior), each traced concept printed under the
+    list's vocab once per call.  Every hypothesis's scores stay available
     from :func:`posterior_by_set`.
     """
     steps = posterior_by_set(matrix, noise)
     per_set = []
     posterior = []
     trace: list[tuple] = []
+    printed: dict[int, str] = {}  # row -> its printed concept: a row can rank at many boundaries
     offsets = matrix.offsets
     try:
         # The last boundary, after every set, only gives the final MAP.
@@ -442,9 +468,12 @@ def run_enumerative(
             mass = np.exp(log_posterior)
             posterior.append(_diagnostics(log_posterior, mass, map_index, top))
             if trace_path is not None:
-                printed = [print_concept(hypotheses[i][0], exemplar_list.vocab) for i in top]
+                for i in top.tolist():
+                    if i not in printed:
+                        printed[i] = print_concept(hypotheses[i][0], exemplar_list.vocab)
                 trace += _trace_rows(
-                    set_index, top, printed, matrix.log_priors, log_likelihood, log_posterior
+                    set_index, top, [printed[i] for i in top.tolist()],
+                    matrix.log_priors, log_likelihood, log_posterior,
                 )
             if set_index == len(exemplar_list.sets):
                 continue

@@ -118,7 +118,7 @@ def test_eval_matrix_matches_per_cell_loop():
 
 
 def test_shared_table_matches_each_list_evaluated_alone(monkeypatch):
-    """One evaluate_batch call over the distinct contexts of every list;
+    """One evaluate_packed call over the distinct contexts of every list;
     each list's matrix is bitwise its own evaluate_batch matrix, and
     sampled cells agree with evaluate."""
     hypotheses = enumerate_hypotheses(default_grammar(V), 3)
@@ -137,19 +137,19 @@ def test_shared_table_matches_each_list_evaluated_alone(monkeypatch):
     assert len(distinct) == len(per_list[0]) + len(per_list[2]) < sum(map(len, per_list))
 
     batches = []
-    real = inference.evaluate_batch
+    real = inference.evaluate_packed
 
     def counted(concepts, batch):
         batches.append(len(batch))
         return real(concepts, batch)
 
-    monkeypatch.setattr(inference, "evaluate_batch", counted)
+    monkeypatch.setattr(inference, "evaluate_packed", counted)
     matrices = list(build_eval_matrices(hypotheses, lists))
     assert batches == [len(distinct)]
 
     rng = random.Random(7)
     for exemplar_list, contexts, matrix in zip(lists, per_list, matrices, strict=True):
-        alone = real(concepts, ContextBatch.from_contexts(contexts, V))
+        alone = evaluate_batch(concepts, ContextBatch.from_contexts(contexts, V))
         assert matrix.classes.dtype == bool and matrix.classes.flags.c_contiguous
         np.testing.assert_array_equal(matrix.classes[matrix.inverse], alone)
         np.testing.assert_array_equal(

@@ -339,13 +339,13 @@ def test_run_plot_enumerates_once_for_all_rules(workspace, monkeypatch):
 
     monkeypatch.setattr(inference, "enumerate_hypotheses", counted)
     evaluated = []
-    real_evaluate = inference.evaluate_batch
+    real_evaluate = inference.evaluate_packed
 
     def counted_evaluate(concepts, batch):
         evaluated.append(len(batch))
         return real_evaluate(concepts, batch)
 
-    monkeypatch.setattr(inference, "evaluate_batch", counted_evaluate)
+    monkeypatch.setattr(inference, "evaluate_packed", counted_evaluate)
     assert run(workspace, "run", "--engine", "plot") == EXIT_OK
     assert len(calls) == 1
     lists = [load_list(p) for p in (workspace / "out" / "lists").glob("*.json")
@@ -358,7 +358,7 @@ def test_run_plot_enumerates_once_for_all_rules(workspace, monkeypatch):
 def test_run_plot_prints_only_the_sort_keys_and_the_traced_rows(workspace, monkeypatch):
     """Enumeration prints each hypothesis once, for its sort, and keeps no
     printed form; a rule prints only the rows its trace writes, at most
-    TRACE_TOP_ROWS per set boundary."""
+    TRACE_TOP_ROWS per set boundary, and each of them once."""
     from rulelab.catalog import DEFAULT_VOCAB
     from rulelab.learner import TRACE_TOP_ROWS, default_grammar, inference
 
@@ -375,13 +375,16 @@ def test_run_plot_prints_only_the_sort_keys_and_the_traced_rows(workspace, monke
     assert run(workspace, "run", "--engine", "plot") == EXIT_OK
     assert len(set(printed[:n_hypotheses])) == n_hypotheses
     traces = list((workspace / "out" / "runs" / "plot").glob("*.posterior.csv"))
-    traced_rows = sum(len(path.read_text().splitlines()) - 1 for path in traces)
+    traced = [list(csv.DictReader(path.read_text().splitlines())) for path in traces]
+    traced_rows = sum(map(len, traced))
+    distinct_rows = sum(len({row["concept"] for row in rows}) for rows in traced)
     lists = [load_list(p) for p in (workspace / "out" / "lists").glob("*.json")
              if p.name != "manifest.json"]
     boundaries = sum(len(exemplar_list.sets) + 1 for exemplar_list in lists)
     assert len(traces) == 6
     assert 0 < traced_rows <= TRACE_TOP_ROWS * boundaries
-    assert len(printed) == n_hypotheses + traced_rows
+    assert distinct_rows < traced_rows
+    assert len(printed) == n_hypotheses + distinct_rows
 
 
 def test_run_plot_reports_a_failed_enumeration_for_every_rule(workspace, monkeypatch, capsys):

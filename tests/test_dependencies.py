@@ -132,9 +132,10 @@ def _run_command(workspace: Path, *argv: str, setup: str = "") -> set:
 
 def test_each_command_loads_only_what_it_runs(tmp_path):
     """gen, report and run --engine llm load no numpy; run --engine plot
-    (either learner engine), grade and fit-noise load no HTTP stack; grade
-    loads numpy only for a pair with more contexts, over the dimensions it
-    reads, than ``evaluate`` takes."""
+    (either learner engine), grade and fit-noise load no HTTP stack, and
+    run --engine plot no harness session; grade loads numpy only for a pair
+    with more contexts, over the dimensions it reads, than ``evaluate``
+    takes."""
     rules = [r for r in DEMO_RULES if r.rule_id in ("blue", "exists-triangle")]
     write_rules_manifest(rules, tmp_path / "rules.json")
     config = {
@@ -160,6 +161,7 @@ def test_each_command_loads_only_what_it_runs(tmp_path):
 
     run_modules = _run_command(tmp_path, "run", "--engine", "plot")
     assert "numpy" in run_modules and not {"http.client", "ssl"} & run_modules
+    assert "rulelab.harness.session" not in run_modules
     grade_modules = _run_command(
         tmp_path, "grade", "--elicited", "out/runs/plot", "--series-dir", "out/runs/plot"
     )

@@ -83,7 +83,8 @@ def rows_of(matrix: EvalMatrix) -> Rows:
 
 
 def matrix_of(rows: Rows) -> EvalMatrix:
-    return EvalMatrix(rows.log_priors, *_collapse(rows.truth), rows.gold, rows.offsets)
+    classes = _collapse(np.packbits(rows.truth, axis=1), rows.truth.shape[1])
+    return EvalMatrix(rows.log_priors, *classes, rows.gold, rows.offsets)
 
 
 def oracle_classes(rows: Rows) -> tuple[Rows, np.ndarray]:
