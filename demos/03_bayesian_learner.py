@@ -40,22 +40,26 @@ exemplar_list = generate_list(rule, vocab, seed=23, rule_id="blue-circle")
 hypotheses = enumerate_hypotheses(grammar, 3)
 run = run_enumerative(exemplar_list, hypotheses, build_eval_matrix(hypotheses, exemplar_list), noise)
 
+# The run's labels and P(True) are vectors in the list's layout order: set k
+# is the slice offsets[k]:offsets[k + 1], as in the list's gold labels.
+offsets, labels = exemplar_list.offsets, run.labels
 print("\nset | MAP rule so far                                  | set accuracy")
-for prediction in run.per_set:
-    gold = exemplar_list.sets[prediction.set_index].labels
-    set_accuracy = sum(a == b for a, b in zip(prediction.labels, gold)) / len(gold)
-    if prediction.set_index % 4 == 0 or prediction.set_index == 24:
-        printed = print_concept(prediction.map_concept, vocab)
-        print(f" {prediction.set_index + 1:2d} | {printed:48s} | {set_accuracy:.2f}")
+for set_index, map_concept in enumerate(run.set_maps):
+    start, stop = offsets[set_index], offsets[set_index + 1]
+    gold = exemplar_list.gold[start:stop]
+    set_accuracy = sum(a == b for a, b in zip(labels[start:stop], gold)) / len(gold)
+    if set_index % 4 == 0 or set_index == 24:
+        printed = print_concept(map_concept, vocab)
+        print(f" {set_index + 1:2d} | {printed:48s} | {set_accuracy:.2f}")
 print(f"final MAP: {print_concept(run.final_map, vocab)}")
 
 # --- 3. The posterior-predictive mixes rule following with baseline noise -----
 # Set 10 is predicted from the posterior over sets 0..9.
-prediction = run.per_set[10]
-ctx = exemplar_list.sets[10].context_for(0)
-print(f"\nafter 10 sets: MAP = {print_concept(prediction.map_concept, vocab)}")
+first = offsets[10]
+ctx = exemplar_list.contexts[first]
+print(f"\nafter 10 sets: MAP = {print_concept(run.set_maps[10], vocab)}")
 print(f"P(True) for {ctx.objects[ctx.target].render(vocab)!r}: "
-      f"{prediction.p_true[0]:.3f} -> label {prediction.labels[0]}")
+      f"{run.p_true[first]:.3f} -> label {labels[first]}")
 
 # --- 4. MCMC agrees with exact enumeration ------------------------------------
 # Metropolis-Hastings with subtree-regeneration proposals targets the same

@@ -55,7 +55,7 @@ _COMMANDS = {
     "run": {
         ".dsl": ("print_concept",),
         ".exemplars": ("load_list", "write_json"),
-        ".metrics": ("hash_inputs", "save_series", "series_from_sets"),
+        ".metrics": ("LabelSeries", "hash_inputs", "save_series"),
     },
     # Bound after "run", for that engine only.
     "run --engine plot": {
@@ -396,13 +396,11 @@ def cmd_run(config: ExperimentConfig, engine: str, mode: str = "chat") -> int:
                 run = run_enumerative(exemplar_list, hypotheses, next(matrices), noise, trace_path)
             series_path = run_dir / f"{rule_id}.series.json"
             elicited_path = run_dir / f"{rule_id}.elicited.json"
-            save_series(series_from_sets(run.rule_id, exemplar_list, (
-                (p.set_index, p.labels, p.p_true) for p in run.per_set
-            )), series_path)
+            save_series(LabelSeries(exemplar_list, run.labels, run.p_true), series_path)
             elicited = {
                 "inputs": inputs,
                 "rule_id": rule_id,
-                "per_set": [print_concept(p.map_concept, config.vocab) for p in run.per_set],
+                "per_set": [print_concept(concept, config.vocab) for concept in run.set_maps],
                 "final": print_concept(run.final_map, config.vocab),
             }
             if run.posterior:  # exact inference only
@@ -471,24 +469,6 @@ def cmd_run(config: ExperimentConfig, engine: str, mode: str = "chat") -> int:
 
 # --- grade -----------------------------------------------------------------
 
-def _read_series(path: Path, exemplar_list: ExemplarList) -> tuple[bool | None, ...]:
-    """The model labels of the series file at ``path``, one per object in
-    the list's layout order, None where one was excluded.  The file is
-    checked against its rule's list: its ``rule_id`` must be the list's,
-    and its records' (set_index, object_index, gold) the list's objects
-    over its first k >= 1 whole sets, in order, as a session capped by
-    ``max_sets`` writes them.  Raises ValueError for any other file."""
-    series = load_series(path)
-    if series.rule_id != exemplar_list.rule_id:
-        raise ValueError(f"rule_id {series.rule_id!r} is not {exemplar_list.rule_id!r}")
-    items = [(s, o, gold) for s, o, _ctx, gold in exemplar_list.iter_items()]
-    found = [(r.set_index, r.object_index, r.gold) for r in series.records]
-    # Whole sets end at a set boundary: the record count is one of the offsets.
-    if not found or found != items[:len(found)] or len(found) not in exemplar_list.offsets:
-        raise ValueError("its records are not the list's objects and gold labels over whole sets")
-    return tuple(r.model for r in series.records)
-
-
 def cmd_grade(config: ExperimentConfig, elicited_path: Path, series_dir: Path | None) -> int:
     lists, failures = _load_lists(config)
     if not elicited_path.exists():
@@ -539,7 +519,7 @@ def cmd_grade(config: ExperimentConfig, elicited_path: Path, series_dir: Path | 
         series_path = series_dir / f"{rule_id}.series.json" if series_dir is not None else None
         try:
             exists = series_path is not None and series_path.exists()
-            labels = _read_series(series_path, lists[rule_id]) if exists else ()
+            labels = load_series(series_path, lists[rule_id]).labels if exists else ()
         except _UNREADABLE as error:
             failures.append((rule_id, f"unreadable series file {series_path}: {error}"))
             continue
@@ -646,7 +626,7 @@ def cmd_report(config: ExperimentConfig, series_dirs: dict[str, Path]) -> int:
             path = directory / f"{rule_id}.series.json"
             if path.exists():
                 try:
-                    found[rule_id] = _read_series(path, lists[rule_id])
+                    found[rule_id] = load_series(path, lists[rule_id]).labels
                 except _UNREADABLE as error:
                     failures.append((rule_id, f"unreadable series file {path}: {error}"))
         if not found:

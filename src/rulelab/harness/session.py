@@ -36,7 +36,7 @@ from typing import Callable
 
 from ..exemplars import ExemplarList
 from ..exemplars.lists import write_atomic
-from ..metrics.series import LabelSeries, series_from_sets
+from ..metrics.series import LabelSeries
 from .config import EndpointConfig, TransportError
 from .extract import (
     DegenerateMassError,
@@ -479,9 +479,10 @@ def run_session(
 
 
 def transcript_series(transcript: SessionTranscript, exemplar_list: ExemplarList) -> LabelSeries:
-    """Flatten a transcript into the per-object label series used by metrics."""
-    return series_from_sets(
-        transcript.rule_id,
+    """A transcript's labels and True-probabilities, set after set, as the
+    series of its list's first sets."""
+    return LabelSeries(
         exemplar_list,
-        ((entry.set_index, entry.labels, entry.p_true) for entry in transcript.sets),
+        tuple(label for entry in transcript.sets for label in entry.labels),
+        tuple(p for entry in transcript.sets for p in entry.p_true),
     )

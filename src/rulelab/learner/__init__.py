@@ -12,7 +12,7 @@ __getattr__, __dir__, __all__ = lazy_exports(globals(), {
     ".inference": (
         "TRACE_TOP_ROWS", "BoundaryDiagnostics", "DegeneratePosteriorError", "EmptyStateError",
         "EvalMatrix", "HypothesisEntry", "LearnerRun", "NoiseParams", "PosteriorState",
-        "SetPrediction", "build_eval_matrices", "build_eval_matrix", "enumerate_hypotheses",
+        "build_eval_matrices", "build_eval_matrix", "enumerate_hypotheses",
         "map_rule", "posterior_by_set", "run_enumerative",
     ),
     ".mcmc": ("mh_sample", "run_mh"),

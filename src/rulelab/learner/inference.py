@@ -168,14 +168,6 @@ def map_rule(state: PosteriorState) -> Concept:
 
 
 @dataclass(frozen=True)
-class SetPrediction:
-    set_index: int
-    map_concept: Concept
-    p_true: tuple[float, ...]
-    labels: tuple[bool, ...]
-
-
-@dataclass(frozen=True)
 class BoundaryDiagnostics:
     """The shape of the posterior at one set boundary."""
 
@@ -186,11 +178,20 @@ class BoundaryDiagnostics:
 
 @dataclass(frozen=True)
 class LearnerRun:
+    """A replay of a list's labeling task: each set's MAP concept, and each
+    object's P(True) in the list's layout order, each set predicted from
+    the posterior over the sets before it."""
+
     rule_id: str
-    per_set: tuple[SetPrediction, ...]
+    set_maps: tuple[Concept, ...]
+    p_true: tuple[float, ...]
     final_map: Concept
     # One per set boundary, 0..n_sets; exact inference only.
     posterior: tuple[BoundaryDiagnostics, ...] = ()
+
+    @property
+    def labels(self) -> tuple[bool, ...]:
+        return tuple(p > 0.5 for p in self.p_true)
 
 
 @dataclass(frozen=True)
@@ -359,18 +360,11 @@ def posterior_by_set(
         yield log_likelihood, log_posterior, map_index
 
 
-def _set_prediction(
-    set_index: int,
-    map_concept: Concept,
-    mass: np.ndarray,
-    truth: np.ndarray,
-    noise: NoiseParams,
-) -> SetPrediction:
-    """Set ``set_index``'s prediction: P(True) for each column of ``truth``
-    (hypotheses by the set's objects) under the mixture whose weights are
-    ``mass``, the posterior probability of each row of ``truth``."""
-    p_true = (noise.alpha * (mass @ truth) + (1.0 - noise.alpha) * noise.beta).tolist()
-    return SetPrediction(set_index, map_concept, tuple(p_true), tuple(p > 0.5 for p in p_true))
+def _set_prediction(mass: np.ndarray, truth: np.ndarray, noise: NoiseParams) -> np.ndarray:
+    """P(True) for each column of ``truth`` (hypotheses by one set's
+    objects) under the mixture whose weights are ``mass``, the posterior
+    probability of each row of ``truth``."""
+    return noise.alpha * (mass @ truth) + (1.0 - noise.alpha) * noise.beta
 
 
 # Rows per set boundary in a trace, and in BoundaryDiagnostics.top_mass.
@@ -455,7 +449,8 @@ def run_enumerative(
     from :func:`posterior_by_set`.
     """
     steps = posterior_by_set(matrix, noise)
-    per_set = []
+    set_maps = []
+    p_true = np.empty(exemplar_list.n_objects)
     posterior = []
     trace: list[tuple] = []
     printed: dict[int, str] = {}  # row -> its printed concept: a row can rank at many boundaries
@@ -477,9 +472,10 @@ def run_enumerative(
                 )
             if set_index == len(exemplar_list.sets):
                 continue
-            truth = matrix.classes[matrix.inverse, offsets[set_index]:offsets[set_index + 1]]
-            map_concept = hypotheses[map_index][0]
-            per_set.append(_set_prediction(set_index, map_concept, mass, truth, noise))
+            start, stop = offsets[set_index], offsets[set_index + 1]
+            truth = matrix.classes[matrix.inverse, start:stop]
+            p_true[start:stop] = _set_prediction(mass, truth, noise)
+            set_maps.append(hypotheses[map_index][0])
     except DegeneratePosteriorError as error:
         if trace_path is not None:  # no trace, not even an old one, for a failed rule
             Path(trace_path).unlink(missing_ok=True)
@@ -488,7 +484,8 @@ def run_enumerative(
         _write_trace(trace_path, trace)
     return LearnerRun(
         rule_id=exemplar_list.rule_id,
-        per_set=tuple(per_set),
+        set_maps=tuple(set_maps),
+        p_true=tuple(p_true.tolist()),
         final_map=hypotheses[map_index][0],
         posterior=tuple(posterior),
     )

@@ -196,14 +196,15 @@ def run_mh(
     batch = ContextBatch.from_contexts(exemplar_list.contexts, exemplar_list.vocab)
     rows = _TruthRows(batch, np.array(exemplar_list.gold, dtype=bool), offsets, noise)
     n_sets = len(exemplar_list.sets)
-    per_set = []
+    set_maps = []
+    p_true = np.empty(exemplar_list.n_objects)
     for set_index in range(n_sets):
         state = _chain(grammar, rows, set_index, iterations, seed + set_index, max_size)
         start, end = offsets[set_index], offsets[set_index + 1]
         mass = np.exp(np.array([entry.log_weight for entry in state.entries]))
         truth = np.array([rows[entry.concept][0][start:end] for entry in state.entries])
-        per_set.append(_set_prediction(set_index, map_rule(state), mass, truth, noise))
+        p_true[start:end] = _set_prediction(mass, truth, noise)
+        set_maps.append(map_rule(state))
     final_state = _chain(grammar, rows, n_sets, iterations, seed + n_sets, max_size)
-    return LearnerRun(
-        rule_id=exemplar_list.rule_id, per_set=tuple(per_set), final_map=map_rule(final_state)
-    )
+    return LearnerRun(exemplar_list.rule_id, tuple(set_maps), tuple(p_true.tolist()),
+                      map_rule(final_state))

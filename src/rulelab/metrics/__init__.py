@@ -16,7 +16,7 @@ __getattr__, __dir__, __all__ = lazy_exports(globals(), {
         "summarize_subjects", "window_scores", "write_delta_csv", "write_grading_csvs",
         "write_summary_csv", "write_trajectory_csv",
     ),
-    ".series": ("LabelSeries", "ObjectRecord", "load_series", "save_series", "series_from_sets"),
+    ".series": ("LabelSeries", "load_series", "save_series"),
     ".trajectory": (
         "CohortReport", "DEFAULT_PERCENTILES", "RuleComparison", "TrajectoryReport",
         "cohort_report", "quantile", "set_trajectory", "subsample_baseline",

@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import strategies as st
 
-from rulelab.catalog import DEFAULT_VOCAB
+from rulelab.catalog import DEFAULT_VOCAB, DEMO_RULES
 from rulelab.dsl import (
     And,
     Concept,
@@ -25,10 +25,28 @@ from rulelab.dsl import (
     Rel,
     REL_KINDS,
     Xor,
+    parse_concept,
 )
-from rulelab.exemplars import ExemplarList, SubjectRecord
+from rulelab.exemplars import ExemplarList, SubjectRecord, generate_list
 
 _BINARY_NODES = (And, Or, Xor, Implies, Iff)
+
+# The lab's 12 dry-run rules, all within max_size 3.
+DRY_RUN_RULES = (
+    "blue", "not-circle", "circle-implies-blue", "circle-or-blue", "small-and-blue",
+    "circle-xor-blue", "same-shape-as-a-yellow", "unique-blue", "exists-triangle",
+    "one-of-the-largest", "same-color-as-another", "majority-color",
+)
+
+
+def dry_run_lists() -> list[ExemplarList]:
+    """The dry-run rules' lists, in catalog order, seeded 2024 onward."""
+    rules = [rule for rule in DEMO_RULES if rule.rule_id in DRY_RUN_RULES]
+    return [
+        generate_list(parse_concept(rule.source, DEFAULT_VOCAB), DEFAULT_VOCAB,
+                      seed=2024 + i, rule_id=rule.rule_id)
+        for i, rule in enumerate(rules)
+    ]
 
 
 @pytest.fixture(scope="session")

@@ -1,24 +1,27 @@
-"""The per-record metrics the library's label-vector metrics are tested against.
+"""The per-record metrics and series writer the library is tested against.
 
-The library scores one label vector per session or subject, in the list's
-layout order, and slices it by the list's ``offsets``.  The functions here
-walk a :class:`~rulelab.metrics.LabelSeries` one :class:`ObjectRecord` at a
-time instead, keyed by ``(set_index, object_index)``, and evaluate a
-reported rule separately for each score.  Tests compare the two with ``==``.
+The library holds one label vector (and one P(True) vector) per session or
+subject, in the list's layout order, and slices it by the list's
+``offsets``.  The functions here walk a :class:`RecordSeries` one
+:class:`ObjectRecord` at a time instead, keyed by ``(set_index,
+object_index)``, and evaluate a reported rule separately for each score.
+Tests compare the two with ``==``; :func:`write_records` writes a record
+series as a series file, for byte comparison with
+:func:`rulelab.metrics.save_series`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+import json
+from dataclasses import dataclass, field
+from pathlib import Path
+from typing import Iterable, Sequence
 
 from rulelab.dsl import Concept, Context, DslError, evaluate, parse_concept
 from rulelab.exemplars import ExemplarList, Observation
 from rulelab.metrics import (
     WINDOWS,
     EmptyWindowError,
-    LabelSeries,
-    ObjectRecord,
     RuleGrade,
     TrajectoryReport,
     chance_baseline,
@@ -26,15 +29,63 @@ from rulelab.metrics import (
 )
 
 
-def series_of(labels: Sequence[bool | None], exemplar_list: ExemplarList) -> LabelSeries:
+@dataclass(frozen=True)
+class ObjectRecord:
+    """One labeled (or excluded) object in presentation order: ``model`` is
+    None when it was excluded, ``p_true`` when the source gives none."""
+
+    set_index: int
+    object_index: int
+    gold: bool
+    model: bool | None = None
+    p_true: float | None = None
+
+
+@dataclass
+class RecordSeries:
+    rule_id: str
+    records: list[ObjectRecord] = field(default_factory=list)
+
+
+def records_from_sets(
+    rule_id: str,
+    exemplar_list: ExemplarList,
+    per_set: Iterable[tuple[int, Sequence[bool | None], Sequence[float | None] | None]],
+) -> RecordSeries:
+    """A series from per-set vectors: each item is ``(set_index, labels,
+    p_true)``, one entry per object of that set, ``p_true`` None when the
+    source gives no probabilities."""
+    return RecordSeries(rule_id, [
+        ObjectRecord(set_index, object_index, gold, labels[object_index],
+                     None if p_true is None else p_true[object_index])
+        for set_index, labels, p_true in per_set
+        for object_index, gold in enumerate(exemplar_list.sets[set_index].labels)
+    ])
+
+
+def write_records(series: RecordSeries, path: str | Path) -> None:
+    """The series file of ``series``: its rule id and every record, as
+    indented JSON with sorted keys."""
+    doc = {
+        "rule_id": series.rule_id,
+        "records": [
+            {"set_index": r.set_index, "object_index": r.object_index, "gold": r.gold,
+             "model": r.model, "p_true": r.p_true}
+            for r in series.records
+        ],
+    }
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def series_of(labels: Sequence[bool | None], exemplar_list: ExemplarList) -> RecordSeries:
     """The series of ``labels``, one per object of the list's first objects."""
     items = list(exemplar_list.iter_items())[:len(labels)]
-    return LabelSeries(exemplar_list.rule_id, [
+    return RecordSeries(exemplar_list.rule_id, [
         ObjectRecord(s, o, gold, label) for (s, o, _ctx, gold), label in zip(items, labels)
     ])
 
 
-def accuracy(series: LabelSeries, window: str = "overall") -> float:
+def accuracy(series: RecordSeries, window: str = "overall") -> float:
     if window not in WINDOWS:
         raise ValueError(f"window must be one of {WINDOWS}, got {window!r}")
     records = series.records
@@ -46,7 +97,7 @@ def accuracy(series: LabelSeries, window: str = "overall") -> float:
     return sum(r.model == r.gold for r in attempted) / len(attempted)
 
 
-def window_scores(series: Sequence[LabelSeries]) -> dict[str, list[float]]:
+def window_scores(series: Sequence[RecordSeries]) -> dict[str, list[float]]:
     scores: dict[str, list[float]] = {window: [] for window in WINDOWS}
     for one in series:
         for window in WINDOWS:
@@ -57,7 +108,7 @@ def window_scores(series: Sequence[LabelSeries]) -> dict[str, list[float]]:
     return scores
 
 
-def set_trajectory(series_by_member: Sequence[LabelSeries], cohort: str) -> TrajectoryReport:
+def set_trajectory(series_by_member: Sequence[RecordSeries], cohort: str) -> TrajectoryReport:
     """Every set's mean accuracy, scanning every member's records once per
     set; the chance baseline reads the first member's gold labels."""
     n_sets = max(r.set_index for s in series_by_member for r in s.records) + 1

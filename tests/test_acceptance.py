@@ -14,7 +14,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from conftest import random_concept, random_context
+from conftest import DRY_RUN_RULES, random_concept, random_context
 from reference import PosteriorState, log_likelihood, posterior_predictive
 from rulelab.catalog import DEFAULT_VOCAB as V, DEMO_RULES, write_rules_manifest
 from rulelab.cli import EXIT_OK, main
@@ -184,7 +184,7 @@ def test_criterion_4_learnability_smoke():
             hypotheses = enumerate_hypotheses(grammar, 3)
             matrix = build_eval_matrix(hypotheses, exemplar_list)
             run = run_enumerative(exemplar_list, hypotheses, matrix, noise)
-            labels = [label for prediction in run.per_set for label in prediction.labels]
+            labels = run.labels
             assert len(labels) == exemplar_list.n_objects
             elapsed = time.monotonic() - started
             assert elapsed < 60.0, f"{source} took {elapsed:.1f}s"
@@ -354,13 +354,6 @@ def test_criterion_9_harness_determinism(tmp_path):
         )
         assert sum(label is not None for label in chat.labels) + len(chat.exclusions) == 2
         assert {e.reason for e in chat.exclusions} == {"non-boolean label", "object-mismatch"}
-
-
-DRY_RUN_RULES = (
-    "blue", "not-circle", "circle-implies-blue", "circle-or-blue", "small-and-blue",
-    "circle-xor-blue", "same-shape-as-a-yellow", "unique-blue", "exists-triangle",
-    "one-of-the-largest", "same-color-as-another", "majority-color",
-)
 
 
 def test_criterion_10_end_to_end_dry_run(tmp_path, capsys):

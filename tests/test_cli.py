@@ -848,12 +848,32 @@ def _flip_every_gold(doc, records):
         record["gold"] = not record["gold"]
 
 
+def _retyped(key, retype):
+    """An edit giving every record's ``key`` the value ``retype`` makes of
+    it, where that value is equal to the old one in Python but of another
+    JSON type."""
+    def edit(doc, records):
+        for record in records:
+            record[key] = retype(record[key])
+    return edit
+
+
 _SERIES_EDITS = {
     "other-rule": lambda doc, records: doc.update(rule_id="not-circle"),
     "object-past-its-set": lambda doc, records: records[-1].update(object_index=8),
     "no-records": lambda doc, records: records.clear(),
     "cut-inside-a-set": _cut_inside_the_last_set,
     "every-gold-flipped": _flip_every_gold,
+    # Values of the wrong JSON type, each scored or matched as a right one
+    # would be unless refused.
+    "false-written-no": _retyped("model", lambda model: "no" if model is False else model),
+    "model-as-integer": _retyped("model", lambda model: model if model is None else int(model)),
+    "gold-as-integer": _retyped("gold", int),
+    "p-true-as-boolean": _retyped("p_true", lambda p: p > 0.5),
+    "set-index-as-float": _retyped("set_index", float),
+    "object-index-as-boolean": _retyped(
+        "object_index", lambda index: bool(index) if index < 2 else index
+    ),
 }
 _SERIES_COMMANDS = {
     "grade": lambda run_dir: ("grade", "--elicited", str(run_dir), "--series-dir", str(run_dir)),
@@ -971,16 +991,15 @@ def test_report_keeps_each_named_cohort(workspace):
 
 
 def test_report_leaves_fully_excluded_set_blank(workspace):
-    from rulelab.metrics import LabelSeries, load_series, save_series
+    from rulelab.metrics import load_series, save_series
 
     run(workspace, "gen")
     run(workspace, "run", "--engine", "plot")
     path = workspace / "out" / "runs" / "plot" / "blue.series.json"
-    series = load_series(path)
-    records = [
-        dataclasses.replace(r, model=None) if r.set_index == 2 else r for r in series.records
-    ]
-    save_series(LabelSeries(series.rule_id, records), path)
+    series = load_series(path, load_list(workspace / "out" / "lists" / "blue.json"))
+    start, stop = series.exemplar_list.offsets[2:4]
+    labels = series.labels[:start] + (None,) * (stop - start) + series.labels[stop:]
+    save_series(dataclasses.replace(series, labels=labels), path)
     assert run(workspace, "report", "--series", f"plot={workspace}/out/runs/plot") == EXIT_OK
     rows = (workspace / "out" / "reports" / "trajectories.csv").read_text().splitlines()
     cells = {tuple(row.split(",")[:3]): row.split(",")[3] for row in rows[2:]}

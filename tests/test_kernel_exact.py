@@ -30,6 +30,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import dry_run_lists
 from reference import PosteriorState, log_likelihood, posterior_predictive
 from rulelab.catalog import DEFAULT_VOCAB as V
 from rulelab.catalog import DEMO_RULES
@@ -658,14 +659,6 @@ def test_equal_counts_at_a_boundary_share_one_group():
         assert np.max(np.abs(table.predict(noise) - expected)) <= 1e-12, noise
 
 
-# The lab's 12 dry-run rules, all within max_size 3.
-DRY_RUN_RULES = (
-    "blue", "not-circle", "circle-implies-blue", "circle-or-blue", "small-and-blue",
-    "circle-xor-blue", "same-shape-as-a-yellow", "unique-blue", "exists-triangle",
-    "one-of-the-largest", "same-color-as-another", "majority-color",
-)
-
-
 def test_lab_sized_fit_keeps_the_class_paths_winner():
     """On the 12 dry-run rules at max_size 3 and the full 441-point grid,
     with 30 subjects per object answering near the class path's predictions
@@ -674,9 +667,7 @@ def test_lab_sized_fit_keeps_the_class_paths_winner():
     from rulelab.learner import fit_noise
 
     hypotheses = enumerate_hypotheses(default_grammar(V), 3)
-    rules = [rule for rule in DEMO_RULES if rule.rule_id in DRY_RUN_RULES]
-    lists = [generate_list(parse_concept(rule.source, V), V, seed=2024 + i, rule_id=rule.rule_id)
-             for i, rule in enumerate(rules)]
+    lists = dry_run_lists()
     matrices = list(build_eval_matrices(hypotheses, lists))
     rng = np.random.default_rng(2024)
     prepared, human = [], []

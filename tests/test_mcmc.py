@@ -116,13 +116,10 @@ def test_run_mh_learns_a_simple_rule():
     exemplar_list = generate_list(concept, V, seed=17, rule_id="blue")
     run = run_mh(exemplar_list, grammar, NoiseParams(0.95, 0.5), iterations=4000, seed=2, max_size=2)
     assert run.final_map == concept
-    late = run.per_set[-5:]
-    correct = total = 0
-    for prediction in late:
-        gold = exemplar_list.sets[prediction.set_index].labels
-        correct += sum(a == b for a, b in zip(prediction.labels, gold))
-        total += len(gold)
-    assert correct / total >= 0.9
+    late = exemplar_list.offsets[-6]  # the first object of the last five sets
+    gold = exemplar_list.gold[late:]
+    correct = sum(a == b for a, b in zip(run.labels[late:], gold))
+    assert correct / len(gold) >= 0.9
 
 
 EXACTLY_ONE_BLUE = parse_concept("(exactly-one all (is-color blue 0))", V)
@@ -191,9 +188,9 @@ def test_run_mh_predicts_with_its_chains_posterior():
     for set_index, exemplar_set in enumerate(exemplar_list.sets):
         evidence = evidence_from_list(exemplar_list, upto_set=set_index)
         state = mh_sample(grammar, evidence, noise, 1500, seed=7 + set_index, max_size=3)
-        prediction = run.per_set[set_index]
-        assert prediction.map_concept == map_rule(state)
-        for i, (p, label) in enumerate(zip(prediction.p_true, prediction.labels)):
+        assert run.set_maps[set_index] == map_rule(state)
+        start, stop = exemplar_list.offsets[set_index:set_index + 2]
+        for i, (p, label) in enumerate(zip(run.p_true[start:stop], run.labels[start:stop])):
             expected = posterior_predictive(state, exemplar_set.context_for(i), noise)
             assert abs(p - expected) <= 1e-12
             assert label == (expected > 0.5)
@@ -236,4 +233,4 @@ def test_run_mh_evaluates_each_concept_once(monkeypatch):
     exemplar_list = generate_list(EXACTLY_ONE_BLUE, V, seed=4, n_sets=5, rule_id="one-blue")
     run = run_mh(exemplar_list, default_grammar(V), NoiseParams(0.9, 0.5), 800, seed=5, max_size=3)
     assert len(evaluated) == len(set(evaluated)) > 1
-    assert {p.map_concept for p in run.per_set} | {run.final_map} <= set(evaluated)
+    assert set(run.set_maps) | {run.final_map} <= set(evaluated)

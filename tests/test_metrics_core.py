@@ -9,9 +9,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from metrics_reference import records_from_sets, write_records
+from rulelab.catalog import DEFAULT_VOCAB
+from rulelab.dsl import Obj, parse_concept
+from rulelab.exemplars import ExemplarList, ExemplarSet, generate_list
+from rulelab.learner import (
+    NoiseParams,
+    build_eval_matrix,
+    default_grammar,
+    enumerate_hypotheses,
+    run_enumerative,
+)
 from rulelab.metrics import (
     EmptyWindowError,
-    ObjectRecord,
+    LabelSeries,
     ZeroVarianceError,
     accuracy,
     chance_baseline,
@@ -206,6 +217,14 @@ def test_overall_accuracy_is_weighted_per_set_combination():
     )
 
 
+def _one_set_list(rule_id: str = "r") -> ExemplarList:
+    """A one-set list: a blue object, gold True, then a green one, gold False."""
+    blue, green = (Obj(0, DEFAULT_VOCAB.colors.index(c), 0) for c in ("blue", "green"))
+    concept = parse_concept("(is-color blue)", DEFAULT_VOCAB)
+    exemplar_set = ExemplarSet((blue, green), (True, False))
+    return ExemplarList(rule_id, "(is-color blue)", concept, DEFAULT_VOCAB, 0, (exemplar_set,))
+
+
 def test_series_files_drop_the_human_key_and_old_files_still_load(tmp_path):
     """Records no longer carry ``"human"``, which no source ever set; a file
     written with it (always null) still loads, and saving it again leaves
@@ -219,13 +238,11 @@ def test_series_files_drop_the_human_key_and_old_files_still_load(tmp_path):
              "p_true": None, "human": None},
         ],
     }
+    exemplar_list = _one_set_list()
     old_path = tmp_path / "old.series.json"
     old_path.write_text(json.dumps(old))
-    series = load_series(old_path)
-    assert series.records == [
-        ObjectRecord(0, 0, gold=True, model=True, p_true=0.75),
-        ObjectRecord(0, 1, gold=False, model=None),
-    ]
+    series = load_series(old_path, exemplar_list)
+    assert series == LabelSeries(exemplar_list, (True, None), (0.75, None))
     new_path = tmp_path / "new.series.json"
     save_series(series, new_path)
     saved = json.loads(new_path.read_text())
@@ -233,6 +250,57 @@ def test_series_files_drop_the_human_key_and_old_files_still_load(tmp_path):
     for record in old["records"]:
         del record["human"]
     assert saved == old
-    assert load_series(new_path) == series
+    assert load_series(new_path, exemplar_list) == series
+    old["records"][0]["p_true"] = 1.5
+    old_path.write_text(json.dumps(old))
     with pytest.raises(ValueError, match="p_true"):
-        ObjectRecord(0, 0, gold=True, p_true=1.5)
+        load_series(old_path, exemplar_list)
+
+
+def _plot_run_series(exemplar_list):
+    """A plot run's labels and P(True) over ``exemplar_list``, at size 2."""
+    hypotheses = enumerate_hypotheses(default_grammar(DEFAULT_VOCAB), 2)
+    run = run_enumerative(exemplar_list, hypotheses, build_eval_matrix(hypotheses, exemplar_list),
+                          NoiseParams(0.9, 0.5))
+    return run.labels, run.p_true
+
+
+def _per_set(exemplar_list, labels, p_true, n_sets):
+    """``(set_index, labels, p_true)`` of the first ``n_sets`` sets, as the
+    per-record writer takes them."""
+    offsets = exemplar_list.offsets
+    return [
+        (k, labels[offsets[k]:offsets[k + 1]],
+         None if p_true is None else p_true[offsets[k]:offsets[k + 1]])
+        for k in range(n_sets)
+    ]
+
+
+def test_save_series_writes_the_per_record_writers_bytes(tmp_path):
+    """A series file is written byte for byte as the per-record writer
+    writes it: for a plot run (float P(True)), a series cut after three
+    whole sets, one with excluded objects and one without P(True); and
+    each reads back as the series it was written from."""
+    exemplar_list = generate_list(parse_concept("(is-color blue)", DEFAULT_VOCAB), DEFAULT_VOCAB,
+                                  seed=41, rule_id="blue")
+    labels, p_true = _plot_run_series(exemplar_list)
+    assert all(type(p) is float for p in p_true)
+    n_sets, cut = len(exemplar_list.sets), exemplar_list.offsets[3]
+    excluded = {1, 5, 6, exemplar_list.n_objects - 1}
+    masked = tuple(None if i in excluded else label for i, label in enumerate(labels))
+    masked_p = tuple(None if i in excluded else p for i, p in enumerate(p_true))
+    cases = {
+        "plot": (labels, p_true, n_sets),
+        "cut": (labels[:cut], p_true[:cut], 3),
+        "excluded": (masked, masked_p, n_sets),
+        "no-p-true": (masked, None, n_sets),
+    }
+    for name, (case_labels, case_p, sets) in cases.items():
+        series = LabelSeries(exemplar_list, case_labels, case_p)
+        saved, oracle = tmp_path / f"{name}.series.json", tmp_path / f"{name}.oracle.json"
+        save_series(series, saved)
+        write_records(records_from_sets(
+            "blue", exemplar_list, _per_set(exemplar_list, case_labels, case_p, sets)
+        ), oracle)
+        assert saved.read_bytes() == oracle.read_bytes(), name
+        assert load_series(saved, exemplar_list) == series, name

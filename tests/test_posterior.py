@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_context
+from conftest import dry_run_lists, random_context
 from reference import PosteriorState, classify, log_likelihood, posterior_predictive
 from rulelab.catalog import DEFAULT_VOCAB as V
 from rulelab.dsl import Context, Obj, parse_concept
@@ -16,6 +16,7 @@ from rulelab.learner import (
     DegeneratePosteriorError,
     EmptyStateError,
     NoiseParams,
+    build_eval_matrices,
     build_eval_matrix,
     default_grammar,
     enumerate_hypotheses,
@@ -195,13 +196,14 @@ def test_vectorized_runner_matches_reference():
     run = run_enumerative(exemplar_list, hypotheses, matrix, noise)
 
     state = PosteriorState.from_hypotheses(hypotheses, V)
-    for prediction in run.per_set:
-        exemplar_set = exemplar_list.sets[prediction.set_index]
+    for set_index, map_concept in enumerate(run.set_maps):
+        exemplar_set = exemplar_list.sets[set_index]
+        start = exemplar_list.offsets[set_index]
         for object_index in range(len(exemplar_set.objects)):
             ctx = exemplar_set.context_for(object_index)
             expected = posterior_predictive(state, ctx, noise)
-            assert prediction.p_true[object_index] == pytest.approx(expected, abs=1e-9)
-        assert prediction.map_concept == map_rule(state)
+            assert run.p_true[start + object_index] == pytest.approx(expected, abs=1e-9)
+        assert map_concept == map_rule(state)
         for object_index, label in enumerate(exemplar_set.labels):
             state = state.update(exemplar_set.context_for(object_index), label, noise)
 
@@ -220,22 +222,37 @@ def test_posterior_kernel_matches_reference_on_fol_list(alpha, beta):
     matrix = build_eval_matrix(hypotheses, exemplar_list)
     trajectory = predictive_trajectory(matrix, noise)
     run = run_enumerative(exemplar_list, hypotheses, matrix, noise)
-    assert len(run.per_set) == len(exemplar_list.sets)
-    assert len(trajectory) == exemplar_list.n_objects
+    assert len(run.set_maps) == len(exemplar_list.sets)
+    assert len(run.p_true) == len(trajectory) == exemplar_list.n_objects
 
     state = PosteriorState.from_hypotheses(hypotheses, V)
     flat = 0
-    for prediction in run.per_set:
-        exemplar_set = exemplar_list.sets[prediction.set_index]
+    for set_index, map_concept in enumerate(run.set_maps):
+        exemplar_set = exemplar_list.sets[set_index]
         for object_index, label in enumerate(exemplar_set.labels):
             expected = posterior_predictive(state, exemplar_set.context_for(object_index), noise)
-            assert abs(prediction.p_true[object_index] - expected) <= 1e-12
+            assert abs(run.p_true[flat] - expected) <= 1e-12
             assert abs(trajectory[flat] - expected) <= 1e-12
             flat += 1
-        assert prediction.map_concept == map_rule(state)
+        assert map_concept == map_rule(state)
         for object_index, label in enumerate(exemplar_set.labels):
             state = state.update(exemplar_set.context_for(object_index), label, noise)
     assert run.final_map == map_rule(state)
+
+
+@pytest.mark.parametrize("alpha, beta", [(0.95, 0.5), (0.75, 0.9)])
+def test_run_and_predictive_trajectory_agree_on_the_dry_run_lists(alpha, beta):
+    """The learner's P(True) vector and the noise fit's are one per object of
+    the list, in its layout order, and agree there within 1e-12, on each of
+    the 12 dry-run lists at max_size 3."""
+    noise = NoiseParams(alpha, beta)
+    hypotheses = enumerate_hypotheses(default_grammar(V), 3)
+    lists = dry_run_lists()
+    for exemplar_list, matrix in zip(lists, build_eval_matrices(hypotheses, lists)):
+        run = run_enumerative(exemplar_list, hypotheses, matrix, noise)
+        trajectory = predictive_trajectory(matrix, noise).tolist()
+        assert len(run.p_true) == len(trajectory) == exemplar_list.n_objects
+        assert max(abs(a - b) for a, b in zip(run.p_true, trajectory)) <= 1e-12
 
 
 def test_posterior_kernel_and_reference_both_degenerate_at_alpha_one(tmp_path):

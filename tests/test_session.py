@@ -149,7 +149,7 @@ def test_chat_session_transcript_shape(tmp_path):
         assert all(p == pytest.approx(0.9 / 0.95) or p == pytest.approx(0.05 / 0.95)
                    for p in entry.p_true)
     series = transcript_series(transcript, fixture_list())
-    assert all(r.model == r.gold for r in series.records)  # oracle labels truthfully
+    assert series.labels == fixture_list().gold  # oracle labels truthfully
 
 
 def test_25_set_list_yields_25_entries():
@@ -288,9 +288,8 @@ def test_completion_session_one_call_per_object():
     transcript = run_session(exemplar_list, endpoint(), "completion", transport=oracle)
     assert len(oracle.calls) == exemplar_list.n_objects
     series = transcript_series(transcript, exemplar_list)
-    assert all(r.model == r.gold for r in series.records)
-    assert all(r.p_true == pytest.approx(8 / 9) or r.p_true == pytest.approx(1 / 9)
-               for r in series.records)
+    assert series.labels == exemplar_list.gold
+    assert all(p == pytest.approx(8 / 9) or p == pytest.approx(1 / 9) for p in series.p_true)
 
 
 def test_adversarial_responses_balance_exclusions():

@@ -215,7 +215,7 @@ def test_top_trace_is_the_best_lines_of_the_full_trace_map_first(tmp_path, max_s
     full_lines, top_lines = _boundary_lines(full), _boundary_lines(top)
     n_sets = len(exemplar_list.sets)
     assert sorted(top_lines) == sorted(full_lines) == list(range(n_sets + 1))
-    maps = [p.map_concept for p in top_run.per_set] + [top_run.final_map]
+    maps = [*top_run.set_maps, top_run.final_map]
     for set_index, (log_likelihood, _lp, _map) in enumerate(posterior_by_set(matrix, noise)):
         lines = top_lines[set_index]
         assert len(lines) == min(TRACE_TOP_ROWS, len(hypotheses))
