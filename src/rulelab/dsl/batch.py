@@ -2,9 +2,11 @@
 
 One kernel (:func:`evaluate_packed`) computes the same truth values as
 :func:`rulelab.dsl.core.evaluate`, which stays the reference semantics it
-is tested against, for a whole :class:`ContextBatch` at a time.  It
-numbers each distinct ``(subterm, binder depth)`` of its concepts once and
-evaluates each once, children first, into packed truth rows:
+is tested against, for a whole :class:`ContextBatch` at a time.  A plan
+(:class:`_Plan`) numbers the ``(subterm, binder depth)`` nodes of its
+concepts, by walking them or as the hypothesis enumeration builds them,
+and the kernel evaluates each node once, children first, into packed
+truth rows:
 ``np.packbits`` over the contexts, first context in the high bit, the tail
 byte's padding bits zero.  :func:`evaluate_batch` unpacks the rows it is
 asked for; the learner's hypothesis table stays packed.
@@ -30,6 +32,7 @@ one store, row ``i`` for subterm number ``i``.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
@@ -164,60 +167,94 @@ def evaluate_batch(concepts: Sequence[Concept], batch: ContextBatch) -> np.ndarr
 
 
 def evaluate_packed(
-    concepts: Sequence[Concept], batch: ContextBatch
+    concepts: Sequence[Concept] | _Plan, batch: ContextBatch
 ) -> tuple[np.ndarray, np.ndarray]:
     """``(table, rows)``: ``table`` is ``uint8[k, ceil(len(batch) / 8)]``,
-    the packed truth rows of the distinct depth-0 subterms of ``concepts``,
-    and ``concepts[i]``'s row is ``table[rows[i]]``.  Context ``j`` is bit
-    ``7 - j % 8`` of byte ``j // 8``, and padding bits are zero."""
-    plan = _Plan()
-    rows = np.array([plan.number(concept, 0) for concept in concepts], dtype=np.intp)
-    del plan.ids  # the subterm numbering is done with: free it before the stores are made
-    return _Kernel(batch).run(plan)[:, 0], rows
+    the packed truth rows of the depth-0 nodes of ``concepts``' plan, and
+    ``concepts[i]``'s row is ``table[rows[i]]``.  Context ``j`` is bit ``7 -
+    j % 8`` of byte ``j // 8``, and padding bits are zero.
+
+    A sequence of concepts is numbered here (:meth:`_Plan.numbering`), each
+    distinct ``(subterm, depth)`` once.  ``concepts`` may instead be a
+    :class:`_Plan` that already numbers them, as
+    :func:`rulelab.learner.enumerate_hypotheses` builds one; ``rows`` then
+    follow its ``roots``."""
+    plan = concepts if isinstance(concepts, _Plan) else _Plan.numbering(concepts)
+    return _Kernel(batch).run(plan)[:, 0], np.array(plan.roots, dtype=np.intp)
 
 
 class _Plan:
-    """The distinct ``(subterm, depth)`` nodes of some concepts, numbered
-    once per depth.  Leaves are listed as ``(depth, number, leaf)``; the
-    other nodes are grouped by ``(height, depth, op)``, and a group's
-    columns are its node numbers, then each operand's number at the
-    operand's depth."""
+    """The ``(subterm, depth)`` nodes of some concepts, numbered per depth,
+    and ``roots``, each concept's number at depth 0.  Leaves are listed as
+    ``(depth, number, leaf)``; the other nodes are grouped by ``(height,
+    depth, op)``, and a group's columns are its node numbers, then each
+    operand's number at the operand's depth.
+
+    :meth:`node` is the one way a node is added.  :meth:`number` walks a
+    concept and adds each of its distinct ``(subterm, depth)`` once,
+    through ``ids``.  :func:`rulelab.learner.enumerate_hypotheses` adds
+    each concept it builds from its children's numbers, without a walk,
+    once per memo cell: a concept in two cells of one depth has two
+    numbers, and the same rows under both."""
 
     def __init__(self):
         self.ids: list[dict[Concept, int]] = [{}]  # per depth: subterm -> its number
-        self.heights: list[list[int]] = [[]]  # per depth, by number
+        self.heights: list[array] = [array("q")]  # per depth, by number
         self.leaves: list[tuple[int, int, Concept]] = []
-        self.groups: dict[tuple, list[list[int]]] = {}
+        self.groups: dict[tuple, list[array]] = {}
+        self.roots = array("q")
+
+    @classmethod
+    def numbering(cls, concepts: Sequence[Concept]) -> "_Plan":
+        """The plan of ``concepts``, each numbered by :meth:`number`."""
+        plan = cls()
+        plan.roots = array("q", [plan.number(concept, 0) for concept in concepts])
+        del plan.ids  # the subterm numbering is done with: free it before the stores are made
+        return plan
+
+    def node(self, op, depth: int, operands: Sequence[int] = ()) -> int:
+        """A new node's number at ``depth``: the leaf ``op`` when there are
+        no ``operands``, else the node of kind ``op`` (a connective's type,
+        or a quantifier's ``(kind, scope)``) over the operands' numbers, at
+        ``depth`` for a connective and ``depth + 1`` for a quantifier."""
+        while len(self.heights) <= depth:
+            self.heights.append(array("q"))
+        heights = self.heights[depth]
+        number = len(heights)
+        if operands:
+            inner = self.heights[depth + 1] if isinstance(op, tuple) else heights
+            height = 1 + max(map(inner.__getitem__, operands))
+            key = (height, depth, op)
+            columns = self.groups.get(key)
+            if columns is None:
+                columns = self.groups[key] = [array("q") for _ in range(len(operands) + 1)]
+            for column, value in zip(columns, (number, *operands)):
+                column.append(value)
+        else:
+            height = 0
+            self.leaves.append((depth, number, op))
+        heights.append(height)
+        return number
 
     def number(self, concept: Concept, depth: int) -> int:
         """``concept``'s number at ``depth``, numbering it and its subterms
         if it is new."""
-        ids, heights = self.ids[depth], self.heights[depth]
-        new = len(heights)
-        number = ids.setdefault(concept, new)
-        if number != new:
+        while len(self.ids) <= depth:
+            self.ids.append({})
+        ids = self.ids[depth]
+        number = ids.get(concept)
+        if number is not None:
             return number
-        heights.append(0)
         children, binds, refs, _reads_set = parts(concept)
         if not children:
             if refs and max(refs) > depth:
                 raise UnboundVariableError(f"variable {max(refs)} unbound under {depth} binder(s)")
-            self.leaves.append((depth, number, concept))
-            return number
-        inner = depth + binds
-        if inner == len(self.ids):
-            self.ids.append({})
-            self.heights.append([])
-        operands = [self.number(child, inner) for child in children]
-        height = heights[number] = 1 + max(map(self.heights[inner].__getitem__, operands))
-        key = (height, depth, (concept.kind, concept.scope) if binds else type(concept))
-        group = self.groups.get(key)
-        if group is None:
-            self.groups[key] = [[number]] + [[operand] for operand in operands]
+            number = self.node(concept, depth)
         else:
-            group[0].append(number)
-            for column, operand in zip(group[1:], operands):
-                column.append(operand)
+            operands = [self.number(child, depth + binds) for child in children]
+            op = (concept.kind, concept.scope) if binds else type(concept)
+            number = self.node(op, depth, operands)
+        ids[concept] = number
         return number
 
 

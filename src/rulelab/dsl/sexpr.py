@@ -203,7 +203,8 @@ def parse_template(text: str, vocab: FeatureVocab) -> Concept:
 
 
 def print_concept(concept: Concept, vocab: FeatureVocab) -> str:
-    """Canonical source text; re-parsing it yields a structurally equal AST."""
+    """Canonical source text; re-parsing it yields a structurally equal AST
+    (a template, with its holes, through :func:`parse_template`)."""
     if isinstance(concept, FeatureIs):
         name = vocab.values(concept.dim)[concept.value]
         suffix = f" {concept.var}" if concept.var else ""
@@ -224,6 +225,8 @@ def print_concept(concept: Concept, vocab: FeatureVocab) -> str:
         return f"(majority-color {concept.var})" if concept.var else "(majority-color)"
     if isinstance(concept, MinorityColor):
         return f"(minority-color {concept.var})" if concept.var else "(minority-color)"
+    if isinstance(concept, Hole):  # a template's hole: its nonterminal, as parse_template reads it
+        return concept.nonterminal
     raise DslError(f"not a printable concept node: {concept!r}")
 
 

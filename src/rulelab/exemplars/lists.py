@@ -14,6 +14,7 @@ import io
 import json
 import os
 import random
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, pairwise
@@ -160,11 +161,17 @@ def write_atomic(path: str | Path, text: str) -> None:
     """Write via a sibling temp file and rename, so readers never see a
     partial document.  The file is synced before the rename and its
     directory after, so a crash leaves the old document or the new one.  On
-    failure the temp file is removed and the old document is untouched."""
+    failure the temp file is removed and the old document is untouched.
+
+    Each call writes its own temp file, named for its process and thread
+    and created exclusively, so two writers of one path (two sessions
+    sending the same request, or two processes sharing an output
+    directory) each rename a whole document of their own: the last rename
+    wins.  The file gets the mode ``open`` gives under the umask."""
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
     try:
-        with open(tmp, "w", encoding="utf-8") as handle:
+        with open(tmp, "x", encoding="utf-8") as handle:
             handle.write(text)
             handle.flush()
             os.fsync(handle.fileno())

@@ -26,6 +26,7 @@ counts.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -35,7 +36,8 @@ import numpy as np
 from ..dsl import Concept, Context, ContextBatch, evaluate_packed, size as concept_size
 from ..dsl.sexpr import print_concept
 from ..exemplars import ExemplarList, write_csv
-from .grammar import Grammar, GrammarError, HypothesisBudgetError, substitute
+from .enumeration import Cells, Hypotheses, print_from
+from .grammar import Grammar, GrammarError
 
 
 class EmptyStateError(ValueError):
@@ -61,7 +63,7 @@ class NoiseParams:
 
 def enumerate_hypotheses(
     grammar: Grammar, max_size: int, max_hypotheses: int = 200_000
-) -> list[tuple[Concept, float]]:
+) -> Hypotheses:
     """All concepts the grammar derives with node count <= ``max_size``, as
     ``(concept, log_prior)`` pairs.
 
@@ -69,75 +71,47 @@ def enumerate_hypotheses(
     concept their probabilities are summed, so the returned log-priors
     account for the grammar's full mass on each concept (and total at most
     one).  Results are sorted by (size, printed form under the grammar's
-    vocab) for determinism; the printed forms are dropped once sorted.
+    vocab) for determinism.
+
+    One pass fills a memo cell per (nonterminal, size, binder depth), each
+    child cell before the cells that read it.  Each new concept is handled
+    once: built by its production's compiled builder from its children,
+    and added to the evaluation plan (``plan``) as a node over its
+    children's plan numbers, so :func:`build_eval_matrices` walks no
+    hypothesis.  In a cell that other cells read it is also printed, as
+    the production's text with its children's printed forms in the holes;
+    the last size's sort keys are printed once its cell is built, from the
+    other cells' forms.  A concept derived again only has its probability
+    added, in derivation order.  The printed forms are dropped once the
+    hypotheses are sorted.  :class:`HypothesisBudgetError` is raised as
+    soon as the hypotheses so far pass ``max_hypotheses``.
     """
     if max_size < 1:
         raise GrammarError("max_size must be at least 1")
-
-    memo: dict[tuple[str, int], dict[Concept, float]] = {}
-
-    def exact(nonterminal: str, target_size: int) -> dict[Concept, float]:
-        key = (nonterminal, target_size)
-        if key in memo:
-            return memo[key]
-        cell: dict[Concept, float] = {}
-        for production in grammar.productions_for(nonterminal):
-            skeleton = production.skeleton_size
-            holes = production.holes
-            remaining = target_size - skeleton
-            if remaining < 0 or (not holes and remaining != 0):
-                continue
-            log_p = grammar.log_probability(production)
-            if not holes:
-                _accumulate(cell, production.template, log_p)
-                continue
-            for combo in _size_splits(remaining, [grammar.min_size(h) for h, _d in holes]):
-                _fill(cell, production, holes, combo, log_p)
-        memo[key] = cell
-        return cell
-
-    def _fill(cell, production, holes, sizes, log_p):
-        child_cells = [exact(holes[i][0], sizes[i]) for i in range(len(holes))]
-        if any(not c for c in child_cells):
-            return
-        def rec(i, fills, acc):
-            if i == len(child_cells):
-                _accumulate(cell, substitute(production.template, fills), acc)
-                return
-            for concept, lp in child_cells[i].items():
-                rec(i + 1, fills + [concept], acc + lp)
-        rec(0, [], log_p)
-
-    def _accumulate(cell, concept, log_p):
-        if concept in cell:
-            cell[concept] = float(np.logaddexp(cell[concept], log_p))
-        else:
-            cell[concept] = log_p
-
-    hypotheses: list[tuple[Concept, float]] = []
-    for target_size in range(1, max_size + 1):
+    cells = Cells(grammar, max_hypotheses)
+    plan = cells.plan
+    pairs: list[tuple[Concept, float]] = []
+    for size in range(1, max_size + 1):
         # A concept has one size, so the cells of the sizes are disjoint and
         # are taken here in size order.
-        cell = exact(grammar.start, target_size)
-        if len(hypotheses) + len(cell) > max_hypotheses:
-            raise HypothesisBudgetError(
-                f"more than {max_hypotheses} hypotheses at size {target_size}"
-            )
-        hypotheses += sorted(cell.items(), key=lambda item: print_concept(item[0], grammar.vocab))
+        final = size == max_size
+        priors, numbers, printed = cells.cell(
+            grammar.start, size, 0, max_hypotheses - len(pairs), printing=not final
+        )
+        concepts, log_priors = list(priors), list(priors.values())
+        del priors
+        if final:  # no cell reads this one: print it now, from the others, then free them
+            del cells.memo[grammar.start, size, 0]
+            printed = print_from(concepts, cells.memo.values(), grammar.vocab)
+            cells.memo.clear()
+        order = sorted(range(len(concepts)), key=printed.__getitem__)
+        del printed
+        pairs += zip(map(concepts.__getitem__, order), map(log_priors.__getitem__, order))
+        plan.roots += array("q", map(numbers.__getitem__, order))
+    del plan.ids  # every node is numbered: free the walk's index before the plan is used
+    hypotheses = Hypotheses(pairs)
+    hypotheses.plan = plan
     return hypotheses
-
-
-def _size_splits(total: int, minimums: list[int]):
-    """Yield tuples of child sizes >= per-child minimum summing to ``total``."""
-    if not minimums:
-        if total == 0:
-            yield ()
-        return
-    first_min = minimums[0]
-    rest_min = sum(minimums[1:])
-    for first in range(first_min, total - rest_min + 1):
-        for rest in _size_splits(total - first, minimums[1:]):
-            yield (first,) + rest
 
 
 @dataclass(frozen=True)
@@ -262,20 +236,23 @@ def build_eval_matrices(
 ) -> Iterator[EvalMatrix]:
     """One :class:`EvalMatrix` per list, in list order, from one evaluation.
 
-    The hypotheses are evaluated once, by :func:`evaluate_packed`, over the
-    distinct contexts of every list's layout (its ``contexts``; each matrix
-    keeps the list's ``gold`` and ``offsets``) in first-seen order; the
-    kernel's cost is per distinct subterm, not per context, so one call
-    over every list costs about what one list's call costs.  The table,
-    one packed bit per (hypothesis, context), is built before this returns;
-    each list's matrix is then gathered from that list's columns a bounded
-    chunk of rows at a time, and collapsed to behaviour classes
-    (:func:`_collapse`) only when the iterator reaches that list, so a
-    caller that drops each matrix before taking the next holds one list's
-    matrix at a time.  A context's truth values do not depend on the other
-    contexts of its batch, so each matrix is bitwise the one evaluating its
-    list alone would give.  The lists must share a vocab, which shapes the
-    batch."""
+    The hypotheses are evaluated once, by :func:`evaluate_packed`: through
+    the plan that :func:`enumerate_hypotheses` built with them, which this
+    spends, or for any other sequence of pairs (or a second call) by
+    numbering their subterms; either way the table's rows are the same
+    bits.  They are evaluated over the distinct contexts of every list's
+    layout (its ``contexts``; each matrix keeps the list's ``gold`` and
+    ``offsets``) in first-seen order; the kernel's cost is per distinct
+    subterm, not per context, so one call over every list costs about what
+    one list's call costs.  The table, one packed bit per (hypothesis,
+    context), is built before this returns; each list's matrix is then
+    gathered from that list's columns a bounded chunk of rows at a time,
+    and collapsed to behaviour classes (:func:`_collapse`) only when the
+    iterator reaches that list, so a caller that drops each matrix before
+    taking the next holds one list's matrix at a time.  A context's truth
+    values do not depend on the other contexts of its batch, so each
+    matrix is bitwise the one evaluating its list alone would give.  The
+    lists must share a vocab, which shapes the batch."""
     vocabs = {exemplar_list.vocab for exemplar_list in lists}
     if len(vocabs) > 1:
         raise ValueError("lists evaluated together must share one vocab")
@@ -288,7 +265,13 @@ def build_eval_matrices(
     if not layouts:
         return iter(())
     batch = ContextBatch.from_contexts(list(columns), vocabs.pop())
-    table, rows = evaluate_packed([concept for concept, _lp in hypotheses], batch)
+    plan = getattr(hypotheses, "plan", None)
+    if plan is None:
+        table, rows = evaluate_packed([concept for concept, _lp in hypotheses], batch)
+    else:
+        hypotheses.plan = None  # spent by this kernel run, and freed when it returns
+        table, rows = evaluate_packed(plan, batch)
+        del plan
     log_priors = np.array([lp for _c, lp in hypotheses], dtype=float)
     return (
         EvalMatrix(log_priors, *_collapse(_list_keys(table, rows, index), len(index)),

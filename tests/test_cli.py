@@ -355,25 +355,36 @@ def test_run_plot_enumerates_once_for_all_rules(workspace, monkeypatch):
     assert len(list((workspace / "out" / "runs" / "plot").glob("*.posterior.csv"))) == 6
 
 
-def test_run_plot_prints_only_the_sort_keys_and_the_traced_rows(workspace, monkeypatch):
-    """Enumeration prints each hypothesis once, for its sort, and keeps no
-    printed form; a rule prints only the rows its trace writes, at most
-    TRACE_TOP_ROWS per set boundary, and each of them once."""
+def test_run_plot_prints_only_the_traced_rows(workspace, monkeypatch):
+    """Enumeration prints no hypothesis whole: it prints templates, each
+    production's and a node kind's, with holes where the children go, and
+    joins each sort key from those texts and the children's printed forms.
+    A rule prints only the rows its trace writes, at most TRACE_TOP_ROWS
+    per set boundary, and each of them once."""
     from rulelab.catalog import DEFAULT_VOCAB
-    from rulelab.learner import TRACE_TOP_ROWS, default_grammar, inference
+    from rulelab.dsl import parts
+    from rulelab.learner import TRACE_TOP_ROWS, Hole, default_grammar, enumeration, inference
+
+    def has_hole(concept):
+        return isinstance(concept, Hole) or any(map(has_hole, parts(concept)[0]))
 
     run(workspace, "gen")
-    n_hypotheses = len(inference.enumerate_hypotheses(default_grammar(DEFAULT_VOCAB), 3))
-    printed = []
-    real = inference.print_concept
+    grammar = default_grammar(DEFAULT_VOCAB)
+    printed = {enumeration: [], inference: []}
+    for module, calls in printed.items():
+        def counted(concept, vocab, calls=calls, real=module.print_concept):
+            calls.append(concept)
+            return real(concept, vocab)
 
-    def counted(concept, vocab):
-        printed.append(concept)
-        return real(concept, vocab)
-
-    monkeypatch.setattr(inference, "print_concept", counted)
+        monkeypatch.setattr(module, "print_concept", counted)
     assert run(workspace, "run", "--engine", "plot") == EXIT_OK
-    assert len(set(printed[:n_hypotheses])) == n_hypotheses
+    # Each production's text, once, as the enumeration starts; then one text
+    # per node kind of the last size's sort keys.
+    n_productions = len(grammar.productions)
+    node_texts = printed[enumeration][n_productions:]
+    assert 0 < len(node_texts) <= n_productions
+    assert all(map(has_hole, node_texts))
+    row_prints = printed[inference]
     traces = list((workspace / "out" / "runs" / "plot").glob("*.posterior.csv"))
     traced = [list(csv.DictReader(path.read_text().splitlines())) for path in traces]
     traced_rows = sum(map(len, traced))
@@ -384,7 +395,7 @@ def test_run_plot_prints_only_the_sort_keys_and_the_traced_rows(workspace, monke
     assert len(traces) == 6
     assert 0 < traced_rows <= TRACE_TOP_ROWS * boundaries
     assert distinct_rows < traced_rows
-    assert len(printed) == n_hypotheses + distinct_rows
+    assert len(row_prints) == distinct_rows
 
 
 def test_run_plot_reports_a_failed_enumeration_for_every_rule(workspace, monkeypatch, capsys):
@@ -1462,3 +1473,30 @@ def test_files_are_utf8_under_an_ascii_locale(tmp_path):
     ), str(subjects))
     assert done.returncode == 0, done.stderr
     assert "sé,vert,0,0,True".encode("utf-8") in subjects.read_bytes()
+
+
+def test_a_command_process_runs_one_blas_thread():
+    """Importing rulelab.cli sets OpenBLAS's thread count to 1 before numpy
+    can load, so numpy starts no BLAS worker thread; a count the caller set
+    is kept."""
+    src = str(Path(rulelab.__file__).resolve().parents[1])
+    code = (
+        "import os, rulelab.cli, numpy\n"
+        "tasks = '/proc/self/task'\n"
+        "print(os.environ['OPENBLAS_NUM_THREADS'])\n"
+        "print(len(os.listdir(tasks)) if os.path.isdir(tasks) else 'no-proc')\n"
+    )
+    env = {name: value for name, value in os.environ.items()
+           if name not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = src
+
+    def child(**extra) -> list[str]:
+        done = subprocess.run([sys.executable, "-c", code], env=dict(env, **extra),
+                              capture_output=True, text=True, timeout=120, check=True)
+        return done.stdout.split()
+
+    count, threads = child()
+    assert count == "1"
+    if threads != "no-proc":
+        assert threads == "1"
+    assert child(OPENBLAS_NUM_THREADS="3")[0] == "3"

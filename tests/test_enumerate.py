@@ -1,13 +1,24 @@
 """Hypothesis enumeration and prior mass accounting."""
 
+import hashlib
 import math
+import random
+import struct
+import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
-from rulelab.catalog import DEFAULT_VOCAB as V
-from rulelab.dsl import parse_concept, print_concept, size
+from conftest import dry_run_lists, random_context
+from enumeration_reference import reference_enumerate
+from rulelab.catalog import ALTERNATE_VOCAB, DEFAULT_VOCAB as V, DEMO_RULES
+from rulelab.dsl import ContextBatch, DslError, evaluate_packed, parse_concept, print_concept, size
+from rulelab.exemplars import generate_list
 from rulelab.learner import (
     HypothesisBudgetError,
+    build_eval_matrices,
     default_grammar,
     enumerate_hypotheses,
     grammar_from_pairs,
@@ -65,9 +76,8 @@ def test_exact_prior_values():
     assert hypotheses[both] == pytest.approx(math.log(0.2 * 0.4 * 0.4))
 
 
-def test_duplicate_derivations_merge():
-    # Two productions deriving the same concept: its prior is their sum.
-    grammar = grammar_from_pairs(
+def duplicate_grammar():
+    return grammar_from_pairs(
         "S",
         [
             ("S", "(is-color blue)", 0.25),
@@ -76,6 +86,20 @@ def test_duplicate_derivations_merge():
         ],
         V,
     )
+
+
+def two_depth_grammar():
+    """S derives both a whole concept and a quantifier's body."""
+    return grammar_from_pairs("S", [
+        ("S", "(is-color blue)"), ("S", "(is-shape circle)"), ("S", "(majority-color)"),
+        ("S", "(not S)"), ("S", "(and S S)"),
+        ("S", "(exists others S)"), ("S", "(exactly-one all S)"),
+    ], V)
+
+
+def test_duplicate_derivations_merge():
+    # Two productions deriving the same concept: its prior is their sum.
+    grammar = duplicate_grammar()
     hypotheses = dict(enumerate_hypotheses(grammar, 3))
     double_negation = parse_concept("(not (not (is-color blue)))", V)
     # Directly (0.25) or via not(not(leaf)) (0.5 * 0.5 * 0.25).
@@ -101,3 +125,110 @@ def test_enumeration_is_deterministic():
     assert first == second
     printed = [print_concept(c, V) for c, _ in first]
     assert printed == sorted(printed, key=lambda s: (size(parse_concept(s, V)), s))
+
+
+def test_budget_error_stops_the_enumeration():
+    """The budget is checked as the start cell fills: at size 5, 12,000
+    hypotheses are passed long before the 109,167 concepts of that size
+    are built, and memory stays far below what building them takes."""
+    grammar = default_grammar(V)
+    tracemalloc.start()
+    try:
+        with pytest.raises(HypothesisBudgetError, match="more than 12000 hypotheses at size 5"):
+            enumerate_hypotheses(grammar, 5, max_hypotheses=12_000)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6  # building the whole size-5 cell first took 20 MB
+
+
+def assert_same_as_reference(hypotheses, expected):
+    assert len(hypotheses) == len(expected)
+    for (concept, log_prior), (want, want_prior) in zip(hypotheses, expected):
+        assert concept == want
+        assert struct.pack("<d", log_prior) == struct.pack("<d", want_prior)
+
+
+@pytest.mark.parametrize("vocab", [V, ALTERNATE_VOCAB], ids=["default", "alternate"])
+def test_enumeration_is_the_reference_enumerators(vocab):
+    """The same concepts in the same order and bitwise the same log priors
+    at every max_size up to 5; each smaller max_size's list is a prefix."""
+    grammar = default_grammar(vocab)
+    expected = reference_enumerate(grammar, 5)
+    for max_size in range(1, 6):
+        hypotheses = enumerate_hypotheses(grammar, max_size)
+        assert_same_as_reference(hypotheses, expected[:len(hypotheses)])
+    assert len(hypotheses) == len(expected) == 118_735
+
+
+@pytest.mark.parametrize("grammar", [duplicate_grammar(), two_depth_grammar()],
+                         ids=["duplicate-derivations", "two-binder-depths"])
+@pytest.mark.parametrize("max_size", [3, 5])
+def test_enumeration_is_the_reference_enumerators_on_odd_grammars(grammar, max_size):
+    assert_same_as_reference(enumerate_hypotheses(grammar, max_size),
+                             reference_enumerate(grammar, max_size))
+
+
+# Productions of the random grammars: leaves, connectives over holes, and
+# multi-node templates that overlap the others' derivations.
+TEMPLATE_POOL = (
+    "(is-color blue)", "(is-shape circle)", "(majority-color)", "(same-shape 0 1)",
+    "(not S)", "(and S S)", "(exists others Q)", "(and (is-color blue) S)",
+    "(or Q (is-shape circle 0))",
+)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(
+    st.lists(st.tuples(st.sampled_from("SQ"), st.sampled_from(TEMPLATE_POOL),
+                       st.floats(0.1, 10.0)), min_size=1, max_size=8),
+    st.integers(1, 4),
+    st.integers(0, 2**32 - 1),
+)
+def test_enumeration_and_its_plan_match_the_references_on_random_grammars(
+    productions, max_size, seed
+):
+    """The pairs are the reference enumerator's, bitwise, and the plan that
+    comes with them evaluates each pair's concept to the rows the same
+    concepts get when numbered afresh."""
+    try:
+        grammar = grammar_from_pairs("S", productions, V)
+    except DslError:  # a hole with no productions, a variable out of scope, no finite concept
+        assume(False)
+    hypotheses = enumerate_hypotheses(grammar, max_size)
+    assert_same_as_reference(hypotheses, reference_enumerate(grammar, max_size))
+    rng = random.Random(seed)
+    batch = ContextBatch.from_contexts([random_context(rng) for _ in range(20)], V)
+    table, rows = evaluate_packed(hypotheses.plan, batch)
+    fresh, fresh_rows = evaluate_packed([concept for concept, _lp in hypotheses], batch)
+    np.testing.assert_array_equal(table[rows], fresh[fresh_rows])
+
+
+SIZE4_RULES = ("circle-xor-blue", "same-shape-as-a-yellow", "exists-triangle", "unique-blue")
+
+
+def size4_lists():
+    """The four FOL rules the max_size 4 benchmark runs, seeded 1 onward."""
+    rules = [rule for rule in DEMO_RULES if rule.rule_id in SIZE4_RULES]
+    return [generate_list(parse_concept(rule.source, V), V, seed=1 + i, rule_id=rule.rule_id)
+            for i, rule in enumerate(rules)]
+
+
+def _digests(matrices):
+    return [
+        hashlib.sha256(b"".join(part.tobytes() for part in
+                                (m.log_priors, m.classes, m.inverse))).hexdigest()
+        for m in matrices
+    ]
+
+
+@pytest.mark.parametrize("max_size", [3, 4])
+def test_eval_matrices_through_the_plan_are_the_numbered_ones(max_size):
+    """build_eval_matrices through the enumeration's plan, which it spends,
+    and again on the same pairs as a plain list: bitwise the same matrices."""
+    lists = size4_lists() + dry_run_lists()
+    hypotheses = enumerate_hypotheses(default_grammar(V), max_size)
+    assert hypotheses.plan is not None
+    planned = _digests(build_eval_matrices(hypotheses, lists))
+    assert hypotheses.plan is None
+    assert planned == _digests(build_eval_matrices(list(hypotheses), lists))

@@ -133,6 +133,47 @@ def test_write_atomic_syncs_the_file_then_its_directory(tmp_path, monkeypatch):
     assert (tmp_path / "a.json").read_text() == "{}\n"
 
 
+def test_write_atomic_keeps_two_writers_of_one_path_apart(tmp_path):
+    """Two threads write documents of different lengths to one path: every
+    call succeeds, the file is one whole document, no temp file is left,
+    and the file has the mode the umask gives."""
+    import os
+    import stat
+    import sys
+    import threading
+
+    from rulelab.exemplars import write_atomic
+
+    target = tmp_path / "a.json"
+    documents = ['{"short": true}\n', '{"long": "' + "x" * 5000 + '"}\n']
+    errors = []
+
+    def write(text):
+        try:
+            for _ in range(100):
+                write_atomic(target, text)
+        except Exception as error:  # collected: the main thread asserts there are none
+            errors.append(error)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=write, args=(text,)) for text in documents]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert target.read_text() in documents
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json"]
+    umask = os.umask(0)
+    os.umask(umask)
+    assert stat.S_IMODE(target.stat().st_mode) == 0o666 & ~umask
+
+
 def _walked_evidence(exemplar_list, upto_set):
     """The evidence walk ``evidence_from_list`` replaced: every labeled
     object of the sets before ``upto_set``, in presentation order."""
