@@ -8,7 +8,7 @@ __getattr__, __dir__, __all__ = lazy_exports(globals(), {
         "Iff", "Implies", "MAX_CONTEXTS", "MAX_OBJECTS", "MajorityColor", "MinorityColor",
         "Not", "Obj", "Or", "Quant", "QUANT_KINDS", "QUANT_SCOPES", "Rel", "REL_KINDS",
         "UnboundVariableError", "Xor", "count_contexts", "depth", "evaluate",
-        "is_target_only", "max_var_excess", "parts", "size",
+        "is_target_only", "max_var_excess", "parts", "rebuild", "size",
     ),
     ".batch": ("ContextBatch", "evaluate_batch", "evaluate_packed"),
     ".equivalence": (

@@ -59,6 +59,7 @@ from .core import (
     Rel,
     UnboundVariableError,
     Xor,
+    head,
     parts,
 )
 
@@ -252,10 +253,15 @@ class _Plan:
             number = self.node(concept, depth)
         else:
             operands = [self.number(child, depth + binds) for child in children]
-            op = (concept.kind, concept.scope) if binds else type(concept)
-            number = self.node(op, depth, operands)
+            number = self.node(_op(concept), depth, operands)
         ids[concept] = number
         return number
+
+
+def _op(node: Concept):
+    """``node``'s kind in a plan (:meth:`_Plan.node`): a quantifier's
+    ``(kind, scope)``, else its type."""
+    return head(node) or type(node)
 
 
 class _Kernel:

@@ -17,6 +17,7 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass
+from typing import Sequence
 
 DIMENSIONS = ("size", "color", "shape")
 
@@ -273,6 +274,20 @@ def parts(concept: Concept) -> tuple[tuple[Concept, ...], int, tuple[int, ...], 
     if isinstance(concept, Hole):
         return (), 0, (), False
     raise DslError(f"not a concept node: {concept!r}")
+
+
+def head(concept: Concept) -> tuple:
+    """The fields of a node with sub-concepts that come before them: a
+    quantifier's ``(kind, scope)``, else ``()``, so a node is
+    ``type(c)(*head(c), *parts(c)[0])``."""
+    return (concept.kind, concept.scope) if isinstance(concept, Quant) else ()
+
+
+def rebuild(concept: Concept, children: Sequence[Concept]) -> Concept:
+    """A node of ``concept``'s kind and own fields over ``children``, in
+    place of its sub-concepts: the inverse of :func:`parts`, so
+    ``rebuild(c, parts(c)[0]) == c``.  A leaf is returned as it is."""
+    return type(concept)(*head(concept), *children) if children else concept
 
 
 def size(concept: Concept) -> int:

@@ -55,6 +55,7 @@ from .core import (
     evaluate,
     is_target_only,
     parts,
+    rebuild,
 )
 
 if TYPE_CHECKING:
@@ -147,13 +148,10 @@ def operand_order_form(concept: Concept) -> Concept:
     Those connectives are commutative under ``evaluate``, so two concepts
     with equal forms have equal truth values on every context.  No other
     rewrite is made."""
-    fields = [
-        operand_order_form(value) if isinstance(value, Concept) else value
-        for value in (getattr(concept, name) for name in concept.__match_args__)
-    ]
+    children = [operand_order_form(child) for child in parts(concept)[0]]
     if isinstance(concept, _COMMUTATIVE):
-        fields.sort(key=repr)
-    return type(concept)(*fields)
+        children.sort(key=repr)
+    return rebuild(concept, children)
 
 
 def _dimensions_read(concept: Concept) -> set[str]:

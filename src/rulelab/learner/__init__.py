@@ -7,7 +7,7 @@ __getattr__, __dir__, __all__ = lazy_exports(globals(), {
     ".grammar": (
         "Derivation", "Grammar", "GrammarError", "Hole", "HypothesisBudgetError", "Production",
         "default_grammar", "grammar_from_pairs", "load_grammar", "sample_derivation",
-        "save_grammar", "substitute",
+        "save_grammar",
     ),
     ".inference": (
         "TRACE_TOP_ROWS", "BoundaryDiagnostics", "DegeneratePosteriorError", "EmptyStateError",

@@ -4,11 +4,14 @@
 A cell holds the concepts one nonterminal derives at one size and binder
 depth, with their log priors, and fills from its child cells: the
 bottom-up enumeration of program synthesis (Alur et al. 2017, EUSolver).
-Each production is compiled once (:func:`_compile`) into a builder, an
-adder of evaluation-plan nodes (:class:`rulelab.dsl.batch._Plan`) and a
-print template, so a new concept is built, numbered and printed from its
-children without a walk over it.  The enumeration's own loop, over sizes
-and the sort, stays in :mod:`rulelab.learner.inference`.
+A new concept is built from its children by its production's ``build``
+(:class:`rulelab.learner.grammar.Production`), the builder MH uses too.
+The enumeration compiles each production once more (:func:`_compile`)
+into what is its own: an adder of evaluation-plan nodes
+(:class:`rulelab.dsl.batch._Plan`) and a print template, so a new concept
+is numbered and printed from its children without a walk over it.  The
+enumeration's own loop, over sizes and the sort, stays in
+:mod:`rulelab.learner.inference`.
 """
 
 from __future__ import annotations
@@ -17,16 +20,15 @@ import math
 from array import array
 from functools import partial
 from itertools import count, product
-from operator import itemgetter
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from ..dsl import Concept, FeatureVocab, parts
-from ..dsl.batch import _Plan
+from ..dsl import Concept, FeatureVocab, parts, rebuild
+from ..dsl.batch import _Plan, _op
 from ..dsl.core import Hole
 from ..dsl.sexpr import print_concept
-from .grammar import Grammar, HypothesisBudgetError, Production, _template_parts, substitute
+from .grammar import Grammar, HypothesisBudgetError, Production
 
 
 class Hypotheses(tuple):
@@ -44,20 +46,19 @@ def print_from(concepts: list[Concept], cells: Iterable[tuple], vocab: FeatureVo
     from the printed forms of ``cells``' concepts, kept alive meanwhile,
     where they are its subterms."""
     known = {id(c): form for priors, _n, forms in cells for c, form in zip(priors, forms)}
-    texts: dict[tuple, str] = {}  # node kind -> its text, as _text gives it
+    texts: dict[object, str] = {}  # plan op -> its node's text, as _text gives it
 
     def form(concept: Concept) -> str:
         found = known.get(id(concept))
         if found is not None:
             return found
-        children, binds, _refs, _reads_set = parts(concept)
+        children = parts(concept)[0]
         if not children:
             return print_concept(concept, vocab)
-        head = (concept.kind, concept.scope) if binds else ()
-        kind = (type(concept), *head)
-        text = texts.get(kind)
+        op = _op(concept)
+        text = texts.get(op)
         if text is None:
-            text = texts[kind] = _text(type(concept)(*head, *[Hole("#")] * len(children)), vocab)
+            text = texts[op] = _text(rebuild(concept, [Hole("#")] * len(children)), vocab)
         return text % tuple(map(form, children))
 
     return list(map(form, concepts))
@@ -119,7 +120,8 @@ class Cells:
             if remaining < 0 or (not holes and remaining != 0):
                 continue
             log_p = grammar.log_probability(production)
-            build, add, text = self.compiled[production]
+            build = production.build
+            add, text = self.compiled[production]
             if not holes:
                 if is_new(production.template, log_p):
                     numbers.append(add(depth, ()))
@@ -152,45 +154,38 @@ class Cells:
 
 
 def _compile(production: Production, vocab: FeatureVocab, plan: _Plan):
-    """``(build, add, text)``, the production compiled once for the
-    enumeration: ``build(*fills)`` makes its concept from
-    its holes' fills, left to right; ``add(depth, operands)`` adds that
-    concept at ``depth`` to ``plan``, from the fills' plan numbers; and
-    ``text % forms`` prints it from the fills' printed forms."""
+    """``(add, text)``, the production compiled once for the enumeration:
+    ``add(depth, operands)`` adds the concept its ``build`` makes at
+    ``depth`` to ``plan``, from the fills' plan numbers, and ``text %
+    forms`` prints it from the fills' printed forms."""
     template = production.template
-    n_holes = len(production.holes)
-    text = _text(substitute(template, [Hole("#")] * n_holes), vocab)
-    children, binds, _refs, _reads_set = parts(template)
-    if children and all(isinstance(child, Hole) for child in children):  # one node over its holes
-        op = (template.kind, template.scope) if binds else type(template)
-        build = partial(type(template), *op) if binds else type(template)
-        return build, partial(plan.node, op), text
-    tree_build, add = _compile_node(template, count(), plan)
-    return (lambda *fills: tree_build(fills)), add, text
+    text = _text(production.build(*[Hole("#")] * len(production.holes)), vocab)
+    if production.skeleton_size == 1 and production.holes:  # one node over its holes
+        return partial(plan.node, _op(template)), text
+    return _compile_node(template, count(), plan), text
 
 
 def _compile_node(node: Concept, holes: Iterator[int], plan: _Plan):
-    """``(build, add)`` of the template ``node``, as in :func:`_compile`
-    but with ``build`` taking the fills as one tuple, its holes numbered in
-    order from ``holes``."""
+    """``add`` of the template ``node``, as in :func:`_compile`, its holes
+    numbered in order from ``holes``."""
     if isinstance(node, Hole):
         i = next(holes)
-        return itemgetter(i), lambda depth, operands: operands[i]
-    if not any(isinstance(part, Hole) for part, _depth in _template_parts(node)):
-        return (lambda fills: node), (lambda depth, operands: plan.number(node, depth))
+        return lambda depth, operands: operands[i]
+    if not _has_hole(node):
+        return lambda depth, operands: plan.number(node, depth)
     children, binds, _refs, _reads_set = parts(node)
-    op = (node.kind, node.scope) if binds else type(node)
-    head = op if binds else ()
+    op = _op(node)
     inner = [_compile_node(child, holes, plan) for child in children]
-    cls = type(node)
-
-    def build(fills):
-        return cls(*head, *(child_build(fills) for child_build, _add in inner))
 
     def add(depth, operands):
-        return plan.node(op, depth, [child_add(depth + binds, operands) for _b, child_add in inner])
+        return plan.node(op, depth, [child_add(depth + binds, operands) for child_add in inner])
 
-    return build, add
+    return add
+
+
+def _has_hole(node: Concept) -> bool:
+    """Whether the template ``node`` holds a hole."""
+    return isinstance(node, Hole) or any(map(_has_hole, parts(node)[0]))
 
 
 def _size_splits(total: int, minimums: list[int]):

@@ -12,26 +12,20 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from functools import cached_property
-from math import log
+from functools import partial
+from math import isfinite, log
 from pathlib import Path
 
 from ..dsl import (
-    And,
     Concept,
     DslError,
     FeatureVocab,
-    Iff,
-    Implies,
-    Not,
-    Or,
-    Quant,
     UnboundVariableError,
-    Xor,
     max_var_excess,
     parts,
+    rebuild,
 )
-from ..dsl.core import Hole
+from ..dsl.core import Hole, head
 from ..dsl.sexpr import parse_template
 from ..exemplars.lists import write_json
 
@@ -44,63 +38,51 @@ class HypothesisBudgetError(GrammarError):
     """Enumeration would produce more hypotheses than the caller allows."""
 
 
-def _template_parts(template: Concept, depth: int = 0):
-    """Yield (node, binder depth) for every node of a template, holes included."""
-    yield template, depth
-    children, binds, _refs, _reads_set = parts(template)
-    for child in children:
-        yield from _template_parts(child, depth + binds)
-
-
 @dataclass(frozen=True)
 class Production:
+    """The rule ``lhs -> template`` with its weight, compiled once when it
+    is made: one walk of the template (:func:`_compile`) gives
+
+    - ``holes``: (nonterminal, binder depth) per hole, left to right;
+    - ``skeleton_size``: the concept nodes it contributes by itself;
+    - ``build(*fills)``: its concept with its holes filled, left to right,
+      which both of the learner's engines make their concepts with.
+    """
+
     lhs: str
     source: str
     template: Concept
     weight: float
 
     def __post_init__(self):
-        if self.weight <= 0:
-            raise GrammarError(f"production {self.lhs} -> {self.source!r} has weight <= 0")
-
-    # Computed once per production: MH sizes every proposal through them.
-    @cached_property
-    def holes(self) -> tuple[tuple[str, int], ...]:
-        """(nonterminal, binder depth) per hole, in left-to-right order."""
-        return tuple(
-            (node.nonterminal, depth)
-            for node, depth in _template_parts(self.template)
-            if isinstance(node, Hole)
-        )
-
-    @cached_property
-    def skeleton_size(self) -> int:
-        """Concept nodes this production contributes by itself."""
-        return sum(
-            1 for node, _depth in _template_parts(self.template) if not isinstance(node, Hole)
-        )
+        if not (isfinite(self.weight) and self.weight > 0):
+            raise GrammarError(f"production {self.lhs} -> {self.source!r} has weight "
+                               f"{self.weight}, not a finite number > 0")
+        holes, nodes = [], []
+        build = _compile(self.template, 0, holes, nodes)
+        if len(nodes) == 1 and holes:  # one node over its holes: its constructor, not a walk
+            build = partial(type(self.template), *head(self.template))
+        object.__setattr__(self, "holes", tuple(holes))
+        object.__setattr__(self, "skeleton_size", len(nodes))
+        object.__setattr__(self, "build", build)
 
 
-def substitute(template: Concept, fills: list[Concept]) -> Concept:
-    """Replace the template's holes, left to right, with ``fills``."""
-    def walk(node: Concept) -> Concept:
-        if isinstance(node, Hole):
-            return fills[next(counter)]
-        if isinstance(node, Not):
-            return Not(walk(node.body))
-        if isinstance(node, Quant):
-            return Quant(node.kind, node.scope, walk(node.body))
-        if isinstance(node, (And, Or, Xor, Implies, Iff)):
-            return type(node)(walk(node.left), walk(node.right))
-        return node
-
-    counter = iter(range(len(fills)))
-    result = walk(template)
-    try:
-        next(counter)
-    except StopIteration:
-        return result
-    raise GrammarError("more fills than holes")
+def _compile(node: Concept, depth: int, holes: list[tuple[str, int]], nodes: list[Concept]):
+    """``build(*fills)`` of the template ``node`` under ``depth`` binders:
+    its concept made from the fills of its holes, left to right.  Each hole
+    is appended to ``holes`` as (nonterminal, binder depth), and each other
+    node to ``nodes``."""
+    if isinstance(node, Hole):
+        holes.append((node.nonterminal, depth))
+        i = len(holes) - 1
+        return lambda *fills: fills[i]
+    nodes.append(node)
+    first = len(holes)
+    children, binds, _refs, _reads_set = parts(node)
+    builds = [_compile(child, depth + binds, holes, nodes) for child in children]
+    if len(holes) == first:  # no holes below: the node itself
+        return lambda *fills: node
+    return lambda *fills: rebuild(node, [build(*fills) for build in builds])
 
 
 @dataclass(frozen=True)
@@ -144,6 +126,13 @@ class Grammar:
 
     def min_size(self, nonterminal: str) -> int:
         return self._min_sizes[nonterminal]
+
+    def check_max_size(self, max_size: int | None) -> None:
+        """Raise :class:`GrammarError` when no concept the grammar derives
+        has at most ``max_size`` nodes (None: no bound)."""
+        if max_size is not None and max_size < self.min_size(self.start):
+            raise GrammarError(f"max_size {max_size} is below {self.min_size(self.start)}, the "
+                               "size of the smallest concept the grammar derives")
 
     def _compute_min_sizes(self) -> dict[str, int]:
         sizes = {nt: None for nt in self._by_lhs}
@@ -197,7 +186,8 @@ class Derivation:
     children: tuple["Derivation", ...]
 
     def concept(self) -> Concept:
-        return substitute(self.production.template, [c.concept() for c in self.children])
+        """The derived concept, built by each production's ``build``."""
+        return self.production.build(*[child.concept() for child in self.children])
 
     def concept_size(self) -> int:
         return self.production.skeleton_size + sum(c.concept_size() for c in self.children)

@@ -37,7 +37,7 @@ from ..dsl import Concept, Context, ContextBatch, evaluate_packed, size as conce
 from ..dsl.sexpr import print_concept
 from ..exemplars import ExemplarList, write_csv
 from .enumeration import Cells, Hypotheses, print_from
-from .grammar import Grammar, GrammarError
+from .grammar import Grammar
 
 
 class EmptyStateError(ValueError):
@@ -75,8 +75,8 @@ def enumerate_hypotheses(
 
     One pass fills a memo cell per (nonterminal, size, binder depth), each
     child cell before the cells that read it.  Each new concept is handled
-    once: built by its production's compiled builder from its children,
-    and added to the evaluation plan (``plan``) as a node over its
+    once: built from its children by its production's ``build``, as MH
+    builds its concepts, and added to the evaluation plan (``plan``) as a node over its
     children's plan numbers, so :func:`build_eval_matrices` walks no
     hypothesis.  In a cell that other cells read it is also printed, as
     the production's text with its children's printed forms in the holes;
@@ -84,10 +84,11 @@ def enumerate_hypotheses(
     other cells' forms.  A concept derived again only has its probability
     added, in derivation order.  The printed forms are dropped once the
     hypotheses are sorted.  :class:`HypothesisBudgetError` is raised as
-    soon as the hypotheses so far pass ``max_hypotheses``.
+    soon as the hypotheses so far pass ``max_hypotheses``, and
+    :class:`GrammarError` when ``max_size`` is below the grammar's smallest
+    concept.
     """
-    if max_size < 1:
-        raise GrammarError("max_size must be at least 1")
+    grammar.check_max_size(max_size)
     cells = Cells(grammar, max_hypotheses)
     plan = cells.plan
     pairs: list[tuple[Concept, float]] = []

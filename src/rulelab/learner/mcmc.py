@@ -101,7 +101,8 @@ def mh_sample(
     iterations // 10) states are burn-in and are not tallied.  An
     entry's ``log_prior`` is NaN: the chain meets a concept through one
     derivation at a time, while its prior sums over all of them (see
-    :func:`enumerate_hypotheses`).
+    :func:`enumerate_hypotheses`).  A ``max_size`` below the grammar's
+    smallest concept raises :class:`GrammarError`: no state would fit it.
     """
     batch = ContextBatch.from_contexts([ctx for ctx, _label in evidence], grammar.vocab)
     gold = np.array([label for _ctx, label in evidence], dtype=bool)
@@ -121,6 +122,7 @@ def _chain(
     ``boundary``."""
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
+    grammar.check_max_size(max_size)
     rng = random.Random(seed)
     burn_in = min(MAX_BURN_IN, iterations // 10)
 

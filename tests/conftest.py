@@ -31,7 +31,8 @@ from rulelab.exemplars import ExemplarList, SubjectRecord, generate_list
 
 _BINARY_NODES = (And, Or, Xor, Implies, Iff)
 
-# The lab's 12 dry-run rules, all within max_size 3.
+# The lab's 12 dry-run rules.  Most have a gold rule within max_size 3;
+# same-shape-as-a-yellow's has size 4 and unique-blue's size 5.
 DRY_RUN_RULES = (
     "blue", "not-circle", "circle-implies-blue", "circle-or-blue", "small-and-blue",
     "circle-xor-blue", "same-shape-as-a-yellow", "unique-blue", "exists-triangle",

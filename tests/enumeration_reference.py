@@ -1,7 +1,8 @@
 """The hypothesis enumerator before it built its evaluation plan: the
 oracle that :func:`rulelab.learner.enumerate_hypotheses` is tested against.
 
-Each concept is built by :func:`substitute` and sorted by its
+Each concept is built by :func:`substitute`, a walk of its own that the
+learner's builders are tested against, and sorted by its
 :func:`print_concept` form; duplicate derivations meet ``np.logaddexp`` in
 the order the memo visits them (productions, size splits, then each child
 cell's entries in insertion order).
@@ -11,9 +12,31 @@ from __future__ import annotations
 
 import numpy as np
 
-from rulelab.dsl import Concept, print_concept
+from rulelab.dsl import And, Concept, Iff, Implies, Not, Or, Quant, Xor, print_concept
+from rulelab.dsl.core import Hole
 from rulelab.learner import Grammar, GrammarError, HypothesisBudgetError
-from rulelab.learner.grammar import substitute
+
+
+def substitute(template: Concept, fills: list[Concept]) -> Concept:
+    """Replace the template's holes, left to right, with ``fills``."""
+    def walk(node: Concept) -> Concept:
+        if isinstance(node, Hole):
+            return fills[next(counter)]
+        if isinstance(node, Not):
+            return Not(walk(node.body))
+        if isinstance(node, Quant):
+            return Quant(node.kind, node.scope, walk(node.body))
+        if isinstance(node, (And, Or, Xor, Implies, Iff)):
+            return type(node)(walk(node.left), walk(node.right))
+        return node
+
+    counter = iter(range(len(fills)))
+    result = walk(template)
+    try:
+        next(counter)
+    except StopIteration:
+        return result
+    raise GrammarError("more fills than holes")
 
 
 def reference_enumerate(

@@ -224,6 +224,47 @@ def test_run_mh_engine(workspace):
     assert "posterior" not in elicited  # the diagnostics are exact inference's
 
 
+def _use_grammar(workspace, productions, **learner):
+    """Point the config's learner at a grammar file of ``productions``."""
+    (workspace / "grammar.json").write_text(json.dumps({"start": "S", "productions": [
+        {"lhs": lhs, "template": template, **extra} for lhs, template, extra in productions
+    ]}))
+    config = json.loads((workspace / "config.json").read_text())
+    config["learner"].update(grammar="grammar.json", **learner)
+    (workspace / "config.json").write_text(json.dumps(config))
+
+
+@pytest.mark.parametrize("weight", [float("nan"), float("inf")], ids=["nan", "infinity"])
+def test_a_non_finite_grammar_weight_is_a_config_error(workspace, capsys, weight):
+    assert run(workspace, "gen") == EXIT_OK
+    _use_grammar(workspace, [("S", "(is-color blue)", {"weight": weight}),
+                             ("S", "(is-shape circle)", {})])
+    capsys.readouterr()
+    assert run(workspace, "run", "--engine", "plot") == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"has weight {weight}, not a finite number > 0" in err
+    assert not (workspace / "out" / "runs").exists()
+
+
+@pytest.mark.parametrize("engine", ["enumerate", "mh"])
+def test_a_max_size_below_every_concept_fails_each_rule(workspace, engine):
+    """At the max_size below the grammar's smallest concept, each rule fails
+    with the two sizes: the enumeration found no hypothesis, and the MH
+    chain never ended (hence the timeout)."""
+    assert run(workspace, "gen") == EXIT_OK
+    _use_grammar(workspace, [("S", "(not T)", {}), ("T", "(is-color blue)", {})],
+                 engine=engine, max_size=1)
+    src = str(Path(rulelab.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "rulelab.cli", "run", "--engine", "plot",
+         "--config", str(workspace / "config.json")],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=30,
+    )
+    assert done.returncode == EXIT_DATA, done.stderr
+    message = "max_size 1 is below 2, the size of the smallest concept the grammar derives"
+    assert done.stderr.count(message) == 6  # one line per rule of the workspace
+
+
 def test_transport_failure_exit_code(workspace, monkeypatch):
     import rulelab.cli as cli_module
     from rulelab.harness import TransportError

@@ -24,13 +24,18 @@ from rulelab.dsl import (
     Not,
     Obj,
     Or,
+    Quant,
+    Rel,
     Xor,
     depth,
     evaluate,
     is_target_only,
     parse_concept,
+    parts,
+    rebuild,
     size,
 )
+from rulelab.dsl.core import Hole
 
 
 def obj(text: str) -> Obj:
@@ -146,6 +151,22 @@ def test_size_at_least_depth():
     for _ in range(200):
         concept = random_concept(rng, budget=9)
         assert size(concept) >= depth(concept)
+
+
+@pytest.mark.parametrize("concept", [
+    FeatureIs("color", 0), MajorityColor(1), MinorityColor(), Rel("size-gt", 0, 1),
+    Hole("S"), Not(FeatureIs("shape", 2)), Quant("exactly-one", "all", Rel("same-color", 0, 1)),
+    *(kind(FeatureIs("color", 0), MajorityColor()) for kind in (And, Or, Xor, Implies, Iff)),
+], ids=lambda concept: type(concept).__name__)
+def test_rebuild_over_a_nodes_own_parts_is_the_node(concept):
+    rebuilt = rebuild(concept, parts(concept)[0])
+    assert rebuilt == concept and type(rebuilt) is type(concept)
+
+
+def test_rebuild_puts_new_sub_concepts_under_the_same_head():
+    blue, circle = FeatureIs("color", 0), FeatureIs("shape", 0)
+    assert rebuild(Quant("forall", "others", blue), [circle]) == Quant("forall", "others", circle)
+    assert rebuild(Implies(blue, circle), [circle, blue]) == Implies(circle, blue)
 
 
 def test_eval_is_pure():

@@ -11,17 +11,22 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import dry_run_lists, random_context
-from enumeration_reference import reference_enumerate
+from conftest import dry_run_lists, random_concept, random_context
+from enumeration_reference import reference_enumerate, substitute
 from rulelab.catalog import ALTERNATE_VOCAB, DEFAULT_VOCAB as V, DEMO_RULES
 from rulelab.dsl import ContextBatch, DslError, evaluate_packed, parse_concept, print_concept, size
+from rulelab.dsl.sexpr import parse_template
 from rulelab.exemplars import generate_list
 from rulelab.learner import (
+    Derivation,
+    GrammarError,
     HypothesisBudgetError,
+    Production,
     build_eval_matrices,
     default_grammar,
     enumerate_hypotheses,
     grammar_from_pairs,
+    sample_derivation,
 )
 
 
@@ -195,6 +200,10 @@ def test_enumeration_and_its_plan_match_the_references_on_random_grammars(
         grammar = grammar_from_pairs("S", productions, V)
     except DslError:  # a hole with no productions, a variable out of scope, no finite concept
         assume(False)
+    if max_size < grammar.min_size("S"):  # no concept fits: an error, not an empty list
+        with pytest.raises(GrammarError, match=f"max_size {max_size} is below"):
+            enumerate_hypotheses(grammar, max_size)
+        return
     hypotheses = enumerate_hypotheses(grammar, max_size)
     assert_same_as_reference(hypotheses, reference_enumerate(grammar, max_size))
     rng = random.Random(seed)
@@ -202,6 +211,40 @@ def test_enumeration_and_its_plan_match_the_references_on_random_grammars(
     table, rows = evaluate_packed(hypotheses.plan, batch)
     fresh, fresh_rows = evaluate_packed([concept for concept, _lp in hypotheses], batch)
     np.testing.assert_array_equal(table[rows], fresh[fresh_rows])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(sorted({*TEMPLATE_POOL, *(p.source for p in default_grammar(V).productions)})),
+    st.integers(0, 2**32 - 1),
+)
+def test_a_productions_build_is_the_reference_substitution(source, seed):
+    """A compiled production builds what the oracle's own walk does, for
+    every template of the random grammars' pool and the stock grammar."""
+    production = Production("S", source, parse_template(source, V), 1.0)
+    rng = random.Random(seed)
+    fills = [random_concept(rng, rng.randint(1, 4), depth) for _nt, depth in production.holes]
+    assert production.build(*fills) == substitute(production.template, fills)
+
+
+def _reference_concept(derivation: Derivation):
+    return substitute(derivation.production.template,
+                      [_reference_concept(child) for child in derivation.children])
+
+
+@pytest.mark.parametrize("grammar", [
+    default_grammar(V), duplicate_grammar(), two_depth_grammar(),
+    grammar_from_pairs("S", [
+        ("S", "(is-color blue)"), ("S", "(majority-color)"), ("S", "(not S)"), ("S", "(and S S)"),
+        ("S", "(exists others Q)"), ("S", "(and (is-color blue) S)"),
+        ("Q", "(same-shape 0 1)"), ("Q", "(is-color blue)"), ("Q", "(or Q (is-shape circle 0))"),
+    ], V),
+], ids=["default", "duplicate-derivations", "two-binder-depths", "multi-node-templates"])
+def test_a_derivations_concept_is_the_reference_substitution(grammar):
+    rng = random.Random(7)
+    for _ in range(300):
+        derivation = sample_derivation(grammar, rng)
+        assert derivation.concept() == _reference_concept(derivation)
 
 
 SIZE4_RULES = ("circle-xor-blue", "same-shape-as-a-yellow", "exists-triangle", "unique-blue")

@@ -1,6 +1,9 @@
 """Grammar construction, validation, sampling, and persistence."""
 
+import json
 import random
+import signal
+from contextlib import contextmanager
 
 import pytest
 
@@ -27,6 +30,56 @@ def test_default_grammar_shape():
 def test_weights_must_be_positive():
     with pytest.raises(GrammarError):
         grammar_from_pairs("S", [("S", "(is-color blue)", 0.0)], V)
+
+
+@pytest.mark.parametrize("weight", [float("nan"), float("inf")], ids=["nan", "infinity"])
+def test_weights_must_be_finite(tmp_path, weight):
+    """JSON reads NaN and Infinity: a grammar file with either is rejected,
+    naming the production, not run with NaN priors."""
+    message = rf"production S -> '\(is-color blue\)' has weight {weight}, not a finite number > 0"
+    with pytest.raises(GrammarError, match=message):
+        grammar_from_pairs("S", [("S", "(is-color blue)", weight), ("S", "(is-shape circle)")], V)
+    path = tmp_path / "grammar.json"
+    path.write_text(json.dumps({"start": "S", "productions": [
+        {"lhs": "S", "template": "(is-color blue)", "weight": weight},
+    ]}))
+    with pytest.raises(GrammarError, match=message):
+        load_grammar(path, V)
+
+
+@contextmanager
+def _deadline(seconds: int):
+    """Fail, rather than hang, when the body runs ``seconds`` or longer."""
+    def expire(_signum, _frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_a_max_size_below_every_concept_is_an_error_in_both_engines():
+    """Every concept of this grammar has two nodes.  At max_size 1 the
+    enumeration would find none and an MH chain would redraw its first
+    state forever."""
+    from rulelab.dsl import parse_concept
+    from rulelab.exemplars import evidence_from_list, generate_list
+    from rulelab.learner import NoiseParams, enumerate_hypotheses, mh_sample
+
+    grammar = grammar_from_pairs("S", [("S", "(not T)"), ("T", "(is-color blue)")], V)
+    message = "max_size 1 is below 2, the size of the smallest concept the grammar derives"
+    with pytest.raises(GrammarError, match=message):
+        enumerate_hypotheses(grammar, 1)
+    exemplar_list = generate_list(parse_concept("(not (is-color blue))", V), V, seed=1,
+                                  rule_id="not-blue")
+    evidence = evidence_from_list(exemplar_list, upto_set=2)
+    with _deadline(30), pytest.raises(GrammarError, match=message):
+        mh_sample(grammar, evidence, NoiseParams(0.9, 0.5), 100, seed=1, max_size=1)
+    assert len(enumerate_hypotheses(grammar, 2)) == 1
 
 
 def test_missing_nonterminal_rejected():
@@ -95,8 +148,9 @@ def test_grammar_json_roundtrip(tmp_path):
 
 
 def test_each_template_is_walked_once_per_production_not_per_step(monkeypatch):
-    """``holes`` and ``skeleton_size`` are kept on the production, so MH
-    chains, which size every proposal, walk no template."""
+    """``holes``, ``skeleton_size`` and ``build`` are compiled once, when the
+    production is made, so MH chains, which size and build every proposal,
+    walk no template."""
     from collections import Counter
 
     from rulelab.dsl import parse_concept
@@ -104,24 +158,24 @@ def test_each_template_is_walked_once_per_production_not_per_step(monkeypatch):
     from rulelab.learner import NoiseParams, evidence_from_list, grammar, mh_sample
 
     walks, scope_checks = Counter(), Counter()
-    walk, var_excess = grammar._template_parts, grammar.max_var_excess
+    compile_, var_excess = grammar._compile, grammar.max_var_excess
 
-    def counted(template, depth=0):
-        walks[id(template)] += 1
-        return walk(template, depth)
+    def counted(node, depth, holes, nodes):
+        walks[id(node)] += 1
+        return compile_(node, depth, holes, nodes)
 
     def counted_excess(template, binders=0):
         scope_checks[id(template)] += 1
         return var_excess(template, binders)
 
-    monkeypatch.setattr(grammar, "_template_parts", counted)
+    monkeypatch.setattr(grammar, "_compile", counted)
     monkeypatch.setattr(grammar, "max_var_excess", counted_excess)
     built = default_grammar(V)
     templates = {id(p.template) for p in built.productions}
     at_build = {key: n for key, n in walks.items() if key in templates}
-    # holes and skeleton_size walk each template once; the variable-scope
-    # check reads each template's max_var_excess once.
-    assert set(at_build) == templates and max(at_build.values()) == 2
+    # One compile walk per template; the variable-scope check reads each
+    # template's max_var_excess once.
+    assert at_build == dict.fromkeys(templates, 1)
     assert scope_checks == Counter(templates)
 
     exemplar_list = generate_list(parse_concept("(is-color blue)", V), V, seed=3, rule_id="blue")
