@@ -133,7 +133,11 @@ def _checked(doc: dict, key: str, default, valid, want: str, prefix: str = ""):
 
 _POSITIVE = (lambda v: isinstance(v, int) and v >= 1, "a positive integer")
 _UNIT = (lambda v: isinstance(v, (int, float)) and 0.0 <= v <= 1.0, "a number in [0, 1]")
-_STEP = (lambda v: isinstance(v, (int, float)) and 0.0 < v <= 1.0, "a number in (0, 1]")
+# The finest fit_grid_step: the grid holds (1 / step + 1) ** 2 points, each
+# listed and scored, about a million here and 10 ** 10 at a step of 1e-5.
+MIN_FIT_GRID_STEP = 0.001
+_STEP = (lambda v: isinstance(v, (int, float)) and MIN_FIT_GRID_STEP <= v <= 1.0,
+         f"a number in [{MIN_FIT_GRID_STEP}, 1]")
 _SEED = (lambda v: v is None or isinstance(v, int), "an integer")
 _PATH = (lambda v: v is None or isinstance(v, str), "a path string")
 _ENGINE = (lambda v: v in ("enumerate", "mh"), "enumerate or mh")

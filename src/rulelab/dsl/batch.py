@@ -3,13 +3,13 @@
 One kernel (:func:`evaluate_packed`) computes the same truth values as
 :func:`rulelab.dsl.core.evaluate`, which stays the reference semantics it
 is tested against, for a whole :class:`ContextBatch` at a time.  A plan
-(:class:`_Plan`) numbers the ``(subterm, binder depth)`` nodes of its
-concepts, by walking them or as the hypothesis enumeration builds them,
-and the kernel evaluates each node once, children first, into packed
-truth rows:
-``np.packbits`` over the contexts, first context in the high bit, the tail
-byte's padding bits zero.  :func:`evaluate_batch` unpacks the rows it is
-asked for; the learner's hypothesis table stays packed.
+(:class:`_Plan`) numbers each distinct ``(subterm, binder depth)`` node of
+its concepts once, by walking them or as the hypothesis enumeration
+derives them, and the kernel evaluates each node once, children first,
+into packed truth rows: ``np.packbits`` over the contexts, first context
+in the high bit, the tail byte's padding bits zero.  :func:`evaluate_batch`
+unpacks the rows it is asked for; the learner's hypothesis table stays
+packed.
 
 Contexts are padded to five object slots.  Under ``d`` enclosing binders a
 subterm's value is ``uint8[5 ** d, ceil(n / 8)]``: one packed row per
@@ -34,9 +34,9 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from operator import itemgetter
-from typing import Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -191,15 +191,15 @@ class _Plan:
     depth, op)``, and a group's columns are its node numbers, then each
     operand's number at the operand's depth.
 
-    :meth:`node` is the one way a node is added.  :meth:`number` walks a
-    concept and adds each of its distinct ``(subterm, depth)`` once,
-    through ``ids``.  :func:`rulelab.learner.enumerate_hypotheses` adds
-    each concept it builds from its children's numbers, without a walk,
-    once per memo cell: a concept in two cells of one depth has two
-    numbers, and the same rows under both."""
+    :meth:`node` is the one way a node is added, and it numbers each
+    ``(op, *operands)`` once per depth, so a subterm has one number at a
+    depth however it was reached.  :meth:`number` walks a concept through
+    it; :func:`rulelab.learner.enumerate_hypotheses` adds each concept it
+    derives from its children's numbers, without building it, and builds
+    and prints the concepts afterwards with :meth:`fold`."""
 
     def __init__(self):
-        self.ids: list[dict[Concept, int]] = [{}]  # per depth: subterm -> its number
+        self.index: list[dict[tuple, int]] = [{}]  # per depth: (op, *operands) -> its number
         self.heights: list[array] = [array("q")]  # per depth, by number
         self.leaves: list[tuple[int, int, Concept]] = []
         self.groups: dict[tuple, list[array]] = {}
@@ -210,25 +210,32 @@ class _Plan:
         """The plan of ``concepts``, each numbered by :meth:`number`."""
         plan = cls()
         plan.roots = array("q", [plan.number(concept, 0) for concept in concepts])
-        del plan.ids  # the subterm numbering is done with: free it before the stores are made
+        del plan.index  # every node is numbered: free the index before the stores are made
         return plan
 
     def node(self, op, depth: int, operands: Sequence[int] = ()) -> int:
-        """A new node's number at ``depth``: the leaf ``op`` when there are
-        no ``operands``, else the node of kind ``op`` (a connective's type,
+        """The number at ``depth`` of the leaf ``op`` when there are no
+        ``operands``, else of the node of kind ``op`` (a connective's type,
         or a quantifier's ``(kind, scope)``) over the operands' numbers, at
-        ``depth`` for a connective and ``depth + 1`` for a quantifier."""
+        ``depth`` for a connective and ``depth + 1`` for a quantifier;
+        added if it is new."""
         while len(self.heights) <= depth:
             self.heights.append(array("q"))
+            self.index.append({})
+        key = (op, *operands)
+        index = self.index[depth]
+        number = index.get(key)
+        if number is not None:
+            return number
         heights = self.heights[depth]
-        number = len(heights)
+        number = index[key] = len(heights)
         if operands:
             inner = self.heights[depth + 1] if isinstance(op, tuple) else heights
             height = 1 + max(map(inner.__getitem__, operands))
-            key = (height, depth, op)
-            columns = self.groups.get(key)
+            group = (height, depth, op)
+            columns = self.groups.get(group)
             if columns is None:
-                columns = self.groups[key] = [array("q") for _ in range(len(operands) + 1)]
+                columns = self.groups[group] = [array("q") for _ in range(len(operands) + 1)]
             for column, value in zip(columns, (number, *operands)):
                 column.append(value)
         else:
@@ -240,28 +247,45 @@ class _Plan:
     def number(self, concept: Concept, depth: int) -> int:
         """``concept``'s number at ``depth``, numbering it and its subterms
         if it is new."""
-        while len(self.ids) <= depth:
-            self.ids.append({})
-        ids = self.ids[depth]
-        number = ids.get(concept)
-        if number is not None:
-            return number
         children, binds, refs, _reads_set = parts(concept)
         if not children:
             if refs and max(refs) > depth:
                 raise UnboundVariableError(f"variable {max(refs)} unbound under {depth} binder(s)")
-            number = self.node(concept, depth)
-        else:
-            operands = [self.number(child, depth + binds) for child in children]
-            number = self.node(_op(concept), depth, operands)
-        ids[concept] = number
-        return number
+            return self.node(concept, depth)
+        operands = [self.number(child, depth + binds) for child in children]
+        return self.node(_op(concept), depth, operands)
+
+    def fold(self, leaf: Callable[[Concept], Any], kind: Callable[[Any, int], Callable]) -> list:
+        """Each depth-0 node's value, by number, made children first in the
+        kernel's order: a leaf's is ``leaf(leaf)``, and another node's is
+        ``kind(op, arity)`` applied to its operands' values, where ``kind``
+        is called once per op."""
+        values: list[list] = [[None] * len(heights) for heights in self.heights]
+        for depth, number, node in self.leaves:
+            values[depth][number] = leaf(node)
+        makers = {}
+        for key in sorted(self.groups, key=itemgetter(0)):  # by height
+            _height, depth, op = key
+            numbers, *operands = self.groups[key]
+            make = makers.get(op)
+            if make is None:
+                make = makers[op] = kind(op, len(operands))
+            out, inner = values[depth], values[depth + isinstance(op, tuple)]
+            for number, *children in zip(numbers, *operands):
+                out[number] = make(*map(inner.__getitem__, children))
+        return values[0]
 
 
 def _op(node: Concept):
     """``node``'s kind in a plan (:meth:`_Plan.node`): a quantifier's
     ``(kind, scope)``, else its type."""
     return head(node) or type(node)
+
+
+def _maker(op) -> Callable[..., Concept]:
+    """The constructor of a node of kind ``op`` from its children: the
+    inverse of :func:`_op`."""
+    return partial(Quant, *op) if isinstance(op, tuple) else op
 
 
 class _Kernel:

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
-from math import isfinite, log
+from math import inf, isfinite, log
 from pathlib import Path
 
 from ..dsl import (
@@ -46,12 +46,15 @@ class Production:
     - ``holes``: (nonterminal, binder depth) per hole, left to right;
     - ``skeleton_size``: the concept nodes it contributes by itself;
     - ``build(*fills)``: its concept with its holes filled, left to right,
-      which both of the learner's engines make their concepts with.
+      which MH makes its concepts with.
+
+    Its hash leaves out the template, which its source names, so a lookup
+    by production hashes no concept.
     """
 
     lhs: str
     source: str
-    template: Concept
+    template: Concept = field(hash=False)
     weight: float
 
     def __post_init__(self):
@@ -274,12 +277,21 @@ def grammar_from_pairs(
 
 def load_grammar(path: str | Path, vocab: FeatureVocab) -> Grammar:
     """Read a grammar JSON document:
-    {"start": ..., "productions": [{"lhs", "template", "weight"}, ...]}."""
+    {"start": ..., "productions": [{"lhs", "template", "weight"}, ...]}.
+    A weight, 1 when it is left out, must be a JSON number: a boolean or a
+    string raises :class:`GrammarError` naming its production."""
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    pairs = [
-        (row["lhs"], row["template"], float(row.get("weight", 1.0)))
-        for row in doc["productions"]
-    ]
+    pairs = []
+    for row in doc["productions"]:
+        weight = row.get("weight", 1.0)
+        if isinstance(weight, bool) or not isinstance(weight, (int, float)):
+            raise GrammarError(f"production {row['lhs']} -> {row['template']!r} has weight "
+                               f"{weight!r}, not a number")
+        try:
+            weight = float(weight)
+        except OverflowError:  # an integer past the floats: infinite, which Production rejects
+            weight = inf
+        pairs.append((row["lhs"], row["template"], weight))
     return grammar_from_pairs(doc["start"], pairs, vocab)
 
 

@@ -36,7 +36,7 @@ import numpy as np
 from ..dsl import Concept, Context, ContextBatch, evaluate_packed, size as concept_size
 from ..dsl.sexpr import print_concept
 from ..exemplars import ExemplarList, write_csv
-from .enumeration import Cells, Hypotheses, print_from
+from .enumeration import Cells, Hypotheses, concepts, sort_keys
 from .grammar import Grammar
 
 
@@ -74,42 +74,35 @@ def enumerate_hypotheses(
     vocab) for determinism.
 
     One pass fills a memo cell per (nonterminal, size, binder depth), each
-    child cell before the cells that read it.  Each new concept is handled
-    once: built from its children by its production's ``build``, as MH
-    builds its concepts, and added to the evaluation plan (``plan``) as a node over its
-    children's plan numbers, so :func:`build_eval_matrices` walks no
-    hypothesis.  In a cell that other cells read it is also printed, as
-    the production's text with its children's printed forms in the holes;
-    the last size's sort keys are printed once its cell is built, from the
-    other cells' forms.  A concept derived again only has its probability
-    added, in derivation order.  The printed forms are dropped once the
-    hypotheses are sorted.  :class:`HypothesisBudgetError` is raised as
-    soon as the hypotheses so far pass ``max_hypotheses``, and
-    :class:`GrammarError` when ``max_size`` is below the grammar's smallest
-    concept.
+    child cell before the cells that read it.  A cell holds each concept as
+    its number in the evaluation plan (``plan``), which numbers each
+    distinct subterm once per depth: a derivation adds its node over its
+    children's numbers, and a concept derived again finds its number and
+    only has its probability added, in derivation order.  So
+    :func:`build_eval_matrices` walks no hypothesis, and no concept is
+    built, hashed or printed per derivation.  After the last size two folds
+    over the plan print each hypothesis's sort key, each leaf and each node
+    kind's template once, and, once the keys are sorted and dropped, build
+    its concept.  :class:`HypothesisBudgetError` is raised as soon as the
+    hypotheses so far pass ``max_hypotheses``, and :class:`GrammarError`
+    when ``max_size`` is below the grammar's smallest concept.
     """
     grammar.check_max_size(max_size)
     cells = Cells(grammar, max_hypotheses)
     plan = cells.plan
-    pairs: list[tuple[Concept, float]] = []
+    # A concept has one size, so the cells of the sizes are disjoint and
+    # are taken here in size order.
+    by_size: list[dict[int, float]] = []
     for size in range(1, max_size + 1):
-        # A concept has one size, so the cells of the sizes are disjoint and
-        # are taken here in size order.
-        final = size == max_size
-        priors, numbers, printed = cells.cell(
-            grammar.start, size, 0, max_hypotheses - len(pairs), printing=not final
-        )
-        concepts, log_priors = list(priors), list(priors.values())
-        del priors
-        if final:  # no cell reads this one: print it now, from the others, then free them
-            del cells.memo[grammar.start, size, 0]
-            printed = print_from(concepts, cells.memo.values(), grammar.vocab)
-            cells.memo.clear()
-        order = sorted(range(len(concepts)), key=printed.__getitem__)
-        del printed
-        pairs += zip(map(concepts.__getitem__, order), map(log_priors.__getitem__, order))
-        plan.roots += array("q", map(numbers.__getitem__, order))
-    del plan.ids  # every node is numbered: free the walk's index before the plan is used
+        by_size.append(cells.cell(grammar.start, size, 0, max_hypotheses - sum(map(len, by_size))))
+    del cells, plan.index  # every node is numbered: free the cells and the index before the folds
+    keys = sort_keys(plan, grammar.vocab)
+    orders = [sorted(priors, key=keys.__getitem__) for priors in by_size]
+    del keys  # freed before the concepts are built
+    built = concepts(plan)
+    pairs = [(built[number], priors[number]) for priors, order in zip(by_size, orders)
+             for number in order]
+    plan.roots = array("q", [number for order in orders for number in order])
     hypotheses = Hypotheses(pairs)
     hypotheses.plan = plan
     return hypotheses

@@ -80,6 +80,7 @@ def test_a_null_required_path_is_a_config_error(workspace, capsys, key):
     (None, "workers", "2"),
     (None, "fit_grid_step", 0),
     (None, "fit_grid_step", 1.5),
+    (None, "fit_grid_step", 1e-5),
     (None, "fit_grid_step", "fine"),
     (None, "grade_max_set_size", 0),
 ])
@@ -246,6 +247,17 @@ def test_a_non_finite_grammar_weight_is_a_config_error(workspace, capsys, weight
     assert not (workspace / "out" / "runs").exists()
 
 
+@pytest.mark.parametrize("weight", [True, "2"], ids=["true", "string"])
+def test_a_grammar_weight_that_is_not_a_number_is_a_config_error(workspace, capsys, weight):
+    assert run(workspace, "gen") == EXIT_OK
+    _use_grammar(workspace, [("S", "(is-color blue)", {"weight": weight}),
+                             ("S", "(is-shape circle)", {})])
+    capsys.readouterr()
+    assert run(workspace, "run", "--engine", "plot") == EXIT_CONFIG
+    assert f"has weight {weight!r}, not a number" in capsys.readouterr().err
+    assert not (workspace / "out" / "runs").exists()
+
+
 @pytest.mark.parametrize("engine", ["enumerate", "mh"])
 def test_a_max_size_below_every_concept_fails_each_rule(workspace, engine):
     """At the max_size below the grammar's smallest concept, each rule fails
@@ -397,20 +409,20 @@ def test_run_plot_enumerates_once_for_all_rules(workspace, monkeypatch):
 
 
 def test_run_plot_prints_only_the_traced_rows(workspace, monkeypatch):
-    """Enumeration prints no hypothesis whole: it prints templates, each
-    production's and a node kind's, with holes where the children go, and
-    joins each sort key from those texts and the children's printed forms.
-    A rule prints only the rows its trace writes, at most TRACE_TOP_ROWS
-    per set boundary, and each of them once."""
+    """Enumeration prints no hypothesis whole: its sort keys are folded
+    from the plan, which prints each plan leaf once and each node kind's
+    template once, with holes where the children go.  A rule prints only
+    the rows its trace writes, at most TRACE_TOP_ROWS per set boundary, and
+    each of them once."""
     from rulelab.catalog import DEFAULT_VOCAB
     from rulelab.dsl import parts
-    from rulelab.learner import TRACE_TOP_ROWS, Hole, default_grammar, enumeration, inference
-
-    def has_hole(concept):
-        return isinstance(concept, Hole) or any(map(has_hole, parts(concept)[0]))
+    from rulelab.learner import (
+        TRACE_TOP_ROWS, Hole, default_grammar, enumerate_hypotheses, enumeration, inference,
+    )
 
     run(workspace, "gen")
-    grammar = default_grammar(DEFAULT_VOCAB)
+    max_size = json.loads((workspace / "config.json").read_text())["learner"]["max_size"]
+    plan = enumerate_hypotheses(default_grammar(DEFAULT_VOCAB), max_size).plan
     printed = {enumeration: [], inference: []}
     for module, calls in printed.items():
         def counted(concept, vocab, calls=calls, real=module.print_concept):
@@ -419,12 +431,13 @@ def test_run_plot_prints_only_the_traced_rows(workspace, monkeypatch):
 
         monkeypatch.setattr(module, "print_concept", counted)
     assert run(workspace, "run", "--engine", "plot") == EXIT_OK
-    # Each production's text, once, as the enumeration starts; then one text
-    # per node kind of the last size's sort keys.
-    n_productions = len(grammar.productions)
-    node_texts = printed[enumeration][n_productions:]
-    assert 0 < len(node_texts) <= n_productions
-    assert all(map(has_hole, node_texts))
+    leaves = [leaf for _depth, _number, leaf in plan.leaves]
+    kinds = {op for _height, _depth, op in plan.groups}
+    assert printed[enumeration][:len(leaves)] == leaves
+    templates = printed[enumeration][len(leaves):]
+    assert len(templates) == len(kinds)
+    assert all(parts(template)[0] and all(isinstance(hole, Hole) for hole in parts(template)[0])
+               for template in templates)
     row_prints = printed[inference]
     traces = list((workspace / "out" / "runs" / "plot").glob("*.posterior.csv"))
     traced = [list(csv.DictReader(path.read_text().splitlines())) for path in traces]

@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 from conftest import dry_run_lists, random_concept, random_context
 from enumeration_reference import reference_enumerate, substitute
 from rulelab.catalog import ALTERNATE_VOCAB, DEFAULT_VOCAB as V, DEMO_RULES
-from rulelab.dsl import ContextBatch, DslError, evaluate_packed, parse_concept, print_concept, size
+from rulelab.dsl import (
+    Concept, ContextBatch, DslError, evaluate_packed, parse_concept, parts, print_concept, size,
+)
 from rulelab.dsl.sexpr import parse_template
 from rulelab.exemplars import generate_list
 from rulelab.learner import (
@@ -28,6 +30,7 @@ from rulelab.learner import (
     grammar_from_pairs,
     sample_derivation,
 )
+from rulelab.learner.enumeration import concepts, sort_keys
 
 
 def two_leaf_grammar():
@@ -193,8 +196,9 @@ TEMPLATE_POOL = (
 def test_enumeration_and_its_plan_match_the_references_on_random_grammars(
     productions, max_size, seed
 ):
-    """The pairs are the reference enumerator's, bitwise, and the plan that
-    comes with them evaluates each pair's concept to the rows the same
+    """The pairs are the reference enumerator's, bitwise; the plan that
+    comes with them folds each root into the reference's concept and its
+    printed form, and evaluates each pair's concept to the rows the same
     concepts get when numbered afresh."""
     try:
         grammar = grammar_from_pairs("S", productions, V)
@@ -205,12 +209,46 @@ def test_enumeration_and_its_plan_match_the_references_on_random_grammars(
             enumerate_hypotheses(grammar, max_size)
         return
     hypotheses = enumerate_hypotheses(grammar, max_size)
-    assert_same_as_reference(hypotheses, reference_enumerate(grammar, max_size))
+    expected = reference_enumerate(grammar, max_size)
+    assert_same_as_reference(hypotheses, expected)
+    built, keys = concepts(hypotheses.plan), sort_keys(hypotheses.plan, V)
+    for root, (concept, _lp) in zip(hypotheses.plan.roots, expected):
+        assert built[root] == concept
+        assert keys[root] == print_concept(concept, V)
     rng = random.Random(seed)
     batch = ContextBatch.from_contexts([random_context(rng) for _ in range(20)], V)
     table, rows = evaluate_packed(hypotheses.plan, batch)
     fresh, fresh_rows = evaluate_packed([concept for concept, _lp in hypotheses], batch)
     np.testing.assert_array_equal(table[rows], fresh[fresh_rows])
+
+
+def test_a_concept_in_two_cells_has_one_plan_number():
+    """(not A) is derived in S's cell at size 2 and in B's, at the same
+    depth: one plan node, not one per cell."""
+    grammar = grammar_from_pairs("S", [
+        ("S", "(not A)"), ("S", "(and B B)"), ("B", "(not A)"),
+        ("A", "(is-color blue)"), ("A", "(is-shape circle)"),
+    ], V)
+    hypotheses = enumerate_hypotheses(grammar, 5)
+    assert_same_as_reference(hypotheses, reference_enumerate(grammar, 5))
+    # two leaves, their two negations, and the four conjunctions of those
+    assert len(hypotheses.plan.heights[0]) == 8
+    assert len(hypotheses) == 6
+
+
+def test_enumeration_hashes_no_concept_but_a_leaf(monkeypatch):
+    """A cell keys each concept by its plan number, so no concept is built
+    and hashed per derivation: only the leaves are hashed, as plan keys."""
+    grammar = default_grammar(V)
+    hashed = []
+    for cls in Concept.__subclasses__():
+        def counted(concept, real=cls.__hash__):
+            hashed.append(concept)
+            return real(concept)
+
+        monkeypatch.setattr(cls, "__hash__", counted)
+    assert len(enumerate_hypotheses(grammar, 4)) == 9568
+    assert hashed and not [concept for concept in hashed if parts(concept)[0]]
 
 
 @settings(max_examples=150, deadline=None)

@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 import signal
 from contextlib import contextmanager
 
@@ -44,6 +45,23 @@ def test_weights_must_be_finite(tmp_path, weight):
         {"lhs": "S", "template": "(is-color blue)", "weight": weight},
     ]}))
     with pytest.raises(GrammarError, match=message):
+        load_grammar(path, V)
+
+
+@pytest.mark.parametrize("weight, error", [
+    pytest.param(True, "True, not a number", id="true"),
+    pytest.param("2", "'2', not a number", id="string"),
+    pytest.param(" 3 ", "' 3 ', not a number", id="padded-string"),
+    pytest.param(10 ** 400, "inf, not a finite number > 0", id="integer-past-the-floats"),
+])
+def test_a_grammar_files_weight_must_be_a_finite_json_number(tmp_path, weight, error):
+    """A boolean or a string is not read as the number it converts to."""
+    path = tmp_path / "grammar.json"
+    path.write_text(json.dumps({"start": "S", "productions": [
+        {"lhs": "S", "template": "(is-color blue)", "weight": weight},
+    ]}))
+    message = f"production S -> '(is-color blue)' has weight {error}"
+    with pytest.raises(GrammarError, match=re.escape(message)):
         load_grammar(path, V)
 
 
