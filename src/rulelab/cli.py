@@ -18,14 +18,12 @@ from __future__ import annotations
 import os
 
 # numpy's bundled OpenBLAS starts a worker thread per CPU at import, and
-# nothing here gains from it: the only BLAS calls are ``mass @ truth`` (at
-# most 118,735 rows at max_size 5) and ``np.corrcoef``.  On a 2-CPU x86-64
-# machine the threaded 118,735-row product took 5.7 ms against 0.6 ms
-# single-threaded (best of 50), numpy's import 0.110-0.137 s against
-# 0.053-0.086 s, and at max_size 5 the threaded product moved 60 of 293
-# p_true values of four rules by up to 7.8e-14.  So a command uses one
-# BLAS thread unless the caller set the variable.  It is set before
-# anything here can import numpy.
+# nothing here gains from it: the only BLAS call left is ``np.corrcoef``,
+# and the learner's predictions take none, so their bits do not rest on
+# this setting.  One thread halves numpy's import (0.110-0.137 s against
+# 0.053-0.086 s on a 2-CPU x86-64 machine), so a command uses one BLAS
+# thread unless the caller set the variable.  It is set before anything
+# here can import numpy.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import argparse

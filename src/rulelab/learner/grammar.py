@@ -49,7 +49,9 @@ class Production:
       which MH makes its concepts with.
 
     Its hash leaves out the template, which its source names, so a lookup
-    by production hashes no concept.
+    by production hashes no concept.  Its weight must be an ``int`` or a
+    ``float``, not a ``bool``, finite and > 0, and is kept as a ``float``:
+    any other raises :class:`GrammarError` naming the production.
     """
 
     lhs: str
@@ -58,9 +60,18 @@ class Production:
     weight: float
 
     def __post_init__(self):
-        if not (isfinite(self.weight) and self.weight > 0):
+        weight = self.weight
+        if isinstance(weight, bool) or not isinstance(weight, (int, float)):
             raise GrammarError(f"production {self.lhs} -> {self.source!r} has weight "
-                               f"{self.weight}, not a finite number > 0")
+                               f"{weight!r}, not a number")
+        try:
+            weight = float(weight)
+        except OverflowError:  # an integer past the floats: infinite
+            weight = inf
+        if not (isfinite(weight) and weight > 0):
+            raise GrammarError(f"production {self.lhs} -> {self.source!r} has weight "
+                               f"{weight}, not a finite number > 0")
+        object.__setattr__(self, "weight", weight)
         holes, nodes = [], []
         build = _compile(self.template, 0, holes, nodes)
         if len(nodes) == 1 and holes:  # one node over its holes: its constructor, not a walk
@@ -281,17 +292,7 @@ def load_grammar(path: str | Path, vocab: FeatureVocab) -> Grammar:
     A weight, 1 when it is left out, must be a JSON number: a boolean or a
     string raises :class:`GrammarError` naming its production."""
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    pairs = []
-    for row in doc["productions"]:
-        weight = row.get("weight", 1.0)
-        if isinstance(weight, bool) or not isinstance(weight, (int, float)):
-            raise GrammarError(f"production {row['lhs']} -> {row['template']!r} has weight "
-                               f"{weight!r}, not a number")
-        try:
-            weight = float(weight)
-        except OverflowError:  # an integer past the floats: infinite, which Production rejects
-            weight = inf
-        pairs.append((row["lhs"], row["template"], weight))
+    pairs = [(row["lhs"], row["template"], row.get("weight", 1.0)) for row in doc["productions"]]
     return grammar_from_pairs(doc["start"], pairs, vocab)
 
 

@@ -338,10 +338,13 @@ def posterior_by_set(
 
 
 def _set_prediction(mass: np.ndarray, truth: np.ndarray, noise: NoiseParams) -> np.ndarray:
-    """P(True) for each column of ``truth`` (hypotheses by one set's
-    objects) under the mixture whose weights are ``mass``, the posterior
-    probability of each row of ``truth``."""
-    return noise.alpha * (mass @ truth) + (1.0 - noise.alpha) * noise.beta
+    """P(True) for each column of ``truth`` (rows by one set's objects)
+    under the mixture whose weights are ``mass``, one per row."""
+    # einsum without ``optimize`` sums in a fixed order and calls no BLAS,
+    # whose last bits would follow its thread count.  It sums each object's
+    # row of the transposed truth, made contiguous: three times as fast as
+    # over the strided columns.
+    return noise.alpha * np.einsum("ij,j", truth.T.copy(), mass) + (1.0 - noise.alpha) * noise.beta
 
 
 # Rows per set boundary in a trace, and in BoundaryDiagnostics.top_mass.
@@ -369,8 +372,7 @@ def _diagnostics(
     with np.errstate(invalid="ignore"):  # 0 * -inf where a row has no mass
         # 0.0 - sum, not -sum: a point mass has entropy 0.0, not -0.0.
         entropy = 0.0 - np.sum(mass * log_posterior, where=mass > 0)
-    top_mass = np.sum(mass[top])
-    return BoundaryDiagnostics(float(entropy), float(mass[map_index]), float(top_mass))
+    return BoundaryDiagnostics(float(entropy), float(mass[map_index]), float(np.sum(mass[top])))
 
 
 def _trace_rows(
@@ -431,7 +433,6 @@ def run_enumerative(
     posterior = []
     trace: list[tuple] = []
     printed: dict[int, str] = {}  # row -> its printed concept: a row can rank at many boundaries
-    offsets = matrix.offsets
     try:
         # The last boundary, after every set, only gives the final MAP.
         for set_index, (log_likelihood, log_posterior, map_index) in enumerate(steps):
@@ -444,14 +445,16 @@ def run_enumerative(
                     if i not in printed:
                         printed[i] = print_concept(hypotheses[i][0], exemplar_list.vocab)
                 trace += _trace_rows(
-                    set_index, top, [printed[i] for i in top.tolist()],
+                    set_index, top, list(map(printed.get, top.tolist())),
                     matrix.log_priors, log_likelihood, log_posterior,
                 )
             if set_index == len(exemplar_list.sets):
                 continue
-            start, stop = offsets[set_index], offsets[set_index + 1]
-            truth = matrix.classes[matrix.inverse, start:stop]
-            p_true[start:stop] = _set_prediction(mass, truth, noise)
+            start, stop = matrix.offsets[set_index:set_index + 2]
+            # A class's members predict alike; each class has a member, so the
+            # bincount's length is the class count.
+            truth = matrix.classes[:, start:stop]
+            p_true[start:stop] = _set_prediction(np.bincount(matrix.inverse, mass), truth, noise)
             set_maps.append(hypotheses[map_index][0])
     except DegeneratePosteriorError as error:
         if trace_path is not None:  # no trace, not even an old one, for a failed rule

@@ -38,6 +38,8 @@ DRY_RUN_RULES = (
     "circle-xor-blue", "same-shape-as-a-yellow", "unique-blue", "exists-triangle",
     "one-of-the-largest", "same-color-as-another", "majority-color",
 )
+# The four FOL rules of the max_size 4 benchmark workload.
+SIZE4_RULES = ("circle-xor-blue", "same-shape-as-a-yellow", "exists-triangle", "unique-blue")
 
 
 def dry_run_lists() -> list[ExemplarList]:

@@ -8,7 +8,10 @@ and MH (the rows each run keeps).  The kernel takes ``math.log`` of the same
 factor values as :func:`observation_log_factor` and adds the logs in the
 same object order as :func:`log_likelihood`, so every library score equals
 the reference sum here bit for bit, for any (alpha, beta).  Tests compare
-the two.
+the two.  Predictions are summed in another order: the library adds each
+behaviour class's mass, and :func:`set_prediction` keeps the
+hypothesis-level product, summed exactly, so tests compare them within
+1e-12.
 
 The noise model: with probability ``alpha`` an observed label follows the
 hypothesis; otherwise it is drawn from a baseline that emits True with
@@ -111,6 +114,18 @@ def posterior_predictive(state: _LibraryState, ctx: Context, noise: NoiseParams)
         math.exp(entry.log_weight) for entry in state.entries if evaluate(entry.concept, ctx)
     )
     return noise.alpha * rule_mass + (1.0 - noise.alpha) * noise.beta
+
+
+def set_prediction(weights, truth, noise: NoiseParams) -> list[float]:
+    """P(True) for each column of ``truth`` (a numpy bool array, hypotheses
+    by one set's objects) under the mixture whose weights are ``weights``
+    (a numpy array, one posterior mass per hypothesis): the hypothesis-level
+    product, each column's True mass summed with ``math.fsum``, so it is
+    the correctly rounded sum that any summation order approximates."""
+    return [
+        noise.alpha * math.fsum(weights[column].tolist()) + (1.0 - noise.alpha) * noise.beta
+        for column in truth.T
+    ]
 
 
 def classify(state: _LibraryState, ctx: Context, noise: NoiseParams) -> bool:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import dry_run_lists, random_concept, random_context
+from conftest import SIZE4_RULES, dry_run_lists, random_concept, random_context
 from enumeration_reference import reference_enumerate, substitute
 from rulelab.catalog import ALTERNATE_VOCAB, DEFAULT_VOCAB as V, DEMO_RULES
 from rulelab.dsl import (
@@ -283,9 +283,6 @@ def test_a_derivations_concept_is_the_reference_substitution(grammar):
     for _ in range(300):
         derivation = sample_derivation(grammar, rng)
         assert derivation.concept() == _reference_concept(derivation)
-
-
-SIZE4_RULES = ("circle-xor-blue", "same-shape-as-a-yellow", "exists-triangle", "unique-blue")
 
 
 def size4_lists():

@@ -48,12 +48,15 @@ def test_weights_must_be_finite(tmp_path, weight):
         load_grammar(path, V)
 
 
-@pytest.mark.parametrize("weight, error", [
+NOT_WEIGHTS = [
     pytest.param(True, "True, not a number", id="true"),
     pytest.param("2", "'2', not a number", id="string"),
     pytest.param(" 3 ", "' 3 ', not a number", id="padded-string"),
     pytest.param(10 ** 400, "inf, not a finite number > 0", id="integer-past-the-floats"),
-])
+]
+
+
+@pytest.mark.parametrize("weight, error", NOT_WEIGHTS)
 def test_a_grammar_files_weight_must_be_a_finite_json_number(tmp_path, weight, error):
     """A boolean or a string is not read as the number it converts to."""
     path = tmp_path / "grammar.json"
@@ -63,6 +66,16 @@ def test_a_grammar_files_weight_must_be_a_finite_json_number(tmp_path, weight, e
     message = f"production S -> '(is-color blue)' has weight {error}"
     with pytest.raises(GrammarError, match=re.escape(message)):
         load_grammar(path, V)
+
+
+@pytest.mark.parametrize("weight, error", NOT_WEIGHTS)
+def test_a_library_callers_weight_must_be_a_finite_int_or_float(weight, error):
+    """The library path checks a weight as a grammar file's is checked: a
+    boolean is not read as 1, and a string or an integer past the floats
+    raises GrammarError, not TypeError or OverflowError."""
+    message = f"production S -> '(is-color blue)' has weight {error}"
+    with pytest.raises(GrammarError, match=re.escape(message)):
+        grammar_from_pairs("S", [("S", "(is-color blue)", weight)], V)
 
 
 @contextmanager

@@ -30,7 +30,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dry_run_lists
+from conftest import SIZE4_RULES, dry_run_lists
 from reference import PosteriorState, log_likelihood, posterior_predictive
 from rulelab.catalog import DEFAULT_VOCAB as V
 from rulelab.catalog import DEMO_RULES
@@ -261,10 +261,6 @@ def size3_matrices():
         # Each class one hypothesis, with its members' summed prior.
         matrices[f"{name}-collapsed"] = matrix_of(oracle_classes(rows_of(full))[0])
     return matrices
-
-
-# The lab's max_size-4 rules.
-SIZE4_RULES = ("circle-xor-blue", "same-shape-as-a-yellow", "exists-triangle", "unique-blue")
 
 
 @pytest.fixture(scope="module")

@@ -8,9 +8,9 @@ from itertools import islice
 import numpy as np
 import pytest
 
-from reference import PosteriorState, log_likelihood, posterior_predictive
+from reference import PosteriorState, log_likelihood, posterior_predictive, set_prediction
 from rulelab.catalog import DEFAULT_VOCAB as V
-from rulelab.dsl import ContextBatch, evaluate_batch, parse_concept
+from rulelab.dsl import ContextBatch, evaluate, evaluate_batch, parse_concept
 from rulelab.exemplars import generate_list
 from rulelab.learner import (
     NoiseParams,
@@ -181,6 +181,9 @@ def test_truth_row_scores_are_the_reference_sums_bitwise():
 
 
 def test_run_mh_predicts_with_its_chains_posterior():
+    """Each set's P(True) is, within 1e-12, both the per-object reference
+    predictive of its chain and the product of the chain's concept weights
+    and the concepts' truth over the set, summed exactly."""
     grammar = default_grammar(V)
     exemplar_list = generate_list(EXACTLY_ONE_BLUE, V, seed=4, n_sets=6, rule_id="one-blue")
     noise = NoiseParams(0.9, 0.5)
@@ -190,9 +193,15 @@ def test_run_mh_predicts_with_its_chains_posterior():
         state = mh_sample(grammar, evidence, noise, 1500, seed=7 + set_index, max_size=3)
         assert run.set_maps[set_index] == map_rule(state)
         start, stop = exemplar_list.offsets[set_index:set_index + 2]
-        for i, (p, label) in enumerate(zip(run.p_true[start:stop], run.labels[start:stop])):
-            expected = posterior_predictive(state, exemplar_set.context_for(i), noise)
+        contexts = [exemplar_set.context_for(i) for i in range(stop - start)]
+        weights = np.exp([entry.log_weight for entry in state.entries])
+        truth = np.array([[evaluate(entry.concept, ctx) for ctx in contexts]
+                          for entry in state.entries])
+        exact = set_prediction(weights, truth, noise)
+        for p, label, ctx, q in zip(run.p_true[start:stop], run.labels[start:stop], contexts, exact):
+            expected = posterior_predictive(state, ctx, noise)
             assert abs(p - expected) <= 1e-12
+            assert abs(p - q) <= 1e-12
             assert label == (expected > 0.5)
     final = mh_sample(grammar, evidence_from_list(exemplar_list), noise, 1500, seed=13, max_size=3)
     assert run.final_map == map_rule(final)

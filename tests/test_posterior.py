@@ -1,14 +1,20 @@
 """The noise likelihood, posterior states, prediction, and MAP extraction."""
 
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dry_run_lists, random_context
-from reference import PosteriorState, classify, log_likelihood, posterior_predictive
+import rulelab
+from conftest import SIZE4_RULES, dry_run_lists, random_context
+from reference import PosteriorState, classify, log_likelihood, posterior_predictive, set_prediction
 from rulelab.catalog import DEFAULT_VOCAB as V
 from rulelab.dsl import Context, Obj, parse_concept
 from rulelab.exemplars import generate_list
@@ -253,6 +259,74 @@ def test_run_and_predictive_trajectory_agree_on_the_dry_run_lists(alpha, beta):
         trajectory = predictive_trajectory(matrix, noise).tolist()
         assert len(run.p_true) == len(trajectory) == exemplar_list.n_objects
         assert max(abs(a - b) for a, b in zip(run.p_true, trajectory)) <= 1e-12
+
+
+@pytest.fixture(scope="module")
+def size4_dry_run():
+    """The 12 dry-run lists with their hypotheses at max_size 4 and their
+    matrices."""
+    hypotheses = enumerate_hypotheses(default_grammar(V), 4)
+    lists = dry_run_lists()
+    return hypotheses, lists, list(build_eval_matrices(hypotheses, lists))
+
+
+@pytest.mark.parametrize("alpha, beta", [(0.95, 0.5), (0.75, 0.9)])
+def test_run_predicts_as_the_hypothesis_level_product(size4_dry_run, alpha, beta):
+    """Predicting from behaviour-class masses gives, within 1e-12 and with
+    the same labels, the product of each boundary's hypothesis masses and
+    the hypotheses' truth over the set, summed exactly, on the 12 dry-run
+    lists at max_size 4."""
+    noise = NoiseParams(alpha, beta)
+    hypotheses, lists, matrices = size4_dry_run
+    for exemplar_list, matrix in zip(lists, matrices):
+        run = run_enumerative(exemplar_list, hypotheses, matrix, noise)
+        expected = []
+        for set_index, (_ll, log_posterior, _map) in zip(range(len(exemplar_list.sets)),
+                                                          posterior_by_set(matrix, noise)):
+            start, stop = exemplar_list.offsets[set_index:set_index + 2]
+            truth = matrix.classes[matrix.inverse, start:stop]
+            expected += set_prediction(np.exp(log_posterior), truth, noise)
+        assert len(run.p_true) == len(expected) == exemplar_list.n_objects
+        assert max(abs(a - b) for a, b in zip(run.p_true, expected)) <= 1e-12
+        assert run.labels == tuple(p > 0.5 for p in expected)
+
+
+# Prints run_enumerative's p_true on the four size-4 rules' lists at max_size 5.
+_P_TRUE_AT_SIZE_5 = """
+import sys
+from rulelab.catalog import DEFAULT_VOCAB as V, DEMO_RULES
+from rulelab.dsl import parse_concept
+from rulelab.exemplars import generate_list
+from rulelab.learner import (
+    NoiseParams, build_eval_matrices, default_grammar, enumerate_hypotheses, run_enumerative,
+)
+rules = [rule for rule in DEMO_RULES if rule.rule_id in sys.argv[1:]]
+lists = [generate_list(parse_concept(rule.source, V), V, seed=2024 + i, rule_id=rule.rule_id)
+         for i, rule in enumerate(rules)]
+hypotheses = enumerate_hypotheses(default_grammar(V), 5)
+for exemplar_list, matrix in zip(lists, build_eval_matrices(hypotheses, lists)):
+    print(run_enumerative(exemplar_list, hypotheses, matrix, NoiseParams(0.95, 0.5)).p_true)
+"""
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one CPU: OpenBLAS runs one thread")
+def test_predictions_do_not_depend_on_the_blas_thread_count():
+    """numpy reads OPENBLAS_NUM_THREADS when it is imported, so two
+    processes, one with one BLAS thread and one with two, must print the
+    same p_true bytes."""
+    env = {name: value for name, value in os.environ.items()
+           if name not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = str(Path(rulelab.__file__).resolve().parents[1])
+    children = [
+        subprocess.Popen([sys.executable, "-c", _P_TRUE_AT_SIZE_5, *SIZE4_RULES],
+                         env=dict(env, OPENBLAS_NUM_THREADS=threads),
+                         stdout=subprocess.PIPE, text=True)
+        for threads in ("1", "2")
+    ]
+    outputs = [child.communicate(timeout=120)[0] for child in children]
+    assert [child.returncode for child in children] == [0, 0]
+    assert len(outputs[0].splitlines()) == len(SIZE4_RULES)
+    assert outputs[0] == outputs[1]
 
 
 def test_posterior_kernel_and_reference_both_degenerate_at_alpha_one(tmp_path):
