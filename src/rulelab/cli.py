@@ -38,6 +38,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from ._lazy import lazy_exports
+from ._settings import check_settings, from_document, setting
 from .catalog import DEFAULT_VOCAB, RuleSpec, read_rules_manifest
 from .dsl import MAX_CONTEXTS, MAX_OBJECTS, DslError, FeatureVocab, count_contexts, load_vocab
 from .harness import CredentialError, EndpointConfigError, TransportError
@@ -115,20 +116,37 @@ class DataError(Exception):
     pass
 
 
-# What reading a JSON or CSV file that is truncated or of the wrong shape
-# raises (json.JSONDecodeError is a ValueError).
-_UNREADABLE = (KeyError, TypeError, ValueError)
+def _read(kind: str, path: Path, reader, error: type[Exception] | None = ConfigError):
+    """``reader(path)``: every input file a command reads is opened here,
+    but the endpoint file, which ``load_endpoint_config`` reads and checks.
+    A file that cannot be opened, decoded or read as a ``kind`` raises
+    ``error``, which stops the command.  With ``error`` None the file is one
+    rule's: its message is returned in place of the value, to fail that
+    rule alone."""
+    try:
+        return reader(path)
+    except (OSError, csv.Error, DslError, KeyError, TypeError, ValueError) as reason:
+        # ValueError: bad JSON or bad UTF-8 among others; KeyError and
+        # TypeError: a document of the wrong shape.
+        if error is None:
+            return f"unreadable {kind} {path}: {reason}"
+        raise error(f"{kind} {path} is unreadable: {reason}") from reason
 
 
-def _checked(doc: dict, key: str, default, valid, want: str, prefix: str = ""):
-    """``doc[key]`` (or ``default``) if ``valid`` holds for it; JSON booleans
-    are never numbers here."""
-    value = doc.get(key, default)
-    if isinstance(value, bool) or not valid(value):
-        raise ConfigError(f"{prefix}{key} must be {want}, got {value!r}")
-    return value
+def _document(kind: str, path: Path, error: type[Exception]) -> dict:
+    """The JSON object that ``path`` holds: the config, or a --elicited file."""
+    text = _read(kind, path, lambda p: p.read_text(encoding="utf-8"), error)
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as reason:
+        raise error(f"{kind} {path} is not valid JSON: {reason}") from reason
+    if not isinstance(doc, dict):
+        raise error(f"{kind} {path} must hold a JSON object")
+    return doc
 
 
+# Each config key's check: its valid values, and their description for the
+# error.
 _POSITIVE = (lambda v: isinstance(v, int) and v >= 1, "a positive integer")
 _UNIT = (lambda v: isinstance(v, (int, float)) and 0.0 <= v <= 1.0, "a number in [0, 1]")
 # The finest fit_grid_step: the grid holds (1 / step + 1) ** 2 points, each
@@ -137,143 +155,94 @@ MIN_FIT_GRID_STEP = 0.001
 _STEP = (lambda v: isinstance(v, (int, float)) and MIN_FIT_GRID_STEP <= v <= 1.0,
          f"a number in [{MIN_FIT_GRID_STEP}, 1]")
 _SEED = (lambda v: v is None or isinstance(v, int), "an integer")
+# A path key, resolved against the config file's directory; the file a
+# ``file`` key names must exist.
 _PATH = (lambda v: v is None or isinstance(v, str), "a path string")
-_ENGINE = (lambda v: v in ("enumerate", "mh"), "enumerate or mh")
-
-
-def _setting(default, check):
-    """A learner config key: its default, and the ``_checked`` test its
-    value must pass."""
-    return field(default=default, metadata={"check": check})
 
 
 @dataclass
 class LearnerSettings:
     """The config's ``learner`` block: each field is one of its keys."""
 
-    grammar: str | None = _setting(None, _PATH)
-    max_size: int = _setting(3, _POSITIVE)
-    alpha: float = _setting(0.95, _UNIT)
-    beta: float = _setting(0.5, _UNIT)
-    engine: str = _setting("enumerate", _ENGINE)
-    mh_iterations: int = _setting(20_000, _POSITIVE)
-    seed: int | None = _setting(None, _SEED)
-    max_hypotheses: int = _setting(200_000, _POSITIVE)
+    grammar: Path | None = setting(_PATH, None, file=True)
+    max_size: int = setting(_POSITIVE, 3)
+    alpha: float = setting(_UNIT, 0.95)
+    beta: float = setting(_UNIT, 0.5)
+    engine: str = setting((lambda v: v in ("enumerate", "mh"), "enumerate or mh"), "enumerate")
+    mh_iterations: int = setting(_POSITIVE, 20_000)
+    seed: int | None = setting(_SEED, None)
+    max_hypotheses: int = setting(_POSITIVE, 200_000)
 
     def __post_init__(self):
+        check_settings(self, "learner.")
         self.alpha, self.beta = float(self.alpha), float(self.beta)
 
 
 @dataclass
 class ExperimentConfig:
-    path: Path
-    rules: Path
-    lists_dir: Path
-    output_dir: Path
-    manifest: list[RuleSpec]  # the rules file, read and checked with the config
-    vocab: FeatureVocab  # the vocab file's, or the stock vocab
-    grammar: Grammar  # the learner.grammar file's, or the stock grammar
-    vocab_path: Path | None = None
-    seed: int | None = None
-    endpoint: Path | None = None
-    human_data: Path | None = None
-    learner: LearnerSettings = field(default_factory=LearnerSettings)
-    fit_grid_step: float = 0.05
-    grade_max_set_size: int = 5
-    workers: int = 1
+    """An experiment config file: each field up to ``workers`` is one of its
+    keys; :func:`load_config` fills in the rest."""
 
+    rules: Path = setting(_PATH, file=True)
+    lists_dir: Path = setting(_PATH)
+    output_dir: Path = setting(_PATH)
+    vocab: Path | None = setting(_PATH, None, file=True)
+    seed: int | None = setting(_SEED, None)
+    endpoint: Path | None = setting(_PATH, None, file=True)
+    human_data: Path | None = setting(_PATH, None, file=True)
+    learner: LearnerSettings = setting((lambda v: isinstance(v, dict), "an object"), factory=dict)
+    fit_grid_step: float = setting(_STEP, 0.05)
+    grade_max_set_size: int = setting(_POSITIVE, 5)
+    workers: int = setting(_POSITIVE, 1)
+    path: Path = field(init=False)  # the config file
+    manifest: list[RuleSpec] = field(init=False)  # the rules file, read and checked
+    feature_vocab: FeatureVocab = field(init=False)  # the vocab file's, or the stock vocab
+    grammar: Grammar = field(init=False)  # the learner.grammar file's, or the stock grammar
 
-def _read(name: str, path: Path, reader):
-    """``reader(path)``; a file it cannot read or check is a config error."""
-    try:
-        return reader(path)
-    except (OSError, DslError, *_UNREADABLE) as error:
-        raise ConfigError(f"{name} file {path} is unreadable: {error}") from error
+    def __post_init__(self):
+        check_settings(self)
+        self.learner = from_document(LearnerSettings, self.learner, "learner config")
+        self.fit_grid_step = float(self.fit_grid_step)
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
+    """The config file at ``path``, checked, its path keys resolved against
+    its directory, and the rules, vocab and grammar files it names read."""
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file {path} does not exist")
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as error:
-        raise ConfigError(f"config {path} is not valid JSON: {error}") from error
-    if not isinstance(doc, dict):
-        raise ConfigError(f"config {path} must hold a JSON object")
-
-    known = {
-        "rules", "lists_dir", "output_dir", "vocab", "seed", "endpoint",
-        "human_data", "learner", "fit_grid_step", "grade_max_set_size", "workers",
-    }
-    unknown = set(doc) - known
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    for required in ("rules", "lists_dir", "output_dir"):
-        if doc.get(required) is None:
-            raise ConfigError(f"config key {required!r} is required and must not be null")
-    for key in ("rules", "lists_dir", "output_dir", "vocab", "endpoint", "human_data"):
-        _checked(doc, key, None, *_PATH)
-
-    base = path.parent
-
-    def resolve(key: str) -> Path | None:
-        if key not in doc or doc[key] is None:
-            return None
-        return (base / doc[key]).resolve() if not Path(doc[key]).is_absolute() else Path(doc[key])
-
-    learner_doc = _checked(doc, "learner", {}, lambda v: isinstance(v, dict), "an object")
-    settings = dataclasses.fields(LearnerSettings)
-    unknown = set(learner_doc) - {setting.name for setting in settings}
-    if unknown:
-        raise ConfigError(f"unknown learner config keys: {sorted(unknown)}")
-    learner = LearnerSettings(**{
-        setting.name: _checked(
-            learner_doc, setting.name, setting.default, *setting.metadata["check"], "learner."
-        )
-        for setting in settings
-    })
-    if learner.grammar is not None and not Path(learner.grammar).is_absolute():
-        learner.grammar = str((base / learner.grammar).resolve())
-
-    paths = {key: resolve(key) for key in ("rules", "vocab", "endpoint", "human_data")}
-    paths["learner.grammar"] = Path(learner.grammar) if learner.grammar else None
-    for name, file_path in paths.items():
-        if file_path is not None and not file_path.exists():
-            raise ConfigError(f"config {name!r} points at missing file {file_path}")
-    vocab = DEFAULT_VOCAB if paths["vocab"] is None else _read("vocab", paths["vocab"], load_vocab)
-    grade_max_set_size = _checked(doc, "grade_max_set_size", 5, *_POSITIVE)
+        config = from_document(ExperimentConfig, _document("config", path, ConfigError), "config")
+    except ValueError as error:
+        raise ConfigError(str(error)) from error
+    config.path = path
+    for settings, prefix in ((config, ""), (config.learner, "learner.")):
+        for key in dataclasses.fields(settings):
+            if key.metadata.get("check") is _PATH and getattr(settings, key.name) is not None:
+                value = Path(getattr(settings, key.name))
+                value = value if value.is_absolute() else (path.parent / value).resolve()
+                setattr(settings, key.name, value)
+                if key.metadata.get("file") and not value.exists():
+                    name = prefix + key.name
+                    raise ConfigError(f"config {name!r} points at missing file {value}")
+    vocab = DEFAULT_VOCAB if config.vocab is None else _read("vocab file", config.vocab, load_vocab)
     # grade's equivalence walk would fail on either bound only once it ran.
-    if grade_max_set_size > MAX_OBJECTS:
+    if config.grade_max_set_size > MAX_OBJECTS:
         raise ConfigError(
             f"grade_max_set_size must be at most {MAX_OBJECTS}, the largest displayed set, "
-            f"got {grade_max_set_size}"
+            f"got {config.grade_max_set_size}"
         )
-    contexts = count_contexts(vocab, grade_max_set_size)
+    contexts = count_contexts(vocab, config.grade_max_set_size)
     if contexts > MAX_CONTEXTS:
         raise ConfigError(
-            f"grade_max_set_size {grade_max_set_size} spans {contexts} contexts of this "
+            f"grade_max_set_size {config.grade_max_set_size} spans {contexts} contexts of this "
             f"vocab, above the equivalence check's cap of {MAX_CONTEXTS}"
         )
-    return ExperimentConfig(
-        path=path,
-        rules=paths["rules"],
-        lists_dir=resolve("lists_dir"),
-        output_dir=resolve("output_dir"),
-        manifest=_read("rules", paths["rules"], read_rules_manifest),
-        vocab=vocab,
-        grammar=default_grammar(vocab) if learner.grammar is None else _read(
-            "learner.grammar", paths["learner.grammar"], lambda p: load_grammar(p, vocab)
-        ),
-        vocab_path=paths["vocab"],
-        seed=_checked(doc, "seed", None, *_SEED),
-        endpoint=paths["endpoint"],
-        human_data=paths["human_data"],
-        learner=learner,
-        fit_grid_step=float(_checked(doc, "fit_grid_step", 0.05, *_STEP)),
-        grade_max_set_size=grade_max_set_size,
-        workers=_checked(doc, "workers", 1, *_POSITIVE),
+    config.feature_vocab = vocab
+    config.manifest = _read("rules file", config.rules, read_rules_manifest)
+    grammar = config.learner.grammar
+    config.grammar = default_grammar(vocab) if grammar is None else _read(
+        "learner.grammar file", grammar, lambda p: load_grammar(p, vocab)
     )
+    return config
 
 
 def _rule_seed(base_seed: int, rule_id: str) -> int:
@@ -282,10 +251,7 @@ def _rule_seed(base_seed: int, rule_id: str) -> int:
 
 
 def _inputs_of(config: ExperimentConfig, *extra: Path | str) -> dict[str, str]:
-    paths = [config.path, config.rules]
-    if config.vocab_path:
-        paths.append(config.vocab_path)
-    paths.extend(Path(p) for p in extra)
+    paths = [config.path, config.rules, config.vocab, *map(Path, extra)]
     return hash_inputs([p for p in paths if p is not None])
 
 
@@ -303,12 +269,13 @@ def cmd_gen(config: ExperimentConfig) -> int:
     written = []
     for rule in config.manifest:
         try:
-            concept = parse_concept(rule.source, config.vocab)
+            concept = parse_concept(rule.source, config.feature_vocab)
         except DslError as error:
             failures.append((rule.rule_id, str(error)))
             continue
         exemplar_list = generate_list(
-            concept, config.vocab, seed=_rule_seed(config.seed, rule.rule_id), rule_id=rule.rule_id
+            concept, config.feature_vocab, seed=_rule_seed(config.seed, rule.rule_id),
+            rule_id=rule.rule_id,
         )
         out_path = config.lists_dir / f"{rule.rule_id}.json"
         save_list(exemplar_list, out_path)
@@ -336,18 +303,13 @@ def _load_lists(config: ExperimentConfig) -> tuple[dict[str, ExemplarList], list
     lists, failures = {}, []
     for rule in config.manifest:
         path = config.lists_dir / f"{rule.rule_id}.json"
-        if not path.exists():
-            failures.append((rule.rule_id, f"missing list file {path}"))
-            continue
-        try:
-            exemplar_list = load_list(path)
-        except (DslError, *_UNREADABLE) as error:
-            failures.append((rule.rule_id, f"unreadable list file {path}: {error!r}"))
-            continue
-        if exemplar_list.vocab != config.vocab:
-            failures.append((rule.rule_id, f"list file {path} has a vocab other than the config's"))
-            continue
-        lists[rule.rule_id] = exemplar_list
+        loaded = _read("list file", path, load_list, None)
+        if not isinstance(loaded, str) and loaded.vocab != config.feature_vocab:
+            loaded = f"list file {path} has a vocab other than the config's"
+        if isinstance(loaded, str):
+            failures.append((rule.rule_id, loaded))
+        else:
+            lists[rule.rule_id] = loaded
     return lists, failures
 
 
@@ -415,8 +377,8 @@ def cmd_run(config: ExperimentConfig, engine: str, mode: str = "chat") -> int:
             elicited = {
                 "inputs": inputs,
                 "rule_id": rule_id,
-                "per_set": [print_concept(concept, config.vocab) for concept in run.set_maps],
-                "final": print_concept(run.final_map, config.vocab),
+                "per_set": [print_concept(c, config.feature_vocab) for c in run.set_maps],
+                "final": print_concept(run.final_map, config.feature_vocab),
             }
             if run.posterior:  # exact inference only
                 elicited["posterior"] = [dataclasses.asdict(d) for d in run.posterior]
@@ -484,6 +446,25 @@ def cmd_run(config: ExperimentConfig, engine: str, mode: str = "chat") -> int:
 
 # --- grade -----------------------------------------------------------------
 
+def _run_file(path: Path, rule_id: str) -> dict:
+    """A run directory's elicited file of ``rule_id``, which must name it:
+    its per-set rules, in the form a --elicited file's entry may take."""
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    if doc["rule_id"] != rule_id:
+        raise ValueError(f"rule_id {doc['rule_id']!r} is not {rule_id!r}")
+    return {"per_set": doc["per_set"]}
+
+
+def _series_labels(directory: Path, rule_id: str, exemplar_list: ExemplarList):
+    """The labels of ``rule_id``'s series file under ``directory``, None if
+    there is none, or the message of one that cannot be read."""
+    path = directory / f"{rule_id}.series.json"
+    if not path.exists():
+        return None
+    series = _read("series file", path, lambda p: load_series(p, exemplar_list), None)
+    return series if isinstance(series, str) else series.labels
+
+
 def cmd_grade(config: ExperimentConfig, elicited_path: Path, series_dir: Path | None) -> int:
     lists, failures = _load_lists(config)
     if not elicited_path.exists():
@@ -495,22 +476,11 @@ def cmd_grade(config: ExperimentConfig, elicited_path: Path, series_dir: Path | 
         elicited_doc = {}
         for rule_id in lists:
             path = elicited_path / f"{rule_id}.elicited.json"
-            if not path.exists():
-                continue
-            try:
-                doc = json.loads(path.read_text(encoding="utf-8"))
-                if doc["rule_id"] != rule_id:
-                    raise ValueError(f"rule_id {doc['rule_id']!r} is not {rule_id!r}")
-                elicited_doc[rule_id] = doc["per_set"]
-            except _UNREADABLE as error:
-                unreadable[rule_id] = f"unreadable elicited file {path}: {error}"
+            if path.exists():
+                doc = _read("elicited file", path, lambda p: _run_file(p, rule_id), None)
+                (unreadable if isinstance(doc, str) else elicited_doc)[rule_id] = doc
     else:
-        try:
-            elicited_doc = json.loads(elicited_path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as error:
-            raise DataError(f"elicited file {elicited_path} is not valid JSON: {error}") from error
-        if not isinstance(elicited_doc, dict):
-            raise DataError(f"elicited file {elicited_path} must hold a JSON object")
+        elicited_doc = _document("elicited file", elicited_path, DataError)
 
     reports_dir = config.output_dir / "reports"
     reports_dir.mkdir(parents=True, exist_ok=True)
@@ -531,19 +501,16 @@ def cmd_grade(config: ExperimentConfig, elicited_path: Path, series_dir: Path | 
             failures.append((rule_id, f"elicited entry must be a list of printed rules "
                                       f"or nulls, got {sources!r}"))
             continue
-        series_path = series_dir / f"{rule_id}.series.json" if series_dir is not None else None
-        try:
-            exists = series_path is not None and series_path.exists()
-            labels = load_series(series_path, lists[rule_id]).labels if exists else ()
-        except _UNREADABLE as error:
-            failures.append((rule_id, f"unreadable series file {series_path}: {error}"))
+        labels = _series_labels(series_dir, rule_id, lists[rule_id]) if series_dir else ()
+        if isinstance(labels, str):
+            failures.append((rule_id, labels))
             continue
-        grades[rule_id] = grade_session(lists[rule_id], sources, config.vocab, labels)
+        grades[rule_id] = grade_session(lists[rule_id], sources, config.feature_vocab, labels or ())
 
     report = match_rate(
         {rule_id: grade.final for rule_id, grade in grades.items()},
         {rule_id: lists[rule_id] for rule_id in grades},
-        config.vocab,
+        config.feature_vocab,
         max_set_size=config.grade_max_set_size,
     )
     write_grading_csvs(reports_dir, grades, {v.rule_id: v for v in report.verdicts}, inputs)
@@ -587,10 +554,7 @@ def _kept_subjects(
     """The subjects the filter keeps for each rule with a list and human data,
     and (rule_id, message) for each such rule whose subjects it cannot score
     or removes entirely.  A subject file that does not parse is a data error."""
-    try:
-        records = read_subject_csv(config.human_data)
-    except (OSError, csv.Error, *_UNREADABLE) as error:
-        raise DataError(f"subject file {config.human_data} is unreadable: {error}") from error
+    records = _read("subject file", config.human_data, read_subject_csv, DataError)
     by_rule: dict[str, list[SubjectRecord]] = {}
     for record in records:
         by_rule.setdefault(record.rule_id, []).append(record)
@@ -638,12 +602,11 @@ def cmd_report(config: ExperimentConfig, series_dirs: dict[str, Path]) -> int:
     for cohort, directory in series_dirs.items():
         found = {}
         for rule_id in lists:
-            path = directory / f"{rule_id}.series.json"
-            if path.exists():
-                try:
-                    found[rule_id] = load_series(path, lists[rule_id]).labels
-                except _UNREADABLE as error:
-                    failures.append((rule_id, f"unreadable series file {path}: {error}"))
+            labels = _series_labels(directory, rule_id, lists[rule_id])
+            if isinstance(labels, str):
+                failures.append((rule_id, labels))
+            elif labels is not None:
+                found[rule_id] = labels
         if not found:
             failures.append((cohort, f"no series files under {directory}"))
             continue

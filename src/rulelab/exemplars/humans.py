@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from ..harness.extract import label_token_family
 from .lists import ExemplarList, write_csv
 
 MIN_SETS = 5
@@ -157,12 +158,10 @@ def propagated_baseline(per_rule_stats: list[tuple[float, float]]) -> tuple[floa
 
 
 def _parse_response(text: str) -> bool:
-    word = text.strip().casefold()
-    if word == "true":
-        return True
-    if word == "false":
-        return False
-    raise ValueError(f"response must be a True/False variant, got {text!r}")
+    label = label_token_family(text)
+    if label is None:
+        raise ValueError(f"response must be a True/False variant, got {text!r}")
+    return label
 
 
 def read_subject_csv(path: str | Path) -> list[SubjectRecord]:

@@ -212,7 +212,10 @@ def load_list(path: str | Path) -> ExemplarList:
 
     Every stored gold label is re-derived from the rule; a mismatch raises
     :class:`LabelSoundnessError`.  A list with no sets, or a set with no
-    objects, raises :class:`DslError`: nothing downstream can score it.
+    objects, raises :class:`DslError`: nothing downstream can score it.  So
+    does a label that is not a JSON boolean, or a seed that is not a JSON
+    integer (``"yes"`` or ``0`` would read as a label, ``"7"`` or ``7.9`` as
+    a seed).
     """
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     if not doc["sets"]:
@@ -231,14 +234,18 @@ def load_list(path: str | Path) -> ExemplarList:
         )
         if not objects:
             raise DslError(f"{path}: set {len(sets)} has no objects")
-        labels = tuple(bool(x) for x in entry["labels"])
+        labels = tuple(entry["labels"])
+        if any(type(label) is not bool for label in labels):
+            raise DslError(f"{path}: set {len(sets)} labels must be JSON booleans, got {labels!r}")
         sets.append(ExemplarSet(objects, labels))
+    if type(doc["seed"]) is not int:
+        raise DslError(f"{path}: seed must be a JSON integer, got {doc['seed']!r}")
     loaded = ExemplarList(
         rule_id=doc["rule_id"],
         source=doc["source"],
         concept=concept,
         vocab=vocab,
-        seed=int(doc["seed"]),
+        seed=doc["seed"],
         sets=tuple(sets),
     )
     for set_index, object_index, ctx, label in loaded.iter_items():

@@ -6,8 +6,10 @@ import hashlib
 import json
 import os
 import urllib.parse
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
+
+from .._settings import check_settings, from_document, setting
 
 
 class CredentialError(RuntimeError):
@@ -35,65 +37,47 @@ class TransportError(RuntimeError):
         return self.status is None or self.status in (408, 429) or 500 <= self.status < 600
 
 
-def _number(value) -> bool:
-    """An int or a float; JSON booleans are never numbers here."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _http_url(value) -> bool:
+    try:
+        parts = urllib.parse.urlsplit(value)
+    except (TypeError, AttributeError, ValueError):  # not a string, or e.g. "http://["
+        return False
+    return parts.scheme in ("http", "https") and bool(parts.netloc)
 
 
-def _integer(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-# Each checked field's valid values, and their description for the error.
-_RANGES = {
-    "credential_env": (lambda v: isinstance(v, str) and v != "", "a non-empty string"),
-    "temperature": (lambda v: _number(v) and v >= 0, "a number >= 0"),
-    "top_logprobs": (lambda v: _integer(v) and v >= 1, "an integer >= 1"),
-    "timeout": (lambda v: _number(v) and v > 0, "a number > 0"),
-    "max_retries": (lambda v: _integer(v) and v >= 0, "an integer >= 0"),
-    "retry_backoff": (lambda v: _number(v) and v >= 0, "a number >= 0"),
-    "max_sets": (lambda v: v is None or _integer(v) and v >= 1, "null or an integer >= 1"),
-    "rate_limit_per_s": (lambda v: v is None or _number(v) and v > 0, "null or a number > 0"),
-}
+# The model names the directory its transcripts are written to, under the
+# output directory; "org/model" nests.
+_MODEL = (
+    lambda v: isinstance(v, str) and not os.path.isabs(v) and "\\" not in v
+    and not {"", ".", ".."} & set(v.split("/")),
+    "a relative path with no backslash and no empty, '.' or '..' part",
+)
+_AT_LEAST_0 = (lambda v: isinstance(v, (int, float)) and v >= 0, "a number >= 0")
+_ABOVE_0 = (lambda v: isinstance(v, (int, float)) and v > 0, "a number > 0")
 
 
 @dataclass(frozen=True)
 class EndpointConfig:
-    base_url: str
-    model: str
-    temperature: float = 0.7
-    top_logprobs: int = 10
-    timeout: float = 60.0
-    max_retries: int = 3
-    retry_backoff: float = 0.5
-    credential_env: str = "RULELAB_API_KEY"
-    max_sets: int | None = None  # cap for short-context models
-    rate_limit_per_s: float | None = None
+    """An endpoint config file: each field is one of its keys."""
+
+    base_url: str = setting((_http_url, "an http(s) URL"))
+    model: str = setting(_MODEL)
+    temperature: float = setting(_AT_LEAST_0, 0.7)
+    top_logprobs: int = setting((lambda v: isinstance(v, int) and v >= 1, "an integer >= 1"), 10)
+    timeout: float = setting(_ABOVE_0, 60.0)
+    max_retries: int = setting((lambda v: isinstance(v, int) and v >= 0, "an integer >= 0"), 3)
+    retry_backoff: float = setting(_AT_LEAST_0, 0.5)
+    credential_env: str = setting((lambda v: isinstance(v, str) and v != "", "a non-empty string"),
+                                  "RULELAB_API_KEY")
+    max_sets: int | None = setting(  # cap for short-context models
+        (lambda v: v is None or isinstance(v, int) and v >= 1, "null or an integer >= 1"), None
+    )
+    rate_limit_per_s: float | None = setting(
+        (lambda v: v is None or isinstance(v, (int, float)) and v > 0, "null or a number > 0"), None
+    )
 
     def __post_init__(self):
-        try:
-            parts = urllib.parse.urlsplit(self.base_url)
-        except (TypeError, AttributeError, ValueError):  # not a string, or e.g. "http://["
-            parts = None
-        if parts is None or parts.scheme not in ("http", "https") or not parts.netloc:
-            raise ValueError(f"base_url must be an http(s) URL, got {self.base_url!r}")
-        for name, (valid, want) in _RANGES.items():
-            value = getattr(self, name)
-            if not valid(value):
-                raise ValueError(f"{name} must be {want}, got {value!r}")
-        # The model names the directory its transcripts are written to,
-        # under the output directory; "org/model" nests.
-        model = self.model
-        if (
-            not isinstance(model, str)
-            or os.path.isabs(model)
-            or "\\" in model
-            or {"", ".", ".."} & set(model.split("/"))
-        ):
-            raise ValueError(
-                "model must be a relative path with no backslash and no empty, '.' or '..' "
-                f"part, got {model!r}"
-            )
+        check_settings(self)
 
     def credential(self) -> str:
         value = os.environ.get(self.credential_env)
@@ -135,10 +119,7 @@ def load_endpoint_config(path: str | Path) -> EndpointConfig:
         raise EndpointConfigError(f"endpoint config {path} is unreadable: {error}") from error
     if not isinstance(doc, dict):
         raise EndpointConfigError(f"endpoint config {path} must be a JSON object")
-    unknown = set(doc) - {f.name for f in fields(EndpointConfig)}
-    if unknown:
-        raise EndpointConfigError(f"unknown endpoint config keys: {sorted(unknown)}")
     try:
-        return EndpointConfig(**doc)
-    except (TypeError, ValueError) as error:  # a missing key or a bad value
+        return from_document(EndpointConfig, doc, "endpoint config")
+    except ValueError as error:  # an unknown, missing or bad key
         raise EndpointConfigError(f"endpoint config {path}: {error}") from error

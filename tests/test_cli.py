@@ -13,8 +13,8 @@ from pathlib import Path
 import pytest
 
 import rulelab
-from rulelab.catalog import DEMO_RULES, write_rules_manifest
-from rulelab.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
+from rulelab.catalog import DEFAULT_VOCAB, DEMO_RULES, write_rules_manifest
+from rulelab.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, load_config, main
 from rulelab.dsl import FeatureVocab, evaluate, parse_concept, save_vocab
 from rulelab.exemplars import load_list
 
@@ -83,6 +83,16 @@ def test_a_null_required_path_is_a_config_error(workspace, capsys, key):
     (None, "fit_grid_step", 1e-5),
     (None, "fit_grid_step", "fine"),
     (None, "grade_max_set_size", 0),
+    ("learner", "engine", "gibbs"),
+    ("learner", "grammar", 5),
+    # A JSON boolean is never a number.
+    (None, "seed", True),
+    (None, "workers", True),
+    (None, "fit_grid_step", True),
+    (None, "grade_max_set_size", True),
+    ("learner", "alpha", True),
+    ("learner", "max_hypotheses", True),
+    ("learner", "surprise", 1),  # an unknown learner key
 ])
 def test_bad_config_value_exits_2_before_any_work(workspace, capsys, section, key, value):
     config = json.loads((workspace / "config.json").read_text())
@@ -92,6 +102,41 @@ def test_bad_config_value_exits_2_before_any_work(workspace, capsys, section, ke
     assert run(workspace, "run", "--engine", "plot") == EXIT_CONFIG
     assert key in capsys.readouterr().err
     assert not (workspace / "out").exists()
+
+
+def test_a_minimal_config_resolves_to_the_documented_defaults(workspace):
+    (workspace / "config.json").write_text(json.dumps(
+        {"rules": "rules.json", "lists_dir": "out/lists", "output_dir": "out"}
+    ))
+    config = load_config(workspace / "config.json")
+    assert (config.rules, config.lists_dir, config.output_dir) == (
+        workspace / "rules.json", workspace / "out" / "lists", workspace / "out"
+    )
+    assert (
+        config.vocab, config.seed, config.endpoint, config.human_data,
+        config.fit_grid_step, config.grade_max_set_size, config.workers,
+    ) == (None, None, None, None, 0.05, 5, 1)
+    assert dataclasses.asdict(config.learner) == {
+        "grammar": None, "max_size": 3, "alpha": 0.95, "beta": 0.5, "engine": "enumerate",
+        "mh_iterations": 20_000, "seed": None, "max_hypotheses": 200_000,
+    }
+    assert config.feature_vocab == DEFAULT_VOCAB
+
+
+def _bad_bytes(path):
+    path.write_bytes(b'{"rules": "\xff"}')
+
+
+def test_a_config_path_that_is_a_directory_is_a_config_error(workspace, capsys):
+    assert main(["gen", "--config", str(workspace)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: config {workspace} is unreadable: ")
+
+
+def test_a_config_that_is_not_utf8_is_a_config_error(workspace, capsys):
+    _bad_bytes(workspace / "config.json")
+    assert run(workspace, "gen") == EXIT_CONFIG
+    path = workspace / "config.json"
+    assert capsys.readouterr().err.startswith(f"config error: config {path} is unreadable: ")
 
 
 def test_gen_writes_one_list_per_rule(workspace):
@@ -789,6 +834,40 @@ def test_grade_a_truncated_run_file_fails_only_its_rule(workspace, capsys, kind)
 
 
 
+def test_a_list_file_that_is_a_directory_fails_only_its_rule(workspace, capsys):
+    run(workspace, "gen")
+    bad = workspace / "out" / "lists" / "blue.json"
+    bad.unlink()
+    bad.mkdir()
+    capsys.readouterr()
+    assert run(workspace, "run", "--engine", "plot") == EXIT_DATA
+    assert f"rule 'blue' failed: unreadable list file {bad}: " in capsys.readouterr().err
+    run_dir = workspace / "out" / "runs" / "plot"
+    assert {p.name.split(".")[0] for p in run_dir.glob("*.series.json")} == _OTHER_RULES
+
+
+def test_an_elicited_run_file_that_is_a_directory_fails_only_its_rule(workspace, capsys):
+    run(workspace, "gen")
+    run(workspace, "run", "--engine", "plot")
+    run_dir = workspace / "out" / "runs" / "plot"
+    bad = run_dir / "blue.elicited.json"
+    bad.unlink()
+    bad.mkdir()
+    capsys.readouterr()
+    assert run(workspace, "grade", "--elicited", str(run_dir)) == EXIT_DATA
+    assert f"rule 'blue' failed: unreadable elicited file {bad}: " in capsys.readouterr().err
+    assert _rule_ids(workspace / "out" / "reports" / "grading_summary.csv") == _OTHER_RULES
+
+
+def test_an_elicited_file_that_is_not_utf8_is_a_data_error(workspace, capsys):
+    run(workspace, "gen")
+    path = workspace / "elicited.json"
+    _bad_bytes(path)
+    capsys.readouterr()
+    assert run(workspace, "grade", "--elicited", str(path)) == EXIT_DATA
+    assert f"data error: elicited file {path} is unreadable: " in capsys.readouterr().err
+
+
 def test_grade_reads_only_each_rules_own_elicited_file(workspace, capsys):
     """A stray file in a run directory, even one that names a rule, does
     not replace that rule's elicited rules."""
@@ -965,6 +1044,22 @@ def test_a_series_file_that_is_not_its_lists_fails_only_its_rule(workspace, caps
 
 
 @pytest.mark.parametrize("command", sorted(_SERIES_COMMANDS))
+def test_a_series_file_that_is_a_directory_fails_only_its_rule(workspace, capsys, command):
+    run(workspace, "gen")
+    run(workspace, "run", "--engine", "plot")
+    run_dir = workspace / "out" / "runs" / "plot"
+    bad = run_dir / "blue.series.json"
+    bad.unlink()
+    bad.mkdir()
+    capsys.readouterr()
+    assert run(workspace, *_SERIES_COMMANDS[command](run_dir)) == EXIT_DATA
+    prefix = "grade: rule 'blue' failed: " if command == "grade" else "report: 'blue': "
+    assert f"{prefix}unreadable series file {bad}: " in capsys.readouterr().err
+    report = "grading_summary.csv" if command == "grade" else "trajectories.csv"
+    assert _rule_ids(workspace / "out" / "reports" / report) == _OTHER_RULES
+
+
+@pytest.mark.parametrize("command", sorted(_SERIES_COMMANDS))
 def test_a_series_of_the_first_whole_sets_is_read(workspace, command):
     """A session capped by max_sets writes its list's first sets only."""
     run(workspace, "gen")
@@ -1103,7 +1198,11 @@ _EVERY_COMMAND = ["gen", *_LIST_COMMANDS]
 
 
 @pytest.mark.parametrize("command", _LIST_COMMANDS)
-@pytest.mark.parametrize("key, value", [("seed", "abc"), ("seed", [1]), ("sets", 5)])
+@pytest.mark.parametrize("key, value", [
+    ("seed", "abc"), ("seed", [1]), ("sets", 5),
+    # Each would read as a seed of 7, 7 and 1 if not refused.
+    ("seed", "7"), ("seed", 7.9), ("seed", True),
+])
 def test_a_wrong_typed_list_value_is_that_rules_data_error(every_input, capsys, command,
                                                            key, value):
     path = every_input / "out" / "lists" / "blue.json"
@@ -1114,6 +1213,25 @@ def test_a_wrong_typed_list_value_is_that_rules_data_error(every_input, capsys, 
     assert _list_command(every_input, command) == EXIT_DATA
     err = capsys.readouterr().err
     assert "'blue'" in err and f"unreadable list file {path}: " in err
+
+
+@pytest.mark.parametrize("command", _LIST_COMMANDS)
+@pytest.mark.parametrize("relabel", [
+    pytest.param(lambda label: "yes" if label else "", id="strings"),
+    pytest.param(int, id="integers"),
+])
+def test_a_label_that_is_not_a_json_boolean_is_that_rules_data_error(every_input, capsys,
+                                                                      command, relabel):
+    """Each label keeps its truth value, so a list that read it as a bool
+    would still pass the gold-label check."""
+    path = every_input / "out" / "lists" / "blue.json"
+    doc = json.loads(path.read_text())
+    doc["sets"][0]["labels"] = [relabel(label) for label in doc["sets"][0]["labels"]]
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert _list_command(every_input, command) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "'blue'" in err and f"unreadable list file {path}: {path}: set 0 labels" in err
 
 
 def _no_sets(doc):
