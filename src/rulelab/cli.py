@@ -297,14 +297,16 @@ def cmd_gen(config: ExperimentConfig) -> int:
 
 def _load_lists(config: ExperimentConfig) -> tuple[dict[str, ExemplarList], list[tuple[str, str]]]:
     """Each rule's exemplar list, and (rule_id, message) for each rule whose
-    list is missing, unreadable or written under a vocab other than the
-    config's: the learner evaluates every list in one batch, whose feature
-    indices are the config vocab's."""
+    list is missing, unreadable, another rule's (a file copied over it) or
+    written under a vocab other than the config's: the learner evaluates
+    every list in one batch, whose feature indices are the config vocab's."""
     lists, failures = {}, []
     for rule in config.manifest:
         path = config.lists_dir / f"{rule.rule_id}.json"
         loaded = _read("list file", path, load_list, None)
-        if not isinstance(loaded, str) and loaded.vocab != config.feature_vocab:
+        if not isinstance(loaded, str) and loaded.rule_id != rule.rule_id:
+            loaded = f"list file {path} is for rule {loaded.rule_id!r}, not {rule.rule_id!r}"
+        elif not isinstance(loaded, str) and loaded.vocab != config.feature_vocab:
             loaded = f"list file {path} has a vocab other than the config's"
         if isinstance(loaded, str):
             failures.append((rule.rule_id, loaded))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -164,25 +165,59 @@ def _parse_response(text: str) -> bool:
     return label
 
 
+_COLUMNS = ("subject_id", "rule_id", "set_index", "object_index", "response")
+
+
+def _dict_fields(header: list[str], row: list[str]) -> tuple[str, ...]:
+    """``row``'s fields in :data:`_COLUMNS` order as ``csv.DictReader``
+    reads them: a field past the row's end reads as "" (which fails to
+    parse), and a column the header lacks raises KeyError where reading it
+    would, after the checks of the columns read before it."""
+    fields = dict(zip(header, row))
+    fields.update(dict.fromkeys(header[len(row):], ""))
+    if all(name in fields for name in _COLUMNS):
+        return tuple(fields[name] for name in _COLUMNS)
+    fields["subject_id"], fields["rule_id"]
+    int(fields["set_index"]), int(fields["object_index"])
+    _parse_response(fields["response"])
+    raise AssertionError("unreachable: some column is missing")
+
+
 def read_subject_csv(path: str | Path) -> list[SubjectRecord]:
     """Read human responses from CSV with columns
     subject_id, rule_id, set_index, object_index, response.
 
     The file is UTF-8, with or without a leading byte-order mark (as
-    spreadsheet programs' "CSV UTF-8" export writes).  Raises ValueError
-    for a row that does not parse, or for a second response by one subject
-    to one object of one rule's list."""
+    spreadsheet programs' "CSV UTF-8" export writes).  The header names the
+    columns, in any order; other columns are ignored, and a name given
+    twice means its last column.  Blank lines are skipped.  Raises
+    ValueError for a row that does not parse, or for a second response by
+    one subject to one object of one rule's list."""
     grouped: dict[tuple[str, str], dict[tuple[int, int], bool]] = {}
+    labels: dict[str, bool] = {}  # each response token's label, parsed once
     with open(path, newline="", encoding="utf-8-sig") as handle:
-        # A short row's missing fields read as "", which fails to parse.
-        for row in csv.DictReader(handle, restval=""):
-            key = (row["subject_id"], row["rule_id"])
-            responses = grouped.setdefault(key, {})
-            item = (int(row["set_index"]), int(row["object_index"]))
-            response = _parse_response(row["response"])
+        rows = csv.reader(handle)
+        header = next(rows, [])
+        position = {name: i for i, name in enumerate(header)}  # the last column of a name
+        if all(name in position for name in _COLUMNS):
+            pick = operator.itemgetter(*(position[name] for name in _COLUMNS))
+            width = max(position[name] for name in _COLUMNS) + 1
+        else:
+            width = math.inf  # every row fails, as csv.DictReader's would
+        for row in rows:
+            if not row:
+                continue  # a blank line
+            subject_id, rule_id, set_index, object_index, token = (
+                pick(row) if len(row) >= width else _dict_fields(header, row)
+            )
+            item = (int(set_index), int(object_index))
+            response = labels.get(token)
+            if response is None:
+                response = labels[token] = _parse_response(token)
+            responses = grouped.setdefault((subject_id, rule_id), {})
             if item in responses:
                 raise ValueError(
-                    f"subject {key[0]} answers rule {key[1]!r} set {item[0]}, "
+                    f"subject {subject_id} answers rule {rule_id!r} set {item[0]}, "
                     f"object {item[1]} twice"
                 )
             responses[item] = response

@@ -7,16 +7,25 @@ probabilities and pooled human True-proportions wins.  Ties prefer larger
 alpha, then larger beta.
 
 At a set boundary a behaviour class's log-likelihood depends only on two
-counts, its agreements with the True and with the False gold labels so far
-(the Rational Rules likelihood depends only on how many examples are
+counts, its disagreements with the False and with the True gold labels so
+far (the Rational Rules likelihood depends only on how many examples are
 misclassified; Goodman, Tenenbaum, Feldman & Griffiths 2008).  The
 hypotheses are evaluated once over every list's contexts
 (:func:`build_eval_matrices`), and every list's boundaries are stacked into
-one table of (aT, aF) groups (:class:`_GroupTable`), built once per fit.  A
-grid point scores the whole table with a few numpy calls, the same code
-that :func:`predictive_trajectory` runs on one list.  The groups' ``count *
-log factor`` sums agree with the kernel's object-order sums
-(:func:`rulelab.learner.inference.posterior_by_set`) up to rounding.
+one table of groups with equal counts (:class:`_GroupTable`), built once
+per fit, a block of sets at a time.  A grid point scores the table in a few
+passes over two buffers the table holds: one ``np.einsum`` of the counts
+with the two log factor ratios, the log priors added, each boundary's best
+group subtracted, ``np.exp``, one ``np.add.reduceat`` for the boundary
+totals, and a gather and segment sum for the shares of 1 and for the
+others.  :func:`predictive_trajectory` runs the same code on one list.
+The group scores agree with the kernel's object-order sums
+(:func:`rulelab.learner.inference.posterior_by_set`) up to rounding.  On a
+2-CPU x86-64 machine, in-process, lab-s3's 441-point grid over 43,524
+groups takes 0.16-0.26 s (0.42-0.53 s when each point summed four count
+terms cast from uint8 and gathered through int32 indices), and its table
+25-34 ms (39-49 ms with one ``np.unique`` per boundary and one
+``np.bincount`` per object).
 """
 
 from __future__ import annotations
@@ -48,13 +57,19 @@ def noise_grid(step: float = 0.05) -> list[tuple[float, float]]:
     return [(a, b) for a in axis for b in axis]
 
 
+# (class, object) cells a block of one list's sets is grouped from at once,
+# which bounds the build's temporary arrays.
+_BLOCK_CELLS = 1 << 13
+
+
 @dataclass(frozen=True)
 class _Shares:
     """Some of a :class:`_GroupTable`'s nonzero shares, in object order:
-    each one's group, the objects that have any, and where each of those
-    objects' shares start.  ``values`` is None where every share is 1."""
+    each one's group (``intp``, so that a gather needs no cast), the
+    objects that have any, and where each of those objects' shares start.
+    ``values`` is None where every share is 1."""
 
-    group: np.ndarray  # int32
+    group: np.ndarray
     objects: np.ndarray
     starts: np.ndarray
     values: np.ndarray | None
@@ -64,10 +79,12 @@ class _Shares:
         objects = np.flatnonzero(per_object)
         return cls(group, objects, (np.cumsum(per_object) - per_object)[objects], values)
 
-    def add_to(self, rule_mass: np.ndarray, weights: np.ndarray) -> None:
+    def add_to(self, rule_mass: np.ndarray, weights: np.ndarray, buffer: np.ndarray) -> None:
         """Add each object's sum of ``weights`` (one per group) times its
-        shares to its entry of ``rule_mass``."""
-        weighted = weights[self.group]
+        shares to its entry of ``rule_mass``, gathering into ``buffer``."""
+        # mode="clip" (every index is in range) writes into ``buffer``
+        # directly; the default would gather into a copy first.
+        weighted = np.take(weights, self.group, out=buffer[:len(self.group)], mode="clip")
         if self.values is not None:
             weighted *= self.values
         rule_mass[self.objects] += np.add.reduceat(weighted, self.starts)
@@ -76,25 +93,30 @@ class _Shares:
 @dataclass(frozen=True)
 class _GroupTable:
     """The boundaries before each set of one or more lists, stacked, each
-    as its (aT, aF) groups: the behaviour classes that agree with the same
-    number of True and of False gold labels before the boundary.  Nothing
+    as its groups: the behaviour classes that disagree with the same
+    number of False and of True gold labels before the boundary.  Nothing
     in it depends on the noise, so a fit builds it once and scores every
     grid point from it (:meth:`predict`).
 
-    The groups of a boundary are contiguous, in (aT, aF) order, and each
-    boundary's groups follow the last one's.  A group's prior is the log of
-    its classes' summed prior mass; its share of an object of the set after
-    its boundary is the part of that mass on classes that say True there.
-    Shares are kept sparsely, since many are 0 and many are 1: the shares
-    of 1 by group alone, the others with their values."""
+    The groups of a boundary are contiguous, in (wrong on False, wrong on
+    True) order, and each boundary's groups follow the last one's.  A
+    group's prior is the log of its classes' summed prior mass; its share
+    of an object of the set after its boundary is the part of that mass on
+    classes that say True there.  Shares are kept sparsely, since many are
+    0 and many are 1: the shares of 1 by group alone, the others with their
+    values.  A point works in two buffers allocated here: ``score``, one
+    float per group, and ``gathered``, one per share of the larger kind."""
 
-    counts: np.ndarray  # (4, n_groups) unsigned: cell counts, by code 2 * agrees + label
+    wrong: np.ndarray  # (2, n_groups) unsigned: disagreements with False, True gold labels
     log_priors: np.ndarray  # (n_groups,)
     starts: np.ndarray  # (n_boundaries,): each boundary's first group
     sizes: np.ndarray  # (n_boundaries,): each boundary's group count
+    labels: np.ndarray  # (2, n_boundaries): the False, True gold labels before each boundary
     object_boundary: np.ndarray  # (n_objects,): the boundary each object is predicted at
     whole: _Shares  # the shares of 1
     partial: _Shares  # the shares strictly between 0 and 1
+    score: np.ndarray  # (n_groups,) float: a point's group weights
+    gathered: np.ndarray  # float: the weights of one kind of shares
 
     @classmethod
     def build(cls, matrices: Iterable[EvalMatrix]) -> "_GroupTable":
@@ -102,67 +124,88 @@ class _GroupTable:
         numbered on from list to list.  Each matrix is read once, in turn,
         so a caller passing :func:`build_eval_matrices`' iterator holds one
         list's matrix at a time."""
-        # One list of arrays per field of _Boundary, each starting with an
+        # One list of arrays per field of _Block, each starting with an
         # empty one, so that lists without sets give an empty table.
-        columns = _Boundary(*([np.zeros(shape, dtype)] for shape, dtype in (
-            ((4, 0), np.uint8), (0, float), (0, np.int32), (0, np.intp), (0, np.int32),
-            (0, np.intp), (0, float),
+        columns = _Block(*([np.zeros(shape, dtype)] for shape, dtype in (
+            ((2, 0), np.uint8), (0, float), (0, np.intp), (0, np.intp), ((2, 0), np.intp),
+            (0, np.intp), (0, np.intp), (0, np.intp), (0, np.intp), (0, float),
         )))
         n_groups = 0
         for matrix in matrices:
-            for boundary in _boundary_groups(matrix):
-                boundary.whole_group[:] += n_groups  # numbered on over the table, in place
-                boundary.partial_group[:] += n_groups
-                n_groups += len(boundary.log_priors)
-                for column, array in zip(columns, boundary):
+            for block in _boundary_groups(matrix):
+                block.whole_group[:] += n_groups  # numbered on over the table, in place
+                block.partial_group[:] += n_groups
+                n_groups += len(block.log_priors)
+                for column, array in zip(columns, block):
                     column.append(array)
-        sizes = np.array([len(array) for array in columns.log_priors[1:]], dtype=np.intp)
-        set_sizes = [len(array) for array in columns.whole_per_object[1:]]
         joined = []
         for column in columns:  # each field's parts go before the next is joined
             joined.append(np.concatenate(column, axis=-1))
             column.clear()
-        table = _Boundary(*joined)
+        table = _Block(*joined)
         return cls(
-            table.counts, table.log_priors, np.cumsum(sizes) - sizes, sizes,
-            np.repeat(np.arange(len(sizes)), set_sizes),
+            table.wrong, table.log_priors, np.cumsum(table.sizes) - table.sizes, table.sizes,
+            table.labels, np.repeat(np.arange(len(table.sizes)), table.set_sizes),
             _Shares.of(table.whole_group, table.whole_per_object),
             _Shares.of(table.partial_group, table.partial_per_object, table.partial_values),
+            np.empty(n_groups), np.empty(max(len(table.whole_group), len(table.partial_group))),
         )
 
     def predict(self, noise: NoiseParams) -> np.ndarray:
         """Each object's P(True), predicted from the posterior over its
         boundary's groups; raises :class:`DegeneratePosteriorError` when
-        some boundary has no mass.  A group's log-likelihood is the sum of
-        its four ``count * log factor`` terms in cell-code order, where a
-        count of 0 adds 0 even when its factor is 0."""
-        score = np.zeros(len(self.log_priors))
-        for count, log_factor in zip(self.counts, _log_factors(noise).tolist()):
-            if log_factor == -math.inf:
-                score[count > 0] = -math.inf
-            else:
-                score += count * log_factor
+        some boundary has no mass.
+
+        A group's log-likelihood is its prior plus, for each label, its
+        disagreements times the log of a disagreement's factor over an
+        agreement's: the agreements' own factors add the same to every
+        group of a boundary, so they cancel in its posterior.  A factor of
+        0 kills the groups with any such disagreement.  At alpha = 0 every
+        factor is the label's base rate, so every object is predicted at
+        beta, unless a label of base rate 0 came before some set."""
+        if noise.alpha == 0.0:
+            if ((self.labels[0] > 0).any() and noise.beta == 1.0) or (
+                (self.labels[1] > 0).any() and noise.beta == 0.0
+            ):
+                raise DegeneratePosteriorError("no hypothesis explains the evidence")
+            return np.full(len(self.object_boundary), noise.beta)
+        log_factors = _log_factors(noise).tolist()
+        # A disagreement's log factor over an agreement's, per label: never
+        # above 0, and -inf (kept as 0 here, and applied below) where a
+        # disagreement's factor is 0.
+        ratios = [log_factors[0] - log_factors[2], log_factors[1] - log_factors[3]]
+        score = self.score
+        # einsum, not a BLAS call: a fixed-order sum of the two products.
+        np.einsum("ij,i->j", self.wrong, [0.0 if r == -math.inf else r for r in ratios], out=score)
         score += self.log_priors
+        for ratio, wrong in zip(ratios, self.wrong):
+            if ratio == -math.inf:
+                score[wrong > 0] = -math.inf
         peak = np.maximum.reduceat(score, self.starts)
         if np.isneginf(peak).any():
             raise DegeneratePosteriorError("no hypothesis explains the evidence")
         score -= np.repeat(peak, self.sizes)
         np.exp(score, out=score)  # a boundary's best group is 1, so its sum is >= 1
         rule_mass = np.zeros(len(self.object_boundary))
-        self.whole.add_to(rule_mass, score)
-        self.partial.add_to(rule_mass, score)
+        self.whole.add_to(rule_mass, score, self.gathered)
+        self.partial.add_to(rule_mass, score, self.gathered)
         rule_mass /= np.add.reduceat(score, self.starts)[self.object_boundary]
         return noise.alpha * rule_mass + (1.0 - noise.alpha) * noise.beta
 
 
-class _Boundary(NamedTuple):
-    """One boundary's part of a :class:`_GroupTable`, groups numbered
-    within the boundary: its groups' cell counts and log priors, and the
-    shares of 1 and the other nonzero shares of the set after it, each in
-    object order with each object's count of them."""
+class _Block(NamedTuple):
+    """Some consecutive boundaries of one list, as parts of a
+    :class:`_GroupTable`, groups numbered within the block: its groups'
+    disagreement counts and log priors, each boundary's group count, set
+    size and gold labels before it, and the shares of 1 and the other
+    nonzero shares of each set, each in object order with each object's
+    count of them."""
 
-    counts: np.ndarray  # (4, n_groups)
+    wrong: np.ndarray  # (2, n_groups)
     log_priors: np.ndarray
+    sizes: np.ndarray
+    set_sizes: np.ndarray
+    labels: np.ndarray  # (2, n_boundaries)
     whole_group: np.ndarray
     whole_per_object: np.ndarray
     partial_group: np.ndarray
@@ -170,49 +213,77 @@ class _Boundary(NamedTuple):
     partial_values: np.ndarray
 
 
-def _boundary_groups(matrix: EvalMatrix) -> Iterator[_Boundary]:
-    """Each boundary before a set of ``matrix``'s list, in order.  A
-    group's prior mass is summed by ``np.bincount`` in class order, each
-    class's mass summed the same way in hypothesis order, relative to the
-    largest prior."""
+def _boundary_groups(matrix: EvalMatrix) -> Iterator[_Block]:
+    """``matrix``'s boundaries, in blocks of consecutive sets whose (class,
+    object) cells stay within :data:`_BLOCK_CELLS`.  A group's prior mass
+    is summed by ``np.bincount`` in class order, each class's mass summed
+    the same way in hypothesis order, relative to the largest prior; so is
+    each share's part of it."""
+    n_classes = len(matrix.classes)
     top = np.max(matrix.log_priors)
     class_mass = np.bincount(
-        matrix.inverse, weights=np.exp(matrix.log_priors - top), minlength=len(matrix.classes)
+        matrix.inverse, weights=np.exp(matrix.log_priors - top), minlength=n_classes
     )
-    agrees = matrix.classes == matrix.gold
+    offsets = np.asarray(matrix.offsets, dtype=np.intp)
     gold = matrix.gold
-    dtype = np.min_scalar_type(matrix.offsets[-1])
-    a_true = np.zeros(len(matrix.classes), dtype=dtype)
-    a_false = np.zeros_like(a_true)
-    n_true = n_false = 0
-    for start, stop in zip(matrix.offsets, matrix.offsets[1:]):
-        pairs, group = np.unique(
-            a_true.astype(np.int64) * (n_false + 1) + a_false, return_inverse=True
-        )
-        pair_true, pair_false = np.divmod(pairs, n_false + 1)
-        counts = np.array([n_false - pair_false, n_true - pair_true, pair_false, pair_true], dtype=dtype)
-        mass = np.bincount(group, weights=class_mass)
+    dtype = np.min_scalar_type(offsets[-1])
+    radix = int(offsets[-1]) + 1  # above any count
+    true_before = np.concatenate(([0], np.cumsum(gold, dtype=np.intp)))[offsets[:-1]]
+    labels = np.array([offsets[:-1] - true_before, true_before])
+    wrong_before = np.zeros((2, n_classes, 1), dtype)  # each class's, before the block
+    first_set, n_sets = 0, len(offsets) - 1
+    while first_set < n_sets:
+        limit = offsets[first_set] + max(1, _BLOCK_CELLS // max(n_classes, 1))
+        end_set = min(max(int(np.searchsorted(offsets, limit, side="right")) - 1, first_set + 1), n_sets)
+        first, last = offsets[first_set], offsets[end_set]
+        n_bounds = end_set - first_set
+        set_sizes = np.diff(offsets[first_set:end_set + 1])
+        block_gold = gold[first:last]
+        # Each class's disagreements with False and True labels, running
+        # over the block's objects, from the block's start.
+        wrong = matrix.classes[:, first:last] != block_gold
+        running = np.zeros((2, n_classes, last - first + 1), dtype)
+        np.cumsum(wrong & ~block_gold, axis=1, dtype=dtype, out=running[0, :, 1:])
+        np.cumsum(wrong & block_gold, axis=1, dtype=dtype, out=running[1, :, 1:])
+        del wrong
+        counts = running[:, :, offsets[first_set:end_set] - first] + wrong_before  # (2, n_classes, n_bounds)
+        wrong_before = wrong_before + running[:, :, -1:]
+        del running
+        keys = (np.arange(n_bounds)[:, None] * radix + counts[0].T) * radix + counts[1].T
+        del counts
+        pairs, group = np.unique(keys.ravel(), return_inverse=True)
+        del keys
+        # Row k of ``group``: each class's group at the block's boundary k.
+        group = group.reshape(n_bounds, n_classes)
+        sizes = np.bincount(pairs // (radix * radix), minlength=n_bounds)
+        mass = np.bincount(group.ravel(), weights=np.tile(class_mass, n_bounds), minlength=len(pairs))
         with np.errstate(divide="ignore"):  # a group whose mass underflowed to 0
             log_priors = np.log(mass) + top
-        # Row j: each group's share of the set's object j.
-        shares = np.zeros((stop - start, len(pairs)))
-        for j, column in enumerate(matrix.classes[:, start:stop].T):
-            np.divide(np.bincount(group, weights=class_mass * column, minlength=len(pairs)), mass,
-                      out=shares[j], where=mass > 0)
+        # Each object's row: its boundary's groups.  ``cell[j, c]`` is where
+        # class c's mass lands in object j's row when it says True there.
+        object_bound = np.repeat(np.arange(n_bounds), set_sizes)
+        row_sizes = sizes[object_bound]
+        row_shift = np.cumsum(row_sizes) - row_sizes - (np.cumsum(sizes) - sizes)[object_bound]
+        cell = group[object_bound]
+        cell += row_shift[:, None]
+        said_true = matrix.classes[:, first:last].T * class_mass
+        in_rows = np.bincount(cell.ravel(), weights=said_true.ravel(), minlength=int(row_sizes.sum()))
+        del cell, said_true
+        # int32 while the table is gathered: it is joined into intp.
+        row_group = (np.arange(len(in_rows)) - np.repeat(row_shift, row_sizes)).astype(np.int32)
+        row_mass = mass[row_group]
+        shares = np.divide(in_rows, row_mass, out=np.zeros(len(in_rows)), where=row_mass > 0)
         whole = shares == 1.0
         partial = (shares != 0.0) & ~whole
-        yield _Boundary(
-            counts, log_priors,
-            np.nonzero(whole)[1].astype(np.int32), np.count_nonzero(whole, axis=1),
-            np.nonzero(partial)[1].astype(np.int32), np.count_nonzero(partial, axis=1),
+        row_object = np.repeat(np.arange(last - first), row_sizes)
+        yield _Block(
+            np.array([(pairs // radix) % radix, pairs % radix], dtype=dtype), log_priors, sizes,
+            set_sizes, labels[:, first_set:end_set],
+            row_group[whole], np.bincount(row_object[whole], minlength=last - first),
+            row_group[partial], np.bincount(row_object[partial], minlength=last - first),
             shares[partial],
         )
-        in_set = slice(start, stop)
-        a_true += np.count_nonzero(agrees[:, in_set] & gold[in_set], axis=1).astype(dtype)
-        a_false += np.count_nonzero(agrees[:, in_set] & ~gold[in_set], axis=1).astype(dtype)
-        set_true = int(np.count_nonzero(gold[in_set]))
-        n_true += set_true
-        n_false += stop - start - set_true
+        first_set = end_set
 
 
 def predictive_trajectory(matrix: EvalMatrix, noise: NoiseParams) -> np.ndarray:
@@ -230,20 +301,26 @@ def _grid_r2(
 ) -> Iterator[tuple[float, float, float | None]]:
     """``(alpha, beta, r2)`` per grid point, from the predictions of
     ``table``'s objects where ``keep`` holds; ``r2`` is None where the
-    correlation is undefined or every hypothesis loses its mass."""
+    correlation is undefined or every hypothesis loses its mass.  The
+    human vector is centred once, and the sums are ``np.einsum``'s
+    fixed-order passes, not BLAS calls."""
+    centred = human - human.mean() if human.size else human
+    human_ss = float(np.einsum("i,i->", centred, centred))
     for alpha, beta in grid:
         try:
             model = table.predict(NoiseParams(alpha, beta))[keep]
         except DegeneratePosteriorError:
-            # Corner points like (alpha=0, beta=0) can zero out every
+            # Corner points like (alpha=1, beta=0) can zero out every
             # hypothesis; they simply cannot win the fit.
             yield alpha, beta, None
             continue
         if model.size < 2 or np.ptp(model) == 0.0 or np.ptp(human) == 0.0:
             yield alpha, beta, None
             continue
-        r = float(np.corrcoef(model, human)[0, 1])
-        yield alpha, beta, None if math.isnan(r) else r * r
+        model -= model.mean()
+        scale = math.sqrt(float(np.einsum("i,i->", model, model)) * human_ss)
+        r = float(np.einsum("i,i->", model, centred)) / scale if scale > 0.0 else math.nan
+        yield alpha, beta, None if math.isnan(r) else min(r * r, 1.0)
 
 
 @dataclass(frozen=True)

@@ -1215,6 +1215,25 @@ def test_a_wrong_typed_list_value_is_that_rules_data_error(every_input, capsys, 
     assert "'blue'" in err and f"unreadable list file {path}: " in err
 
 
+_LIST_REPORTS = {"grade": "grading_summary.csv", "report": "trajectories.csv"}
+
+
+@pytest.mark.parametrize("command", _LIST_COMMANDS)
+def test_a_list_filed_under_another_rule_is_that_rules_data_error(every_input, capsys, command):
+    """A list copied over another rule's file keeps its own rule_id.  The
+    rule it is filed under fails, naming both, instead of being learned and
+    graded (at match rate 1) from the other rule's list."""
+    lists_dir = every_input / "out" / "lists"
+    (lists_dir / "blue.json").write_bytes((lists_dir / "not-circle.json").read_bytes())
+    capsys.readouterr()
+    assert _list_command(every_input, command) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "'blue'" in err
+    assert f"list file {lists_dir / 'blue.json'} is for rule 'not-circle', not 'blue'" in err
+    if command in _LIST_REPORTS:
+        assert _rule_ids(every_input / "out" / "reports" / _LIST_REPORTS[command]) == _OTHER_RULES
+
+
 @pytest.mark.parametrize("command", _LIST_COMMANDS)
 @pytest.mark.parametrize("relabel", [
     pytest.param(lambda label: "yes" if label else "", id="strings"),
@@ -1514,6 +1533,28 @@ def test_split_is_an_unknown_command(workspace, capsys):
 def test_fit_noise_requires_human_data(workspace):
     run(workspace, "gen")
     assert run(workspace, "fit-noise") == EXIT_CONFIG
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one CPU: OpenBLAS runs one thread")
+def test_noise_fit_does_not_depend_on_the_blas_thread_count(workspace):
+    """numpy reads OPENBLAS_NUM_THREADS when it is imported, so fit-noise
+    run in a process with one BLAS thread and in one with two must write
+    the same noise_fit.json bytes (six rules at max_size 3, 441 points)."""
+    rule_ids = ["blue", "circle-or-blue", "exists-triangle", "not-circle",
+                "same-color-as-another", "small-and-blue"]
+    run(workspace, "gen")
+    _write_human_csv(workspace, rule_ids)
+    env = {name: value for name, value in os.environ.items()
+           if name not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = str(Path(rulelab.__file__).resolve().parents[1])
+    written = []
+    for threads in ("1", "2"):
+        subprocess.run([sys.executable, "-m", "rulelab.cli", "fit-noise", "--config",
+                        str(workspace / "config.json")], env=dict(env, OPENBLAS_NUM_THREADS=threads),
+                       check=True, capture_output=True, timeout=120)
+        written.append((workspace / "out" / "reports" / "noise_fit.json").read_bytes())
+    assert json.loads(written[0])["rules"] == rule_ids
+    assert written[0] == written[1]
 
 
 def test_fit_noise_end_to_end(workspace):

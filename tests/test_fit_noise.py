@@ -195,7 +195,7 @@ def collapsed(matrix: EvalMatrix) -> EvalMatrix:
 
 def test_behaviour_classes_merge_rows_and_sum_priors(size3_hypotheses):
     """Rows merge into classes, and the noise fit's groups sum the priors
-    of every hypothesis with the same agreement counts at a boundary."""
+    of every hypothesis with the same disagreement counts at a boundary."""
     exemplar_list = generate_list(SAME_COLOR_AS_ANOTHER, V, seed=4, rule_id="same-color")
     matrix = build_eval_matrix(size3_hypotheses, exemplar_list)
     assert len(matrix.classes) < len(matrix.log_priors) == len(matrix.inverse)
@@ -204,15 +204,15 @@ def test_behaviour_classes_merge_rows_and_sum_priors(size3_hypotheses):
     truth = matrix.classes[matrix.inverse]
     for k, (start, size) in enumerate(zip(table.starts, table.sizes)):
         seen = slice(0, matrix.offsets[k])
-        agrees = truth[:, seen] == matrix.gold[seen]
-        a_true = np.count_nonzero(agrees & matrix.gold[seen], axis=1)
-        a_false = np.count_nonzero(agrees & ~matrix.gold[seen], axis=1)
+        wrong = truth[:, seen] != matrix.gold[seen]
+        wrong_false = np.count_nonzero(wrong & ~matrix.gold[seen], axis=1)
+        wrong_true = np.count_nonzero(wrong & matrix.gold[seen], axis=1)
         mass: dict[tuple[int, int], float] = {}
-        for pair, log_prior in zip(zip(a_true.tolist(), a_false.tolist()), matrix.log_priors):
+        for pair, log_prior in zip(zip(wrong_false.tolist(), wrong_true.tolist()), matrix.log_priors):
             mass[pair] = mass.get(pair, 0.0) + math.exp(log_prior)
         assert len(mass) == size < len(matrix.classes) or k == 0
         groups = slice(start, start + size)
-        pairs = zip(table.counts[3, groups].tolist(), table.counts[2, groups].tolist())
+        pairs = zip(table.wrong[0, groups].tolist(), table.wrong[1, groups].tolist())
         for pair, log_prior in zip(pairs, table.log_priors[groups]):
             assert log_prior == pytest.approx(math.log(mass[pair]), abs=1e-12)
 

@@ -578,13 +578,14 @@ def test_group_predictions_match_the_oracle_on_random_matrices(matrix, alpha, be
 
 
 def test_group_counts_widen_past_255_objects():
-    """A list of 600 objects counts in uint16, and predicts as the oracle."""
+    """A list of 600 objects counts disagreements in uint16, and predicts as
+    the oracle."""
     rng = np.random.default_rng(1)
     truth = rng.random((40, 600)) < 0.5
     gold = truth[3] ^ (rng.random(600) < 0.1)  # row 3 disagrees with 10% of the labels
     rows = Rows(rng.uniform(-10.0, 0.0, 40), truth, gold, list(range(0, 601, 4)))
     matrix = matrix_of(rows)
-    assert _GroupTable.build([matrix]).counts.dtype == np.uint16
+    assert _GroupTable.build([matrix]).wrong.dtype == np.uint16
     for alpha, beta in [(0.9, 0.5), (0.99, 0.6), (0.134, 0.847)]:
         noise = NoiseParams(alpha, beta)
         expected = oracle_predictive_trajectory(rows, noise)
@@ -632,8 +633,8 @@ def dense_shares(table, n_objects: int) -> np.ndarray:
 
 def test_equal_counts_at_a_boundary_share_one_group():
     """Rows 0 and 4 differ only on the second set's object, so before it
-    they agree with one True and one False label each: one group, holding
-    both priors, whose share of that object is row 0's part of them."""
+    they disagree with no label: one group, holding both priors, whose
+    share of that object is row 0's part of them."""
     truth = np.array([
         [1, 0, 1], [0, 1, 0], [1, 1, 0], [0, 0, 1], [1, 0, 0],
     ], dtype=bool)
@@ -642,17 +643,71 @@ def test_equal_counts_at_a_boundary_share_one_group():
     matrix = matrix_of(Rows(log_priors, truth, gold, [0, 2, 3]))
     table = _GroupTable.build([matrix])
     assert table.sizes.tolist() == [1, 4] and table.starts.tolist() == [0, 1]
-    assert table.counts[:, 0].tolist() == [0, 0, 0, 0]  # nothing seen yet
-    # Boundary 1, in (aT, aF) order; columns are cell codes 2 * agrees + label.
-    assert table.counts[:, 1:].T.tolist() == [[1, 1, 0, 0], [0, 1, 1, 0], [1, 0, 0, 1], [0, 0, 1, 1]]
-    assert table.log_priors[4] == pytest.approx(math.log(0.1 + 0.25), abs=1e-15)
+    assert table.wrong[:, 0].tolist() == [0, 0]  # nothing seen yet
+    # Boundary 1, in (wrong on False, wrong on True) order: rows 0 and 4,
+    # row 3, row 2, row 1.
+    assert table.wrong[:, 1:].T.tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]
+    assert table.labels.tolist() == [[0, 1], [0, 1]]
+    assert table.log_priors[1] == pytest.approx(math.log(0.1 + 0.25), abs=1e-15)
     shares = dense_shares(table, 3)
-    assert shares[4, 2] == pytest.approx(0.1 / 0.35, abs=1e-15)
+    assert shares[1, 2] == pytest.approx(0.1 / 0.35, abs=1e-15)
     assert shares[0, :2] == pytest.approx([0.1 + 0.3 + 0.25, 0.2 + 0.3])
     for alpha, beta in [(0.9, 0.5), (0.134, 0.847), (0.75, 1.0), (1.0, 0.5)]:
         noise = NoiseParams(alpha, beta)
         expected = oracle_predictive_trajectory(Rows(log_priors, truth, gold, [0, 2, 3]), noise)
         assert np.max(np.abs(table.predict(noise) - expected)) <= 1e-12, noise
+
+
+@pytest.mark.parametrize("shift", [-1000.0, 1000.0])
+def test_priors_far_from_zero_predict_as_the_oracle(size3_matrices, shift):
+    """Shifting every log prior by 1000 either way moves no prediction,
+    since each boundary's weights are taken relative to its best group,
+    and fails where the oracle fails."""
+    for name in ("xor-full", "one-blue-full"):
+        matrix = size3_matrices[name]
+        shifted = EvalMatrix(matrix.log_priors + shift, matrix.classes, matrix.inverse,
+                             matrix.gold, matrix.offsets)
+        for alpha, beta in [(0.9, 0.5), (0.134, 0.847), (0.75, 1.0), (1.0, 0.5), (0.5, 0.0)]:
+            noise = NoiseParams(alpha, beta)
+            expected = trajectory_or_none(oracle_predictive_trajectory, rows_of(matrix), noise)
+            actual = trajectory_or_none(predictive_trajectory, shifted, noise)
+            assert (actual is None) == (expected is None), (name, noise)
+            assert actual is None or np.max(np.abs(actual - expected)) <= 1e-12, (name, noise)
+
+
+def test_many_disagreements_predict_as_the_oracle():
+    """A list of 600 objects that every row misclassifies a third of: at
+    alpha = 0.95 the last boundaries' unshifted weights would underflow,
+    and the predictions are still the oracle's."""
+    rng = np.random.default_rng(4)
+    gold = rng.random(600) < 0.5
+    truth = np.array([gold ^ (rng.random(600) < 1 / 3) for _row in range(6)])
+    rows = Rows(np.log(np.full(6, 1 / 6)), truth, gold, list(range(0, 601, 5)))
+    noise = NoiseParams(0.95, 0.5)
+    expected = oracle_predictive_trajectory(rows, noise)
+    assert np.max(np.abs(predictive_trajectory(matrix_of(rows), noise) - expected)) <= 1e-12
+
+
+def test_the_grid_loop_peaks_below_the_per_point_kernel():
+    """On the 12 dry-run rules at max_size 3 (44,447 groups; lab-s3's fit
+    has 43,524), the grid loop's tracemalloc peak stays below that of the
+    kernel it replaced, which cast four uint8 count rows and gathered
+    through int32 indices at every point: 861,323 bytes (numpy 2.4)."""
+    hypotheses = enumerate_hypotheses(default_grammar(V), 3)
+    lists = dry_run_lists()
+    table = _GroupTable.build(build_eval_matrices(hypotheses, lists))
+    assert len(table.log_priors) == 44_447
+    n_objects = sum(exemplar_list.n_objects for exemplar_list in lists)
+    human = np.random.default_rng(0).random(n_objects)
+    keep = np.ones(n_objects, dtype=bool)
+    tracemalloc.start()
+    try:
+        for _point in _grid_r2(table, keep, human, GRID):
+            pass
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 861_323
 
 
 def test_lab_sized_fit_keeps_the_class_paths_winner():

@@ -2,12 +2,16 @@
 propagation."""
 
 import codecs
+import csv
 import math
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import metrics_reference
+import subjects_reference
 from conftest import seeded_subjects
 from rulelab.catalog import DEFAULT_VOCAB as V
 from rulelab.dsl import Obj, parse_concept
@@ -294,3 +298,70 @@ def test_a_second_answer_to_one_object_is_refused(tmp_path):
     )
     with pytest.raises(ValueError, match="subject s1 answers rule 'blue' set 0, object 0 twice"):
         read_subject_csv(path)
+
+
+_COLUMNS = ("subject_id", "rule_id", "set_index", "object_index", "response")
+_TOKENS = ["True", "False", "true", " FALSE", "tRuE ", "false\t"]
+
+
+@st.composite
+def subject_files(draw) -> tuple[bool, list[list[str]]]:
+    """A subject file's rows, header first, and whether it starts with a
+    byte-order mark: the columns permuted among extra ones (one of them
+    sometimes named twice or missing), tokens of either label in any case
+    and spacing, blank lines, and now and then a row cut short, an index
+    or a token that does not parse, or a second answer to one object."""
+    names = list(_COLUMNS)
+    if draw(st.integers(0, 9)) == 0:
+        names.remove(draw(st.sampled_from(_COLUMNS)))
+    names += draw(st.lists(st.sampled_from(["age", "notes", "response", "rule_id"]), max_size=2))
+    header = draw(st.permutations(names))
+    rows = [header]
+    for _ in range(draw(st.integers(0, 12))):
+        fault = draw(st.integers(0, 39))  # 0-3: one fault in this row
+        values = {
+            "subject_id": draw(st.sampled_from(["s0", "s1", "s 2", "s,3"])),
+            "rule_id": draw(st.sampled_from(["blue", "not-circle"])),
+            "set_index": "x" if fault == 0 else draw(st.sampled_from(["0", "1", "2", " 1"])),
+            "object_index": draw(st.sampled_from(["0", "1", "3", "+2"])),
+            "response": draw(st.sampled_from(["yes", ""] if fault == 1 else _TOKENS)),
+        }
+        # A name's last column holds its value, as csv.DictReader reads it.
+        last = {name: i for i, name in enumerate(header)}
+        row = [values[name] if name in values and last[name] == i
+               else draw(st.sampled_from(["", "42", "a,b"])) for i, name in enumerate(header)]
+        if fault == 2:
+            row = row[:draw(st.integers(0, len(row)))]
+        rows.append([] if fault == 3 else row)
+    if len(rows) > 1 and draw(st.integers(0, 3)) == 0:  # a second answer, of either label
+        again = list(draw(st.sampled_from(rows[1:])))
+        if "response" in header and len(again) > header.index("response"):
+            again[header.index("response")] = draw(st.sampled_from(_TOKENS))
+        rows.insert(draw(st.integers(1, len(rows))), again)
+    return draw(st.booleans()), rows
+
+
+def _outcome(reader, path):
+    try:
+        return reader(path)
+    except (ValueError, KeyError) as error:
+        return type(error), str(error)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(subject_files())
+def test_the_subject_reader_is_the_dict_reader_oracles(tmp_path, file):
+    """Equal records, or the same error with the same message, which the
+    commands report as a data error (exit 3)."""
+    from rulelab.cli import DataError, _read
+
+    bom, rows = file
+    path = tmp_path / "humans.csv"
+    with open(path, "w", newline="", encoding="utf-8-sig" if bom else "utf-8") as handle:
+        csv.writer(handle).writerows(rows)
+    expected = _outcome(subjects_reference.read_subject_csv, path)
+    assert _outcome(read_subject_csv, path) == expected
+    if isinstance(expected, tuple):
+        with pytest.raises(DataError) as raised:
+            _read("subject file", path, read_subject_csv, DataError)
+        assert str(raised.value).endswith(f"is unreadable: {expected[1]}")
