@@ -18,11 +18,10 @@ from __future__ import annotations
 import os
 
 # numpy's bundled OpenBLAS starts a worker thread per CPU at import, and
-# nothing here gains from it: the only BLAS call left is ``np.corrcoef``,
-# and the learner's predictions take none, so their bits do not rest on
-# this setting.  One thread halves numpy's import (0.110-0.137 s against
-# 0.053-0.086 s on a 2-CPU x86-64 machine), so a command uses one BLAS
-# thread unless the caller set the variable.  It is set before anything
+# nothing here gains from it: the library makes no BLAS call, so no output's
+# bits rest on this setting.  One thread halves numpy's import (0.110-0.137 s
+# against 0.053-0.086 s on a 2-CPU x86-64 machine), so a command uses one
+# BLAS thread unless the caller set the variable.  It is set before anything
 # here can import numpy.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 

@@ -3,7 +3,7 @@
 from .._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(globals(), {
-    ".fit": ("NoiseFit", "fit_noise", "noise_grid", "predictive_trajectory"),
+    ".fit": ("NoiseFit", "fit_noise", "noise_grid"),
     ".grammar": (
         "Derivation", "Grammar", "GrammarError", "Hole", "HypothesisBudgetError", "Production",
         "default_grammar", "grammar_from_pairs", "load_grammar", "sample_derivation",

@@ -18,8 +18,11 @@ passes over two buffers the table holds: one ``np.einsum`` of the counts
 with the two log factor ratios, the log priors added, each boundary's best
 group subtracted, ``np.exp``, one ``np.add.reduceat`` for the boundary
 totals, and a gather and segment sum for the shares of 1 and for the
-others.  :func:`predictive_trajectory` runs the same code on one list.
-The group scores agree with the kernel's object-order sums
+others.  A point's r2 is the square of
+:func:`rulelab.metrics.core.correlation`, as :func:`rulelab.metrics.r_squared`
+is.  At alpha = 0 every object is predicted at beta, a constant with no r2,
+so the grid skips those points without predicting.  The group scores agree
+with the kernel's object-order sums
 (:func:`rulelab.learner.inference.posterior_by_set`) up to rounding.  On a
 2-CPU x86-64 machine, in-process, lab-s3's 441-point grid over 43,524
 groups takes 0.16-0.26 s (0.42-0.53 s when each point summed four count
@@ -39,6 +42,7 @@ import numpy as np
 
 from ..dsl import Concept
 from ..exemplars import ExemplarList
+from ..metrics.core import correlation
 from .inference import (
     DegeneratePosteriorError,
     EvalMatrix,
@@ -111,7 +115,6 @@ class _GroupTable:
     log_priors: np.ndarray  # (n_groups,)
     starts: np.ndarray  # (n_boundaries,): each boundary's first group
     sizes: np.ndarray  # (n_boundaries,): each boundary's group count
-    labels: np.ndarray  # (2, n_boundaries): the False, True gold labels before each boundary
     object_boundary: np.ndarray  # (n_objects,): the boundary each object is predicted at
     whole: _Shares  # the shares of 1
     partial: _Shares  # the shares strictly between 0 and 1
@@ -121,15 +124,11 @@ class _GroupTable:
     @classmethod
     def build(cls, matrices: Iterable[EvalMatrix]) -> "_GroupTable":
         """The table of ``matrices``' lists in order, with their objects
-        numbered on from list to list.  Each matrix is read once, in turn,
-        so a caller passing :func:`build_eval_matrices`' iterator holds one
-        list's matrix at a time."""
-        # One list of arrays per field of _Block, each starting with an
-        # empty one, so that lists without sets give an empty table.
-        columns = _Block(*([np.zeros(shape, dtype)] for shape, dtype in (
-            ((2, 0), np.uint8), (0, float), (0, np.intp), (0, np.intp), ((2, 0), np.intp),
-            (0, np.intp), (0, np.intp), (0, np.intp), (0, np.intp), (0, float),
-        )))
+        numbered on from list to list; one of the lists must have a set.
+        Each matrix is read once, in turn, so a caller passing
+        :func:`build_eval_matrices`' iterator holds one list's matrix at a
+        time."""
+        columns = _Block(*([] for _field in _Block._fields))  # each field's arrays
         n_groups = 0
         for matrix in matrices:
             for block in _boundary_groups(matrix):
@@ -145,7 +144,7 @@ class _GroupTable:
         table = _Block(*joined)
         return cls(
             table.wrong, table.log_priors, np.cumsum(table.sizes) - table.sizes, table.sizes,
-            table.labels, np.repeat(np.arange(len(table.sizes)), table.set_sizes),
+            np.repeat(np.arange(len(table.sizes)), table.set_sizes),
             _Shares.of(table.whole_group, table.whole_per_object),
             _Shares.of(table.partial_group, table.partial_per_object, table.partial_values),
             np.empty(n_groups), np.empty(max(len(table.whole_group), len(table.partial_group))),
@@ -160,15 +159,11 @@ class _GroupTable:
         disagreements times the log of a disagreement's factor over an
         agreement's: the agreements' own factors add the same to every
         group of a boundary, so they cancel in its posterior.  A factor of
-        0 kills the groups with any such disagreement.  At alpha = 0 every
-        factor is the label's base rate, so every object is predicted at
-        beta, unless a label of base rate 0 came before some set."""
+        0 kills the groups with any such disagreement.  Alpha = 0 raises
+        ValueError: every object is then predicted at beta, and at beta 0
+        or 1 a ratio of two zero factors is not a number."""
         if noise.alpha == 0.0:
-            if ((self.labels[0] > 0).any() and noise.beta == 1.0) or (
-                (self.labels[1] > 0).any() and noise.beta == 0.0
-            ):
-                raise DegeneratePosteriorError("no hypothesis explains the evidence")
-            return np.full(len(self.object_boundary), noise.beta)
+            raise ValueError("the group table does not predict at alpha = 0")
         log_factors = _log_factors(noise).tolist()
         # A disagreement's log factor over an agreement's, per label: never
         # above 0, and -inf (kept as 0 here, and applied below) where a
@@ -196,16 +191,14 @@ class _GroupTable:
 class _Block(NamedTuple):
     """Some consecutive boundaries of one list, as parts of a
     :class:`_GroupTable`, groups numbered within the block: its groups'
-    disagreement counts and log priors, each boundary's group count, set
-    size and gold labels before it, and the shares of 1 and the other
-    nonzero shares of each set, each in object order with each object's
-    count of them."""
+    disagreement counts and log priors, each boundary's group count and set
+    size, and the shares of 1 and the other nonzero shares of each set,
+    each in object order with each object's count of them."""
 
     wrong: np.ndarray  # (2, n_groups)
     log_priors: np.ndarray
     sizes: np.ndarray
     set_sizes: np.ndarray
-    labels: np.ndarray  # (2, n_boundaries)
     whole_group: np.ndarray
     whole_per_object: np.ndarray
     partial_group: np.ndarray
@@ -225,11 +218,8 @@ def _boundary_groups(matrix: EvalMatrix) -> Iterator[_Block]:
         matrix.inverse, weights=np.exp(matrix.log_priors - top), minlength=n_classes
     )
     offsets = np.asarray(matrix.offsets, dtype=np.intp)
-    gold = matrix.gold
     dtype = np.min_scalar_type(offsets[-1])
     radix = int(offsets[-1]) + 1  # above any count
-    true_before = np.concatenate(([0], np.cumsum(gold, dtype=np.intp)))[offsets[:-1]]
-    labels = np.array([offsets[:-1] - true_before, true_before])
     wrong_before = np.zeros((2, n_classes, 1), dtype)  # each class's, before the block
     first_set, n_sets = 0, len(offsets) - 1
     while first_set < n_sets:
@@ -238,7 +228,7 @@ def _boundary_groups(matrix: EvalMatrix) -> Iterator[_Block]:
         first, last = offsets[first_set], offsets[end_set]
         n_bounds = end_set - first_set
         set_sizes = np.diff(offsets[first_set:end_set + 1])
-        block_gold = gold[first:last]
+        block_gold = matrix.gold[first:last]
         # Each class's disagreements with False and True labels, running
         # over the block's objects, from the block's start.
         wrong = matrix.classes[:, first:last] != block_gold
@@ -278,19 +268,11 @@ def _boundary_groups(matrix: EvalMatrix) -> Iterator[_Block]:
         row_object = np.repeat(np.arange(last - first), row_sizes)
         yield _Block(
             np.array([(pairs // radix) % radix, pairs % radix], dtype=dtype), log_priors, sizes,
-            set_sizes, labels[:, first_set:end_set],
-            row_group[whole], np.bincount(row_object[whole], minlength=last - first),
+            set_sizes, row_group[whole], np.bincount(row_object[whole], minlength=last - first),
             row_group[partial], np.bincount(row_object[partial], minlength=last - first),
             shares[partial],
         )
         first_set = end_set
-
-
-def predictive_trajectory(matrix: EvalMatrix, noise: NoiseParams) -> np.ndarray:
-    """Per-object P(True), each predicted from the posterior over all
-    previous sets' evidence: the one-list :meth:`_GroupTable.predict`.  A
-    noise fit builds one table for all its lists and scores it directly."""
-    return _GroupTable.build([matrix]).predict(noise)
 
 
 def _grid_r2(
@@ -299,28 +281,21 @@ def _grid_r2(
     human: np.ndarray,
     grid: Iterable[tuple[float, float]],
 ) -> Iterator[tuple[float, float, float | None]]:
-    """``(alpha, beta, r2)`` per grid point, from the predictions of
-    ``table``'s objects where ``keep`` holds; ``r2`` is None where the
-    correlation is undefined or every hypothesis loses its mass.  The
-    human vector is centred once, and the sums are ``np.einsum``'s
-    fixed-order passes, not BLAS calls."""
-    centred = human - human.mean() if human.size else human
-    human_ss = float(np.einsum("i,i->", centred, centred))
+    """``(alpha, beta, r2)`` per grid point: the square of
+    :func:`correlation` between the predictions of ``table``'s objects
+    where ``keep`` holds and ``human``.  ``r2`` is None where the
+    correlation is undefined, alpha = 0 included, or where every
+    hypothesis loses its mass."""
     for alpha, beta in grid:
-        try:
-            model = table.predict(NoiseParams(alpha, beta))[keep]
-        except DegeneratePosteriorError:
-            # Corner points like (alpha=1, beta=0) can zero out every
-            # hypothesis; they simply cannot win the fit.
-            yield alpha, beta, None
-            continue
-        if model.size < 2 or np.ptp(model) == 0.0 or np.ptp(human) == 0.0:
-            yield alpha, beta, None
-            continue
-        model -= model.mean()
-        scale = math.sqrt(float(np.einsum("i,i->", model, model)) * human_ss)
-        r = float(np.einsum("i,i->", model, centred)) / scale if scale > 0.0 else math.nan
-        yield alpha, beta, None if math.isnan(r) else min(r * r, 1.0)
+        r = None
+        if alpha > 0.0:
+            try:
+                r = correlation(table.predict(NoiseParams(alpha, beta))[keep], human)
+            except DegeneratePosteriorError:
+                # Corner points like (alpha=1, beta=0) can zero out every
+                # hypothesis; they simply cannot win the fit.
+                pass
+        yield alpha, beta, None if r is None else r * r
 
 
 @dataclass(frozen=True)
@@ -361,17 +336,19 @@ def fit_noise(
         if len(proportions) != exemplar_list.n_objects:
             raise ValueError(f"rule {exemplar_list.rule_id!r}: {len(proportions)} human "
                              f"proportions for {exemplar_list.n_objects} objects")
-    # The table is built before the human arrays: made before it, they raised
-    # lab-s3's fit-noise peak RSS (child ru_maxrss) from 40.0 to 40.7 MB.
-    table = _GroupTable.build(build_eval_matrices(hypotheses, lists))
     pooled = [p for proportions in humans for p in proportions]
-    keep = np.array([p is not None for p in pooled], dtype=bool)
-    human = np.array([p for p in pooled if p is not None], dtype=float)
-    if np.unique(human).size < 2:
+    # Checked on the values themselves, before the table: two distinct
+    # values mean some list has a set to build the table from.
+    if len(set(pooled) - {None}) < 2:
         raise ValueError(
             "the human proportions are constant, so no grid point can produce "
             "a defined correlation"
         )
+    # The table is built before the human arrays: made before it, they raised
+    # lab-s3's fit-noise peak RSS (child ru_maxrss) from 40.0 to 40.7 MB.
+    table = _GroupTable.build(build_eval_matrices(hypotheses, lists))
+    keep = np.array([p is not None for p in pooled], dtype=bool)
+    human = np.array([p for p in pooled if p is not None], dtype=float)
 
     scored = [
         (r2, alpha, beta) for alpha, beta, r2 in _grid_r2(table, keep, human, grid) if r2 is not None

@@ -1,7 +1,11 @@
 """Accuracy windows, correlation, chance baseline, and cross-entropy.
 
 numpy is imported by the correlation functions alone, so the report path,
-which scores accuracies, runs without it.
+which scores accuracies, runs without it.  One function computes the
+correlation, :func:`correlation`, on two arrays: :func:`pearson_r` and
+:func:`r_squared` pair their lists into it, and the noise fit scores each
+grid point with it.  Its sums are ``np.einsum`` passes, which add in a
+fixed order and call no BLAS.
 """
 
 from __future__ import annotations
@@ -48,17 +52,30 @@ def accuracy(labels: Sequence[bool | None], gold: Sequence[bool], window: str = 
     return sum(scored) / len(scored)
 
 
+def correlation(xs: np.ndarray, ys: np.ndarray) -> float | None:
+    """Pearson correlation of two nonempty float vectors of one length,
+    clipped to [-1, 1]; None where either is constant.  Each vector is
+    scaled to unit range before it is centred, which keeps a tiny but
+    nonzero spread from underflowing to a zero variance."""
+    import numpy as np
+
+    spreads = np.ptp(xs), np.ptp(ys)
+    if not all(spread > 0.0 for spread in spreads):
+        return None
+    x, y = xs / spreads[0], ys / spreads[1]
+    x -= x.mean()
+    y -= y.mean()
+    xy, xx, yy = (float(np.einsum("i,i->", a, b)) for a, b in ((x, y), (x, x), (y, y)))
+    return min(max(xy / math.sqrt(xx * yy), -1.0), 1.0)
+
+
 def pearson_r(model: Sequence[float], human: Sequence[float]) -> float:
     """Signed Pearson correlation; pairs with a missing human value are
     dropped before computing."""
-    import numpy as np
-
-    xs, ys = _paired(model, human)
-    if np.ptp(xs) == 0.0 or np.ptp(ys) == 0.0:
+    r = correlation(*_paired(model, human))
+    if r is None:
         raise ZeroVarianceError("one of the vectors is constant")
-    # Scaling to unit range first keeps a tiny but nonzero spread from
-    # underflowing to a zero variance inside corrcoef.
-    return float(np.corrcoef(xs / np.ptp(xs), ys / np.ptp(ys))[0, 1])
+    return r
 
 
 def r_squared(model: Sequence[float], human: Sequence[float]) -> float:

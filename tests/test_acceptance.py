@@ -44,7 +44,6 @@ from rulelab.learner import (
     grammar_from_pairs,
     mh_sample,
     noise_grid,
-    predictive_trajectory,
     run_enumerative,
 )
 from rulelab.metrics import (
@@ -241,11 +240,10 @@ def test_criterion_6_noise_recovery():
         lists, humans = [], []
         for i, source in enumerate(sources):
             exemplar_list = generate_list(parse_concept(source, V), V, seed=100 + i, rule_id=f"r{i}")
-            predictions = predictive_trajectory(
-                build_eval_matrix(hypotheses, exemplar_list), true_noise
-            )
+            matrix = build_eval_matrix(hypotheses, exemplar_list)
+            run = run_enumerative(exemplar_list, hypotheses, matrix, true_noise)
             lists.append(exemplar_list)
-            humans.append(predictions.tolist())  # exact proportions, in layout order
+            humans.append(list(run.p_true))  # exact proportions, in layout order
         fitted = fit_noise(lists, humans, noise_grid(0.05), hypotheses)
         assert fitted.noise == NoiseParams(0.8, 0.4)
 

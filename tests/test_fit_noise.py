@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import dry_run_lists
 from rulelab.catalog import DEFAULT_VOCAB as V
 from rulelab.dsl import parse_concept
 from rulelab.exemplars import ExemplarList, generate_list
@@ -12,15 +13,17 @@ from rulelab.learner import (
     DegeneratePosteriorError,
     EvalMatrix,
     NoiseParams,
+    build_eval_matrices,
     build_eval_matrix,
     default_grammar,
     enumerate_hypotheses,
     fit_noise,
     noise_grid,
     posterior_by_set,
-    predictive_trajectory,
+    run_enumerative,
 )
 from rulelab.learner.fit import _GroupTable, _grid_r2
+from rulelab.metrics import r_squared
 
 GRAMMAR = default_grammar(V)
 MAX_SIZE = 2
@@ -28,15 +31,15 @@ RULES = ["(is-color blue)", "(exists others (same-color 0 1))", "(is-size small)
 
 
 def model_humans(noise: NoiseParams, seeds=range(3)) -> tuple[list[ExemplarList], list[list]]:
-    """Synthetic 'humans': the model's own predictive trajectory, voiced as
+    """Synthetic 'humans': the learner's own P(True) trajectory, voiced as
     exact response proportions, one vector per list."""
     hypotheses = enumerate_hypotheses(GRAMMAR, MAX_SIZE)
     lists, humans = [], []
     for i, (source, seed) in enumerate(zip(RULES, seeds)):
         exemplar_list = generate_list(parse_concept(source, V), V, seed=seed, rule_id=f"r{i}")
-        predictions = predictive_trajectory(build_eval_matrix(hypotheses, exemplar_list), noise)
+        matrix = build_eval_matrix(hypotheses, exemplar_list)
         lists.append(exemplar_list)
-        humans.append(predictions.tolist())
+        humans.append(list(run_enumerative(exemplar_list, hypotheses, matrix, noise).p_true))
     return lists, humans
 
 
@@ -126,7 +129,7 @@ EXACTLY_ONE_BLUE = parse_concept("(exactly-one all (is-color blue 0))", V)
 
 
 def reference_trajectory(matrix, noise):
-    """predictive_trajectory as a loop over sets: each set's objects are
+    """The group table's predictions as a loop over sets: each set's objects are
     predicted from the posterior over the hypotheses before that set."""
     predictions = np.empty(matrix.offsets[-1])
     offsets = matrix.offsets
@@ -223,7 +226,7 @@ def test_collapsed_trajectory_matches_full(size3_hypotheses, alpha, beta):
     exemplar_list = generate_list(SAME_COLOR_AS_ANOTHER, V, seed=4, rule_id="same-color")
     matrix = build_eval_matrix(size3_hypotheses, exemplar_list)
     expected = reference_trajectory(matrix, noise)
-    assert np.max(np.abs(predictive_trajectory(matrix, noise) - expected)) <= 1e-12
+    assert np.max(np.abs(_GroupTable.build([matrix]).predict(noise) - expected)) <= 1e-12
 
 
 def test_collapsed_and_full_degenerate_in_the_same_set(size3_hypotheses):
@@ -243,7 +246,7 @@ def test_collapsed_and_full_degenerate_in_the_same_set(size3_hypotheses):
     assert boundaries_reached(collapsed(full)) == reached
     for matrix in (full, collapsed(full)):
         with pytest.raises(DegeneratePosteriorError):
-            predictive_trajectory(matrix, noise)
+            _GroupTable.build([matrix]).predict(noise)
 
 
 def test_grid_matrices_hold_no_hypothesis_arrays(size3_hypotheses, monkeypatch):
@@ -309,3 +312,30 @@ def test_fit_matches_full_matrix_grid_loop():
     for r2, expected_r2 in zip(scores, expected_scores):
         if r2 is not None:
             assert abs(r2 - expected_r2) <= 1e-12
+
+
+def test_the_fits_r2_is_r_squared_bit_for_bit():
+    """On the 12 dry-run rules at max_size 3 and the 441-point grid, with a
+    tenth of the objects unanswered, every defined grid r2 has the bits of
+    ``r_squared`` on the same predictions and proportions as lists, and so
+    has the fit's winner.  No alpha = 0 point is defined."""
+    lists = dry_run_lists()
+    rng = np.random.default_rng(7)
+    humans = [[None if rng.random() < 0.1 else int(rng.integers(0, 31)) / 30
+               for _object in range(exemplar_list.n_objects)] for exemplar_list in lists]
+    pooled = [p for proportions in humans for p in proportions]
+    keep = np.array([p is not None for p in pooled])
+    human = np.array([p for p in pooled if p is not None])
+    grid = noise_grid(0.05)
+    hypotheses = enumerate_hypotheses(GRAMMAR, 3)
+    table = _GroupTable.build(build_eval_matrices(hypotheses, lists))
+    defined = {}
+    for alpha, beta, r2 in _grid_r2(table, keep, human, grid):
+        if r2 is not None:
+            model = table.predict(NoiseParams(alpha, beta))[keep]
+            assert r2 == r_squared(model.tolist(), human.tolist()), (alpha, beta)
+            defined[alpha, beta] = r2
+    assert len(defined) > 350 and min(alpha for alpha, _beta in defined) > 0.0
+    fitted = fit_noise(lists, humans, grid, enumerate_hypotheses(GRAMMAR, 3))
+    assert fitted.undefined_points == len(grid) - len(defined)
+    assert fitted.r2 == defined[fitted.noise.alpha, fitted.noise.beta] == max(defined.values())

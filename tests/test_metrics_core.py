@@ -34,6 +34,7 @@ from rulelab.metrics import (
     r_squared,
     save_series,
 )
+from rulelab.metrics.core import correlation
 
 
 def vectors_of(pairs) -> tuple[list, list]:
@@ -133,6 +134,24 @@ def test_zero_variance_errors():
         r_squared([0.5, 0.5, 0.5], [0.1, 0.2, 0.3])
     with pytest.raises(ZeroVarianceError):
         r_squared([0.1, 0.2, 0.3], [0.5, 0.5, 0.5])
+
+
+def test_a_tiny_spread_still_correlates():
+    """Each vector is scaled to unit range before it is centred: unscaled,
+    the squares of a 1e-300 spread underflow to a zero variance."""
+    assert r_squared([0, 1e-300, 2e-300], [0.1, 0.2, 0.3]) == pytest.approx(1.0)
+    assert pearson_r([0, 1e-300, 2e-300], [0.3, 0.2, 0.1]) == pytest.approx(-1.0)
+
+
+def test_correlation_of_arrays_is_none_for_a_constant_and_stays_in_range():
+    assert correlation(np.array([0.5, 0.5, 0.5]), np.array([0.1, 0.2, 0.3])) is None
+    assert correlation(np.array([0.1, 0.2, 0.3]), np.array([0.5, 0.5, 0.5])) is None
+    assert correlation(np.array([0.1, 0.2]), np.array([0.3, 0.7])) == 1.0
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        xs = rng.random(int(rng.integers(2, 30)))
+        for ys in (3.0 * xs + 0.25, 0.5 - 7.0 * xs, rng.random(len(xs))):
+            assert -1.0 <= correlation(xs, ys) <= 1.0
 
 
 @settings(max_examples=200, deadline=None)

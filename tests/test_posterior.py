@@ -29,9 +29,9 @@ from rulelab.learner import (
     evidence_from_list,
     map_rule,
     posterior_by_set,
-    predictive_trajectory,
     run_enumerative,
 )
+from rulelab.learner.fit import _GroupTable
 
 BLUE = parse_concept("(is-color blue)", V)
 CIRCLE = parse_concept("(is-shape circle)", V)
@@ -226,7 +226,7 @@ def test_posterior_kernel_matches_reference_on_fol_list(alpha, beta):
     exemplar_list = generate_list(EXACTLY_ONE_BLUE, V, seed=5, rule_id="exactly-one-blue")
     hypotheses = enumerate_hypotheses(grammar, 2)
     matrix = build_eval_matrix(hypotheses, exemplar_list)
-    trajectory = predictive_trajectory(matrix, noise)
+    trajectory = _GroupTable.build([matrix]).predict(noise)
     run = run_enumerative(exemplar_list, hypotheses, matrix, noise)
     assert len(run.set_maps) == len(exemplar_list.sets)
     assert len(run.p_true) == len(trajectory) == exemplar_list.n_objects
@@ -247,7 +247,7 @@ def test_posterior_kernel_matches_reference_on_fol_list(alpha, beta):
 
 
 @pytest.mark.parametrize("alpha, beta", [(0.95, 0.5), (0.75, 0.9)])
-def test_run_and_predictive_trajectory_agree_on_the_dry_run_lists(alpha, beta):
+def test_run_and_the_noise_fit_table_agree_on_the_dry_run_lists(alpha, beta):
     """The learner's P(True) vector and the noise fit's are one per object of
     the list, in its layout order, and agree there within 1e-12, on each of
     the 12 dry-run lists at max_size 3."""
@@ -256,7 +256,7 @@ def test_run_and_predictive_trajectory_agree_on_the_dry_run_lists(alpha, beta):
     lists = dry_run_lists()
     for exemplar_list, matrix in zip(lists, build_eval_matrices(hypotheses, lists)):
         run = run_enumerative(exemplar_list, hypotheses, matrix, noise)
-        trajectory = predictive_trajectory(matrix, noise).tolist()
+        trajectory = _GroupTable.build([matrix]).predict(noise).tolist()
         assert len(run.p_true) == len(trajectory) == exemplar_list.n_objects
         assert max(abs(a - b) for a, b in zip(run.p_true, trajectory)) <= 1e-12
 
@@ -336,7 +336,7 @@ def test_posterior_kernel_and_reference_both_degenerate_at_alpha_one(tmp_path):
     hypotheses = enumerate_hypotheses(grammar, 2)
     matrix = build_eval_matrix(hypotheses, exemplar_list)
     with pytest.raises(DegeneratePosteriorError):
-        predictive_trajectory(matrix, noise)
+        _GroupTable.build([matrix]).predict(noise)
     trace = tmp_path / "exactly-one-blue.posterior.csv"
     with pytest.raises(DegeneratePosteriorError, match="exactly-one-blue"):
         run_enumerative(exemplar_list, hypotheses, matrix, noise, trace_path=trace)

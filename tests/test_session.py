@@ -387,6 +387,64 @@ def test_rate_limiter_spacing():
     assert naps == [0.5, 1.0]  # spaced to 2 requests per second
 
 
+def test_a_rate_limited_session_waits_before_each_request_it_sends(tmp_path, monkeypatch):
+    """The limiter the endpoint's rate builds spaces the requests of a
+    3-set session 1/rate apart on the session's clock, a retry included; a
+    replay from the cache sends nothing and waits for nothing."""
+    import functools
+
+    from rulelab.harness import session
+
+    now = {"t": 0.0}
+    naps = []
+
+    def sleep(seconds):
+        naps.append(seconds)
+        now["t"] += seconds
+
+    monkeypatch.setattr(session, "RateLimiter", functools.partial(RateLimiter, clock=lambda: now["t"]))
+    sent, inner = [], ChatOracle()
+
+    def busy_once(url, payload, headers, timeout):
+        sent.append(now["t"])
+        if len(sent) == 2:  # the second set's first attempt
+            raise TransportError("busy", status=429)
+        return inner(url, payload, headers, timeout)
+
+    config = endpoint(rate_limit_per_s=4.0, retry_backoff=0.0)
+    cache_dir = tmp_path / "cache"
+    first = run_session(fixture_list(n_sets=3), config, "chat", transport=busy_once,
+                        cache_dir=cache_dir, sleep=sleep)
+    assert len(first.sets) == 3 and len(inner.calls) == 3
+    assert sent == [0.0, 0.25, 0.5, 0.75]
+    assert naps == [0.25, 0.0, 0.25, 0.25]  # the retry's backoff of 0, then its wait
+    naps.clear()
+    replay = ChatOracle()
+    again = run_session(fixture_list(n_sets=3), config, "chat", transport=replay,
+                        cache_dir=cache_dir, sleep=sleep)
+    assert replay.calls == [] and naps == [] and now["t"] == 0.75
+    assert again.to_document() == first.to_document()
+
+
+@pytest.mark.parametrize("complete", [True, False])
+def test_resume_refuses_a_transcript_whose_sets_are_out_of_order(tmp_path, complete):
+    """Two swapped entries of a saved 3-set transcript are caught on
+    resume, before any request, and the file is left as it was."""
+    path = tmp_path / "t.json"
+    run_session(fixture_list(n_sets=3), endpoint(), "chat", transport=ChatOracle(),
+                transcript_path=path)
+    document = json.loads(path.read_text())
+    document["sets"][0], document["sets"][1] = document["sets"][1], document["sets"][0]
+    path.write_text(json.dumps(document))
+    saved = path.read_bytes()
+    oracle = ChatOracle()
+    with pytest.raises(TranscriptMismatchError, match="^transcript set 0 has set_index 1$"):
+        run_session(fixture_list(n_sets=3 if complete else 4), endpoint(), "chat",
+                    transport=oracle, transcript_path=path)
+    assert oracle.calls == []
+    assert path.read_bytes() == saved
+
+
 def _document_bytes(transcript: SessionTranscript) -> str:
     """The bytes a saved ``transcript`` holds: its head indented by two,
     then each set as one compact line, which parse back to its document."""

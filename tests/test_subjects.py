@@ -7,7 +7,7 @@ import math
 import random
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import metrics_reference
@@ -65,6 +65,14 @@ def test_min_sets_exclusion():
     kept, report = filter_subjects([short] + keepers, gold)
     assert [record.subject_id for record in kept] == ["s0", "s1", "s2"]
     assert [(e.subject_id, e.reason) for e in report.exclusions] == [("s-short", "min-sets")]
+
+
+def test_a_record_of_another_rule_is_refused():
+    gold = ten_object_gold()
+    records = [subject_with_accuracy(f"s{i}", gold, 0) for i in range(3)]
+    stray = SubjectRecord("s-red", "red", {(0, 0): True}, sets_completed=5)
+    with pytest.raises(ValueError, match="^subject s-red is for rule 'red', not 'blue'$"):
+        filter_subjects(records + [stray], gold)
 
 
 def test_min_sets_counts_only_the_lists_sets(tmp_path):
@@ -350,6 +358,10 @@ def _outcome(reader, path):
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(subject_files())
+# A header that lacks only "response": a row whose other columns parse is
+# refused where its response is read.
+@example((False, [["notes", "object_index", "set_index", "rule_id", "subject_id"],
+                  ["x", "1", "0", "blue", "s1"]]))
 def test_the_subject_reader_is_the_dict_reader_oracles(tmp_path, file):
     """Equal records, or the same error with the same message, which the
     commands report as a data error (exit 3)."""
