@@ -57,11 +57,14 @@ lists = {
                                 seed=5, rule_id="not-circle"),
     "blue": generate_list(gold_rule, vocab, seed=6, rule_id="blue"),
 }
+# Each rule's session reports one rule; grade_session scores the last one
+# over the whole list, and match_rate adds the equivalence verdict.
 finals = {
-    "not-circle": parse_concept("(or (is-shape triangle) (is-shape rectangle))", vocab),
-    "blue": parse_concept("(is-color green)", vocab),
+    "not-circle": "(or (is-shape triangle) (is-shape rectangle))",
+    "blue": "(is-color green)",
 }
-report = match_rate(finals, lists, vocab)
+grades = {rule_id: grade_session(lists[rule_id], [finals[rule_id]], vocab) for rule_id in lists}
+report = match_rate(grades, lists, vocab)
 for verdict in report.verdicts:
     print(f"rule {verdict.rule_id!r}: likelihood {verdict.likelihood}, "
           f"match={verdict.matches}, equivalent={verdict.equivalent}")

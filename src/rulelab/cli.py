@@ -85,8 +85,8 @@ _COMMANDS = {
     "report": {
         ".exemplars": ("filter_subjects", "load_list", "read_subject_csv"),
         ".metrics": (
-            "cohort_report", "hash_inputs", "load_series", "set_trajectory", "subsample_baseline",
-            "summarize_series", "summarize_subjects", "window_scores",
+            "AccuracySummary", "cohort_report", "hash_inputs", "load_series", "set_trajectory",
+            "subsample_baseline", "summarize_subjects", "window_scores",
             "write_delta_csv", "write_summary_csv", "write_trajectory_csv",
         ),
     },
@@ -509,7 +509,7 @@ def cmd_grade(config: ExperimentConfig, elicited_path: Path, series_dir: Path | 
         grades[rule_id] = grade_session(lists[rule_id], sources, config.feature_vocab, labels or ())
 
     report = match_rate(
-        {rule_id: grade.final for rule_id, grade in grades.items()},
+        grades,
         {rule_id: lists[rule_id] for rule_id in grades},
         config.feature_vocab,
         max_set_size=config.grade_max_set_size,
@@ -622,10 +622,14 @@ def cmd_report(config: ExperimentConfig, series_dirs: dict[str, Path]) -> int:
         }
     gold = {rule_id: exemplar_list.gold for rule_id, exemplar_list in lists.items()}
     human_scores = {r: window_scores(answers, gold[r]) for r, answers in human_answers.items()}
+    # Each model cohort's vectors are scored once, for its summary row and its deltas.
+    cohort_scores = {cohort: {r: window_scores([labels], gold[r]) for r, labels in m.items()}
+                     for cohort, m in sorted(cohort_labels.items())}
 
-    summaries = []
-    for cohort, by_rule in sorted(cohort_labels.items()):
-        summaries.append(summarize_series(cohort, by_rule, gold, kinds))
+    summaries = [  # a model cohort's row has no SDs: one vector per rule
+        AccuracySummary(cohort, summarize_subjects(cohort, scores, kinds).cells, sds={})
+        for cohort, scores in cohort_scores.items()
+    ]
     if config.human_data is not None:
         summaries.append(summarize_subjects("human", human_scores, kinds))
     write_summary_csv(reports_dir / "summary.csv", summaries, inputs)
@@ -642,11 +646,11 @@ def cmd_report(config: ExperimentConfig, series_dirs: dict[str, Path]) -> int:
     write_trajectory_csv(reports_dir / "trajectories.csv", trajectories, inputs)
 
     last_quarter = {r: s["last_quarter"] for r, s in human_scores.items() if s["last_quarter"]}
-    for cohort, by_rule in sorted(cohort_labels.items()):
+    for cohort, scores in cohort_scores.items():
         model_scores = {  # a rule whose last quarter has no label drops out
             rule_id: score
-            for rule_id in last_quarter if rule_id in by_rule
-            for score in window_scores([by_rule[rule_id]], gold[rule_id])["last_quarter"]
+            for rule_id in last_quarter if rule_id in scores
+            for score in scores[rule_id]["last_quarter"]
         }
         shared = {r: last_quarter[r] for r in model_scores}
         if not shared:

@@ -36,7 +36,7 @@ from array import array
 from dataclasses import dataclass
 from functools import cached_property, partial
 from operator import itemgetter
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -49,6 +49,7 @@ from .core import (
     DslError,
     FeatureIs,
     FeatureVocab,
+    Hole,
     Iff,
     Implies,
     MajorityColor,
@@ -193,10 +194,11 @@ class _Plan:
 
     :meth:`node` is the one way a node is added, and it numbers each
     ``(op, *operands)`` once per depth, so a subterm has one number at a
-    depth however it was reached.  :meth:`number` walks a concept through
-    it; :func:`rulelab.learner.enumerate_hypotheses` adds each concept it
-    derives from its children's numbers, without building it, and builds
-    and prints the concepts afterwards with :meth:`fold`."""
+    depth however it was reached.  :meth:`number` walks a concept, or a
+    grammar template whose holes stand for numbers already in the plan,
+    through it; :func:`rulelab.learner.enumerate_hypotheses` adds each
+    concept it derives from its children's numbers, without building it,
+    and builds and prints the concepts afterwards with :meth:`fold`."""
 
     def __init__(self):
         self.index: list[dict[tuple, int]] = [{}]  # per depth: (op, *operands) -> its number
@@ -244,15 +246,23 @@ class _Plan:
         heights.append(height)
         return number
 
-    def number(self, concept: Concept, depth: int) -> int:
+    def number(self, concept: Concept, depth: int, fills: Iterator[int] = iter(())) -> int:
         """``concept``'s number at ``depth``, numbering it and its subterms
-        if it is new."""
+        if it is new.  ``concept`` may be a grammar template: each of its
+        holes, left to right, is the next number ``fills`` yields, a number
+        at the hole's depth; a hole met once ``fills`` is spent raises
+        :class:`DslError`."""
         children, binds, refs, _reads_set = parts(concept)
         if not children:
+            if isinstance(concept, Hole):
+                number = next(fills, None)
+                if number is None:
+                    raise DslError(f"the hole {concept.nonterminal!r} has no fill")
+                return number
             if refs and max(refs) > depth:
                 raise UnboundVariableError(f"variable {max(refs)} unbound under {depth} binder(s)")
             return self.node(concept, depth)
-        operands = [self.number(child, depth + binds) for child in children]
+        operands = [self.number(child, depth + binds, fills) for child in children]
         return self.node(_op(concept), depth, operands)
 
     def fold(self, leaf: Callable[[Concept], Any], kind: Callable[[Any, int], Callable]) -> list:

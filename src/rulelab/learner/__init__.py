@@ -16,5 +16,5 @@ __getattr__, __dir__, __all__ = lazy_exports(globals(), {
         "map_rule", "posterior_by_set", "run_enumerative",
     ),
     ".mcmc": ("mh_sample", "run_mh"),
-    "..exemplars": ("evidence_from_list",),  # grading uses it without the learner
+    "..exemplars": ("evidence_from_list",),  # mh_sample's evidence, a slice of a list's layout
 })

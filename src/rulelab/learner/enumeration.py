@@ -8,7 +8,10 @@ A concept is held as its number in the evaluation plan
 (:class:`rulelab.dsl.batch._Plan`), which numbers each distinct subterm
 once per depth (hash-consing; Filliâtre & Conchon 2006), so a new
 concept is added from its children's numbers by its production's plan
-adder (:func:`_adder`), and a concept derived again finds its number.
+adder (:func:`_adder`), and a concept derived again finds its number.  A
+production of one node over its holes adds that node; any other template
+is walked by :meth:`~rulelab.dsl.batch._Plan.number`, the walk that
+numbers every concept, with its holes' numbers as fills.
 No concept is built or printed while the cells fill: after the last size,
 :func:`sort_keys` and :func:`concepts` fold the plan into each
 hypothesis's sort key and concept.  The enumeration's own loop, over
@@ -19,12 +22,11 @@ from __future__ import annotations
 
 import math
 from functools import partial
-from itertools import count, product
-from typing import Iterator
+from itertools import product
 
 import numpy as np
 
-from ..dsl import Concept, FeatureVocab, parts
+from ..dsl import Concept, FeatureVocab
 from ..dsl.batch import _maker, _op, _Plan
 from ..dsl.core import Hole
 from ..dsl.sexpr import print_concept
@@ -130,34 +132,13 @@ class Cells:
 def _adder(production: Production, plan: _Plan):
     """``node(depth, operands)``: the plan number at ``depth`` of the
     concept ``production`` derives from the fills numbered ``operands``,
-    added to ``plan`` with its new subterms."""
+    added to ``plan`` with its new subterms.  A template of one node over
+    its holes adds that node; any other is walked by :meth:`_Plan.number`,
+    its holes filled left to right."""
     template = production.template
     if production.skeleton_size == 1 and production.holes:  # one node over its holes
         return partial(plan.node, _op(template))
-    return _compile_node(template, count(), plan)
-
-
-def _compile_node(node: Concept, holes: Iterator[int], plan: _Plan):
-    """``node(depth, operands)`` of the template ``node``, as in
-    :func:`_adder`, its holes numbered in order from ``holes``."""
-    if isinstance(node, Hole):
-        i = next(holes)
-        return lambda depth, operands: operands[i]
-    if not _has_hole(node):
-        return lambda depth, operands: plan.number(node, depth)
-    children, binds, _refs, _reads_set = parts(node)
-    op = _op(node)
-    inner = [_compile_node(child, holes, plan) for child in children]
-
-    def add(depth, operands):
-        return plan.node(op, depth, [child_add(depth + binds, operands) for child_add in inner])
-
-    return add
-
-
-def _has_hole(node: Concept) -> bool:
-    """Whether the template ``node`` holds a hole."""
-    return isinstance(node, Hole) or any(map(_has_hole, parts(node)[0]))
+    return lambda depth, operands: plan.number(template, depth, iter(operands))
 
 
 def _size_splits(total: int, minimums: list[int]):

@@ -27,6 +27,7 @@ from ..dsl import Concept, ContextBatch, evaluate_batch
 from ..exemplars import ExemplarList, Observation
 from .grammar import Derivation, Grammar, sample_derivation
 from .inference import (
+    DegeneratePosteriorError,
     HypothesisEntry,
     LearnerRun,
     NoiseParams,
@@ -103,6 +104,10 @@ def mh_sample(
     derivation at a time, while its prior sums over all of them (see
     :func:`enumerate_hypotheses`).  A ``max_size`` below the grammar's
     smallest concept raises :class:`GrammarError`: no state would fit it.
+    The start state is drawn from the prior until it explains the
+    evidence; when ``iterations + 1`` draws do not, as under a zero noise
+    factor with no hypothesis consistent with the labels, the chain raises
+    :class:`DegeneratePosteriorError`.
     """
     batch = ContextBatch.from_contexts([ctx for ctx, _label in evidence], grammar.vocab)
     gold = np.array([label for _ctx, label in evidence], dtype=bool)
@@ -136,11 +141,15 @@ def _chain(
         concept = derivation.concept()
         return concept, rows[concept][1][boundary]
 
-    current = fresh_state()
-    current_concept, current_ll = scored(current)
-    while current_ll == float("-inf"):
+    # The chain starts at a state that explains the evidence, redrawn at
+    # most ``iterations`` times: with a zero noise factor there may be none.
+    for _draw in range(iterations + 1):
         current = fresh_state()
         current_concept, current_ll = scored(current)
+        if current_ll > -math.inf:
+            break
+    else:
+        raise DegeneratePosteriorError(f"{iterations + 1} states drawn, none explains the evidence")
     current_apps = current.n_applications()
 
     counts: Counter[Concept] = Counter()
@@ -192,7 +201,8 @@ def run_mh(
     seeded with ``seed + s``, so runs are deterministic end to end.  Every
     chain reads one set of truth rows over the whole list's layout (its
     ``contexts``, ``gold`` and ``offsets``), so each concept any chain
-    meets is evaluated once per run.
+    meets is evaluated once per run.  A chain that finds no start state
+    raises :class:`DegeneratePosteriorError` naming the rule.
     """
     offsets = exemplar_list.offsets
     batch = ContextBatch.from_contexts(exemplar_list.contexts, exemplar_list.vocab)
@@ -200,13 +210,16 @@ def run_mh(
     n_sets = len(exemplar_list.sets)
     set_maps = []
     p_true = np.empty(exemplar_list.n_objects)
-    for set_index in range(n_sets):
-        state = _chain(grammar, rows, set_index, iterations, seed + set_index, max_size)
-        start, end = offsets[set_index], offsets[set_index + 1]
-        mass = np.exp(np.array([entry.log_weight for entry in state.entries]))
-        truth = np.array([rows[entry.concept][0][start:end] for entry in state.entries])
-        p_true[start:end] = _set_prediction(mass, truth, noise)
-        set_maps.append(map_rule(state))
-    final_state = _chain(grammar, rows, n_sets, iterations, seed + n_sets, max_size)
+    try:
+        for set_index in range(n_sets):
+            state = _chain(grammar, rows, set_index, iterations, seed + set_index, max_size)
+            start, end = offsets[set_index], offsets[set_index + 1]
+            mass = np.exp(np.array([entry.log_weight for entry in state.entries]))
+            truth = np.array([rows[entry.concept][0][start:end] for entry in state.entries])
+            p_true[start:end] = _set_prediction(mass, truth, noise)
+            set_maps.append(map_rule(state))
+        final_state = _chain(grammar, rows, n_sets, iterations, seed + n_sets, max_size)
+    except DegeneratePosteriorError as error:
+        raise DegeneratePosteriorError(f"rule {exemplar_list.rule_id!r}: {error}") from None
     return LearnerRun(exemplar_list.rule_id, tuple(set_maps), tuple(p_true.tolist()),
                       map_rule(final_state))

@@ -125,9 +125,3 @@ def cross_entropy(p_true: float, q_true: float) -> float:
             return float("inf")
         total -= p * math.log(q)
     return total
-
-
-def cross_entropy_series(pairs: Sequence[tuple[float, float]]) -> float:
-    """Sum of per-object cross-entropies over (target, model) True-probability
-    pairs."""
-    return sum(cross_entropy(p, q) for p, q in pairs)

@@ -3,7 +3,8 @@
 *Likelihood* of a rule is the fraction of already-seen gold labels it
 accounts for.  *Consistency* is the fraction of a session's emitted labels
 that agree with the rule reported alongside them.  Both read one truth
-vector per reported rule, in the list's layout order.  *Match rate* is the
+vector per reported rule, in the list's layout order, and so does the
+last reported rule's likelihood over the whole list.  *Match rate* is the
 fraction of rules whose final reported rule reaches likelihood exactly 1.0
 over the full list; the stricter bounded-universe equivalence rate is
 reported next to it.
@@ -17,16 +18,7 @@ from itertools import accumulate
 from typing import Mapping, Sequence
 
 from ..dsl import Concept, DslError, FeatureVocab, equivalent, evaluate, parse_concept
-from ..exemplars import ExemplarList, Observation, evidence_from_list
-
-
-def rule_likelihood_counts(concept: Concept, evidence: Sequence[Observation]) -> tuple[int, int]:
-    """(correct, total) over the evidence; exact integers so that a
-    likelihood of exactly 1.0 is decidable without float comparison."""
-    if not evidence:
-        raise ValueError("evidence must be non-empty")
-    correct = sum(evaluate(concept, ctx) == label for ctx, label in evidence)
-    return correct, len(evidence)
+from ..exemplars import ExemplarList
 
 
 @dataclass(frozen=True)
@@ -36,12 +28,16 @@ class RuleGrade:
     ``likelihoods[k]`` scores set k's rule against the gold labels of the
     sets before it; it is None for set 0 and for a missing or unparsed
     rule.  ``consistency`` is None when no label falls under a rule.
+    ``final_likelihood`` scores ``final`` against every gold label of the
+    list, exactly, so that a likelihood of 1 is decided without float
+    comparison; it is None when ``final`` is.
     """
 
     sources: tuple[str | None, ...]  # the reported rule per set, as elicited
     likelihoods: tuple[float | None, ...]
     consistency: float | None
     final: Concept | None  # the last reported rule, if it parsed
+    final_likelihood: Fraction | None
     unparseable: tuple[tuple[int, str, str], ...]  # (set_index, source, error)
 
     @property
@@ -62,9 +58,10 @@ def grade_session(
     first ``offsets[k]``.  ``labels``, if given, holds the label emitted for
     each object, None where it was excluded, in the list's layout order
     over its first whole sets; each label of set k is scored for
-    consistency against set k's rule.  Each distinct rule is evaluated once
-    per object, up to the last object it is scored on, and both scores are
-    read from that one truth vector.
+    consistency against set k's rule; the last reported rule is scored
+    over the whole list.  Each distinct rule is evaluated once per object,
+    up to the last object it is scored on, and every score is read from
+    that one truth vector.
     """
     offsets = exemplar_list.offsets
     if len(labels) not in offsets:
@@ -92,10 +89,14 @@ def grade_session(
     concepts_by_set = concepts[:n_sets] + [None] * (n_sets - len(concepts))
     # Set k's rule is scored on the objects before set k and on set k's
     # labels; offsets grow with k, so each rule's last set reaches furthest.
+    # The last reported rule reaches every object.
+    final = concepts[-1] if concepts else None
     reach = {
         concept: max(offsets[k], min(offsets[k + 1], len(labels)))
         for k, concept in enumerate(concepts_by_set) if concept is not None
     }
+    if final is not None:
+        reach[final] = offsets[-1]
     truth = {
         concept: [evaluate(concept, ctx) for ctx in exemplar_list.contexts[:n]]
         for concept, n in reach.items()
@@ -118,7 +119,10 @@ def grade_session(
         sources=tuple(sources[:n_sets]) + (None,) * (n_sets - len(sources)),
         likelihoods=tuple(likelihoods),
         consistency=sum(agreed) / len(agreed) if agreed else None,
-        final=concepts[-1] if concepts else None,
+        final=final,
+        final_likelihood=(
+            None if final is None else Fraction(correct_before[final][-1], offsets[-1])
+        ),
         unparseable=tuple(unparseable),
     )
 
@@ -145,33 +149,25 @@ class MatchReport:
 
 
 def match_rate(
-    final_concepts: Mapping[str, Concept | None],
+    grades: Mapping[str, RuleGrade],
     lists: Mapping[str, ExemplarList],
     vocab: FeatureVocab,
     max_set_size: int = 5,
 ) -> MatchReport:
-    """Grade one final concept per rule against its full exemplar list.
+    """Each rule's final reported rule, as :func:`grade_session` graded it,
+    against its full exemplar list: the grade's ``final_likelihood``, and
+    whether the rule is equivalent to the list's gold concept.
 
-    A missing or unparsed final concept (None) counts as a non-match.
+    A missing or unparsed final rule (None) counts as a non-match.
     """
-    if set(final_concepts) != set(lists):
-        raise ValueError("need exactly one final concept per rule")
+    if set(grades) != set(lists):
+        raise ValueError("need exactly one grade per rule")
     verdicts = []
     for rule_id in sorted(lists):
-        exemplar_list = lists[rule_id]
-        concept = final_concepts[rule_id]
-        if concept is None:
-            verdicts.append(RuleVerdict(rule_id, None, False, False))
-            continue
-        correct, total = rule_likelihood_counts(concept, evidence_from_list(exemplar_list))
-        verdicts.append(
-            RuleVerdict(
-                rule_id=rule_id,
-                likelihood=Fraction(correct, total),
-                matches=correct == total,
-                equivalent=equivalent(
-                    concept, exemplar_list.concept, vocab, max_set_size=max_set_size
-                ),
-            )
-        )
+        final, likelihood = grades[rule_id].final, grades[rule_id].final_likelihood
+        verdicts.append(RuleVerdict(
+            rule_id, likelihood, matches=likelihood == 1,
+            equivalent=final is not None
+            and equivalent(final, lists[rule_id].concept, vocab, max_set_size=max_set_size),
+        ))
     return MatchReport(verdicts=tuple(verdicts))

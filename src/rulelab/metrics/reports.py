@@ -53,20 +53,6 @@ class AccuracySummary:
     sds: dict[tuple[str, str], float]
 
 
-def summarize_series(
-    cohort: str,
-    labels_by_rule: Mapping[str, Sequence[bool | None]],
-    gold: Mapping[str, Sequence[bool]],
-    kinds: Mapping[str, str],
-) -> AccuracySummary:
-    """Mean per-rule accuracy for each (rule class, window) cell, from one
-    label vector per rule scored against that rule's gold labels."""
-    one_each = {
-        rule_id: window_scores([labels], gold[rule_id]) for rule_id, labels in labels_by_rule.items()
-    }
-    return AccuracySummary(cohort, summarize_subjects(cohort, one_each, kinds).cells, sds={})
-
-
 def window_scores(
     vectors: Sequence[Sequence[bool | None]], gold: Sequence[bool]
 ) -> dict[str, list[float]]:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -165,7 +166,8 @@ def consistency(session: Sequence[SetReport]) -> float:
 def per_set_grade(exemplar_list: ExemplarList, sources, vocab, series=None) -> RuleGrade:
     """:func:`rulelab.metrics.grade_session` set by set: every set re-scores
     its rule on the whole evidence grown so far, and its labels are looked
-    up by (set, object) and scored by :func:`consistency`."""
+    up by (set, object) and scored by :func:`consistency`; the last
+    reported rule is evaluated again over the whole list."""
     concepts, unparseable = [], []
     for set_index, source in enumerate(sources):
         try:
@@ -192,10 +194,14 @@ def per_set_grade(exemplar_list: ExemplarList, sources, vocab, series=None) -> R
             (exemplar_set.context_for(i), label) for i, label in enumerate(exemplar_set.labels)
         ]
     labeled = any(label is not None for report in session for _ctx, label in report.labels)
+    final = concepts[-1] if concepts else None
     return RuleGrade(
         sources=tuple(sources[:n_sets]) + (None,) * (n_sets - len(sources)),
         likelihoods=tuple(likelihoods),
         consistency=consistency(session) if labeled else None,
-        final=concepts[-1] if concepts else None,
+        final=final,
+        final_likelihood=None if final is None else Fraction(
+            sum(evaluate(final, ctx) == label for ctx, label in evidence), len(evidence)
+        ),
         unparseable=tuple(unparseable),
     )

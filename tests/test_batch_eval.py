@@ -29,7 +29,9 @@ from rulelab.dsl import (
     parse_concept,
 )
 from rulelab.dsl import equivalence
-from rulelab.dsl.batch import feature_dtype
+from rulelab.dsl.batch import _Plan, feature_dtype
+from rulelab.dsl.core import Hole
+from rulelab.dsl.sexpr import parse_template
 from rulelab.exemplars import generate_list
 from rulelab.learner import (
     build_eval_matrices,
@@ -95,6 +97,25 @@ def test_unbound_variable_raises():
     batch = ContextBatch.from_contexts([random_context(random.Random(0))], V)
     with pytest.raises(UnboundVariableError):
         evaluate_batch([Quant("exists", "all", MajorityColor(2))], batch)
+
+
+def test_a_templates_holes_are_its_fills_left_to_right():
+    """A template numbered with its holes' fills is the concept it derives,
+    with no new node; a hole with no fill left raises DslError, and so does
+    a bare hole, which no kernel can evaluate."""
+    plan = _Plan()
+    concept = parse_concept("(and (is-color blue) (exists others (is-shape circle 0)))", V)
+    expected = plan.number(concept, 0)
+    nodes = len(plan.heights[0]), len(plan.heights[1])
+    blue, circle = plan.number(FeatureIs("color", 0), 0), plan.number(FeatureIs("shape", 0), 1)
+    template = parse_template("(and S (exists others Q))", V)
+    assert plan.number(template, 0, iter([blue, circle])) == expected
+    assert (len(plan.heights[0]), len(plan.heights[1])) == nodes
+    with pytest.raises(DslError, match="'Q' has no fill"):
+        plan.number(template, 0, iter([blue]))
+    batch = ContextBatch.from_contexts([random_context(random.Random(0))], V)
+    with pytest.raises(DslError):
+        evaluate_batch([Hole("S")], batch)
 
 
 def test_feature_dtype_follows_vocab_size():

@@ -270,6 +270,32 @@ def test_run_mh_engine(workspace):
     assert "posterior" not in elicited  # the diagnostics are exact inference's
 
 
+def test_an_mh_rule_no_hypothesis_explains_fails_alone(workspace):
+    """At alpha = 1 and max_size 2 no hypothesis explains ``unique-blue``'s
+    list: its chains find no start state, and the rule fails alone, as on
+    the exact engine.  In a child process, so that a chain that never ends
+    fails the test by its timeout."""
+    rules = [r for r in DEMO_RULES if r.rule_id in ("blue", "unique-blue")]
+    write_rules_manifest(rules, workspace / "rules.json")
+    assert run(workspace, "gen") == EXIT_OK
+    config = json.loads((workspace / "config.json").read_text())
+    config["learner"].update(engine="mh", alpha=1.0, max_size=2, mh_iterations=100)
+    (workspace / "config.json").write_text(json.dumps(config))
+    src = str(Path(rulelab.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "rulelab.cli", "run", "--engine", "plot",
+         "--config", str(workspace / "config.json")],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == EXIT_DATA, done.stderr
+    assert done.stderr.splitlines() == [
+        "run[plot]: rule 'unique-blue' failed: rule 'unique-blue': "
+        "101 states drawn, none explains the evidence",
+    ]
+    assert "completed 1 of 2 rules" in done.stdout
+    assert (workspace / "out" / "runs" / "plot" / "blue.series.json").exists()
+
+
 def _use_grammar(workspace, productions, **learner):
     """Point the config's learner at a grammar file of ``productions``."""
     (workspace / "grammar.json").write_text(json.dumps({"start": "S", "productions": [
@@ -1117,6 +1143,30 @@ def test_report_with_humans_adds_rows_and_deltas(workspace):
     assert len(deltas) == 2 + len(rule_ids)
     trajectories = (workspace / "out" / "reports" / "trajectories.csv").read_text()
     assert ",human," in trajectories and ",plot," in trajectories
+
+
+def test_report_scores_each_label_vector_once(workspace, monkeypatch):
+    """Each cohort's label vectors are scored once per window: a model
+    cohort's summary row and its deltas read one table of window scores."""
+    import rulelab.metrics.reports as reports
+
+    run(workspace, "gen")
+    run(workspace, "run", "--engine", "plot")
+    rule_ids = [r["id"] for r in json.loads((workspace / "rules.json").read_text())["rules"]]
+    _write_human_csv(workspace, rule_ids)
+    scored = []
+
+    def counted(labels, gold, window="overall", real=reports.accuracy):
+        scored.append((id(labels), window))
+        return real(labels, gold, window)
+
+    monkeypatch.setattr(reports, "accuracy", counted)
+    plot_dir = workspace / "out" / "runs" / "plot"
+    assert run(workspace, "report", "--series", f"plot={plot_dir}",
+               "--series", f"twin={plot_dir}") == EXIT_OK
+    # Two model cohorts of six vectors and the humans' vectors, two windows each.
+    assert len(scored) == len(set(scored)) > 2 * 2 * len(rule_ids)
+    assert (workspace / "out" / "reports" / "deltas_twin.csv").exists()
 
 
 @pytest.mark.parametrize("series, error", [

@@ -10,8 +10,7 @@ from rulelab.catalog import DEFAULT_VOCAB as V
 from rulelab.catalog import DEMO_RULES
 from rulelab.dsl import Not, equivalent, evaluate, parse_concept, print_concept
 from rulelab.exemplars import generate_list
-from rulelab.learner import evidence_from_list
-from rulelab.metrics import grade_session, match_rate, rule_likelihood_counts
+from rulelab.metrics import grade_session, match_rate
 
 GOLD = parse_concept("(implies (is-shape circle) (is-color blue))", V)
 GOLD_SOURCE = print_concept(GOLD, V)
@@ -21,24 +20,29 @@ def reported_each_set(exemplar_list, source: str) -> list[str]:
     return [source] * len(exemplar_list.sets)
 
 
+def final_grades(finals, lists):
+    """Each rule's grade with ``finals[rule_id]`` (a concept, or None) as
+    its one reported rule."""
+    return {
+        rule_id: grade_session(lists[rule_id], [None if c is None else print_concept(c, V)], V)
+        for rule_id, c in finals.items()
+    }
+
+
 def test_gold_concept_has_likelihood_one():
     exemplar_list = generate_list(GOLD, V, seed=3)
-    evidence = evidence_from_list(exemplar_list)
-    correct, total = rule_likelihood_counts(GOLD, evidence)
-    assert correct == total == exemplar_list.n_objects
     grade = grade_session(exemplar_list, reported_each_set(exemplar_list, GOLD_SOURCE), V)
+    assert grade.final_likelihood == Fraction(exemplar_list.n_objects, exemplar_list.n_objects)
     assert grade.likelihoods[0] is None  # no earlier evidence
     assert grade.likelihoods[1:] == (1.0,) * (len(exemplar_list.sets) - 1)
 
 
 def test_negated_concept_has_complementary_likelihood():
     exemplar_list = generate_list(GOLD, V, seed=3)
-    evidence = evidence_from_list(exemplar_list)
-    correct, total = rule_likelihood_counts(GOLD, evidence)
-    assert rule_likelihood_counts(Not(GOLD), evidence) == (total - correct, total)
     negated = print_concept(Not(GOLD), V)
     gold_grade = grade_session(exemplar_list, reported_each_set(exemplar_list, GOLD_SOURCE), V)
     negated_grade = grade_session(exemplar_list, reported_each_set(exemplar_list, negated), V)
+    assert negated_grade.final_likelihood == 1 - gold_grade.final_likelihood
     for likelihood, complement in zip(gold_grade.likelihoods[1:], negated_grade.likelihoods[1:]):
         assert complement == pytest.approx(1.0 - likelihood)
 
@@ -51,18 +55,12 @@ def test_equivalent_concepts_share_likelihood():
     assert equivalent(a, b, V)
     for seed in range(5):
         exemplar_list = generate_list(GOLD, V, seed=seed)
-        evidence = evidence_from_list(exemplar_list)
-        assert rule_likelihood_counts(a, evidence) == rule_likelihood_counts(b, evidence)
         grades = [
             grade_session(exemplar_list, reported_each_set(exemplar_list, print_concept(c, V)), V)
             for c in (a, b)
         ]
+        assert grades[0].final_likelihood == grades[1].final_likelihood
         assert grades[0].likelihoods == grades[1].likelihoods
-
-
-def test_empty_evidence_rejected():
-    with pytest.raises(ValueError):
-        rule_likelihood_counts(GOLD, [])
 
 
 def test_consistency_of_self_applied_rule():
@@ -123,7 +121,7 @@ def test_match_rate_strict_threshold():
         "gold": GOLD,  # exact match
         "other": parse_concept("(is-color green)", V),  # wrong rule
     }
-    report = match_rate(finals, lists, V)
+    report = match_rate(final_grades(finals, lists), lists, V)
     assert report.match_rate == 0.5
     by_rule = {v.rule_id: v for v in report.verdicts}
     assert by_rule["gold"].matches and by_rule["gold"].equivalent
@@ -136,13 +134,13 @@ def test_match_rate_accepts_equivalent_rewrites():
     gold = parse_concept("(not (is-shape circle))", V)
     lists = {"r": generate_list(gold, V, seed=4, rule_id="r")}
     finals = {"r": parse_concept("(or (is-shape triangle) (is-shape rectangle))", V)}
-    report = match_rate(finals, lists, V)
+    report = match_rate(final_grades(finals, lists), lists, V)
     assert report.match_rate == 1.0 and report.equivalence_rate == 1.0
 
 
 def test_match_rate_counts_missing_final_as_no_match():
     lists = {"r": generate_list(GOLD, V, seed=4, rule_id="r")}
-    report = match_rate({"r": None}, lists, V)
+    report = match_rate(final_grades({"r": None}, lists), lists, V)
     assert report.match_rate == 0.0 and report.verdicts[0].likelihood is None
 
 
@@ -151,10 +149,9 @@ def test_almost_perfect_likelihood_is_not_a_match():
     exemplar_list = generate_list(gold, V, seed=8, rule_id="r")
     # A rule disagreeing on exactly the small blue circles of the list.
     near = parse_concept("(and (is-color blue) (not (and (is-size small) (is-shape circle))))", V)
-    evidence = evidence_from_list(exemplar_list)
-    correct, total = rule_likelihood_counts(near, evidence)
-    assert correct < total  # the list does contain a small blue circle
-    report = match_rate({"r": near}, {"r": exemplar_list}, V)
+    grades = final_grades({"r": near}, {"r": exemplar_list})
+    assert grades["r"].final_likelihood < 1  # the list does contain a small blue circle
+    report = match_rate(grades, {"r": exemplar_list}, V)
     assert not report.verdicts[0].matches
 
 
@@ -285,3 +282,27 @@ def test_grade_session_parses_each_distinct_source_once(monkeypatch):
     assert sorted(parsed) == sorted({BLUE_SOURCE, bad, GOLD_SOURCE})
     assert [(s, src) for s, src, _error in grade.unparseable] == [(1, bad), (4, bad)]
     assert grade == per_set_grade(exemplar_list, sources, V)
+
+
+def test_grading_evaluates_each_reported_rule_once_per_object(monkeypatch):
+    """Across grade_session and match_rate, each distinct reported rule is
+    evaluated at most once per object of its list: the final rule's
+    likelihood over the whole list is read from the session's truth vector."""
+    import rulelab.metrics.grading as grading
+
+    exemplar_list = generate_list(GOLD, V, seed=7, rule_id="gold")
+    sources = [BLUE_SOURCE, GOLD_SOURCE] * len(exemplar_list.sets)
+    calls = []
+
+    def counted(concept, ctx):
+        calls.append(concept)
+        return evaluate(concept, ctx)
+
+    monkeypatch.setattr(grading, "evaluate", counted)
+    for labels in ((), _blue_session_labels(exemplar_list)):
+        calls.clear()
+        grades = {"gold": grade_session(exemplar_list, sources, V, labels)}
+        report = match_rate(grades, {"gold": exemplar_list}, V)
+        assert report.verdicts[0].likelihood == Fraction(1) and report.match_rate == 1.0
+        assert set(calls) == {parse_concept(BLUE_SOURCE, V), GOLD}
+        assert max(calls.count(c) for c in set(calls)) <= exemplar_list.n_objects

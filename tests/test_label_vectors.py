@@ -15,14 +15,7 @@ from rulelab.catalog import DEFAULT_VOCAB as V
 from rulelab.catalog import DEMO_RULES
 from rulelab.dsl import parse_concept, print_concept
 from rulelab.exemplars import generate_list
-from rulelab.metrics import (
-    AccuracySummary,
-    grade_session,
-    set_trajectory,
-    summarize_series,
-    summarize_subjects,
-    window_scores,
-)
+from rulelab.metrics import grade_session, set_trajectory, summarize_subjects, window_scores
 
 SEEDS = range(8)
 
@@ -63,9 +56,9 @@ def test_window_scores_and_summaries_are_the_record_walk(seed):
         assert window_scores(answers, gold[rule_id]) == reference.window_scores(
             [reference.series_of(a, exemplar_list) for a in answers]
         )
-    assert summarize_series("m", labels_by_rule, gold, kinds) == AccuracySummary(
-        "m", summarize_subjects("m", one_each, kinds).cells, sds={}
-    )
+    scored = {rule_id: window_scores([labels], gold[rule_id])
+              for rule_id, labels in labels_by_rule.items()}
+    assert summarize_subjects("m", scored, kinds) == summarize_subjects("m", one_each, kinds)
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -1,13 +1,19 @@
 """MH sampling validated against exact enumeration."""
 
 import math
+import os
 import pkgutil
+import subprocess
+import sys
+import textwrap
 from importlib import import_module
+from pathlib import Path
 from itertools import islice
 
 import numpy as np
 import pytest
 
+import rulelab
 from reference import PosteriorState, log_likelihood, posterior_predictive, set_prediction
 from rulelab.catalog import DEFAULT_VOCAB as V
 from rulelab.dsl import ContextBatch, evaluate, evaluate_batch, parse_concept
@@ -243,3 +249,46 @@ def test_run_mh_evaluates_each_concept_once(monkeypatch):
     run = run_mh(exemplar_list, default_grammar(V), NoiseParams(0.9, 0.5), 800, seed=5, max_size=3)
     assert len(evaluated) == len(set(evaluated)) > 1
     assert set(run.set_maps) | {run.final_map} <= set(evaluated)
+
+
+def test_a_chain_with_no_state_that_explains_the_evidence_raises():
+    """At alpha = 1 no concept of size 2 or less explains the list of
+    a blue object with exactly one other blue object in its set (seed 3):
+    the exact engine raises on the size-2 enumeration, and
+    an MH chain gives up after redrawing its start state ``iterations``
+    times instead of drawing forever.  In a child process, so that a chain
+    that never ends fails the test by its timeout."""
+    script = textwrap.dedent("""
+        from rulelab.catalog import DEFAULT_VOCAB as V
+        from rulelab.dsl import parse_concept
+        from rulelab.exemplars import generate_list
+        from rulelab.learner import (
+            DegeneratePosteriorError, NoiseParams, build_eval_matrix, default_grammar,
+            enumerate_hypotheses, evidence_from_list, mh_sample, run_enumerative, run_mh,
+        )
+        rule = parse_concept("(and (is-color blue) (exactly-one others (is-color blue 0)))", V)
+        exemplar_list = generate_list(rule, V, seed=3, rule_id="blue-among-two")
+        grammar, noise = default_grammar(V), NoiseParams(1.0, 0.5)
+        hypotheses = enumerate_hypotheses(grammar, 2)
+        calls = [
+            lambda: run_enumerative(exemplar_list, hypotheses,
+                                    build_eval_matrix(hypotheses, exemplar_list), noise),
+            lambda: mh_sample(grammar, evidence_from_list(exemplar_list), noise, 100,
+                              seed=1, max_size=2),
+            lambda: run_mh(exemplar_list, grammar, noise, 100, seed=1, max_size=2),
+        ]
+        for call in calls:
+            try:
+                call()
+            except DegeneratePosteriorError as error:
+                print(error)
+    """)
+    src = str(Path(rulelab.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "rule 'blue-among-two': no hypothesis explains the evidence",
+        "101 states drawn, none explains the evidence",
+        "rule 'blue-among-two': 101 states drawn, none explains the evidence",
+    ]

@@ -27,7 +27,6 @@ from rulelab.metrics import (
     accuracy,
     chance_baseline,
     cross_entropy,
-    cross_entropy_series,
     last_quarter_count,
     load_series,
     pearson_r,
@@ -205,9 +204,10 @@ def test_cross_entropy_gibbs_inequality(p, q):
     assert cross_entropy(p, q) >= cross_entropy(p, p) - 1e-12
 
 
-def test_cross_entropy_series_sums():
+def test_cross_entropy_sums_over_objects():
     pairs = [(1.0, 0.5), (0.5, 0.5)]
-    assert cross_entropy_series(pairs) == pytest.approx(2 * math.log(2), abs=1e-12)
+    total = sum(cross_entropy(p, q) for p, q in pairs)
+    assert total == pytest.approx(2 * math.log(2), abs=1e-12)
 
 
 def test_overall_accuracy_is_weighted_per_set_combination():

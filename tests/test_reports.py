@@ -4,8 +4,10 @@ import csv
 import io
 
 from rulelab.metrics import (
+    AccuracySummary,
     cohort_report,
-    summarize_series,
+    summarize_subjects,
+    window_scores,
     write_delta_csv,
     write_summary_csv,
     write_trajectory_csv,
@@ -28,7 +30,8 @@ def test_summary_rows_split_by_kind(tmp_path):
     labels = {"p1": _labels(8, 10), "f1": _labels(5, 10)}
     gold = {"p1": [True] * 10, "f1": [True] * 10}
     kinds = {"p1": "propositional", "f1": "fol"}
-    summary = summarize_series("m", labels, gold, kinds)
+    scores = {rule_id: window_scores([labels[rule_id]], gold[rule_id]) for rule_id in labels}
+    summary = AccuracySummary("m", summarize_subjects("m", scores, kinds).cells, sds={})
     assert summary.cells[("all", "overall")] == 0.65
     assert summary.cells[("propositional", "overall")] == 0.8
     assert summary.cells[("fol", "overall")] == 0.5
