@@ -10,7 +10,10 @@ Commands:
 
 Every command is deterministic given the config file and caches; all
 randomness is seeded from the config.  Exit codes: 0 success, 2 config
-error, 3 data error, 4 transport error.
+error, 3 data error, 4 transport error.  A command works rule by rule:
+a rule whose input or work fails (:class:`RuleError`, or any other error
+but a transport error) is named on stderr and fails alone; the command
+goes on with the other rules and exits 3.
 """
 
 from __future__ import annotations
@@ -115,20 +118,58 @@ class DataError(Exception):
     pass
 
 
-def _read(kind: str, path: Path, reader, error: type[Exception] | None = ConfigError):
+class RuleError(Exception):
+    """One rule's input or work failed: :func:`_each_rule` fails that rule
+    alone."""
+
+
+def _each_rule(rule_ids, work, failures: list[tuple[str, str]], workers: int = 1) -> dict:
+    """``{rule_id: work(rule_id)}`` in ``rule_ids`` order, for each rule whose
+    work raised nothing; ``(rule_id, message)`` is appended to ``failures``
+    for each other, in the same order.  One rule's failure must not stop the
+    others; a transport error stops the command.  The message alone is kept:
+    the error's traceback would keep the rule's frames, and its matrix,
+    alive.  With ``workers`` > 1 the rules run on that many threads, which
+    overlap only work that waits, such as a session's requests.
+    ``rule_ids`` is read twice: a list or a dict, not an iterator."""
+
+    def attempt(rule_id):
+        try:
+            return work(rule_id), None
+        except TransportError:
+            raise
+        except Exception as error:  # per-rule isolation
+            return None, str(error)
+
+    if workers > 1:
+        import concurrent.futures
+
+        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+            outcomes = list(pool.map(attempt, rule_ids))
+    else:
+        outcomes = map(attempt, rule_ids)
+    done = {}
+    for rule_id, (result, message) in zip(rule_ids, outcomes):
+        if message is None:
+            done[rule_id] = result
+        else:
+            failures.append((rule_id, message))
+    return done
+
+
+def _read(kind: str, path: Path, reader, error: type[Exception] = ConfigError):
     """``reader(path)``: every input file a command reads is opened here,
     but the endpoint file, which ``load_endpoint_config`` reads and checks.
     A file that cannot be opened, decoded or read as a ``kind`` raises
-    ``error``, which stops the command.  With ``error`` None the file is one
-    rule's: its message is returned in place of the value, to fail that
-    rule alone."""
+    ``error``: a :class:`RuleError` for one rule's file, which fails that
+    rule alone, else an error that stops the command."""
     try:
         return reader(path)
     except (OSError, csv.Error, DslError, KeyError, TypeError, ValueError) as reason:
         # ValueError: bad JSON or bad UTF-8 among others; KeyError and
         # TypeError: a document of the wrong shape.
-        if error is None:
-            return f"unreadable {kind} {path}: {reason}"
+        if error is RuleError:
+            raise RuleError(f"unreadable {kind} {path}: {reason}") from reason
         raise error(f"{kind} {path} is unreadable: {reason}") from reason
 
 
@@ -265,18 +306,16 @@ def cmd_gen(config: ExperimentConfig) -> int:
     config.lists_dir.mkdir(parents=True, exist_ok=True)
 
     failures = []
+    sources = {rule.rule_id: rule.source for rule in config.manifest}
+    concepts = _each_rule(
+        sources, lambda r: parse_concept(sources[r], config.feature_vocab), failures
+    )
     written = []
-    for rule in config.manifest:
-        try:
-            concept = parse_concept(rule.source, config.feature_vocab)
-        except DslError as error:
-            failures.append((rule.rule_id, str(error)))
-            continue
+    for rule_id, concept in concepts.items():
         exemplar_list = generate_list(
-            concept, config.feature_vocab, seed=_rule_seed(config.seed, rule.rule_id),
-            rule_id=rule.rule_id,
+            concept, config.feature_vocab, seed=_rule_seed(config.seed, rule_id), rule_id=rule_id,
         )
-        out_path = config.lists_dir / f"{rule.rule_id}.json"
+        out_path = config.lists_dir / f"{rule_id}.json"
         save_list(exemplar_list, out_path)
         written.append(out_path)
 
@@ -299,31 +338,18 @@ def _load_lists(config: ExperimentConfig) -> tuple[dict[str, ExemplarList], list
     list is missing, unreadable, another rule's (a file copied over it) or
     written under a vocab other than the config's: the learner evaluates
     every list in one batch, whose feature indices are the config vocab's."""
-    lists, failures = {}, []
-    for rule in config.manifest:
-        path = config.lists_dir / f"{rule.rule_id}.json"
-        loaded = _read("list file", path, load_list, None)
-        if not isinstance(loaded, str) and loaded.rule_id != rule.rule_id:
-            loaded = f"list file {path} is for rule {loaded.rule_id!r}, not {rule.rule_id!r}"
-        elif not isinstance(loaded, str) and loaded.vocab != config.feature_vocab:
-            loaded = f"list file {path} has a vocab other than the config's"
-        if isinstance(loaded, str):
-            failures.append((rule.rule_id, loaded))
-        else:
-            lists[rule.rule_id] = loaded
-    return lists, failures
 
+    def load(rule_id: str) -> ExemplarList:
+        path = config.lists_dir / f"{rule_id}.json"
+        loaded = _read("list file", path, load_list, RuleError)
+        if loaded.rule_id != rule_id:
+            raise RuleError(f"list file {path} is for rule {loaded.rule_id!r}, not {rule_id!r}")
+        if loaded.vocab != config.feature_vocab:
+            raise RuleError(f"list file {path} has a vocab other than the config's")
+        return loaded
 
-def _attempt(function, *args):
-    """``function(*args)``, or its error's message: one rule's failure must
-    not stop the others (a transport error stops the run).  The message alone:
-    the error's traceback would keep the rule's frames, and its matrix, alive."""
-    try:
-        return function(*args)
-    except TransportError:
-        raise
-    except Exception as error:  # per-rule isolation
-        return str(error)
+    failures: list[tuple[str, str]] = []
+    return _each_rule([rule.rule_id for rule in config.manifest], load, failures), failures
 
 
 def _enumerate(config: ExperimentConfig):
@@ -349,12 +375,15 @@ def cmd_run(config: ExperimentConfig, engine: str, mode: str = "chat") -> int:
         noise = NoiseParams(config.learner.alpha, config.learner.beta)
         if config.learner.engine == "mh" and config.learner.seed is None:
             raise ConfigError("learner.seed is required for the mh engine")
-        # Enumerated and evaluated once over every rule's list.  Rules run in
-        # rule_ids order and each takes the next list's matrix, so one matrix
-        # is alive at a time.  A failed enumeration or evaluation fails each rule.
-        table = None
+        # Enumerated and evaluated once over every rule's list, as the one
+        # item of an _each_rule call, so that a failure keeps its message and
+        # fails each rule with it.  Rules run in rule_ids order and each takes
+        # the next list's matrix, so one matrix is alive at a time.
+        table, table_failed = {}, []
         if config.learner.engine == "enumerate" and rule_ids:
-            table = _attempt(_eval_table, config, [lists[r] for r in rule_ids])
+            table = _each_rule(
+                ["table"], lambda _: _eval_table(config, [lists[r] for r in rule_ids]), table_failed
+            )
 
         def run_rule(rule_id: str) -> list[Path]:
             exemplar_list = lists[rule_id]
@@ -367,9 +396,9 @@ def cmd_run(config: ExperimentConfig, engine: str, mode: str = "chat") -> int:
                     max_size=config.learner.max_size,
                 )
             else:
-                if isinstance(table, str):
-                    raise DataError(table)
-                hypotheses, matrices = table
+                if table_failed:
+                    raise RuleError(table_failed[0][1])
+                hypotheses, matrices = table["table"]
                 trace_path = run_dir / f"{rule_id}.posterior.csv"
                 run = run_enumerative(exemplar_list, hypotheses, next(matrices), noise, trace_path)
             series_path = run_dir / f"{rule_id}.series.json"
@@ -415,33 +444,20 @@ def cmd_run(config: ExperimentConfig, engine: str, mode: str = "chat") -> int:
     else:
         raise ConfigError(f"unknown engine {engine!r}")
 
-    if engine == "llm":  # sessions wait on the network, so workers overlap them
-        import concurrent.futures
-
-        with concurrent.futures.ThreadPoolExecutor(max_workers=config.workers) as pool:
-            outcomes = list(pool.map(_attempt, [run_rule] * len(rule_ids), rule_ids))
-    else:  # the learner is CPU-bound under the GIL: threads would gain nothing
-        outcomes = [_attempt(run_rule, rule_id) for rule_id in rule_ids]
-    written: list[Path] = []
-    for rule_id, outcome in zip(rule_ids, outcomes):
-        if isinstance(outcome, str):
-            failures.append((rule_id, outcome))
-        else:
-            written.extend(outcome)
-
-    failed_ids = {rule_id for rule_id, _message in failures}
+    # Sessions wait on the network, so workers overlap them; the learner is
+    # CPU-bound under the GIL, so threads would gain it nothing.
+    done = _each_rule(rule_ids, run_rule, failures, config.workers if engine == "llm" else 1)
     # Only the files this run wrote: a directory reused across manifests
     # keeps other rules' files, which this run did not produce.
     manifest = {
         "inputs": inputs,
         "engine": engine,
-        "files": hash_inputs(written),
+        "files": hash_inputs([path for paths in done.values() for path in paths]),
     }
     write_json(run_dir / "manifest.json", manifest)
     for rule_id, message in failures:
         print(f"run[{engine}]: rule {rule_id!r} failed: {message}", file=sys.stderr)
-    completed = sum(1 for rule_id in rule_ids if rule_id not in failed_ids)
-    print(f"run[{engine}]: completed {completed} of {len(config.manifest)} rules -> {run_dir}")
+    print(f"run[{engine}]: completed {len(done)} of {len(config.manifest)} rules -> {run_dir}")
     return EXIT_DATA if failures else EXIT_OK
 
 
@@ -457,56 +473,51 @@ def _run_file(path: Path, rule_id: str) -> dict:
 
 
 def _series_labels(directory: Path, rule_id: str, exemplar_list: ExemplarList):
-    """The labels of ``rule_id``'s series file under ``directory``, None if
-    there is none, or the message of one that cannot be read."""
+    """The labels of ``rule_id``'s series file under ``directory``, or None
+    if there is none."""
     path = directory / f"{rule_id}.series.json"
     if not path.exists():
         return None
-    series = _read("series file", path, lambda p: load_series(p, exemplar_list), None)
-    return series if isinstance(series, str) else series.labels
+    return _read("series file", path, lambda p: load_series(p, exemplar_list), RuleError).labels
 
 
 def cmd_grade(config: ExperimentConfig, elicited_path: Path, series_dir: Path | None) -> int:
     lists, failures = _load_lists(config)
     if not elicited_path.exists():
         raise ConfigError(f"elicited file {elicited_path} does not exist")
-    unreadable: dict[str, str] = {}  # rule_id -> why its elicited file was skipped
+    if series_dir is not None and not series_dir.is_dir():
+        raise ConfigError(f"--series-dir {series_dir} is not a directory")
     if elicited_path.is_dir():
         # A run directory: each rule reads its own <rule_id>.elicited.json,
         # which must name that rule; no other file is read.
-        elicited_doc = {}
-        for rule_id in lists:
+        def entry(rule_id: str):
             path = elicited_path / f"{rule_id}.elicited.json"
-            if path.exists():
-                doc = _read("elicited file", path, lambda p: _run_file(p, rule_id), None)
-                (unreadable if isinstance(doc, str) else elicited_doc)[rule_id] = doc
+            if path.exists():  # else None: no entry
+                return _read("elicited file", path, lambda p: _run_file(p, rule_id), RuleError)
     else:
-        elicited_doc = _document("elicited file", elicited_path, DataError)
+        entry = _document("elicited file", elicited_path, DataError).get
 
     reports_dir = config.output_dir / "reports"
     reports_dir.mkdir(parents=True, exist_ok=True)
     extra = [elicited_path] if elicited_path.is_file() else []
     inputs = _inputs_of(config, *extra)
 
-    grades: dict[str, RuleGrade] = {}
-    for rule_id in sorted(lists):
-        sources = elicited_doc.get(rule_id)
+    def grade_rule(rule_id: str) -> RuleGrade:
+        sources = entry(rule_id)
         if sources is None:
-            failures.append((rule_id, unreadable.get(rule_id, "no elicited entry")))
-            continue
+            raise RuleError("no elicited entry")
         if isinstance(sources, dict):
             sources = sources.get("per_set", [])
         if not isinstance(sources, list) or not all(
             source is None or isinstance(source, str) for source in sources
         ):
-            failures.append((rule_id, f"elicited entry must be a list of printed rules "
-                                      f"or nulls, got {sources!r}"))
-            continue
+            raise RuleError(
+                f"elicited entry must be a list of printed rules or nulls, got {sources!r}"
+            )
         labels = _series_labels(series_dir, rule_id, lists[rule_id]) if series_dir else ()
-        if isinstance(labels, str):
-            failures.append((rule_id, labels))
-            continue
-        grades[rule_id] = grade_session(lists[rule_id], sources, config.feature_vocab, labels or ())
+        return grade_session(lists[rule_id], sources, config.feature_vocab, labels or ())
+
+    grades = _each_rule(sorted(lists), grade_rule, failures)
 
     report = match_rate(
         grades,
@@ -550,23 +561,18 @@ def cmd_grade(config: ExperimentConfig, elicited_path: Path, series_dir: Path | 
 # --- report ----------------------------------------------------------------
 
 def _kept_subjects(
-    config: ExperimentConfig, lists: dict[str, ExemplarList]
-) -> tuple[dict[str, list[SubjectRecord]], list[tuple[str, str]]]:
-    """The subjects the filter keeps for each rule with a list and human data,
-    and (rule_id, message) for each such rule whose subjects it cannot score
-    or removes entirely.  A subject file that does not parse is a data error."""
+    config: ExperimentConfig, lists: dict[str, ExemplarList], failures: list[tuple[str, str]]
+) -> dict[str, list[SubjectRecord]]:
+    """The subjects the filter keeps for each rule with a list and human data;
+    (rule_id, message) is appended to ``failures`` for each such rule whose
+    subjects it cannot score or removes entirely.  A subject file that does
+    not parse is a data error."""
     records = _read("subject file", config.human_data, read_subject_csv, DataError)
     by_rule: dict[str, list[SubjectRecord]] = {}
     for record in records:
         by_rule.setdefault(record.rule_id, []).append(record)
-    kept, failures = {}, []
-    for rule_id, rule_records in sorted(by_rule.items()):
-        if rule_id in lists:
-            try:
-                kept[rule_id], _report = filter_subjects(rule_records, lists[rule_id])
-            except ValueError as error:  # EmptyPoolError among them
-                failures.append((rule_id, str(error)))
-    return kept, failures
+    rule_ids = sorted(rule_id for rule_id in by_rule if rule_id in lists)
+    return _each_rule(rule_ids, lambda r: filter_subjects(by_rule[r], lists[r])[0], failures)
 
 
 # A cohort name labels its rows in the CSVs and names its deltas_<name>.csv;
@@ -598,62 +604,50 @@ def cmd_report(config: ExperimentConfig, series_dirs: dict[str, Path]) -> int:
     reports_dir.mkdir(parents=True, exist_ok=True)
     inputs = _inputs_of(config, *(p for p in [config.human_data] if p))
 
-    # One label vector per cohort and rule, one per kept subject for humans.
-    cohort_labels: dict[str, dict[str, tuple[bool | None, ...]]] = {}
+    # Each cohort's member label vectors per rule: the model cohorts by name,
+    # one vector per rule, then the humans, one vector per kept subject.
+    cohorts: dict[str, dict[str, list[tuple[bool | None, ...]]]] = {}
     for cohort, directory in series_dirs.items():
-        found = {}
-        for rule_id in lists:
-            labels = _series_labels(directory, rule_id, lists[rule_id])
-            if isinstance(labels, str):
-                failures.append((rule_id, labels))
-            elif labels is not None:
-                found[rule_id] = labels
-        if not found:
+        found = _each_rule(lists, lambda r: _series_labels(directory, r, lists[r]), failures)
+        vectors = {r: [labels] for r, labels in found.items() if labels is not None}
+        if vectors:
+            cohorts[cohort] = vectors
+        else:
             failures.append((cohort, f"no series files under {directory}"))
-            continue
-        cohort_labels[cohort] = found
-
-    human_answers: dict[str, list[tuple[bool | None, ...]]] = {}
+    cohorts = dict(sorted(cohorts.items()))
     if config.human_data is not None:
-        kept, emptied = _kept_subjects(config, lists)
-        failures.extend(emptied)
-        human_answers = {
+        kept = _kept_subjects(config, lists, failures)
+        cohorts["human"] = {
             r: [record.answers(lists[r]) for record in records] for r, records in kept.items()
         }
-    gold = {rule_id: exemplar_list.gold for rule_id, exemplar_list in lists.items()}
-    human_scores = {r: window_scores(answers, gold[r]) for r, answers in human_answers.items()}
-    # Each model cohort's vectors are scored once, for its summary row and its deltas.
-    cohort_scores = {cohort: {r: window_scores([labels], gold[r]) for r, labels in m.items()}
-                     for cohort, m in sorted(cohort_labels.items())}
+    # Each cohort's vectors are scored once, for its summary row and its deltas.
+    scores = {cohort: {r: window_scores(vectors, lists[r].gold) for r, vectors in m.items()}
+              for cohort, m in cohorts.items()}
 
+    summaries = [summarize_subjects(cohort, s, kinds) for cohort, s in scores.items()]
     summaries = [  # a model cohort's row has no SDs: one vector per rule
-        AccuracySummary(cohort, summarize_subjects(cohort, scores, kinds).cells, sds={})
-        for cohort, scores in cohort_scores.items()
+        s if s.cohort == "human" else AccuracySummary(s.cohort, s.cells, sds={}) for s in summaries
     ]
-    if config.human_data is not None:
-        summaries.append(summarize_subjects("human", human_scores, kinds))
     write_summary_csv(reports_dir / "summary.csv", summaries, inputs)
 
-    # Each cohort's member vectors per rule; the human cohort comes last.
-    members = [(c, {r: [v] for r, v in m.items()}) for c, m in sorted(cohort_labels.items())]
-    members.append(("human", human_answers))
     trajectories = {}
     for rule_id, exemplar_list in sorted(lists.items()):
         reports = [set_trajectory(m[rule_id], exemplar_list, cohort)
-                   for cohort, m in members if rule_id in m]
+                   for cohort, m in cohorts.items() if rule_id in m]
         if reports:
             trajectories[rule_id] = reports
     write_trajectory_csv(reports_dir / "trajectories.csv", trajectories, inputs)
 
-    last_quarter = {r: s["last_quarter"] for r, s in human_scores.items() if s["last_quarter"]}
-    for cohort, scores in cohort_scores.items():
+    human = scores.get("human", {})
+    last_quarter = {r: s["last_quarter"] for r, s in human.items() if s["last_quarter"]}
+    for cohort, rule_scores in scores.items():
         model_scores = {  # a rule whose last quarter has no label drops out
             rule_id: score
-            for rule_id in last_quarter if rule_id in scores
-            for score in scores[rule_id]["last_quarter"]
+            for rule_id in last_quarter if rule_id in rule_scores
+            for score in rule_scores[rule_id]["last_quarter"]
         }
         shared = {r: last_quarter[r] for r in model_scores}
-        if not shared:
+        if cohort == "human" or not shared:
             continue
         comparison = cohort_report(shared, model_scores)
         write_delta_csv(reports_dir / f"deltas_{cohort}.csv", comparison, kinds, inputs)
@@ -677,7 +671,7 @@ def cmd_fit_noise(config: ExperimentConfig) -> int:
         raise ConfigError("fit-noise requires 'human_data' in the config")
     lists, failures = _load_lists(config)
     if not failures:
-        kept, failures = _kept_subjects(config, lists)
+        kept = _kept_subjects(config, lists, failures)
     if failures:
         for rule_id, message in failures:
             print(f"fit-noise: rule {rule_id!r}: {message}", file=sys.stderr)

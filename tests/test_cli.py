@@ -860,6 +860,23 @@ def test_grade_a_truncated_run_file_fails_only_its_rule(workspace, capsys, kind)
 
 
 
+@pytest.mark.parametrize("name", ["plto", "blue.series.json"], ids=["missing", "a-file"])
+def test_a_series_dir_that_is_not_a_directory_is_a_config_error(workspace, capsys, name):
+    """A --series-dir that names no directory (a typo, say) would leave every
+    rule's consistency blank: it is a config error, raised before anything
+    is written, as a missing --elicited file is."""
+    run(workspace, "gen")
+    run(workspace, "run", "--engine", "plot")
+    run_dir = workspace / "out" / "runs" / "plot"
+    capsys.readouterr()
+    assert run(workspace, "grade", "--elicited", str(run_dir),
+               "--series-dir", str(run_dir / name)) == EXIT_CONFIG
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: --series-dir {run_dir / name} is not a directory"
+    ]
+    assert not (workspace / "out" / "reports").exists()
+
+
 def test_a_list_file_that_is_a_directory_fails_only_its_rule(workspace, capsys):
     run(workspace, "gen")
     bad = workspace / "out" / "lists" / "blue.json"
@@ -1245,6 +1262,53 @@ def _list_command(workspace, command) -> int:
 
 _LIST_COMMANDS = ["run", "grade", "report", "fit-noise"]
 _EVERY_COMMAND = ["gen", *_LIST_COMMANDS]
+
+
+def _json_error(text: str) -> str:
+    """The message json gives for ``text``, which does not parse."""
+    with pytest.raises(json.JSONDecodeError) as raised:
+        json.loads(text)
+    return str(raised.value)
+
+
+def test_each_commands_whole_stderr_names_each_failed_rule_once(every_input, capsys):
+    """One list that does not parse, one series file that does not parse
+    and one run-directory elicited file that names another rule: each
+    command's exit code and every line it writes to stderr, in order."""
+    lists = every_input / "out" / "lists"
+    run_dir = every_input / "out" / "runs" / "plot"
+    list_text, series_text = "{not json", '{"records": ['
+    (lists / "circle-or-blue.json").write_text(list_text)
+    (run_dir / "small-and-blue.series.json").write_text(series_text)
+    elicited = run_dir / "exists-triangle.elicited.json"
+    elicited.write_text(json.dumps({**json.loads(elicited.read_text()), "rule_id": "blue"}))
+    bad_list = (f"unreadable list file {lists / 'circle-or-blue.json'}: "
+                f"{_json_error(list_text)}")
+    bad_series = (f"unreadable series file {run_dir / 'small-and-blue.series.json'}: "
+                  f"{_json_error(series_text)}")
+    bad_elicited = f"unreadable elicited file {elicited}: rule_id 'blue' is not 'exists-triangle'"
+    expected = {
+        ("grade", "--elicited", str(run_dir), "--series-dir", str(run_dir)): [
+            f"grade: rule 'circle-or-blue' failed: {bad_list}",
+            f"grade: rule 'exists-triangle' failed: {bad_elicited}",
+            f"grade: rule 'small-and-blue' failed: {bad_series}",
+        ],
+        ("report", "--series", f"plot={run_dir}"): [
+            f"report: 'circle-or-blue': {bad_list}",
+            f"report: 'small-and-blue': {bad_series}",
+        ],
+        ("fit-noise",): [
+            f"fit-noise: rule 'circle-or-blue': {bad_list}",
+            "data error: fit-noise needs every rule's exemplar list and kept subjects",
+        ],
+        ("run", "--engine", "plot"): [  # last: it writes the series and elicited files again
+            f"run[plot]: rule 'circle-or-blue' failed: {bad_list}",
+        ],
+    }
+    capsys.readouterr()
+    for argv, lines in expected.items():
+        assert run(every_input, *argv) == EXIT_DATA, argv
+        assert capsys.readouterr().err.splitlines() == lines, argv
 
 
 @pytest.mark.parametrize("command", _LIST_COMMANDS)

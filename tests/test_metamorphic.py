@@ -14,15 +14,22 @@ Set order at the last boundary: the posterior after every set conditions on
 every object, whatever order the sets came in, so shuffling the sets moves
 the last boundary's entropy, MAP mass and top mass within 1e-12.  The final
 MAP is not checked, for the reason above.
+
+Value renaming: the learner works on value indices and orders hypotheses by
+their printed forms, so one prefix on every value name of the vocab, which
+keeps the names' order, leaves every score bitwise equal and every MAP the
+same up to the rename.
 """
 
 import dataclasses
 import random
+import re
 
 import pytest
 
 from conftest import dry_run_lists
 from rulelab.catalog import DEFAULT_VOCAB as V
+from rulelab.dsl import DIMENSIONS, FeatureVocab, print_concept
 from rulelab.exemplars import ExemplarList, ExemplarSet
 from rulelab.learner import (
     NoiseParams,
@@ -96,3 +103,30 @@ def test_the_last_boundarys_diagnostics_ignore_the_order_of_the_sets(hypotheses)
             original = final[i % len(lists)]
             for field in ("entropy", "map_mass", "top_mass"):
                 assert abs(getattr(moved, field) - getattr(original, field)) <= 1e-12
+
+
+def test_an_order_keeping_rename_of_the_values_moves_only_the_printed_names():
+    """On the 12 dry-run lists at max_size 3, every value name gets the
+    prefix ``v-``: P(True) and the diagnostics are bitwise equal, and each
+    set's MAP and the final MAP print the same but for the prefix."""
+    prefix = "v-"
+    renamed = FeatureVocab(*(tuple(prefix + v for v in V.values(dim)) for dim in DIMENSIONS))
+    values = {v for dim in DIMENSIONS for v in V.values(dim)}
+
+    def rename(printed: str) -> str:
+        return re.sub(r"[^\s()]+", lambda m: prefix * (m.group() in values) + m.group(), printed)
+
+    noise = NoiseParams(0.95, 0.5)
+    lists = dry_run_lists()
+    runs = {}
+    for vocab in (V, renamed):
+        hypotheses = enumerate_hypotheses(default_grammar(vocab), 3)
+        moved = [dataclasses.replace(exemplar_list, vocab=vocab) for exemplar_list in lists]
+        matrices = build_eval_matrices(hypotheses, moved)
+        runs[vocab] = [run_enumerative(x, hypotheses, next(matrices), noise) for x in moved]
+    for original, moved in zip(runs[V], runs[renamed]):
+        assert moved.p_true == original.p_true
+        assert moved.posterior == original.posterior
+        assert [print_concept(c, renamed) for c in (*moved.set_maps, moved.final_map)] == [
+            rename(print_concept(c, V)) for c in (*original.set_maps, original.final_map)
+        ]
